@@ -9,9 +9,12 @@ the next update bit for bit on the same build.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -89,8 +92,27 @@ def dump_checkpoint(ck: Checkpoint) -> str:
     return "\n".join(parts) + "\n"
 
 
+@contextlib.contextmanager
+def atomic_open(path):
+    """Text file handle whose content replaces ``path`` only once the block
+    completes; a write that fails part way leaves the previous file intact.
+
+    The content goes to ``<path>.tmp`` in the same directory first and is
+    moved over ``path`` with ``os.replace``, which is atomic.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, ck: Checkpoint) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(dump_checkpoint(ck))
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from . import experiments as ex
 from .checkpoint import (
     Checkpoint,
+    atomic_open,
     check_compatible,
     closure_fingerprint,
     load_checkpoint,
@@ -62,7 +63,7 @@ def fmt(x) -> str:
 def write_csv(path, header, rows) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(fmt(x) for x in row) + "\n")

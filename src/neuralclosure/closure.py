@@ -212,9 +212,14 @@ class AugmentedSystem:
                 f"closure output has {term.size} entries, state has {self.state_dim}")
         return term
 
-    def g_eval(self, t: float, u: Vec, phi: Vec) -> Vec:
+    def g_eval(self, t: float, u: Vec, phi: Vec, keep: list | None = None) -> Vec:
+        """g(u, t; phi), flat; ``keep`` collects the network tape when given."""
         g = self.closure.g_net
-        out = nn.forward(g, self._shape_for(g, u), phi, t)
+        if keep is None:
+            out = nn.forward(g, self._shape_for(g, u), phi, t)
+        else:
+            keep.append(nn.tape(g, self._shape_for(g, u), phi, t))
+            out = keep[-1].y
         out = self._flatten_out(out)
         if out.shape != (self.aux_dim,):
             raise ValueError(
@@ -248,7 +253,9 @@ def constant_history(u0: Vec) -> Callable[[float], Vec]:
 @dataclass
 class ForwardRun:
     """Forward solution of an augmented system plus the context the adjoint
-    needs: the original history callable and the state/aux split."""
+    needs: the original history callable, the state/aux split and, for a
+    windowed distributed closure, the g-network tapes of the y(t0) trapezoid
+    nodes in node order."""
 
     traj: DenseTrajectory
     t0: float
@@ -256,6 +263,7 @@ class ForwardRun:
     u_dim: int
     aux_dim: int
     history: Callable[[float], Vec] | None
+    history_tapes: tuple = ()
 
     def _clip(self, t: float) -> float:
         # tolerate ulp overshoot past the final time (advanced-time lookups)
@@ -332,9 +340,11 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span: tuple[float, fl
     if tau2 > tau1 and history is None:
         raise ValueError("distributed closure needs a history callable")
 
+    hist_tapes = []
     if tau2 > tau1:
-        y0 = quadrature(lambda s: sys.g_eval(s, np.asarray(history(s), float), phi),
-                        t0 - tau2, t0 - tau1, c.history_quad_panels)
+        y0 = quadrature(
+            lambda s: sys.g_eval(s, np.asarray(history(s), float), phi, keep=hist_tapes),
+            t0 - tau2, t0 - tau1, c.history_quad_panels)
     else:
         y0 = np.zeros(sys.aux_dim)
     U0 = np.concatenate([u0, y0])
@@ -358,7 +368,8 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span: tuple[float, fl
             u = u_of(U)
             return aug_rhs_parts(t, U, u, u)
         traj = integrate_ode(rhs_ode, U0, (t0, t1), stepper)
-        return ForwardRun(traj, t0, t1, sys.state_dim, sys.aux_dim, history)
+        return ForwardRun(traj, t0, t1, sys.state_dim, sys.aux_dim, history,
+                          tuple(hist_tapes))
 
     def hist_aug(s):
         if s >= t0:
@@ -375,7 +386,8 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span: tuple[float, fl
 
     prob = DdeProblem(rhs=rhs_dde, delays=tuple(pos), history=hist_aug)
     traj = integrate_dde(prob, (t0, t1), stepper)
-    return ForwardRun(traj, t0, t1, sys.state_dim, sys.aux_dim, history)
+    return ForwardRun(traj, t0, t1, sys.state_dim, sys.aux_dim, history,
+                      tuple(hist_tapes))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +470,10 @@ def _backward_sweep(dim, t0, T, jump_times, jump_vals, rhs_adj, integrand, dt,
     of the adjoint RHS land exactly on step boundaries; without this the
     sweep degrades to first order. ``integrand(t, a)`` returns the flat
     gradient integrand accumulated by the trapezoid rule on the backward
-    knots. Returns (DenseTrajectory, integral).
+    knots. At every knot ``integrand(t, a)`` is called before the stage-1
+    ``rhs_adj(t, a, look)`` of the step leaving it, with the same ``a``, so
+    a caller's tape cache serves stage 1 from the integrand's full reverse
+    pass. Returns (DenseTrajectory, integral).
     """
     store = DenseTrajectory()
     a = np.zeros(dim)
@@ -550,6 +565,60 @@ def _require_rk4(stepper) -> float:
     return stepper.dt
 
 
+def _memo(fn):
+    """``fn`` of a float time, computed once per exact time value."""
+    seen = {}
+
+    def at(t):
+        v = seen.get(t)
+        if v is None:
+            v = seen[t] = fn(t)
+        return v
+    return at
+
+
+class _StageTapes:
+    """The tapes and reverse passes of one network over one adjoint sweep.
+
+    ``x_of(t)`` gives the network input at time t; within a sweep it depends
+    on t alone (forward state, delayed states, auxiliary field), so a tape is
+    built once per exact float stage time and shared by every RK4 stage,
+    advanced term and trapezoid node that evaluates the network there. A
+    reverse pass is kept per (time, cotangent bytes); a full pass also answers
+    an input-only request with the same cotangent. Any miss computes fresh, so
+    every result equals that of a fresh ``nn.vjp`` bit for bit.
+    """
+
+    def __init__(self, net: nn.Network, params: Vec, x_of: Callable):
+        self.net, self.params, self.x_of = net, params, x_of
+        self._tapes: dict = {}
+        self._passes: dict = {}
+
+    def tape(self, t: float) -> nn.Tape:
+        tp = self._tapes.get(t)
+        if tp is None:
+            tp = self._tapes[t] = nn.tape(self.net, self.x_of(t), self.params, t)
+        return tp
+
+    def input_grad(self, t: float, w: Vec):
+        """d(w . net)/dx at time t (a list for recurrent networks)."""
+        key = (t, w.tobytes())
+        done = self._passes.get(key)
+        if done is None:
+            tp = self.tape(t)
+            done = self._passes[key] = (nn.backward_input(tp, w.reshape(tp.y.shape)), None)
+        return done[0]
+
+    def param_grad(self, t: float, w: Vec) -> Vec:
+        """d(w . net)/dparams at time t, keeping the input cotangent too."""
+        key = (t, w.tobytes())
+        done = self._passes.get(key)
+        if done is None or done[1] is None:
+            tp = self.tape(t)
+            done = self._passes[key] = nn.backward(tp, w.reshape(tp.y.shape))
+        return done[1]
+
+
 def adjoint_markovian(sys: AugmentedSystem, params: Vec, run: ForwardRun,
                       dataset, loss_spec, stepper: StepperSpec) -> AdjointRun:
     """Plain no-delay adjoint: d lambda/dt = -(d_u f_total)^T lambda."""
@@ -558,29 +627,21 @@ def adjoint_markovian(sys: AugmentedSystem, params: Vec, run: ForwardRun,
     net = sys.closure.net
     times, cots = _loss_jumps(run, dataset, loss_spec)
     seq = isinstance(sys.closure, Discrete)
+    u_at = _memo(run.u_at)
 
-    def net_vjp(t, u, w):
-        x = sys._shape_for(net, u)
-        wshaped = w if net.output_spec[0] == "dense" else w.reshape(
-            sys.grid_points, net.output_spec[1])
-        if seq:
-            dxs, dth = nn.vjp(net, [x], theta, wshaped, t)
-            return sys._flatten_out(dxs[0]), dth
-        dx, dth = nn.vjp(net, x, theta, wshaped, t)
-        return sys._flatten_out(dx), dth
+    def x_of(t):
+        x = sys._shape_for(net, u_at(t))
+        return [x] if seq else x
+
+    tapes = _StageTapes(net, theta, x_of)
 
     def rhs_adj(t, lam, store):
-        u = run.u_at(t)
-        din, _ = net_vjp(t, u, lam)
-        return -(sys._base_vjp(t, u, lam) + din)
-
-    def integrand(t, lam):
-        u = run.u_at(t)
-        _, dth = net_vjp(t, u, lam)
-        return dth
+        din = tapes.input_grad(t, lam)
+        din = din[0] if seq else din
+        return -(sys._base_vjp(t, u_at(t), lam) + sys._flatten_out(din))
 
     store, integral = _backward_sweep(run.u_dim, run.t0, run.t1, times, cots,
-                                      rhs_adj, integrand, dt)
+                                      rhs_adj, tapes.param_grad, dt)
     return AdjointRun(store, run.t0, run.t1, run.u_dim, 0, -integral, sys.n_theta)
 
 
@@ -604,38 +665,30 @@ def adjoint_discrete(sys: AugmentedSystem, params: Vec, run: ForwardRun,
     K = len(delays)
     times, cots = _loss_jumps(run, dataset, loss_spec)
     T = run.t1
+    u_at = _memo(run.u_at)
 
     def seq_at(s):
         # oldest first: u(s - tau_K), ..., u(s - tau_1), u(s)
-        vals = [run.u_at(s - tau) for tau in reversed(delays)] + [run.u_at(s)]
+        vals = [u_at(s - tau) for tau in reversed(delays)] + [u_at(s)]
         return [sys._shape_for(net, v) for v in vals]
 
-    def shaped_cot(w):
-        if net.output_spec[0] == "dense":
-            return w
-        return w.reshape(sys.grid_points, net.output_spec[1])
+    tapes = _StageTapes(net, theta, seq_at)
 
     def rhs_adj(t, lam, look):
-        u = run.u_at(t)
-        dxs, _ = nn.vjp(net, seq_at(t), theta, shaped_cot(lam), t)
-        acc = sys._base_vjp(t, u, lam) + sys._flatten_out(dxs[K])
+        dxs = tapes.input_grad(t, lam)
+        acc = sys._base_vjp(t, u_at(t), lam) + sys._flatten_out(dxs[K])
         for k, tau in enumerate(delays, start=1):
             lam_adv = look(t + tau)[:run.u_dim]
             if not np.any(lam_adv):
                 continue
-            dxs_adv, _ = nn.vjp(net, seq_at(t + tau), theta,
-                                shaped_cot(lam_adv), t + tau)
+            dxs_adv = tapes.input_grad(t + tau, lam_adv)
             acc = acc + sys._flatten_out(dxs_adv[K - k])
         return -acc
 
-    def integrand(t, lam):
-        _, dth = nn.vjp(net, seq_at(t), theta, shaped_cot(lam), t)
-        return dth
-
     stops = [tj - tau for tj in times for tau in delays]
     store, integral = _backward_sweep(run.u_dim, run.t0, T, times, cots,
-                                      rhs_adj, integrand, dt, tau_cap=delays[0],
-                                      extra_stops=stops)
+                                      rhs_adj, tapes.param_grad, dt,
+                                      tau_cap=delays[0], extra_stops=stops)
     return AdjointRun(store, run.t0, T, run.u_dim, 0, -integral, sys.n_theta)
 
 
@@ -649,7 +702,7 @@ def adjoint_distributed(sys: AugmentedSystem, params: Vec, run: ForwardRun,
 
     The phi-gradient combines the moving-window integrand with the history
     term -mu^T(t0) * d_phi y(t0), evaluated with the same trapezoid rule the
-    forward solve used for y(t0).
+    forward solve used for y(t0), on the g-network tapes that solve kept.
     """
     c = sys.closure
     if not isinstance(c, Distributed):
@@ -661,50 +714,30 @@ def adjoint_distributed(sys: AugmentedSystem, params: Vec, run: ForwardRun,
     times, cots = _loss_jumps(run, dataset, loss_spec)
     T = run.t1
     du_dim, dy_dim = run.u_dim, run.aux_dim
-
-    def g_cot(w):
-        g = c.g_net
-        if g.output_spec[0] == "dense":
-            return w
-        return w.reshape(sys.grid_points, g.output_spec[1])
-
-    def f_cot(w):
-        f = c.f_net
-        if f.output_spec[0] == "dense":
-            return w
-        return w.reshape(sys.grid_points, f.output_spec[1])
-
-    def g_vjp_input(t, u, w):
-        dx, _ = nn.vjp(c.g_net, sys._shape_for(c.g_net, u), phi, g_cot(w), t)
-        return sys._flatten_out(dx)
-
-    def g_vjp_params(t, u, w):
-        _, dphi = nn.vjp(c.g_net, sys._shape_for(c.g_net, u), phi, g_cot(w), t)
-        return dphi
+    u_at = _memo(run.u_at)
+    f_tapes = _StageTapes(c.f_net, theta,
+                          lambda t: sys._f_input(u_at(t), run.y_at(t)))
+    g_tapes = _StageTapes(c.g_net, phi, lambda t: sys._shape_for(c.g_net, u_at(t)))
 
     def rhs_adj(t, a, look):
         lam, mu = a[:du_dim], a[du_dim:]
-        u, y = run.u_at(t), run.y_at(t)
-        dxf, _ = nn.vjp(c.f_net, sys._f_input(u, y), theta, f_cot(lam), t)
-        fu, fy = sys._split_f_input_grad(dxf)
-        dlam = -(sys._base_vjp(t, u, lam) + fu)
+        fu, fy = sys._split_f_input_grad(f_tapes.input_grad(t, lam))
+        dlam = -(sys._base_vjp(t, u_at(t), lam) + fu)
         if windowed:
             mu1 = mu if tau1 == 0.0 else look(t + tau1)[du_dim:]
             if np.any(mu1):
-                dlam = dlam - g_vjp_input(t, u, mu1)
+                dlam = dlam - sys._flatten_out(g_tapes.input_grad(t, mu1))
             mu2 = look(t + tau2)[du_dim:]
             if np.any(mu2):
-                dlam = dlam + g_vjp_input(t, u, mu2)
+                dlam = dlam + sys._flatten_out(g_tapes.input_grad(t, mu2))
         dmu = -fy
         return np.concatenate([dlam, dmu])
 
     def integrand(t, a):
         lam, mu = a[:du_dim], a[du_dim:]
-        u, y = run.u_at(t), run.y_at(t)
-        _, dth = nn.vjp(c.f_net, sys._f_input(u, y), theta, f_cot(lam), t)
+        dth = f_tapes.param_grad(t, lam)
         if windowed:
-            dphi = g_vjp_params(t - tau1, run.u_at(t - tau1), mu) \
-                 - g_vjp_params(t - tau2, run.u_at(t - tau2), mu)
+            dphi = g_tapes.param_grad(t - tau1, mu) - g_tapes.param_grad(t - tau2, mu)
         else:
             dphi = np.zeros(sys.n_phi)
         return np.concatenate([dth, dphi])
@@ -721,16 +754,16 @@ def adjoint_distributed(sys: AugmentedSystem, params: Vec, run: ForwardRun,
         # mirroring the forward y(t0) trapezoid rule node for node
         mu0 = store.eval(run.t0)[du_dim:]
         if np.any(mu0):
-            a, b = run.t0 - tau2, run.t0 - tau1
             npan = c.history_quad_panels
-            ts = np.linspace(a, b, npan + 1)
+            if len(run.history_tapes) != npan + 1:
+                raise ValueError("forward run kept no y(t0) tapes for this closure")
+            a, b = run.t0 - tau2, run.t0 - tau1
             w = np.full(npan + 1, (b - a) / npan)
             w[0] *= 0.5
             w[-1] *= 0.5
             hist_grad = np.zeros(sys.n_phi)
-            for s, wj in zip(ts, w):
-                hs = np.asarray(run.history(s), dtype=float)
-                hist_grad += wj * g_vjp_params(s, hs, mu0)
+            for tp, wj in zip(run.history_tapes, w):
+                hist_grad += wj * nn.backward(tp, mu0.reshape(tp.y.shape))[1]
             grad[sys.n_theta:] -= hist_grad
     return AdjointRun(store, run.t0, T, du_dim, dy_dim, grad, sys.n_theta)
 

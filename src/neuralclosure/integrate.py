@@ -90,6 +90,7 @@ class DenseTrajectory:
     def __init__(self):
         self._segs: list[HermiteSegment] = []
         self._starts: list[float] = []
+        self._neg_starts: list[float] = []  # ascending keys of a backward chain
         self.ascending = True
 
     def __len__(self) -> int:
@@ -139,6 +140,8 @@ class DenseTrajectory:
                                  np.asarray(f_from, float).copy())
         self._segs.append(seg)
         self._starts.append(t_from)
+        if not forward:
+            self._neg_starts.append(-t_from)
 
     def _locate(self, t: float) -> HermiteSegment:
         if not self._segs:
@@ -152,7 +155,7 @@ class DenseTrajectory:
             i = max(i, 0)
         else:
             # starts are descending; find last i with starts[i] >= t
-            i = bisect.bisect_left([-s for s in self._starts], -t)
+            i = bisect.bisect_left(self._neg_starts, -t)
             if i == len(self._starts) or self._starts[i] < t:
                 i -= 1
             else:
@@ -422,15 +425,16 @@ def integrate_dde(prob: DdeProblem, t_span: tuple[float, float],
 
     if isinstance(stepper, RK4Fixed):
         ts = _knot_grid(t0, t1, stepper.dt, cap=tau_min)
+        f = ode_rhs(t0, u)
         for t, t_next in zip(ts[:-1], ts[1:]):
-            f = ode_rhs(t, u)
             u_next, _ = _rk4_step(ode_rhs, t, u, t_next - t, f0=f)
             _check_finite(t_next, u_next)
             # step <= min(delays), so the endpoint lookups at t_next - tau read
-            # times <= t and never need the segment being built
+            # times <= t and never need the segment being built; the endpoint
+            # slope is the next step's first stage
             f_next = ode_rhs(t_next, u_next)
             traj.append(t, t_next, u, u_next, f, f_next)
-            u = u_next
+            u, f = u_next, f_next
         return traj
 
     if isinstance(stepper, ImplicitTrapezoid):

@@ -16,6 +16,11 @@ architectures need and nothing else:
 Parameters live in one flat float64 vector addressed through the network's
 layout; every layer provides forward and reverse (input and parameter) passes.
 Recurrent cells consume state sequences ordered oldest to newest.
+
+A reverse pass is split in two steps: :func:`tape` runs the forward pass and
+keeps the layer caches, and :func:`backward` (input and parameter cotangents)
+or :func:`backward_input` (input cotangent only, skipping all weight-gradient
+work) run on that tape, as often as needed. :func:`vjp` composes the two.
 """
 
 from __future__ import annotations
@@ -89,22 +94,28 @@ def _conv_same(x, K, b):
     return y, xpad
 
 
-def _conv_same_vjp(xpad, K, w):
-    """Reverse pass of _conv_same; returns (dx, dK, db)."""
+def _conv_same_vjp(xpad, K, w, grads=True):
+    """Reverse pass of _conv_same; returns (dx, dK, db), with dK and db None
+    when ``grads`` is false."""
     k, ci, co = K.shape
     n = w.shape[0]
     pl = (k - 1) // 2
     dxpad = np.zeros_like(xpad)
-    dK = np.empty_like(K)
+    dK = np.empty_like(K) if grads else None
     for d in range(k):
-        dK[d] = xpad[d:d + n].T @ w
+        if grads:
+            dK[d] = xpad[d:d + n].T @ w
         dxpad[d:d + n] += w @ K[d].T
-    return dxpad[pl:pl + n], dK, w.sum(axis=0)
+    return dxpad[pl:pl + n], dK, w.sum(axis=0) if grads else None
 
 
 # ---------------------------------------------------------------------------
 # Layers
 # ---------------------------------------------------------------------------
+#
+# ``backward(p, cache, w, grads)`` returns (dx, parameter gradients); with
+# ``grads`` false the second entry is None and no weight-gradient work is done.
+# The input cotangent is computed by the same operations either way.
 
 
 @dataclass(frozen=True)
@@ -136,11 +147,11 @@ class Dense:
         z = W @ x + b
         return _act(self.act, z), (x, z)
 
-    def backward(self, p, cache, w):
+    def backward(self, p, cache, w, grads=True):
         W, _ = p
         x, z = cache
         dz = w * _act_deriv(self.act, z)
-        return W.T @ dz, (np.outer(dz, x), dz)
+        return W.T @ dz, (np.outer(dz, x), dz) if grads else None
 
     def describe(self):
         return f"Dense({self.n_in}->{self.n_out},{self.act})"
@@ -186,23 +197,25 @@ class SimpleRnnCell:
             hs.append(h)
         return h, (xs, zs, hs)
 
-    def backward_seq(self, p, cache, w):
+    def backward_seq(self, p, cache, w, grads=True):
         Wx, Wh, _ = p
         xs, zs, hs = cache
-        dWx = np.zeros_like(Wx)
-        dWh = np.zeros_like(Wh)
-        db = np.zeros(self.units)
+        if grads:
+            dWx = np.zeros_like(Wx)
+            dWh = np.zeros_like(Wh)
+            db = np.zeros(self.units)
         dxs = []
         dh = w
         for i in range(len(xs) - 1, -1, -1):
             dz = dh * _act_deriv(self.act, zs[i])
-            dWx += np.outer(dz, xs[i])
-            dWh += np.outer(dz, hs[i])
-            db += dz
+            if grads:
+                dWx += np.outer(dz, xs[i])
+                dWh += np.outer(dz, hs[i])
+                db += dz
             dxs.append(Wx.T @ dz)
             dh = Wh.T @ dz
         dxs.reverse()
-        return dxs, (dWx, dWh, db)
+        return dxs, (dWx, dWh, db) if grads else None
 
     def describe(self):
         return f"SimpleRnnCell({self.n_in}->{self.units},{self.act})"
@@ -261,26 +274,28 @@ class SimpleRnnConvCell:
         out = _act(self.act, zo)
         return out, (xs, zs, hs, xpads, hpads, zo, opad)
 
-    def backward_seq(self, p, cache, w):
+    def backward_seq(self, p, cache, w, grads=True):
         Kx, Kh, b, Ko, bo = p
         xs, zs, hs, xpads, hpads, zo, opad = cache
         dzo = w * _act_deriv(self.act, zo)
-        dh, dKo, dbo = _conv_same_vjp(opad, Ko, dzo)
-        dKx = np.zeros_like(Kx)
-        dKh = np.zeros_like(Kh)
-        db = np.zeros(self.units)
+        dh, dKo, dbo = _conv_same_vjp(opad, Ko, dzo, grads)
+        if grads:
+            dKx = np.zeros_like(Kx)
+            dKh = np.zeros_like(Kh)
+            db = np.zeros(self.units)
         dxs = []
         for i in range(len(xs) - 1, -1, -1):
             dz = dh * _act_deriv(self.act, zs[i])
-            dx_i, dKx_i, _ = _conv_same_vjp(xpads[i], Kx, dz)
-            dh_i, dKh_i, db_i = _conv_same_vjp(hpads[i], Kh, dz)
-            dKx += dKx_i
-            dKh += dKh_i
-            db += db_i
+            dx_i, dKx_i, _ = _conv_same_vjp(xpads[i], Kx, dz, grads)
+            dh_i, dKh_i, db_i = _conv_same_vjp(hpads[i], Kh, dz, grads)
+            if grads:
+                dKx += dKx_i
+                dKh += dKh_i
+                db += db_i
             dxs.append(dx_i)
             dh = dh_i
         dxs.reverse()
-        return dxs, (dKx, dKh, db, dKo, dbo)
+        return dxs, (dKx, dKh, db, dKo, dbo) if grads else None
 
     def describe(self):
         return (f"SimpleRnnConvCell({self.in_ch}ch->{self.units}ch,"
@@ -317,12 +332,12 @@ class Conv1d:
         z, xpad = _conv_same(x, K, b)
         return _act(self.act, z), (xpad, z)
 
-    def backward(self, p, cache, w):
+    def backward(self, p, cache, w, grads=True):
         K, _ = p
         xpad, z = cache
         dz = w * _act_deriv(self.act, z)
-        dx, dK, db = _conv_same_vjp(xpad, K, dz)
-        return dx, (dK, db)
+        dx, dK, db = _conv_same_vjp(xpad, K, dz, grads)
+        return dx, (dK, db) if grads else None
 
     def describe(self):
         return f"Conv1d({self.in_ch}ch->{self.out_ch}ch,k{self.kernel},{self.act})"
@@ -338,12 +353,12 @@ class Conv1dTranspose(Conv1d):
         z, xpad = _conv_same(x, K[::-1], b)
         return _act(self.act, z), (xpad, z)
 
-    def backward(self, p, cache, w):
+    def backward(self, p, cache, w, grads=True):
         K, _ = p
         xpad, z = cache
         dz = w * _act_deriv(self.act, z)
-        dx, dKf, db = _conv_same_vjp(xpad, K[::-1], dz)
-        return dx, (dKf[::-1].copy(), db)
+        dx, dKf, db = _conv_same_vjp(xpad, K[::-1], dz, grads)
+        return dx, (dKf[::-1].copy(), db) if grads else None
 
     def describe(self):
         return (f"Conv1dTranspose({self.in_ch}ch->{self.out_ch}ch,"
@@ -394,8 +409,8 @@ class AddExtraChannels:
                 f"expected ({x.shape[0]}, {self.n_extra})")
         return np.concatenate([x, extra], axis=1), x.shape[1]
 
-    def backward(self, p, cache, w):
-        return w[:, :cache], ()
+    def backward(self, p, cache, w, grads=True):
+        return w[:, :cache], () if grads else None
 
     def describe(self):
         return f"AddExtraChannels(+{self.n_extra},{self.label})"
@@ -428,9 +443,11 @@ class BioConstrain:
         out = np.stack([beta * s, -s, (1.0 - beta) * s], axis=-1)
         return out, (s, beta, x.shape)
 
-    def backward(self, p, cache, w):
+    def backward(self, p, cache, w, grads=True):
         s, beta, xshape = cache
         ds = beta * w[..., 0] - w[..., 1] + (1.0 - beta) * w[..., 2]
+        if not grads:
+            return ds.reshape(xshape), None
         dbeta = float(np.sum(s * (w[..., 0] - w[..., 2])))
         return ds.reshape(xshape), (np.array([dbeta]),)
 
@@ -546,22 +563,25 @@ def _run_tape_rnn(net: Network, xs, params, t):
     return x, caches
 
 
-def _backward(net: Network, params, caches, w, seq: bool):
-    grads = np.zeros(net.n_params)
+def _backward(tp: Tape, w, want_grads: bool):
+    """Reverse pass on a tape: (dx, grads), with grads None unless wanted."""
+    net, params, caches = tp.net, tp.params, tp.caches
+    grads = np.zeros(net.n_params) if want_grads else None
     dx = np.asarray(w, dtype=float)
     for i in range(len(net.layers) - 1, 0, -1):
         lay = net.layers[i]
         p = net.layer_params(params, i)
-        dx, gparts = lay.backward(p, caches[i], dx)
-        _write_grads(net, grads, i, gparts)
+        dx, gparts = lay.backward(p, caches[i], dx, want_grads)
+        if want_grads:
+            _write_grads(net, grads, i, gparts)
     lay = net.layers[0]
     p = net.layer_params(params, 0)
-    if seq:
-        dxs, gparts = lay.backward_seq(p, caches[0], dx)
+    if net.recurrent:
+        dx, gparts = lay.backward_seq(p, caches[0], dx, want_grads)
+    else:
+        dx, gparts = lay.backward(p, caches[0], dx, want_grads)
+    if want_grads:
         _write_grads(net, grads, 0, gparts)
-        return dxs, grads
-    dx, gparts = lay.backward(p, caches[0], dx)
-    _write_grads(net, grads, 0, gparts)
     return dx, grads
 
 
@@ -608,21 +628,50 @@ def rnn_forward(net: Network, xs, params: Vec, t: float | None = None):
     return y
 
 
-def vjp(net: Network, x, params: Vec, w, t: float | None = None):
-    """Reverse pass of w . forward(net, x, params): (d/dx, d/dparams).
+@dataclass(frozen=True, eq=False)
+class Tape:
+    """One forward pass kept for reverse passes: the output ``y`` and the
+    per-layer caches of ``net`` at ``params``."""
 
-    For recurrent networks ``x`` is the input sequence and the input gradient
-    is the list of per-element gradients.
+    net: Network
+    params: Vec
+    y: np.ndarray
+    caches: list
+
+
+def tape(net: Network, x, params: Vec, t: float | None = None) -> Tape:
+    """Run the forward pass and keep it for :func:`backward`.
+
+    For recurrent networks ``x`` is the input sequence, oldest first.
     """
     params = net._check_params(params)
     if net.recurrent:
-        xs = _as_sequence(net, x)
-        y, caches = _run_tape_rnn(net, xs, params, t)
-        _check_cotangent(y, w)
-        return _backward(net, params, caches, w, seq=True)
-    y, caches = _run_tape(net, net._check_input(x), params, t)
-    _check_cotangent(y, w)
-    return _backward(net, params, caches, w, seq=False)
+        y, caches = _run_tape_rnn(net, _as_sequence(net, x), params, t)
+    else:
+        y, caches = _run_tape(net, net._check_input(x), params, t)
+    return Tape(net, params, y, caches)
+
+
+def backward(tp: Tape, w):
+    """Reverse pass of w . y on a tape: (d/dx, d/dparams).
+
+    For recurrent networks the input gradient is the list of per-element
+    gradients.
+    """
+    _check_cotangent(tp.y, w)
+    return _backward(tp, w, True)
+
+
+def backward_input(tp: Tape, w):
+    """The d/dx part of :func:`backward` alone, with no parameter-gradient
+    work; bit-identical to ``backward(tp, w)[0]``."""
+    _check_cotangent(tp.y, w)
+    return _backward(tp, w, False)[0]
+
+
+def vjp(net: Network, x, params: Vec, w, t: float | None = None):
+    """Reverse pass of w . forward(net, x, params): (d/dx, d/dparams)."""
+    return backward(tape(net, x, params, t), w)
 
 
 def _check_cotangent(y, w):
@@ -632,7 +681,7 @@ def _check_cotangent(y, w):
 
 
 def vjp_input(net: Network, x, params: Vec, w, t: float | None = None):
-    return vjp(net, x, params, w, t)[0]
+    return backward_input(tape(net, x, params, t), w)
 
 
 def vjp_params(net: Network, x, params: Vec, w, t: float | None = None):

@@ -314,9 +314,12 @@ def train(sys: AugmentedSystem, dataset: SnapshotDataset, params0: Vec,
     """Run windowed adjoint training; returns final parameters and the log.
 
     ``opt_state``, ``rng`` and ``start_epoch`` allow a checkpointed run to
-    resume mid-stream and reproduce an uninterrupted run bit for bit. On a
-    non-finite loss, gradient or parameter the loop stops and flags the
-    result as diverged instead of raising.
+    resume mid-stream and reproduce an uninterrupted run bit for bit. On an
+    integration failure or a non-finite loss, gradient or parameter the loop
+    stops and flags the result as diverged instead of raising. A diverged
+    result holds the state at the end of the last completed epoch: its
+    params, ``opt_state`` (updated in place) and ``rng`` (rewound in place)
+    belong together, so a checkpoint of them is finite and resumable.
     """
     params = np.asarray(params0, dtype=float).copy()
     if params.shape != (sys.n_params,):
@@ -330,6 +333,7 @@ def train(sys: AugmentedSystem, dataset: SnapshotDataset, params0: Vec,
     result = TrainResult(params=params, opt_state=state)
 
     for epoch in range(start_epoch, settings.epochs):
+        epoch_start = (params, state.s, state.step, rng.bit_generator.state)
         epoch_losses = []
         ok = True
         for _ in range(iters):
@@ -360,6 +364,7 @@ def train(sys: AugmentedSystem, dataset: SnapshotDataset, params0: Vec,
             epoch_losses.append(batch_loss)
 
         if not ok:
+            params, state.s, state.step, rng.bit_generator.state = epoch_start
             result.params = params
             result.diverged = True
             result.epochs_run = epoch

@@ -1,5 +1,7 @@
 """Checkpoint files: exact round-trips, fingerprints, resume invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,15 @@ def test_check_compatible():
     with pytest.raises(ValueError, match="different config"):
         check_compatible(ck, study.closure("discrete"), "discrete", "toy",
                          "d" * 64)
+
+
+def test_failed_save_leaves_previous_checkpoint(tmp_path):
+    ck = _sample_checkpoint()
+    path = tmp_path / "checkpoint.txt"
+    save_checkpoint(path, ck)
+    before = path.read_text(encoding="utf-8")
+    bad = replace(ck, params=np.array([1.0, "not a number"], dtype=object))
+    with pytest.raises(ValueError):
+        save_checkpoint(path, bad)
+    assert path.read_text(encoding="utf-8") == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.txt"]

@@ -43,6 +43,21 @@ def test_write_read_table(tmp_path):
     assert text.splitlines()[0] == "t,a"
 
 
+def test_failed_table_write_leaves_previous_file(tmp_path):
+    path = tmp_path / "loss_history.csv"
+    cli.write_csv(path, ["epoch", "loss"], [[0, 1.5], [1, 0.5]])
+    before = path.read_text(encoding="utf-8")
+
+    def rows():
+        yield [0, 2.5]
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError):
+        cli.write_csv(path, ["epoch", "loss"], rows())
+    assert path.read_text(encoding="utf-8") == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["loss_history.csv"]
+
+
 def test_state_columns():
     assert cli.state_columns("toy", "target") == ["u1", "u2"]
     assert cli.state_columns("exp1_rom", "target") == ["a1", "a2", "a3"]

@@ -164,7 +164,8 @@ class TestParamCounts:
 
 
 class _VjpCase:
-    """Checks vjp_input and vjp_params against the central-difference oracle."""
+    """Checks vjp_input and vjp_params against the central-difference oracle,
+    and the input-only pass against the full one."""
 
     def check(self, net, x, params, t=None, seq=False):
         rng = np.random.default_rng(99)
@@ -189,6 +190,9 @@ class _VjpCase:
         fd_par = central_fd(f_par, params)
         assert rel_l2(g_in, fd_in) < 1e-6
         assert rel_l2(g_par, fd_par) < 1e-6
+        # vjp_input runs the input-only pass: bit-identical to the full one
+        g_full = vjp(net, x, params, w, t)[0]
+        np.testing.assert_array_equal(g_in, np.stack(g_full) if seq else g_full)
 
 
 class TestVjp(_VjpCase):

@@ -1,12 +1,14 @@
 """Dataset handling, loss derivatives, optimizer arithmetic, training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from neuralclosure import nn
+from neuralclosure import experiments as ex, nn
 from neuralclosure.closure import AugmentedSystem, Markovian, forward_augmented
 from neuralclosure.integrate import RK4Fixed
 from neuralclosure.train import (
@@ -291,6 +293,29 @@ def test_divergence_is_flagged_not_raised():
                     LossSpec("time_avg_l2"), RK4Fixed(0.05))
     assert res.diverged
     assert res.epochs_run == 0
+
+
+def test_divergence_returns_last_finite_state():
+    # lr0 = 1e308 overflows the very first update: the result must hold the
+    # state the epoch started from, with the batch RNG rewound to match
+    study = ex.get_study("toy")
+    data = study.setup()
+    clo = study.closure("markovian")
+    sys = study.system(clo, data)
+    ds = SnapshotDataset(data.times, data.states).restrict(0.0, study.train_end)
+    settings = replace(study.settings("markovian"), lr0=1e308, epochs=2)
+    params0 = ex.initial_params(clo, 0)
+    rng = np.random.default_rng(settings.seed)
+    rng_before = rng.bit_generator.state
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = train(sys, ds, params0, settings, study.loss_spec(),
+                    study.forward_stepper(), rng=rng)
+    assert res.diverged and res.epochs_run == 0
+    assert np.all(np.isfinite(res.params))
+    assert np.array_equal(res.params, params0)
+    assert res.opt_state.step == 0
+    assert not np.any(res.opt_state.s)
+    assert rng.bit_generator.state == rng_before
 
 
 def test_settings_validation():
