@@ -12,6 +12,13 @@ side. Three memory structures are supported:
       dy/dt = g(u(t-tau_1), t-tau_1; phi) - g(u(t-tau_2), t-tau_2; phi)
       y(t0) = integral of g(h(s), s; phi) over [t0-tau_2, t0-tau_1].
 
+With no delays the discrete closure reduces to the Markovian one, and so
+does the distributed closure with a (0, 0) window. The code follows that:
+one forward body solves every kind (as an ODE when it has no delays), and
+one adjoint driver, :func:`adjoint_gradient`, sweeps every kind. The
+kind-named entry points ``adjoint_markovian``, ``adjoint_discrete`` and
+``adjoint_distributed`` reject a closure they do not model and then call it.
+
 Gradients of data-time losses are computed by integrating adjoint variables
 backward in time. The adjoint equations reference *advanced* arguments
 lambda(t+tau), mu(t+tau); these are read from the backward-growing dense
@@ -26,7 +33,7 @@ then phi for distributed closures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -195,13 +202,15 @@ class AugmentedSystem:
     # -- closure term evaluations ----------------------------------------
 
     def closure_term(self, t: float, u: Vec, theta: Vec,
-                     delayed: list[Vec] | None = None, y: Vec | None = None) -> Vec:
-        """The neural contribution to du/dt at time t."""
+                     delayed: Sequence[Vec] = (), y: Vec | None = None) -> Vec:
+        """The neural contribution to du/dt at time t; ``delayed`` holds the
+        states at t - tau_k in ascending delay order."""
         c = self.closure
         if isinstance(c, Markovian):
             out = nn.forward(c.net, self._shape_for(c.net, u), theta, t)
         elif isinstance(c, Discrete):
-            seq = [self._shape_for(c.net, v) for v in (delayed or [])] + \
+            # the recurrent net reads the sequence oldest first
+            seq = [self._shape_for(c.net, v) for v in reversed(delayed)] + \
                   [self._shape_for(c.net, u)]
             out = nn.rnn_forward(c.net, seq, theta, t)
         else:
@@ -265,23 +274,17 @@ class ForwardRun:
     history: Callable[[float], Vec] | None
     history_tapes: tuple = ()
 
-    def _clip(self, t: float) -> float:
-        # tolerate ulp overshoot past the final time (advanced-time lookups)
-        if t > self.t1 and t - self.t1 < 1e-9 * max(1.0, abs(t)):
-            return self.t1
-        return t
-
     def u_at(self, t: float) -> Vec:
         if t < self.t0:
             if self.history is None:
                 raise ValueError(f"state requested at t={t} before start without history")
             return np.asarray(self.history(t), dtype=float)
-        return self.traj.eval(self._clip(t))[:self.u_dim]
+        return self.traj.eval(t)[:self.u_dim]
 
     def y_at(self, t: float) -> Vec:
         if self.aux_dim == 0:
             return np.zeros(0)
-        return self.traj.eval(self._clip(t))[self.u_dim:]
+        return self.traj.eval(t)[self.u_dim:]
 
 
 def forward_augmented(sys: AugmentedSystem, params: Vec, t_span: tuple[float, float],
@@ -293,10 +296,15 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span: tuple[float, fl
     ``history`` supplies u(t) for t <= t_span start; required whenever the
     closure looks into the past. ``u0`` overrides the initial state (defaults
     to history at the start, or must be given for Markovian closures).
+
+    Every closure kind gives its augmented initial state U0, its positive
+    delays and rhs(t, U, delayed), where ``delayed`` holds U at t - tau in
+    ascending delay order. A closure without delays is solved as an ODE.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     theta, phi = sys.split_params(params)
     c = sys.closure
+    n = sys.state_dim
 
     if u0 is None:
         if history is None:
@@ -304,90 +312,52 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span: tuple[float, fl
         u0 = np.asarray(history(t0), dtype=float)
     else:
         u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (sys.state_dim,):
-        raise ValueError(f"u0 shape {u0.shape}, expected ({sys.state_dim},)")
-
-    if isinstance(c, Markovian) or (isinstance(c, Discrete) and not c.delays):
-        if isinstance(c, Markovian):
-            def rhs(t, u):
-                return sys.base_rhs(t, u) + sys.closure_term(t, u, theta)
-        else:
-            def rhs(t, u):
-                return sys.base_rhs(t, u) + sys.closure_term(t, u, theta, delayed=[])
-        traj = integrate_ode(rhs, u0, (t0, t1), stepper)
-        return ForwardRun(traj, t0, t1, sys.state_dim, 0, history)
-
-    if isinstance(c, Discrete):
-        if history is None:
-            raise ValueError("discrete-delay closure needs a history callable")
-
-        def hist(s):
-            if s >= t0:
-                return u0
-            return np.asarray(history(s), dtype=float)
-
-        def rhs(t, u, delayed):
-            # delayed arrives ascending by delay; the net wants oldest first
-            return sys.base_rhs(t, u) + sys.closure_term(
-                t, u, theta, delayed=list(reversed(delayed)))
-
-        prob = DdeProblem(rhs=rhs, delays=c.delays, history=hist)
-        traj = integrate_dde(prob, (t0, t1), stepper)
-        return ForwardRun(traj, t0, t1, sys.state_dim, 0, history)
-
-    # distributed closure
-    tau1, tau2 = c.window
-    if tau2 > tau1 and history is None:
-        raise ValueError("distributed closure needs a history callable")
+    if u0.shape != (n,):
+        raise ValueError(f"u0 shape {u0.shape}, expected ({n},)")
 
     hist_tapes = []
-    if tau2 > tau1:
-        y0 = quadrature(
-            lambda s: sys.g_eval(s, np.asarray(history(s), float), phi, keep=hist_tapes),
-            t0 - tau2, t0 - tau1, c.history_quad_panels)
-    else:
-        y0 = np.zeros(sys.aux_dim)
-    U0 = np.concatenate([u0, y0])
-
-    pos = sorted({tau for tau in (tau1, tau2) if tau > 0.0})
-
-    def u_of(U):
-        return U[:sys.state_dim]
-
-    def aug_rhs_parts(t, U, u_tau1, u_tau2):
-        u, y = U[:sys.state_dim], U[sys.state_dim:]
-        du = sys.base_rhs(t, u) + sys.closure_term(t, u, theta, y=y)
-        if tau2 > tau1:
-            dy = sys.g_eval(t - tau1, u_tau1, phi) - sys.g_eval(t - tau2, u_tau2, phi)
+    if isinstance(c, Distributed):
+        tau1, tau2 = c.window
+        windowed = tau2 > tau1
+        delays = tuple(sorted({tau1, tau2} - {0.0})) if windowed else ()
+        if not windowed:
+            y0 = np.zeros(sys.aux_dim)
+        elif history is None:
+            raise ValueError("distributed closure needs a history callable")
         else:
-            dy = np.zeros(sys.aux_dim)
-        return np.concatenate([du, dy])
+            y0 = quadrature(
+                lambda s: sys.g_eval(s, np.asarray(history(s), float), phi, keep=hist_tapes),
+                t0 - tau2, t0 - tau1, c.history_quad_panels)
+        U0 = np.concatenate([u0, y0])
 
-    if not pos or tau1 == tau2:
-        def rhs_ode(t, U):
-            u = u_of(U)
-            return aug_rhs_parts(t, U, u, u)
-        traj = integrate_ode(rhs_ode, U0, (t0, t1), stepper)
-        return ForwardRun(traj, t0, t1, sys.state_dim, sys.aux_dim, history,
-                          tuple(hist_tapes))
+        def rhs(t, U, delayed=()):
+            u, y = U[:n], U[n:]
+            du = sys.base_rhs(t, u) + sys.closure_term(t, u, theta, y=y)
+            if windowed:
+                u1 = u if tau1 == 0.0 else delayed[0][:n]
+                dy = sys.g_eval(t - tau1, u1, phi) - sys.g_eval(t - tau2, delayed[-1][:n], phi)
+            else:
+                dy = np.zeros(sys.aux_dim)
+            return np.concatenate([du, dy])
+    else:
+        delays = c.delays if isinstance(c, Discrete) else ()
+        if delays and history is None:
+            raise ValueError("discrete-delay closure needs a history callable")
+        U0 = u0
 
-    def hist_aug(s):
-        if s >= t0:
-            return U0
-        return np.concatenate([np.asarray(history(s), float), np.zeros(sys.aux_dim)])
+        def rhs(t, u, delayed=()):
+            return sys.base_rhs(t, u) + sys.closure_term(t, u, theta, delayed)
 
-    idx = {tau: i for i, tau in enumerate(pos)}
+    if delays:
+        def hist(s):
+            # the closures read only the state part of a delayed value
+            return U0 if s >= t0 else np.asarray(history(s), dtype=float)
 
-    def rhs_dde(t, U, delayed):
-        u = u_of(U)
-        u1 = u if tau1 == 0.0 else u_of(delayed[idx[tau1]])
-        u2 = u_of(delayed[idx[tau2]])
-        return aug_rhs_parts(t, U, u1, u2)
-
-    prob = DdeProblem(rhs=rhs_dde, delays=tuple(pos), history=hist_aug)
-    traj = integrate_dde(prob, (t0, t1), stepper)
-    return ForwardRun(traj, t0, t1, sys.state_dim, sys.aux_dim, history,
-                      tuple(hist_tapes))
+        traj = integrate_dde(DdeProblem(rhs=rhs, delays=delays, history=hist),
+                             (t0, t1), stepper)
+    else:
+        traj = integrate_ode(rhs, U0, (t0, t1), stepper)
+    return ForwardRun(traj, t0, t1, n, sys.aux_dim, history, tuple(hist_tapes))
 
 
 # ---------------------------------------------------------------------------
@@ -451,22 +421,18 @@ def _loss_jumps(run: ForwardRun, dataset, loss_spec):
     return times, cots
 
 
-def _advance_clip(tau_list):
-    pos = [tau for tau in tau_list if tau > 0.0]
-    return min(pos) if pos else None
-
-
 def _backward_sweep(dim, t0, T, jump_times, jump_vals, rhs_adj, integrand, dt,
-                    tau_cap=None, extra_stops=()):
+                    shifts=()):
     """Fixed-step RK4 sweep from T down to t0 with jumps and running trapezoid.
 
     rhs_adj(t, a, look) gives the adjoint time derivative; ``look`` reads
-    already-computed adjoint values at advanced times. The adjoint state
-    jumps at data times, so the advanced lookups are one-sided there: stages
-    at a step's upper knot take the limit from below (the stored post-jump
-    value), the final stage at the lower knot takes the limit from above
-    (jump added back). ``extra_stops`` must list every time where an advanced
-    argument crosses a jump (data time minus delay) so that discontinuities
+    already-computed adjoint values at the advanced times t + tau, tau in the
+    positive ``shifts``, so no step exceeds the smallest shift. The adjoint
+    state jumps at data times, so the advanced lookups are one-sided there:
+    stages at a step's upper knot take the limit from below (the stored
+    post-jump value), the final stage at the lower knot takes the limit from
+    above (jump added back). Every time where an advanced argument crosses a
+    jump (data time minus shift) is a step boundary, so that discontinuities
     of the adjoint RHS land exactly on step boundaries; without this the
     sweep degrades to first order. ``integrand(t, a)`` returns the flat
     gradient integrand accumulated by the trapezoid rule on the backward
@@ -495,13 +461,8 @@ def _backward_sweep(dim, t0, T, jump_times, jump_vals, rhs_adj, integrand, dt,
     def look_below(s):
         """lambda(s-): post-jump values, zero strictly beyond T."""
         s = _snap(s)
-        if s > T:
+        if s > T or not len(store):
             return np.zeros(dim)
-        if not len(store):
-            return np.zeros(dim)
-        end = store.t_end  # backward store: t_end is the lowest covered time
-        if s < end and end - s < 1e-9 * max(1.0, abs(s)):
-            s = end
         return store.eval(s)
 
     def look_above(s):
@@ -509,9 +470,6 @@ def _backward_sweep(dim, t0, T, jump_times, jump_vals, rhs_adj, integrand, dt,
         s = _snap(s)
         if s >= T:
             return np.zeros(dim)
-        end = store.t_end
-        if s < end and end - s < 1e-9 * max(1.0, abs(s)):
-            s = end
         v = store.eval(s)
         if s in jump_map:
             v = v.copy()
@@ -521,11 +479,12 @@ def _backward_sweep(dim, t0, T, jump_times, jump_vals, rhs_adj, integrand, dt,
     # segment boundaries: jump times plus the advanced-crossing stops
     eps_t = 1e-9 * max(1.0, abs(T))
     bounds = {float(t0), float(T)} | set(jump_map)
-    for s in extra_stops:
+    for s in (tj - tau for tj in jump_times for tau in shifts):
         s = float(s)
         if t0 + eps_t < s < T - eps_t and all(abs(s - b) > eps_t for b in bounds):
             bounds.add(s)
     knots = sorted(bounds)
+    h_max = min((dt, *shifts))
 
     t_hi = knots[-1]
     if t_hi in jump_map:
@@ -533,7 +492,6 @@ def _backward_sweep(dim, t0, T, jump_times, jump_vals, rhs_adj, integrand, dt,
         a[:u_dim] -= jump_map[t_hi]
     for seg_lo in reversed(knots[:-1]):
         span = t_hi - seg_lo
-        h_max = dt if tau_cap is None else min(dt, tau_cap)
         n = max(int(np.ceil(span / h_max - 1e-12)), 1)
         ts = t_hi - (span / n) * np.arange(n + 1)
         ts[-1] = seg_lo
@@ -619,153 +577,139 @@ class _StageTapes:
         return done[1]
 
 
-def adjoint_markovian(sys: AugmentedSystem, params: Vec, run: ForwardRun,
-                      dataset, loss_spec, stepper: StepperSpec) -> AdjointRun:
-    """Plain no-delay adjoint: d lambda/dt = -(d_u f_total)^T lambda."""
-    dt = _require_rk4(stepper)
-    theta, _ = sys.split_params(params)
-    net = sys.closure.net
-    times, cots = _loss_jumps(run, dataset, loss_spec)
-    seq = isinstance(sys.closure, Discrete)
-    u_at = _memo(run.u_at)
-
-    def x_of(t):
-        x = sys._shape_for(net, u_at(t))
-        return [x] if seq else x
-
-    tapes = _StageTapes(net, theta, x_of)
-
-    def rhs_adj(t, lam, store):
-        din = tapes.input_grad(t, lam)
-        din = din[0] if seq else din
-        return -(sys._base_vjp(t, u_at(t), lam) + sys._flatten_out(din))
-
-    store, integral = _backward_sweep(run.u_dim, run.t0, run.t1, times, cots,
-                                      rhs_adj, tapes.param_grad, dt)
-    return AdjointRun(store, run.t0, run.t1, run.u_dim, 0, -integral, sys.n_theta)
-
-
-def adjoint_discrete(sys: AugmentedSystem, params: Vec, run: ForwardRun,
+def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
                      dataset, loss_spec, stepper: StepperSpec) -> AdjointRun:
-    """Adjoint for discrete-delay closures with advanced arguments.
+    """The adjoint sweep of every closure kind.
 
-    d lambda^T/dt = -lambda^T(t) d_u F(t)
-                    - sum_k lambda^T(t+tau_k) d_{u(t)} F(t+tau_k)
-    with F = base + closure; the k-th advanced term differentiates F at the
-    shifted time with respect to its tau_k-delayed input slot.
+    With F = base + closure, the state adjoint lambda and, for a distributed
+    closure, the auxiliary adjoint mu obey
+        d lambda^T/dt = -lambda^T(t) d_u F(t)
+                        - sum_k lambda^T(t+tau_k) d_{u(t)} F(t+tau_k)
+                        - mu^T(t+tau_1) d_u g(u(t), t) + mu^T(t+tau_2) d_u g(u(t), t)
+        d mu^T/dt = -lambda^T d_y f.
+    The k-th advanced term (discrete delays) differentiates F at the shifted
+    time with respect to its tau_k-delayed input slot; the g terms belong to
+    a windowed distributed closure. A Markovian closure is the case with no
+    delays and no g. The phi-gradient combines the moving-window integrand
+    with the history term -mu^T(t0) * d_phi y(t0), evaluated with the same
+    trapezoid rule the forward solve used for y(t0), on the g-network tapes
+    that solve kept.
     """
-    if not isinstance(sys.closure, Discrete):
-        raise ValueError("adjoint_discrete needs a Discrete closure")
-    if not sys.closure.delays:
-        return adjoint_markovian(sys, params, run, dataset, loss_spec, stepper)
-    dt = _require_rk4(stepper)
-    theta, _ = sys.split_params(params)
-    net = sys.closure.net
-    delays = sys.closure.delays
-    K = len(delays)
-    times, cots = _loss_jumps(run, dataset, loss_spec)
-    T = run.t1
-    u_at = _memo(run.u_at)
-
-    def seq_at(s):
-        # oldest first: u(s - tau_K), ..., u(s - tau_1), u(s)
-        vals = [u_at(s - tau) for tau in reversed(delays)] + [u_at(s)]
-        return [sys._shape_for(net, v) for v in vals]
-
-    tapes = _StageTapes(net, theta, seq_at)
-
-    def rhs_adj(t, lam, look):
-        dxs = tapes.input_grad(t, lam)
-        acc = sys._base_vjp(t, u_at(t), lam) + sys._flatten_out(dxs[K])
-        for k, tau in enumerate(delays, start=1):
-            lam_adv = look(t + tau)[:run.u_dim]
-            if not np.any(lam_adv):
-                continue
-            dxs_adv = tapes.input_grad(t + tau, lam_adv)
-            acc = acc + sys._flatten_out(dxs_adv[K - k])
-        return -acc
-
-    stops = [tj - tau for tj in times for tau in delays]
-    store, integral = _backward_sweep(run.u_dim, run.t0, T, times, cots,
-                                      rhs_adj, tapes.param_grad, dt,
-                                      tau_cap=delays[0], extra_stops=stops)
-    return AdjointRun(store, run.t0, T, run.u_dim, 0, -integral, sys.n_theta)
-
-
-def adjoint_distributed(sys: AugmentedSystem, params: Vec, run: ForwardRun,
-                        dataset, loss_spec, stepper: StepperSpec) -> AdjointRun:
-    """Coupled adjoint for distributed closures.
-
-    d lambda^T/dt = -lambda^T d_u f - mu^T(t+tau_1) d_u g(u(t), t)
-                    + mu^T(t+tau_2) d_u g(u(t), t)
-    d mu^T/dt = -lambda^T d_y f
-
-    The phi-gradient combines the moving-window integrand with the history
-    term -mu^T(t0) * d_phi y(t0), evaluated with the same trapezoid rule the
-    forward solve used for y(t0), on the g-network tapes that solve kept.
-    """
-    c = sys.closure
-    if not isinstance(c, Distributed):
-        raise ValueError("adjoint_distributed needs a Distributed closure")
     dt = _require_rk4(stepper)
     theta, phi = sys.split_params(params)
-    tau1, tau2 = c.window
-    windowed = tau2 > tau1
+    c = sys.closure
     times, cots = _loss_jumps(run, dataset, loss_spec)
-    T = run.t1
-    du_dim, dy_dim = run.u_dim, run.aux_dim
+    T, n = run.t1, run.u_dim
     u_at = _memo(run.u_at)
-    f_tapes = _StageTapes(c.f_net, theta,
-                          lambda t: sys._f_input(u_at(t), run.y_at(t)))
-    g_tapes = _StageTapes(c.g_net, phi, lambda t: sys._shape_for(c.g_net, u_at(t)))
+
+    # the f-network's tapes, the cotangents of its current input slot
+    # (state, auxiliary field or None) and the shifts the sweep reads ahead
+    delays, g_tapes, windowed = (), None, False
+    if isinstance(c, Distributed):
+        tau1, tau2 = c.window
+        windowed = tau2 > tau1
+        shifts = sorted({tau1, tau2} - {0.0})
+        f_tapes = _StageTapes(c.f_net, theta,
+                              lambda t: sys._f_input(u_at(t), run.y_at(t)))
+        g_tapes = _StageTapes(c.g_net, phi, lambda t: sys._shape_for(c.g_net, u_at(t)))
+        current = sys._split_f_input_grad
+    elif isinstance(c, Discrete):
+        delays = shifts = c.delays
+        K = len(delays)
+
+        def seq_at(s):
+            # oldest first: u(s - tau_K), ..., u(s - tau_1), u(s)
+            vals = [u_at(s - tau) for tau in reversed(delays)] + [u_at(s)]
+            return [sys._shape_for(c.net, v) for v in vals]
+
+        f_tapes = _StageTapes(c.net, theta, seq_at)
+
+        def current(dxs):
+            return sys._flatten_out(dxs[K]), None
+    else:
+        shifts = ()
+        f_tapes = _StageTapes(c.net, theta, lambda t: sys._shape_for(c.net, u_at(t)))
+
+        def current(dx):
+            return sys._flatten_out(dx), None
 
     def rhs_adj(t, a, look):
-        lam, mu = a[:du_dim], a[du_dim:]
-        fu, fy = sys._split_f_input_grad(f_tapes.input_grad(t, lam))
-        dlam = -(sys._base_vjp(t, u_at(t), lam) + fu)
+        lam = a[:n]
+        fu, fy = current(f_tapes.input_grad(t, lam))
+        acc = sys._base_vjp(t, u_at(t), lam) + fu
+        for k, tau in enumerate(delays, start=1):
+            lam_adv = look(t + tau)[:n]
+            if np.any(lam_adv):
+                acc = acc + sys._flatten_out(f_tapes.input_grad(t + tau, lam_adv)[K - k])
+        dlam = -acc
         if windowed:
-            mu1 = mu if tau1 == 0.0 else look(t + tau1)[du_dim:]
+            mu1 = a[n:] if tau1 == 0.0 else look(t + tau1)[n:]
             if np.any(mu1):
                 dlam = dlam - sys._flatten_out(g_tapes.input_grad(t, mu1))
-            mu2 = look(t + tau2)[du_dim:]
+            mu2 = look(t + tau2)[n:]
             if np.any(mu2):
                 dlam = dlam + sys._flatten_out(g_tapes.input_grad(t, mu2))
-        dmu = -fy
-        return np.concatenate([dlam, dmu])
+        return dlam if fy is None else np.concatenate([dlam, -fy])
 
     def integrand(t, a):
-        lam, mu = a[:du_dim], a[du_dim:]
-        dth = f_tapes.param_grad(t, lam)
+        dth = f_tapes.param_grad(t, a[:n])
+        if g_tapes is None:
+            return dth
+        mu = a[n:]
         if windowed:
             dphi = g_tapes.param_grad(t - tau1, mu) - g_tapes.param_grad(t - tau2, mu)
         else:
             dphi = np.zeros(sys.n_phi)
         return np.concatenate([dth, dphi])
 
-    tau_cap = _advance_clip([tau1, tau2])
-    stops = [tj - tau for tj in times for tau in (tau1, tau2) if tau > 0.0]
-    store, integral = _backward_sweep(du_dim + dy_dim, run.t0, T, times, cots,
-                                      rhs_adj, integrand, dt, tau_cap=tau_cap,
-                                      extra_stops=stops)
+    store, integral = _backward_sweep(n + run.aux_dim, run.t0, T, times, cots,
+                                      rhs_adj, integrand, dt, shifts)
     grad = -integral
 
     if windowed:
         # history term: -mu^T(t0) d_phi integral of g(h(s), s) over the window,
         # mirroring the forward y(t0) trapezoid rule node for node
-        mu0 = store.eval(run.t0)[du_dim:]
+        mu0 = store.eval(run.t0)[n:]
         if np.any(mu0):
             npan = c.history_quad_panels
             if len(run.history_tapes) != npan + 1:
                 raise ValueError("forward run kept no y(t0) tapes for this closure")
-            a, b = run.t0 - tau2, run.t0 - tau1
-            w = np.full(npan + 1, (b - a) / npan)
+            lo, hi = run.t0 - tau2, run.t0 - tau1
+            w = np.full(npan + 1, (hi - lo) / npan)
             w[0] *= 0.5
             w[-1] *= 0.5
             hist_grad = np.zeros(sys.n_phi)
             for tp, wj in zip(run.history_tapes, w):
                 hist_grad += wj * nn.backward(tp, mu0.reshape(tp.y.shape))[1]
             grad[sys.n_theta:] -= hist_grad
-    return AdjointRun(store, run.t0, T, du_dim, dy_dim, grad, sys.n_theta)
+    return AdjointRun(store, run.t0, T, n, run.aux_dim, grad, sys.n_theta)
+
+
+def adjoint_markovian(sys: AugmentedSystem, params: Vec, run: ForwardRun,
+                      dataset, loss_spec, stepper: StepperSpec) -> AdjointRun:
+    """Plain no-delay adjoint, d lambda/dt = -(d_u F)^T lambda, for a
+    Markovian closure or a Discrete one without delays."""
+    c = sys.closure
+    if not (isinstance(c, Markovian) or (isinstance(c, Discrete) and not c.delays)):
+        raise ValueError(
+            "adjoint_markovian needs a Markovian closure or a Discrete one without delays")
+    return adjoint_gradient(sys, params, run, dataset, loss_spec, stepper)
+
+
+def adjoint_discrete(sys: AugmentedSystem, params: Vec, run: ForwardRun,
+                     dataset, loss_spec, stepper: StepperSpec) -> AdjointRun:
+    """Adjoint for discrete-delay closures, with the advanced arguments."""
+    if not isinstance(sys.closure, Discrete):
+        raise ValueError("adjoint_discrete needs a Discrete closure")
+    return adjoint_gradient(sys, params, run, dataset, loss_spec, stepper)
+
+
+def adjoint_distributed(sys: AugmentedSystem, params: Vec, run: ForwardRun,
+                        dataset, loss_spec, stepper: StepperSpec) -> AdjointRun:
+    """Coupled (lambda, mu) adjoint for distributed closures."""
+    if not isinstance(sys.closure, Distributed):
+        raise ValueError("adjoint_distributed needs a Distributed closure")
+    return adjoint_gradient(sys, params, run, dataset, loss_spec, stepper)
 
 
 # ---------------------------------------------------------------------------
@@ -784,16 +728,6 @@ def run_loss(sys: AugmentedSystem, params: Vec, t_span, dataset, loss_spec,
     if np.any(times > run.t1 + tol):
         raise ValueError("dataset times exceed the forward span")
     return float(loss_spec.total(preds, targets)), run
-
-
-def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
-                     dataset, loss_spec, stepper: StepperSpec) -> AdjointRun:
-    """Dispatch to the adjoint matching the system's closure kind."""
-    if isinstance(sys.closure, Markovian):
-        return adjoint_markovian(sys, params, run, dataset, loss_spec, stepper)
-    if isinstance(sys.closure, Discrete):
-        return adjoint_discrete(sys, params, run, dataset, loss_spec, stepper)
-    return adjoint_distributed(sys, params, run, dataset, loss_spec, stepper)
 
 
 def fd_gradient(sys: AugmentedSystem, params: Vec, t_span, dataset, loss_spec,

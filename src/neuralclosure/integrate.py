@@ -1,25 +1,25 @@
 """Time integration with dense output.
 
-Three steppers cover every run in the package:
+Two steppers cover every run in the package:
 
 * fixed-step classical RK4,
-* adaptive Dormand-Prince 5(4) with the FSAL property,
-* an A-stable implicit trapezoid rule with Newton iteration for the stiff
-  coarse-grid runs.
+* adaptive Dormand-Prince 5(4) with the FSAL property.
+
+Both run in one method-of-steps core, and an ODE is the delay problem with
+no delays. A delay problem caps the step size at its smallest delay, so
+every delayed lookup lands in history or in already-committed segments.
 
 Every solve returns a :class:`DenseTrajectory`, a contiguous chain of cubic
 Hermite segments built from the stepper's own RHS evaluations, so callers can
 query the solution anywhere in the covered span (delayed lookups, loss times,
-adjoint sweeps). Delay problems are solved by the method of steps: the step
-size is capped at the smallest delay, so every delayed lookup lands in history
-or in already-committed segments.
+adjoint sweeps).
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .linalg import HermiteSegment, Vec, hermite_eval
 
 
 class IntegrationError(RuntimeError):
-    """Integrator failure (blow-up, step-budget exhaustion, Newton stall)."""
+    """Integrator failure (blow-up, step-budget exhaustion, step underflow)."""
 
 
 # ---------------------------------------------------------------------------
@@ -57,20 +57,7 @@ class DormandPrince54:
             raise ValueError("DormandPrince54: dt_init and max_steps must be positive")
 
 
-@dataclass(frozen=True)
-class ImplicitTrapezoid:
-    dt: float
-    newton_tol: float = 1e-10
-    newton_max_iters: int = 25
-
-    def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("ImplicitTrapezoid: dt must be positive")
-        if self.newton_tol <= 0.0 or self.newton_max_iters <= 0:
-            raise ValueError("ImplicitTrapezoid: bad Newton settings")
-
-
-StepperSpec = RK4Fixed | DormandPrince54 | ImplicitTrapezoid
+StepperSpec = RK4Fixed | DormandPrince54
 
 
 # ---------------------------------------------------------------------------
@@ -84,21 +71,20 @@ class DenseTrajectory:
     sweeps); the direction is fixed by the first appended segment. Queries at
     a stored knot return the stored state exactly; at a knot shared by two
     segments the most recently appended one wins, which lets backward adjoint
-    stores return the post-jump value at data times.
+    stores return the post-jump value at data times. A query past either end
+    by less than 1e-9 relative reads that end: shifted times such as
+    t + h - tau or t + tau overshoot a committed end by an ulp in rounding.
     """
 
     def __init__(self):
         self._segs: list[HermiteSegment] = []
-        self._starts: list[float] = []
-        self._neg_starts: list[float] = []  # ascending keys of a backward chain
+        # segment start times, negated on a backward chain: increasing in
+        # append order either way
+        self._keys: list[float] = []
         self.ascending = True
 
     def __len__(self) -> int:
         return len(self._segs)
-
-    @property
-    def segments(self) -> list[HermiteSegment]:
-        return self._segs
 
     @property
     def t_start(self) -> float:
@@ -139,49 +125,35 @@ class DenseTrajectory:
                                  np.asarray(f_to, float).copy(),
                                  np.asarray(f_from, float).copy())
         self._segs.append(seg)
-        self._starts.append(t_from)
-        if not forward:
-            self._neg_starts.append(-t_from)
+        self._keys.append(t_from if forward else -t_from)
 
-    def _locate(self, t: float) -> HermiteSegment:
-        if not self._segs:
+    def _locate(self, t: float) -> tuple[HermiteSegment, float]:
+        """The segment holding t, and t itself or the end it overshoots."""
+        segs = self._segs
+        if not segs:
             raise ValueError("empty trajectory")
-        lo, hi = (self.t_start, self.t_end) if self.ascending else (self.t_end, self.t_start)
+        first, last = segs[0], segs[-1]
+        lo, hi = (first.t0, last.t1) if self.ascending else (last.t0, first.t1)
         if t < lo or t > hi:
-            raise ValueError(f"query t={t} outside stored domain [{lo}, {hi}]")
-        if self.ascending:
-            # rightmost segment whose start <= t ("last appended wins" at shared knots)
-            i = bisect.bisect_right(self._starts, t) - 1
-            i = max(i, 0)
-        else:
-            # starts are descending; find last i with starts[i] >= t
-            i = bisect.bisect_left(self._neg_starts, -t)
-            if i == len(self._starts) or self._starts[i] < t:
-                i -= 1
-            else:
-                # include every later segment that also starts at exactly t
-                while i + 1 < len(self._starts) and self._starts[i + 1] >= t:
-                    i += 1
-            i = max(i, 0)
-        seg = self._segs[i]
-        if t < seg.t0:
-            seg = self._segs[i - 1] if self.ascending else self._segs[i + 1]
-        elif t > seg.t1:
-            seg = self._segs[i + 1] if self.ascending else self._segs[i - 1]
-        return seg
+            end = lo if t < lo else hi
+            if abs(t - end) >= 1e-9 * max(1.0, abs(t)):
+                raise ValueError(f"query t={t} outside stored domain [{lo}, {hi}]")
+            t = end
+        # last appended segment whose start is at or before t in chain order
+        i = bisect.bisect_right(self._keys, t if self.ascending else -t) - 1
+        return segs[max(i, 0)], t
 
     def eval(self, t: float) -> Vec:
-        return hermite_eval(self._locate(t), float(t))
+        seg, t = self._locate(t)
+        return hermite_eval(seg, float(t))
 
     def knots(self) -> np.ndarray:
         """All segment boundaries in append order (duplicates removed)."""
         if not self._segs:
             return np.empty(0)
-        ts = [self._starts[0]]
-        for s, seg in zip(self._starts, self._segs):
-            t_to = seg.t1 if s == seg.t0 else seg.t0
-            ts.append(t_to)
-        return np.asarray(ts)
+        if self.ascending:
+            return np.asarray([self._segs[0].t0] + [seg.t1 for seg in self._segs])
+        return np.asarray([self._segs[0].t1] + [seg.t0 for seg in self._segs])
 
 
 # ---------------------------------------------------------------------------
@@ -238,100 +210,51 @@ def _check_finite(t, u):
         raise IntegrationError(f"non-finite state at t={t}")
 
 
-def _fd_jacobian(rhs, t, u, f0, eps=1e-7):
-    """Forward-difference Jacobian of rhs w.r.t. u (used by the Newton solve)."""
-    n = u.size
-    J = np.empty((n, n))
-    for j in range(n):
-        du = eps * max(1.0, abs(u[j]))
-        up = u.copy()
-        up[j] += du
-        J[:, j] = (rhs(t, up) - f0) / du
-    return J
-
-
-def _trapezoid_step(rhs, t, u, h, spec: ImplicitTrapezoid, f0):
-    """One implicit trapezoid step solved by chord Newton with an FD Jacobian."""
-    t1 = t + h
-    # explicit Euler predictor
-    x = u + h * f0
-    J = None
-    refreshed = False
-    for it in range(spec.newton_max_iters):
-        fx = rhs(t1, x)
-        G = x - u - 0.5 * h * (f0 + fx)
-        gnorm = float(np.max(np.abs(G)))
-        if gnorm <= spec.newton_tol * max(1.0, float(np.max(np.abs(x)))):
-            return x, fx
-        if J is None:
-            J = np.eye(u.size) - 0.5 * h * _fd_jacobian(rhs, t1, x, fx)
-        elif it == spec.newton_max_iters // 2 and not refreshed:
-            # one Jacobian refresh if the chord iteration is converging slowly
-            J = np.eye(u.size) - 0.5 * h * _fd_jacobian(rhs, t1, x, fx)
-            refreshed = True
-        try:
-            dx = np.linalg.solve(J, G)
-        except np.linalg.LinAlgError as exc:
-            raise IntegrationError(f"singular Newton matrix at t={t1}") from exc
-        x = x - dx
-        _check_finite(t1, x)
-    raise IntegrationError(
-        f"Newton failed to converge at t={t1} (residual {gnorm:.3e})")
-
-
 # ---------------------------------------------------------------------------
-# ODE driver
+# Method-of-steps core
 # ---------------------------------------------------------------------------
 
-def _knot_grid(t0: float, t1: float, dt: float, cap: float | None = None) -> np.ndarray:
-    """Uniform knots over [t0, t1] with spacing <= min(dt, cap), endpoints exact."""
+def _knot_grid(t0: float, t1: float, h: float) -> np.ndarray:
+    """Uniform knots over [t0, t1] with spacing <= h, endpoints exact."""
     span = t1 - t0
-    h = dt if cap is None else min(dt, cap)
     n = max(int(np.ceil(span / h - 1e-12)), 1)
     ts = t0 + (span / n) * np.arange(n + 1)
     ts[-1] = t1
     return ts
 
 
-def integrate_ode(rhs: Callable[[float, Vec], Vec], u0: Vec, t_span: tuple[float, float],
-                  stepper: StepperSpec,
-                  breakpoints: Sequence[float] = ()) -> DenseTrajectory:
-    """Integrate u' = rhs(t, u) over t_span and return the dense solution.
+def _solve(rhs: Callable[[float, Vec], Vec], u0: Vec, t_span: tuple[float, float],
+           stepper: StepperSpec, breakpoints: Iterable[float], traj: DenseTrajectory,
+           cap: float = np.inf) -> DenseTrajectory:
+    """Step u' = rhs(t, u) across t_span from u0, appending to ``traj``.
 
-    ``breakpoints`` are interior times the adaptive stepper must land on
-    exactly (derivative discontinuities); fixed-step schemes ignore them.
+    No step exceeds ``cap``: a delay problem passes its smallest delay, so the
+    lookups at t - tau of a step's stages and endpoint read times at or
+    before the step's start. ``breakpoints`` are interior times the adaptive
+    stepper must land on exactly (derivative discontinuities); fixed-step
+    schemes ignore them.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
-        raise ValueError("integrate_ode: t_span end must exceed start")
+        raise ValueError("t_span end must exceed start")
     u = np.asarray(u0, dtype=float).copy()
     _check_finite(t0, u)
-    traj = DenseTrajectory()
 
     if isinstance(stepper, RK4Fixed):
-        ts = _knot_grid(t0, t1, stepper.dt)
+        ts = _knot_grid(t0, t1, min(stepper.dt, cap))
         f = rhs(t0, u)
         for t, t_next in zip(ts[:-1], ts[1:]):
             u_next, _ = _rk4_step(rhs, t, u, t_next - t, f0=f)
             _check_finite(t_next, u_next)
+            # the endpoint slope is the next step's first stage
             f_next = rhs(t_next, u_next)
-            traj.append(t, t_next, u, u_next, f, f_next)
-            u, f = u_next, f_next
-        return traj
-
-    if isinstance(stepper, ImplicitTrapezoid):
-        ts = _knot_grid(t0, t1, stepper.dt)
-        f = rhs(t0, u)
-        for t, t_next in zip(ts[:-1], ts[1:]):
-            u_next, f_next = _trapezoid_step(rhs, t, u, t_next - t, stepper, f)
-            _check_finite(t_next, u_next)
             traj.append(t, t_next, u, u_next, f, f_next)
             u, f = u_next, f_next
         return traj
 
     if isinstance(stepper, DormandPrince54):
         stops = sorted({float(b) for b in breakpoints if t0 < float(b) < t1} | {t1})
-        h = min(stepper.dt_init, t1 - t0)
+        h = min(stepper.dt_init, cap, t1 - t0)
         t = t0
         k1 = rhs(t, u)
         steps = 0
@@ -340,7 +263,7 @@ def integrate_ode(rhs: Callable[[float, Vec], Vec], u0: Vec, t_span: tuple[float
             while stops[stop_i] <= t + 1e-14 * max(1.0, abs(t)):
                 stop_i += 1
             target = stops[stop_i]
-            h_try = min(h, target - t)
+            h_try = min(h, cap, target - t)
             u5, err, k = _dopri_step(rhs, t, u, h_try, k1)
             steps += 1
             if steps > stepper.max_steps:
@@ -351,7 +274,10 @@ def integrate_ode(rhs: Callable[[float, Vec], Vec], u0: Vec, t_span: tuple[float
                 # snap to the stop so breakpoint landings are float-exact
                 t_new = target if abs(t + h_try - target) <= 1e-12 * max(1.0, abs(target)) \
                     else t + h_try
-                f_next = k[6]  # FSAL: stage 7 is rhs at the accepted endpoint
+                # FSAL: stage 7 is rhs at the accepted endpoint; a delay
+                # problem's lookups there read times before t, which the
+                # commit leaves unchanged, so the reuse is exact
+                f_next = k[6]
                 traj.append(t, t_new, u, u5, k1, f_next)
                 t, u, k1 = t_new, u5, f_next
                 factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
@@ -365,9 +291,16 @@ def integrate_ode(rhs: Callable[[float, Vec], Vec], u0: Vec, t_span: tuple[float
     raise TypeError(f"unknown stepper {stepper!r}")
 
 
-# ---------------------------------------------------------------------------
-# DDE driver (method of steps)
-# ---------------------------------------------------------------------------
+def integrate_ode(rhs: Callable[[float, Vec], Vec], u0: Vec, t_span: tuple[float, float],
+                  stepper: StepperSpec,
+                  breakpoints: Iterable[float] = ()) -> DenseTrajectory:
+    """Integrate u' = rhs(t, u) over t_span and return the dense solution.
+
+    ``breakpoints`` are interior times the adaptive stepper must land on
+    exactly (derivative discontinuities); fixed-step schemes ignore them.
+    """
+    return _solve(rhs, u0, t_span, stepper, breakpoints, DenseTrajectory())
+
 
 @dataclass(frozen=True)
 class DdeProblem:
@@ -390,111 +323,40 @@ class DdeProblem:
         object.__setattr__(self, "delays", d)
 
 
+def _breakpoints(t0: float, t1: float, delays: tuple[float, ...]):
+    """The first-order breakpoints t0 + k*tau_j inside (t0, t1), lazily."""
+    for tau in delays:
+        k = 1
+        while t0 + k * tau < t1 - 1e-12:
+            yield t0 + k * tau
+            k += 1
+
+
 def integrate_dde(prob: DdeProblem, t_span: tuple[float, float],
                   stepper: StepperSpec) -> DenseTrajectory:
     """Method-of-steps DDE solve with dense output.
 
-    Step sizes are capped at min(delays) so delayed lookups never read the
-    step currently under construction. Adaptive runs also land exactly on the
-    first-order breakpoints t_start + k*tau_j, where the solution's higher
-    derivatives jump.
+    Steps are capped at min(delays), so delayed lookups never read the step
+    under construction. Adaptive runs also land exactly on the first-order
+    breakpoints t_start + k*tau_j, where the solution's higher derivatives
+    jump.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise ValueError("integrate_dde: t_span end must exceed start")
     if not prob.delays:
         raise ValueError("integrate_dde: no delays; use integrate_ode")
-    tau_min = prob.delays[0]
+    t0, t1 = float(t_span[0]), float(t_span[1])
     traj = DenseTrajectory()
 
     def u_at(s: float) -> Vec:
         if s <= t0:
             return np.asarray(prob.history(s), dtype=float)
-        # rounding in t + h - tau can overshoot the committed end by an ulp
-        end = traj.t_end
-        if s > end and s - end < 1e-9 * max(1.0, abs(s)):
-            s = end
         return traj.eval(s)
 
-    def ode_rhs(t: float, u: Vec) -> Vec:
+    def rhs(t: float, u: Vec) -> Vec:
         delayed = [u_at(t - tau) for tau in prob.delays]
         return np.asarray(prob.rhs(t, u, delayed), dtype=float)
 
-    u = np.asarray(prob.history(t0), dtype=float).copy()
-    _check_finite(t0, u)
-
-    if isinstance(stepper, RK4Fixed):
-        ts = _knot_grid(t0, t1, stepper.dt, cap=tau_min)
-        f = ode_rhs(t0, u)
-        for t, t_next in zip(ts[:-1], ts[1:]):
-            u_next, _ = _rk4_step(ode_rhs, t, u, t_next - t, f0=f)
-            _check_finite(t_next, u_next)
-            # step <= min(delays), so the endpoint lookups at t_next - tau read
-            # times <= t and never need the segment being built; the endpoint
-            # slope is the next step's first stage
-            f_next = ode_rhs(t_next, u_next)
-            traj.append(t, t_next, u, u_next, f, f_next)
-            u, f = u_next, f_next
-        return traj
-
-    if isinstance(stepper, ImplicitTrapezoid):
-        ts = _knot_grid(t0, t1, stepper.dt, cap=tau_min)
-        for t, t_next in zip(ts[:-1], ts[1:]):
-            f = ode_rhs(t, u)
-            # step <= min(delays): delayed arguments at t_next are committed
-            # already, so they are frozen and Newton only sees u(t_next)
-            delayed_next = [u_at(t_next - tau) for tau in prob.delays]
-
-            def rhs_next(tt, x, _d=delayed_next):
-                return np.asarray(prob.rhs(tt, x, _d), dtype=float)
-
-            u_next, f_next = _trapezoid_step(rhs_next, t, u, t_next - t, stepper, f)
-            _check_finite(t_next, u_next)
-            traj.append(t, t_next, u, u_next, f, f_next)
-            u = u_next
-        return traj
-
-    if isinstance(stepper, DormandPrince54):
-        stops = {t1}
-        for tau in prob.delays:
-            k = 1
-            while t0 + k * tau < t1 - 1e-12:
-                stops.add(t0 + k * tau)
-                k += 1
-        stops = sorted(stops)
-        h = min(stepper.dt_init, tau_min, t1 - t0)
-        t = t0
-        steps = 0
-        stop_i = 0
-        f_prev = ode_rhs(t, u)
-        while t < t1 - 1e-14 * max(1.0, abs(t1)):
-            while stops[stop_i] <= t + 1e-14 * max(1.0, abs(t)):
-                stop_i += 1
-            target = stops[stop_i]
-            h_try = min(h, tau_min, target - t)
-            u5, err, k = _dopri_step(ode_rhs, t, u, h_try, f_prev)
-            steps += 1
-            if steps > stepper.max_steps:
-                raise IntegrationError(f"max_steps={stepper.max_steps} exceeded at t={t}")
-            _check_finite(t + h_try, u5)
-            enorm = _error_norm(err, u, u5, stepper.rtol, stepper.atol)
-            if enorm <= 1.0:
-                t_new = target if abs(t + h_try - target) <= 1e-12 * max(1.0, abs(target)) \
-                    else t + h_try
-                traj.append(t, t_new, u, u5, f_prev, k[6])
-                t, u = t_new, u5
-                # FSAL stage was computed against pre-commit history; delayed
-                # lookups at t are unchanged by the commit, so reuse is safe
-                f_prev = k[6]
-                factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
-                h = h_try * factor
-            else:
-                h = h_try * max(0.2, 0.9 * enorm ** -0.2)
-                if h < 1e-14 * max(1.0, abs(t)):
-                    raise IntegrationError(f"step size underflow at t={t}")
-        return traj
-
-    raise TypeError(f"unknown stepper {stepper!r}")
+    return _solve(rhs, prob.history(t0), (t0, t1), stepper,
+                  _breakpoints(t0, t1, prob.delays), traj, cap=prob.delays[0])
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,6 @@ Vec = np.ndarray
 Mat = np.ndarray
 
 
-def as_vec(x) -> Vec:
-    """Return ``x`` as a contiguous 1-D float64 array."""
-    v = np.ascontiguousarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    return v
-
-
 def as_mat(x) -> Mat:
     """Return ``x`` as a contiguous 2-D float64 array."""
     m = np.ascontiguousarray(x, dtype=np.float64)

@@ -374,6 +374,31 @@ def test_run_loss_reports_forward_total():
     assert run.t1 == 1.0
 
 
+def test_kind_named_adjoints_reject_closures_they_do_not_model():
+    # a delayed Discrete closure run through adjoint_markovian would lose its
+    # advanced terms without a word, so each entry point checks the kind
+    hist = constant_history(np.array([0.4, -0.6]))
+    ds = Data(np.array([0.5, 1.0]), np.array([[0.2, -0.1], [0.0, 0.3]]))
+    stepper = RK4Fixed(0.02)
+    systems = {"markovian": markovian_toy(), "discrete": discrete_toy(),
+               "discrete0": discrete_toy(delays=()),
+               "distributed": distributed_toy((0.0, 0.5))}
+    accepts = {adjoint_markovian: {"markovian", "discrete0"},
+               adjoint_discrete: {"discrete", "discrete0"},
+               adjoint_distributed: {"distributed"}}
+    for name, sys in systems.items():
+        params = random_params(sys, 41)
+        run = forward_augmented(sys, params, (0.0, 1.0), stepper, history=hist)
+        want = adjoint_gradient(sys, params, run, ds, QuadLoss(), stepper).grad
+        for entry, kinds in accepts.items():
+            if name in kinds:
+                got = entry(sys, params, run, ds, QuadLoss(), stepper).grad
+                assert got.tobytes() == want.tobytes()
+            else:
+                with pytest.raises(ValueError):
+                    entry(sys, params, run, ds, QuadLoss(), stepper)
+
+
 def test_validation_errors():
     sys = discrete_toy()
     params = np.zeros(sys.n_params)
