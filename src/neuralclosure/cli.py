@@ -42,7 +42,8 @@ from .closure import (
 from .config import ExperimentConfig, config_hash, config_text, load_config
 from .integrate import IntegrationError, RK4Fixed, integrate_ode
 from .models import rom
-from .train import LossSpec, SnapshotDataset, TrainResult, avg_crosscorr, train
+from .train import (LossSpec, SnapshotDataset, TrainResult, avg_crosscorr,
+                    evaluate_rollout, train)
 
 GRAD_TOL = 1e-4
 CHECKPOINT_EVERY = 25
@@ -77,31 +78,6 @@ def read_table(path):
         raise ValueError(f"{path}: {len(header)} columns in header, "
                          f"{data.shape[1]} in body")
     return header, data
-
-
-def state_columns(experiment: str, which: str) -> list[str]:
-    """Column names for a state table; ``which`` is 'target' or 'full'."""
-    if experiment == "toy":
-        return ["u1", "u2"]
-    if experiment == "exp1_rom":
-        if which == "target":
-            return ["a1", "a2", "a3"]
-        return [f"u{i:03d}" for i in range(1, 101)]
-    if experiment == "exp2_subgrid":
-        if which == "target":
-            return [f"u{i:02d}" for i in range(1, 26)]
-        return [f"u{i:03d}" for i in range(1, 101)]
-    if experiment == "exp3a_bio0d":
-        if which == "target":
-            return ["N", "P", "Z"]
-        return ["NO3", "NH4", "P", "Z", "D"]
-    if experiment == "exp3b_bio1d":
-        if which == "target":
-            species = ("N", "P", "Z")
-        else:
-            species = ("NO3", "NH4", "P", "Z", "D")
-        return [f"{s}_d{d:02d}" for d in range(1, 21) for s in species]
-    raise ValueError(f"unknown experiment {experiment!r}")
 
 
 def _state_table(path, times, states, names) -> None:
@@ -160,26 +136,21 @@ def load_basis(path) -> rom.PodBasis:
 
 
 def generate_truth(cfg: ExperimentConfig, out: Path) -> None:
+    """Writes truth.csv (the training target), the study's reference-resolution
+    table if it has one, and the modal basis if it uses one."""
     study = cfg.study()
     data = study.setup(cfg.truth_stepper(study))
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(config_text(cfg), encoding="utf-8")
-    name = cfg.experiment
-    tcols = state_columns(name, "target")
-    if name == "toy":
-        _state_table(out / "truth.csv", data.times, data.states, tcols)
-    elif name == "exp1_rom":
-        _state_table(out / "truth.csv", data.times, data.coeffs, tcols)
+    _state_table(out / "truth.csv", data.times, getattr(data, study.target),
+                 study.state_columns("target"))
+    if study.reference is not None:
+        fname, attr = study.reference
+        _state_table(out / fname, data.times, getattr(data, attr),
+                     study.state_columns("full"))
+    if study.uses_basis:
         save_basis(out / "pod_basis.txt", data.basis)
-    elif name == "exp2_subgrid":
-        _state_table(out / "truth.csv", data.times, data.coarse_states, tcols)
-        _state_table(out / "truth_fine.csv", data.times, data.fine_states,
-                     state_columns(name, "full"))
-    else:
-        _state_table(out / "truth.csv", data.times, data.agg_states, tcols)
-        _state_table(out / "truth_full.csv", data.times, data.full_states,
-                     state_columns(name, "full"))
-    print(f"wrote truth data for {name} to {out}")
+    print(f"wrote truth data for {cfg.experiment} to {out}")
 
 
 def load_truth(cfg: ExperimentConfig, out: Path, generate: bool = True):
@@ -189,21 +160,12 @@ def load_truth(cfg: ExperimentConfig, out: Path, generate: bool = True):
         if not generate:
             raise FileNotFoundError(f"no truth data at {truth}")
         generate_truth(cfg, out)
+    study = cfg.study()
     header, table = read_table(truth)
-    want = ["t"] + state_columns(cfg.experiment, "target")
-    if header != want:
+    if header != ["t"] + study.state_columns("target"):
         raise ValueError(f"{truth} has unexpected columns {header}")
     ds = SnapshotDataset(table[:, 0], table[:, 1:])
-    basis = None
-    if cfg.experiment == "exp1_rom":
-        basis = load_basis(out / "pod_basis.txt")
-    return ds, basis
-
-
-def build_system(cfg: ExperimentConfig, study, closure, basis):
-    if cfg.experiment == "exp1_rom":
-        return study.system(closure, basis)
-    return study.system(closure, None)
+    return ds, load_basis(out / "pod_basis.txt") if study.uses_basis else None
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +173,11 @@ def build_system(cfg: ExperimentConfig, study, closure, basis):
 # ---------------------------------------------------------------------------
 
 
-def _write_history(path, records) -> None:
+def _write_history(path, prior_rows, records) -> None:
+    """loss_history.csv: rows kept from a resumed run, then ``records``."""
     write_csv(path, ["epoch", "train_loss", "val_loss", "lr"],
-              ([r.epoch, r.train_loss, r.val_loss, r.lr] for r in records))
+              list(prior_rows) + [[r.epoch, r.train_loss, r.val_loss, r.lr]
+                                  for r in records])
 
 
 def run_training(cfg: ExperimentConfig, out: Path,
@@ -222,7 +186,7 @@ def run_training(cfg: ExperimentConfig, out: Path,
     study = cfg.study()
     dataset, basis = load_truth(cfg, out)
     closure = cfg.closure(study, window=window)
-    system = build_system(cfg, study, closure, basis)
+    system = study.system(closure, basis)
     settings = cfg.settings(study)
     stepper = cfg.forward_stepper(study)
     loss_spec = study.loss_spec()
@@ -258,10 +222,7 @@ def run_training(cfg: ExperimentConfig, out: Path,
                         opt_step=result.opt_state.step,
                         rng_state=rng_now.bit_generator.state)
         save_checkpoint(out / "checkpoint.txt", ck)
-        rows = list(prior) + [
-            [r.epoch, r.train_loss, r.val_loss, r.lr] for r in result.history]
-        write_csv(out / "loss_history.csv",
-                  ["epoch", "train_loss", "val_loss", "lr"], rows)
+        _write_history(out / "loss_history.csv", prior, result.history)
 
     rng_live = rng if rng is not None else np.random.default_rng(settings.seed)
     every = cfg.checkpoint_every if cfg.checkpoint_every else CHECKPOINT_EVERY
@@ -310,23 +271,19 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path, ckpt: Path | None) -> int:
     ck = load_checkpoint(ckpt)
     closure = cfg.closure(study)
     check_compatible(ck, closure, cfg.kind, cfg.experiment)
-    system = build_system(cfg, study, closure, basis)
+    system = study.system(closure, basis)
     stepper = cfg.forward_stepper(study)
 
     span = (dataset.t_start, dataset.t_end)
-    hist = constant_history(dataset.states[0])
-    run = forward_augmented(system, ck.params, span, stepper, history=hist,
-                            u0=dataset.states[0])
-    model = np.stack([run.u_at(min(t, run.t1)) for t in dataset.times])
-
+    model, _, _ = evaluate_rollout(system, ck.params, dataset, stepper,
+                                   history=constant_history(dataset.states[0]))
     rollouts = {"model": model}
-    for bname, rhs in study.baselines(
-            basis if cfg.experiment == "exp1_rom" else None).items():
+    for bname, rhs in study.baselines(basis).items():
         traj = integrate_ode(rhs, dataset.states[0], span, stepper)
         rollouts[bname] = np.stack(
             [traj.eval(min(float(t), span[1])) for t in dataset.times])
 
-    names = state_columns(cfg.experiment, "target")
+    names = study.state_columns("target")
     order = ["model"] + [k for k in rollouts if k != "model"]
     header = ["t"] + [f"truth_{c}" for c in names] + \
         [f"{k}_{c}" for k in order for c in names]

@@ -118,16 +118,15 @@ class AugmentedSystem:
 
     ``base_vjp(t, u, w)`` must return w^T d(base_rhs)/du; when omitted it is
     approximated by central differences on base_rhs (slower, used by tests
-    and small toys). ``grid_points`` is required when the closure networks
-    operate on (points, channels) fields; flat states are then reshaped
-    C-order, i.e. point-major.
+    and small toys). Closure networks that operate on (points, channels)
+    fields get flat states reshaped C-order, i.e. point-major; the number of
+    points follows from ``state_dim`` and the networks' state channels.
     """
 
     base_rhs: Callable[[float, Vec], Vec]
     closure: ClosureModel
     state_dim: int
     base_vjp: Callable[[float, Vec, Vec], Vec] | None = None
-    grid_points: int | None = None
 
     # -- parameter bookkeeping -------------------------------------------
 
@@ -162,15 +161,20 @@ class AugmentedSystem:
     def aug_dim(self) -> int:
         return self.state_dim + self.aux_dim
 
+    @property
+    def grid_points(self) -> int | None:
+        """Points of a grid closure's fields (None for dense closures): the
+        state width over the state channels of the net, or of the g-net for
+        distributed closures."""
+        c = self.closure
+        kind, ch = (c.g_net if isinstance(c, Distributed) else c.net).input_spec
+        return None if kind == "dense" else self.state_dim // ch
+
     # -- flat <-> network-shape adapters ---------------------------------
 
     def _shape_for(self, net: nn.Network, v: Vec):
         kind, ch = net.input_spec
-        if kind == "dense":
-            return v
-        if self.grid_points is None:
-            raise ValueError("grid closure networks need grid_points")
-        return v.reshape(self.grid_points, ch)
+        return v if kind == "dense" else v.reshape(-1, ch)
 
     def _flatten_out(self, out) -> Vec:
         return np.asarray(out, dtype=float).ravel()
@@ -182,16 +186,13 @@ class AugmentedSystem:
         if kind == "dense":
             return np.concatenate([u, y])
         n = self.grid_points
-        cu = self.state_dim // n
-        cy = self.aux_dim // n
-        return np.concatenate([u.reshape(n, cu), y.reshape(n, cy)], axis=1)
+        return np.concatenate([u.reshape(n, -1), y.reshape(n, -1)], axis=1)
 
     def _split_f_input_grad(self, dx) -> tuple[Vec, Vec]:
         kind, _ = self.closure.f_net.input_spec
         if kind == "dense":
             return dx[:self.state_dim], dx[self.state_dim:]
-        n = self.grid_points
-        cu = self.state_dim // n
+        cu = self.closure.g_net.input_spec[1]
         return dx[:, :cu].ravel(), dx[:, cu:].ravel()
 
     def _base_vjp(self, t: float, u: Vec, w: Vec) -> Vec:
@@ -608,7 +609,7 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
     if isinstance(c, Distributed):
         tau1, tau2 = c.window
         windowed = tau2 > tau1
-        shifts = sorted({tau1, tau2} - {0.0})
+        shifts = sorted({tau1, tau2} - {0.0}) if windowed else ()
         f_tapes = _StageTapes(c.f_net, theta,
                               lambda t: sys._f_input(u_at(t), run.y_at(t)))
         g_tapes = _StageTapes(c.g_net, phi, lambda t: sys._shape_for(c.g_net, u_at(t)))

@@ -26,8 +26,8 @@ import hashlib
 import io
 from dataclasses import dataclass, field, fields, replace
 
-from .experiments import CLOSURE_KINDS, EXPERIMENTS, get_study
-from .integrate import DormandPrince54, RK4Fixed, StepperSpec
+from .experiments import CLOSURE_KINDS, EXPERIMENTS, STUDIES, get_study
+from .integrate import DormandPrince54, StepperSpec
 from .models import biology, column
 from .train import TrainSettings
 
@@ -93,16 +93,10 @@ for _low in _BIO_FIELDS:
 _SECTIONS = ("run", "spans", "training", "steppers", "closure",
              "burgers", "biology", "column", "sweep")
 
-# which studies understand which model-parameter sections
-_SECTION_EXPERIMENTS = {
-    "burgers": ("exp1_rom", "exp2_subgrid"),
-    "biology": ("exp3a_bio0d", "exp3b_bio1d"),
-    "column": ("exp3b_bio1d",),
-}
-_BURGERS_KEYS = {
-    "exp1_rom": ("re", "n_fine", "n_modes", "basis_t"),
-    "exp2_subgrid": ("re", "n_fine", "n_coarse", "cs"),
-}
+# A model section applies to a study with the named field; a [burgers] key
+# applies to a study with a field of the key's own attribute name.
+_MODEL_SECTIONS = {"burgers": None, "biology": "params", "column": "cfg"}
+_COLUMN_KEYS = [attr for (sec, _), (attr, _) in _SCHEMA.items() if sec == "column"]
 
 
 @dataclass
@@ -176,26 +170,15 @@ class ExperimentConfig:
     # -- assembly ----------------------------------------------------------
 
     def study(self):
-        over = {}
-        for name in ("train_end", "val_end", "predict_end", "dt_data", "epochs",
-                     "lr0", "forward_dt", "positivity_weight", "delays", "window"):
-            v = getattr(self, name)
-            if v is not None:
-                over[name] = tuple(v) if isinstance(v, tuple) else v
-        if self.experiment in _BURGERS_KEYS:
-            for name in _BURGERS_KEYS[self.experiment]:
-                v = getattr(self, name)
-                if v is not None:
-                    over[name] = v
-        if self.experiment.startswith("exp3"):
-            if self.bio:
-                over["params"] = replace(biology.BioParams(), **self.bio)
-        if self.experiment == "exp3b_bio1d":
-            col = {k: getattr(self, k) for k in
-                   ("n_z", "depth_total", "K_zb", "K_z0", "gamma_thermo",
-                    "t_bio_surface", "t_bio_bottom") if getattr(self, k) is not None}
-            if col:
-                over["cfg"] = replace(column.ColumnConfig(), **col)
+        """The study with every set value that names one of its fields, plus
+        [biology] and [column] values folded into its params and cfg."""
+        over = {f.name: getattr(self, f.name) for f in fields(STUDIES[self.experiment])
+                if getattr(self, f.name, None) is not None}
+        if self.bio:
+            over["params"] = replace(biology.BioParams(), **self.bio)
+        col = {k: getattr(self, k) for k in _COLUMN_KEYS if getattr(self, k) is not None}
+        if col:
+            over["cfg"] = replace(column.ColumnConfig(), **col)
         return get_study(self.experiment, **over)
 
     def closure(self, study=None, window=None):
@@ -223,9 +206,7 @@ class ExperimentConfig:
         return DormandPrince54(rtol=rtol, atol=atol)
 
     def forward_stepper(self, study=None) -> StepperSpec:
-        study = study or self.study()
-        return RK4Fixed(self.forward_dt if self.forward_dt is not None
-                        else study.forward_dt)
+        return (study or self.study()).forward_stepper()
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -261,14 +242,11 @@ def parse_config(text: str) -> ExperimentConfig:
     if "experiment" not in values:
         raise ValueError("config must set [run] experiment")
     cfg = ExperimentConfig(bio=bio, **values)
-    exp = cfg.experiment
-    for section, allowed_exps in _SECTION_EXPERIMENTS.items():
-        if cp.has_section(section) and cp.items(section) and exp not in allowed_exps:
-            raise ValueError(f"section [{section}] does not apply to {exp}")
-    if cp.has_section("burgers") and exp in _BURGERS_KEYS:
-        for key, _ in cp.items("burgers"):
-            if key not in _BURGERS_KEYS[exp]:
-                raise ValueError(f"[burgers] {key} does not apply to {exp}")
+    have = {f.name for f in fields(STUDIES[cfg.experiment])}
+    for section, holder in _MODEL_SECTIONS.items():
+        for key, _ in cp.items(section) if cp.has_section(section) else ():
+            if (holder or _SCHEMA[(section, key)][0]) not in have:
+                raise ValueError(f"[{section}] {key} does not apply to {cfg.experiment}")
     return cfg
 
 

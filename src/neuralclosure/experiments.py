@@ -15,14 +15,17 @@ and trains a neural closure on the mismatch:
 * ``toy``           a 2-state linear problem small enough for exhaustive
   finite-difference gradient checks.
 
-Architectures and hyperparameters are frozen per study; the trainable
-parameter counts they must reproduce are in :data:`PARAMETER_COUNTS`.
+Every study is trained the same way, so what they share lives on
+:class:`Study`. A study class holds only its own facts: its fields (which
+the config may override), its networks, its reference run (``setup``), its
+base right-hand side and the names of its state columns. Architectures and
+hyperparameters are frozen per study; the trainable parameter counts they
+must reproduce are in :data:`PARAMETER_COUNTS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -32,7 +35,7 @@ from .closure import AugmentedSystem
 from .integrate import DenseTrajectory, DormandPrince54, RK4Fixed, StepperSpec
 from .integrate import integrate_ode
 from .models import biology, burgers, column, rom
-from .train import LossSpec, SnapshotDataset, TrainSettings
+from .train import LossSpec, TrainSettings
 
 CLOSURE_KINDS = ("markovian", "discrete", "distributed")
 
@@ -87,6 +90,75 @@ def _dense_chain(sizes, hidden_act: str = "tanh") -> list:
     return layers
 
 
+def _numbered(prefix: str, n: int) -> list[str]:
+    """prefix1..prefixN, zero-padded to the width of N."""
+    return [f"{prefix}{i:0{len(str(n))}d}" for i in range(1, n + 1)]
+
+
+class Study:
+    """What every study shares: steppers, loss, training recipe, closure
+    assembly, augmented system and baselines.
+
+    A subclass is a frozen dataclass whose fields are its overridable
+    settings; it defines ``state_dim``, ``aux_dim``, :meth:`networks`,
+    :meth:`setup`, :meth:`base` and :meth:`state_columns`. The class
+    attributes below are per-study constants, not settings.
+    """
+
+    truth_tol = 1e-8       # rtol = atol of the reference run's DP5(4)
+    batch = 2              # training windows per batch
+    target = "states"      # the setup() field holding the training target
+    reference = None       # (file, setup() field) of the reference-resolution table
+    uses_basis = False     # base() and system() need the modal basis
+
+    def default_truth_stepper(self) -> StepperSpec:
+        return DormandPrince54(rtol=self.truth_tol, atol=self.truth_tol)
+
+    def forward_stepper(self) -> StepperSpec:
+        return RK4Fixed(self.forward_dt)
+
+    def loss_spec(self) -> LossSpec:
+        return LossSpec(positivity_weight=self.positivity_weight)
+
+    def batch_size(self, kind: str) -> int:
+        return self.batch
+
+    def settings(self, kind: str, seed: int = 0, epochs: int | None = None) -> TrainSettings:
+        return TrainSettings(epochs=self.epochs if epochs is None else epochs,
+                             batch_size=self.batch_size(kind), lr0=self.lr0,
+                             adjoint_dt=self.forward_dt, seed=seed)
+
+    def closure(self, kind: str, delays=None, window=None) -> ClosureModel:
+        """The study's closure of ``kind``; delays and window default to the
+        study's."""
+        if kind not in CLOSURE_KINDS:
+            raise ValueError(f"unknown closure kind {kind!r}")
+        nets = self.networks(kind)
+        if kind == "markovian":
+            return Markovian(nets)
+        if kind == "discrete":
+            return Discrete(nets, self.delays if delays is None else tuple(delays))
+        win = self.window if window is None else tuple(window)
+        return Distributed(*nets, win, self.aux_dim)
+
+    def _reference_run(self, rhs, u0, stepper: StepperSpec | None):
+        """(times, states) of the run from u0 on the data grid to predict_end."""
+        traj = integrate_ode(rhs, u0, (0.0, self.predict_end),
+                             stepper or self.default_truth_stepper())
+        times = uniform_times(self.predict_end, self.dt_data)
+        return times, sample_trajectory(traj, times)
+
+    def base_rhs(self, basis=None):
+        return self.base(basis)[0]
+
+    def system(self, closure: ClosureModel, basis=None) -> AugmentedSystem:
+        rhs, vjp = self.base(basis)
+        return AugmentedSystem(rhs, closure, self.state_dim, base_vjp=vjp)
+
+    def baselines(self, basis=None) -> dict:
+        return {"baseline": self.base_rhs(basis)}
+
+
 # ---------------------------------------------------------------------------
 # Study 1: modal dynamics of the advecting front
 # ---------------------------------------------------------------------------
@@ -100,7 +172,7 @@ class RomData:
 
 
 @dataclass(frozen=True)
-class RomStudy:
+class RomStudy(Study):
     """Three-mode reduced dynamics closed against the full 100-cell run."""
 
     name: str = "exp1_rom"
@@ -120,74 +192,53 @@ class RomStudy:
     forward_dt: float = 0.005
     positivity_weight: float = 0.0
 
+    target = "coeffs"
+    uses_basis = True
+
     @property
     def state_dim(self) -> int:
         return self.n_modes
 
-    grid_points = None
+    def state_columns(self, which: str = "target") -> list[str]:
+        """Column names of a state table; ``which`` is 'target' or 'full'."""
+        return _numbered("a" if which == "target" else "u",
+                         self.n_modes if which == "target" else self.n_fine)
 
-    def default_truth_stepper(self) -> StepperSpec:
-        return DormandPrince54(rtol=1e-8, atol=1e-8)
-
-    def forward_stepper(self) -> StepperSpec:
-        return RK4Fixed(self.forward_dt)
-
-    def loss_spec(self) -> LossSpec:
-        return LossSpec()
-
-    def batch_size(self, kind: str) -> int:
-        return 2
-
-    def settings(self, kind: str, seed: int = 0, epochs: int | None = None) -> TrainSettings:
-        return TrainSettings(epochs=self.epochs if epochs is None else epochs,
-                             batch_size=self.batch_size(kind), lr0=self.lr0,
-                             adjoint_dt=self.forward_dt, seed=seed)
-
-    def closure(self, kind: str, delays=None, window=None) -> ClosureModel:
+    def networks(self, kind: str):
+        m = self.n_modes
         if kind == "markovian":
-            return Markovian(nn.Network(_dense_chain([3, 5, 5, 5, 5, 5, 3])))
+            return nn.Network(_dense_chain([m, 5, 5, 5, 5, 5, m]))
         if kind == "discrete":
-            net = nn.Network([nn.SimpleRnnCell(3, 5, "tanh"), nn.Dense(5, 3)])
-            return Discrete(net, tuple(delays) if delays is not None else self.delays)
-        if kind == "distributed":
-            f = nn.Network(_dense_chain([3 + self.aux_dim, 5, 5, 3]))
-            g = nn.Network(_dense_chain([3, 3, 3, self.aux_dim]))
-            win = tuple(window) if window is not None else self.window
-            return Distributed(f, g, win, self.aux_dim)
-        raise ValueError(f"unknown closure kind {kind!r}")
-
-    def _fom_rhs(self):
-        grid = burgers.BurgersGrid(self.n_fine)
-        nu = 1.0 / self.re
-        return grid, lambda t, u: burgers.rhs(t, u, nu, grid.dx)
+            return nn.Network([nn.SimpleRnnCell(m, 5, "tanh"), nn.Dense(5, m)])
+        return (nn.Network(_dense_chain([m + self.aux_dim, 5, 5, m])),
+                nn.Network(_dense_chain([m, 3, 3, self.aux_dim])))
 
     def setup(self, stepper: StepperSpec | None = None) -> RomData:
         """Reference run -> modal basis -> re-run from the basis-filtered
         initial state -> coefficient trajectories on the data grid."""
         stepper = stepper or self.default_truth_stepper()
-        grid, fom = self._fom_rhs()
+        grid = burgers.BurgersGrid(self.n_fine)
+        nu = 1.0 / self.re
+
+        def fom(t, u):
+            return burgers.rhs(t, u, nu, grid.dx)
         u0 = burgers.initial_condition(grid.x, self.re)
         snaps_traj = integrate_ode(fom, u0, (0.0, self.basis_t), stepper)
         snaps = sample_trajectory(snaps_traj, uniform_times(self.basis_t, self.dt_data))
         basis = rom.pod(snaps, self.n_modes)
 
         u0_filtered = basis.reconstruct(basis.project(u0))
-        truth_traj = integrate_ode(fom, u0_filtered, (0.0, self.predict_end), stepper)
-        times = uniform_times(self.predict_end, self.dt_data)
-        coeffs = np.stack([basis.project(truth_traj.eval(float(t))) for t in times])
+        times, states = self._reference_run(fom, u0_filtered, stepper)
+        coeffs = np.stack([basis.project(u) for u in states])
         return RomData(times=times, coeffs=coeffs, basis=basis)
 
     def galerkin(self, basis: rom.PodBasis) -> rom.GalerkinRom:
         grid = burgers.BurgersGrid(self.n_fine)
         return rom.galerkin_rom(basis, 1.0 / self.re, grid.dx)
 
-    def system(self, closure: ClosureModel, basis: rom.PodBasis) -> AugmentedSystem:
+    def base(self, basis: rom.PodBasis):
         gal = self.galerkin(basis)
-        return AugmentedSystem(gal.rhs, closure, self.state_dim, base_vjp=gal.rhs_vjp)
-
-    def baselines(self, basis: rom.PodBasis) -> dict:
-        gal = self.galerkin(basis)
-        return {"baseline": gal.rhs}
+        return gal.rhs, gal.rhs_vjp
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +254,7 @@ class SubgridData:
 
 
 @dataclass(frozen=True)
-class SubgridStudy:
+class SubgridStudy(Study):
     """25-cell front model closed against the box-averaged 100-cell run."""
 
     name: str = "exp2_subgrid"
@@ -223,38 +274,29 @@ class SubgridStudy:
     cs: float = 1.0             # eddy-viscosity constant for the reference closure
     positivity_weight: float = 0.0
 
-    @property
-    def state_dim(self) -> int:
-        return self.n_coarse
+    batch = 8
+    target = "coarse_states"
+    reference = ("truth_fine.csv", "fine_states")
+
+    def __post_init__(self):
+        if self.n_fine % self.n_coarse:
+            raise ValueError(f"n_fine = {self.n_fine} is not a multiple of "
+                             f"n_coarse = {self.n_coarse}")
 
     @property
-    def grid_points(self) -> int:
+    def state_dim(self) -> int:
         return self.n_coarse
 
     @property
     def aux_dim(self) -> int:
         return self.n_coarse * self.aux_channels
 
-    def default_truth_stepper(self) -> StepperSpec:
-        return DormandPrince54(rtol=1e-8, atol=1e-8)
+    def state_columns(self, which: str = "target") -> list[str]:
+        return _numbered("u", self.n_coarse if which == "target" else self.n_fine)
 
-    def forward_stepper(self) -> StepperSpec:
-        return RK4Fixed(self.forward_dt)
-
-    def loss_spec(self) -> LossSpec:
-        return LossSpec()
-
-    def batch_size(self, kind: str) -> int:
-        return 8
-
-    def settings(self, kind: str, seed: int = 0, epochs: int | None = None) -> TrainSettings:
-        return TrainSettings(epochs=self.epochs if epochs is None else epochs,
-                             batch_size=self.batch_size(kind), lr0=self.lr0,
-                             adjoint_dt=self.forward_dt, seed=seed)
-
-    def closure(self, kind: str, delays=None, window=None) -> ClosureModel:
+    def networks(self, kind: str):
         if kind == "markovian":
-            net = nn.Network([
+            return nn.Network([
                 nn.Conv1d(1, 4, 3, "swish"),
                 nn.Conv1d(4, 5, 3, "swish"),
                 nn.Conv1d(5, 5, 3, "swish"),
@@ -266,73 +308,53 @@ class SubgridStudy:
                 nn.Conv1dTranspose(2, 2, 3, "swish"),
                 nn.Conv1dTranspose(2, 1, 3, "linear"),
             ])
-            return Markovian(net)
         if kind == "discrete":
-            net = nn.Network([
+            return nn.Network([
                 nn.SimpleRnnConvCell(1, 3, 3, "swish"),
                 nn.Conv1d(3, 2, 3, "swish"),
                 nn.Conv1dTranspose(2, 2, 3, "swish"),
                 nn.Conv1dTranspose(2, 1, 3, "linear"),
             ])
-            return Discrete(net, tuple(delays) if delays is not None else self.delays)
-        if kind == "distributed":
-            c = self.aux_channels
-            f = nn.Network([
-                nn.Conv1d(1 + c, 4, 3, "swish"),
-                nn.Conv1d(4, 5, 3, "swish"),
-                nn.Conv1d(5, 5, 3, "swish"),
-                nn.Conv1dTranspose(5, 3, 3, "swish"),
-                nn.Conv1dTranspose(3, 2, 3, "swish"),
-                nn.Conv1dTranspose(2, 1, 3, "linear"),
-            ])
-            g = nn.Network([
-                nn.Conv1d(1, 2, 3, "swish"),
-                nn.Conv1d(2, 3, 3, "swish"),
-                nn.Conv1dTranspose(3, 3, 3, "swish"),
-                nn.Conv1dTranspose(3, c, 3, "linear"),
-            ])
-            win = tuple(window) if window is not None else self.window
-            return Distributed(f, g, win, self.aux_dim)
-        raise ValueError(f"unknown closure kind {kind!r}")
+        c = self.aux_channels
+        f = nn.Network([
+            nn.Conv1d(1 + c, 4, 3, "swish"),
+            nn.Conv1d(4, 5, 3, "swish"),
+            nn.Conv1d(5, 5, 3, "swish"),
+            nn.Conv1dTranspose(5, 3, 3, "swish"),
+            nn.Conv1dTranspose(3, 2, 3, "swish"),
+            nn.Conv1dTranspose(2, 1, 3, "linear"),
+        ])
+        g = nn.Network([
+            nn.Conv1d(1, 2, 3, "swish"),
+            nn.Conv1d(2, 3, 3, "swish"),
+            nn.Conv1dTranspose(3, 3, 3, "swish"),
+            nn.Conv1dTranspose(3, c, 3, "linear"),
+        ])
+        return f, g
 
     def setup(self, stepper: StepperSpec | None = None) -> SubgridData:
-        stepper = stepper or self.default_truth_stepper()
         fine = burgers.BurgersGrid(self.n_fine)
         nu = 1.0 / self.re
         u0 = burgers.initial_condition(fine.x, self.re)
-        traj = integrate_ode(lambda t, u: burgers.rhs(t, u, nu, fine.dx),
-                             u0, (0.0, self.predict_end), stepper)
-        times = uniform_times(self.predict_end, self.dt_data)
-        fine_states = sample_trajectory(traj, times)
+        times, fine_states = self._reference_run(
+            lambda t, u: burgers.rhs(t, u, nu, fine.dx), u0, stepper)
         factor = self.n_fine // self.n_coarse
         coarse = np.stack([burgers.coarsen(u, factor) for u in fine_states])
         return SubgridData(times=times, fine_states=fine_states, coarse_states=coarse)
 
-    def coarse_rhs(self) -> Callable:
+    def base(self, basis=None):
         grid = burgers.BurgersGrid(self.n_coarse)
         nu = 1.0 / self.re
-        return lambda t, u: burgers.rhs(t, u, nu, grid.dx)
+        return (lambda t, u: burgers.rhs(t, u, nu, grid.dx),
+                lambda t, u, w: burgers.rhs_vjp(t, u, w, nu, grid.dx))
 
-    def system(self, closure: ClosureModel, data=None) -> AugmentedSystem:
-        grid = burgers.BurgersGrid(self.n_coarse)
-        nu = 1.0 / self.re
-        return AugmentedSystem(
-            self.coarse_rhs(), closure, self.state_dim,
-            base_vjp=lambda t, u, w: burgers.rhs_vjp(t, u, w, nu, grid.dx),
-            grid_points=self.grid_points)
+    def baselines(self, basis=None) -> dict:
+        plain = self.base_rhs()
+        dx, cs = burgers.BurgersGrid(self.n_coarse).dx, self.cs
 
-    def smagorinsky_rhs(self) -> Callable:
-        grid = burgers.BurgersGrid(self.n_coarse)
-        nu = 1.0 / self.re
-        cs = self.cs
-
-        def rhs(t, u):
-            return burgers.rhs(t, u, nu, grid.dx) + \
-                burgers.smagorinsky_term(u, grid.dx, cs)
-        return rhs
-
-    def baselines(self, data=None) -> dict:
-        return {"baseline": self.coarse_rhs(), "smagorinsky": self.smagorinsky_rhs()}
+        def smagorinsky(t, u):
+            return plain(t, u) + burgers.smagorinsky_term(u, dx, cs)
+        return {"baseline": plain, "smagorinsky": smagorinsky}
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +370,7 @@ class Plankton0dData:
 
 
 @dataclass(frozen=True)
-class Plankton0dStudy:
+class Plankton0dStudy(Study):
     """Aggregated 3-species box dynamics closed against the 5-species run."""
 
     name: str = "exp3a_bio0d"
@@ -366,68 +388,38 @@ class Plankton0dStudy:
     positivity_weight: float = 1.0
 
     state_dim = 3
-    grid_points = None
+    truth_tol = 1e-10
+    batch = 4
+    target = "agg_states"
+    reference = ("truth_full.csv", "full_states")
 
-    def default_truth_stepper(self) -> StepperSpec:
-        return DormandPrince54(rtol=1e-10, atol=1e-10)
+    def state_columns(self, which: str = "target") -> list[str]:
+        return ["N", "P", "Z"] if which == "target" else ["NO3", "NH4", "P", "Z", "D"]
 
-    def forward_stepper(self) -> StepperSpec:
-        return RK4Fixed(self.forward_dt)
-
-    def loss_spec(self) -> LossSpec:
-        return LossSpec(positivity_weight=self.positivity_weight)
-
-    def batch_size(self, kind: str) -> int:
-        return 4
-
-    def settings(self, kind: str, seed: int = 0, epochs: int | None = None) -> TrainSettings:
-        return TrainSettings(epochs=self.epochs if epochs is None else epochs,
-                             batch_size=self.batch_size(kind), lr0=self.lr0,
-                             adjoint_dt=self.forward_dt, seed=seed)
-
-    def closure(self, kind: str, delays=None, window=None) -> ClosureModel:
+    def networks(self, kind: str):
         if kind == "markovian":
-            layers = _dense_chain([3, 7, 7, 7, 7, 7, 7, 1]) + [nn.BioConstrain()]
-            return Markovian(nn.Network(layers))
+            return nn.Network(_dense_chain([3, 7, 7, 7, 7, 7, 7, 1]) + [nn.BioConstrain()])
         if kind == "discrete":
-            net = nn.Network([nn.SimpleRnnCell(3, 7, "tanh"),
-                              nn.Dense(7, 7, "tanh"), nn.Dense(7, 1),
-                              nn.BioConstrain()])
-            return Discrete(net, tuple(delays) if delays is not None else self.delays)
-        if kind == "distributed":
-            f = nn.Network(_dense_chain([3 + self.aux_dim, 7, 7, 1])
-                           + [nn.BioConstrain()])
-            g = nn.Network(_dense_chain([3, 5, 5, self.aux_dim]))
-            win = tuple(window) if window is not None else self.window
-            return Distributed(f, g, win, self.aux_dim)
-        raise ValueError(f"unknown closure kind {kind!r}")
+            return nn.Network([nn.SimpleRnnCell(3, 7, "tanh"),
+                               nn.Dense(7, 7, "tanh"), nn.Dense(7, 1),
+                               nn.BioConstrain()])
+        return (nn.Network(_dense_chain([3 + self.aux_dim, 7, 7, 1]) + [nn.BioConstrain()]),
+                nn.Network(_dense_chain([3, 5, 5, self.aux_dim])))
 
     def growth(self) -> float:
         return float(biology.growth_G(self.params))
 
     def setup(self, stepper: StepperSpec | None = None) -> Plankton0dData:
-        stepper = stepper or self.default_truth_stepper()
         p, G = self.params, self.growth()
-        u0 = biology.nnpzd_initial(p)
-        traj = integrate_ode(lambda t, u: biology.nnpzd_rhs(t, u, p, G),
-                             u0, (0.0, self.predict_end), stepper)
-        times = uniform_times(self.predict_end, self.dt_data)
-        full = sample_trajectory(traj, times)
+        times, full = self._reference_run(lambda t, u: biology.nnpzd_rhs(t, u, p, G),
+                                          biology.nnpzd_initial(p), stepper)
         return Plankton0dData(times=times, full_states=full,
                               agg_states=biology.aggregate_nnpzd(full))
 
-    def base_rhs(self) -> Callable:
+    def base(self, basis=None):
         p, G = self.params, self.growth()
-        return lambda t, u: biology.npz_rhs(t, u, p, G)
-
-    def system(self, closure: ClosureModel, data=None) -> AugmentedSystem:
-        p, G = self.params, self.growth()
-        return AugmentedSystem(
-            self.base_rhs(), closure, self.state_dim,
-            base_vjp=lambda t, u, w: biology.npz_rhs_vjp(t, u, w, p, G))
-
-    def baselines(self, data=None) -> dict:
-        return {"baseline": self.base_rhs()}
+        return (lambda t, u: biology.npz_rhs(t, u, p, G),
+                lambda t, u, w: biology.npz_rhs_vjp(t, u, w, p, G))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +435,7 @@ class ColumnData:
 
 
 @dataclass(frozen=True)
-class ColumnStudy:
+class ColumnStudy(Study):
     """Aggregated plankton column closed against the 5-species column."""
 
     name: str = "exp3b_bio1d"
@@ -462,37 +454,30 @@ class ColumnStudy:
     forward_dt: float = 0.05
     positivity_weight: float = 1.0
 
+    batch = 8
+    target = "agg_states"
+    reference = ("truth_full.csv", "full_states")
+
     @property
     def state_dim(self) -> int:
         return self.cfg.n_z * 3
 
     @property
-    def grid_points(self) -> int:
-        return self.cfg.n_z
-
-    @property
     def aux_dim(self) -> int:
         return self.cfg.n_z * self.aux_channels
 
-    def default_truth_stepper(self) -> StepperSpec:
-        return DormandPrince54(rtol=1e-8, atol=1e-8)
-
-    def forward_stepper(self) -> StepperSpec:
-        return RK4Fixed(self.forward_dt)
+    def state_columns(self, which: str = "target") -> list[str]:
+        species = ("N", "P", "Z") if which == "target" else ("NO3", "NH4", "P", "Z", "D")
+        return [f"{s}_{d}" for d in _numbered("d", self.cfg.n_z) for s in species]
 
     def loss_spec(self) -> LossSpec:
         return LossSpec(kind="depth_avg_l2", positivity_weight=self.positivity_weight,
                         n_depth=self.cfg.n_z)
 
     def batch_size(self, kind: str) -> int:
-        return 4 if kind == "distributed" else 8
+        return 4 if kind == "distributed" else self.batch
 
-    def settings(self, kind: str, seed: int = 0, epochs: int | None = None) -> TrainSettings:
-        return TrainSettings(epochs=self.epochs if epochs is None else epochs,
-                             batch_size=self.batch_size(kind), lr0=self.lr0,
-                             adjoint_dt=self.forward_dt, seed=seed)
-
-    def context_channels(self) -> Callable[[float], np.ndarray]:
+    def context_channels(self):
         """Normalized depth and attenuated daylight channels for the nets."""
         z = self.cfg.z_centers
         zn = z / abs(self.cfg.depth_total)
@@ -504,59 +489,43 @@ class ColumnStudy:
             return np.stack([zn, light], axis=1)
         return channels
 
-    def closure(self, kind: str, delays=None, window=None) -> ClosureModel:
+    def networks(self, kind: str):
         ctx = self.context_channels()
         if kind == "markovian":
-            net = nn.Network(
+            return nn.Network(
                 [nn.AddExtraChannels(2, ctx, "depth+light", in_ch=3)]
                 + [nn.Conv1d(a, b, 1, "swish") for a, b in
                    [(5, 5), (5, 7), (7, 9), (9, 11), (11, 13), (13, 13),
                     (13, 11), (11, 9), (9, 7), (7, 5), (5, 3)]]
                 + [nn.Conv1d(3, 1, 1, "linear"), nn.BioConstrain()])
-            return Markovian(net)
         if kind == "discrete":
-            net = nn.Network(
+            return nn.Network(
                 [nn.SimpleRnnConvCell(3, 5, 1, "swish"),
                  nn.AddExtraChannels(2, ctx, "depth+light")]
                 + [nn.Conv1d(a, b, 1, "swish") for a, b in
                    [(7, 7), (7, 9), (9, 9), (9, 7), (7, 5), (5, 3)]]
                 + [nn.Conv1d(3, 1, 1, "linear"), nn.BioConstrain()])
-            return Discrete(net, tuple(delays) if delays is not None else self.delays)
-        if kind == "distributed":
-            c = self.aux_channels
-            f = nn.Network(
-                [nn.AddExtraChannels(2, ctx, "depth+light", in_ch=3 + c)]
-                + [nn.Conv1d(a, b, 1, "swish") for a, b in
-                   [(5 + c, 7), (7, 9), (9, 9), (9, 7), (7, 5), (5, 3)]]
-                + [nn.Conv1d(3, 1, 1, "linear"), nn.BioConstrain()])
-            g = nn.Network(
-                [nn.Conv1d(a, b, 1, "swish") for a, b in
-                 [(3, 3), (3, 5), (5, 7), (7, 5)]]
-                + [nn.Conv1d(5, c, 1, "linear")])
-            win = tuple(window) if window is not None else self.window
-            return Distributed(f, g, win, self.aux_dim)
-        raise ValueError(f"unknown closure kind {kind!r}")
+        c = self.aux_channels
+        f = nn.Network(
+            [nn.AddExtraChannels(2, ctx, "depth+light", in_ch=3 + c)]
+            + [nn.Conv1d(a, b, 1, "swish") for a, b in
+               [(5 + c, 7), (7, 9), (9, 9), (9, 7), (7, 5), (5, 3)]]
+            + [nn.Conv1d(3, 1, 1, "linear"), nn.BioConstrain()])
+        g = nn.Network(
+            [nn.Conv1d(a, b, 1, "swish") for a, b in
+             [(3, 3), (3, 5), (5, 7), (7, 5)]]
+            + [nn.Conv1d(5, c, 1, "linear")])
+        return f, g
 
     def setup(self, stepper: StepperSpec | None = None) -> ColumnData:
-        stepper = stepper or self.default_truth_stepper()
         model = column.ColumnModel(self.cfg, self.params, self.forcing, kind="nnpzd")
-        traj = integrate_ode(model.rhs, model.initial_state(),
-                             (0.0, self.predict_end), stepper)
-        times = uniform_times(self.predict_end, self.dt_data)
-        full = sample_trajectory(traj, times)
+        times, full = self._reference_run(model.rhs, model.initial_state(), stepper)
         agg = np.stack([column.aggregate_column_state(u, self.cfg.n_z) for u in full])
         return ColumnData(times=times, full_states=full, agg_states=agg)
 
-    def base_model(self) -> column.ColumnModel:
-        return column.ColumnModel(self.cfg, self.params, self.forcing, kind="npz")
-
-    def system(self, closure: ClosureModel, data=None) -> AugmentedSystem:
-        base = self.base_model()
-        return AugmentedSystem(base.rhs, closure, self.state_dim,
-                               base_vjp=base.rhs_vjp, grid_points=self.grid_points)
-
-    def baselines(self, data=None) -> dict:
-        return {"baseline": self.base_model().rhs}
+    def base(self, basis=None):
+        model = column.ColumnModel(self.cfg, self.params, self.forcing, kind="npz")
+        return model.rhs, model.rhs_vjp
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +540,7 @@ class ToyData:
 
 
 @dataclass(frozen=True)
-class ToyStudy:
+class ToyStudy(Study):
     """Linear decay toward a constant source; trains in seconds."""
 
     name: str = "toy"
@@ -590,58 +559,27 @@ class ToyStudy:
     positivity_weight: float = 0.0
 
     state_dim = 2
-    grid_points = None
+    truth_tol = 1e-10
 
-    def default_truth_stepper(self) -> StepperSpec:
-        return DormandPrince54(rtol=1e-10, atol=1e-10)
+    def state_columns(self, which: str = "target") -> list[str]:
+        return _numbered("u", self.state_dim)
 
-    def forward_stepper(self) -> StepperSpec:
-        return RK4Fixed(self.forward_dt)
-
-    def loss_spec(self) -> LossSpec:
-        return LossSpec()
-
-    def batch_size(self, kind: str) -> int:
-        return 2
-
-    def settings(self, kind: str, seed: int = 0, epochs: int | None = None) -> TrainSettings:
-        return TrainSettings(epochs=self.epochs if epochs is None else epochs,
-                             batch_size=self.batch_size(kind), lr0=self.lr0,
-                             adjoint_dt=self.forward_dt, seed=seed)
-
-    def closure(self, kind: str, delays=None, window=None) -> ClosureModel:
+    def networks(self, kind: str):
         if kind == "markovian":
-            return Markovian(nn.Network([nn.Dense(2, 4, "tanh"), nn.Dense(4, 2)]))
+            return nn.Network([nn.Dense(2, 4, "tanh"), nn.Dense(4, 2)])
         if kind == "discrete":
-            net = nn.Network([nn.SimpleRnnCell(2, 4, "tanh"), nn.Dense(4, 2)])
-            return Discrete(net, tuple(delays) if delays is not None else self.delays)
-        if kind == "distributed":
-            f = nn.Network([nn.Dense(2 + self.aux_dim, 4, "tanh"), nn.Dense(4, 2)])
-            g = nn.Network([nn.Dense(2, 3, "tanh"), nn.Dense(3, self.aux_dim)])
-            win = tuple(window) if window is not None else self.window
-            return Distributed(f, g, win, self.aux_dim)
-        raise ValueError(f"unknown closure kind {kind!r}")
-
-    def base_rhs(self) -> Callable:
-        return lambda t, u: -u
-
-    def truth_rhs(self) -> Callable:
-        c = np.asarray(self.source, dtype=float)
-        return lambda t, u: -u + c
+            return nn.Network([nn.SimpleRnnCell(2, 4, "tanh"), nn.Dense(4, 2)])
+        return (nn.Network([nn.Dense(2 + self.aux_dim, 4, "tanh"), nn.Dense(4, 2)]),
+                nn.Network([nn.Dense(2, 3, "tanh"), nn.Dense(3, self.aux_dim)]))
 
     def setup(self, stepper: StepperSpec | None = None) -> ToyData:
-        stepper = stepper or self.default_truth_stepper()
-        traj = integrate_ode(self.truth_rhs(), np.asarray(self.u0, float),
-                             (0.0, self.predict_end), stepper)
-        times = uniform_times(self.predict_end, self.dt_data)
-        return ToyData(times=times, states=sample_trajectory(traj, times))
+        c = np.asarray(self.source, dtype=float)
+        times, states = self._reference_run(lambda t, u: -u + c,
+                                            np.asarray(self.u0, float), stepper)
+        return ToyData(times=times, states=states)
 
-    def system(self, closure: ClosureModel, data=None) -> AugmentedSystem:
-        return AugmentedSystem(self.base_rhs(), closure, self.state_dim,
-                               base_vjp=lambda t, u, w: -w)
-
-    def baselines(self, data=None) -> dict:
-        return {"baseline": self.base_rhs()}
+    def base(self, basis=None):
+        return (lambda t, u: -u), (lambda t, u, w: -w)
 
 
 # ---------------------------------------------------------------------------
@@ -649,13 +587,8 @@ class ToyStudy:
 # ---------------------------------------------------------------------------
 
 
-STUDIES = {
-    "exp1_rom": RomStudy,
-    "exp2_subgrid": SubgridStudy,
-    "exp3a_bio0d": Plankton0dStudy,
-    "exp3b_bio1d": ColumnStudy,
-    "toy": ToyStudy,
-}
+STUDIES = {cls.name: cls for cls in
+           (RomStudy, SubgridStudy, Plankton0dStudy, ColumnStudy, ToyStudy)}
 
 EXPERIMENTS = tuple(STUDIES)
 

@@ -378,5 +378,7 @@ def quadrature(f: Callable[[float], float | Vec], a: float, b: float, n_panels: 
         return np.zeros_like(fa) if fa.ndim else 0.0
     ts = np.linspace(a, b, n_panels + 1)
     vals = np.stack([fa] + [np.asarray(f(t), dtype=float) for t in ts[1:]])
-    out = np.trapezoid(vals, ts, axis=0)
+    # np.trapezoid(vals, ts, axis=0) term for term (NumPy >= 2 only)
+    d = np.diff(ts).reshape((-1,) + (1,) * (vals.ndim - 1))
+    out = np.add.reduce(d * (vals[1:] + vals[:-1]) / 2.0, axis=0)
     return float(out) if out.ndim == 0 else out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from neuralclosure import cli
+from neuralclosure import experiments as ex
 from neuralclosure.config import parse_config
 
 TOY_CFG = """\
@@ -58,13 +59,17 @@ def test_failed_table_write_leaves_previous_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["loss_history.csv"]
 
 
+def state_columns(experiment, which):
+    return ex.get_study(experiment).state_columns(which)
+
+
 def test_state_columns():
-    assert cli.state_columns("toy", "target") == ["u1", "u2"]
-    assert cli.state_columns("exp1_rom", "target") == ["a1", "a2", "a3"]
-    assert len(cli.state_columns("exp2_subgrid", "target")) == 25
-    assert cli.state_columns("exp3a_bio0d", "full") == \
+    assert state_columns("toy", "target") == ["u1", "u2"]
+    assert state_columns("exp1_rom", "target") == ["a1", "a2", "a3"]
+    assert len(state_columns("exp2_subgrid", "target")) == 25
+    assert state_columns("exp3a_bio0d", "full") == \
         ["NO3", "NH4", "P", "Z", "D"]
-    cols = cli.state_columns("exp3b_bio1d", "target")
+    cols = state_columns("exp3b_bio1d", "target")
     assert len(cols) == 60
     assert cols[:4] == ["N_d01", "P_d01", "Z_d01", "N_d02"]
 
@@ -143,6 +148,25 @@ def test_train_then_evaluate(tmp_path, toy_cfg, capsys):
     assert ("time_avg_l2", "train", "model") in tags
     assert ("time_avg_l2", "predict", "baseline") in tags
     assert ("crosscorr", "predict", "model") in tags
+
+
+def test_coarse_grid_override_round_trip(tmp_path):
+    # the truth.csv header follows the overridden grid, so train reads it
+    cfgp = _write(tmp_path, """
+[run]
+experiment = exp2_subgrid
+
+[burgers]
+n_coarse = 20
+
+[training]
+epochs = 1
+""")
+    out = tmp_path / "out"
+    assert cli.main(["gen-data", "--config", cfgp, "--out", str(out)]) == 0
+    header, data = cli.read_table(out / "truth.csv")
+    assert header == ["t"] + [f"u{i:02d}" for i in range(1, 21)]
+    assert cli.main(["train", "--config", cfgp, "--out", str(out)]) == 0
 
 
 def test_zero_closure_checkpoint_reproduces_baseline(tmp_path):

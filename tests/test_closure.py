@@ -29,7 +29,7 @@ from neuralclosure.closure import (
     forward_augmented,
     run_loss,
 )
-from neuralclosure.integrate import DormandPrince54, RK4Fixed, integrate_ode
+from neuralclosure.integrate import DormandPrince54, RK4Fixed, integrate_ode, quadrature
 
 from oracles import rel_l2
 
@@ -303,6 +303,49 @@ def test_degenerate_window_freezes_aux_and_zeroes_phi_gradient():
     fd = fd_gradient(sys, params, (0.0, 0.8), ds, loss, RK4Fixed(0.02), u0=u0)
     assert rel_l2(adj.grad_theta, fd[:sys.n_theta]) < 1e-4
     assert np.max(np.abs(fd[sys.n_theta:])) < 1e-9
+
+
+def test_empty_window_sweeps_like_the_zero_window():
+    # a (0.3, 0.3) window is as empty as (0, 0): y stays zero, the forward
+    # solve is the same ODE, and the adjoint sweep reads no advanced value,
+    # so it must take the same steps and give the same gradient bit for bit
+    ds = Data(np.array([0.4, 0.8]), np.array([[0.0, 0.1], [0.2, -0.1]]))
+    u0 = np.array([0.5, -0.5])
+    sweeps = []
+    for window in ((0.3, 0.3), (0.0, 0.0)):
+        sys = distributed_toy(window)
+        params = random_params(sys, 37)
+        run = forward_augmented(sys, params, (0.0, 0.8), RK4Fixed(0.02), u0=u0)
+        adj = adjoint_distributed(sys, params, run, ds, QuadLoss(), RK4Fixed(0.02))
+        sweeps.append((adj.grad.tobytes(),
+                       [(seg.t0, seg.t1) for seg in adj.adjoint_traj._segs]))
+    assert sweeps[0] == sweeps[1]
+
+
+def test_history_quadrature_needs_no_numpy_trapezoid(monkeypatch):
+    # pyproject.toml allows NumPy 1.24, which has no np.trapezoid; the
+    # y(t0) quadrature must give the same bits with and without it
+    def g(s):
+        return np.array([np.sin(s), s * s])
+
+    def hist(s):
+        return np.array([0.5, -0.2]) + 0.25 * s * np.array([1.0, -0.6])
+
+    def results():
+        sys = distributed_toy((0.0, 0.5))
+        run = forward_augmented(sys, random_params(sys, 13), (0.0, 1.0),
+                                RK4Fixed(0.02), history=hist)
+        ys = np.stack([run.traj.eval(t) for t in np.linspace(0.0, 1.0, 11)])
+        return [quadrature(g, -0.5, 0.0, 16), np.array(quadrature(np.sin, -0.5, 0.0, 16)), ys]
+
+    want = results()
+    if hasattr(np, "trapezoid"):
+        ts = np.linspace(-0.5, 0.0, 17)
+        assert want[0].tobytes() == \
+            np.trapezoid(np.stack([g(t) for t in ts]), ts, axis=0).tobytes()
+    monkeypatch.delattr(np, "trapezoid", raising=False)
+    got = results()
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_constant_g_gives_constant_aux_field():

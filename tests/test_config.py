@@ -97,6 +97,27 @@ def test_rejected_configs(text, frag):
         parse_config(text)
 
 
+@pytest.mark.parametrize("experiment,applies", [
+    ("exp1_rom", {"re", "n_fine", "n_modes", "basis_t"}),
+    ("exp2_subgrid", {"re", "n_fine", "n_coarse", "cs"}),
+    ("exp3a_bio0d", {"biology"}),
+    ("exp3b_bio1d", {"biology", "column"}),
+    ("toy", set()),
+])
+def test_model_sections_apply_by_study_field(experiment, applies):
+    probes = {"re": "[burgers]\nre = 500\n", "n_fine": "[burgers]\nn_fine = 200\n",
+              "n_coarse": "[burgers]\nn_coarse = 20\n", "cs": "[burgers]\ncs = 0.5\n",
+              "n_modes": "[burgers]\nn_modes = 4\n", "basis_t": "[burgers]\nbasis_t = 2\n",
+              "biology": "[biology]\nv_m = 2.0\n", "column": "[column]\nn_z = 10\n"}
+    for name, section in probes.items():
+        text = f"[run]\nexperiment = {experiment}\n{section}"
+        if name in applies:
+            parse_config(text).study()
+        else:
+            with pytest.raises(ValueError, match="does not apply"):
+                parse_config(text)
+
+
 def test_degenerate_window_allowed():
     cfg = parse_config("[run]\nexperiment = toy\n[closure]\nwindow = 0 0\n")
     assert cfg.window == (0.0, 0.0)

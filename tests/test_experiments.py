@@ -7,7 +7,7 @@ from neuralclosure import experiments as ex
 from neuralclosure import nn
 from neuralclosure.closure import constant_history, forward_augmented
 from neuralclosure.integrate import integrate_ode
-from neuralclosure.models import biology
+from neuralclosure.models import biology, column
 from neuralclosure.train import iterations_per_epoch
 
 
@@ -249,6 +249,43 @@ def test_grid_systems_declare_grid_points(subgrid_data):
     s3 = ex.get_study("exp3b_bio1d")
     sys3 = s3.system(s3.closure("markovian"))
     assert sys3.grid_points == 20
+
+
+def test_rom_networks_follow_n_modes():
+    study = ex.get_study("exp1_rom", n_modes=4)
+    data = study.setup()
+    assert data.coeffs.shape == (601, 4)
+    for kind in ex.CLOSURE_KINDS:
+        clo = study.closure(kind)
+        params = ex.initial_params(clo, seed=1)
+        params = params + 0.1 * np.random.default_rng(1).standard_normal(params.size)
+        run = forward_augmented(study.system(clo, data.basis), params, (0.0, 0.2),
+                                study.forward_stepper(),
+                                history=constant_history(data.coeffs[0]))
+        assert run.u_at(0.2).shape == (4,) and np.all(np.isfinite(run.u_at(0.2))), kind
+
+
+@pytest.mark.parametrize("name,sizes", [
+    ("exp2_subgrid", {"n_coarse": 20}),
+    ("exp2_subgrid", {"n_fine": 200}),
+    ("exp3b_bio1d", {"cfg": column.ColumnConfig(n_z=10)}),
+])
+def test_state_columns_follow_sizes(name, sizes):
+    # a short reference run: only the table widths matter here
+    study = ex.get_study(name, predict_end=0.5 if name == "exp3b_bio1d" else 0.05,
+                         **sizes)
+    data = study.setup()
+    target = study.state_columns("target")
+    assert len(target) == len(set(target)) == study.state_dim
+    assert getattr(data, study.target).shape[1] == study.state_dim
+    full = study.state_columns("full")
+    assert len(full) == len(set(full)) == getattr(data, study.reference[1]).shape[1]
+
+
+def test_subgrid_rejects_a_coarse_grid_that_does_not_divide_the_fine_one():
+    # 100 // 40 box-averages pairs into 50 cells, not the 40 the names say
+    with pytest.raises(ValueError, match="multiple"):
+        ex.get_study("exp2_subgrid", n_coarse=40)
 
 
 def test_zero_closure_is_neutral_toy(toy_data):
