@@ -39,7 +39,8 @@ from .closure import (
     fd_gradient,
     forward_augmented,
 )
-from .config import ExperimentConfig, config_hash, config_text, load_config
+from .config import (ExperimentConfig, config_hash, config_text, load_config,
+                     truth_settings)
 from .integrate import IntegrationError, RK4Fixed, integrate_ode
 from .models import rom
 from .train import (LossSpec, SnapshotDataset, TrainResult, avg_crosscorr,
@@ -153,13 +154,23 @@ def generate_truth(cfg: ExperimentConfig, out: Path) -> None:
     print(f"wrote truth data for {cfg.experiment} to {out}")
 
 
-def load_truth(cfg: ExperimentConfig, out: Path, generate: bool = True):
-    """Returns (dataset, basis-or-None), generating the files if absent."""
+def load_truth(cfg: ExperimentConfig, out: Path):
+    """Returns (dataset, basis-or-None), generating the files if absent.
+
+    Existing files must have been written by gen-data under the same
+    :func:`truth_settings` as ``cfg``, as its config.txt records.
+    """
     truth = out / "truth.csv"
     if not truth.exists():
-        if not generate:
-            raise FileNotFoundError(f"no truth data at {truth}")
         generate_truth(cfg, out)
+    made = out / "config.txt"
+    if not made.exists():
+        raise ValueError(f"{out} holds truth data without its config.txt; rerun gen-data")
+    want, have = truth_settings(cfg), truth_settings(load_config(made))
+    differ = sorted(k for k in want.keys() | have.keys() if want.get(k) != have.get(k))
+    if differ:
+        raise ValueError(f"the truth data in {out} was made with other "
+                         f"{', '.join(differ)}; rerun gen-data with this config")
     study = cfg.study()
     header, table = read_table(truth)
     if header != ["t"] + study.state_columns("target"):
@@ -274,14 +285,13 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path, ckpt: Path | None) -> int:
     system = study.system(closure, basis)
     stepper = cfg.forward_stepper(study)
 
-    span = (dataset.t_start, dataset.t_end)
     model, _, _ = evaluate_rollout(system, ck.params, dataset, stepper,
                                    history=constant_history(dataset.states[0]))
     rollouts = {"model": model}
     for bname, rhs in study.baselines(basis).items():
-        traj = integrate_ode(rhs, dataset.states[0], span, stepper)
-        rollouts[bname] = np.stack(
-            [traj.eval(min(float(t), span[1])) for t in dataset.times])
+        traj = integrate_ode(rhs, dataset.states[0], (dataset.t_start, dataset.t_end),
+                             stepper)
+        rollouts[bname] = traj.eval_many(dataset.times)
 
     names = study.state_columns("target")
     order = ["model"] + [k for k in rollouts if k != "model"]
@@ -400,8 +410,8 @@ def cmd_sweep_delay(cfg: ExperimentConfig, out: Path) -> int:
             rcfg = replace(cfg, seed=seed)
             rdir = out / f"tau2_{tau2:g}" / f"rep{rep}"
             rdir.mkdir(parents=True, exist_ok=True)
-            for name in ("truth.csv", "pod_basis.txt", "truth_fine.csv",
-                         "truth_full.csv"):
+            for name in ("config.txt", "truth.csv", "pod_basis.txt",
+                         "truth_fine.csv", "truth_full.csv"):
                 src = out / name
                 if src.exists() and not (rdir / name).exists():
                     (rdir / name).write_bytes(src.read_bytes())

@@ -46,6 +46,8 @@ from .integrate import (
     integrate_dde,
     integrate_ode,
     quadrature,
+    quadrature_nodes,
+    trapezoid,
 )
 from .linalg import Vec
 
@@ -116,17 +118,16 @@ ClosureModel = Markovian | Discrete | Distributed
 class AugmentedSystem:
     """base_rhs plus a neural closure acting on a flat state of state_dim.
 
-    ``base_vjp(t, u, w)`` must return w^T d(base_rhs)/du; when omitted it is
-    approximated by central differences on base_rhs (slower, used by tests
-    and small toys). Closure networks that operate on (points, channels)
-    fields get flat states reshaped C-order, i.e. point-major; the number of
-    points follows from ``state_dim`` and the networks' state channels.
+    ``base_vjp(t, u, w)`` must return w^T d(base_rhs)/du. The closure
+    networks get flat states, and a grid network reads them point-major as
+    (points, channels) fields; the number of points follows from
+    ``state_dim`` and the networks' state channels.
     """
 
     base_rhs: Callable[[float, Vec], Vec]
     closure: ClosureModel
     state_dim: int
-    base_vjp: Callable[[float, Vec, Vec], Vec] | None = None
+    base_vjp: Callable[[float, Vec, Vec], Vec]
 
     # -- parameter bookkeeping -------------------------------------------
 
@@ -158,47 +159,25 @@ class AugmentedSystem:
         return self.closure.aux_dim if isinstance(self.closure, Distributed) else 0
 
     @property
-    def aug_dim(self) -> int:
-        return self.state_dim + self.aux_dim
-
-    @property
-    def grid_points(self) -> int | None:
-        """Points of a grid closure's fields (None for dense closures): the
-        state width over the state channels of the net, or of the g-net for
-        distributed closures."""
+    def grid_points(self) -> int:
+        """Points of the closure's fields: the state width over the state
+        channels of the net, or of the g-net for distributed closures. A
+        dense net reads the whole state as one point."""
         c = self.closure
-        kind, ch = (c.g_net if isinstance(c, Distributed) else c.net).input_spec
-        return None if kind == "dense" else self.state_dim // ch
+        return self.state_dim // (c.g_net if isinstance(c, Distributed) else c.net).input_spec[1]
 
-    # -- flat <-> network-shape adapters ---------------------------------
-
-    def _shape_for(self, net: nn.Network, v: Vec):
-        kind, ch = net.input_spec
-        return v if kind == "dense" else v.reshape(-1, ch)
-
-    def _flatten_out(self, out) -> Vec:
-        return np.asarray(out, dtype=float).ravel()
-
-    def _f_input(self, u: Vec, y: Vec):
-        """Concatenate state and auxiliary field for the distributed f-net."""
-        net = self.closure.f_net
-        kind, _ = net.input_spec
-        if kind == "dense":
-            return np.concatenate([u, y])
+    def _f_input(self, u: Vec, y: Vec) -> Vec:
+        """The distributed f-net's input: state and auxiliary field joined
+        per point, flat."""
         n = self.grid_points
-        return np.concatenate([u.reshape(n, -1), y.reshape(n, -1)], axis=1)
+        return np.concatenate([u.reshape(n, -1), y.reshape(n, -1)], axis=1).ravel()
 
-    def _split_f_input_grad(self, dx) -> tuple[Vec, Vec]:
-        kind, _ = self.closure.f_net.input_spec
-        if kind == "dense":
-            return dx[:self.state_dim], dx[self.state_dim:]
-        cu = self.closure.g_net.input_spec[1]
+    def _split_f_input_grad(self, dx: Vec) -> tuple[Vec, Vec]:
+        """The state and auxiliary parts of an f-net input cotangent."""
+        n = self.grid_points
+        cu = self.state_dim // n
+        dx = dx.reshape(n, -1)
         return dx[:, :cu].ravel(), dx[:, cu:].ravel()
-
-    def _base_vjp(self, t: float, u: Vec, w: Vec) -> Vec:
-        if self.base_vjp is not None:
-            return np.asarray(self.base_vjp(t, u, w), dtype=float)
-        return _fd_rhs_vjp(self.base_rhs, t, u, w)
 
     # -- closure term evaluations ----------------------------------------
 
@@ -208,15 +187,12 @@ class AugmentedSystem:
         states at t - tau_k in ascending delay order."""
         c = self.closure
         if isinstance(c, Markovian):
-            out = nn.forward(c.net, self._shape_for(c.net, u), theta, t)
+            term = nn.forward(c.net, u, theta, t)
         elif isinstance(c, Discrete):
             # the recurrent net reads the sequence oldest first
-            seq = [self._shape_for(c.net, v) for v in reversed(delayed)] + \
-                  [self._shape_for(c.net, u)]
-            out = nn.rnn_forward(c.net, seq, theta, t)
+            term = nn.rnn_forward(c.net, [*reversed(delayed), u], theta, t)
         else:
-            out = nn.forward(c.f_net, self._f_input(u, y), theta, t)
-        term = self._flatten_out(out)
+            term = nn.forward(c.f_net, self._f_input(u, y), theta, t)
         if term.shape != (self.state_dim,):
             raise ValueError(
                 f"closure output has {term.size} entries, state has {self.state_dim}")
@@ -226,27 +202,14 @@ class AugmentedSystem:
         """g(u, t; phi), flat; ``keep`` collects the network tape when given."""
         g = self.closure.g_net
         if keep is None:
-            out = nn.forward(g, self._shape_for(g, u), phi, t)
+            out = nn.forward(g, u, phi, t)
         else:
-            keep.append(nn.tape(g, self._shape_for(g, u), phi, t))
+            keep.append(nn.tape(g, u, phi, t))
             out = keep[-1].y
-        out = self._flatten_out(out)
         if out.shape != (self.aux_dim,):
             raise ValueError(
                 f"g-network output has {out.size} entries, aux_dim is {self.aux_dim}")
         return out
-
-
-def _fd_rhs_vjp(rhs, t, u, w, eps=1e-7):
-    """w^T d(rhs)/du by central differences (fallback when no analytic VJP)."""
-    g = np.zeros_like(u)
-    for j in range(u.size):
-        du = eps * max(1.0, abs(u[j]))
-        up, um = u.copy(), u.copy()
-        up[j] += du
-        um[j] -= du
-        g[j] = float(w @ (np.asarray(rhs(t, up)) - np.asarray(rhs(t, um)))) / (2 * du)
-    return g
 
 
 def constant_history(u0: Vec) -> Callable[[float], Vec]:
@@ -411,11 +374,12 @@ def _loss_jumps(run: ForwardRun, dataset, loss_spec):
     tol = 1e-9 * max(1.0, abs(run.t1))
     if np.any(times <= run.t0 + tol) or np.any(times > run.t1 + tol):
         raise ValueError("dataset times must lie in (t0, T]")
+    # the jump times are the sweep's knots, so one an ulp past T is T
     times = np.minimum(times, run.t1)
     order = np.argsort(times)
     times = times[order]
     targets = targets[order]
-    preds = np.stack([run.u_at(t) for t in times])
+    preds = run.traj.eval_many(times)[:, :run.u_dim]
     cots = np.asarray(loss_spec.cotangents(preds, targets), dtype=float)
     if cots.shape != preds.shape:
         raise ValueError("loss cotangents must match prediction shape")
@@ -565,7 +529,7 @@ class _StageTapes:
         done = self._passes.get(key)
         if done is None:
             tp = self.tape(t)
-            done = self._passes[key] = (nn.backward_input(tp, w.reshape(tp.y.shape)), None)
+            done = self._passes[key] = (nn.backward_input(tp, w), None)
         return done[0]
 
     def param_grad(self, t: float, w: Vec) -> Vec:
@@ -574,7 +538,7 @@ class _StageTapes:
         done = self._passes.get(key)
         if done is None or done[1] is None:
             tp = self.tape(t)
-            done = self._passes[key] = nn.backward(tp, w.reshape(tp.y.shape))
+            done = self._passes[key] = nn.backward(tp, w)
         return done[1]
 
 
@@ -612,7 +576,7 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
         shifts = sorted({tau1, tau2} - {0.0}) if windowed else ()
         f_tapes = _StageTapes(c.f_net, theta,
                               lambda t: sys._f_input(u_at(t), run.y_at(t)))
-        g_tapes = _StageTapes(c.g_net, phi, lambda t: sys._shape_for(c.g_net, u_at(t)))
+        g_tapes = _StageTapes(c.g_net, phi, u_at)
         current = sys._split_f_input_grad
     elif isinstance(c, Discrete):
         delays = shifts = c.delays
@@ -620,36 +584,35 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
 
         def seq_at(s):
             # oldest first: u(s - tau_K), ..., u(s - tau_1), u(s)
-            vals = [u_at(s - tau) for tau in reversed(delays)] + [u_at(s)]
-            return [sys._shape_for(c.net, v) for v in vals]
+            return [u_at(s - tau) for tau in reversed(delays)] + [u_at(s)]
 
         f_tapes = _StageTapes(c.net, theta, seq_at)
 
         def current(dxs):
-            return sys._flatten_out(dxs[K]), None
+            return dxs[K], None
     else:
         shifts = ()
-        f_tapes = _StageTapes(c.net, theta, lambda t: sys._shape_for(c.net, u_at(t)))
+        f_tapes = _StageTapes(c.net, theta, u_at)
 
         def current(dx):
-            return sys._flatten_out(dx), None
+            return dx, None
 
     def rhs_adj(t, a, look):
         lam = a[:n]
         fu, fy = current(f_tapes.input_grad(t, lam))
-        acc = sys._base_vjp(t, u_at(t), lam) + fu
+        acc = sys.base_vjp(t, u_at(t), lam) + fu
         for k, tau in enumerate(delays, start=1):
             lam_adv = look(t + tau)[:n]
             if np.any(lam_adv):
-                acc = acc + sys._flatten_out(f_tapes.input_grad(t + tau, lam_adv)[K - k])
+                acc = acc + f_tapes.input_grad(t + tau, lam_adv)[K - k]
         dlam = -acc
         if windowed:
             mu1 = a[n:] if tau1 == 0.0 else look(t + tau1)[n:]
             if np.any(mu1):
-                dlam = dlam - sys._flatten_out(g_tapes.input_grad(t, mu1))
+                dlam = dlam - g_tapes.input_grad(t, mu1)
             mu2 = look(t + tau2)[n:]
             if np.any(mu2):
-                dlam = dlam + sys._flatten_out(g_tapes.input_grad(t, mu2))
+                dlam = dlam + g_tapes.input_grad(t, mu2)
         return dlam if fy is None else np.concatenate([dlam, -fy])
 
     def integrand(t, a):
@@ -669,20 +632,14 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
 
     if windowed:
         # history term: -mu^T(t0) d_phi integral of g(h(s), s) over the window,
-        # mirroring the forward y(t0) trapezoid rule node for node
+        # by the forward's y(t0) trapezoid rule on its nodes and g tapes
         mu0 = store.eval(run.t0)[n:]
         if np.any(mu0):
-            npan = c.history_quad_panels
-            if len(run.history_tapes) != npan + 1:
+            ts = quadrature_nodes(run.t0 - tau2, run.t0 - tau1, c.history_quad_panels)
+            if len(run.history_tapes) != ts.size:
                 raise ValueError("forward run kept no y(t0) tapes for this closure")
-            lo, hi = run.t0 - tau2, run.t0 - tau1
-            w = np.full(npan + 1, (hi - lo) / npan)
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            hist_grad = np.zeros(sys.n_phi)
-            for tp, wj in zip(run.history_tapes, w):
-                hist_grad += wj * nn.backward(tp, mu0.reshape(tp.y.shape))[1]
-            grad[sys.n_theta:] -= hist_grad
+            grad[sys.n_theta:] -= trapezoid(
+                ts, [nn.backward(tp, mu0)[1] for tp in run.history_tapes])
     return AdjointRun(store, run.t0, T, n, run.aux_dim, grad, sys.n_theta)
 
 
@@ -722,13 +679,8 @@ def run_loss(sys: AugmentedSystem, params: Vec, t_span, dataset, loss_spec,
              stepper: StepperSpec, history=None, u0=None):
     """Forward solve + total loss on the dataset times. Returns (loss, run)."""
     run = forward_augmented(sys, params, t_span, stepper, history=history, u0=u0)
-    times = np.asarray(dataset.times, dtype=float)
-    targets = np.asarray(dataset.states, dtype=float)
-    tol = 1e-9 * max(1.0, abs(run.t1))
-    preds = np.stack([run.u_at(min(t, run.t1)) for t in times])
-    if np.any(times > run.t1 + tol):
-        raise ValueError("dataset times exceed the forward span")
-    return float(loss_spec.total(preds, targets)), run
+    preds = run.traj.eval_many(dataset.times)[:, :run.u_dim]
+    return float(loss_spec.total(preds, np.asarray(dataset.states, dtype=float))), run
 
 
 def fd_gradient(sys: AugmentedSystem, params: Vec, t_span, dataset, loss_spec,

@@ -36,10 +36,6 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
-
-
 # (section, key) -> (config attribute, converter). Keys are lowercase; the
 # attribute spelling may differ where the target dataclass capitalizes.
 _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
@@ -293,6 +289,20 @@ def config_text(cfg: ExperimentConfig) -> str:
         for key, v in by_section[sec]:
             out.write(f"{key} = {_fmt(v)}\n")
     return out.getvalue()
+
+
+def truth_settings(cfg: ExperimentConfig) -> dict:
+    """The resolved settings that shape gen-data's files: the experiment, the
+    data grid, the reference run's tolerances and the study's model keys."""
+    study = cfg.study()
+    out = {"experiment": cfg.experiment, "truth_rtol/truth_atol": cfg.truth_stepper(study)}
+    for (sec, _), (attr, _) in _SCHEMA.items():
+        if sec == "burgers" or attr in ("dt_data", "predict_end"):
+            out[attr] = getattr(study, attr, None)
+    for sec, holder in _MODEL_SECTIONS.items():
+        if holder is not None:
+            out[f"[{sec}]"] = getattr(study, holder, None)
+    return out
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

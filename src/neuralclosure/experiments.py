@@ -32,7 +32,7 @@ import numpy as np
 from . import nn
 from .closure import ClosureModel, Discrete, Distributed, Markovian
 from .closure import AugmentedSystem
-from .integrate import DenseTrajectory, DormandPrince54, RK4Fixed, StepperSpec
+from .integrate import DormandPrince54, RK4Fixed, StepperSpec
 from .integrate import integrate_ode
 from .models import biology, burgers, column, rom
 from .train import LossSpec, TrainSettings
@@ -76,10 +76,6 @@ def uniform_times(t_end: float, dt: float, t_start: float = 0.0) -> np.ndarray:
     if abs(t_start + n * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError(f"span ({t_start}, {t_end}) is not a multiple of dt={dt}")
     return np.linspace(t_start, t_end, n + 1)
-
-
-def sample_trajectory(traj: DenseTrajectory, times) -> np.ndarray:
-    return np.stack([traj.eval(float(t)) for t in times])
 
 
 def _dense_chain(sizes, hidden_act: str = "tanh") -> list:
@@ -146,7 +142,7 @@ class Study:
         traj = integrate_ode(rhs, u0, (0.0, self.predict_end),
                              stepper or self.default_truth_stepper())
         times = uniform_times(self.predict_end, self.dt_data)
-        return times, sample_trajectory(traj, times)
+        return times, traj.eval_many(times)
 
     def base_rhs(self, basis=None):
         return self.base(basis)[0]
@@ -224,7 +220,7 @@ class RomStudy(Study):
             return burgers.rhs(t, u, nu, grid.dx)
         u0 = burgers.initial_condition(grid.x, self.re)
         snaps_traj = integrate_ode(fom, u0, (0.0, self.basis_t), stepper)
-        snaps = sample_trajectory(snaps_traj, uniform_times(self.basis_t, self.dt_data))
+        snaps = snaps_traj.eval_many(uniform_times(self.basis_t, self.dt_data))
         basis = rom.pod(snaps, self.n_modes)
 
         u0_filtered = basis.reconstruct(basis.project(u0))

@@ -10,7 +10,7 @@ no delays. A delay problem caps the step size at its smallest delay, so
 every delayed lookup lands in history or in already-committed segments.
 
 Every solve returns a :class:`DenseTrajectory`, a contiguous chain of cubic
-Hermite segments built from the stepper's own RHS evaluations, so callers can
+Hermite pieces built from the stepper's own RHS evaluations, so callers can
 query the solution anywhere in the covered span (delayed lookups, loss times,
 adjoint sweeps).
 """
@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .linalg import HermiteSegment, Vec, hermite_eval
+from .linalg import Vec
 
 
 class IntegrationError(RuntimeError):
@@ -65,48 +65,50 @@ StepperSpec = RK4Fixed | DormandPrince54
 # ---------------------------------------------------------------------------
 
 class DenseTrajectory:
-    """Append-only chain of Hermite segments with monotone knots.
+    """Append-only chain of cubic Hermite pieces with monotone knots.
 
-    Knots may run forward or backward in time (backward chains hold adjoint
-    sweeps); the direction is fixed by the first appended segment. Queries at
-    a stored knot return the stored state exactly; at a knot shared by two
-    segments the most recently appended one wins, which lets backward adjoint
-    stores return the post-jump value at data times. A query past either end
-    by less than 1e-9 relative reads that end: shifted times such as
-    t + h - tau or t + tau overshoot a committed end by an ulp in rounding.
+    Each step keeps its bounds, end values and end slopes; storing the
+    stepper's RHS evaluations as the slopes makes consecutive pieces join
+    with continuous value and first derivative. Knots may run forward or
+    backward in time (backward chains hold adjoint sweeps); the direction is
+    fixed by the first appended step. Queries at a stored knot return the
+    stored state exactly; at a knot shared by two steps the most recently
+    appended one wins, which lets backward adjoint stores return the
+    post-jump value at data times. A query past either end by less than
+    1e-9 relative reads that end: shifted times such as t + h - tau or
+    t + tau overshoot a committed end by an ulp in rounding.
     """
 
     def __init__(self):
-        self._segs: list[HermiteSegment] = []
-        # segment start times, negated on a backward chain: increasing in
+        # per step in append order: (lo, hi, u(lo), u(hi), f(lo), f(hi)), lo < hi
+        self._pieces: list[tuple] = []
+        # step start times, negated on a backward chain: increasing in
         # append order either way
         self._keys: list[float] = []
         self.ascending = True
 
     def __len__(self) -> int:
-        return len(self._segs)
+        return len(self._pieces)
 
     @property
     def t_start(self) -> float:
-        if not self._segs:
+        if not self._pieces:
             raise ValueError("empty trajectory")
-        first = self._segs[0]
-        return first.t0 if self.ascending else first.t1
+        return self._pieces[0][0 if self.ascending else 1]
 
     @property
     def t_end(self) -> float:
-        if not self._segs:
+        if not self._pieces:
             raise ValueError("empty trajectory")
-        last = self._segs[-1]
-        return last.t1 if self.ascending else last.t0
+        return self._pieces[-1][1 if self.ascending else 0]
 
     def append(self, t_from: float, t_to: float, u_from: Vec, u_to: Vec,
                f_from: Vec, f_to: Vec) -> None:
         """Append the step [t_from -> t_to]; must extend the chain contiguously."""
-        if t_to == t_from:
-            raise ValueError("zero-length segment")
+        if not abs(t_to - t_from) > 0.0:
+            raise ValueError(f"zero-length or undefined step [{t_from}, {t_to}]")
         forward = t_to > t_from
-        if self._segs:
+        if self._pieces:
             if forward != self.ascending:
                 raise ValueError("segment direction flips mid-trajectory")
             if t_from != self.t_end:
@@ -114,46 +116,56 @@ class DenseTrajectory:
                     f"non-contiguous append: chain ends at {self.t_end}, segment starts at {t_from}")
         else:
             self.ascending = forward
+        u_from, u_to, f_from, f_to = (np.asarray(v, float).copy()
+                                      for v in (u_from, u_to, f_from, f_to))
         if forward:
-            seg = HermiteSegment(t_from, t_to, np.asarray(u_from, float).copy(),
-                                 np.asarray(u_to, float).copy(),
-                                 np.asarray(f_from, float).copy(),
-                                 np.asarray(f_to, float).copy())
+            self._pieces.append((t_from, t_to, u_from, u_to, f_from, f_to))
         else:
-            seg = HermiteSegment(t_to, t_from, np.asarray(u_to, float).copy(),
-                                 np.asarray(u_from, float).copy(),
-                                 np.asarray(f_to, float).copy(),
-                                 np.asarray(f_from, float).copy())
-        self._segs.append(seg)
+            self._pieces.append((t_to, t_from, u_to, u_from, f_to, f_from))
         self._keys.append(t_from if forward else -t_from)
 
-    def _locate(self, t: float) -> tuple[HermiteSegment, float]:
-        """The segment holding t, and t itself or the end it overshoots."""
-        segs = self._segs
-        if not segs:
+    def _locate(self, t: float) -> tuple[tuple, float]:
+        """The piece holding t, and t itself or the end it overshoots."""
+        pieces = self._pieces
+        if not pieces:
             raise ValueError("empty trajectory")
-        first, last = segs[0], segs[-1]
-        lo, hi = (first.t0, last.t1) if self.ascending else (last.t0, first.t1)
+        first, last = pieces[0], pieces[-1]
+        lo, hi = (first[0], last[1]) if self.ascending else (last[0], first[1])
         if t < lo or t > hi:
             end = lo if t < lo else hi
             if abs(t - end) >= 1e-9 * max(1.0, abs(t)):
                 raise ValueError(f"query t={t} outside stored domain [{lo}, {hi}]")
             t = end
-        # last appended segment whose start is at or before t in chain order
+        # last appended step whose start is at or before t in chain order
         i = bisect.bisect_right(self._keys, t if self.ascending else -t) - 1
-        return segs[max(i, 0)], t
+        return pieces[max(i, 0)], t
 
     def eval(self, t: float) -> Vec:
-        seg, t = self._locate(t)
-        return hermite_eval(seg, float(t))
+        (t0, t1, u0, u1, f0, f1), t = self._locate(float(t))
+        if t == t0:
+            return u0.copy()
+        if t == t1:
+            return u1.copy()
+        h = t1 - t0
+        s = (t - t0) / h
+        s2 = s * s
+        s3 = s2 * s
+        h00 = 2.0 * s3 - 3.0 * s2 + 1.0
+        h10 = s3 - 2.0 * s2 + s
+        h01 = -2.0 * s3 + 3.0 * s2
+        h11 = s3 - s2
+        return h00 * u0 + (h10 * h) * f0 + h01 * u1 + (h11 * h) * f1
+
+    def eval_many(self, ts) -> np.ndarray:
+        """:meth:`eval` at each time in ``ts``, one row per time."""
+        return np.stack([self.eval(t) for t in ts])
 
     def knots(self) -> np.ndarray:
-        """All segment boundaries in append order (duplicates removed)."""
-        if not self._segs:
+        """All step boundaries in append order (duplicates removed)."""
+        if not self._pieces:
             return np.empty(0)
-        if self.ascending:
-            return np.asarray([self._segs[0].t0] + [seg.t1 for seg in self._segs])
-        return np.asarray([self._segs[0].t1] + [seg.t0 for seg in self._segs])
+        first, rest = (0, 1) if self.ascending else (1, 0)
+        return np.asarray([self._pieces[0][first]] + [p[rest] for p in self._pieces])
 
 
 # ---------------------------------------------------------------------------
@@ -363,22 +375,32 @@ def integrate_dde(prob: DdeProblem, t_span: tuple[float, float],
 # Quadrature
 # ---------------------------------------------------------------------------
 
+def quadrature_nodes(a: float, b: float, n_panels: int) -> np.ndarray:
+    """The n_panels + 1 uniform nodes of the composite trapezoid over [a, b]."""
+    if b < a:
+        raise ValueError("quadrature: b must be >= a")
+    if n_panels < 1:
+        raise ValueError("quadrature: n_panels must be >= 1")
+    return np.linspace(a, b, n_panels + 1)
+
+
+def trapezoid(ts: np.ndarray, vals) -> np.ndarray:
+    """Trapezoid rule over the nodes ``ts`` of ``vals`` (one row per node);
+    np.trapezoid(vals, ts, axis=0) term for term (NumPy >= 2 only)."""
+    vals = np.asarray(vals, dtype=float)
+    d = np.diff(ts).reshape((-1,) + (1,) * (vals.ndim - 1))
+    return np.add.reduce(d * (vals[1:] + vals[:-1]) / 2.0, axis=0)
+
+
 def quadrature(f: Callable[[float], float | Vec], a: float, b: float, n_panels: int):
     """Composite trapezoid of ``f`` over [a, b] with n_panels uniform panels.
 
     Exact for affine integrands; returns 0 (of f's shape) when a == b.
     f may return scalars or vectors.
     """
-    if b < a:
-        raise ValueError("quadrature: b must be >= a")
-    if n_panels < 1:
-        raise ValueError("quadrature: n_panels must be >= 1")
+    ts = quadrature_nodes(a, b, n_panels)
     fa = np.asarray(f(a), dtype=float)
     if b == a:
         return np.zeros_like(fa) if fa.ndim else 0.0
-    ts = np.linspace(a, b, n_panels + 1)
-    vals = np.stack([fa] + [np.asarray(f(t), dtype=float) for t in ts[1:]])
-    # np.trapezoid(vals, ts, axis=0) term for term (NumPy >= 2 only)
-    d = np.diff(ts).reshape((-1,) + (1,) * (vals.ndim - 1))
-    out = np.add.reduce(d * (vals[1:] + vals[:-1]) / 2.0, axis=0)
+    out = trapezoid(ts, [fa] + [np.asarray(f(t), dtype=float) for t in ts[1:]])
     return float(out) if out.ndim == 0 else out

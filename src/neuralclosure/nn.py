@@ -17,6 +17,11 @@ Parameters live in one flat float64 vector addressed through the network's
 layout; every layer provides forward and reverse (input and parameter) passes.
 Recurrent cells consume state sequences ordered oldest to newest.
 
+A grid network takes each input field flat (point-major, reshaped by its
+``input_spec``) or shaped (points, channels). Its output, and every input
+cotangent of a reverse pass, come back in the layout the input was given in;
+output cotangents may be flat or field-shaped.
+
 A reverse pass is split in two steps: :func:`tape` runs the forward pass and
 keeps the layer caches, and :func:`backward` (input and parameter cotangents)
 or :func:`backward_input` (input cotangent only, skipping all weight-gradient
@@ -113,9 +118,11 @@ def _conv_same_vjp(xpad, K, w, grads=True):
 # Layers
 # ---------------------------------------------------------------------------
 #
-# ``backward(p, cache, w, grads)`` returns (dx, parameter gradients); with
-# ``grads`` false the second entry is None and no weight-gradient work is done.
-# The input cotangent is computed by the same operations either way.
+# ``forward(p, x, t)`` returns (output, cache) and ``backward(p, cache, w,
+# grads)`` returns (dx, parameter gradients); with ``grads`` false the second
+# entry is None and no weight-gradient work is done. The input cotangent is
+# computed by the same operations either way. Recurrent cells take the whole
+# sequence as x and return the list of per-element cotangents as dx.
 
 
 @dataclass(frozen=True)
@@ -186,7 +193,7 @@ class SimpleRnnCell:
             raise ValueError(f"SimpleRnnCell({self.n_in}) cannot follow {spec}")
         return ("dense", self.units)
 
-    def forward_seq(self, p, xs, t):
+    def forward(self, p, xs, t):
         Wx, Wh, b = p
         h = np.zeros(self.units)
         zs, hs = [], [h]
@@ -197,7 +204,7 @@ class SimpleRnnCell:
             hs.append(h)
         return h, (xs, zs, hs)
 
-    def backward_seq(self, p, cache, w, grads=True):
+    def backward(self, p, cache, w, grads=True):
         Wx, Wh, _ = p
         xs, zs, hs = cache
         if grads:
@@ -256,7 +263,7 @@ class SimpleRnnConvCell:
             raise ValueError(f"SimpleRnnConvCell({self.in_ch}ch) cannot follow {spec}")
         return ("grid", self.units)
 
-    def forward_seq(self, p, xs, t):
+    def forward(self, p, xs, t):
         Kx, Kh, b, Ko, bo = p
         n = xs[0].shape[0]
         h = np.zeros((n, self.units))
@@ -274,7 +281,7 @@ class SimpleRnnConvCell:
         out = _act(self.act, zo)
         return out, (xs, zs, hs, xpads, hpads, zo, opad)
 
-    def backward_seq(self, p, cache, w, grads=True):
+    def backward(self, p, cache, w, grads=True):
         Kx, Kh, b, Ko, bo = p
         xs, zs, hs, xpads, hpads, zo, opad = cache
         dzo = w * _act_deriv(self.act, zo)
@@ -531,58 +538,55 @@ class Network:
         return params
 
     def _check_input(self, x):
-        x = np.asarray(x, dtype=float)
+        """x as the first layer takes it, and the shape it was given in (per
+        element of a recurrent network's sequence)."""
         kind, dim = self.input_spec
-        if kind == "dense":
-            if x.shape != (dim,):
-                raise ValueError(f"input shape {x.shape}, expected ({dim},)")
-        else:
-            if x.ndim != 2 or x.shape[1] != dim:
-                raise ValueError(f"input shape {x.shape}, expected (n, {dim})")
-        return x
+        given = [np.asarray(v, dtype=float) for v in (x if self.recurrent else [x])]
+        if not given:
+            raise ValueError("rnn_forward needs a non-empty sequence")
+        xs = []
+        for a in given:
+            if kind == "dense":
+                if a.shape != (dim,):
+                    raise ValueError(f"input shape {a.shape}, expected ({dim},)")
+            else:
+                if a.ndim == 1 and a.size % dim == 0:
+                    a = a.reshape(-1, dim)
+                if a.ndim != 2 or a.shape[1] != dim:
+                    raise ValueError(f"input shape {a.shape}, expected (n, {dim}) or flat")
+            xs.append(a)
+        shapes = [a.shape for a in given]
+        return (xs, shapes) if self.recurrent else (xs[0], shapes[0])
 
 
 def _run_tape(net: Network, x, params, t):
+    """The forward pass: the Tape fields after ``net``."""
+    params = net._check_params(params)
+    x, x_shape = net._check_input(x)
+    flat = len(x_shape[0] if net.recurrent else x_shape) == 1
     caches = []
     for i, lay in enumerate(net.layers):
-        p = net.layer_params(params, i)
-        x, cache = lay.forward(p, x, t)
+        x, cache = lay.forward(net.layer_params(params, i), x, t)
         caches.append(cache)
-    return x, caches
-
-
-def _run_tape_rnn(net: Network, xs, params, t):
-    cell = net.layers[0]
-    p0 = net.layer_params(params, 0)
-    x, cache0 = cell.forward_seq(p0, xs, t)
-    caches = [cache0]
-    for i, lay in enumerate(net.layers[1:], start=1):
-        p = net.layer_params(params, i)
-        x, cache = lay.forward(p, x, t)
-        caches.append(cache)
-    return x, caches
+    return params, x.reshape(-1) if flat else x, caches, x_shape, x.shape
 
 
 def _backward(tp: Tape, w, want_grads: bool):
     """Reverse pass on a tape: (dx, grads), with grads None unless wanted."""
     net, params, caches = tp.net, tp.params, tp.caches
+    w = np.asarray(w, dtype=float)
+    if w.shape != tp.y_shape and w.shape != (tp.y.size,):
+        raise ValueError(f"cotangent shape {w.shape} does not match output {tp.y_shape}")
     grads = np.zeros(net.n_params) if want_grads else None
-    dx = np.asarray(w, dtype=float)
-    for i in range(len(net.layers) - 1, 0, -1):
-        lay = net.layers[i]
-        p = net.layer_params(params, i)
-        dx, gparts = lay.backward(p, caches[i], dx, want_grads)
+    dx = w.reshape(tp.y_shape)
+    for i in range(len(net.layers) - 1, -1, -1):
+        dx, gparts = net.layers[i].backward(net.layer_params(params, i), caches[i],
+                                            dx, want_grads)
         if want_grads:
             _write_grads(net, grads, i, gparts)
-    lay = net.layers[0]
-    p = net.layer_params(params, 0)
     if net.recurrent:
-        dx, gparts = lay.backward_seq(p, caches[0], dx, want_grads)
-    else:
-        dx, gparts = lay.backward(p, caches[0], dx, want_grads)
-    if want_grads:
-        _write_grads(net, grads, 0, gparts)
-    return dx, grads
+        return [d.reshape(s) for d, s in zip(dx, tp.x_shape)], grads
+    return dx.reshape(tp.x_shape), grads
 
 
 def _write_grads(net, grads, i, gparts):
@@ -590,19 +594,6 @@ def _write_grads(net, grads, i, gparts):
     for g, sz in zip(gparts, sizes):
         grads[off:off + sz] += np.asarray(g, dtype=float).ravel()
         off += sz
-
-
-def _as_sequence(net: Network, xs):
-    kind, dim = net.input_spec
-    arrs = [np.asarray(x, dtype=float) for x in xs]
-    if not arrs:
-        raise ValueError("rnn_forward needs a non-empty sequence")
-    for a in arrs:
-        if kind == "dense" and a.shape != (dim,):
-            raise ValueError(f"sequence element shape {a.shape}, expected ({dim},)")
-        if kind == "grid" and (a.ndim != 2 or a.shape[1] != dim):
-            raise ValueError(f"sequence element shape {a.shape}, expected (n, {dim})")
-    return arrs
 
 
 # ---------------------------------------------------------------------------
@@ -614,29 +605,28 @@ def forward(net: Network, x, params: Vec, t: float | None = None):
     """Evaluate a feed-forward network on one input."""
     if net.recurrent:
         raise ValueError("recurrent network: use rnn_forward with a sequence")
-    params = net._check_params(params)
-    y, _ = _run_tape(net, net._check_input(x), params, t)
-    return y
+    return _run_tape(net, x, params, t)[1]
 
 
 def rnn_forward(net: Network, xs, params: Vec, t: float | None = None):
     """Evaluate a recurrent network on a sequence ordered oldest -> newest."""
     if not net.recurrent:
         raise ValueError("rnn_forward requires a network with a recurrent cell")
-    params = net._check_params(params)
-    y, _ = _run_tape_rnn(net, _as_sequence(net, xs), params, t)
-    return y
+    return _run_tape(net, xs, params, t)[1]
 
 
 @dataclass(frozen=True, eq=False)
 class Tape:
     """One forward pass kept for reverse passes: the output ``y`` and the
-    per-layer caches of ``net`` at ``params``."""
+    per-layer caches of ``net`` at ``params``, with the shape the input was
+    given in (per element for a sequence) and the output's field shape."""
 
     net: Network
     params: Vec
     y: np.ndarray
     caches: list
+    x_shape: tuple | list
+    y_shape: tuple
 
 
 def tape(net: Network, x, params: Vec, t: float | None = None) -> Tape:
@@ -644,12 +634,7 @@ def tape(net: Network, x, params: Vec, t: float | None = None) -> Tape:
 
     For recurrent networks ``x`` is the input sequence, oldest first.
     """
-    params = net._check_params(params)
-    if net.recurrent:
-        y, caches = _run_tape_rnn(net, _as_sequence(net, x), params, t)
-    else:
-        y, caches = _run_tape(net, net._check_input(x), params, t)
-    return Tape(net, params, y, caches)
+    return Tape(net, *_run_tape(net, x, params, t))
 
 
 def backward(tp: Tape, w):
@@ -658,34 +643,18 @@ def backward(tp: Tape, w):
     For recurrent networks the input gradient is the list of per-element
     gradients.
     """
-    _check_cotangent(tp.y, w)
     return _backward(tp, w, True)
 
 
 def backward_input(tp: Tape, w):
     """The d/dx part of :func:`backward` alone, with no parameter-gradient
     work; bit-identical to ``backward(tp, w)[0]``."""
-    _check_cotangent(tp.y, w)
     return _backward(tp, w, False)[0]
 
 
 def vjp(net: Network, x, params: Vec, w, t: float | None = None):
     """Reverse pass of w . forward(net, x, params): (d/dx, d/dparams)."""
     return backward(tape(net, x, params, t), w)
-
-
-def _check_cotangent(y, w):
-    w = np.asarray(w, dtype=float)
-    if w.shape != y.shape:
-        raise ValueError(f"cotangent shape {w.shape} does not match output {y.shape}")
-
-
-def vjp_input(net: Network, x, params: Vec, w, t: float | None = None):
-    return backward_input(tape(net, x, params, t), w)
-
-
-def vjp_params(net: Network, x, params: Vec, w, t: float | None = None):
-    return vjp(net, x, params, w, t)[1]
 
 
 def init_params(net: Network, seed: int, *, zero_final: bool = True) -> Vec:

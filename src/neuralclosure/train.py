@@ -235,7 +235,7 @@ def evaluate_rollout(sys: AugmentedSystem, params: Vec, dataset: SnapshotDataset
     """
     run = forward_augmented(sys, params, (dataset.t_start, dataset.t_end),
                             stepper, history=history, u0=dataset.states[0])
-    preds = np.stack([run.u_at(min(t, run.t1)) for t in dataset.times])
+    preds = run.traj.eval_many(dataset.times)[:, :run.u_dim]
     return preds, rmse_series(preds, dataset.states), avg_crosscorr(preds, dataset.states)
 
 
@@ -296,7 +296,7 @@ def window_gradient(sys: AugmentedSystem, params: Vec, dataset: SnapshotDataset,
                           dataset.states[start + stride:start + w + 1:stride])
     run = forward_augmented(sys, params, (t0, t1), stepper, history=history,
                             u0=dataset.states[start])
-    preds = np.stack([run.u_at(t) for t in sup.times])
+    preds = run.traj.eval_many(sup.times)[:, :run.u_dim]
     loss = loss_spec.total(preds, sup.states)
     adj = adjoint_gradient(sys, params, run, sup, loss_spec,
                            RK4Fixed(settings.adjoint_dt))

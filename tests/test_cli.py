@@ -315,3 +315,19 @@ def test_missing_checkpoint_exits_1(tmp_path, toy_cfg):
     out = tmp_path / "out"
     cli.main(["gen-data", "--config", toy_cfg, "--out", str(out)])
     assert cli.main(["evaluate", "--config", toy_cfg, "--out", str(out)]) == 1
+
+
+def test_truth_data_of_other_settings_is_refused(tmp_path, toy_cfg, capsys):
+    # gen-data's config.txt records the settings its files were made with;
+    # a run with another data grid must not train on them
+    out = tmp_path / "out"
+    assert cli.main(["gen-data", "--config", toy_cfg, "--out", str(out)]) == 0
+    coarse = _write(tmp_path, TOY_CFG + "\n[spans]\ndt_data = 0.1\n", "coarse.cfg")
+    assert cli.main(["train", "--config", coarse, "--out", str(out)]) == 2
+    assert "gen-data" in capsys.readouterr().err
+    # a training-only change reuses the data
+    short = _write(tmp_path, TOY_CFG.replace("epochs = 3", "epochs = 1"), "short.cfg")
+    assert cli.main(["train", "--config", short, "--out", str(out)]) == 0
+    (out / "config.txt").unlink()
+    assert cli.main(["train", "--config", short, "--out", str(out)]) == 2
+    assert "gen-data" in capsys.readouterr().err

@@ -180,19 +180,6 @@ def test_markovian_adjoint_matches_fd_property(params):
     assert rel_l2(adj.grad, fd) < 1e-4
 
 
-def test_fd_base_vjp_fallback_matches_analytic():
-    sys = markovian_toy()
-    sys_fd = AugmentedSystem(decay_rhs, sys.closure, 2)  # no analytic base VJP
-    params = random_params(sys, 11)
-    ds = Data(np.array([0.6]), np.array([[0.1, -0.2]]))
-    u0 = np.array([0.3, 0.8])
-    loss = QuadLoss()
-    run = forward_augmented(sys, params, (0.0, 0.6), RK4Fixed(0.01), u0=u0)
-    a1 = adjoint_markovian(sys, params, run, ds, loss, RK4Fixed(0.005))
-    a2 = adjoint_markovian(sys_fd, params, run, ds, loss, RK4Fixed(0.005))
-    assert rel_l2(a1.grad, a2.grad) < 1e-6
-
-
 def test_discrete_adjoint_matches_fd():
     sys = discrete_toy()
     params = random_params(sys, 5)
@@ -317,8 +304,7 @@ def test_empty_window_sweeps_like_the_zero_window():
         params = random_params(sys, 37)
         run = forward_augmented(sys, params, (0.0, 0.8), RK4Fixed(0.02), u0=u0)
         adj = adjoint_distributed(sys, params, run, ds, QuadLoss(), RK4Fixed(0.02))
-        sweeps.append((adj.grad.tobytes(),
-                       [(seg.t0, seg.t1) for seg in adj.adjoint_traj._segs]))
+        sweeps.append((adj.grad.tobytes(), adj.adjoint_traj.knots().tobytes()))
     assert sweeps[0] == sweeps[1]
 
 

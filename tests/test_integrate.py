@@ -75,6 +75,29 @@ class TestDenseTrajectory:
             with pytest.raises(ValueError):
                 tr.eval(t + 1e-6 if outward > 0 else t - 1e-6)
 
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_eval_many_is_stacked_eval(self, ascending):
+        # knots, interior points and ulp-past-end queries, in any order; the
+        # values jump at every shared knot, where the later step's value wins
+        # (on a backward store, the post-jump value)
+        rng = np.random.default_rng(4)
+        knots = np.array([0.0, 0.3, 0.55, 1.0])
+        if not ascending:
+            knots = knots[::-1]
+        tr = DenseTrajectory()
+        steps = [rng.normal(size=(4, 2)) for _ in range(3)]  # u, u_next, f, f_next
+        for i, step in enumerate(steps):
+            tr.append(knots[i], knots[i + 1], *step)
+        assert tr.eval(0.3).tobytes() == steps[1 if ascending else 2][0].tobytes()
+        lo, hi = np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0)
+        ts = np.concatenate([knots, [0.1, 0.8, 0.42, lo, hi], rng.uniform(0.0, 1.0, 7)])
+        want = np.stack([tr.eval(t) for t in ts])
+        assert tr.eval_many(ts).tobytes() == want.tobytes()
+        assert tr.eval_many(list(ts)).tobytes() == want.tobytes()
+        for bad in (-1e-6, 1.0 + 1e-6):
+            with pytest.raises(ValueError):
+                tr.eval_many([0.5, bad])
+
 
 class TestIntegrateOde:
     def test_zero_rhs_constant(self):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from neuralclosure.linalg import HermiteSegment, hermite_eval, svd
+from neuralclosure.integrate import DenseTrajectory
+from neuralclosure.linalg import svd
 
 
 class TestSvd:
@@ -54,32 +55,36 @@ class TestSvd:
 
 
 class TestHermite:
+    """The cubic Hermite piece of a single-step DenseTrajectory."""
+
     def _seg(self, t0, t1, u0, u1, f0, f1):
         one = lambda v: np.atleast_1d(np.asarray(v, float))
-        return HermiteSegment(t0, t1, one(u0), one(u1), one(f0), one(f1))
+        tr = DenseTrajectory()
+        tr.append(t0, t1, one(u0), one(u1), one(f0), one(f1))
+        return tr
 
     def test_constant(self):
         seg = self._seg(0.0, 2.0, 5.0, 5.0, 0.0, 0.0)
-        assert hermite_eval(seg, 1.3)[0] == pytest.approx(5.0, abs=1e-14)
+        assert seg.eval(1.3)[0] == pytest.approx(5.0, abs=1e-14)
 
     def test_linear_midpoint(self):
         seg = self._seg(1.0, 3.0, 0.0, 1.0, 0.5, 0.5)
-        assert hermite_eval(seg, 2.0)[0] == pytest.approx(0.5, abs=1e-14)
+        assert seg.eval(2.0)[0] == pytest.approx(0.5, abs=1e-14)
 
     def test_cubic_value(self):
         # u(t) = t^3 on [0, 1]
         seg = self._seg(0.0, 1.0, 0.0, 1.0, 0.0, 3.0)
-        assert hermite_eval(seg, 0.5)[0] == pytest.approx(0.125, abs=1e-14)
+        assert seg.eval(0.5)[0] == pytest.approx(0.125, abs=1e-14)
 
     def test_exact_at_knots(self):
         seg = self._seg(0.0, 1.0, 0.3, 0.7, -2.0, 4.0)
-        assert hermite_eval(seg, 0.0)[0] == 0.3
-        assert hermite_eval(seg, 1.0)[0] == 0.7
+        assert seg.eval(0.0)[0] == 0.3
+        assert seg.eval(1.0)[0] == 0.7
 
     def test_out_of_domain(self):
         seg = self._seg(0.0, 1.0, 0.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            hermite_eval(seg, 1.5)
+            seg.eval(1.5)
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):
@@ -95,4 +100,4 @@ class TestHermite:
         t0, t1 = 0.2, 0.2 + width
         seg = self._seg(t0, t1, p(t0), p(t1), dp(t0), dp(t1))
         t = t0 + frac * width
-        assert hermite_eval(seg, t)[0] == pytest.approx(p(t), abs=1e-12)
+        assert seg.eval(t)[0] == pytest.approx(p(t), abs=1e-12)

@@ -11,12 +11,13 @@ from neuralclosure.nn import (
     Network,
     SimpleRnnCell,
     SimpleRnnConvCell,
+    backward,
+    backward_input,
     forward,
     init_params,
     rnn_forward,
+    tape,
     vjp,
-    vjp_input,
-    vjp_params,
 )
 from oracles import central_fd, rel_l2
 
@@ -164,8 +165,9 @@ class TestParamCounts:
 
 
 class _VjpCase:
-    """Checks vjp_input and vjp_params against the central-difference oracle,
-    and the input-only pass against the full one."""
+    """Checks the input and parameter cotangents against the central-difference
+    oracle, the input-only pass against the full one, and the flat input
+    layout against the shaped one."""
 
     def check(self, net, x, params, t=None, seq=False):
         rng = np.random.default_rng(99)
@@ -179,20 +181,39 @@ class _VjpCase:
             stacked = np.stack(x)
             f_in = lambda xs: float(np.sum(w * rnn_forward(net, list(xs), params, t)))
             f_par = lambda p: float(np.sum(w * rnn_forward(net, x, p, t)))
-            g_in = np.stack(vjp_input(net, x, params, w, t))
+            g_in = np.stack(backward_input(tape(net, x, params, t), w))
             fd_in = central_fd(f_in, stacked)
         else:
             f_in = lambda xx: float(np.sum(w * forward(net, xx, params, t)))
             f_par = lambda p: float(np.sum(w * forward(net, x, p, t)))
-            g_in = vjp_input(net, x, params, w, t)
+            g_in = backward_input(tape(net, x, params, t), w)
             fd_in = central_fd(f_in, x)
-        g_par = vjp_params(net, x, params, w, t)
+        g_par = vjp(net, x, params, w, t)[1]
         fd_par = central_fd(f_par, params)
         assert rel_l2(g_in, fd_in) < 1e-6
         assert rel_l2(g_par, fd_par) < 1e-6
-        # vjp_input runs the input-only pass: bit-identical to the full one
+        # the input-only pass is bit-identical to the full one
         g_full = vjp(net, x, params, w, t)[0]
         np.testing.assert_array_equal(g_in, np.stack(g_full) if seq else g_full)
+        self.check_flat(net, x, params, w, t, seq)
+
+    def check_flat(self, net, x, params, w, t, seq):
+        # a flat (point-major) input gives the same output bytes, flat, and
+        # flat input cotangents; the output cotangent may be flat too
+        flat_x = [np.ravel(v) for v in x] if seq else np.ravel(x)
+        y = tape(net, x, params, t).y
+        tp = tape(net, flat_x, params, t)
+        assert tp.y.shape == (y.size,) and tp.y.tobytes() == y.tobytes()
+        want_in, want_par = vjp(net, x, params, w, t)
+        for cot in (w, np.ravel(w)):
+            g_in, g_par = backward(tp, cot)
+            assert g_par.tobytes() == want_par.tobytes()
+            if seq:
+                assert [g.shape for g in g_in] == [v.shape for v in flat_x]
+                assert [g.tobytes() for g in g_in] == [g.tobytes() for g in want_in]
+            else:
+                assert g_in.shape == flat_x.shape
+                assert g_in.tobytes() == want_in.tobytes()
 
 
 class TestVjp(_VjpCase):
@@ -201,7 +222,7 @@ class TestVjp(_VjpCase):
         params = _rand_params(net, 0)
         W, _ = net.layer_params(params, 0)
         w = np.array([1.0, -2.0])
-        g = vjp_input(net, np.zeros(3), params, w)
+        g = backward_input(tape(net, np.zeros(3), params), w)
         np.testing.assert_allclose(g, W.T @ w, atol=1e-14)
 
     def test_zero_cotangent(self):

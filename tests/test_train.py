@@ -283,7 +283,8 @@ def test_divergence_is_flagged_not_raised():
     # base dynamics with finite-time blow-up inside the first window: the
     # forward solve overflows and the loop must flag it rather than raise
     net = nn.Network([nn.Dense(1, 1)])
-    sys = AugmentedSystem(lambda t, u: 50.0 * u * u, Markovian(net), 1)
+    sys = AugmentedSystem(lambda t, u: 50.0 * u * u, Markovian(net), 1,
+                          base_vjp=lambda t, u, w: 100.0 * u * w)
     t = np.arange(0.0, 1.0 + 1e-12, 0.05)
     data = SnapshotDataset(t, np.ones((t.size, 1)))
     settings = TrainSettings(epochs=5, batch_size=1, lr0=0.01, adjoint_dt=0.05,
