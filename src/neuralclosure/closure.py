@@ -32,6 +32,7 @@ then phi for distributed closures.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -45,9 +46,8 @@ from .integrate import (
     StepperSpec,
     integrate_dde,
     integrate_ode,
-    quadrature,
     quadrature_nodes,
-    trapezoid,
+    trapezoid_weights,
 )
 from .linalg import Vec
 
@@ -198,18 +198,21 @@ class AugmentedSystem:
                 f"closure output has {term.size} entries, state has {self.state_dim}")
         return term
 
-    def g_eval(self, t: float, u: Vec, phi: Vec, keep: list | None = None) -> Vec:
-        """g(u, t; phi), flat; ``keep`` collects the network tape when given."""
-        g = self.closure.g_net
-        if keep is None:
-            out = nn.forward(g, u, phi, t)
-        else:
-            keep.append(nn.tape(g, u, phi, t))
-            out = keep[-1].y
-        if out.shape != (self.aux_dim,):
-            raise ValueError(
-                f"g-network output has {out.size} entries, aux_dim is {self.aux_dim}")
+    def g_eval(self, t: float, u: Vec, phi: Vec) -> Vec:
+        """g(u, t; phi), flat."""
+        out = nn.forward(self.closure.g_net, u, phi, t)
+        self._check_g_width(out.size)
         return out
+
+    def _check_g_width(self, size: int):
+        if size != self.aux_dim:
+            raise ValueError(
+                f"g-network output has {size} entries, aux_dim is {self.aux_dim}")
+
+    def history_nodes(self, t0: float) -> np.ndarray:
+        """The trapezoid nodes of y(t0) over [t0 - tau_2, t0 - tau_1]."""
+        tau1, tau2 = self.closure.window
+        return quadrature_nodes(t0 - tau2, t0 - tau1, self.closure.history_quad_panels)
 
 
 def constant_history(u0: Vec) -> Callable[[float], Vec]:
@@ -227,8 +230,8 @@ def constant_history(u0: Vec) -> Callable[[float], Vec]:
 class ForwardRun:
     """Forward solution of an augmented system plus the context the adjoint
     needs: the original history callable, the state/aux split and, for a
-    windowed distributed closure, the g-network tapes of the y(t0) trapezoid
-    nodes in node order."""
+    windowed distributed closure, the one g-network tape of the y(t0)
+    trapezoid nodes, batched in node order."""
 
     traj: DenseTrajectory
     t0: float
@@ -236,7 +239,7 @@ class ForwardRun:
     u_dim: int
     aux_dim: int
     history: Callable[[float], Vec] | None
-    history_tapes: tuple = ()
+    history_tape: nn.Tape | None = None
 
     def u_at(self, t: float) -> Vec:
         if t < self.t0:
@@ -279,7 +282,7 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span: tuple[float, fl
     if u0.shape != (n,):
         raise ValueError(f"u0 shape {u0.shape}, expected ({n},)")
 
-    hist_tapes = []
+    hist_tape = None
     if isinstance(c, Distributed):
         tau1, tau2 = c.window
         windowed = tau2 > tau1
@@ -289,9 +292,13 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span: tuple[float, fl
         elif history is None:
             raise ValueError("distributed closure needs a history callable")
         else:
-            y0 = quadrature(
-                lambda s: sys.g_eval(s, np.asarray(history(s), float), phi, keep=hist_tapes),
-                t0 - tau2, t0 - tau1, c.history_quad_panels)
+            # y(t0) by the trapezoid rule, all nodes through one g tape
+            ts = sys.history_nodes(t0)
+            hist_tape = nn.tape(c.g_net, nn.stack(c.g_net, [history(s) for s in ts]),
+                                phi, ts)
+            g_nodes = hist_tape.y.reshape(ts.size, -1)
+            sys._check_g_width(g_nodes.shape[1])
+            y0 = trapezoid_weights(ts) @ g_nodes
         U0 = np.concatenate([u0, y0])
 
         def rhs(t, U, delayed=()):
@@ -321,7 +328,7 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span: tuple[float, fl
                              (t0, t1), stepper)
     else:
         traj = integrate_ode(rhs, U0, (t0, t1), stepper)
-    return ForwardRun(traj, t0, t1, n, sys.aux_dim, history, tuple(hist_tapes))
+    return ForwardRun(traj, t0, t1, n, sys.aux_dim, history, hist_tape)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +393,14 @@ def _loss_jumps(run: ForwardRun, dataset, loss_spec):
     return times, cots
 
 
+# Relative tolerance under which two sweep times are the same time on paper.
+_TIME_RTOL = 1e-9
+
+
+def _same_time(s: float, t: float) -> bool:
+    return abs(s - t) <= _TIME_RTOL * max(1.0, abs(t))
+
+
 def _backward_sweep(dim, t0, T, jump_times, jump_vals, rhs_adj, integrand, dt,
                     shifts=()):
     """Fixed-step RK4 sweep from T down to t0 with jumps and running trapezoid.
@@ -419,7 +434,7 @@ def _backward_sweep(dim, t0, T, jump_times, jump_vals, rhs_adj, integrand, dt,
 
     def _snap(s):
         for tj in special:
-            if abs(s - tj) <= 1e-9 * max(1.0, abs(tj)):
+            if _same_time(s, tj):
                 return tj
         return s
 
@@ -442,7 +457,7 @@ def _backward_sweep(dim, t0, T, jump_times, jump_vals, rhs_adj, integrand, dt,
         return v
 
     # segment boundaries: jump times plus the advanced-crossing stops
-    eps_t = 1e-9 * max(1.0, abs(T))
+    eps_t = _TIME_RTOL * max(1.0, abs(T))
     bounds = {float(t0), float(T)} | set(jump_map)
     for s in (tj - tau for tj in jump_times for tau in shifts):
         s = float(s)
@@ -509,19 +524,33 @@ class _StageTapes:
     advanced term and trapezoid node that evaluates the network there. A
     reverse pass is kept per (time, cotangent bytes); a full pass also answers
     an input-only request with the same cotangent. Any miss computes fresh, so
-    every result equals that of a fresh ``nn.vjp`` bit for bit.
+    every result equals that of a fresh ``nn.vjp`` at its time bit for bit;
+    a caller that passes a time through :meth:`snap` first gets the stored
+    tape of the stage time it equals on paper.
     """
 
     def __init__(self, net: nn.Network, params: Vec, x_of: Callable):
         self.net, self.params, self.x_of = net, params, x_of
         self._tapes: dict = {}
         self._passes: dict = {}
+        self._times: list = []  # the tape times, ascending
 
     def tape(self, t: float) -> nn.Tape:
         tp = self._tapes.get(t)
         if tp is None:
             tp = self._tapes[t] = nn.tape(self.net, self.x_of(t), self.params, t)
+            bisect.insort(self._times, t)
         return tp
+
+    def snap(self, t: float) -> float:
+        """The time of an existing tape that ``t`` equals within the sweep's
+        time tolerance (an advanced time t + tau that rounding moved off a
+        stage time), else ``t``."""
+        i = bisect.bisect_left(self._times, t)
+        for known in self._times[max(i - 1, 0):i + 1]:
+            if _same_time(t, known):
+                return known
+        return t
 
     def input_grad(self, t: float, w: Vec):
         """d(w . net)/dx at time t (a list for recurrent networks)."""
@@ -557,8 +586,8 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
     a windowed distributed closure. A Markovian closure is the case with no
     delays and no g. The phi-gradient combines the moving-window integrand
     with the history term -mu^T(t0) * d_phi y(t0), evaluated with the same
-    trapezoid rule the forward solve used for y(t0), on the g-network tapes
-    that solve kept.
+    trapezoid rule the forward solve used for y(t0), as one reverse pass of
+    the batched g-network tape that solve kept.
     """
     dt = _require_rk4(stepper)
     theta, phi = sys.split_params(params)
@@ -604,7 +633,7 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
         for k, tau in enumerate(delays, start=1):
             lam_adv = look(t + tau)[:n]
             if np.any(lam_adv):
-                acc = acc + f_tapes.input_grad(t + tau, lam_adv)[K - k]
+                acc = acc + f_tapes.input_grad(f_tapes.snap(t + tau), lam_adv)[K - k]
         dlam = -acc
         if windowed:
             mu1 = a[n:] if tau1 == 0.0 else look(t + tau1)[n:]
@@ -631,16 +660,21 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
     grad = -integral
 
     if windowed:
-        # history term: -mu^T(t0) d_phi integral of g(h(s), s) over the window,
-        # by the forward's y(t0) trapezoid rule on its nodes and g tapes
+        # history term: -mu^T(t0) d_phi y(t0)
         mu0 = store.eval(run.t0)[n:]
         if np.any(mu0):
-            ts = quadrature_nodes(run.t0 - tau2, run.t0 - tau1, c.history_quad_panels)
-            if len(run.history_tapes) != ts.size:
-                raise ValueError("forward run kept no y(t0) tapes for this closure")
-            grad[sys.n_theta:] -= trapezoid(
-                ts, [nn.backward(tp, mu0)[1] for tp in run.history_tapes])
+            grad[sys.n_theta:] -= history_param_grad(sys, run, mu0)
     return AdjointRun(store, run.t0, T, n, run.aux_dim, grad, sys.n_theta)
+
+
+def history_param_grad(sys: AugmentedSystem, run: ForwardRun, mu0: Vec) -> Vec:
+    """d_phi of mu0 . y(t0), with y(t0) = sum_i w_i g(h(s_i), s_i; phi) the
+    forward's trapezoid rule: one reverse pass of its batched g tape, with
+    cotangent row w_i mu0 for node i."""
+    if run.history_tape is None:
+        raise ValueError("forward run kept no y(t0) tape for this closure")
+    wts = trapezoid_weights(sys.history_nodes(run.t0))
+    return nn.backward(run.history_tape, wts[:, None] * mu0)[1]
 
 
 def adjoint_markovian(sys: AugmentedSystem, params: Vec, run: ForwardRun,

@@ -392,6 +392,16 @@ def trapezoid(ts: np.ndarray, vals) -> np.ndarray:
     return np.add.reduce(d * (vals[1:] + vals[:-1]) / 2.0, axis=0)
 
 
+def trapezoid_weights(ts: np.ndarray) -> np.ndarray:
+    """Node weights of the trapezoid rule over the nodes ``ts``: the rule is
+    ``trapezoid_weights(ts) @ vals``."""
+    half = np.diff(ts) / 2.0
+    wts = np.zeros(len(ts))
+    wts[:-1] += half
+    wts[1:] += half
+    return wts
+
+
 def quadrature(f: Callable[[float], float | Vec], a: float, b: float, n_panels: int):
     """Composite trapezoid of ``f`` over [a, b] with n_panels uniform panels.
 

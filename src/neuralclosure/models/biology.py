@@ -5,6 +5,9 @@ componentwise sum of every right-hand side is identically zero; tests lean
 on that invariant. Rates follow Ivlev grazing and Michaelis-Menten style
 uptake limited by light through a smooth saturating growth curve.
 
+The right-hand sides and the NPZ VJP unpack the species along the first
+axis, so they take one state (species,) or many cells (species, n) at once.
+
 State conventions:
 
 * NPZ: (nutrient N, phytoplankton P, zooplankton Z)
@@ -72,8 +75,10 @@ def npz_rhs(t: float, u: Vec, params: BioParams, G: float) -> np.ndarray:
 
 
 def npz_rhs_vjp(t: float, u: Vec, w: Vec, params: BioParams, G: float) -> np.ndarray:
-    """w^T d(npz_rhs)/du from the analytic 3x3 Jacobian."""
+    """w^T d(npz_rhs)/du from the analytic 3x3 Jacobian J[i, j] = dF_i/du_j,
+    written out term by term; like npz_rhs it takes (3, ...) arrays."""
     N, P, Z = u
+    wN, wP, wZ = w
     Ku = params.K_u
     dup_dN = G * P * Ku / (N + Ku) ** 2
     dup_dP = G * N / (N + Ku)
@@ -81,13 +86,12 @@ def npz_rhs_vjp(t: float, u: Vec, w: Vec, params: BioParams, G: float) -> np.nda
     dgr_dP = params.R_m * Z * params.Lambda * np.exp(-params.Lambda * P)
     dgr_dZ = params.R_m * iv
     ge = params.gamma_egest
-    jac = np.array([
-        [-dup_dN, -dup_dP + params.Xi + ge * dgr_dP,
-         params.Gamma_z + ge * dgr_dZ],
-        [dup_dN, dup_dP - params.Xi - dgr_dP, -dgr_dZ],
-        [0.0, (1.0 - ge) * dgr_dP, (1.0 - ge) * dgr_dZ - params.Gamma_z],
-    ])  # jac[i, j] = dF_i / du_j
-    return jac.T @ np.asarray(w, dtype=float)
+    vN = -dup_dN * wN + dup_dN * wP
+    vP = ((-dup_dP + params.Xi + ge * dgr_dP) * wN
+          + (dup_dP - params.Xi - dgr_dP) * wP + (1.0 - ge) * dgr_dP * wZ)
+    vZ = ((params.Gamma_z + ge * dgr_dZ) * wN - dgr_dZ * wP
+          + ((1.0 - ge) * dgr_dZ - params.Gamma_z) * wZ)
+    return np.array([vN, vP, vZ])
 
 
 def nnpzd_rhs(t: float, u: Vec, params: BioParams, G: float) -> np.ndarray:

@@ -140,15 +140,13 @@ class ColumnModel:
         k_faces = kz_profile(self.cfg, self.cfg.z_faces, M)
         out = diffusion_term(fields, k_faces, self.cfg.dz)
         if self.bio_on:
-            G = self.growth_profile(t)
             react = npz_rhs if self.kind == "npz" else nnpzd_rhs
-            for i in range(self.cfg.n_z):
-                out[i] += react(t, fields[i], self.params, float(G[i]))
+            out += react(t, fields.T, self.params, self.growth_profile(t)).T
         return out.ravel()
 
     def rhs_vjp(self, t: float, u: Vec, w: Vec) -> np.ndarray:
         """Diffusion is symmetric, so its transpose is itself; the reaction
-        part transposes depth by depth."""
+        part transposes cell by cell, all depths in one call."""
         if self.kind != "npz":
             raise NotImplementedError("analytic VJP only for the npz column")
         fields = self._shape(u)
@@ -157,9 +155,8 @@ class ColumnModel:
         k_faces = kz_profile(self.cfg, self.cfg.z_faces, M)
         out = diffusion_term(wf, k_faces, self.cfg.dz)
         if self.bio_on:
-            G = self.growth_profile(t)
-            for i in range(self.cfg.n_z):
-                out[i] += npz_rhs_vjp(t, fields[i], wf[i], self.params, float(G[i]))
+            out += npz_rhs_vjp(t, fields.T, wf.T, self.params,
+                               self.growth_profile(t)).T
         return out.ravel()
 
     def initial_state(self) -> np.ndarray:

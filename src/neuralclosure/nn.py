@@ -22,6 +22,15 @@ A grid network takes each input field flat (point-major, reshaped by its
 cotangent of a reverse pass, come back in the layout the input was given in;
 output cotangents may be flat or field-shaped.
 
+A feed-forward network also takes a stack of inputs along a leading batch
+axis, (B, dim) for a dense network and (B, n, channels) for a grid one, and
+returns the stacked outputs. ``Dense``, ``Conv1d``, ``Conv1dTranspose`` and
+``BioConstrain`` run the whole stack in their one forward and backward code;
+a reverse pass sums the parameter gradients over the batch and also takes
+one flat output cotangent row per sample. Recurrent cells and
+``AddExtraChannels`` (whose context channels depend on one time) do not take
+a batch axis yet.
+
 A reverse pass is split in two steps: :func:`tape` runs the forward pass and
 keeps the layer caches, and :func:`backward` (input and parameter cotangents)
 or :func:`backward_input` (input cotangent only, skipping all weight-gradient
@@ -43,12 +52,8 @@ from .linalg import Vec
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # the tanh form is finite for every finite z, so needs no sign split
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def _act(name, z):
@@ -87,31 +92,43 @@ def _check_act(name):
 
 
 def _conv_same(x, K, b):
-    """Correlate (n, ci) with kernel (k, ci, co); returns (y, xpad)."""
-    k, ci, co = K.shape
-    n = x.shape[0]
+    """Correlate (..., n, ci) with kernel (k, ci, co); returns (y, xpad).
+
+    Leading axes of x are batch axes. At k = 1 no padding is needed and
+    xpad is x itself.
+    """
+    k = K.shape[0]
+    if k == 1:
+        return x @ K[0] + b, x
+    n, ci = x.shape[-2:]
     pl = (k - 1) // 2
-    xpad = np.zeros((n + k - 1, ci))
-    xpad[pl:pl + n] = x
-    y = np.broadcast_to(b, (n, co)).copy()
-    for d in range(k):
-        y += xpad[d:d + n] @ K[d]
+    xpad = np.zeros(x.shape[:-2] + (n + k - 1, ci))
+    xpad[..., pl:pl + n, :] = x
+    y = xpad[..., 0:n, :] @ K[0] + b
+    for d in range(1, k):
+        y += xpad[..., d:d + n, :] @ K[d]
     return y, xpad
 
 
 def _conv_same_vjp(xpad, K, w, grads=True):
     """Reverse pass of _conv_same; returns (dx, dK, db), with dK and db None
-    when ``grads`` is false."""
+    when ``grads`` is false. Weight gradients sum over the batch axes."""
     k, ci, co = K.shape
-    n = w.shape[0]
-    pl = (k - 1) // 2
-    dxpad = np.zeros_like(xpad)
-    dK = np.empty_like(K) if grads else None
-    for d in range(k):
-        if grads:
-            dK[d] = xpad[d:d + n].T @ w
-        dxpad[d:d + n] += w @ K[d].T
-    return dxpad[pl:pl + n], dK, w.sum(axis=0) if grads else None
+    w2 = w.reshape(-1, co)
+    if k == 1:
+        dx = w @ K[0].T
+        dK = (xpad.reshape(-1, ci).T @ w2)[None] if grads else None
+    else:
+        n = w.shape[-2]
+        pl = (k - 1) // 2
+        dxpad = np.zeros_like(xpad)
+        dK = np.empty_like(K) if grads else None
+        for d in range(k):
+            if grads:
+                dK[d] = xpad[..., d:d + n, :].reshape(-1, ci).T @ w2
+            dxpad[..., d:d + n, :] += w @ K[d].T
+        dx = dxpad[..., pl:pl + n, :]
+    return dx, dK, w2.sum(axis=0) if grads else None
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +144,8 @@ def _conv_same_vjp(xpad, K, w, grads=True):
 
 @dataclass(frozen=True)
 class Dense:
-    """Affine map act(W x + b) on 1-D inputs. Params: W (out, in), b (out,)."""
+    """Affine map act(W x + b) on (..., in) inputs. Params: W (out, in),
+    b (out,)."""
 
     n_in: int
     n_out: int
@@ -151,14 +169,17 @@ class Dense:
 
     def forward(self, p, x, t):
         W, b = p
-        z = W @ x + b
+        z = x @ W.T + b
         return _act(self.act, z), (x, z)
 
     def backward(self, p, cache, w, grads=True):
         W, _ = p
         x, z = cache
         dz = w * _act_deriv(self.act, z)
-        return W.T @ dz, (np.outer(dz, x), dz) if grads else None
+        if not grads:
+            return dz @ W, None
+        dz2 = dz.reshape(-1, self.n_out)
+        return dz @ W, (dz2.T @ x.reshape(-1, self.n_in), dz2.sum(axis=0))
 
     def describe(self):
         return f"Dense({self.n_in}->{self.n_out},{self.act})"
@@ -409,6 +430,9 @@ class AddExtraChannels:
     def forward(self, p, x, t):
         if t is None:
             raise ValueError("AddExtraChannels needs the evaluation time t")
+        if x.ndim != 2:
+            raise ValueError("AddExtraChannels takes one (n, channels) field, "
+                             "not a batch")
         extra = np.asarray(self.channels_fn(t), dtype=float)
         if extra.ndim != 2 or extra.shape != (x.shape[0], self.n_extra):
             raise ValueError(
@@ -539,24 +563,30 @@ class Network:
 
     def _check_input(self, x):
         """x as the first layer takes it, and the shape it was given in (per
-        element of a recurrent network's sequence)."""
+        element of a recurrent network's sequence). A feed-forward network
+        also takes a stack of inputs along a leading batch axis."""
         kind, dim = self.input_spec
         given = [np.asarray(v, dtype=float) for v in (x if self.recurrent else [x])]
         if not given:
             raise ValueError("rnn_forward needs a non-empty sequence")
+        field_ndim = 1 if kind == "dense" else 2
+        ndims = (field_ndim,) if self.recurrent else (field_ndim, field_ndim + 1)
         xs = []
         for a in given:
-            if kind == "dense":
-                if a.shape != (dim,):
-                    raise ValueError(f"input shape {a.shape}, expected ({dim},)")
-            else:
-                if a.ndim == 1 and a.size % dim == 0:
-                    a = a.reshape(-1, dim)
-                if a.ndim != 2 or a.shape[1] != dim:
-                    raise ValueError(f"input shape {a.shape}, expected (n, {dim}) or flat")
+            if kind == "grid" and a.ndim == 1 and a.size % dim == 0:
+                a = a.reshape(-1, dim)
+            if a.ndim not in ndims or a.shape[-1] != dim:
+                want = f"({dim},)" if kind == "dense" else f"(n, {dim}) or flat"
+                batch = "" if self.recurrent else ", with an optional batch axis"
+                raise ValueError(f"input shape {a.shape}, expected {want}{batch}")
             xs.append(a)
         shapes = [a.shape for a in given]
         return (xs, shapes) if self.recurrent else (xs[0], shapes[0])
+
+    def _batched(self, x_shape) -> bool:
+        """Whether a feed-forward input of this shape carries a batch axis."""
+        kind = self.input_spec[0]
+        return not self.recurrent and len(x_shape) == (2 if kind == "dense" else 3)
 
 
 def _run_tape(net: Network, x, params, t):
@@ -575,7 +605,10 @@ def _backward(tp: Tape, w, want_grads: bool):
     """Reverse pass on a tape: (dx, grads), with grads None unless wanted."""
     net, params, caches = tp.net, tp.params, tp.caches
     w = np.asarray(w, dtype=float)
-    if w.shape != tp.y_shape and w.shape != (tp.y.size,):
+    if w.shape != tp.y_shape and w.shape != (tp.y.size,) and not (
+            net._batched(tp.x_shape)
+            and w.shape == (tp.y_shape[0], tp.y.size // tp.y_shape[0])):
+        # a batched tape also takes one flat cotangent row per sample
         raise ValueError(f"cotangent shape {w.shape} does not match output {tp.y_shape}")
     grads = np.zeros(net.n_params) if want_grads else None
     dx = w.reshape(tp.y_shape)
@@ -601,8 +634,17 @@ def _write_grads(net, grads, i, gparts):
 # ---------------------------------------------------------------------------
 
 
+def stack(net: Network, xs) -> np.ndarray:
+    """Inputs of a feed-forward network, each flat or shaped, stacked along a
+    leading batch axis in the layout the network takes."""
+    kind, dim = net.input_spec
+    X = np.stack([np.asarray(x, dtype=float) for x in xs])
+    return X if kind == "dense" else X.reshape(len(X), -1, dim)
+
+
 def forward(net: Network, x, params: Vec, t: float | None = None):
-    """Evaluate a feed-forward network on one input."""
+    """Evaluate a feed-forward network on one input, or on a stack of them
+    along a leading batch axis."""
     if net.recurrent:
         raise ValueError("recurrent network: use rnn_forward with a sequence")
     return _run_tape(net, x, params, t)[1]
