@@ -106,7 +106,8 @@ def save_basis(path, basis: rom.PodBasis) -> None:
         "[modes]",
         *[",".join(repr(float(v)) for v in row) for row in basis.modes],
     ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_basis(path) -> rom.PodBasis:
@@ -137,20 +138,26 @@ def load_basis(path) -> rom.PodBasis:
 
 
 def generate_truth(cfg: ExperimentConfig, out: Path) -> None:
-    """Writes truth.csv (the training target), the study's reference-resolution
-    table if it has one, and the modal basis if it uses one."""
+    """Writes config.txt, the study's reference-resolution table if it has
+    one, the modal basis if it uses one and, last, truth.csv (the training
+    target). Each file is replaced atomically, and truth.csv marks a complete
+    set: a run that fails part way leaves none, so load_truth generates
+    again."""
     study = cfg.study()
     data = study.setup(cfg.truth_stepper(study))
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(config_text(cfg), encoding="utf-8")
-    _state_table(out / "truth.csv", data.times, getattr(data, study.target),
-                 study.state_columns("target"))
+    truth = out / "truth.csv"
+    truth.unlink(missing_ok=True)
+    with atomic_open(out / "config.txt") as fh:
+        fh.write(config_text(cfg))
     if study.reference is not None:
         fname, attr = study.reference
         _state_table(out / fname, data.times, getattr(data, attr),
                      study.state_columns("full"))
     if study.uses_basis:
         save_basis(out / "pod_basis.txt", data.basis)
+    _state_table(truth, data.times, getattr(data, study.target),
+                 study.state_columns("target"))
     print(f"wrote truth data for {cfg.experiment} to {out}")
 
 

@@ -190,7 +190,8 @@ class AugmentedSystem:
             term = nn.forward(c.net, u, theta, t)
         elif isinstance(c, Discrete):
             # the recurrent net reads the sequence oldest first
-            term = nn.rnn_forward(c.net, [*reversed(delayed), u], theta, t)
+            term = nn.rnn_forward(c.net, nn.stack(c.net, [*reversed(delayed), u]),
+                                  theta, t)
         else:
             term = nn.forward(c.f_net, self._f_input(u, y), theta, t)
         if term.shape != (self.state_dim,):
@@ -341,35 +342,12 @@ class AdjointRun:
     """Backward adjoint solution and the assembled parameter gradient.
 
     ``adjoint_traj`` stores the adjoint state over [t0, T] (state adjoint
-    lambda, then the auxiliary adjoint mu for distributed closures); queries
-    at t >= T return zero by construction.
+    lambda, then the auxiliary adjoint mu for distributed closures); ``grad``
+    is the theta gradient followed by the phi gradient.
     """
 
     adjoint_traj: DenseTrajectory
-    t0: float
-    t_final: float
-    u_dim: int
-    aux_dim: int
     grad: Vec
-    n_theta: int
-
-    @property
-    def grad_theta(self) -> Vec:
-        return self.grad[:self.n_theta]
-
-    @property
-    def grad_phi(self) -> Vec:
-        return self.grad[self.n_theta:]
-
-    def lam_at(self, t: float) -> Vec:
-        if t >= self.t_final:
-            return np.zeros(self.u_dim)
-        return self.adjoint_traj.eval(t)[:self.u_dim]
-
-    def mu_at(self, t: float) -> Vec:
-        if t >= self.t_final:
-            return np.zeros(self.aux_dim)
-        return self.adjoint_traj.eval(t)[self.u_dim:]
 
 
 def _loss_jumps(run: ForwardRun, dataset, loss_spec):
@@ -553,7 +531,8 @@ class _StageTapes:
         return t
 
     def input_grad(self, t: float, w: Vec):
-        """d(w . net)/dx at time t (a list for recurrent networks)."""
+        """d(w . net)/dx at time t (stacked like the sequence for a recurrent
+        network)."""
         key = (t, w.tobytes())
         done = self._passes.get(key)
         if done is None:
@@ -613,7 +592,7 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
 
         def seq_at(s):
             # oldest first: u(s - tau_K), ..., u(s - tau_1), u(s)
-            return [u_at(s - tau) for tau in reversed(delays)] + [u_at(s)]
+            return nn.stack(c.net, [u_at(s - tau) for tau in reversed(delays)] + [u_at(s)])
 
         f_tapes = _StageTapes(c.net, theta, seq_at)
 
@@ -664,7 +643,7 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
         mu0 = store.eval(run.t0)[n:]
         if np.any(mu0):
             grad[sys.n_theta:] -= history_param_grad(sys, run, mu0)
-    return AdjointRun(store, run.t0, T, n, run.aux_dim, grad, sys.n_theta)
+    return AdjointRun(store, grad)
 
 
 def history_param_grad(sys: AugmentedSystem, run: ForwardRun, mu0: Vec) -> Vec:

@@ -384,14 +384,6 @@ def quadrature_nodes(a: float, b: float, n_panels: int) -> np.ndarray:
     return np.linspace(a, b, n_panels + 1)
 
 
-def trapezoid(ts: np.ndarray, vals) -> np.ndarray:
-    """Trapezoid rule over the nodes ``ts`` of ``vals`` (one row per node);
-    np.trapezoid(vals, ts, axis=0) term for term (NumPy >= 2 only)."""
-    vals = np.asarray(vals, dtype=float)
-    d = np.diff(ts).reshape((-1,) + (1,) * (vals.ndim - 1))
-    return np.add.reduce(d * (vals[1:] + vals[:-1]) / 2.0, axis=0)
-
-
 def trapezoid_weights(ts: np.ndarray) -> np.ndarray:
     """Node weights of the trapezoid rule over the nodes ``ts``: the rule is
     ``trapezoid_weights(ts) @ vals``."""
@@ -401,16 +393,3 @@ def trapezoid_weights(ts: np.ndarray) -> np.ndarray:
     wts[1:] += half
     return wts
 
-
-def quadrature(f: Callable[[float], float | Vec], a: float, b: float, n_panels: int):
-    """Composite trapezoid of ``f`` over [a, b] with n_panels uniform panels.
-
-    Exact for affine integrands; returns 0 (of f's shape) when a == b.
-    f may return scalars or vectors.
-    """
-    ts = quadrature_nodes(a, b, n_panels)
-    fa = np.asarray(f(a), dtype=float)
-    if b == a:
-        return np.zeros_like(fa) if fa.ndim else 0.0
-    out = trapezoid(ts, [fa] + [np.asarray(f(t), dtype=float) for t in ts[1:]])
-    return float(out) if out.ndim == 0 else out

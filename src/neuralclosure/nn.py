@@ -13,23 +13,29 @@ architectures need and nothing else:
 * ``BioConstrain`` mapping one scalar source s per point to the zero-sum
   triple (beta*s, -s, (1-beta)*s) with trainable beta.
 
-Parameters live in one flat float64 vector addressed through the network's
-layout; every layer provides forward and reverse (input and parameter) passes.
-Recurrent cells consume state sequences ordered oldest to newest.
+Parameters live in one flat float64 vector: layer by layer, each layer's
+parameters in order, each row-major. :meth:`Network.unpack` decodes it into
+per-layer views once per forward pass, and the tape keeps those views for
+its reverse passes. Every layer provides forward and reverse (input and
+parameter) passes.
 
-A grid network takes each input field flat (point-major, reshaped by its
+Every input is one array, with one layout per network kind:
+
+* a feed-forward network takes one input, or a stack of inputs along a
+  leading batch axis ((B, dim) dense, (B, n, channels) grid) that
+  ``Dense``, ``Conv1d``, ``Conv1dTranspose`` and ``BioConstrain`` run in
+  their one forward and backward code; a reverse pass sums the parameter
+  gradients over the batch and also takes one flat output cotangent row per
+  sample. ``AddExtraChannels`` (whose context channels depend on one time)
+  takes no batch axis;
+* a recurrent network takes its sequence, oldest first, along the leading
+  axis. :func:`stack` builds it, and a list of the elements is taken as the
+  same array.
+
+A grid network takes each field flat (point-major, reshaped by its
 ``input_spec``) or shaped (points, channels). Its output, and every input
 cotangent of a reverse pass, come back in the layout the input was given in;
 output cotangents may be flat or field-shaped.
-
-A feed-forward network also takes a stack of inputs along a leading batch
-axis, (B, dim) for a dense network and (B, n, channels) for a grid one, and
-returns the stacked outputs. ``Dense``, ``Conv1d``, ``Conv1dTranspose`` and
-``BioConstrain`` run the whole stack in their one forward and backward code;
-a reverse pass sums the parameter gradients over the batch and also takes
-one flat output cotangent row per sample. Recurrent cells and
-``AddExtraChannels`` (whose context channels depend on one time) do not take
-a batch axis yet.
 
 A reverse pass is split in two steps: :func:`tape` runs the forward pass and
 keeps the layer caches, and :func:`backward` (input and parameter cotangents)
@@ -39,6 +45,7 @@ work) run on that tape, as often as needed. :func:`vjp` composes the two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -57,25 +64,24 @@ def _sigmoid(z):
 
 
 def _act(name, z):
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "swish":
-        return z * _sigmoid(z)
-    if name == "linear":
-        return z
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _act_deriv(name, z):
+    """act(z), and what its derivative reuses: tanh(z) itself for tanh, the
+    sigmoid for swish, None for linear."""
     if name == "tanh":
         t = np.tanh(z)
-        return 1.0 - t * t
+        return t, t
     if name == "swish":
         s = _sigmoid(z)
+        return z * s, s
+    return z, None
+
+
+def _act_deriv(name, z, s):
+    """act'(z), given the ``s`` that ``_act`` returned with act(z)."""
+    if name == "tanh":
+        return 1.0 - s * s
+    if name == "swish":
         return s * (1.0 + z * (1.0 - s))
-    if name == "linear":
-        return np.ones_like(z)
-    raise ValueError(f"unknown activation {name!r}")
+    return np.ones_like(z)
 
 
 ACTIVATIONS = ("tanh", "swish", "linear")
@@ -135,11 +141,14 @@ def _conv_same_vjp(xpad, K, w, grads=True):
 # Layers
 # ---------------------------------------------------------------------------
 #
-# ``forward(p, x, t)`` returns (output, cache) and ``backward(p, cache, w,
-# grads)`` returns (dx, parameter gradients); with ``grads`` false the second
-# entry is None and no weight-gradient work is done. The input cotangent is
-# computed by the same operations either way. Recurrent cells take the whole
-# sequence as x and return the list of per-element cotangents as dx.
+# ``param_specs()`` lists each parameter's shape and Glorot-uniform limit
+# (None for a parameter that is not drawn). ``forward(p, x, t)`` returns
+# (output, cache) and ``backward(p, cache, w, grads)`` returns (dx, parameter
+# gradients), where ``p`` is the layer's tuple of parameter views; with
+# ``grads`` false the second entry is None and no weight-gradient work is
+# done. The input cotangent is computed by the same operations either way.
+# Recurrent cells take the whole sequence as x, one array with the sequence
+# on the leading axis, and return dx stacked the same way.
 
 
 @dataclass(frozen=True)
@@ -156,11 +165,9 @@ class Dense:
             raise ValueError("Dense: dimensions must be positive")
         _check_act(self.act)
 
-    def param_shapes(self):
-        return [(self.n_out, self.n_in), (self.n_out,)]
-
-    def glorot_limits(self):
-        return [np.sqrt(6.0 / (self.n_in + self.n_out)), None]
+    def param_specs(self):
+        return [((self.n_out, self.n_in), np.sqrt(6.0 / (self.n_in + self.n_out))),
+                ((self.n_out,), None)]
 
     def out_spec(self, spec):
         if spec != ("dense", self.n_in):
@@ -170,12 +177,13 @@ class Dense:
     def forward(self, p, x, t):
         W, b = p
         z = x @ W.T + b
-        return _act(self.act, z), (x, z)
+        y, s = _act(self.act, z)
+        return y, (x, z, s)
 
     def backward(self, p, cache, w, grads=True):
         W, _ = p
-        x, z = cache
-        dz = w * _act_deriv(self.act, z)
+        x, z, s = cache
+        dz = w * _act_deriv(self.act, z, s)
         if not grads:
             return dz @ W, None
         dz2 = dz.reshape(-1, self.n_out)
@@ -202,12 +210,10 @@ class SimpleRnnCell:
             raise ValueError("SimpleRnnCell: dimensions must be positive")
         _check_act(self.act)
 
-    def param_shapes(self):
-        return [(self.units, self.n_in), (self.units, self.units), (self.units,)]
-
-    def glorot_limits(self):
-        return [np.sqrt(6.0 / (self.n_in + self.units)),
-                np.sqrt(6.0 / (2 * self.units)), None]
+    def param_specs(self):
+        u = self.units
+        return [((u, self.n_in), np.sqrt(6.0 / (self.n_in + u))),
+                ((u, u), np.sqrt(6.0 / (2 * u))), ((u,), None)]
 
     def out_spec(self, spec):
         if spec != ("dense", self.n_in):
@@ -217,32 +223,32 @@ class SimpleRnnCell:
     def forward(self, p, xs, t):
         Wx, Wh, b = p
         h = np.zeros(self.units)
-        zs, hs = [], [h]
+        zs, ss, hs = [], [], [h]
         for x in xs:
             z = Wx @ x + Wh @ h + b
-            h = _act(self.act, z)
+            h, s = _act(self.act, z)
             zs.append(z)
+            ss.append(s)
             hs.append(h)
-        return h, (xs, zs, hs)
+        return h, (xs, zs, ss, hs)
 
     def backward(self, p, cache, w, grads=True):
         Wx, Wh, _ = p
-        xs, zs, hs = cache
+        xs, zs, ss, hs = cache
         if grads:
             dWx = np.zeros_like(Wx)
             dWh = np.zeros_like(Wh)
             db = np.zeros(self.units)
-        dxs = []
+        dxs = np.empty_like(xs)
         dh = w
         for i in range(len(xs) - 1, -1, -1):
-            dz = dh * _act_deriv(self.act, zs[i])
+            dz = dh * _act_deriv(self.act, zs[i], ss[i])
             if grads:
                 dWx += np.outer(dz, xs[i])
                 dWh += np.outer(dz, hs[i])
                 db += dz
-            dxs.append(Wx.T @ dz)
+            dxs[i] = Wx.T @ dz
             dh = Wh.T @ dz
-        dxs.reverse()
         return dxs, (dWx, dWh, db) if grads else None
 
     def describe(self):
@@ -270,14 +276,11 @@ class SimpleRnnConvCell:
             raise ValueError("SimpleRnnConvCell: dimensions must be positive")
         _check_act(self.act)
 
-    def param_shapes(self):
-        k, u = self.kernel, self.units
-        return [(k, self.in_ch, u), (k, u, u), (u,), (k, u, u), (u,)]
-
-    def glorot_limits(self):
+    def param_specs(self):
         k, u = self.kernel, self.units
         lim = lambda ci, co: np.sqrt(6.0 / (k * ci + k * co))
-        return [lim(self.in_ch, u), lim(u, u), None, lim(u, u), None]
+        return [((k, self.in_ch, u), lim(self.in_ch, u)), ((k, u, u), lim(u, u)),
+                ((u,), None), ((k, u, u), lim(u, u)), ((u,), None)]
 
     def out_spec(self, spec):
         if spec != ("grid", self.in_ch):
@@ -286,44 +289,40 @@ class SimpleRnnConvCell:
 
     def forward(self, p, xs, t):
         Kx, Kh, b, Ko, bo = p
-        n = xs[0].shape[0]
-        h = np.zeros((n, self.units))
-        zs, hs, xpads, hpads = [], [h], [], []
+        h = np.zeros((xs.shape[1], self.units))
+        zs, ss, xpads, hpads = [], [], [], []
         for x in xs:
             zx, xpad = _conv_same(x, Kx, np.zeros(self.units))
             zh, hpad = _conv_same(h, Kh, b)
             z = zx + zh
-            h = _act(self.act, z)
+            h, s = _act(self.act, z)
             zs.append(z)
-            hs.append(h)
+            ss.append(s)
             xpads.append(xpad)
             hpads.append(hpad)
         zo, opad = _conv_same(h, Ko, bo)
-        out = _act(self.act, zo)
-        return out, (xs, zs, hs, xpads, hpads, zo, opad)
+        out, so = _act(self.act, zo)
+        return out, (zs, ss, xpads, hpads, zo, so, opad)
 
     def backward(self, p, cache, w, grads=True):
         Kx, Kh, b, Ko, bo = p
-        xs, zs, hs, xpads, hpads, zo, opad = cache
-        dzo = w * _act_deriv(self.act, zo)
+        zs, ss, xpads, hpads, zo, so, opad = cache
+        dzo = w * _act_deriv(self.act, zo, so)
         dh, dKo, dbo = _conv_same_vjp(opad, Ko, dzo, grads)
         if grads:
             dKx = np.zeros_like(Kx)
             dKh = np.zeros_like(Kh)
             db = np.zeros(self.units)
-        dxs = []
-        for i in range(len(xs) - 1, -1, -1):
-            dz = dh * _act_deriv(self.act, zs[i])
-            dx_i, dKx_i, _ = _conv_same_vjp(xpads[i], Kx, dz, grads)
-            dh_i, dKh_i, db_i = _conv_same_vjp(hpads[i], Kh, dz, grads)
+        dxs = [None] * len(zs)
+        for i in range(len(zs) - 1, -1, -1):
+            dz = dh * _act_deriv(self.act, zs[i], ss[i])
+            dxs[i], dKx_i, _ = _conv_same_vjp(xpads[i], Kx, dz, grads)
+            dh, dKh_i, db_i = _conv_same_vjp(hpads[i], Kh, dz, grads)
             if grads:
                 dKx += dKx_i
                 dKh += dKh_i
                 db += db_i
-            dxs.append(dx_i)
-            dh = dh_i
-        dxs.reverse()
-        return dxs, (dKx, dKh, db, dKo, dbo) if grads else None
+        return np.stack(dxs), (dKx, dKh, db, dKo, dbo) if grads else None
 
     def describe(self):
         return (f"SimpleRnnConvCell({self.in_ch}ch->{self.units}ch,"
@@ -344,11 +343,9 @@ class Conv1d:
             raise ValueError("Conv1d: dimensions must be positive")
         _check_act(self.act)
 
-    def param_shapes(self):
-        return [(self.kernel, self.in_ch, self.out_ch), (self.out_ch,)]
-
-    def glorot_limits(self):
-        return [np.sqrt(6.0 / (self.kernel * (self.in_ch + self.out_ch))), None]
+    def param_specs(self):
+        k, ci, co = self.kernel, self.in_ch, self.out_ch
+        return [((k, ci, co), np.sqrt(6.0 / (k * (ci + co)))), ((co,), None)]
 
     def out_spec(self, spec):
         if spec != ("grid", self.in_ch):
@@ -358,12 +355,13 @@ class Conv1d:
     def forward(self, p, x, t):
         K, b = p
         z, xpad = _conv_same(x, K, b)
-        return _act(self.act, z), (xpad, z)
+        y, s = _act(self.act, z)
+        return y, (xpad, z, s)
 
     def backward(self, p, cache, w, grads=True):
         K, _ = p
-        xpad, z = cache
-        dz = w * _act_deriv(self.act, z)
+        xpad, z, s = cache
+        dz = w * _act_deriv(self.act, z, s)
         dx, dK, db = _conv_same_vjp(xpad, K, dz, grads)
         return dx, (dK, db) if grads else None
 
@@ -379,14 +377,15 @@ class Conv1dTranspose(Conv1d):
     def forward(self, p, x, t):
         K, b = p
         z, xpad = _conv_same(x, K[::-1], b)
-        return _act(self.act, z), (xpad, z)
+        y, s = _act(self.act, z)
+        return y, (xpad, z, s)
 
     def backward(self, p, cache, w, grads=True):
         K, _ = p
-        xpad, z = cache
-        dz = w * _act_deriv(self.act, z)
+        xpad, z, s = cache
+        dz = w * _act_deriv(self.act, z, s)
         dx, dKf, db = _conv_same_vjp(xpad, K[::-1], dz, grads)
-        return dx, (dKf[::-1].copy(), db) if grads else None
+        return dx, (dKf[::-1], db) if grads else None
 
     def describe(self):
         return (f"Conv1dTranspose({self.in_ch}ch->{self.out_ch}ch,"
@@ -413,10 +412,7 @@ class AddExtraChannels:
         if self.n_extra <= 0:
             raise ValueError("AddExtraChannels: n_extra must be positive")
 
-    def param_shapes(self):
-        return []
-
-    def glorot_limits(self):
+    def param_specs(self):
         return []
 
     def out_spec(self, spec):
@@ -456,11 +452,8 @@ class BioConstrain:
     (dense inputs of size 1, or (n, 1) fields); output has three.
     """
 
-    def param_shapes(self):
-        return [(1,)]
-
-    def glorot_limits(self):
-        return [None]
+    def param_specs(self):
+        return [((1,), None)]
 
     def out_spec(self, spec):
         kind, ch = spec
@@ -498,7 +491,8 @@ _RECURRENT = (SimpleRnnCell, SimpleRnnConvCell)
 
 
 class Network:
-    """Ordered layer stack with a flat parameter layout.
+    """Ordered layer stack with a flat parameter layout: layer by layer, each
+    layer's parameters in ``param_specs`` order, each row-major.
 
     A recurrent cell, if present, must be the first layer; such networks are
     evaluated with :func:`rnn_forward` on a state sequence (oldest first) and
@@ -509,9 +503,8 @@ class Network:
         layers = tuple(layers)
         if not layers:
             raise ValueError("Network needs at least one layer")
-        for i, lay in enumerate(layers):
-            if isinstance(lay, _RECURRENT) and i != 0:
-                raise ValueError("recurrent cell must be the first layer")
+        if any(isinstance(lay, _RECURRENT) for lay in layers[1:]):
+            raise ValueError("recurrent cell must be the first layer")
         self.layers = layers
         self.recurrent = isinstance(layers[0], _RECURRENT)
 
@@ -533,55 +526,50 @@ class Network:
             spec = lay.out_spec(spec)
         self.output_spec = spec
 
-        self._offsets = []
-        off = 0
-        for lay in layers:
-            shapes = lay.param_shapes()
-            sizes = [int(np.prod(s)) for s in shapes]
-            self._offsets.append((off, shapes, sizes))
-            off += sum(sizes)
-        self.n_params = off
+        self._shapes = [[shape for shape, _ in lay.param_specs()] for lay in layers]
+        self.n_params = sum(math.prod(s) for shapes in self._shapes for s in shapes)
 
     def describe(self) -> str:
         return ";".join(lay.describe() for lay in self.layers)
 
-    def layer_params(self, params: Vec, i: int):
-        """Views into the flat vector for layer i, shaped per param_shapes."""
-        off, shapes, sizes = self._offsets[i]
-        out = []
-        for s, sz in zip(shapes, sizes):
-            out.append(params[off:off + sz].reshape(s))
-            off += sz
-        return tuple(out)
-
-    def _check_params(self, params):
+    def unpack(self, params: Vec) -> tuple:
+        """The flat vector decoded into one tuple of parameter views per
+        layer, shaped per the layer's ``param_specs``. The views share
+        memory with ``params`` when it is a float64 vector."""
         params = np.asarray(params, dtype=float)
         if params.shape != (self.n_params,):
             raise ValueError(
                 f"parameter vector has shape {params.shape}, expected ({self.n_params},)")
-        return params
+        views, off = [], 0
+        for shapes in self._shapes:
+            layer = []
+            for shape in shapes:
+                size = math.prod(shape)
+                layer.append(params[off:off + size].reshape(shape))
+                off += size
+            views.append(tuple(layer))
+        return tuple(views)
 
     def _check_input(self, x):
-        """x as the first layer takes it, and the shape it was given in (per
-        element of a recurrent network's sequence). A feed-forward network
-        also takes a stack of inputs along a leading batch axis."""
+        """x as the first layer takes it, and the shape it was given in. A
+        recurrent network takes its sequence along a leading axis, and a
+        feed-forward network an optional leading batch axis; a grid network
+        also takes each field flat."""
         kind, dim = self.input_spec
-        given = [np.asarray(v, dtype=float) for v in (x if self.recurrent else [x])]
-        if not given:
-            raise ValueError("rnn_forward needs a non-empty sequence")
+        x = np.asarray(x, dtype=float)
+        shape = x.shape
+        if kind == "grid" and x.ndim == 1 + self.recurrent and shape[-1] % dim == 0:
+            x = x.reshape(shape[:-1] + (-1, dim))
         field_ndim = 1 if kind == "dense" else 2
-        ndims = (field_ndim,) if self.recurrent else (field_ndim, field_ndim + 1)
-        xs = []
-        for a in given:
-            if kind == "grid" and a.ndim == 1 and a.size % dim == 0:
-                a = a.reshape(-1, dim)
-            if a.ndim not in ndims or a.shape[-1] != dim:
-                want = f"({dim},)" if kind == "dense" else f"(n, {dim}) or flat"
-                batch = "" if self.recurrent else ", with an optional batch axis"
-                raise ValueError(f"input shape {a.shape}, expected {want}{batch}")
-            xs.append(a)
-        shapes = [a.shape for a in given]
-        return (xs, shapes) if self.recurrent else (xs[0], shapes[0])
+        ndims = (field_ndim + 1,) if self.recurrent else (field_ndim, field_ndim + 1)
+        if x.ndim not in ndims or x.shape[-1] != dim:
+            want = f"({dim},)" if kind == "dense" else f"(n, {dim}) or flat"
+            want = (f"a sequence of {want} along a leading axis" if self.recurrent
+                    else f"{want}, with an optional batch axis")
+            raise ValueError(f"input shape {shape}, expected {want}")
+        if self.recurrent and not len(x):
+            raise ValueError("rnn_forward needs a non-empty sequence")
+        return x, shape
 
     def _batched(self, x_shape) -> bool:
         """Whether a feed-forward input of this shape carries a batch axis."""
@@ -591,42 +579,38 @@ class Network:
 
 def _run_tape(net: Network, x, params, t):
     """The forward pass: the Tape fields after ``net``."""
-    params = net._check_params(params)
+    views = net.unpack(params)
     x, x_shape = net._check_input(x)
-    flat = len(x_shape[0] if net.recurrent else x_shape) == 1
+    flat = x.ndim != len(x_shape)  # a grid input given flat comes back flat
     caches = []
-    for i, lay in enumerate(net.layers):
-        x, cache = lay.forward(net.layer_params(params, i), x, t)
+    for lay, p in zip(net.layers, views):
+        x, cache = lay.forward(p, x, t)
         caches.append(cache)
-    return params, x.reshape(-1) if flat else x, caches, x_shape, x.shape
+    return views, x.reshape(-1) if flat else x, caches, x_shape, x.shape
 
 
 def _backward(tp: Tape, w, want_grads: bool):
     """Reverse pass on a tape: (dx, grads), with grads None unless wanted."""
-    net, params, caches = tp.net, tp.params, tp.caches
+    net = tp.net
     w = np.asarray(w, dtype=float)
     if w.shape != tp.y_shape and w.shape != (tp.y.size,) and not (
             net._batched(tp.x_shape)
             and w.shape == (tp.y_shape[0], tp.y.size // tp.y_shape[0])):
         # a batched tape also takes one flat cotangent row per sample
         raise ValueError(f"cotangent shape {w.shape} does not match output {tp.y_shape}")
-    grads = np.zeros(net.n_params) if want_grads else None
     dx = w.reshape(tp.y_shape)
-    for i in range(len(net.layers) - 1, -1, -1):
-        dx, gparts = net.layers[i].backward(net.layer_params(params, i), caches[i],
-                                            dx, want_grads)
-        if want_grads:
-            _write_grads(net, grads, i, gparts)
-    if net.recurrent:
-        return [d.reshape(s) for d, s in zip(dx, tp.x_shape)], grads
-    return dx.reshape(tp.x_shape), grads
-
-
-def _write_grads(net, grads, i, gparts):
-    off, shapes, sizes = net._offsets[i]
-    for g, sz in zip(gparts, sizes):
-        grads[off:off + sz] += np.asarray(g, dtype=float).ravel()
-        off += sz
+    layer_grads = []
+    for lay, p, cache in zip(net.layers[::-1], tp.views[::-1], tp.caches[::-1]):
+        dx, g = lay.backward(p, cache, dx, want_grads)
+        layer_grads.append(g)
+    dx = dx.reshape(tp.x_shape)
+    if not want_grads:
+        return dx, None
+    # in layer order, added into zeros so that a -0.0 entry comes out +0.0
+    grads = np.zeros(net.n_params)
+    if net.n_params:
+        grads += np.concatenate([np.ravel(g) for gs in layer_grads[::-1] for g in gs])
+    return dx, grads
 
 
 # ---------------------------------------------------------------------------
@@ -635,11 +619,12 @@ def _write_grads(net, grads, i, gparts):
 
 
 def stack(net: Network, xs) -> np.ndarray:
-    """Inputs of a feed-forward network, each flat or shaped, stacked along a
-    leading batch axis in the layout the network takes."""
+    """Inputs stacked along a leading axis in the layout the network takes: a
+    recurrent network's sequence (oldest first) with each element as given,
+    or a feed-forward network's batch, with grid fields shaped (n, channels)."""
     kind, dim = net.input_spec
     X = np.stack([np.asarray(x, dtype=float) for x in xs])
-    return X if kind == "dense" else X.reshape(len(X), -1, dim)
+    return X if net.recurrent or kind == "dense" else X.reshape(len(X), -1, dim)
 
 
 def forward(net: Network, x, params: Vec, t: float | None = None):
@@ -651,7 +636,8 @@ def forward(net: Network, x, params: Vec, t: float | None = None):
 
 
 def rnn_forward(net: Network, xs, params: Vec, t: float | None = None):
-    """Evaluate a recurrent network on a sequence ordered oldest -> newest."""
+    """Evaluate a recurrent network on a sequence ordered oldest -> newest,
+    stacked along the leading axis (see :func:`stack`)."""
     if not net.recurrent:
         raise ValueError("rnn_forward requires a network with a recurrent cell")
     return _run_tape(net, xs, params, t)[1]
@@ -659,15 +645,15 @@ def rnn_forward(net: Network, xs, params: Vec, t: float | None = None):
 
 @dataclass(frozen=True, eq=False)
 class Tape:
-    """One forward pass kept for reverse passes: the output ``y`` and the
-    per-layer caches of ``net`` at ``params``, with the shape the input was
-    given in (per element for a sequence) and the output's field shape."""
+    """One forward pass kept for reverse passes: the parameters of ``net``
+    decoded once into per-layer ``views``, the output ``y``, the per-layer
+    caches, the shape the input was given in and the output's field shape."""
 
     net: Network
-    params: Vec
+    views: tuple
     y: np.ndarray
     caches: list
-    x_shape: tuple | list
+    x_shape: tuple
     y_shape: tuple
 
 
@@ -682,8 +668,8 @@ def tape(net: Network, x, params: Vec, t: float | None = None) -> Tape:
 def backward(tp: Tape, w):
     """Reverse pass of w . y on a tape: (d/dx, d/dparams).
 
-    For recurrent networks the input gradient is the list of per-element
-    gradients.
+    The input gradient has the shape the input was given in, so for a
+    recurrent network it is stacked like the sequence.
     """
     return _backward(tp, w, True)
 
@@ -708,23 +694,16 @@ def init_params(net: Network, seed: int, *, zero_final: bool = True) -> Vec:
     """
     rng = np.random.default_rng(seed)
     params = np.zeros(net.n_params)
-    for i, lay in enumerate(net.layers):
-        off, shapes, sizes = net._offsets[i]
-        limits = lay.glorot_limits()
-        for shape, size, lim in zip(shapes, sizes, limits):
+    views = net.unpack(params)
+    for lay, vs in zip(net.layers, views):
+        for v, (_, lim) in zip(vs, lay.param_specs()):
             if lim is not None:
-                params[off:off + size] = rng.uniform(-lim, lim, size=size)
-            off += size
-    for i, lay in enumerate(net.layers):
+                v[...] = rng.uniform(-lim, lim, size=v.shape)
         if isinstance(lay, BioConstrain):
-            off, _, _ = net._offsets[i]
-            params[off] = 0.5
-    if zero_final:
-        last = None
-        for i, lay in enumerate(net.layers):
-            if not isinstance(lay, BioConstrain) and lay.param_shapes():
-                last = i
-        if last is not None:
-            off, _, sizes = net._offsets[last]
-            params[off:off + sum(sizes)] = 0.0
+            vs[0][0] = 0.5
+    weighted = [vs for lay, vs in zip(net.layers, views)
+                if vs and not isinstance(lay, BioConstrain)]
+    if zero_final and weighted:
+        for v in weighted[-1]:
+            v[...] = 0.0
     return params

@@ -125,7 +125,11 @@ def history_term_per_node(sys, phi, history, t0, mu0):
     """y(t0) and d_phi(mu0 . y(t0)) of a windowed distributed closure, with
     one g-network tape and one reverse pass per trapezoid node."""
     from neuralclosure import nn
-    from neuralclosure.integrate import quadrature_nodes, trapezoid
+    from neuralclosure.integrate import quadrature_nodes
+
+    def trapezoid(ts, vals):
+        vals = np.asarray(vals, dtype=float)
+        return np.add.reduce(np.diff(ts)[:, None] * (vals[1:] + vals[:-1]) / 2.0, axis=0)
 
     clo = sys.closure
     tau1, tau2 = clo.window

@@ -120,6 +120,27 @@ def test_gen_data_exp1_writes_basis_and_coeffs(tmp_path):
     assert basis.n_modes == 3
 
 
+def test_failed_gen_data_is_generated_again(tmp_path, monkeypatch):
+    # truth.csv is written last: a gen-data that fails part way (here in the
+    # basis write) leaves no truth.csv, so the next load_truth generates
+    # the whole set again instead of trusting a half-written directory
+    text = "[run]\nexperiment = exp1_rom\n"
+    out = tmp_path / "out"
+    save_basis = cli.save_basis
+
+    def fail_once(path, basis):
+        monkeypatch.setattr(cli, "save_basis", save_basis)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "save_basis", fail_once)
+    assert cli.main(["gen-data", "--config", _write(tmp_path, text),
+                     "--out", str(out)]) == 1
+    ds, basis = cli.load_truth(parse_config(text), out)
+    assert ds.states.shape == (601, 3) and basis.n_modes == 3
+    assert sorted(p.name for p in out.iterdir()) == ["config.txt", "pod_basis.txt",
+                                                     "truth.csv"]
+
+
 # ---------------------------------------------------------------------------
 # train / evaluate
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from neuralclosure.closure import (
     forward_augmented,
     run_loss,
 )
-from neuralclosure.integrate import DormandPrince54, RK4Fixed, integrate_ode, quadrature
+from neuralclosure.integrate import DormandPrince54, RK4Fixed, integrate_ode
 
 from oracles import rel_l2
 
@@ -256,7 +256,7 @@ def test_distributed_adjoint_matches_fd_zero_tau1():
     adj = adjoint_distributed(sys, params, run, ds, loss, RK4Fixed(0.005))
     fd = fd_gradient(sys, params, (0.0, 1.0), ds, loss, RK4Fixed(0.02), history=hist)
     assert rel_l2(adj.grad, fd) < 1e-4
-    assert np.linalg.norm(adj.grad_phi) > 0.0
+    assert np.linalg.norm(adj.grad[sys.n_theta:]) > 0.0
 
 
 def test_distributed_adjoint_matches_fd_positive_tau1():
@@ -286,9 +286,9 @@ def test_degenerate_window_freezes_aux_and_zeroes_phi_gradient():
     run = forward_augmented(sys, params, (0.0, 0.8), RK4Fixed(0.02), u0=u0)
     assert np.all(run.y_at(0.5) == 0.0)
     adj = adjoint_distributed(sys, params, run, ds, loss, RK4Fixed(0.005))
-    assert np.all(adj.grad_phi == 0.0)
+    assert np.all(adj.grad[sys.n_theta:] == 0.0)
     fd = fd_gradient(sys, params, (0.0, 0.8), ds, loss, RK4Fixed(0.02), u0=u0)
-    assert rel_l2(adj.grad_theta, fd[:sys.n_theta]) < 1e-4
+    assert rel_l2(adj.grad[:sys.n_theta], fd[:sys.n_theta]) < 1e-4
     assert np.max(np.abs(fd[sys.n_theta:])) < 1e-9
 
 
@@ -310,10 +310,8 @@ def test_empty_window_sweeps_like_the_zero_window():
 
 def test_history_quadrature_needs_no_numpy_trapezoid(monkeypatch):
     # pyproject.toml allows NumPy 1.24, which has no np.trapezoid; the
-    # y(t0) quadrature must give the same bits with and without it
-    def g(s):
-        return np.array([np.sin(s), s * s])
-
+    # forward solve with its y(t0) quadrature must give the same bits with
+    # and without it
     def hist(s):
         return np.array([0.5, -0.2]) + 0.25 * s * np.array([1.0, -0.6])
 
@@ -321,17 +319,11 @@ def test_history_quadrature_needs_no_numpy_trapezoid(monkeypatch):
         sys = distributed_toy((0.0, 0.5))
         run = forward_augmented(sys, random_params(sys, 13), (0.0, 1.0),
                                 RK4Fixed(0.02), history=hist)
-        ys = np.stack([run.traj.eval(t) for t in np.linspace(0.0, 1.0, 11)])
-        return [quadrature(g, -0.5, 0.0, 16), np.array(quadrature(np.sin, -0.5, 0.0, 16)), ys]
+        return np.stack([run.traj.eval(t) for t in np.linspace(0.0, 1.0, 11)])
 
     want = results()
-    if hasattr(np, "trapezoid"):
-        ts = np.linspace(-0.5, 0.0, 17)
-        assert want[0].tobytes() == \
-            np.trapezoid(np.stack([g(t) for t in ts]), ts, axis=0).tobytes()
     monkeypatch.delattr(np, "trapezoid", raising=False)
-    got = results()
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert results().tobytes() == want.tobytes()
 
 
 def test_constant_g_gives_constant_aux_field():
@@ -376,20 +368,6 @@ def test_gradient_is_linear_in_loss_weight():
     g1 = adjoint_discrete(sys, params, run, ds, QuadLoss(1.0), RK4Fixed(0.01)).grad
     g2 = adjoint_discrete(sys, params, run, ds, QuadLoss(2.0), RK4Fixed(0.01)).grad
     assert np.max(np.abs(g2 - 2.0 * g1)) <= 1e-12 * max(1.0, np.max(np.abs(g1)))
-
-
-def test_adjoint_vanishes_at_and_beyond_final_time():
-    sys = distributed_toy((0.0, 0.4))
-    params = random_params(sys, 43)
-    hist = constant_history(np.array([0.2, 0.6]))
-    ds = Data(np.array([1.0]), np.array([[0.0, 0.0]]))
-    run = forward_augmented(sys, params, (0.0, 1.0), RK4Fixed(0.02), history=hist)
-    adj = adjoint_gradient(sys, params, run, ds, QuadLoss(), RK4Fixed(0.01))
-    assert np.all(adj.lam_at(1.0) == 0.0)
-    assert np.all(adj.lam_at(3.7) == 0.0)
-    assert np.all(adj.mu_at(2.0) == 0.0)
-    assert adj.lam_at(0.0).shape == (2,)
-    assert np.any(adj.lam_at(0.5) != 0.0)
 
 
 def test_run_loss_reports_forward_total():

@@ -9,7 +9,8 @@ from neuralclosure.integrate import (
     RK4Fixed,
     integrate_dde,
     integrate_ode,
-    quadrature,
+    quadrature_nodes,
+    trapezoid_weights,
 )
 
 
@@ -223,21 +224,38 @@ class TestIntegrateDde:
                        history=lambda t: np.array([1.0]))
 
 
+def _trapezoid(f, a, b, n_panels):
+    """The composite trapezoid rule of f over [a, b]: weights @ node values."""
+    ts = quadrature_nodes(a, b, n_panels)
+    return trapezoid_weights(ts) @ np.array([f(t) for t in ts])
+
+
 class TestQuadrature:
+    """The trapezoid rule as the y(t0) history term applies it: node weights
+    on uniform nodes."""
+
     def test_affine_exact(self):
         for n in (1, 3, 10):
-            assert quadrature(lambda x: x, 0.0, 1.0, n) == pytest.approx(0.5, abs=1e-15)
+            assert _trapezoid(lambda x: 2.0 - 3.0 * x, -1.0, 0.5, n) == \
+                pytest.approx(2.0 * 1.5 - 1.5 * (0.25 - 1.0), abs=1e-14)
+
+    def test_weights_sum_to_interval_length(self):
+        for a, b, n in ((0.0, 1.0, 1), (-0.5, 0.0, 64), (2.0, 7.0, 13)):
+            assert trapezoid_weights(quadrature_nodes(a, b, n)).sum() == \
+                pytest.approx(b - a, abs=1e-14)
 
     def test_sin(self):
-        assert quadrature(np.sin, 0.0, np.pi, 1000) == pytest.approx(2.0, abs=1e-5)
+        assert _trapezoid(np.sin, 0.0, np.pi, 1000) == pytest.approx(2.0, abs=1e-5)
 
     def test_empty_interval(self):
-        assert quadrature(np.sin, 1.0, 1.0, 5) == 0.0
+        wts = trapezoid_weights(quadrature_nodes(1.0, 1.0, 5))
+        assert wts.shape == (6,) and np.all(wts == 0.0)
+        assert wts @ np.sin(np.full(6, 1.0)) == 0.0
 
     def test_vector_integrand(self):
-        out = quadrature(lambda x: np.array([1.0, x]), 0.0, 2.0, 4)
+        out = _trapezoid(lambda x: np.array([1.0, x]), 0.0, 2.0, 4)
         np.testing.assert_allclose(out, [2.0, 2.0], atol=1e-14)
 
     def test_convergence_rate(self):
-        errs = [abs(quadrature(np.sin, 0.0, np.pi, n) - 2.0) for n in (100, 200)]
+        errs = [abs(_trapezoid(np.sin, 0.0, np.pi, n) - 2.0) for n in (100, 200)]
         assert 3.5 <= errs[0] / errs[1] <= 4.5

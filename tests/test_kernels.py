@@ -40,7 +40,8 @@ def test_sigmoid_matches_the_two_branch_form():
         warnings.simplefilter("error")
         got = nn._sigmoid(z)
         ends = np.array([-800.0, 800.0])
-        acts = [nn._act("swish", ends), nn._act_deriv("swish", ends)]
+        y, s = nn._act("swish", ends)
+        acts = [y, nn._act_deriv("swish", ends, s)]
     assert np.all(np.isfinite(got)) and all(np.all(np.isfinite(a)) for a in acts)
     assert np.max(np.abs(got - oracles.sigmoid_two_branch(z))) <= 1e-15
     np.testing.assert_array_equal(acts[0], [0.0, 800.0])

@@ -109,7 +109,7 @@ class TestRnnForward:
         x = np.random.default_rng(4).normal(size=3)
         out = rnn_forward(cell, [x], params)
         # zero initial hidden state: one step is act(Wx x + b)
-        Wx, Wh, b = cell.layer_params(params, 0)
+        ((Wx, Wh, b),) = cell.unpack(params)
         np.testing.assert_allclose(out, np.tanh(Wx @ x + b), atol=1e-14)
 
     def test_two_step_hand_unroll(self):
@@ -158,61 +158,67 @@ class TestParamCounts:
     def test_layout_offsets_contiguous(self):
         net = Network([Dense(2, 4, "tanh"), Dense(4, 3, "linear")])
         p = np.arange(net.n_params, dtype=float)
-        W0, b0 = net.layer_params(p, 0)
-        W1, b1 = net.layer_params(p, 1)
+        (W0, b0), (W1, b1) = net.unpack(p)
         assert W0.size + b0.size + W1.size + b1.size == net.n_params
         assert W0.ravel()[0] == 0.0 and b1.ravel()[-1] == net.n_params - 1
+        # layer order, then each layer's parameters in order, row-major
+        np.testing.assert_array_equal(np.concatenate([W0.ravel(), b0, W1.ravel(), b1]), p)
+        assert all(np.shares_memory(v, p) for v in (W0, b0, W1, b1))
+
+    def test_unpack_checks_the_vector(self):
+        net = Network([Dense(2, 4, "tanh")])
+        with pytest.raises(ValueError):
+            net.unpack(np.zeros(net.n_params + 1))
 
 
 class _VjpCase:
     """Checks the input and parameter cotangents against the central-difference
-    oracle, the input-only pass against the full one, and the flat input
-    layout against the shaped one."""
+    oracle, the input-only pass against the full one, and every input layout
+    against the first."""
 
     def check(self, net, x, params, t=None, seq=False):
         rng = np.random.default_rng(99)
-        if seq:
-            y = rnn_forward(net, x, params, t)
-        else:
-            y = forward(net, x, params, t)
+        run = rnn_forward if seq else forward
+        y = run(net, x, params, t)
         w = rng.normal(size=y.shape)
 
-        if seq:
-            stacked = np.stack(x)
-            f_in = lambda xs: float(np.sum(w * rnn_forward(net, list(xs), params, t)))
-            f_par = lambda p: float(np.sum(w * rnn_forward(net, x, p, t)))
-            g_in = np.stack(backward_input(tape(net, x, params, t), w))
-            fd_in = central_fd(f_in, stacked)
-        else:
-            f_in = lambda xx: float(np.sum(w * forward(net, xx, params, t)))
-            f_par = lambda p: float(np.sum(w * forward(net, x, p, t)))
-            g_in = backward_input(tape(net, x, params, t), w)
-            fd_in = central_fd(f_in, x)
+        f_in = lambda xx: float(np.sum(w * run(net, xx, params, t)))
+        f_par = lambda p: float(np.sum(w * run(net, x, p, t)))
+        g_in = backward_input(tape(net, x, params, t), w)
+        fd_in = central_fd(f_in, np.asarray(x, dtype=float))
         g_par = vjp(net, x, params, w, t)[1]
         fd_par = central_fd(f_par, params)
         assert rel_l2(g_in, fd_in) < 1e-6
         assert rel_l2(g_par, fd_par) < 1e-6
         # the input-only pass is bit-identical to the full one
-        g_full = vjp(net, x, params, w, t)[0]
-        np.testing.assert_array_equal(g_in, np.stack(g_full) if seq else g_full)
-        self.check_flat(net, x, params, w, t, seq)
+        np.testing.assert_array_equal(g_in, vjp(net, x, params, w, t)[0])
+        self.check_layouts(net, x, params, w, t, seq)
 
-    def check_flat(self, net, x, params, w, t, seq):
-        # a flat (point-major) input gives the same output bytes, flat, and
-        # flat input cotangents; the output cotangent may be flat too
-        flat_x = [np.ravel(v) for v in x] if seq else np.ravel(x)
+    def check_layouts(self, net, x, params, w, t, seq):
+        # a sequence as a list, as one stacked array and, for a grid network,
+        # as flat (point-major) rows; a feed-forward input shaped or flat. All
+        # give the same output bytes and the same input cotangent bytes, each
+        # in the layout the input was given in (a sequence's cotangent comes
+        # stacked); the output cotangent may be flat too
+        grid = net.input_spec[0] == "grid"
+        if seq:
+            layouts = [x, np.stack(x)]
+            if grid:
+                layouts.append(np.stack([np.ravel(v) for v in x]))
+        else:
+            layouts = [x, np.ravel(x)]
         y = tape(net, x, params, t).y
-        tp = tape(net, flat_x, params, t)
-        assert tp.y.shape == (y.size,) and tp.y.tobytes() == y.tobytes()
         want_in, want_par = vjp(net, x, params, w, t)
-        for cot in (w, np.ravel(w)):
-            g_in, g_par = backward(tp, cot)
-            assert g_par.tobytes() == want_par.tobytes()
-            if seq:
-                assert [g.shape for g in g_in] == [v.shape for v in flat_x]
-                assert [g.tobytes() for g in g_in] == [g.tobytes() for g in want_in]
-            else:
-                assert g_in.shape == flat_x.shape
+        for xl in layouts:
+            tp = tape(net, xl, params, t)
+            flat = grid and np.ndim(xl) == 1 + seq
+            assert tp.x_shape == np.shape(xl)
+            assert tp.y.shape == ((y.size,) if flat else y.shape)
+            assert tp.y.tobytes() == y.tobytes()
+            for cot in (w, np.ravel(w)):
+                g_in, g_par = backward(tp, cot)
+                assert g_par.tobytes() == want_par.tobytes()
+                assert g_in.shape == np.shape(xl)
                 assert g_in.tobytes() == want_in.tobytes()
 
 
@@ -220,7 +226,7 @@ class TestVjp(_VjpCase):
     def test_dense_linear_jacobian(self):
         net = Network([Dense(3, 2, "linear")])
         params = _rand_params(net, 0)
-        W, _ = net.layer_params(params, 0)
+        ((W, _),) = net.unpack(params)
         w = np.array([1.0, -2.0])
         g = backward_input(tape(net, np.zeros(3), params), w)
         np.testing.assert_allclose(g, W.T @ w, atol=1e-14)
@@ -282,13 +288,12 @@ class TestInitParams:
     def test_biases_zero(self):
         net = Network([Dense(4, 9, "tanh"), Dense(9, 2, "linear")])
         params = init_params(net, 0, zero_final=False)
-        _, b0 = net.layer_params(params, 0)
-        _, b1 = net.layer_params(params, 1)
+        (_, b0), (_, b1) = net.unpack(params)
         assert not b0.any() and not b1.any()
 
     def test_glorot_bound(self):
         net = Network([Dense(100, 100, "tanh")])
-        W, _ = net.layer_params(init_params(net, 1, zero_final=False), 0)
+        ((W, _),) = net.unpack(init_params(net, 1, zero_final=False))
         bound = np.sqrt(6.0 / 200.0)
         assert np.all(np.abs(W) <= bound)
         assert np.max(np.abs(W)) > 0.8 * bound
@@ -296,7 +301,7 @@ class TestInitParams:
     def test_zero_final_layer(self):
         net = Network([Dense(3, 5, "tanh"), Dense(5, 3, "linear")])
         params = init_params(net, 2)
-        W1, b1 = net.layer_params(params, 1)
+        _, (W1, b1) = net.unpack(params)
         assert not W1.any() and not b1.any()
         out = forward(net, np.ones(3), params)
         np.testing.assert_array_equal(out, np.zeros(3))
@@ -304,9 +309,33 @@ class TestInitParams:
     def test_zero_final_skips_bioconstrain(self):
         net = Network([Dense(3, 5, "tanh"), Dense(5, 1, "linear"), BioConstrain()])
         params = init_params(net, 3)
-        W1, _ = net.layer_params(params, 1)
-        (beta,) = net.layer_params(params, 2)
+        _, (W1, _), (beta,) = net.unpack(params)
         assert not W1.any()
         assert beta[0] == 0.5
         out = forward(net, np.ones(3), params)
         np.testing.assert_array_equal(out, np.zeros(3))
+
+
+def test_parameters_are_decoded_once_per_tape(monkeypatch):
+    # nn.tape and nn.forward decode the flat vector once; reverse passes
+    # read the tape's views and decode nothing
+    calls = []
+    unpack = Network.unpack
+    monkeypatch.setattr(Network, "unpack",
+                        lambda self, p: calls.append(self) or unpack(self, p))
+    dense = Network([Dense(3, 4, "swish"), Dense(4, 2, "linear")])
+    rnn = Network([SimpleRnnConvCell(1, 2, 3, "swish"), Conv1d(2, 1, 3, "linear")])
+    cases = [(dense, np.ones(3), forward),
+             (rnn, np.ones((3, 5, 1)), rnn_forward)]
+    for net, x, run in cases:
+        params = _rand_params(net, 0)
+        calls.clear()
+        tp = tape(net, x, params)
+        assert len(calls) == 1
+        w = np.ones(tp.y.shape)
+        backward(tp, w)
+        backward_input(tp, w)
+        backward(tp, 2.0 * w)
+        assert len(calls) == 1
+        run(net, x, params)
+        assert calls == [net, net]
