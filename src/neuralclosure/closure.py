@@ -27,7 +27,14 @@ lambda <- lambda - dl/du applied when the sweep crosses a data time; the sign
 convention is frozen against the finite-difference oracle in the tests.
 
 All parameters of one model travel in a single flat vector: theta first,
-then phi for distributed closures.
+then phi for distributed closures. A forward solve and an adjoint sweep each
+decode it once into per-layer views and hand those to every network pass.
+
+A solve may carry a batch of B members in lockstep: states (B, d) on one
+shared clock, the first member's time. Member b starts at t0_b, so its time
+is the clock plus t0_b - t0_0, and that (B,) array is what the physics reads
+(base right-hand sides, context channels, history before the start). A
+single trajectory has no member axis and runs on its own time.
 """
 
 from __future__ import annotations
@@ -118,9 +125,10 @@ ClosureModel = Markovian | Discrete | Distributed
 class AugmentedSystem:
     """base_rhs plus a neural closure acting on a flat state of state_dim.
 
-    ``base_vjp(t, u, w)`` must return w^T d(base_rhs)/du. The closure
-    networks get flat states, and a grid network reads them point-major as
-    (points, channels) fields; the number of points follows from
+    ``base_vjp(t, u, w)`` must return w^T d(base_rhs)/du. Both take one
+    state (d,) at one time, or a batch (B, d) with one time per member (B,).
+    The closure networks read flat states point-major as (points, channels)
+    fields when they are grid networks; the number of points follows from
     ``state_dim`` and the networks' state channels.
     """
 
@@ -154,6 +162,15 @@ class AugmentedSystem:
                 f"params shape {params.shape}, expected ({self.n_params},)")
         return params[:self.n_theta], params[self.n_theta:]
 
+    def decode(self, params: Vec) -> tuple:
+        """theta and phi as their networks' per-layer views (phi's None
+        without a g-network)."""
+        theta, phi = self.split_params(params)
+        c = self.closure
+        if isinstance(c, Distributed):
+            return c.f_net.unpack(theta), c.g_net.unpack(phi)
+        return c.net.unpack(theta), None
+
     @property
     def aux_dim(self) -> int:
         return self.closure.aux_dim if isinstance(self.closure, Distributed) else 0
@@ -166,43 +183,48 @@ class AugmentedSystem:
         c = self.closure
         return self.state_dim // (c.g_net if isinstance(c, Distributed) else c.net).input_spec[1]
 
-    def _f_input(self, u: Vec, y: Vec) -> Vec:
+    def _f_input(self, u: Vec, y: Vec) -> np.ndarray:
         """The distributed f-net's input: state and auxiliary field joined
-        per point, flat."""
+        per point."""
         n = self.grid_points
-        return np.concatenate([u.reshape(n, -1), y.reshape(n, -1)], axis=1).ravel()
+        lead = u.shape[:-1]
+        x = np.concatenate([u.reshape(lead + (n, -1)), y.reshape(lead + (n, -1))],
+                           axis=-1)
+        return nn.fields(self.closure.f_net, x.reshape(lead + (-1,)))
 
-    def _split_f_input_grad(self, dx: Vec) -> tuple[Vec, Vec]:
-        """The state and auxiliary parts of an f-net input cotangent."""
+    def _split_f_input_grad(self, dx, lead: tuple) -> tuple[Vec, Vec]:
+        """The flat state and auxiliary parts of an f-net input cotangent."""
         n = self.grid_points
         cu = self.state_dim // n
-        dx = dx.reshape(n, -1)
-        return dx[:, :cu].ravel(), dx[:, cu:].ravel()
+        dx = dx.reshape(lead + (n, -1))
+        return (dx[..., :cu].reshape(lead + (-1,)), dx[..., cu:].reshape(lead + (-1,)))
 
     # -- closure term evaluations ----------------------------------------
 
-    def closure_term(self, t: float, u: Vec, theta: Vec,
-                     delayed: Sequence[Vec] = (), y: Vec | None = None) -> Vec:
+    def closure_term(self, t, u: Vec, theta, delayed: Sequence[Vec] = (),
+                     y: Vec | None = None) -> Vec:
         """The neural contribution to du/dt at time t; ``delayed`` holds the
-        states at t - tau_k in ascending delay order."""
+        states at t - tau_k in ascending delay order. ``theta`` is the flat
+        vector or its views (:meth:`decode`)."""
         c = self.closure
         if isinstance(c, Markovian):
-            term = nn.forward(c.net, u, theta, t)
+            term = nn.forward(c.net, nn.fields(c.net, u), theta, t)
         elif isinstance(c, Discrete):
             # the recurrent net reads the sequence oldest first
-            term = nn.rnn_forward(c.net, nn.stack(c.net, [*reversed(delayed), u]),
-                                  theta, t)
+            seq = np.stack([*reversed(delayed), u])
+            term = nn.rnn_forward(c.net, nn.fields(c.net, seq), theta, t)
         else:
             term = nn.forward(c.f_net, self._f_input(u, y), theta, t)
-        if term.shape != (self.state_dim,):
+        if term.size != u.size:
             raise ValueError(
-                f"closure output has {term.size} entries, state has {self.state_dim}")
-        return term
+                f"closure output has {term.size} entries, state has {u.size}")
+        return term.reshape(u.shape)
 
-    def g_eval(self, t: float, u: Vec, phi: Vec) -> Vec:
-        """g(u, t; phi), flat."""
-        out = nn.forward(self.closure.g_net, u, phi, t)
-        self._check_g_width(out.size)
+    def g_eval(self, t, u: Vec, phi) -> Vec:
+        """g(u, t; phi), flat per member."""
+        out = nn.forward(self.closure.g_net, nn.fields(self.closure.g_net, u), phi, t)
+        out = out.reshape(u.shape[:-1] + (-1,))
+        self._check_g_width(out.shape[-1])
         return out
 
     def _check_g_width(self, size: int):
@@ -232,7 +254,12 @@ class ForwardRun:
     """Forward solution of an augmented system plus the context the adjoint
     needs: the original history callable, the state/aux split and, for a
     windowed distributed closure, the one g-network tape of the y(t0)
-    trapezoid nodes, batched in node order."""
+    trapezoid nodes, batched node-major (then member).
+
+    ``traj`` runs on the solve's clock from ``t0`` to ``t1``; ``offsets``
+    are the members' start times minus ``t0`` ((B,), first entry 0), or 0.0
+    for a single trajectory, so a member's time is the clock plus its offset.
+    """
 
     traj: DenseTrajectory
     t0: float
@@ -241,22 +268,26 @@ class ForwardRun:
     aux_dim: int
     history: Callable[[float], Vec] | None
     history_tape: nn.Tape | None = None
+    offsets: np.ndarray | float = 0.0
+
+    @property
+    def lead(self) -> tuple:
+        """The member axis of the states: (B,), or () for one trajectory."""
+        return np.shape(self.offsets)
 
     def u_at(self, t: float) -> Vec:
+        """The state at clock time t, from the history before ``t0``."""
         if t < self.t0:
             if self.history is None:
                 raise ValueError(f"state requested at t={t} before start without history")
-            return np.asarray(self.history(t), dtype=float)
-        return self.traj.eval(t)[:self.u_dim]
+            return np.asarray(self.history(t + self.offsets), dtype=float)
+        return self.traj.eval(t)[..., :self.u_dim]
 
     def y_at(self, t: float) -> Vec:
-        if self.aux_dim == 0:
-            return np.zeros(0)
-        return self.traj.eval(t)[self.u_dim:]
+        return self.traj.eval(t)[..., self.u_dim:]
 
 
-def forward_augmented(sys: AugmentedSystem, params: Vec, t_span: tuple[float, float],
-                      stepper: StepperSpec,
+def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: StepperSpec,
                       history: Callable[[float], Vec] | None = None,
                       u0: Vec | None = None) -> ForwardRun:
     """Solve the augmented system over t_span.
@@ -265,23 +296,35 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span: tuple[float, fl
     closure looks into the past. ``u0`` overrides the initial state (defaults
     to history at the start, or must be given for Markovian closures).
 
+    A batch of B members solved in lockstep gives t_span as two (B,) arrays
+    of start and end times, all spanning the same length, and ``u0`` as
+    (B, d); ``history`` then takes one time or a (B,) array of them.
+
     Every closure kind gives its augmented initial state U0, its positive
     delays and rhs(t, U, delayed), where ``delayed`` holds U at t - tau in
     ascending delay order. A closure without delays is solved as an ODE.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    theta, phi = sys.split_params(params)
+    starts = np.asarray(t_span[0], dtype=float)
+    ends = np.asarray(t_span[1], dtype=float)
+    t0, t1 = float(starts.flat[0]), float(ends.flat[0])
+    offsets = starts - t0 if starts.ndim else 0.0
+    if starts.ndim > 1 or ends.shape != starts.shape or np.any(
+            np.abs(ends - starts - (t1 - t0)) > 1e-9 * max(1.0, abs(t1))):
+        raise ValueError("t_span: one start and end time, or equal-length arrays "
+                         "of them spanning one length")
+    lead = np.shape(offsets)
+    theta, phi = sys.decode(params)
     c = sys.closure
     n = sys.state_dim
 
     if u0 is None:
         if history is None:
             raise ValueError("forward_augmented needs u0 or a history callable")
-        u0 = np.asarray(history(t0), dtype=float)
+        u0 = np.asarray(history(t0 + offsets), dtype=float)
     else:
         u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (n,):
-        raise ValueError(f"u0 shape {u0.shape}, expected ({n},)")
+    if u0.shape != lead + (n,):
+        raise ValueError(f"u0 shape {u0.shape}, expected {lead + (n,)}")
 
     hist_tape = None
     if isinstance(c, Distributed):
@@ -289,28 +332,32 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span: tuple[float, fl
         windowed = tau2 > tau1
         delays = tuple(sorted({tau1, tau2} - {0.0})) if windowed else ()
         if not windowed:
-            y0 = np.zeros(sys.aux_dim)
+            y0 = np.zeros(lead + (sys.aux_dim,))
         elif history is None:
             raise ValueError("distributed closure needs a history callable")
         else:
-            # y(t0) by the trapezoid rule, all nodes through one g tape
+            # y(t0) by the trapezoid rule, all nodes of all members through
+            # one g tape
             ts = sys.history_nodes(t0)
-            hist_tape = nn.tape(c.g_net, nn.stack(c.g_net, [history(s) for s in ts]),
-                                phi, ts)
-            g_nodes = hist_tape.y.reshape(ts.size, -1)
-            sys._check_g_width(g_nodes.shape[1])
-            y0 = trapezoid_weights(ts) @ g_nodes
-        U0 = np.concatenate([u0, y0])
+            node_times = np.add.outer(ts, offsets)
+            h = np.stack([history(s) for s in node_times]).reshape(-1, n)
+            hist_tape = nn.tape(c.g_net, nn.fields(c.g_net, h), phi, node_times.ravel())
+            g_nodes = hist_tape.y.reshape(node_times.shape + (-1,))
+            sys._check_g_width(g_nodes.shape[-1])
+            y0 = (trapezoid_weights(ts) @ g_nodes.reshape(ts.size, -1)).reshape(lead + (-1,))
+        U0 = np.concatenate([u0, y0], axis=-1)
 
         def rhs(t, U, delayed=()):
-            u, y = U[:n], U[n:]
-            du = sys.base_rhs(t, u) + sys.closure_term(t, u, theta, y=y)
+            tm = t + offsets
+            u, y = U[..., :n], U[..., n:]
+            du = sys.base_rhs(tm, u) + sys.closure_term(tm, u, theta, y=y)
             if windowed:
-                u1 = u if tau1 == 0.0 else delayed[0][:n]
-                dy = sys.g_eval(t - tau1, u1, phi) - sys.g_eval(t - tau2, delayed[-1][:n], phi)
+                u1 = u if tau1 == 0.0 else delayed[0][..., :n]
+                dy = sys.g_eval(tm - tau1, u1, phi) \
+                    - sys.g_eval(tm - tau2, delayed[-1][..., :n], phi)
             else:
-                dy = np.zeros(sys.aux_dim)
-            return np.concatenate([du, dy])
+                dy = np.zeros(y.shape)
+            return np.concatenate([du, dy], axis=-1)
     else:
         delays = c.delays if isinstance(c, Discrete) else ()
         if delays and history is None:
@@ -318,18 +365,20 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span: tuple[float, fl
         U0 = u0
 
         def rhs(t, u, delayed=()):
-            return sys.base_rhs(t, u) + sys.closure_term(t, u, theta, delayed)
+            tm = t + offsets
+            return sys.base_rhs(tm, u) + sys.closure_term(tm, u, theta, delayed)
 
     if delays:
+        @_memo
         def hist(s):
             # the closures read only the state part of a delayed value
-            return U0 if s >= t0 else np.asarray(history(s), dtype=float)
+            return U0 if s >= t0 else np.asarray(history(s + offsets), dtype=float)
 
         traj = integrate_dde(DdeProblem(rhs=rhs, delays=delays, history=hist),
                              (t0, t1), stepper)
     else:
         traj = integrate_ode(rhs, U0, (t0, t1), stepper)
-    return ForwardRun(traj, t0, t1, n, sys.aux_dim, history, hist_tape)
+    return ForwardRun(traj, t0, t1, n, sys.aux_dim, history, hist_tape, offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +400,13 @@ class AdjointRun:
 
 
 def _loss_jumps(run: ForwardRun, dataset, loss_spec):
-    """Data times (ascending) and dL/du(T_i) cotangents from the forward run."""
+    """Data times (ascending) and dL/du(T_i) cotangents from the forward run.
+
+    The dataset's times are clock times; its states hold one row per time,
+    with the run's member axis (times, B, u_dim) for a batch."""
     times = np.asarray(dataset.times, dtype=float)
     targets = np.asarray(dataset.states, dtype=float)
-    if times.ndim != 1 or targets.shape != (times.size, run.u_dim):
+    if times.ndim != 1 or targets.shape != (times.size,) + run.lead + (run.u_dim,):
         raise ValueError("dataset shapes inconsistent with the forward run")
     tol = 1e-9 * max(1.0, abs(run.t1))
     if np.any(times <= run.t0 + tol) or np.any(times > run.t1 + tol):
@@ -364,7 +416,7 @@ def _loss_jumps(run: ForwardRun, dataset, loss_spec):
     order = np.argsort(times)
     times = times[order]
     targets = targets[order]
-    preds = run.traj.eval_many(times)[:, :run.u_dim]
+    preds = run.traj.eval_many(times)[..., :run.u_dim]
     cots = np.asarray(loss_spec.cotangents(preds, targets), dtype=float)
     if cots.shape != preds.shape:
         raise ValueError("loss cotangents must match prediction shape")
@@ -379,9 +431,12 @@ def _same_time(s: float, t: float) -> bool:
     return abs(s - t) <= _TIME_RTOL * max(1.0, abs(t))
 
 
-def _backward_sweep(dim, t0, T, jump_times, jump_vals, rhs_adj, integrand, dt,
+def _backward_sweep(shape, t0, T, jump_times, jump_vals, rhs_adj, integrand, dt,
                     shifts=()):
     """Fixed-step RK4 sweep from T down to t0 with jumps and running trapezoid.
+
+    The adjoint state has ``shape`` ((B, dim) for a batch of members); each
+    jump in ``jump_vals`` acts on its first ``u_dim`` entries per member.
 
     rhs_adj(t, a, look) gives the adjoint time derivative; ``look`` reads
     already-computed adjoint values at the advanced times t + tau, tau in the
@@ -400,13 +455,13 @@ def _backward_sweep(dim, t0, T, jump_times, jump_vals, rhs_adj, integrand, dt,
     pass. Returns (DenseTrajectory, integral).
     """
     store = DenseTrajectory()
-    a = np.zeros(dim)
+    a = np.zeros(shape)
     total = None
-    u_dim = jump_vals.shape[1]
+    u_dim = jump_vals.shape[-1]
 
     jump_map = {}
     for t, g in zip(jump_times, jump_vals):
-        jump_map.setdefault(float(t), np.zeros(u_dim))
+        jump_map.setdefault(float(t), np.zeros(g.shape))
         jump_map[float(t)] += g
     special = sorted(set(jump_map) | {float(T)})
 
@@ -420,18 +475,17 @@ def _backward_sweep(dim, t0, T, jump_times, jump_vals, rhs_adj, integrand, dt,
         """lambda(s-): post-jump values, zero strictly beyond T."""
         s = _snap(s)
         if s > T or not len(store):
-            return np.zeros(dim)
+            return np.zeros(shape)
         return store.eval(s)
 
     def look_above(s):
         """lambda(s+): pre-jump values, zero at and beyond T."""
         s = _snap(s)
         if s >= T:
-            return np.zeros(dim)
+            return np.zeros(shape)
         v = store.eval(s)
         if s in jump_map:
-            v = v.copy()
-            v[:u_dim] += jump_map[s]
+            v[..., :u_dim] += jump_map[s]
         return v
 
     # segment boundaries: jump times plus the advanced-crossing stops
@@ -446,8 +500,7 @@ def _backward_sweep(dim, t0, T, jump_times, jump_vals, rhs_adj, integrand, dt,
 
     t_hi = knots[-1]
     if t_hi in jump_map:
-        a = a.copy()
-        a[:u_dim] -= jump_map[t_hi]
+        a[..., :u_dim] -= jump_map[t_hi]
     for seg_lo in reversed(knots[:-1]):
         span = t_hi - seg_lo
         n = max(int(np.ceil(span / h_max - 1e-12)), 1)
@@ -471,7 +524,7 @@ def _backward_sweep(dim, t0, T, jump_times, jump_vals, rhs_adj, integrand, dt,
         t_hi = seg_lo
         if t_hi in jump_map and t_hi > t0:
             a = a.copy()
-            a[:u_dim] -= jump_map[t_hi]
+            a[..., :u_dim] -= jump_map[t_hi]
     return store, total
 
 
@@ -496,9 +549,11 @@ def _memo(fn):
 class _StageTapes:
     """The tapes and reverse passes of one network over one adjoint sweep.
 
-    ``x_of(t)`` gives the network input at time t; within a sweep it depends
-    on t alone (forward state, delayed states, auxiliary field), so a tape is
-    built once per exact float stage time and shared by every RK4 stage,
+    ``x_of(t)`` gives the network input at clock time t, for every member of
+    the run at once, and ``offsets`` turn the clock into member times. Within
+    a sweep the input depends on t alone (forward state, delayed states,
+    auxiliary field), so one batched tape is built per exact float stage
+    time and shared by every RK4 stage,
     advanced term and trapezoid node that evaluates the network there. A
     reverse pass is kept per (time, cotangent bytes); a full pass also answers
     an input-only request with the same cotangent. Any miss computes fresh, so
@@ -507,8 +562,8 @@ class _StageTapes:
     tape of the stage time it equals on paper.
     """
 
-    def __init__(self, net: nn.Network, params: Vec, x_of: Callable):
-        self.net, self.params, self.x_of = net, params, x_of
+    def __init__(self, net: nn.Network, views: tuple, x_of: Callable, offsets):
+        self.net, self.views, self.x_of, self.offsets = net, views, x_of, offsets
         self._tapes: dict = {}
         self._passes: dict = {}
         self._times: list = []  # the tape times, ascending
@@ -516,7 +571,8 @@ class _StageTapes:
     def tape(self, t: float) -> nn.Tape:
         tp = self._tapes.get(t)
         if tp is None:
-            tp = self._tapes[t] = nn.tape(self.net, self.x_of(t), self.params, t)
+            tp = self._tapes[t] = nn.tape(self.net, self.x_of(t), self.views,
+                                          t + self.offsets)
             bisect.insort(self._times, t)
         return tp
 
@@ -531,8 +587,8 @@ class _StageTapes:
         return t
 
     def input_grad(self, t: float, w: Vec):
-        """d(w . net)/dx at time t (stacked like the sequence for a recurrent
-        network)."""
+        """d(w . net)/dx at time t, in the layout of the input (stacked like
+        the sequence for a recurrent network)."""
         key = (t, w.tobytes())
         done = self._passes.get(key)
         if done is None:
@@ -567,13 +623,21 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
     with the history term -mu^T(t0) * d_phi y(t0), evaluated with the same
     trapezoid rule the forward solve used for y(t0), as one reverse pass of
     the batched g-network tape that solve kept.
+
+    A batched run sweeps all its members in lockstep, with ``dataset``
+    holding their targets (times, B, u_dim); the gradient is the sum of the
+    members' gradients.
     """
     dt = _require_rk4(stepper)
-    theta, phi = sys.split_params(params)
+    theta, phi = sys.decode(params)
     c = sys.closure
     times, cots = _loss_jumps(run, dataset, loss_spec)
-    T, n = run.t1, run.u_dim
+    T, n, lead, offsets = run.t1, run.u_dim, run.lead, run.offsets
     u_at = _memo(run.u_at)
+
+    def flat(dx):
+        """A network input cotangent as flat states, one row per member."""
+        return dx.reshape(lead + (-1,))
 
     # the f-network's tapes, the cotangents of its current input slot
     # (state, auxiliary field or None) and the shifts the sweep reads ahead
@@ -583,64 +647,69 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
         windowed = tau2 > tau1
         shifts = sorted({tau1, tau2} - {0.0}) if windowed else ()
         f_tapes = _StageTapes(c.f_net, theta,
-                              lambda t: sys._f_input(u_at(t), run.y_at(t)))
-        g_tapes = _StageTapes(c.g_net, phi, u_at)
-        current = sys._split_f_input_grad
+                              lambda t: sys._f_input(u_at(t), run.y_at(t)), offsets)
+        g_tapes = _StageTapes(c.g_net, phi, lambda t: nn.fields(c.g_net, u_at(t)),
+                              offsets)
+
+        def current(dx):
+            return sys._split_f_input_grad(dx, lead)
     elif isinstance(c, Discrete):
         delays = shifts = c.delays
         K = len(delays)
 
         def seq_at(s):
             # oldest first: u(s - tau_K), ..., u(s - tau_1), u(s)
-            return nn.stack(c.net, [u_at(s - tau) for tau in reversed(delays)] + [u_at(s)])
+            seq = [u_at(s - tau) for tau in reversed(delays)] + [u_at(s)]
+            return nn.fields(c.net, np.stack(seq))
 
-        f_tapes = _StageTapes(c.net, theta, seq_at)
+        f_tapes = _StageTapes(c.net, theta, seq_at, offsets)
 
         def current(dxs):
-            return dxs[K], None
+            return flat(dxs[K]), None
     else:
         shifts = ()
-        f_tapes = _StageTapes(c.net, theta, u_at)
+        f_tapes = _StageTapes(c.net, theta, lambda t: nn.fields(c.net, u_at(t)),
+                              offsets)
 
         def current(dx):
-            return dx, None
+            return flat(dx), None
 
     def rhs_adj(t, a, look):
-        lam = a[:n]
+        lam = a[..., :n]
         fu, fy = current(f_tapes.input_grad(t, lam))
-        acc = sys.base_vjp(t, u_at(t), lam) + fu
+        acc = sys.base_vjp(t + offsets, u_at(t), lam) + fu
         for k, tau in enumerate(delays, start=1):
-            lam_adv = look(t + tau)[:n]
+            lam_adv = look(t + tau)[..., :n]
             if np.any(lam_adv):
-                acc = acc + f_tapes.input_grad(f_tapes.snap(t + tau), lam_adv)[K - k]
+                acc = acc + flat(f_tapes.input_grad(f_tapes.snap(t + tau), lam_adv)[K - k])
         dlam = -acc
         if windowed:
-            mu1 = a[n:] if tau1 == 0.0 else look(t + tau1)[n:]
+            mu1 = a[..., n:] if tau1 == 0.0 else look(t + tau1)[..., n:]
             if np.any(mu1):
-                dlam = dlam - g_tapes.input_grad(t, mu1)
-            mu2 = look(t + tau2)[n:]
+                dlam = dlam - flat(g_tapes.input_grad(t, mu1))
+            mu2 = look(t + tau2)[..., n:]
             if np.any(mu2):
-                dlam = dlam + g_tapes.input_grad(t, mu2)
-        return dlam if fy is None else np.concatenate([dlam, -fy])
+                dlam = dlam + flat(g_tapes.input_grad(t, mu2))
+        return dlam if fy is None else np.concatenate([dlam, -fy], axis=-1)
 
     def integrand(t, a):
-        dth = f_tapes.param_grad(t, a[:n])
+        dth = f_tapes.param_grad(t, a[..., :n])
         if g_tapes is None:
             return dth
-        mu = a[n:]
+        mu = a[..., n:]
         if windowed:
             dphi = g_tapes.param_grad(t - tau1, mu) - g_tapes.param_grad(t - tau2, mu)
         else:
             dphi = np.zeros(sys.n_phi)
         return np.concatenate([dth, dphi])
 
-    store, integral = _backward_sweep(n + run.aux_dim, run.t0, T, times, cots,
+    store, integral = _backward_sweep(lead + (n + run.aux_dim,), run.t0, T, times, cots,
                                       rhs_adj, integrand, dt, shifts)
     grad = -integral
 
     if windowed:
         # history term: -mu^T(t0) d_phi y(t0)
-        mu0 = store.eval(run.t0)[n:]
+        mu0 = store.eval(run.t0)[..., n:]
         if np.any(mu0):
             grad[sys.n_theta:] -= history_param_grad(sys, run, mu0)
     return AdjointRun(store, grad)
@@ -649,11 +718,13 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
 def history_param_grad(sys: AugmentedSystem, run: ForwardRun, mu0: Vec) -> Vec:
     """d_phi of mu0 . y(t0), with y(t0) = sum_i w_i g(h(s_i), s_i; phi) the
     forward's trapezoid rule: one reverse pass of its batched g tape, with
-    cotangent row w_i mu0 for node i."""
+    cotangent row w_i mu0_b for node i of member b."""
     if run.history_tape is None:
         raise ValueError("forward run kept no y(t0) tape for this closure")
     wts = trapezoid_weights(sys.history_nodes(run.t0))
-    return nn.backward(run.history_tape, wts[:, None] * mu0)[1]
+    mu0 = np.asarray(mu0, dtype=float)
+    w = wts.reshape((-1,) + (1,) * mu0.ndim) * mu0
+    return nn.backward(run.history_tape, w.reshape(-1, mu0.shape[-1]))[1]
 
 
 def adjoint_markovian(sys: AugmentedSystem, params: Vec, run: ForwardRun,
@@ -692,7 +763,7 @@ def run_loss(sys: AugmentedSystem, params: Vec, t_span, dataset, loss_spec,
              stepper: StepperSpec, history=None, u0=None):
     """Forward solve + total loss on the dataset times. Returns (loss, run)."""
     run = forward_augmented(sys, params, t_span, stepper, history=history, u0=u0)
-    preds = run.traj.eval_many(dataset.times)[:, :run.u_dim]
+    preds = run.traj.eval_many(dataset.times)[..., :run.u_dim]
     return float(loss_spec.total(preds, np.asarray(dataset.states, dtype=float))), run
 
 

@@ -474,15 +474,16 @@ class ColumnStudy(Study):
         return 4 if kind == "distributed" else self.batch
 
     def context_channels(self):
-        """Normalized depth and attenuated daylight channels for the nets."""
+        """Normalized depth and attenuated daylight channels for the nets:
+        (n_z, 2) at one time, (B, n_z, 2) at B member times."""
         z = self.cfg.z_centers
         zn = z / abs(self.cfg.depth_total)
         atten = np.exp(self.params.k_w * z)
         scale = self.forcing.i0_mean
 
-        def channels(t: float) -> np.ndarray:
-            light = self.forcing.surface_light(t) * atten / scale
-            return np.stack([zn, light], axis=1)
+        def channels(t) -> np.ndarray:
+            light = np.asarray(self.forcing.surface_light(t))[..., None] * atten / scale
+            return np.stack(np.broadcast_arrays(zn, light), axis=-1)
         return channels
 
     def networks(self, kind: str):

@@ -69,83 +69,126 @@ class DenseTrajectory:
 
     Each step keeps its bounds, end values and end slopes; storing the
     stepper's RHS evaluations as the slopes makes consecutive pieces join
-    with continuous value and first derivative. Knots may run forward or
-    backward in time (backward chains hold adjoint sweeps); the direction is
-    fixed by the first appended step. Queries at a stored knot return the
-    stored state exactly; at a knot shared by two steps the most recently
-    appended one wins, which lets backward adjoint stores return the
-    post-jump value at data times. A query past either end by less than
-    1e-9 relative reads that end: shifted times such as t + h - tau or
-    t + tau overshoot a committed end by an ulp in rounding.
+    with continuous value and first derivative. Values may have any shape
+    (one state (d,), or a batch (B, d) stepped in lockstep), fixed by the
+    first appended step. The knots, values and slopes live in growing
+    arrays; a step that starts from other values or slopes than the chain
+    ends with (an adjoint jump) adds a second knot at the same time. Knots
+    may run forward or backward in time (backward chains hold adjoint
+    sweeps); the direction is fixed by the first appended step. Queries at a
+    stored knot return the stored value exactly; at a knot shared by two
+    steps the most recently appended one wins, which lets backward adjoint
+    stores return the post-jump value at data times. A query past either end
+    by less than 1e-9 relative reads that end: shifted times such as
+    t + h - tau or t + tau overshoot a committed end by an ulp in rounding.
     """
 
     def __init__(self):
-        # per step in append order: (lo, hi, u(lo), u(hi), f(lo), f(hi)), lo < hi
-        self._pieces: list[tuple] = []
-        # step start times, negated on a backward chain: increasing in
+        self._n = 0                 # appended steps
+        # knot times, negated on a backward chain so that they increase in
         # append order either way
-        self._keys: list[float] = []
+        self._keys: list = []
+        self._t = self._u = self._f = None  # knots, values, slopes
+        self._last = (None, None)   # the last step's end value and slope
         self.ascending = True
 
+    @classmethod
+    def through(cls, t, u, f) -> "DenseTrajectory":
+        """The ascending chain through knots ``t`` (n+1,) with values ``u``
+        and slopes ``f`` (n+1, ...), built in one call."""
+        t = np.array(t, dtype=float)
+        if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0.0):
+            raise ValueError("need at least two strictly increasing knots")
+        traj = cls()
+        traj._u = np.array(u, dtype=float)
+        traj._f = np.array(f, dtype=float)
+        if traj._u.shape[0] != t.size or traj._f.shape != traj._u.shape:
+            raise ValueError("values and slopes need one row per knot")
+        traj._t, traj._keys, traj._n = t, t.tolist(), t.size - 1
+        return traj
+
     def __len__(self) -> int:
-        return len(self._pieces)
+        return self._n
 
     @property
     def t_start(self) -> float:
-        if not self._pieces:
+        if not self._n:
             raise ValueError("empty trajectory")
-        return self._pieces[0][0 if self.ascending else 1]
+        return float(self._t[0])
 
     @property
     def t_end(self) -> float:
-        if not self._pieces:
+        if not self._n:
             raise ValueError("empty trajectory")
-        return self._pieces[-1][1 if self.ascending else 0]
+        return float(self._t[len(self._keys) - 1])
 
     def append(self, t_from: float, t_to: float, u_from: Vec, u_to: Vec,
                f_from: Vec, f_to: Vec) -> None:
-        """Append the step [t_from -> t_to]; must extend the chain contiguously."""
+        """Append the step [t_from -> t_to]; must extend the chain contiguously.
+
+        Values are copied in. A step whose start value and slope are not the
+        previous step's end arrays themselves (the objects a stepper hands
+        on) starts a new knot at its start time, so a caller must not change
+        an appended array in place and then append it again."""
         if not abs(t_to - t_from) > 0.0:
             raise ValueError(f"zero-length or undefined step [{t_from}, {t_to}]")
         forward = t_to > t_from
-        if self._pieces:
+        if self._n:
             if forward != self.ascending:
                 raise ValueError("segment direction flips mid-trajectory")
             if t_from != self.t_end:
                 raise ValueError(
-                    f"non-contiguous append: chain ends at {self.t_end}, segment starts at {t_from}")
+                    f"non-contiguous append: chain ends at {self.t_end}, "
+                    f"segment starts at {t_from}")
+            if u_from is not self._last[0] or f_from is not self._last[1]:
+                self._put(t_from, u_from, f_from)
         else:
             self.ascending = forward
-        u_from, u_to, f_from, f_to = (np.asarray(v, float).copy()
-                                      for v in (u_from, u_to, f_from, f_to))
-        if forward:
-            self._pieces.append((t_from, t_to, u_from, u_to, f_from, f_to))
-        else:
-            self._pieces.append((t_to, t_from, u_to, u_from, f_to, f_from))
-        self._keys.append(t_from if forward else -t_from)
+            shape = np.shape(u_from)
+            self._t = np.empty(16)
+            self._u, self._f = np.empty((16,) + shape), np.empty((16,) + shape)
+            self._put(t_from, u_from, f_from)
+        self._put(t_to, u_to, f_to)
+        self._last = (u_to, f_to)
+        self._n += 1
 
-    def _locate(self, t: float) -> tuple[tuple, float]:
-        """The piece holding t, and t itself or the end it overshoots."""
-        pieces = self._pieces
-        if not pieces:
+    def _put(self, t, u, f):
+        m = len(self._keys)
+        if m == len(self._t):
+            self._t, self._u, self._f = (np.concatenate([a, np.empty_like(a)])
+                                         for a in (self._t, self._u, self._f))
+        if np.shape(u) != self._u.shape[1:] or np.shape(f) != self._u.shape[1:]:
+            raise ValueError(f"step values must have shape {self._u.shape[1:]}")
+        self._t[m], self._u[m], self._f[m] = t, u, f
+        self._keys.append(t if self.ascending else -t)
+
+    def _domain(self) -> tuple[float, float]:
+        if not self._n:
             raise ValueError("empty trajectory")
-        first, last = pieces[0], pieces[-1]
-        lo, hi = (first[0], last[1]) if self.ascending else (last[0], first[1])
+        a, b = self._t[0], self._t[len(self._keys) - 1]
+        return (a, b) if self.ascending else (b, a)
+
+    def eval(self, t: float) -> Vec:
+        t = float(t)
+        lo, hi = self._domain()
         if t < lo or t > hi:
-            end = lo if t < lo else hi
+            end = float(lo if t < lo else hi)
             if abs(t - end) >= 1e-9 * max(1.0, abs(t)):
                 raise ValueError(f"query t={t} outside stored domain [{lo}, {hi}]")
             t = end
-        # last appended step whose start is at or before t in chain order
-        i = bisect.bisect_right(self._keys, t if self.ascending else -t) - 1
-        return pieces[max(i, 0)], t
-
-    def eval(self, t: float) -> Vec:
-        (t0, t1, u0, u1, f0, f1), t = self._locate(float(t))
+        # the piece from knot i to i+1 with the last knot at or before t in
+        # chain order
+        keys = self._keys
+        if self.ascending:
+            i = max(bisect.bisect_right(keys, t, 0, len(keys) - 1) - 1, 0)
+            t0, t1, j0, j1 = keys[i], keys[i + 1], i, i + 1
+        else:
+            i = max(bisect.bisect_right(keys, -t, 0, len(keys) - 1) - 1, 0)
+            t0, t1, j0, j1 = -keys[i + 1], -keys[i], i + 1, i
         if t == t0:
-            return u0.copy()
+            return self._u[j0].copy()
         if t == t1:
-            return u1.copy()
+            return self._u[j1].copy()
         h = t1 - t0
         s = (t - t0) / h
         s2 = s * s
@@ -154,18 +197,55 @@ class DenseTrajectory:
         h10 = s3 - 2.0 * s2 + s
         h01 = -2.0 * s3 + 3.0 * s2
         h11 = s3 - s2
-        return h00 * u0 + (h10 * h) * f0 + h01 * u1 + (h11 * h) * f1
+        u, f = self._u, self._f
+        return h00 * u[j0] + (h10 * h) * f[j0] + h01 * u[j1] + (h11 * h) * f[j1]
 
     def eval_many(self, ts) -> np.ndarray:
-        """:meth:`eval` at each time in ``ts``, one row per time."""
-        return np.stack([self.eval(t) for t in ts])
+        """:meth:`eval` at each time in ``ts``, one row per time, in one
+        vectorised pass with the same per-row arithmetic."""
+        ts = np.array(ts, dtype=float).reshape(-1)
+        lo, hi = self._domain()
+        off = (ts < lo) | (ts > hi)
+        if np.any(off):
+            ends = np.where(ts < lo, lo, hi)
+            bad = off & (np.abs(ts - ends) >= 1e-9 * np.maximum(1.0, np.abs(ts)))
+            if np.any(bad):
+                raise ValueError(f"query t={ts[bad][0]} outside stored domain [{lo}, {hi}]")
+            ts = np.where(off, ends, ts)
+        m = len(self._keys)
+        if self.ascending:
+            i = np.maximum(np.searchsorted(self._t[:m - 1], ts, side="right") - 1, 0)
+            j0, j1 = i, i + 1
+        else:
+            i = np.maximum(np.searchsorted(-self._t[:m - 1], -ts, side="right") - 1, 0)
+            j0, j1 = i + 1, i
+        t0, t1 = self._t[j0], self._t[j1]
+        h = t1 - t0
+        s = (ts - t0) / h
+        s2 = s * s
+        s3 = s2 * s
+        col = (-1,) + (1,) * (self._u.ndim - 1)
+        h00 = (2.0 * s3 - 3.0 * s2 + 1.0).reshape(col)
+        h10 = ((s3 - 2.0 * s2 + s) * h).reshape(col)
+        h01 = (-2.0 * s3 + 3.0 * s2).reshape(col)
+        h11 = ((s3 - s2) * h).reshape(col)
+        # h00 u0 + h10 f0 + h01 u1 + h11 f1, summed in that order in place
+        u, f = self._u, self._f
+        out, term = u[j0], np.empty((ts.size,) + u.shape[1:])
+        out *= h00
+        for c, v, j in ((h10, f, j0), (h01, u, j1), (h11, f, j1)):
+            np.multiply(c, np.take(v, j, axis=0, out=term), out=term)
+            out += term
+        at_hi = ts == t1
+        out[at_hi] = u[j1[at_hi]]
+        at_lo = ts == t0
+        out[at_lo] = u[j0[at_lo]]
+        return out
 
     def knots(self) -> np.ndarray:
         """All step boundaries in append order (duplicates removed)."""
-        if not self._pieces:
-            return np.empty(0)
-        first, rest = (0, 1) if self.ascending else (1, 0)
-        return np.asarray([self._pieces[0][first]] + [p[rest] for p in self._pieces])
+        t = self._t[:len(self._keys)] if self._n else np.empty(0)
+        return t[np.r_[True, t[1:] != t[:-1]]] if t.size else t
 
 
 # ---------------------------------------------------------------------------

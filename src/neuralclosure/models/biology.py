@@ -5,8 +5,11 @@ componentwise sum of every right-hand side is identically zero; tests lean
 on that invariant. Rates follow Ivlev grazing and Michaelis-Menten style
 uptake limited by light through a smooth saturating growth curve.
 
-The right-hand sides and the NPZ VJP unpack the species along the first
-axis, so they take one state (species,) or many cells (species, n) at once.
+The right-hand sides and the NPZ VJP read the species along the last axis,
+so they take one state (species,) or many cells and batch members
+(..., species) at once, with a growth rate G that broadcasts against the
+leading axes. They work on the transposes (species first), where one
+unpacking and one array build are cheapest.
 
 State conventions:
 
@@ -64,21 +67,23 @@ def _ivlev(params: BioParams, P):
     return 1.0 - np.exp(-params.Lambda * P)
 
 
-def npz_rhs(t: float, u: Vec, params: BioParams, G: float) -> np.ndarray:
-    N, P, Z = u
+def npz_rhs(t, u: Vec, params: BioParams, G) -> np.ndarray:
+    N, P, Z = u.T
+    G = getattr(G, "T", G)
     uptake = G * P * N / (N + params.K_u)
     graze = params.R_m * Z * _ivlev(params, P)
     dN = -uptake + params.Xi * P + params.Gamma_z * Z + params.gamma_egest * graze
     dP = uptake - params.Xi * P - graze
     dZ = (1.0 - params.gamma_egest) * graze - params.Gamma_z * Z
-    return np.array([dN, dP, dZ])
+    return np.array([dN, dP, dZ]).T
 
 
-def npz_rhs_vjp(t: float, u: Vec, w: Vec, params: BioParams, G: float) -> np.ndarray:
+def npz_rhs_vjp(t, u: Vec, w: Vec, params: BioParams, G) -> np.ndarray:
     """w^T d(npz_rhs)/du from the analytic 3x3 Jacobian J[i, j] = dF_i/du_j,
-    written out term by term; like npz_rhs it takes (3, ...) arrays."""
-    N, P, Z = u
-    wN, wP, wZ = w
+    written out term by term; like npz_rhs it takes (..., 3) arrays."""
+    N, P, Z = u.T
+    wN, wP, wZ = w.T
+    G = getattr(G, "T", G)
     Ku = params.K_u
     dup_dN = G * P * Ku / (N + Ku) ** 2
     dup_dP = G * N / (N + Ku)
@@ -91,11 +96,12 @@ def npz_rhs_vjp(t: float, u: Vec, w: Vec, params: BioParams, G: float) -> np.nda
           + (dup_dP - params.Xi - dgr_dP) * wP + (1.0 - ge) * dgr_dP * wZ)
     vZ = ((params.Gamma_z + ge * dgr_dZ) * wN - dgr_dZ * wP
           + ((1.0 - ge) * dgr_dZ - params.Gamma_z) * wZ)
-    return np.array([vN, vP, vZ])
+    return np.array([vN, vP, vZ]).T
 
 
-def nnpzd_rhs(t: float, u: Vec, params: BioParams, G: float) -> np.ndarray:
-    NO3, NH4, P, Z, D = u
+def nnpzd_rhs(t, u: Vec, params: BioParams, G) -> np.ndarray:
+    NO3, NH4, P, Z, D = u.T
+    G = getattr(G, "T", G)
     Ku = params.K_u
     up_no3 = G * P * (NO3 / (NO3 + Ku)) * np.exp(-params.Psi * NH4)
     up_nh4 = G * P * (NH4 / (NH4 + Ku))
@@ -106,7 +112,7 @@ def nnpzd_rhs(t: float, u: Vec, params: BioParams, G: float) -> np.ndarray:
     dP = up_no3 + up_nh4 - params.Xi * P - graze
     dZ = (1.0 - ge) * graze - params.Gamma_z * Z
     dD = ge * graze + params.Xi * P - params.Phi_d * D
-    return np.array([dNO3, dNH4, dP, dZ, dD])
+    return np.array([dNO3, dNH4, dP, dZ, dD]).T
 
 
 def aggregate_nnpzd(u5) -> np.ndarray:

@@ -49,61 +49,59 @@ def initial_condition(x, re: float) -> np.ndarray:
 
 
 def _ghosted(u: Vec) -> np.ndarray:
-    """Pad with mirror-negative ghosts so the wall value is zero."""
-    return np.concatenate([[-u[0]], u, [-u[-1]]])
+    """Pad the last axis with mirror-negative ghosts so the wall value is zero."""
+    return np.concatenate([-u[..., :1], u, -u[..., -1:]], axis=-1)
 
 
 def d1_central(u: Vec, dx: float) -> np.ndarray:
     g = _ghosted(u)
-    return (g[2:] - g[:-2]) / (2.0 * dx)
+    return (g[..., 2:] - g[..., :-2]) / (2.0 * dx)
 
 
 def d2_central(u: Vec, dx: float) -> np.ndarray:
     g = _ghosted(u)
-    return (g[2:] - 2.0 * g[1:-1] + g[:-2]) / (dx * dx)
+    return (g[..., 2:] - 2.0 * g[..., 1:-1] + g[..., :-2]) / (dx * dx)
 
 
-def rhs(t: float, u: Vec, nu: float, dx: float) -> np.ndarray:
-    """du/dt = -u u_x (upwind) + nu u_xx (central)."""
+def rhs(t, u: Vec, nu: float, dx: float) -> np.ndarray:
+    """du/dt = -u u_x (upwind) + nu u_xx (central), on the last axis of u;
+    leading axes are a batch of fields."""
     g = _ghosted(u)
-    back = (g[1:-1] - g[:-2]) / dx
-    fwd = (g[2:] - g[1:-1]) / dx
+    back = (g[..., 1:-1] - g[..., :-2]) / dx
+    fwd = (g[..., 2:] - g[..., 1:-1]) / dx
     ux = np.where(u >= 0.0, back, fwd)
     return -u * ux + nu * d2_central(u, dx)
 
 
-def rhs_vjp(t: float, u: Vec, w: Vec, nu: float, dx: float) -> np.ndarray:
+def rhs_vjp(t, u: Vec, w: Vec, nu: float, dx: float) -> np.ndarray:
     """w^T d(rhs)/du, using the almost-everywhere derivative of the upwind
     switch (the u_i = 0 tie takes the backward branch, matching rhs)."""
-    n = u.size
     g = _ghosted(u)
-    back = (g[1:-1] - g[:-2]) / dx
-    fwd = (g[2:] - g[1:-1]) / dx
+    back = (g[..., 1:-1] - g[..., :-2]) / dx
+    fwd = (g[..., 2:] - g[..., 1:-1]) / dx
     pos = u >= 0.0
-    out = np.zeros(n)
+    out = np.zeros(np.shape(u))
 
     # advection: row i couples to u_i and one neighbor
     diag = np.where(pos, -(back + u / dx), -(fwd - u / dx))
     out += w * diag
     # left neighbor from backward branch: d/d u_(i-1) = u_i / dx
     left = np.where(pos, u / dx, 0.0)
-    out[:-1] += w[1:] * left[1:]
+    out[..., :-1] += w[..., 1:] * left[..., 1:]
     # right neighbor from forward branch: d/d u_(i+1) = -u_i / dx
     right = np.where(pos, 0.0, -u / dx)
-    out[1:] += w[:-1] * right[:-1]
+    out[..., 1:] += w[..., :-1] * right[..., :-1]
     # ghost mirror: the edge rows see their own value through the ghost cell
-    if pos[0]:
-        out[0] += w[0] * (u[0] / dx) * (-1.0)
-    if not pos[-1]:
-        out[-1] += w[-1] * (-u[-1] / dx) * (-1.0)
+    out[..., 0] += np.where(pos[..., 0], w[..., 0] * (u[..., 0] / dx) * (-1.0), 0.0)
+    out[..., -1] += np.where(pos[..., -1], 0.0, w[..., -1] * (-u[..., -1] / dx) * (-1.0))
 
     # diffusion: symmetric tridiagonal with mirror-negative edges
     c = nu / (dx * dx)
     out += c * (-2.0 * w)
-    out[:-1] += c * w[1:]
-    out[1:] += c * w[:-1]
-    out[0] -= c * w[0]
-    out[-1] -= c * w[-1]
+    out[..., :-1] += c * w[..., 1:]
+    out[..., 1:] += c * w[..., :-1]
+    out[..., 0] -= c * w[..., 0]
+    out[..., -1] -= c * w[..., -1]
     return out
 
 

@@ -12,7 +12,9 @@ seasonally. Surface light also follows a seasonal cycle.
 
 Flat state layout is depth-major: (n_z, n_species) raveled C-order, matching
 both the (points, channels) convention of the convolutional closures and the
-CSV column order used by the command line tools.
+CSV column order used by the command line tools. The right-hand side and its
+VJP also take a batch of columns (B, n_z * n_species) with one time per
+member, (B,).
 """
 
 from __future__ import annotations
@@ -96,12 +98,19 @@ def kz_profile(cfg: ColumnConfig, z, M: float) -> np.ndarray:
 
 
 def diffusion_term(fields: np.ndarray, k_faces: np.ndarray, dz: float) -> np.ndarray:
-    """Conservative zero-flux diffusion of (n_z, n_species) cell fields."""
-    flux = k_faces[:, None] * (fields[1:] - fields[:-1]) / dz
+    """Conservative zero-flux diffusion of (..., n_z, n_species) cell fields
+    with face diffusivities (..., n_z - 1)."""
+    flux = k_faces[..., None] * (fields[..., 1:, :] - fields[..., :-1, :]) / dz
     out = np.zeros_like(fields)
-    out[:-1] += flux / dz
-    out[1:] -= flux / dz
+    out[..., :-1, :] += flux / dz
+    out[..., 1:, :] -= flux / dz
     return out
+
+
+def _per_member(x):
+    """A forcing value at one time as it is, or at B times as (B, 1), to
+    broadcast against a member's depth profile."""
+    return x[:, None] if np.ndim(x) else x
 
 
 @dataclass(frozen=True)
@@ -128,36 +137,36 @@ class ColumnModel:
 
     def _shape(self, u: Vec) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        return u.reshape(self.cfg.n_z, self.n_species)
+        return u.reshape(u.shape[:-1] + (self.cfg.n_z, self.n_species))
 
-    def growth_profile(self, t: float) -> np.ndarray:
-        I0 = self.forcing.surface_light(t)
+    def growth_profile(self, t) -> np.ndarray:
+        """Growth rate per depth cell, (n_z,), or (B, n_z) for B times."""
+        I0 = _per_member(self.forcing.surface_light(t))
         return growth_G(self.params, self.cfg.z_centers, surface_light=I0)
 
-    def rhs(self, t: float, u: Vec) -> np.ndarray:
+    def _k_faces(self, t) -> np.ndarray:
+        M = _per_member(self.forcing.thermocline(t))
+        return kz_profile(self.cfg, self.cfg.z_faces, M)
+
+    def rhs(self, t, u: Vec) -> np.ndarray:
         fields = self._shape(u)
-        M = self.forcing.thermocline(t)
-        k_faces = kz_profile(self.cfg, self.cfg.z_faces, M)
-        out = diffusion_term(fields, k_faces, self.cfg.dz)
+        out = diffusion_term(fields, self._k_faces(t), self.cfg.dz)
         if self.bio_on:
             react = npz_rhs if self.kind == "npz" else nnpzd_rhs
-            out += react(t, fields.T, self.params, self.growth_profile(t)).T
-        return out.ravel()
+            out += react(t, fields, self.params, self.growth_profile(t))
+        return out.reshape(np.shape(u))
 
-    def rhs_vjp(self, t: float, u: Vec, w: Vec) -> np.ndarray:
+    def rhs_vjp(self, t, u: Vec, w: Vec) -> np.ndarray:
         """Diffusion is symmetric, so its transpose is itself; the reaction
         part transposes cell by cell, all depths in one call."""
         if self.kind != "npz":
             raise NotImplementedError("analytic VJP only for the npz column")
         fields = self._shape(u)
         wf = self._shape(w)
-        M = self.forcing.thermocline(t)
-        k_faces = kz_profile(self.cfg, self.cfg.z_faces, M)
-        out = diffusion_term(wf, k_faces, self.cfg.dz)
+        out = diffusion_term(wf, self._k_faces(t), self.cfg.dz)
         if self.bio_on:
-            out += npz_rhs_vjp(t, fields.T, wf.T, self.params,
-                               self.growth_profile(t)).T
-        return out.ravel()
+            out += npz_rhs_vjp(t, fields, wf, self.params, self.growth_profile(t))
+        return out.reshape(np.shape(u))
 
     def initial_state(self) -> np.ndarray:
         totals = self.cfg.total_biomass()
@@ -166,7 +175,7 @@ class ColumnModel:
 
     def species_totals(self, u: Vec) -> np.ndarray:
         """Depth-integrated amount of each species (cell sums times dz)."""
-        return self._shape(u).sum(axis=0) * self.cfg.dz
+        return self._shape(u).sum(axis=-2) * self.cfg.dz
 
 
 def aggregate_column_state(u5_flat: Vec, n_z: int) -> np.ndarray:

@@ -87,15 +87,16 @@ class GalerkinRom:
     def n_modes(self) -> int:
         return self.b.size
 
-    def rhs(self, t: float, a: Vec) -> np.ndarray:
+    def rhs(self, t, a: Vec) -> np.ndarray:
+        """da/dt; leading axes of ``a`` are a batch of coefficient vectors."""
         a = np.asarray(a, dtype=float)
-        return self.b + self.A @ a + np.einsum("kij,i,j->k", self.N, a, a)
+        return self.b + a @ self.A.T + np.einsum("kij,...i,...j->...k", self.N, a, a)
 
-    def rhs_vjp(self, t: float, a: Vec, w: Vec) -> np.ndarray:
+    def rhs_vjp(self, t, a: Vec, w: Vec) -> np.ndarray:
         a = np.asarray(a, dtype=float)
-        jac = self.A + np.einsum("kij,i->kj", self.N, a) \
-                     + np.einsum("kij,j->ki", self.N, a)
-        return jac.T @ np.asarray(w, dtype=float)
+        jac = self.A + np.einsum("kij,...i->...kj", self.N, a) \
+                     + np.einsum("kij,...j->...ki", self.N, a)
+        return (np.asarray(w, dtype=float)[..., None, :] @ jac)[..., 0, :]
 
 
 def galerkin_rom(basis: PodBasis, nu: float, dx: float) -> GalerkinRom:

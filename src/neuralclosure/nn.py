@@ -15,25 +15,29 @@ architectures need and nothing else:
 
 Parameters live in one flat float64 vector: layer by layer, each layer's
 parameters in order, each row-major. :meth:`Network.unpack` decodes it into
-per-layer views once per forward pass, and the tape keeps those views for
-its reverse passes. Every layer provides forward and reverse (input and
-parameter) passes.
+per-layer views; a forward pass takes either the flat vector (and decodes it
+once) or views decoded earlier, so a caller running many passes on one
+vector decodes it once. The tape keeps the views for its reverse passes.
+Every layer provides forward and reverse (input and parameter) passes.
 
 Every input is one array, with one layout per network kind:
 
 * a feed-forward network takes one input, or a stack of inputs along a
-  leading batch axis ((B, dim) dense, (B, n, channels) grid) that
-  ``Dense``, ``Conv1d``, ``Conv1dTranspose`` and ``BioConstrain`` run in
-  their one forward and backward code; a reverse pass sums the parameter
-  gradients over the batch and also takes one flat output cotangent row per
-  sample. ``AddExtraChannels`` (whose context channels depend on one time)
-  takes no batch axis;
+  leading batch axis ((B, dim) dense, (B, n, channels) grid);
 * a recurrent network takes its sequence, oldest first, along the leading
-  axis. :func:`stack` builds it, and a list of the elements is taken as the
-  same array.
+  axis, optionally followed by a batch axis ((L, B, ...)); a list of the
+  elements is taken as the same array.
 
-A grid network takes each field flat (point-major, reshaped by its
-``input_spec``) or shaped (points, channels). Its output, and every input
+:func:`fields` puts flat states with any leading axes into that layout.
+
+Every layer runs a batch in its one forward and backward code. A reverse pass
+sums the parameter gradients over the batch and also takes one flat output
+cotangent row per sample. The time ``t`` of a pass is one time, or one per
+batch member (B,); only ``AddExtraChannels`` reads it.
+
+A grid network takes the fields of an unbatched input flat (point-major,
+reshaped by its ``input_spec``) or shaped (points, channels), and those of a
+batched one shaped (:func:`fields`). Its output, and every input
 cotangent of a reverse pass, come back in the layout the input was given in;
 output cotangents may be flat or field-shaped.
 
@@ -119,22 +123,33 @@ def _conv_same(x, K, b):
 def _conv_same_vjp(xpad, K, w, grads=True):
     """Reverse pass of _conv_same; returns (dx, dK, db), with dK and db None
     when ``grads`` is false. Weight gradients sum over the batch axes."""
-    k, ci, co = K.shape
-    w2 = w.reshape(-1, co)
+    k = K.shape[0]
     if k == 1:
         dx = w @ K[0].T
-        dK = (xpad.reshape(-1, ci).T @ w2)[None] if grads else None
     else:
         n = w.shape[-2]
         pl = (k - 1) // 2
         dxpad = np.zeros_like(xpad)
-        dK = np.empty_like(K) if grads else None
         for d in range(k):
-            if grads:
-                dK[d] = xpad[..., d:d + n, :].reshape(-1, ci).T @ w2
             dxpad[..., d:d + n, :] += w @ K[d].T
         dx = dxpad[..., pl:pl + n, :]
-    return dx, dK, w2.sum(axis=0) if grads else None
+    if not grads:
+        return dx, None, None
+    return (dx, *_conv_same_grads(xpad, w, k))
+
+
+def _conv_same_grads(xpad, w, k):
+    """The (dK, db) of _conv_same_vjp, summed over the batch axes."""
+    ci, co = xpad.shape[-1], w.shape[-1]
+    w2 = w.reshape(-1, co)
+    if k == 1:
+        dK = (xpad.reshape(-1, ci).T @ w2)[None]
+    else:
+        n = w.shape[-2]
+        dK = np.empty((k, ci, co))
+        for d in range(k):
+            dK[d] = xpad[..., d:d + n, :].reshape(-1, ci).T @ w2
+    return dK, w2.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +163,9 @@ def _conv_same_vjp(xpad, K, w, grads=True):
 # ``grads`` false the second entry is None and no weight-gradient work is
 # done. The input cotangent is computed by the same operations either way.
 # Recurrent cells take the whole sequence as x, one array with the sequence
-# on the leading axis, and return dx stacked the same way.
+# on the leading axis (then any batch axis), and return dx stacked the same
+# way. Their input half runs in one call over the sequence and batch, and only
+# the recurrent half steps through the sequence.
 
 
 @dataclass(frozen=True)
@@ -222,10 +239,11 @@ class SimpleRnnCell:
 
     def forward(self, p, xs, t):
         Wx, Wh, b = p
-        h = np.zeros(self.units)
+        zx = xs @ Wx.T
+        h = np.zeros(zx.shape[1:])
         zs, ss, hs = [], [], [h]
-        for x in xs:
-            z = Wx @ x + Wh @ h + b
+        for zx_i in zx:
+            z = zx_i + h @ Wh.T + b
             h, s = _act(self.act, z)
             zs.append(z)
             ss.append(s)
@@ -235,21 +253,17 @@ class SimpleRnnCell:
     def backward(self, p, cache, w, grads=True):
         Wx, Wh, _ = p
         xs, zs, ss, hs = cache
-        if grads:
-            dWx = np.zeros_like(Wx)
-            dWh = np.zeros_like(Wh)
-            db = np.zeros(self.units)
-        dxs = np.empty_like(xs)
+        dzs = np.empty((len(zs),) + w.shape)
         dh = w
-        for i in range(len(xs) - 1, -1, -1):
-            dz = dh * _act_deriv(self.act, zs[i], ss[i])
-            if grads:
-                dWx += np.outer(dz, xs[i])
-                dWh += np.outer(dz, hs[i])
-                db += dz
-            dxs[i] = Wx.T @ dz
-            dh = Wh.T @ dz
-        return dxs, (dWx, dWh, db) if grads else None
+        for i in range(len(zs) - 1, -1, -1):
+            dzs[i] = dz = dh * _act_deriv(self.act, zs[i], ss[i])
+            dh = dz @ Wh
+        dxs = dzs @ Wx
+        if not grads:
+            return dxs, None
+        dz2 = dzs.reshape(-1, self.units)
+        return dxs, (dz2.T @ xs.reshape(-1, self.n_in),
+                     dz2.T @ np.stack(hs[:-1]).reshape(-1, self.units), dz2.sum(axis=0))
 
     def describe(self):
         return f"SimpleRnnCell({self.n_in}->{self.units},{self.act})"
@@ -289,40 +303,34 @@ class SimpleRnnConvCell:
 
     def forward(self, p, xs, t):
         Kx, Kh, b, Ko, bo = p
-        h = np.zeros((xs.shape[1], self.units))
-        zs, ss, xpads, hpads = [], [], [], []
-        for x in xs:
-            zx, xpad = _conv_same(x, Kx, np.zeros(self.units))
+        zx, xpad = _conv_same(xs, Kx, 0.0)
+        h = np.zeros(zx.shape[1:])
+        zs, ss, hpads = [], [], []
+        for zx_i in zx:
             zh, hpad = _conv_same(h, Kh, b)
-            z = zx + zh
+            z = zx_i + zh
             h, s = _act(self.act, z)
             zs.append(z)
             ss.append(s)
-            xpads.append(xpad)
             hpads.append(hpad)
         zo, opad = _conv_same(h, Ko, bo)
         out, so = _act(self.act, zo)
-        return out, (zs, ss, xpads, hpads, zo, so, opad)
+        return out, (xpad, zs, ss, hpads, zo, so, opad)
 
     def backward(self, p, cache, w, grads=True):
         Kx, Kh, b, Ko, bo = p
-        zs, ss, xpads, hpads, zo, so, opad = cache
+        xpad, zs, ss, hpads, zo, so, opad = cache
         dzo = w * _act_deriv(self.act, zo, so)
         dh, dKo, dbo = _conv_same_vjp(opad, Ko, dzo, grads)
-        if grads:
-            dKx = np.zeros_like(Kx)
-            dKh = np.zeros_like(Kh)
-            db = np.zeros(self.units)
-        dxs = [None] * len(zs)
+        dzs = np.empty((len(zs),) + dh.shape)
         for i in range(len(zs) - 1, -1, -1):
-            dz = dh * _act_deriv(self.act, zs[i], ss[i])
-            dxs[i], dKx_i, _ = _conv_same_vjp(xpads[i], Kx, dz, grads)
-            dh, dKh_i, db_i = _conv_same_vjp(hpads[i], Kh, dz, grads)
-            if grads:
-                dKx += dKx_i
-                dKh += dKh_i
-                db += db_i
-        return np.stack(dxs), (dKx, dKh, db, dKo, dbo) if grads else None
+            dzs[i] = dz = dh * _act_deriv(self.act, zs[i], ss[i])
+            dh = _conv_same_vjp(hpads[i], Kh, dz, False)[0]
+        dxs, dKx, _ = _conv_same_vjp(xpad, Kx, dzs, grads)
+        if not grads:
+            return dxs, None
+        dKh, db = _conv_same_grads(np.stack(hpads), dzs, self.kernel)
+        return dxs, (dKx, dKh, db, dKo, dbo)
 
     def describe(self):
         return (f"SimpleRnnConvCell({self.in_ch}ch->{self.units}ch,"
@@ -397,10 +405,11 @@ class AddExtraChannels:
     """Append non-trainable context channels (depth grid, irradiance I(z, t)).
 
     ``channels_fn(t)`` must return an (n, n_extra) array matching the field
-    length; it is supplied by the experiment wiring, so the layer itself stays
-    agnostic of the physical model. No trainable parameters. ``in_ch`` is only
-    needed when the layer opens a network (the input width cannot be inferred
-    from a parameter-free layer).
+    length for one time, and (B, n, n_extra) for a (B,) array of times, one
+    per batch member. It is supplied by the experiment wiring, so the layer
+    itself stays agnostic of the physical model. No trainable parameters.
+    ``in_ch`` is only needed when the layer opens a network (the input width
+    cannot be inferred from a parameter-free layer).
     """
 
     n_extra: int
@@ -426,18 +435,14 @@ class AddExtraChannels:
     def forward(self, p, x, t):
         if t is None:
             raise ValueError("AddExtraChannels needs the evaluation time t")
-        if x.ndim != 2:
-            raise ValueError("AddExtraChannels takes one (n, channels) field, "
-                             "not a batch")
         extra = np.asarray(self.channels_fn(t), dtype=float)
-        if extra.ndim != 2 or extra.shape != (x.shape[0], self.n_extra):
-            raise ValueError(
-                f"channels_fn returned shape {extra.shape}, "
-                f"expected ({x.shape[0]}, {self.n_extra})")
-        return np.concatenate([x, extra], axis=1), x.shape[1]
+        if extra.shape != x.shape[:-1] + (self.n_extra,):
+            raise ValueError(f"channels_fn returned shape {extra.shape}, expected "
+                             f"{x.shape[:-1] + (self.n_extra,)}: one time per member")
+        return np.concatenate([x, extra], axis=-1), x.shape[-1]
 
     def backward(self, p, cache, w, grads=True):
-        return w[:, :cache], () if grads else None
+        return w[..., :cache], () if grads else None
 
     def describe(self):
         return f"AddExtraChannels(+{self.n_extra},{self.label})"
@@ -552,34 +557,39 @@ class Network:
 
     def _check_input(self, x):
         """x as the first layer takes it, and the shape it was given in. A
-        recurrent network takes its sequence along a leading axis, and a
-        feed-forward network an optional leading batch axis; a grid network
-        also takes each field flat."""
+        recurrent network takes its sequence along a leading axis, and then
+        an optional batch axis; a feed-forward network an optional leading
+        batch axis. A grid network also takes each field of an unbatched
+        input flat."""
         kind, dim = self.input_spec
         x = np.asarray(x, dtype=float)
         shape = x.shape
         if kind == "grid" and x.ndim == 1 + self.recurrent and shape[-1] % dim == 0:
             x = x.reshape(shape[:-1] + (-1, dim))
-        field_ndim = 1 if kind == "dense" else 2
-        ndims = (field_ndim + 1,) if self.recurrent else (field_ndim, field_ndim + 1)
-        if x.ndim not in ndims or x.shape[-1] != dim:
+        if x.ndim not in self._ndims() or x.shape[-1] != dim:
             want = f"({dim},)" if kind == "dense" else f"(n, {dim}) or flat"
             want = (f"a sequence of {want} along a leading axis" if self.recurrent
-                    else f"{want}, with an optional batch axis")
-            raise ValueError(f"input shape {shape}, expected {want}")
+                    else want)
+            raise ValueError(f"input shape {shape}, expected {want}, "
+                             f"with an optional batch axis")
         if self.recurrent and not len(x):
             raise ValueError("rnn_forward needs a non-empty sequence")
         return x, shape
 
+    def _ndims(self) -> tuple[int, int]:
+        """The ndim of an unbatched and of a batched input."""
+        n = (1 if self.input_spec[0] == "dense" else 2) + self.recurrent
+        return n, n + 1
+
     def _batched(self, x_shape) -> bool:
-        """Whether a feed-forward input of this shape carries a batch axis."""
-        kind = self.input_spec[0]
-        return not self.recurrent and len(x_shape) == (2 if kind == "dense" else 3)
+        """Whether an input of this shape carries a batch axis."""
+        return len(x_shape) == self._ndims()[1]
 
 
 def _run_tape(net: Network, x, params, t):
-    """The forward pass: the Tape fields after ``net``."""
-    views = net.unpack(params)
+    """The forward pass: the Tape fields after ``net``. ``params`` is the
+    flat vector or its :meth:`Network.unpack` views."""
+    views = params if isinstance(params, tuple) else net.unpack(params)
     x, x_shape = net._check_input(x)
     flat = x.ndim != len(x_shape)  # a grid input given flat comes back flat
     caches = []
@@ -618,26 +628,27 @@ def _backward(tp: Tape, w, want_grads: bool):
 # ---------------------------------------------------------------------------
 
 
-def stack(net: Network, xs) -> np.ndarray:
-    """Inputs stacked along a leading axis in the layout the network takes: a
-    recurrent network's sequence (oldest first) with each element as given,
-    or a feed-forward network's batch, with grid fields shaped (n, channels)."""
-    kind, dim = net.input_spec
-    X = np.stack([np.asarray(x, dtype=float) for x in xs])
-    return X if net.recurrent or kind == "dense" else X.reshape(len(X), -1, dim)
+def fields(net: Network, x) -> np.ndarray:
+    """Flat inputs (..., dim) in the layout ``net`` takes, whatever the
+    leading (sequence and batch) axes: as they are for a dense network, as
+    (..., points, channels) fields for a grid network."""
+    kind, ch = net.input_spec
+    x = np.asarray(x, dtype=float)
+    return x if kind == "dense" else x.reshape(x.shape[:-1] + (-1, ch))
 
 
-def forward(net: Network, x, params: Vec, t: float | None = None):
+def forward(net: Network, x, params: Vec, t=None):
     """Evaluate a feed-forward network on one input, or on a stack of them
-    along a leading batch axis."""
+    along a leading batch axis. ``params`` is the flat vector or its
+    :meth:`Network.unpack` views; ``t`` is one time or one per member."""
     if net.recurrent:
         raise ValueError("recurrent network: use rnn_forward with a sequence")
     return _run_tape(net, x, params, t)[1]
 
 
-def rnn_forward(net: Network, xs, params: Vec, t: float | None = None):
+def rnn_forward(net: Network, xs, params: Vec, t=None):
     """Evaluate a recurrent network on a sequence ordered oldest -> newest,
-    stacked along the leading axis (see :func:`stack`)."""
+    stacked along the leading axis (then an optional batch axis)."""
     if not net.recurrent:
         raise ValueError("rnn_forward requires a network with a recurrent cell")
     return _run_tape(net, xs, params, t)[1]
@@ -657,7 +668,7 @@ class Tape:
     y_shape: tuple
 
 
-def tape(net: Network, x, params: Vec, t: float | None = None) -> Tape:
+def tape(net: Network, x, params: Vec, t=None) -> Tape:
     """Run the forward pass and keep it for :func:`backward`.
 
     For recurrent networks ``x`` is the input sequence, oldest first.
@@ -680,7 +691,7 @@ def backward_input(tp: Tape, w):
     return _backward(tp, w, False)[0]
 
 
-def vjp(net: Network, x, params: Vec, w, t: float | None = None):
+def vjp(net: Network, x, params: Vec, w, t=None):
     """Reverse pass of w . forward(net, x, params): (d/dx, d/dparams)."""
     return backward(tape(net, x, params, t), w)
 

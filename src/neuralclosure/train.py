@@ -3,9 +3,12 @@
 Training data is a uniformly sampled trajectory of the reference model. Each
 iteration draws a batch of short windows (six data steps), solves the
 augmented system over every window from the reference state at the window
-start, and supervises the three states two, four and six steps in. Gradients
-come from the adjoint sweeps in :mod:`neuralclosure.closure` and drive an
-RMSprop update with exponentially decaying learning rate.
+start, and supervises the three states two, four and six steps in. The
+windows of a batch share their length, step grid and supervision times, so
+they run in lockstep: one forward solve and one adjoint sweep over the whole
+batch. Gradients come from the adjoint sweeps in
+:mod:`neuralclosure.closure` and drive an RMSprop update with exponentially
+decaying learning rate.
 
 Validation is a genuine rollout: the model is integrated across the held-out
 span from the reference state at its start and compared against the held-out
@@ -35,15 +38,17 @@ from .linalg import Vec
 
 
 class SnapshotDataset:
-    """Uniformly spaced snapshots of a trajectory: times (N,), states (N, d)."""
+    """Uniformly spaced snapshots of a trajectory: times (N,), states (N, d).
+
+    The states of a batch of windows carry a member axis, (N, B, d)."""
 
     def __init__(self, times, states):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
         if self.times.ndim != 1 or self.times.size < 2:
             raise ValueError("need at least two snapshot times")
-        if self.states.shape[0] != self.times.size or self.states.ndim != 2:
-            raise ValueError("states must be (n_times, state_dim)")
+        if self.states.shape[0] != self.times.size or self.states.ndim < 2:
+            raise ValueError("states must be (n_times, ..., state_dim)")
         steps = np.diff(self.times)
         dt = steps[0]
         if dt <= 0.0 or np.any(np.abs(steps - dt) > 1e-12 * max(1.0, abs(dt))):
@@ -56,7 +61,7 @@ class SnapshotDataset:
 
     @property
     def state_dim(self) -> int:
-        return self.states.shape[1]
+        return self.states.shape[-1]
 
     @property
     def t_start(self) -> float:
@@ -84,16 +89,20 @@ class SnapshotDataset:
         f[1:-1] = (u[2:] - u[:-2]) / (2.0 * self.dt)
         f[0] = (u[1] - u[0]) / self.dt
         f[-1] = (u[-1] - u[-2]) / self.dt
-        traj = DenseTrajectory()
-        for i in range(t.size - 1):
-            traj.append(t[i], t[i + 1], u[i], u[i + 1], f[i], f[i + 1])
-        return traj
+        return DenseTrajectory.through(t, u, f)
 
     def history_fn(self) -> Callable[[float], Vec]:
-        """Interpolant clamped to the covered span (history for early windows)."""
+        """Interpolant clamped to the covered span (history for early
+        windows). It takes one time, or a (B,) array of member times and
+        returns one row per time."""
         traj = self.interpolant()
         lo, hi = self.t_start, self.t_end
-        return lambda s: traj.eval(min(max(s, lo), hi))
+
+        def history(s):
+            if np.ndim(s):
+                return traj.eval_many(np.clip(s, lo, hi))
+            return traj.eval(min(max(s, lo), hi))
+        return history
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +114,8 @@ class SnapshotDataset:
 class LossSpec:
     """Data-time loss averaged over the supervised states of a window.
 
+    Predictions and targets are (times, d), or (times, B, d) for a batch of
+    windows, whose total is the sum of the windows' losses.
     ``time_avg_l2`` is the mean Euclidean norm of the state residuals;
     ``depth_avg_l2`` divides each norm by sqrt(n_depth) so columns report a
     per-depth-cell magnitude. ``positivity_weight`` adds
@@ -128,21 +139,21 @@ class LossSpec:
     def total(self, preds, targets) -> float:
         preds = np.asarray(preds, dtype=float)
         targets = np.asarray(targets, dtype=float)
-        norms = np.linalg.norm(preds - targets, axis=1) / self._scale()
-        out = float(np.mean(norms))
+        norms = np.linalg.norm(preds - targets, axis=-1) / self._scale()
+        out = np.mean(norms, axis=0)
         if self.positivity_weight != 0.0:
             neg = np.minimum(preds, 0.0)
-            out += self.positivity_weight * float(np.mean(np.sum(neg * neg, axis=1)))
-        return out
+            out = out + self.positivity_weight * np.mean(np.sum(neg * neg, axis=-1), axis=0)
+        return float(np.sum(out))
 
     def cotangents(self, preds, targets):
         preds = np.asarray(preds, dtype=float)
         targets = np.asarray(targets, dtype=float)
         r = preds - targets
-        norms = np.linalg.norm(r, axis=1)
+        norms = np.linalg.norm(r, axis=-1)
         m = preds.shape[0]
         safe = np.where(norms > 0.0, norms, 1.0)
-        cot = r / (m * self._scale() * safe[:, None])
+        cot = r / (m * self._scale() * safe[..., None])
         cot[norms == 0.0] = 0.0
         if self.positivity_weight != 0.0:
             cot = cot + self.positivity_weight * 2.0 * np.minimum(preds, 0.0) / m
@@ -235,7 +246,7 @@ def evaluate_rollout(sys: AugmentedSystem, params: Vec, dataset: SnapshotDataset
     """
     run = forward_augmented(sys, params, (dataset.t_start, dataset.t_end),
                             stepper, history=history, u0=dataset.states[0])
-    preds = run.traj.eval_many(dataset.times)[:, :run.u_dim]
+    preds = run.traj.eval_many(dataset.times)[..., :run.u_dim]
     return preds, rmse_series(preds, dataset.states), avg_crosscorr(preds, dataset.states)
 
 
@@ -284,23 +295,34 @@ class TrainResult:
     epochs_run: int = 0
 
 
+def batch_gradient(sys: AugmentedSystem, params: Vec, dataset: SnapshotDataset,
+                   starts, settings: TrainSettings, loss_spec: LossSpec,
+                   stepper: StepperSpec, history: Callable[[float], Vec]):
+    """Forward + adjoint over the training windows at ``starts`` (snapshot
+    indices), all in lockstep on the first window's clock; returns the sum
+    of their losses and the sum of their gradients."""
+    starts = np.asarray(starts, dtype=int).reshape(-1)
+    w = settings.window_steps
+    stride = settings.supervise_stride
+    sup = np.arange(stride, w + 1, stride)
+    run = forward_augmented(sys, params, (dataset.times[starts], dataset.times[starts + w]),
+                            stepper, history=history, u0=dataset.states[starts])
+    # the supervised states, one row per time, on the first window's clock
+    batch = SnapshotDataset(dataset.times[starts[0] + sup],
+                            dataset.states[starts[None, :] + sup[:, None]])
+    preds = run.traj.eval_many(batch.times)[..., :run.u_dim]
+    loss = loss_spec.total(preds, batch.states)
+    adj = adjoint_gradient(sys, params, run, batch, loss_spec,
+                           RK4Fixed(settings.adjoint_dt))
+    return loss, adj.grad
+
+
 def window_gradient(sys: AugmentedSystem, params: Vec, dataset: SnapshotDataset,
                     start: int, settings: TrainSettings, loss_spec: LossSpec,
                     stepper: StepperSpec, history: Callable[[float], Vec]):
     """Forward + adjoint over one training window; returns (loss, grad)."""
-    w = settings.window_steps
-    stride = settings.supervise_stride
-    t0 = float(dataset.times[start])
-    t1 = float(dataset.times[start + w])
-    sup = SnapshotDataset(dataset.times[start + stride:start + w + 1:stride],
-                          dataset.states[start + stride:start + w + 1:stride])
-    run = forward_augmented(sys, params, (t0, t1), stepper, history=history,
-                            u0=dataset.states[start])
-    preds = run.traj.eval_many(sup.times)[:, :run.u_dim]
-    loss = loss_spec.total(preds, sup.states)
-    adj = adjoint_gradient(sys, params, run, sup, loss_spec,
-                           RK4Fixed(settings.adjoint_dt))
-    return loss, adj.grad
+    return batch_gradient(sys, params, dataset, [start], settings, loss_spec,
+                          stepper, history)
 
 
 def train(sys: AugmentedSystem, dataset: SnapshotDataset, params0: Vec,
@@ -339,14 +361,9 @@ def train(sys: AugmentedSystem, dataset: SnapshotDataset, params0: Vec,
         for _ in range(iters):
             starts = sample_batch(rng, dataset.n_steps, settings.batch_size,
                                   settings.window_steps, settings.supervise_stride)
-            grad = np.zeros_like(params)
-            batch_loss = 0.0
             try:
-                for s in starts:
-                    loss, g = window_gradient(sys, params, dataset, int(s),
-                                              settings, loss_spec, stepper, history)
-                    grad += g
-                    batch_loss += loss
+                batch_loss, grad = batch_gradient(sys, params, dataset, starts, settings,
+                                                  loss_spec, stepper, history)
             except IntegrationError:
                 ok = False
                 break

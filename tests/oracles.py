@@ -71,6 +71,53 @@ def conv_same_vjp_loop(xpad, K, w):
     return dxpad[pl:pl + n], dK, w.sum(axis=0)
 
 
+def rnn_cell_loop(cell, p, xs, w):
+    """A recurrent cell's forward and reverse pass on one sequence, with the
+    input kernel applied to one element at a time: (out, dxs, grads), grads
+    in the cell's parameter order."""
+    from neuralclosure import nn
+
+    conv = isinstance(cell, nn.SimpleRnnConvCell)
+    if conv:
+        Kx, Kh, b, Ko, bo = p
+        h = np.zeros((xs.shape[1], cell.units))
+    else:
+        Wx, Wh, b = p
+        h = np.zeros(cell.units)
+    zs, ss, hs = [], [], [h]
+    for x in xs:
+        z = (nn._conv_same(x, Kx, 0.0)[0] + nn._conv_same(h, Kh, b)[0] if conv
+             else Wx @ x + Wh @ h + b)
+        h, s = nn._act(cell.act, z)
+        zs.append(z)
+        ss.append(s)
+        hs.append(h)
+    if conv:
+        zo, opad = nn._conv_same(h, Ko, bo)
+        out, so = nn._act(cell.act, zo)
+        dh, dKo, dbo = nn._conv_same_vjp(opad, Ko, w * nn._act_deriv(cell.act, zo, so))
+    else:
+        out, dh = h, w
+    dxs = np.zeros_like(xs)
+    grads = [np.zeros_like(v) for v in p]
+    for i in range(len(xs) - 1, -1, -1):
+        dz = dh * nn._act_deriv(cell.act, zs[i], ss[i])
+        if conv:
+            dxs[i], dKx, _ = nn._conv_same_vjp(nn._conv_same(xs[i], Kx, 0.0)[1], Kx, dz)
+            dh, dKh, db = nn._conv_same_vjp(nn._conv_same(hs[i], Kh, b)[1], Kh, dz)
+            for g, d in zip(grads, (dKx, dKh, db)):
+                g += d
+        else:
+            dxs[i] = Wx.T @ dz
+            dh = Wh.T @ dz
+            grads[0] += np.outer(dz, xs[i])
+            grads[1] += np.outer(dz, hs[i])
+            grads[2] += dz
+    if conv:
+        grads[3], grads[4] = dKo, dbo
+    return out, dxs, grads
+
+
 def npz_vjp_matrix(u, w, params, G):
     """w^T d(npz_rhs)/du of one cell through the assembled 3x3 Jacobian."""
     N, P, Z = u

@@ -99,6 +99,31 @@ class TestDenseTrajectory:
             with pytest.raises(ValueError):
                 tr.eval_many([0.5, bad])
 
+    def test_through_matches_appended_steps_with_batched_values(self):
+        # a chain built in one call equals one built step by step, past the
+        # arrays' first growth, and a (B, d) trailing shape evaluates per row
+        # like B separate chains
+        rng = np.random.default_rng(6)
+        t = np.cumsum(rng.uniform(0.1, 0.5, 40))
+        u = rng.normal(size=(40, 3, 2))
+        f = rng.normal(size=(40, 3, 2))
+        built = DenseTrajectory.through(t, u, f)
+        stepped = DenseTrajectory()
+        for i in range(39):
+            stepped.append(t[i], t[i + 1], u[i], u[i + 1], f[i], f[i + 1])
+        assert len(built) == len(stepped) == 39
+        assert built.knots().tobytes() == stepped.knots().tobytes() == t.tobytes()
+        ts = np.concatenate([t[::3], rng.uniform(t[0], t[-1], 9)])
+        many = built.eval_many(ts)
+        assert many.tobytes() == stepped.eval_many(ts).tobytes()
+        assert many.tobytes() == np.stack([stepped.eval(s) for s in ts]).tobytes()
+        for b in range(3):
+            row = DenseTrajectory.through(t, u[:, b], f[:, b])
+            assert row.eval_many(ts).tobytes() == many[:, b].copy().tobytes()
+        with pytest.raises(ValueError):
+            stepped.append(t[-1], t[-1] + 1.0, np.zeros(2), np.zeros(2), np.zeros(2),
+                           np.zeros(2))
+
 
 class TestIntegrateOde:
     def test_zero_rhs_constant(self):

@@ -1,8 +1,9 @@
 """The grid kernels and the batched network pass against their plain forms.
 
 The references in ``oracles`` are the sign-split sigmoid, the per-tap
-convolution loop, the column reactions one depth at a time and the y(t0)
-history term with one g-network tape per trapezoid node. Also here: the tape
+convolution loop, the recurrent cells with their input kernel applied one
+sequence element at a time, the column reactions one depth at a time and the
+y(t0) history term with one g-network tape per trapezoid node. Also here: the tape
 and reverse-pass budget of one training window on the shipped studies.
 """
 
@@ -131,19 +132,32 @@ def test_batched_tape_rows_equal_single_tapes(name):
     dx_flat, dp_flat = nn.backward(tp, ws.reshape(len(xs), -1))
     assert dx_flat.tobytes() == dx.tobytes() and dp_flat.tobytes() == dp.tobytes()
     assert nn.backward_input(tp, ws).tobytes() == dx.tobytes()
-    # nn.stack builds the batch from flat per-sample inputs
-    stacked = nn.stack(net, [x.ravel() for x in xs])
-    assert stacked.shape == xs.shape and stacked.tobytes() == xs.tobytes()
 
 
-def test_batch_axis_is_refused_where_it_is_not_supported():
-    rnn = nn.Network([nn.SimpleRnnCell(2, 3), nn.Dense(3, 2)])
-    with pytest.raises(ValueError):
-        nn.rnn_forward(rnn, [np.ones((4, 2))], np.zeros(rnn.n_params))
-    ctx = nn.Network([nn.AddExtraChannels(1, lambda t: np.zeros((5, 1)), in_ch=2),
-                      nn.Conv1d(3, 1, 1)])
-    with pytest.raises(ValueError, match="batch"):
-        nn.forward(ctx, np.ones((4, 5, 2)), np.zeros(ctx.n_params), t=np.zeros(4))
+RNN_CELLS = {
+    "dense": nn.SimpleRnnCell(3, 7, "tanh"),
+    "conv_k3": nn.SimpleRnnConvCell(1, 3, 3, "swish"),
+    "conv_k1": nn.SimpleRnnConvCell(3, 5, 1, "swish"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RNN_CELLS))
+def test_recurrent_input_half_matches_the_per_element_loop(name):
+    # the cells apply their input kernel to the whole sequence in one call,
+    # and sum its gradient over the sequence in one product
+    cell = RNN_CELLS[name]
+    net = nn.Network([cell])
+    rng = np.random.default_rng(3)
+    params = rng.normal(0.0, 0.5, net.n_params)
+    shape = (cell.n_in,) if name == "dense" else (20, cell.in_ch)
+    xs = rng.normal(size=(7,) + shape)
+    tp = nn.tape(net, xs, params)
+    w = rng.normal(size=tp.y.shape)
+    dxs, grads = nn.backward(tp, w)
+    out, dxs_ref, grads_ref = oracles.rnn_cell_loop(cell, net.unpack(params)[0], xs, w)
+    assert rel_l2(tp.y, out) <= 1e-14
+    assert rel_l2(dxs, dxs_ref) <= 1e-14
+    assert rel_l2(grads, np.concatenate([g.ravel() for g in grads_ref])) <= 1e-14
 
 
 @pytest.fixture(scope="module", params=ex.EXPERIMENTS)
