@@ -128,8 +128,7 @@ class AugmentedSystem:
     ``base_vjp(t, u, w)`` must return w^T d(base_rhs)/du. Both take one
     state (d,) at one time, or a batch (B, d) with one time per member (B,).
     The closure networks read flat states point-major as (points, channels)
-    fields when they are grid networks; the number of points follows from
-    ``state_dim`` and the networks' state channels.
+    fields (:func:`nn.fields`) when they are grid networks.
     """
 
     base_rhs: Callable[[float, Vec], Vec]
@@ -175,28 +174,16 @@ class AugmentedSystem:
     def aux_dim(self) -> int:
         return self.closure.aux_dim if isinstance(self.closure, Distributed) else 0
 
-    @property
-    def grid_points(self) -> int:
-        """Points of the closure's fields: the state width over the state
-        channels of the net, or of the g-net for distributed closures. A
-        dense net reads the whole state as one point."""
-        c = self.closure
-        return self.state_dim // (c.g_net if isinstance(c, Distributed) else c.net).input_spec[1]
-
     def _f_input(self, u: Vec, y: Vec) -> np.ndarray:
         """The distributed f-net's input: state and auxiliary field joined
-        per point."""
-        n = self.grid_points
-        lead = u.shape[:-1]
-        x = np.concatenate([u.reshape(lead + (n, -1)), y.reshape(lead + (n, -1))],
-                           axis=-1)
-        return nn.fields(self.closure.f_net, x.reshape(lead + (-1,)))
+        per point, as the state's fields with the auxiliary channels after
+        its own."""
+        uf = nn.fields(self.closure.g_net, u)
+        return np.concatenate([uf, y.reshape(uf.shape[:-1] + (-1,))], axis=-1)
 
     def _split_f_input_grad(self, dx, lead: tuple) -> tuple[Vec, Vec]:
         """The flat state and auxiliary parts of an f-net input cotangent."""
-        n = self.grid_points
-        cu = self.state_dim // n
-        dx = dx.reshape(lead + (n, -1))
+        cu = self.closure.g_net.input_spec[1]
         return (dx[..., :cu].reshape(lead + (-1,)), dx[..., cu:].reshape(lead + (-1,)))
 
     # -- closure term evaluations ----------------------------------------
@@ -553,13 +540,14 @@ class _StageTapes:
     the run at once, and ``offsets`` turn the clock into member times. Within
     a sweep the input depends on t alone (forward state, delayed states,
     auxiliary field), so one batched tape is built per exact float stage
-    time and shared by every RK4 stage,
-    advanced term and trapezoid node that evaluates the network there. A
-    reverse pass is kept per (time, cotangent bytes); a full pass also answers
-    an input-only request with the same cotangent. Any miss computes fresh, so
-    every result equals that of a fresh ``nn.vjp`` at its time bit for bit;
-    a caller that passes a time through :meth:`snap` first gets the stored
-    tape of the stage time it equals on paper.
+    time and shared by every RK4 stage, advanced term and trapezoid node that
+    evaluates the network there. Cotangents come as flat rows, one per
+    member, and take the tape's output shape here. A reverse pass is kept per
+    (time, cotangent bytes); a full pass also answers an input-only request
+    with the same cotangent. Any miss computes fresh, so every result equals
+    that of a fresh ``nn.vjp`` at its time bit for bit; a caller that passes
+    a time through :meth:`snap` first gets the stored tape of the stage time
+    it equals on paper.
     """
 
     def __init__(self, net: nn.Network, views: tuple, x_of: Callable, offsets):
@@ -593,7 +581,7 @@ class _StageTapes:
         done = self._passes.get(key)
         if done is None:
             tp = self.tape(t)
-            done = self._passes[key] = (nn.backward_input(tp, w), None)
+            done = self._passes[key] = (nn.backward_input(tp, w.reshape(tp.y.shape)), None)
         return done[0]
 
     def param_grad(self, t: float, w: Vec) -> Vec:
@@ -602,7 +590,7 @@ class _StageTapes:
         done = self._passes.get(key)
         if done is None or done[1] is None:
             tp = self.tape(t)
-            done = self._passes[key] = nn.backward(tp, w)
+            done = self._passes[key] = nn.backward(tp, w.reshape(tp.y.shape))
         return done[1]
 
 
@@ -724,7 +712,7 @@ def history_param_grad(sys: AugmentedSystem, run: ForwardRun, mu0: Vec) -> Vec:
     wts = trapezoid_weights(sys.history_nodes(run.t0))
     mu0 = np.asarray(mu0, dtype=float)
     w = wts.reshape((-1,) + (1,) * mu0.ndim) * mu0
-    return nn.backward(run.history_tape, w.reshape(-1, mu0.shape[-1]))[1]
+    return nn.backward(run.history_tape, w.reshape(run.history_tape.y.shape))[1]
 
 
 def adjoint_markovian(sys: AugmentedSystem, params: Vec, run: ForwardRun,

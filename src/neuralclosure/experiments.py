@@ -72,6 +72,9 @@ def initial_params(closure: ClosureModel, seed: int) -> np.ndarray:
 
 
 def uniform_times(t_end: float, dt: float, t_start: float = 0.0) -> np.ndarray:
+    """The data times t_start, t_start + dt, ..., t_end."""
+    if not dt > 0.0:
+        raise ValueError(f"the data step dt_data must be positive, got {dt}")
     n = round((t_end - t_start) / dt)
     if abs(t_start + n * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError(f"span ({t_start}, {t_end}) is not a multiple of dt={dt}")

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import linalg
 from ..linalg import Vec
 from .burgers import d1_central, d2_central
 
@@ -69,9 +68,10 @@ def pod(snapshots, n_modes: int) -> PodBasis:
         raise ValueError(f"cannot keep {n_modes} modes of {snaps.shape} snapshots")
     mean = snaps.mean(axis=0)
     centered = (snaps - mean).T  # columns are snapshots
-    res = linalg.svd(centered)
-    return PodBasis(mean=mean, modes=res.U[:, :n_modes],
-                    singular_values=res.sigma.copy())
+    if not np.all(np.isfinite(centered)):
+        raise ValueError("snapshots contain non-finite entries")
+    U, sigma, _ = np.linalg.svd(centered, full_matrices=False)
+    return PodBasis(mean=mean, modes=U[:, :n_modes], singular_values=sigma)
 
 
 @dataclass(frozen=True)

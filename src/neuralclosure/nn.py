@@ -23,23 +23,21 @@ Every layer provides forward and reverse (input and parameter) passes.
 Every input is one array, with one layout per network kind:
 
 * a feed-forward network takes one input, or a stack of inputs along a
-  leading batch axis ((B, dim) dense, (B, n, channels) grid);
+  leading batch axis: (dim,) or (B, dim) dense, (points, channels) or
+  (B, points, channels) grid;
 * a recurrent network takes its sequence, oldest first, along the leading
   axis, optionally followed by a batch axis ((L, B, ...)); a list of the
   elements is taken as the same array.
 
-:func:`fields` puts flat states with any leading axes into that layout.
+:func:`fields` puts flat states with any leading axes into that layout; it
+is the one place where a flat state becomes a grid network's fields.
 
-Every layer runs a batch in its one forward and backward code. A reverse pass
-sums the parameter gradients over the batch and also takes one flat output
-cotangent row per sample. The time ``t`` of a pass is one time, or one per
-batch member (B,); only ``AddExtraChannels`` reads it.
-
-A grid network takes the fields of an unbatched input flat (point-major,
-reshaped by its ``input_spec``) or shaped (points, channels), and those of a
-batched one shaped (:func:`fields`). Its output, and every input
-cotangent of a reverse pass, come back in the layout the input was given in;
-output cotangents may be flat or field-shaped.
+Every layer runs a batch in its one forward and backward code, and a reverse
+pass sums the parameter gradients over the batch. An output cotangent has
+the shape of the tape's output, and the input cotangent comes back in the
+shape of the input (stacked like the sequence for a recurrent network). The
+time ``t`` of a pass is one time, or one per batch member (B,); only
+``AddExtraChannels`` reads it.
 
 A reverse pass is split in two steps: :func:`tape` runs the forward pass and
 keeps the layer caches, and :func:`backward` (input and parameter cotangents)
@@ -556,64 +554,46 @@ class Network:
         return tuple(views)
 
     def _check_input(self, x):
-        """x as the first layer takes it, and the shape it was given in. A
+        """x as an array, checked against the layout of the first layer: a
         recurrent network takes its sequence along a leading axis, and then
         an optional batch axis; a feed-forward network an optional leading
-        batch axis. A grid network also takes each field of an unbatched
-        input flat."""
+        batch axis."""
         kind, dim = self.input_spec
         x = np.asarray(x, dtype=float)
-        shape = x.shape
-        if kind == "grid" and x.ndim == 1 + self.recurrent and shape[-1] % dim == 0:
-            x = x.reshape(shape[:-1] + (-1, dim))
-        if x.ndim not in self._ndims() or x.shape[-1] != dim:
-            want = f"({dim},)" if kind == "dense" else f"(n, {dim}) or flat"
+        ndim = (1 if kind == "dense" else 2) + self.recurrent
+        if x.ndim not in (ndim, ndim + 1) or x.shape[-1] != dim:
+            want = f"({dim},)" if kind == "dense" else f"(points, {dim})"
             want = (f"a sequence of {want} along a leading axis" if self.recurrent
                     else want)
-            raise ValueError(f"input shape {shape}, expected {want}, "
+            raise ValueError(f"input shape {x.shape}, expected {want}, "
                              f"with an optional batch axis")
         if self.recurrent and not len(x):
             raise ValueError("rnn_forward needs a non-empty sequence")
-        return x, shape
-
-    def _ndims(self) -> tuple[int, int]:
-        """The ndim of an unbatched and of a batched input."""
-        n = (1 if self.input_spec[0] == "dense" else 2) + self.recurrent
-        return n, n + 1
-
-    def _batched(self, x_shape) -> bool:
-        """Whether an input of this shape carries a batch axis."""
-        return len(x_shape) == self._ndims()[1]
+        return x
 
 
 def _run_tape(net: Network, x, params, t):
     """The forward pass: the Tape fields after ``net``. ``params`` is the
     flat vector or its :meth:`Network.unpack` views."""
     views = params if isinstance(params, tuple) else net.unpack(params)
-    x, x_shape = net._check_input(x)
-    flat = x.ndim != len(x_shape)  # a grid input given flat comes back flat
+    x = net._check_input(x)
     caches = []
     for lay, p in zip(net.layers, views):
         x, cache = lay.forward(p, x, t)
         caches.append(cache)
-    return views, x.reshape(-1) if flat else x, caches, x_shape, x.shape
+    return views, x, caches
 
 
 def _backward(tp: Tape, w, want_grads: bool):
     """Reverse pass on a tape: (dx, grads), with grads None unless wanted."""
     net = tp.net
-    w = np.asarray(w, dtype=float)
-    if w.shape != tp.y_shape and w.shape != (tp.y.size,) and not (
-            net._batched(tp.x_shape)
-            and w.shape == (tp.y_shape[0], tp.y.size // tp.y_shape[0])):
-        # a batched tape also takes one flat cotangent row per sample
-        raise ValueError(f"cotangent shape {w.shape} does not match output {tp.y_shape}")
-    dx = w.reshape(tp.y_shape)
+    dx = np.asarray(w, dtype=float)
+    if dx.shape != tp.y.shape:
+        raise ValueError(f"cotangent shape {dx.shape} does not match output {tp.y.shape}")
     layer_grads = []
     for lay, p, cache in zip(net.layers[::-1], tp.views[::-1], tp.caches[::-1]):
         dx, g = lay.backward(p, cache, dx, want_grads)
         layer_grads.append(g)
-    dx = dx.reshape(tp.x_shape)
     if not want_grads:
         return dx, None
     # in layer order, added into zeros so that a -0.0 entry comes out +0.0
@@ -657,15 +637,13 @@ def rnn_forward(net: Network, xs, params: Vec, t=None):
 @dataclass(frozen=True, eq=False)
 class Tape:
     """One forward pass kept for reverse passes: the parameters of ``net``
-    decoded once into per-layer ``views``, the output ``y``, the per-layer
-    caches, the shape the input was given in and the output's field shape."""
+    decoded once into per-layer ``views``, the output ``y`` and the per-layer
+    caches."""
 
     net: Network
     views: tuple
     y: np.ndarray
     caches: list
-    x_shape: tuple
-    y_shape: tuple
 
 
 def tape(net: Network, x, params: Vec, t=None) -> Tape:
@@ -679,8 +657,8 @@ def tape(net: Network, x, params: Vec, t=None) -> Tape:
 def backward(tp: Tape, w):
     """Reverse pass of w . y on a tape: (d/dx, d/dparams).
 
-    The input gradient has the shape the input was given in, so for a
-    recurrent network it is stacked like the sequence.
+    ``w`` has the shape of ``tp.y``; the input gradient has the shape of the
+    input, so for a recurrent network it is stacked like the sequence.
     """
     return _backward(tp, w, True)
 

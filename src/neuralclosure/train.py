@@ -272,6 +272,11 @@ class TrainSettings:
     def __post_init__(self):
         if self.grad_mode not in ("sum", "mean"):
             raise ValueError("grad_mode must be 'sum' or 'mean'")
+        for name in ("batch_size", "window_steps", "supervise_stride",
+                     "decay_steps", "iters_per_epoch"):
+            v = getattr(self, name)
+            if v is not None and v < 1:
+                raise ValueError(f"{name} must be at least 1, got {v}")
         if self.window_steps % self.supervise_stride != 0:
             raise ValueError("window_steps must be a multiple of supervise_stride")
 

@@ -181,8 +181,7 @@ def history_term_per_node(sys, phi, history, t0, mu0):
     clo = sys.closure
     tau1, tau2 = clo.window
     ts = quadrature_nodes(t0 - tau2, t0 - tau1, clo.history_quad_panels)
-    tapes = [nn.tape(clo.g_net, np.asarray(history(s), dtype=float), phi, s)
-             for s in ts]
-    y0 = trapezoid(ts, [tp.y for tp in tapes])
-    dphi = trapezoid(ts, [nn.backward(tp, mu0)[1] for tp in tapes])
+    tapes = [nn.tape(clo.g_net, nn.fields(clo.g_net, history(s)), phi, s) for s in ts]
+    y0 = trapezoid(ts, [tp.y.ravel() for tp in tapes])
+    dphi = trapezoid(ts, [nn.backward(tp, mu0.reshape(tp.y.shape))[1] for tp in tapes])
     return y0, dphi

@@ -322,6 +322,16 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["batch_size", "window_steps", "supervise_stride",
+                                 "decay_steps", "dt_data"])
+def test_nonpositive_steps_and_sizes_exit_2(tmp_path, capsys, key):
+    # TOY_CFG ends in its [training] section
+    extra = "\n[spans]\ndt_data = 0\n" if key == "dt_data" else f"{key} = 0\n"
+    bad = _write(tmp_path, TOY_CFG + extra)
+    assert cli.main(["train", "--config", bad, "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_1(tmp_path):
     assert cli.main(["gen-data", "--config", str(tmp_path / "absent.cfg"),
                      "--out", str(tmp_path / "x")]) == 1

@@ -242,15 +242,6 @@ def test_bio0d_system_growth_is_frozen():
     assert r.shape == (3,) and abs(r.sum()) < 1e-14
 
 
-def test_grid_systems_declare_grid_points(subgrid_data):
-    s2 = ex.get_study("exp2_subgrid")
-    sys2 = s2.system(s2.closure("markovian"))
-    assert sys2.grid_points == 25
-    s3 = ex.get_study("exp3b_bio1d")
-    sys3 = s3.system(s3.closure("markovian"))
-    assert sys3.grid_points == 20
-
-
 def test_rom_networks_follow_n_modes():
     study = ex.get_study("exp1_rom", n_modes=4)
     data = study.setup()

@@ -3,55 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from neuralclosure.integrate import DenseTrajectory
-from neuralclosure.linalg import svd
-
-
-class TestSvd:
-    def test_diagonal(self):
-        r = svd(np.diag([3.0, 2.0]))
-        np.testing.assert_allclose(r.sigma, [3.0, 2.0], atol=1e-12)
-
-    def test_permutation(self):
-        r = svd(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(r.sigma, [1.0, 1.0], atol=1e-12)
-
-    def test_shear(self):
-        # singular values solve s^4 - 3 s^2 + 1 = 0: the golden ratio and its inverse
-        r = svd(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        phi = (1.0 + np.sqrt(5.0)) / 2.0
-        np.testing.assert_allclose(r.sigma, [phi, 1.0 / phi], atol=1e-6)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            svd(np.empty((0, 3)))
-
-    @given(st.integers(1, 50), st.integers(1, 50), st.integers(0, 2 ** 32 - 1))
-    def test_invariants_random(self, m, n, seed):
-        A = np.random.default_rng(seed).normal(size=(m, n))
-        r = svd(A)
-        k = min(m, n)
-        assert r.sigma.shape == (k,)
-        assert np.all(r.sigma >= 0.0)
-        assert np.all(np.diff(r.sigma) <= 1e-12)
-        np.testing.assert_allclose(r.U.T @ r.U, np.eye(k), atol=1e-10)
-        np.testing.assert_allclose(r.Vt @ r.Vt.T, np.eye(k), atol=1e-10)
-        denom = np.linalg.norm(A) or 1.0
-        assert np.linalg.norm(r.reconstruct() - A) / denom < 1e-8
-
-    def test_deterministic(self):
-        A = np.random.default_rng(7).normal(size=(20, 9))
-        r1, r2 = svd(A), svd(A)
-        assert np.array_equal(r1.U, r2.U)
-        assert np.array_equal(r1.sigma, r2.sigma)
-        assert np.array_equal(r1.Vt, r2.Vt)
-
-    def test_energy_fractions(self):
-        r = svd(np.diag([3.0, 4.0]))
-        np.testing.assert_allclose(r.energy_fractions(), [16.0 / 25.0, 1.0])
 
 
 class TestHermite:

@@ -152,6 +152,11 @@ def test_pod_validation():
         rom.pod(np.zeros((4, 5)), 5)
 
 
+def test_pod_rejects_nonfinite():
+    with pytest.raises(ValueError):
+        rom.pod(np.array([[1.0, np.nan], [0.0, 1.0]]), 1)
+
+
 def test_galerkin_tensors_match_direct_projection():
     g, snaps = _snapshot_matrix()
     basis = rom.pod(snaps, 3)

@@ -195,31 +195,18 @@ class _VjpCase:
         self.check_layouts(net, x, params, w, t, seq)
 
     def check_layouts(self, net, x, params, w, t, seq):
-        # a sequence as a list, as one stacked array and, for a grid network,
-        # as flat (point-major) rows; a feed-forward input shaped or flat. All
-        # give the same output bytes and the same input cotangent bytes, each
-        # in the layout the input was given in (a sequence's cotangent comes
-        # stacked); the output cotangent may be flat too
-        grid = net.input_spec[0] == "grid"
-        if seq:
-            layouts = [x, np.stack(x)]
-            if grid:
-                layouts.append(np.stack([np.ravel(v) for v in x]))
-        else:
-            layouts = [x, np.ravel(x)]
+        # a sequence as a list and as one stacked array give the same output
+        # bytes and the same input cotangent bytes, the cotangent stacked
+        # like the sequence
         y = tape(net, x, params, t).y
         want_in, want_par = vjp(net, x, params, w, t)
-        for xl in layouts:
+        for xl in ([x, np.stack(x)] if seq else [x]):
             tp = tape(net, xl, params, t)
-            flat = grid and np.ndim(xl) == 1 + seq
-            assert tp.x_shape == np.shape(xl)
-            assert tp.y.shape == ((y.size,) if flat else y.shape)
             assert tp.y.tobytes() == y.tobytes()
-            for cot in (w, np.ravel(w)):
-                g_in, g_par = backward(tp, cot)
-                assert g_par.tobytes() == want_par.tobytes()
-                assert g_in.shape == np.shape(xl)
-                assert g_in.tobytes() == want_in.tobytes()
+            g_in, g_par = backward(tp, w)
+            assert g_par.tobytes() == want_par.tobytes()
+            assert g_in.shape == np.asarray(xl).shape
+            assert g_in.tobytes() == want_in.tobytes()
 
 
 class TestVjp(_VjpCase):
@@ -273,6 +260,24 @@ class TestVjp(_VjpCase):
                        Dense(7, 1, "linear"), BioConstrain()])
         xs = [np.random.default_rng(30 + i).normal(size=3) for i in range(2)]
         self.check(net, xs, _rand_params(net, 18), seq=True)
+
+
+def test_grid_networks_take_fields_only():
+    # a grid input is (points, channels) fields with an optional batch axis,
+    # and an output cotangent has the output's shape: flat forms are refused
+    conv = Network([Conv1d(2, 3, 3, "swish"), Conv1d(3, 1, 1, "linear")])
+    rnn = Network([SimpleRnnConvCell(2, 3, 3, "tanh")])
+    x = np.random.default_rng(6).normal(size=(4, 8, 2))
+    with pytest.raises(ValueError):
+        forward(conv, x[0].ravel(), _rand_params(conv, 5))
+    with pytest.raises(ValueError):
+        rnn_forward(rnn, x.reshape(4, -1), _rand_params(rnn, 5))
+    tp = tape(conv, x, _rand_params(conv, 5))
+    w = np.ones(tp.y.shape)
+    with pytest.raises(ValueError):
+        backward(tp, w.ravel())
+    with pytest.raises(ValueError):
+        backward(tp, w.reshape(len(x), -1))
 
 
 class TestInitParams:
