@@ -18,31 +18,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .closure import ClosureModel, Discrete, Distributed, Markovian
 from .train import RmspropState
 
 FORMAT_LINE = "# neural closure checkpoint v1"
-
-
-def closure_fingerprint(closure: ClosureModel) -> str:
-    """Stable one-line description of the closure, delays included."""
-    def nums(xs):
-        return ",".join(format(x, ".17g") for x in xs)
-    if isinstance(closure, Markovian):
-        return "markovian|" + closure.net.describe()
-    if isinstance(closure, Discrete):
-        return f"discrete[{nums(closure.delays)}]|" + closure.net.describe()
-    if isinstance(closure, Distributed):
-        return (f"distributed[{nums(closure.window)};aux={closure.aux_dim}]"
-                f"|f:{closure.f_net.describe()}|g:{closure.g_net.describe()}")
-    raise TypeError(f"not a closure: {closure!r}")
 
 
 @dataclass
 class Checkpoint:
     experiment: str
     kind: str
-    arch: str                 # closure_fingerprint of the trained closure
+    arch: str                 # describe() of the trained closure
     config_sha: str
     epoch: int
     params: np.ndarray
@@ -171,15 +156,14 @@ def load_checkpoint(path) -> Checkpoint:
         return parse_checkpoint(fh.read())
 
 
-def check_compatible(ck: Checkpoint, closure: ClosureModel, kind: str,
+def check_compatible(ck: Checkpoint, closure, kind: str,
                      experiment: str, config_sha: str | None = None) -> None:
     """Refuse to resume against a different run description."""
     if ck.experiment != experiment:
         raise ValueError(f"checkpoint is for {ck.experiment}, not {experiment}")
     if ck.kind != kind:
         raise ValueError(f"checkpoint closure kind {ck.kind} != {kind}")
-    want = closure_fingerprint(closure)
-    if ck.arch != want:
+    if ck.arch != closure.describe():
         raise ValueError("checkpoint architecture does not match the config")
     if config_sha is not None and ck.config_sha != config_sha:
         raise ValueError("checkpoint was produced by a different config")

@@ -28,12 +28,10 @@ from .checkpoint import (
     Checkpoint,
     atomic_open,
     check_compatible,
-    closure_fingerprint,
     load_checkpoint,
     save_checkpoint,
 )
 from .closure import (
-    Distributed,
     adjoint_gradient,
     constant_history,
     fd_gradient,
@@ -212,7 +210,7 @@ def run_training(cfg: ExperimentConfig, out: Path,
     val_ds = dataset.restrict(study.train_end, study.val_end)
 
     cfg_sha = config_hash(cfg)
-    arch = closure_fingerprint(closure)
+    arch = closure.describe()
     params0 = ex.initial_params(closure, settings.seed)
     opt_state = None
     rng = None
@@ -243,7 +241,7 @@ def run_training(cfg: ExperimentConfig, out: Path,
         _write_history(out / "loss_history.csv", prior, result.history)
 
     rng_live = rng if rng is not None else np.random.default_rng(settings.seed)
-    every = cfg.checkpoint_every if cfg.checkpoint_every else CHECKPOINT_EVERY
+    every = CHECKPOINT_EVERY if cfg.checkpoint_every is None else cfg.checkpoint_every
 
     def callback(epoch: int, result: TrainResult) -> None:
         rec = result.history[-1]
@@ -258,7 +256,9 @@ def run_training(cfg: ExperimentConfig, out: Path,
                    val_dataset=val_ds, val_history=train_ds.history_fn(),
                    opt_state=opt_state, rng=rng_live,
                    start_epoch=start_epoch, callback=callback)
-    save(result.epochs_run, result, rng_live)
+    # a resume that runs no epoch leaves its checkpoint as it found it
+    if resume is None or result.epochs_run > start_epoch:
+        save(result.epochs_run, result, rng_live)
     return result
 
 
@@ -371,13 +371,10 @@ def gradient_checks(cfg: ExperimentConfig | None = None):
         adj = adjoint_gradient(system, params, run, ds, loss, stepper)
         fd = fd_gradient(system, params, span, ds, loss, stepper,
                          history=hist, eps=1e-6)
-        if isinstance(clo, Distributed):
-            nt = system.n_theta
-            rel = max(
-                np.linalg.norm(adj.grad[:nt] - fd[:nt]) / max(np.linalg.norm(fd[:nt]), 1e-14),
-                np.linalg.norm(adj.grad[nt:] - fd[nt:]) / max(np.linalg.norm(fd[nt:]), 1e-14))
-        else:
-            rel = np.linalg.norm(adj.grad - fd) / max(np.linalg.norm(fd), 1e-14)
+        # the worst of the networks' parameter blocks (theta, then phi)
+        blocks = np.cumsum([net.n_params for net in clo.nets])[:-1]
+        rel = max(np.linalg.norm(a - f) / max(np.linalg.norm(f), 1e-14)
+                  for a, f in zip(np.split(adj.grad, blocks), np.split(fd, blocks)))
         yield label, float(rel)
 
 

@@ -14,10 +14,12 @@ side. Three memory structures are supported:
 
 With no delays the discrete closure reduces to the Markovian one, and so
 does the distributed closure with a (0, 0) window. The code follows that:
-one forward body solves every kind (as an ODE when it has no delays), and
-one adjoint driver, :func:`adjoint_gradient`, sweeps every kind. The
-kind-named entry points ``adjoint_markovian``, ``adjoint_discrete`` and
-``adjoint_distributed`` reject a closure they do not model and then call it.
+each closure class states once what its kind adds (its networks, the lags
+its right-hand side reads, the f-network input and the split of its
+cotangent, and its description for checkpoints), one forward body solves
+every kind (as an ODE when it has no lags), and one adjoint function,
+:func:`adjoint_gradient`, sweeps every kind. ``adjoint_markovian``,
+``adjoint_discrete`` and ``adjoint_distributed`` are other names for it.
 
 Gradients of data-time losses are computed by integrating adjoint variables
 backward in time. The adjoint equations reference *advanced* arguments
@@ -26,9 +28,10 @@ store (zero at and beyond the final time). Losses enter as jumps
 lambda <- lambda - dl/du applied when the sweep crosses a data time; the sign
 convention is frozen against the finite-difference oracle in the tests.
 
-All parameters of one model travel in a single flat vector: theta first,
-then phi for distributed closures. A forward solve and an adjoint sweep each
-decode it once into per-layer views and hand those to every network pass.
+All parameters of one model travel in a single flat vector, one block per
+network of the closure's ``nets``: theta first, then phi for distributed
+closures. A forward solve and an adjoint sweep each decode it once into
+per-layer views and hand those to every network pass.
 
 A solve may carry a batch of B members in lockstep: states (B, d) on one
 shared clock, the first member's time. Member b starts at t0_b, so its time
@@ -64,13 +67,49 @@ from .linalg import Vec
 # ---------------------------------------------------------------------------
 
 
+def _nums(xs) -> str:
+    return ",".join(format(x, ".17g") for x in xs)
+
+
+class _Closure:
+    """What the solvers ask of a closure kind, with the Markovian answers as
+    defaults: ``nets``, its networks in parameter order (theta, then phi);
+    ``lags``, the positive lags its right-hand side reads (the forward
+    solve's delays and the adjoint's shifts); ``f_lags``, those the
+    f-network reads, each with an advanced adjoint term; the f-network's
+    input and the split of its cotangent. Each kind also gives ``aux_dim``,
+    the width of its auxiliary field, and ``describe()``, its fingerprint.
+    """
+
+    lags = f_lags = ()
+
+    @property
+    def nets(self) -> tuple:
+        return (self.net,)
+
+    def f_input(self, U: Vec, delayed: Sequence[Vec]) -> np.ndarray:
+        """The f-network input from the augmented state U = [u; y] at a time
+        t and ``delayed``, the states at t - tau for tau in ``f_lags``."""
+        return nn.fields(self.net, U)
+
+    def f_input_grad(self, dx, lead: tuple, k: int = 0) -> tuple[Vec, Vec | None]:
+        """A cotangent of the f-network input as flat rows, one per member:
+        its part on the state at t - f_lags[k - 1] (k >= 1), or on the
+        current state and the auxiliary field (None without one)."""
+        return dx.reshape(lead + (-1,)), None
+
+
 @dataclass(frozen=True)
-class Markovian:
+class Markovian(_Closure):
     net: nn.Network
+    aux_dim = 0
+
+    def describe(self) -> str:
+        return "markovian|" + self.net.describe()
 
 
 @dataclass(frozen=True)
-class Discrete:
+class Discrete(_Closure):
     """Recurrent closure over states at discrete delays (ascending, > 0).
 
     The network receives the sequence oldest first:
@@ -80,6 +119,7 @@ class Discrete:
 
     net: nn.Network
     delays: tuple[float, ...]
+    aux_dim = 0
 
     def __post_init__(self):
         d = tuple(float(x) for x in self.delays)
@@ -91,9 +131,25 @@ class Discrete:
         if not self.net.recurrent:
             raise ValueError("Discrete closure needs a recurrent network")
 
+    @property
+    def lags(self) -> tuple[float, ...]:
+        return self.delays
+
+    f_lags = lags
+
+    def describe(self) -> str:
+        return f"discrete[{_nums(self.delays)}]|" + self.net.describe()
+
+    def f_input(self, U, delayed):
+        return nn.fields(self.net, np.stack([*reversed(delayed), U]))
+
+    def f_input_grad(self, dx, lead, k=0):
+        # the sequence cotangent, oldest first like the sequence
+        return dx[len(self.delays) - k].reshape(lead + (-1,)), None
+
 
 @dataclass(frozen=True)
-class Distributed:
+class Distributed(_Closure):
     """Windowed-memory closure with auxiliary state y of dimension aux_dim.
 
     ``window`` is (tau_1, tau_2) with 0 <= tau_1 <= tau_2; tau_1 == tau_2
@@ -117,6 +173,60 @@ class Distributed:
         if self.aux_dim <= 0:
             raise ValueError("Distributed: aux_dim must be positive")
 
+    @property
+    def nets(self) -> tuple:
+        return (self.f_net, self.g_net)
+
+    @property
+    def lags(self) -> tuple[float, ...]:
+        """The window edges read by g; none for an empty window."""
+        tau1, tau2 = self.window
+        return tuple(sorted({tau1, tau2} - {0.0})) if tau2 > tau1 else ()
+
+    def describe(self) -> str:
+        return (f"distributed[{_nums(self.window)};aux={self.aux_dim}]"
+                f"|f:{self.f_net.describe()}|g:{self.g_net.describe()}")
+
+    def f_input(self, U, delayed):
+        # state and auxiliary field joined per point: the state's fields
+        # with the auxiliary channels after its own
+        uf = nn.fields(self.g_net, U[..., :-self.aux_dim])
+        return np.concatenate([uf, U[..., -self.aux_dim:].reshape(uf.shape[:-1] + (-1,))],
+                              axis=-1)
+
+    def f_input_grad(self, dx, lead, k=0):
+        cu = self.g_net.input_spec[1]
+        return dx[..., :cu].reshape(lead + (-1,)), dx[..., cu:].reshape(lead + (-1,))
+
+    def g_eval(self, t, u: Vec, phi) -> Vec:
+        """g(u, t; phi), flat per member."""
+        out = nn.forward(self.g_net, nn.fields(self.g_net, u), phi, t)
+        out = out.reshape(u.shape[:-1] + (-1,))
+        self._check_g_width(out.shape[-1])
+        return out
+
+    def _check_g_width(self, size: int):
+        if size != self.aux_dim:
+            raise ValueError(
+                f"g-network output has {size} entries, aux_dim is {self.aux_dim}")
+
+    def aux_rate(self, t, u: Vec, delayed: Sequence[Vec], phi) -> Vec:
+        """dy/dt = g(u(t - tau_1), t - tau_1) - g(u(t - tau_2), t - tau_2),
+        zero over an empty window; ``delayed`` holds the states at t - tau
+        for tau in ``lags``."""
+        tau1, tau2 = self.window
+        if tau2 == tau1:
+            return np.zeros(u.shape[:-1] + (self.aux_dim,))
+        n = u.shape[-1]
+        u1 = u if tau1 == 0.0 else delayed[0][..., :n]
+        u2 = delayed[-1][..., :n]
+        return self.g_eval(t - tau1, u1, phi) - self.g_eval(t - tau2, u2, phi)
+
+    def history_nodes(self, t0: float) -> np.ndarray:
+        """The trapezoid nodes of y(t0) over [t0 - tau_2, t0 - tau_1]."""
+        tau1, tau2 = self.window
+        return quadrature_nodes(t0 - tau2, t0 - tau1, self.history_quad_panels)
+
 
 ClosureModel = Markovian | Discrete | Distributed
 
@@ -136,93 +246,42 @@ class AugmentedSystem:
     state_dim: int
     base_vjp: Callable[[float, Vec, Vec], Vec]
 
-    # -- parameter bookkeeping -------------------------------------------
-
     @property
     def n_theta(self) -> int:
-        if isinstance(self.closure, Distributed):
-            return self.closure.f_net.n_params
-        return self.closure.net.n_params
-
-    @property
-    def n_phi(self) -> int:
-        if isinstance(self.closure, Distributed):
-            return self.closure.g_net.n_params
-        return 0
+        return self.closure.nets[0].n_params
 
     @property
     def n_params(self) -> int:
-        return self.n_theta + self.n_phi
+        return sum(net.n_params for net in self.closure.nets)
 
-    def split_params(self, params: Vec) -> tuple[Vec, Vec]:
+    @property
+    def aux_dim(self) -> int:
+        return self.closure.aux_dim
+
+    def decode(self, params: Vec) -> tuple:
+        """Each network's block of the flat vector as its per-layer views
+        (:meth:`nn.Network.unpack`), in ``nets`` order: theta, then phi."""
         params = np.asarray(params, dtype=float)
         if params.shape != (self.n_params,):
             raise ValueError(
                 f"params shape {params.shape}, expected ({self.n_params},)")
-        return params[:self.n_theta], params[self.n_theta:]
+        nets = self.closure.nets
+        blocks = np.split(params, np.cumsum([net.n_params for net in nets])[:-1])
+        return tuple(net.unpack(p) for net, p in zip(nets, blocks))
 
-    def decode(self, params: Vec) -> tuple:
-        """theta and phi as their networks' per-layer views (phi's None
-        without a g-network)."""
-        theta, phi = self.split_params(params)
-        c = self.closure
-        if isinstance(c, Distributed):
-            return c.f_net.unpack(theta), c.g_net.unpack(phi)
-        return c.net.unpack(theta), None
-
-    @property
-    def aux_dim(self) -> int:
-        return self.closure.aux_dim if isinstance(self.closure, Distributed) else 0
-
-    def _f_input(self, u: Vec, y: Vec) -> np.ndarray:
-        """The distributed f-net's input: state and auxiliary field joined
-        per point, as the state's fields with the auxiliary channels after
-        its own."""
-        uf = nn.fields(self.closure.g_net, u)
-        return np.concatenate([uf, y.reshape(uf.shape[:-1] + (-1,))], axis=-1)
-
-    def _split_f_input_grad(self, dx, lead: tuple) -> tuple[Vec, Vec]:
-        """The flat state and auxiliary parts of an f-net input cotangent."""
-        cu = self.closure.g_net.input_spec[1]
-        return (dx[..., :cu].reshape(lead + (-1,)), dx[..., cu:].reshape(lead + (-1,)))
-
-    # -- closure term evaluations ----------------------------------------
-
-    def closure_term(self, t, u: Vec, theta, delayed: Sequence[Vec] = (),
-                     y: Vec | None = None) -> Vec:
-        """The neural contribution to du/dt at time t; ``delayed`` holds the
-        states at t - tau_k in ascending delay order. ``theta`` is the flat
-        vector or its views (:meth:`decode`)."""
-        c = self.closure
-        if isinstance(c, Markovian):
-            term = nn.forward(c.net, nn.fields(c.net, u), theta, t)
-        elif isinstance(c, Discrete):
-            # the recurrent net reads the sequence oldest first
-            seq = np.stack([*reversed(delayed), u])
-            term = nn.rnn_forward(c.net, nn.fields(c.net, seq), theta, t)
-        else:
-            term = nn.forward(c.f_net, self._f_input(u, y), theta, t)
+    def closure_term(self, t, U: Vec, theta, delayed: Sequence[Vec] = ()) -> Vec:
+        """The neural contribution to du/dt at time t from the augmented
+        state U and the states ``delayed`` at t - tau for tau in the
+        closure's ``f_lags``. ``theta`` is the flat vector or its views
+        (:meth:`decode`)."""
+        net = self.closure.nets[0]
+        x = self.closure.f_input(U, delayed)
+        term = (nn.rnn_forward if net.recurrent else nn.forward)(net, x, theta, t)
+        u = U[..., :self.state_dim]
         if term.size != u.size:
             raise ValueError(
                 f"closure output has {term.size} entries, state has {u.size}")
         return term.reshape(u.shape)
-
-    def g_eval(self, t, u: Vec, phi) -> Vec:
-        """g(u, t; phi), flat per member."""
-        out = nn.forward(self.closure.g_net, nn.fields(self.closure.g_net, u), phi, t)
-        out = out.reshape(u.shape[:-1] + (-1,))
-        self._check_g_width(out.shape[-1])
-        return out
-
-    def _check_g_width(self, size: int):
-        if size != self.aux_dim:
-            raise ValueError(
-                f"g-network output has {size} entries, aux_dim is {self.aux_dim}")
-
-    def history_nodes(self, t0: float) -> np.ndarray:
-        """The trapezoid nodes of y(t0) over [t0 - tau_2, t0 - tau_1]."""
-        tau1, tau2 = self.closure.window
-        return quadrature_nodes(t0 - tau2, t0 - tau1, self.closure.history_quad_panels)
 
 
 def constant_history(u0: Vec) -> Callable[[float], Vec]:
@@ -270,9 +329,6 @@ class ForwardRun:
             return np.asarray(self.history(t + self.offsets), dtype=float)
         return self.traj.eval(t)[..., :self.u_dim]
 
-    def y_at(self, t: float) -> Vec:
-        return self.traj.eval(t)[..., self.u_dim:]
-
 
 def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: StepperSpec,
                       history: Callable[[float], Vec] | None = None,
@@ -287,9 +343,9 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
     of start and end times, all spanning the same length, and ``u0`` as
     (B, d); ``history`` then takes one time or a (B,) array of them.
 
-    Every closure kind gives its augmented initial state U0, its positive
-    delays and rhs(t, U, delayed), where ``delayed`` holds U at t - tau in
-    ascending delay order. A closure without delays is solved as an ODE.
+    One right-hand side rhs(t, U, delayed) serves every closure kind, with
+    ``delayed`` holding U at t - tau for tau in the closure's ``lags``. A
+    closure without lags is solved as an ODE.
     """
     starts = np.asarray(t_span[0], dtype=float)
     ends = np.asarray(t_span[1], dtype=float)
@@ -300,9 +356,8 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
         raise ValueError("t_span: one start and end time, or equal-length arrays "
                          "of them spanning one length")
     lead = np.shape(offsets)
-    theta, phi = sys.decode(params)
-    c = sys.closure
-    n = sys.state_dim
+    views = sys.decode(params)
+    c, n, aux, lags = sys.closure, sys.state_dim, sys.aux_dim, sys.closure.lags
 
     if u0 is None:
         if history is None:
@@ -312,60 +367,42 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
         u0 = np.asarray(u0, dtype=float)
     if u0.shape != lead + (n,):
         raise ValueError(f"u0 shape {u0.shape}, expected {lead + (n,)}")
+    if lags and history is None:
+        raise ValueError("a closure with delays needs a history callable")
 
     hist_tape = None
-    if isinstance(c, Distributed):
-        tau1, tau2 = c.window
-        windowed = tau2 > tau1
-        delays = tuple(sorted({tau1, tau2} - {0.0})) if windowed else ()
-        if not windowed:
-            y0 = np.zeros(lead + (sys.aux_dim,))
-        elif history is None:
-            raise ValueError("distributed closure needs a history callable")
-        else:
-            # y(t0) by the trapezoid rule, all nodes of all members through
-            # one g tape
-            ts = sys.history_nodes(t0)
-            node_times = np.add.outer(ts, offsets)
-            h = np.stack([history(s) for s in node_times]).reshape(-1, n)
-            hist_tape = nn.tape(c.g_net, nn.fields(c.g_net, h), phi, node_times.ravel())
-            g_nodes = hist_tape.y.reshape(node_times.shape + (-1,))
-            sys._check_g_width(g_nodes.shape[-1])
-            y0 = (trapezoid_weights(ts) @ g_nodes.reshape(ts.size, -1)).reshape(lead + (-1,))
-        U0 = np.concatenate([u0, y0], axis=-1)
+    y0 = np.zeros(lead + (aux,))
+    if aux and lags:
+        # y(t0) by the trapezoid rule, all nodes of all members through one
+        # g tape
+        ts = c.history_nodes(t0)
+        node_times = np.add.outer(ts, offsets)
+        h = np.stack([history(s) for s in node_times]).reshape(-1, n)
+        hist_tape = nn.tape(c.g_net, nn.fields(c.g_net, h), views[1], node_times.ravel())
+        g_nodes = hist_tape.y.reshape(node_times.shape + (-1,))
+        c._check_g_width(g_nodes.shape[-1])
+        y0 = (trapezoid_weights(ts) @ g_nodes.reshape(ts.size, -1)).reshape(lead + (-1,))
+    U0 = np.concatenate([u0, y0], axis=-1)
 
-        def rhs(t, U, delayed=()):
-            tm = t + offsets
-            u, y = U[..., :n], U[..., n:]
-            du = sys.base_rhs(tm, u) + sys.closure_term(tm, u, theta, y=y)
-            if windowed:
-                u1 = u if tau1 == 0.0 else delayed[0][..., :n]
-                dy = sys.g_eval(tm - tau1, u1, phi) \
-                    - sys.g_eval(tm - tau2, delayed[-1][..., :n], phi)
-            else:
-                dy = np.zeros(y.shape)
-            return np.concatenate([du, dy], axis=-1)
-    else:
-        delays = c.delays if isinstance(c, Discrete) else ()
-        if delays and history is None:
-            raise ValueError("discrete-delay closure needs a history callable")
-        U0 = u0
+    def rhs(t, U, delayed=()):
+        tm = t + offsets
+        u = U[..., :n]
+        du = sys.base_rhs(tm, u) + sys.closure_term(tm, U, views[0], delayed)
+        if not aux:
+            return du
+        return np.concatenate([du, c.aux_rate(tm, u, delayed, views[1])], axis=-1)
 
-        def rhs(t, u, delayed=()):
-            tm = t + offsets
-            return sys.base_rhs(tm, u) + sys.closure_term(tm, u, theta, delayed)
-
-    if delays:
+    if lags:
         @_memo
         def hist(s):
             # the closures read only the state part of a delayed value
             return U0 if s >= t0 else np.asarray(history(s + offsets), dtype=float)
 
-        traj = integrate_dde(DdeProblem(rhs=rhs, delays=delays, history=hist),
+        traj = integrate_dde(DdeProblem(rhs=rhs, delays=lags, history=hist),
                              (t0, t1), stepper)
     else:
         traj = integrate_ode(rhs, U0, (t0, t1), stepper)
-    return ForwardRun(traj, t0, t1, n, sys.aux_dim, history, hist_tape, offsets)
+    return ForwardRun(traj, t0, t1, n, aux, history, hist_tape, offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -617,82 +654,55 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
     members' gradients.
     """
     dt = _require_rk4(stepper)
-    theta, phi = sys.decode(params)
+    views = sys.decode(params)
     c = sys.closure
     times, cots = _loss_jumps(run, dataset, loss_spec)
-    T, n, lead, offsets = run.t1, run.u_dim, run.lead, run.offsets
+    T, n, lead, offsets, f_lags = run.t1, run.u_dim, run.lead, run.offsets, c.f_lags
     u_at = _memo(run.u_at)
-
-    def flat(dx):
-        """A network input cotangent as flat states, one row per member."""
-        return dx.reshape(lead + (-1,))
-
-    # the f-network's tapes, the cotangents of its current input slot
-    # (state, auxiliary field or None) and the shifts the sweep reads ahead
-    delays, g_tapes, windowed = (), None, False
-    if isinstance(c, Distributed):
+    # the augmented state the f-network reads (the state without an auxiliary field)
+    state_at = _memo(run.traj.eval) if run.aux_dim else u_at
+    f_tapes = _StageTapes(
+        c.nets[0], views[0],
+        lambda t: c.f_input(state_at(t), [u_at(t - tau) for tau in f_lags]), offsets)
+    # a g-network over a moving window (a distributed closure, tau_2 > tau_1)
+    windowed = run.aux_dim > 0 and bool(c.lags)
+    if windowed:
         tau1, tau2 = c.window
-        windowed = tau2 > tau1
-        shifts = sorted({tau1, tau2} - {0.0}) if windowed else ()
-        f_tapes = _StageTapes(c.f_net, theta,
-                              lambda t: sys._f_input(u_at(t), run.y_at(t)), offsets)
-        g_tapes = _StageTapes(c.g_net, phi, lambda t: nn.fields(c.g_net, u_at(t)),
+        g_tapes = _StageTapes(c.g_net, views[1], lambda t: nn.fields(c.g_net, u_at(t)),
                               offsets)
-
-        def current(dx):
-            return sys._split_f_input_grad(dx, lead)
-    elif isinstance(c, Discrete):
-        delays = shifts = c.delays
-        K = len(delays)
-
-        def seq_at(s):
-            # oldest first: u(s - tau_K), ..., u(s - tau_1), u(s)
-            seq = [u_at(s - tau) for tau in reversed(delays)] + [u_at(s)]
-            return nn.fields(c.net, np.stack(seq))
-
-        f_tapes = _StageTapes(c.net, theta, seq_at, offsets)
-
-        def current(dxs):
-            return flat(dxs[K]), None
-    else:
-        shifts = ()
-        f_tapes = _StageTapes(c.net, theta, lambda t: nn.fields(c.net, u_at(t)),
-                              offsets)
-
-        def current(dx):
-            return flat(dx), None
 
     def rhs_adj(t, a, look):
         lam = a[..., :n]
-        fu, fy = current(f_tapes.input_grad(t, lam))
+        fu, fy = c.f_input_grad(f_tapes.input_grad(t, lam), lead)
         acc = sys.base_vjp(t + offsets, u_at(t), lam) + fu
-        for k, tau in enumerate(delays, start=1):
+        for k, tau in enumerate(f_lags, start=1):
             lam_adv = look(t + tau)[..., :n]
             if np.any(lam_adv):
-                acc = acc + flat(f_tapes.input_grad(f_tapes.snap(t + tau), lam_adv)[K - k])
+                dx = f_tapes.input_grad(f_tapes.snap(t + tau), lam_adv)
+                acc = acc + c.f_input_grad(dx, lead, k)[0]
         dlam = -acc
         if windowed:
             mu1 = a[..., n:] if tau1 == 0.0 else look(t + tau1)[..., n:]
             if np.any(mu1):
-                dlam = dlam - flat(g_tapes.input_grad(t, mu1))
+                dlam = dlam - g_tapes.input_grad(t, mu1).reshape(lead + (-1,))
             mu2 = look(t + tau2)[..., n:]
             if np.any(mu2):
-                dlam = dlam + flat(g_tapes.input_grad(t, mu2))
+                dlam = dlam + g_tapes.input_grad(t, mu2).reshape(lead + (-1,))
         return dlam if fy is None else np.concatenate([dlam, -fy], axis=-1)
 
     def integrand(t, a):
         dth = f_tapes.param_grad(t, a[..., :n])
-        if g_tapes is None:
+        if not run.aux_dim:
             return dth
         mu = a[..., n:]
         if windowed:
             dphi = g_tapes.param_grad(t - tau1, mu) - g_tapes.param_grad(t - tau2, mu)
         else:
-            dphi = np.zeros(sys.n_phi)
+            dphi = np.zeros(sys.n_params - sys.n_theta)
         return np.concatenate([dth, dphi])
 
     store, integral = _backward_sweep(lead + (n + run.aux_dim,), run.t0, T, times, cots,
-                                      rhs_adj, integrand, dt, shifts)
+                                      rhs_adj, integrand, dt, c.lags)
     grad = -integral
 
     if windowed:
@@ -709,37 +719,14 @@ def history_param_grad(sys: AugmentedSystem, run: ForwardRun, mu0: Vec) -> Vec:
     cotangent row w_i mu0_b for node i of member b."""
     if run.history_tape is None:
         raise ValueError("forward run kept no y(t0) tape for this closure")
-    wts = trapezoid_weights(sys.history_nodes(run.t0))
+    wts = trapezoid_weights(sys.closure.history_nodes(run.t0))
     mu0 = np.asarray(mu0, dtype=float)
     w = wts.reshape((-1,) + (1,) * mu0.ndim) * mu0
     return nn.backward(run.history_tape, w.reshape(run.history_tape.y.shape))[1]
 
 
-def adjoint_markovian(sys: AugmentedSystem, params: Vec, run: ForwardRun,
-                      dataset, loss_spec, stepper: StepperSpec) -> AdjointRun:
-    """Plain no-delay adjoint, d lambda/dt = -(d_u F)^T lambda, for a
-    Markovian closure or a Discrete one without delays."""
-    c = sys.closure
-    if not (isinstance(c, Markovian) or (isinstance(c, Discrete) and not c.delays)):
-        raise ValueError(
-            "adjoint_markovian needs a Markovian closure or a Discrete one without delays")
-    return adjoint_gradient(sys, params, run, dataset, loss_spec, stepper)
-
-
-def adjoint_discrete(sys: AugmentedSystem, params: Vec, run: ForwardRun,
-                     dataset, loss_spec, stepper: StepperSpec) -> AdjointRun:
-    """Adjoint for discrete-delay closures, with the advanced arguments."""
-    if not isinstance(sys.closure, Discrete):
-        raise ValueError("adjoint_discrete needs a Discrete closure")
-    return adjoint_gradient(sys, params, run, dataset, loss_spec, stepper)
-
-
-def adjoint_distributed(sys: AugmentedSystem, params: Vec, run: ForwardRun,
-                        dataset, loss_spec, stepper: StepperSpec) -> AdjointRun:
-    """Coupled (lambda, mu) adjoint for distributed closures."""
-    if not isinstance(sys.closure, Distributed):
-        raise ValueError("adjoint_distributed needs a Distributed closure")
-    return adjoint_gradient(sys, params, run, dataset, loss_spec, stepper)
+# The kind-named entry points: one function sweeps every kind.
+adjoint_markovian = adjoint_discrete = adjoint_distributed = adjoint_gradient
 
 
 # ---------------------------------------------------------------------------

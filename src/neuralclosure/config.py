@@ -162,6 +162,9 @@ class ExperimentConfig:
                 raise ValueError("window must be 'tau1 tau2' with 0 <= tau1 <= tau2")
         if self.sweep_repeats < 1:
             raise ValueError("sweep repeats must be >= 1")
+        if self.checkpoint_every is not None and self.checkpoint_every < 1:
+            raise ValueError(
+                f"checkpoint_every must be at least 1, got {self.checkpoint_every}")
 
     # -- assembly ----------------------------------------------------------
 

@@ -56,19 +56,16 @@ PARAMETER_COUNTS = {
 
 
 def closure_parameter_count(closure: ClosureModel) -> int:
-    if isinstance(closure, Distributed):
-        return closure.f_net.n_params + closure.g_net.n_params
-    return closure.net.n_params
+    return sum(net.n_params for net in closure.nets)
 
 
 def initial_params(closure: ClosureModel, seed: int) -> np.ndarray:
-    """Flat initial parameter vector: zeroed final layer so the closure is
-    exactly neutral at epoch 0; the memory network keeps live weights."""
-    if isinstance(closure, Distributed):
-        theta = nn.init_params(closure.f_net, seed)
-        phi = nn.init_params(closure.g_net, seed + 1, zero_final=False)
-        return np.concatenate([theta, phi])
-    return nn.init_params(closure.net, seed)
+    """Flat initial parameter vector, one block per network from seeds
+    seed, seed + 1, ...: the f-network's final layer is zeroed so the
+    closure is exactly neutral at epoch 0; the memory network g keeps live
+    weights."""
+    return np.concatenate([nn.init_params(net, seed + i, zero_final=i == 0)
+                           for i, net in enumerate(closure.nets)])
 
 
 def uniform_times(t_end: float, dt: float, t_start: float = 0.0) -> np.ndarray:

@@ -71,12 +71,6 @@ class SnapshotDataset:
     def t_end(self) -> float:
         return float(self.times[-1])
 
-    def window(self, i0: int, n_steps: int) -> "SnapshotDataset":
-        if i0 < 0 or i0 + n_steps >= self.times.size:
-            raise ValueError("window exceeds the dataset")
-        sl = slice(i0, i0 + n_steps + 1)
-        return SnapshotDataset(self.times[sl], self.states[sl])
-
     def restrict(self, t_lo: float, t_hi: float) -> "SnapshotDataset":
         tol = 1e-9 * max(1.0, abs(self.dt))
         keep = (self.times >= t_lo - tol) & (self.times <= t_hi + tol)
@@ -272,6 +266,11 @@ class TrainSettings:
     def __post_init__(self):
         if self.grad_mode not in ("sum", "mean"):
             raise ValueError("grad_mode must be 'sum' or 'mean'")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be at least 0, got {self.epochs}")
+        for name in ("lr0", "decay_rate"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("batch_size", "window_steps", "supervise_stride",
                      "decay_steps", "iters_per_epoch"):
             v = getattr(self, name)
@@ -357,7 +356,7 @@ def train(sys: AugmentedSystem, dataset: SnapshotDataset, params0: Vec,
         dataset.n_steps, settings.batch_size, settings.window_steps)
     decay_steps = settings.decay_steps or iters
     history = dataset.history_fn()
-    result = TrainResult(params=params, opt_state=state)
+    result = TrainResult(params=params, opt_state=state, epochs_run=start_epoch)
 
     for epoch in range(start_epoch, settings.epochs):
         epoch_start = (params, state.s, state.step, rng.bit_generator.state)

@@ -9,7 +9,6 @@ from neuralclosure import experiments as ex
 from neuralclosure.checkpoint import (
     Checkpoint,
     check_compatible,
-    closure_fingerprint,
     dump_checkpoint,
     load_checkpoint,
     parse_checkpoint,
@@ -21,7 +20,7 @@ def _sample_checkpoint(with_rng=True):
     rng = np.random.default_rng(0)
     clo = ex.get_study("toy").closure("discrete")
     return Checkpoint(
-        experiment="toy", kind="discrete", arch=closure_fingerprint(clo),
+        experiment="toy", kind="discrete", arch=clo.describe(),
         config_sha="c" * 64, epoch=3,
         params=rng.standard_normal(38) * np.pi,
         opt_s=np.abs(rng.standard_normal(38)) * 1e-7,
@@ -65,12 +64,39 @@ def test_save_and_load_files(tmp_path):
 
 def test_fingerprint_covers_delays_and_window():
     study = ex.get_study("toy")
-    a = closure_fingerprint(study.closure("discrete"))
-    b = closure_fingerprint(study.closure("discrete", delays=(0.1, 0.3)))
+    a = study.closure("discrete").describe()
+    b = study.closure("discrete", delays=(0.1, 0.3)).describe()
     assert a != b
-    c = closure_fingerprint(study.closure("distributed", window=(0.0, 0.5)))
-    d = closure_fingerprint(study.closure("distributed", window=(0.0, 0.25)))
+    c = study.closure("distributed", window=(0.0, 0.5)).describe()
+    d = study.closure("distributed", window=(0.0, 0.25)).describe()
     assert c != d and c.startswith("distributed[")
+
+
+# The fingerprints that checkpoints on disk carry: a change here would make
+# every saved run refuse to resume.
+PINNED_FINGERPRINTS = {
+    ("toy", "markovian"): "markovian|Dense(2->4,tanh);Dense(4->2,linear)",
+    ("toy", "discrete"):
+        "discrete[0.10000000000000001,0.25]|SimpleRnnCell(2->4,tanh);Dense(4->2,linear)",
+    ("toy", "distributed"):
+        "distributed[0,0.5;aux=2]|f:Dense(4->4,tanh);Dense(4->2,linear)"
+        "|g:Dense(2->3,tanh);Dense(3->2,linear)",
+    ("exp2_subgrid", "discrete"):
+        "discrete[0.025000000000000001,0.050000000000000003,0.074999999999999997,"
+        "0.10000000000000001,0.125,0.14999999999999999]"
+        "|SimpleRnnConvCell(1ch->3ch,k3,swish);Conv1d(3ch->2ch,k3,swish);"
+        "Conv1dTranspose(2ch->2ch,k3,swish);Conv1dTranspose(2ch->1ch,k3,linear)",
+}
+
+
+@pytest.mark.parametrize("experiment,kind", sorted(PINNED_FINGERPRINTS))
+def test_fingerprints_are_pinned(experiment, kind):
+    clo = ex.get_study(experiment).closure(kind)
+    want = PINNED_FINGERPRINTS[experiment, kind]
+    assert clo.describe() == want
+    # a checkpoint that carries the pinned string still resumes
+    ck = replace(_sample_checkpoint(), experiment=experiment, kind=kind, arch=want)
+    check_compatible(parse_checkpoint(dump_checkpoint(ck)), clo, kind, experiment)
 
 
 def test_parse_rejects_corruption():

@@ -5,6 +5,7 @@ import pytest
 
 from neuralclosure import cli
 from neuralclosure import experiments as ex
+from neuralclosure.checkpoint import load_checkpoint
 from neuralclosure.config import parse_config
 
 TOY_CFG = """\
@@ -194,8 +195,7 @@ def test_zero_closure_checkpoint_reproduces_baseline(tmp_path):
     # an untrained (zero output layer) checkpoint must score exactly like
     # the uncorrected low-fidelity model
     from neuralclosure import experiments as ex
-    from neuralclosure.checkpoint import Checkpoint, closure_fingerprint, \
-        save_checkpoint
+    from neuralclosure.checkpoint import Checkpoint, save_checkpoint
     from neuralclosure.config import config_hash
 
     cfgp = _write(tmp_path, TOY_CFG)
@@ -205,7 +205,7 @@ def test_zero_closure_checkpoint_reproduces_baseline(tmp_path):
     clo = cfg.closure()
     params = ex.initial_params(clo, seed=1)
     ck = Checkpoint(experiment="toy", kind="discrete",
-                    arch=closure_fingerprint(clo), config_sha=config_hash(cfg),
+                    arch=clo.describe(), config_sha=config_hash(cfg),
                     epoch=0, params=params, opt_s=np.zeros(params.size),
                     opt_step=0)
     save_checkpoint(out / "zero.txt", ck)
@@ -229,6 +229,19 @@ def test_resume_matches_uninterrupted_run(tmp_path):
         (b / "checkpoint.txt").read_bytes()
     assert (a / "loss_history.csv").read_bytes() == \
         (b / "loss_history.csv").read_bytes()
+
+
+def test_resume_past_the_last_epoch_keeps_the_checkpoint(tmp_path, capsys):
+    # a checkpoint at epoch 3 resumed under epochs = 2 runs no epoch
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", _write(tmp_path, TOY_CFG), "--out", str(out)]) == 0
+    before = (out / "checkpoint.txt").read_bytes()
+    short = _write(tmp_path, TOY_CFG.replace("epochs = 3", "epochs = 2"), "short.cfg")
+    assert cli.main(["train", "--config", short, "--out", str(out),
+                     "--checkpoint", str(out / "checkpoint.txt")]) == 0
+    assert load_checkpoint(out / "checkpoint.txt").epoch == 3
+    assert (out / "checkpoint.txt").read_bytes() == before
+    assert "for 3 epochs" in capsys.readouterr().out
 
 
 def test_seed_flag_overrides_config(tmp_path, toy_cfg):
@@ -323,11 +336,17 @@ def test_bad_config_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["batch_size", "window_steps", "supervise_stride",
-                                 "decay_steps", "dt_data"])
+                                 "decay_steps", "dt_data", "lr0", "epochs",
+                                 "decay_rate", "checkpoint_every"])
 def test_nonpositive_steps_and_sizes_exit_2(tmp_path, capsys, key):
-    # TOY_CFG ends in its [training] section
-    extra = "\n[spans]\ndt_data = 0\n" if key == "dt_data" else f"{key} = 0\n"
-    bad = _write(tmp_path, TOY_CFG + extra)
+    # TOY_CFG ends in its [training] section, which sets epochs
+    if key == "epochs":
+        text = TOY_CFG.replace("epochs = 3", "epochs = -1")
+    elif key == "dt_data":
+        text = TOY_CFG + "\n[spans]\ndt_data = 0\n"
+    else:
+        text = TOY_CFG + f"{key} = 0\n"
+    bad = _write(tmp_path, text)
     assert cli.main(["train", "--config", bad, "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
 

@@ -22,7 +22,6 @@ from neuralclosure.closure import (
     Markovian,
     adjoint_discrete,
     adjoint_distributed,
-    adjoint_gradient,
     adjoint_markovian,
     constant_history,
     fd_gradient,
@@ -87,14 +86,8 @@ def distributed_toy(window):
 
 
 def random_params(sys, seed, scale=0.8):
-    if isinstance(sys.closure, Distributed):
-        p = np.concatenate([
-            nn.init_params(sys.closure.f_net, seed, zero_final=False),
-            nn.init_params(sys.closure.g_net, seed + 1, zero_final=False),
-        ])
-    else:
-        p = nn.init_params(sys.closure.net, seed, zero_final=False)
-    return scale * p
+    return scale * np.concatenate([nn.init_params(net, seed + i, zero_final=False)
+                                   for i, net in enumerate(sys.closure.nets)])
 
 
 def toy_dataset(rng, times, dim=2):
@@ -284,7 +277,7 @@ def test_degenerate_window_freezes_aux_and_zeroes_phi_gradient():
     loss = QuadLoss()
     u0 = np.array([0.5, -0.5])
     run = forward_augmented(sys, params, (0.0, 0.8), RK4Fixed(0.02), u0=u0)
-    assert np.all(run.y_at(0.5) == 0.0)
+    assert np.all(run.traj.eval(0.5)[2:] == 0.0)
     adj = adjoint_distributed(sys, params, run, ds, loss, RK4Fixed(0.005))
     assert np.all(adj.grad[sys.n_theta:] == 0.0)
     fd = fd_gradient(sys, params, (0.0, 0.8), ds, loss, RK4Fixed(0.02), u0=u0)
@@ -331,14 +324,14 @@ def test_constant_g_gives_constant_aux_field():
     # y(t) = c * (tau_2 - tau_1) for all t regardless of history
     sys = distributed_toy((0.1, 0.6))
     c = np.array([0.4, -0.3])
-    phi = np.zeros(sys.n_phi)
+    phi = np.zeros(sys.closure.g_net.n_params)
     phi[-2:] = c  # final bias slots of the g-network
     params = np.concatenate([np.zeros(sys.n_theta), phi])
     hist = constant_history(np.array([1.0, 2.0]))
     run = forward_augmented(sys, params, (0.0, 1.0), RK4Fixed(0.02), history=hist)
     expect = c * 0.5
     for t in (0.0, 0.3, 1.0):
-        assert np.max(np.abs(run.y_at(t) - expect)) < 1e-12
+        assert np.max(np.abs(run.traj.eval(t)[2:] - expect)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -381,29 +374,25 @@ def test_run_loss_reports_forward_total():
     assert run.t1 == 1.0
 
 
-def test_kind_named_adjoints_reject_closures_they_do_not_model():
-    # a delayed Discrete closure run through adjoint_markovian would lose its
-    # advanced terms without a word, so each entry point checks the kind
-    hist = constant_history(np.array([0.4, -0.6]))
-    ds = Data(np.array([0.5, 1.0]), np.array([[0.2, -0.1], [0.0, 0.3]]))
-    stepper = RK4Fixed(0.02)
-    systems = {"markovian": markovian_toy(), "discrete": discrete_toy(),
-               "discrete0": discrete_toy(delays=()),
-               "distributed": distributed_toy((0.0, 0.5))}
-    accepts = {adjoint_markovian: {"markovian", "discrete0"},
-               adjoint_discrete: {"discrete", "discrete0"},
-               adjoint_distributed: {"distributed"}}
-    for name, sys in systems.items():
-        params = random_params(sys, 41)
-        run = forward_augmented(sys, params, (0.0, 1.0), stepper, history=hist)
-        want = adjoint_gradient(sys, params, run, ds, QuadLoss(), stepper).grad
-        for entry, kinds in accepts.items():
-            if name in kinds:
-                got = entry(sys, params, run, ds, QuadLoss(), stepper).grad
-                assert got.tobytes() == want.tobytes()
-            else:
-                with pytest.raises(ValueError):
-                    entry(sys, params, run, ds, QuadLoss(), stepper)
+@pytest.mark.parametrize("closure", [
+    Markovian(nn.Network([nn.Dense(2, 3)])),
+    Discrete(nn.Network([nn.SimpleRnnCell(2, 4), nn.Dense(4, 3)]), (0.1,)),
+    Distributed(nn.Network([nn.Dense(4, 3)]), nn.Network([nn.Dense(2, 2)]), (0.0, 0.5), 2),
+], ids=["markovian", "discrete", "distributed"])
+def test_f_network_must_match_the_state(closure):
+    sys = AugmentedSystem(decay_rhs, closure, 2, base_vjp=decay_vjp)
+    with pytest.raises(ValueError, match="closure output has 3 entries, state has 2"):
+        forward_augmented(sys, np.zeros(sys.n_params), (0.0, 1.0), RK4Fixed(0.1),
+                          history=constant_history(np.array([0.4, -0.6])))
+
+
+def test_g_network_must_match_the_auxiliary_field():
+    clo = Distributed(nn.Network([nn.Dense(4, 2)]), nn.Network([nn.Dense(2, 3)]),
+                      (0.0, 0.5), aux_dim=2)
+    sys = AugmentedSystem(decay_rhs, clo, 2, base_vjp=decay_vjp)
+    with pytest.raises(ValueError, match="g-network output has 3 entries, aux_dim is 2"):
+        forward_augmented(sys, np.zeros(sys.n_params), (0.0, 1.0), RK4Fixed(0.1),
+                          history=constant_history(np.array([0.4, -0.6])))
 
 
 def test_validation_errors():
@@ -412,7 +401,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         forward_augmented(sys, params, (0.0, 1.0), RK4Fixed(0.02))  # no history
     with pytest.raises(ValueError):
-        sys.split_params(np.zeros(3))
+        sys.decode(np.zeros(3))
     with pytest.raises(ValueError):
         Discrete(nn.Network([nn.SimpleRnnCell(2, 4), nn.Dense(4, 2)]), (0.2, 0.1))
     with pytest.raises(ValueError):

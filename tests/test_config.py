@@ -90,6 +90,7 @@ delays = 0.05, 0.1, 0.15
      "does not apply"),
     ("[run]\nexperiment = exp3a_bio0d\n[column]\nn_z = 5\n", "does not apply"),
     ("[run]\nexperiment = toy\n[sweep]\nrepeats = 0\n", "repeats"),
+    ("[run]\nexperiment = toy\n[training]\ncheckpoint_every = 0\n", "checkpoint_every"),
     ("garbage without a section\n", "malformed"),
 ])
 def test_rejected_configs(text, frag):

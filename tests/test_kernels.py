@@ -176,7 +176,7 @@ def test_batched_history_term_matches_per_node(distributed_case):
     run = closure.forward_augmented(sys, params, (t0, t0 + 2 * study.dt_data),
                                     study.forward_stepper(), history=history)
     mu0 = np.random.default_rng(9).normal(size=sys.aux_dim)
-    y0, dphi = oracles.history_term_per_node(sys, sys.split_params(params)[1],
+    y0, dphi = oracles.history_term_per_node(sys, sys.decode(params)[1],
                                              history, t0, mu0)
     assert rel_l2(run.traj.eval(t0)[sys.state_dim:], y0) <= 1e-13
     assert rel_l2(closure.history_param_grad(sys, run, mu0), dphi) <= 1e-13
