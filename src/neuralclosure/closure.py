@@ -54,6 +54,7 @@ from .integrate import (
     DenseTrajectory,
     RK4Fixed,
     StepperSpec,
+    dde_read_times,
     integrate_dde,
     integrate_ode,
     quadrature_nodes,
@@ -201,14 +202,7 @@ class Distributed(_Closure):
     def g_eval(self, t, u: Vec, phi) -> Vec:
         """g(u, t; phi), flat per member."""
         out = nn.forward(self.g_net, nn.fields(self.g_net, u), phi, t)
-        out = out.reshape(u.shape[:-1] + (-1,))
-        self._check_g_width(out.shape[-1])
-        return out
-
-    def _check_g_width(self, size: int):
-        if size != self.aux_dim:
-            raise ValueError(
-                f"g-network output has {size} entries, aux_dim is {self.aux_dim}")
+        return out.reshape(u.shape[:-1] + (-1,))
 
     def aux_rate(self, t, u: Vec, delayed: Sequence[Vec], phi) -> Vec:
         """dy/dt = g(u(t - tau_1), t - tau_1) - g(u(t - tau_2), t - tau_2),
@@ -238,13 +232,28 @@ class AugmentedSystem:
     ``base_vjp(t, u, w)`` must return w^T d(base_rhs)/du. Both take one
     state (d,) at one time, or a batch (B, d) with one time per member (B,).
     The closure networks read flat states point-major as (points, channels)
-    fields (:func:`nn.fields`) when they are grid networks.
+    fields (:func:`nn.fields`) when they are grid networks. Their output
+    widths are checked here, once: f writes state_dim entries and g aux_dim.
     """
 
     base_rhs: Callable[[float, Vec], Vec]
     closure: ClosureModel
     state_dim: int
     base_vjp: Callable[[float, Vec, Vec], Vec]
+
+    def __post_init__(self):
+        nets = self.closure.nets
+        # the last network reads the state's fields: f, or the g of a
+        # distributed closure, whose layout f shares
+        kind, ch = nets[-1].input_spec
+        points = 1 if kind == "dense" else self.state_dim // ch
+        wants = ((self.state_dim, "closure output has {} entries, state has {}"),
+                 (self.aux_dim, "g-network output has {} entries, aux_dim is {}"))
+        for net, (want, msg) in zip(nets, wants):
+            kind, ch = net.output_spec
+            size = ch if kind == "dense" else points * ch
+            if size != want:
+                raise ValueError(msg.format(size, want))
 
     @property
     def n_theta(self) -> int:
@@ -277,17 +286,25 @@ class AugmentedSystem:
         net = self.closure.nets[0]
         x = self.closure.f_input(U, delayed)
         term = (nn.rnn_forward if net.recurrent else nn.forward)(net, x, theta, t)
-        u = U[..., :self.state_dim]
-        if term.size != u.size:
-            raise ValueError(
-                f"closure output has {term.size} entries, state has {u.size}")
-        return term.reshape(u.shape)
+        return term.reshape(U[..., :self.state_dim].shape)
 
 
 def constant_history(u0: Vec) -> Callable[[float], Vec]:
-    """History callable that returns the initial state for every past time."""
+    """History callable that returns the initial state for every past time:
+    for one time, or one row per time of a 1-D array of times."""
     u0 = np.asarray(u0, dtype=float).copy()
-    return lambda t: u0
+    return lambda t: u0 if np.ndim(t) == 0 else np.broadcast_to(u0, np.shape(t) + u0.shape)
+
+
+def _read_history(history: Callable, times, offsets) -> np.ndarray:
+    """``history`` at each clock time in ``times`` for every member, one row
+    block per time ((len(times),) + members + (d,)). With a member axis that
+    is one call over the flat 1-D array of member times; a single trajectory
+    makes one call per time, as a history need only take one time."""
+    if not np.ndim(offsets):
+        return np.stack([np.asarray(history(s), dtype=float) for s in times])
+    rows = np.asarray(history(np.add.outer(times, offsets).ravel()), dtype=float)
+    return rows.reshape(np.shape(times) + np.shape(offsets) + rows.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +358,16 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
 
     A batch of B members solved in lockstep gives t_span as two (B,) arrays
     of start and end times, all spanning the same length, and ``u0`` as
-    (B, d); ``history`` then takes one time or a (B,) array of them.
+    (B, d). The history contract: ``history`` takes one time, or a 1-D array
+    of times and returns one row per time; a single trajectory only ever
+    passes one time.
 
     One right-hand side rhs(t, U, delayed) serves every closure kind, with
     ``delayed`` holding U at t - tau for tau in the closure's ``lags``. A
-    closure without lags is solved as an ODE.
+    closure without lags is solved as an ODE. History is read by the
+    solve's lookup plan (:func:`integrate.dde_read_times`): with a member
+    axis, every read before t0 of a fixed-step solve and the y(t0) nodes are
+    one ``history`` call, kept by exact time; any other read is its own call.
     """
     starts = np.asarray(t_span[0], dtype=float)
     ends = np.asarray(t_span[1], dtype=float)
@@ -370,18 +392,26 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
     if lags and history is None:
         raise ValueError("a closure with delays needs a history callable")
 
+    # with a member axis, the solve's planned reads before t0, then the y(t0)
+    # nodes, through one history call
+    reads = np.empty(0)
+    planned = dde_read_times(lags, (t0, t1), stepper) if lags and lead else None
+    if planned is not None:
+        reads = planned[planned < t0]
+    ts = c.history_nodes(t0) if aux and lags else np.empty(0)
+    rows = _read_history(history, np.concatenate([reads, ts]), offsets) \
+        if reads.size or ts.size else None
+
     hist_tape = None
     y0 = np.zeros(lead + (aux,))
-    if aux and lags:
+    if ts.size:
         # y(t0) by the trapezoid rule, all nodes of all members through one
         # g tape
-        ts = c.history_nodes(t0)
         node_times = np.add.outer(ts, offsets)
-        h = np.stack([history(s) for s in node_times]).reshape(-1, n)
+        h = rows[reads.size:].reshape(-1, n)
         hist_tape = nn.tape(c.g_net, nn.fields(c.g_net, h), views[1], node_times.ravel())
-        g_nodes = hist_tape.y.reshape(node_times.shape + (-1,))
-        c._check_g_width(g_nodes.shape[-1])
-        y0 = (trapezoid_weights(ts) @ g_nodes.reshape(ts.size, -1)).reshape(lead + (-1,))
+        g_nodes = hist_tape.y.reshape(ts.size, -1)
+        y0 = (trapezoid_weights(ts) @ g_nodes).reshape(lead + (-1,))
     U0 = np.concatenate([u0, y0], axis=-1)
 
     def rhs(t, U, delayed=()):
@@ -393,11 +423,11 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
         return np.concatenate([du, c.aux_rate(tm, u, delayed, views[1])], axis=-1)
 
     if lags:
-        @_memo
-        def hist(s):
+        def read(s):
             # the closures read only the state part of a delayed value
             return U0 if s >= t0 else np.asarray(history(s + offsets), dtype=float)
 
+        hist = _memo(read, zip(reads.tolist(), rows) if reads.size else ())
         traj = integrate_dde(DdeProblem(rhs=rhs, delays=lags, history=hist),
                              (t0, t1), stepper)
     else:
@@ -455,34 +485,67 @@ def _same_time(s: float, t: float) -> bool:
     return abs(s - t) <= _TIME_RTOL * max(1.0, abs(t))
 
 
-def _backward_sweep(shape, t0, T, jump_times, jump_vals, rhs_adj, integrand, dt,
-                    shifts=()):
-    """Fixed-step RK4 sweep from T down to t0 with jumps and running trapezoid.
+def _sweep_grid(t0, T, jump_times, dt, shifts=()) -> list[np.ndarray]:
+    """The steps of the backward sweep from T down to t0: one array of knots
+    per segment, each from its upper bound down to its lower one, the
+    segments in sweep order. The segment bounds are t0, T, the jump times
+    and every time where an advanced argument crosses a jump (a jump time
+    minus a shift), and no step exceeds dt or the smallest shift."""
+    eps_t = _TIME_RTOL * max(1.0, abs(T))
+    bounds = {float(t0), float(T)} | {float(t) for t in jump_times}
+    for s in (tj - tau for tj in jump_times for tau in shifts):
+        s = float(s)
+        if t0 + eps_t < s < T - eps_t and all(abs(s - b) > eps_t for b in bounds):
+            bounds.add(s)
+    knots = sorted(bounds)
+    h_max = min((dt, *shifts))
+    grid = []
+    for seg_lo, t_hi in zip(knots[-2::-1], knots[:0:-1]):
+        span = t_hi - seg_lo
+        n = max(int(np.ceil(span / h_max - 1e-12)), 1)
+        ts = t_hi - (span / n) * np.arange(n + 1)
+        ts[-1] = seg_lo
+        grid.append(ts)
+    return grid
+
+
+def _sweep_stage_times(grid) -> np.ndarray:
+    """Every time at which :func:`_backward_sweep` over ``grid`` evaluates
+    the adjoint right-hand side or the integrand: the knots and each step's
+    midpoint t + 0.5*h, as the same float expressions."""
+    return np.concatenate([np.concatenate([ts, ts[:-1] + 0.5 * (ts[1:] - ts[:-1])])
+                           for ts in grid])
+
+
+def _backward_sweep(shape, grid, jump_times, jump_vals, rhs_adj, integrand):
+    """Fixed-step RK4 sweep over the steps ``grid`` (:func:`_sweep_grid`)
+    with jumps and running trapezoid.
 
     The adjoint state has ``shape`` ((B, dim) for a batch of members); each
     jump in ``jump_vals`` acts on its first ``u_dim`` entries per member.
 
     rhs_adj(t, a, look) gives the adjoint time derivative; ``look`` reads
     already-computed adjoint values at the advanced times t + tau, tau in the
-    positive ``shifts``, so no step exceeds the smallest shift. The adjoint
-    state jumps at data times, so the advanced lookups are one-sided there:
-    stages at a step's upper knot take the limit from below (the stored
-    post-jump value), the final stage at the lower knot takes the limit from
-    above (jump added back). Every time where an advanced argument crosses a
-    jump (data time minus shift) is a step boundary, so that discontinuities
-    of the adjoint RHS land exactly on step boundaries; without this the
-    sweep degrades to first order. ``integrand(t, a)`` returns the flat
-    gradient integrand accumulated by the trapezoid rule on the backward
-    knots. At every knot ``integrand(t, a)`` is called before the stage-1
-    ``rhs_adj(t, a, look)`` of the step leaving it, with the same ``a``, so
-    a caller's tape cache serves stage 1 from the integrand's full reverse
-    pass. Returns (DenseTrajectory, integral).
+    grid's positive shifts, which no step exceeds. The adjoint state jumps
+    at data times, so the advanced lookups are one-sided there: stages at a
+    step's upper knot take the limit from below (the stored post-jump
+    value), the final stage at the lower knot takes the limit from above
+    (jump added back). Every time where an advanced argument crosses a jump
+    (data time minus shift) is a segment bound of the grid, so that
+    discontinuities of the adjoint RHS land exactly on step boundaries;
+    without this the sweep degrades to first order. ``integrand(t, a)``
+    returns the flat gradient integrand accumulated by the trapezoid rule on
+    the backward knots. At every knot ``integrand(t, a)`` is called before
+    the stage-1 ``rhs_adj(t, a, look)`` of the step leaving it, with the
+    same ``a``, so a caller's tape cache serves stage 1 from the
+    integrand's full reverse pass. Returns (DenseTrajectory, integral).
     """
     store = DenseTrajectory()
     a = np.zeros(shape)
     total = None
     u_dim = jump_vals.shape[-1]
 
+    T, t0 = grid[0][0], grid[-1][-1]
     jump_map = {}
     for t, g in zip(jump_times, jump_vals):
         jump_map.setdefault(float(t), np.zeros(g.shape))
@@ -512,24 +575,10 @@ def _backward_sweep(shape, t0, T, jump_times, jump_vals, rhs_adj, integrand, dt,
             v[..., :u_dim] += jump_map[s]
         return v
 
-    # segment boundaries: jump times plus the advanced-crossing stops
-    eps_t = _TIME_RTOL * max(1.0, abs(T))
-    bounds = {float(t0), float(T)} | set(jump_map)
-    for s in (tj - tau for tj in jump_times for tau in shifts):
-        s = float(s)
-        if t0 + eps_t < s < T - eps_t and all(abs(s - b) > eps_t for b in bounds):
-            bounds.add(s)
-    knots = sorted(bounds)
-    h_max = min((dt, *shifts))
-
-    t_hi = knots[-1]
-    if t_hi in jump_map:
-        a[..., :u_dim] -= jump_map[t_hi]
-    for seg_lo in reversed(knots[:-1]):
-        span = t_hi - seg_lo
-        n = max(int(np.ceil(span / h_max - 1e-12)), 1)
-        ts = t_hi - (span / n) * np.arange(n + 1)
-        ts[-1] = seg_lo
+    if T in jump_map:
+        a[..., :u_dim] -= jump_map[T]
+    for ts in grid:
+        t_hi, seg_lo = ts[0], ts[-1]
         m_prev = integrand(t_hi, a)
         if total is None:
             total = np.zeros_like(m_prev)
@@ -545,10 +594,9 @@ def _backward_sweep(shape, t0, T, jump_times, jump_vals, rhs_adj, integrand, dt,
             m_now = integrand(t_next, a)
             total += 0.5 * (t - t_next) * (m_prev + m_now)
             m_prev = m_now
-        t_hi = seg_lo
-        if t_hi in jump_map and t_hi > t0:
+        if seg_lo in jump_map and seg_lo > t0:
             a = a.copy()
-            a[..., :u_dim] -= jump_map[t_hi]
+            a[..., :u_dim] -= jump_map[seg_lo]
     return store, total
 
 
@@ -558,9 +606,10 @@ def _require_rk4(stepper) -> float:
     return stepper.dt
 
 
-def _memo(fn):
-    """``fn`` of a float time, computed once per exact time value."""
-    seen = {}
+def _memo(fn, known=()):
+    """``fn`` of a float time, computed once per exact time value; ``known``
+    holds (time, value) pairs already computed."""
+    seen = dict(known)
 
     def at(t):
         v = seen.get(t)
@@ -658,7 +707,15 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
     c = sys.closure
     times, cots = _loss_jumps(run, dataset, loss_spec)
     T, n, lead, offsets, f_lags = run.t1, run.u_dim, run.lead, run.offsets, c.f_lags
-    u_at = _memo(run.u_at)
+    grid = _sweep_grid(run.t0, T, times, dt, c.lags)
+    # with a member axis, the states before t0 that the sweep reads (at
+    # t - tau for its stage times t and tau in lags) come from one history call
+    reads = np.empty(0)
+    if lead and c.lags:
+        reads = np.unique(np.subtract.outer(_sweep_stage_times(grid), c.lags))
+        reads = reads[reads < run.t0]
+    u_at = _memo(run.u_at, zip(reads.tolist(), _read_history(run.history, reads, offsets))
+                 if reads.size else ())
     # the augmented state the f-network reads (the state without an auxiliary field)
     state_at = _memo(run.traj.eval) if run.aux_dim else u_at
     f_tapes = _StageTapes(
@@ -701,8 +758,8 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
             dphi = np.zeros(sys.n_params - sys.n_theta)
         return np.concatenate([dth, dphi])
 
-    store, integral = _backward_sweep(lead + (n + run.aux_dim,), run.t0, T, times, cots,
-                                      rhs_adj, integrand, dt, c.lags)
+    store, integral = _backward_sweep(lead + (n + run.aux_dim,), grid, times, cots,
+                                      rhs_adj, integrand)
     grad = -integral
 
     if windowed:

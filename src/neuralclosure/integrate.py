@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -315,6 +315,16 @@ def _knot_grid(t0: float, t1: float, h: float) -> np.ndarray:
     return ts
 
 
+def _rk4_stage_times(t0: float, t1: float, h: float) -> np.ndarray:
+    """Every time at which :func:`_solve`'s ``RK4Fixed`` path over [t0, t1]
+    with steps of at most ``h`` calls its right-hand side, ascending and
+    unique: the knots, and t + 0.5*h and t + h of each step [t, t_next], as
+    the same float expressions :func:`_rk4_step` evaluates."""
+    ts = _knot_grid(t0, t1, h)
+    t, h = ts[:-1], ts[1:] - ts[:-1]
+    return np.unique(np.concatenate([ts, t + 0.5 * h, t + h]))
+
+
 def _solve(rhs: Callable[[float, Vec], Vec], u0: Vec, t_span: tuple[float, float],
            stepper: StepperSpec, breakpoints: Iterable[float], traj: DenseTrajectory,
            cap: float = np.inf) -> DenseTrajectory:
@@ -399,7 +409,10 @@ class DdeProblem:
     """Delay problem u'(t) = rhs(t, u(t), [u(t - tau_1), ..., u(t - tau_K)]).
 
     ``delays`` must be strictly positive and ascending. ``history`` supplies
-    u(t) for t <= t_start and must cover [t_start - max(delays), t_start].
+    u(t) for one time t <= t_start and must cover
+    [t_start - max(delays), t_start]. ``rhs`` must not change the delayed
+    states in place: a solve may hand the same array to several reads of
+    one time.
     """
 
     rhs: Callable[[float, Vec, list[Vec]], Vec]
@@ -424,6 +437,20 @@ def _breakpoints(t0: float, t1: float, delays: tuple[float, ...]):
             k += 1
 
 
+def dde_read_times(delays: Sequence[float], t_span: tuple[float, float],
+                   stepper: StepperSpec) -> np.ndarray | None:
+    """The lookup plan of :func:`integrate_dde`: every time t - tau at which a
+    solve of ``delays`` over ``t_span`` reads a delayed state, for every
+    right-hand-side time t and delay tau, ascending and unique, as the same
+    float expressions the solve evaluates. None for an adaptive stepper,
+    whose steps are not known before the solve."""
+    if not isinstance(stepper, RK4Fixed):
+        return None
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    times = _rk4_stage_times(t0, t1, min(stepper.dt, delays[0]))
+    return np.unique(np.subtract.outer(times, np.asarray(delays, dtype=float)))
+
+
 def integrate_dde(prob: DdeProblem, t_span: tuple[float, float],
                   stepper: StepperSpec) -> DenseTrajectory:
     """Method-of-steps DDE solve with dense output.
@@ -432,16 +459,45 @@ def integrate_dde(prob: DdeProblem, t_span: tuple[float, float],
     under construction. Adaptive runs also land exactly on the first-order
     breakpoints t_start + k*tau_j, where the solution's higher derivatives
     jump.
+
+    ``prob.history`` is called with one time at a time. A fixed-step solve
+    reads the states after t_start ahead, by its lookup plan
+    (:func:`dde_read_times`): a read it has not fetched yet fetches every
+    planned time up to the committed end of the solution in one
+    :meth:`DenseTrajectory.eval_many`, and drops the fetched times older than
+    that end minus the largest delay, which no later stage reads. A value
+    at a time before the committed end does not change as the solution
+    grows, so each read equals a scalar :meth:`DenseTrajectory.eval` at its
+    own time bit for bit; a read past the end (an ulp, by rounding) and an
+    adaptive solve's reads are such scalar evaluations.
     """
     if not prob.delays:
         raise ValueError("integrate_dde: no delays; use integrate_ode")
     t0, t1 = float(t_span[0]), float(t_span[1])
     traj = DenseTrajectory()
+    plan = dde_read_times(prob.delays, (t0, t1), stepper)
+    plan = plan[plan > t0] if plan is not None else np.empty(0)
+    ahead: dict = {}
+    fetched = 0  # plan[:fetched] has been read ahead
+
+    def read_ahead():
+        nonlocal ahead, fetched
+        t_end = traj.t_end
+        stop = int(np.searchsorted(plan, t_end, side="right"))
+        if stop > fetched:
+            oldest = t_end - prob.delays[-1]
+            ahead = {s: v for s, v in ahead.items() if s >= oldest}
+            ahead.update(zip(plan[fetched:stop].tolist(), traj.eval_many(plan[fetched:stop])))
+            fetched = stop
 
     def u_at(s: float) -> Vec:
         if s <= t0:
             return np.asarray(prob.history(s), dtype=float)
-        return traj.eval(s)
+        v = ahead.get(s)
+        if v is None and fetched < plan.size:
+            read_ahead()
+            v = ahead.get(s)
+        return traj.eval(s) if v is None else v
 
     def rhs(t: float, u: Vec) -> Vec:
         delayed = [u_at(t - tau) for tau in prob.delays]

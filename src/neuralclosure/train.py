@@ -87,8 +87,10 @@ class SnapshotDataset:
 
     def history_fn(self) -> Callable[[float], Vec]:
         """Interpolant clamped to the covered span (history for early
-        windows). It takes one time, or a (B,) array of member times and
-        returns one row per time."""
+        windows). It keeps the history contract: one time, or a 1-D array
+        of times (such as a batch's member times, or a forward solve's
+        whole lookup plan of them) with one row per time, each row equal to
+        the one-time read bit for bit."""
         traj = self.interpolant()
         lo, hi = self.t_start, self.t_end
 

@@ -185,3 +185,33 @@ def history_term_per_node(sys, phi, history, t0, mu0):
     y0 = trapezoid(ts, [tp.y.ravel() for tp in tapes])
     dphi = trapezoid(ts, [nn.backward(tp, mu0.reshape(tp.y.shape))[1] for tp in tapes])
     return y0, dphi
+
+
+def rk4_dde_scalar(rhs, delays, history, t0, t1, dt):
+    """Method-of-steps RK4 of u' = rhs(t, u, [u(t - tau) for tau in delays])
+    with one scalar ``DenseTrajectory.eval`` per delayed lookup after t0 and
+    a ``history`` call before it; steps of at most min(dt, delays[0]) on a
+    uniform grid. Returns (knots, values, slopes), the slope at a knot being
+    the right-hand side there."""
+    from neuralclosure.integrate import DenseTrajectory
+
+    n = max(int(np.ceil((t1 - t0) / min(dt, delays[0]) - 1e-12)), 1)
+    ts = t0 + ((t1 - t0) / n) * np.arange(n + 1)
+    ts[-1] = t1
+    traj = DenseTrajectory()
+
+    def f(t, u):
+        lagged = [history(s) if s <= t0 else traj.eval(s) for s in (t - tau for tau in delays)]
+        return np.asarray(rhs(t, u, lagged), dtype=float)
+
+    us = [np.asarray(history(t0), dtype=float)]
+    ks = [f(t0, us[0])]
+    for t, t_next in zip(ts[:-1], ts[1:]):
+        h, u, k1 = t_next - t, us[-1], ks[-1]
+        k2 = f(t + 0.5 * h, u + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, u + 0.5 * h * k2)
+        k4 = f(t + h, u + h * k3)
+        us.append(u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        ks.append(f(t_next, us[-1]))
+        traj.append(t, t_next, u, us[-1], k1, ks[-1])
+    return ts, np.array(us), np.array(ks)

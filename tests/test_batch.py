@@ -139,6 +139,35 @@ def test_batch_does_the_work_of_one_window(kind, counted):
         assert work[2][(id(net), "unpack")] == 2
 
 
+@pytest.mark.parametrize("study_case", ["exp1_rom", "exp3a_bio0d"], indirect=True)
+@pytest.mark.parametrize("kind", ex.CLOSURE_KINDS)
+def test_batch_reads_the_history_in_two_calls(study_case, kind):
+    # the forward solve reads its planned times before the window starts and
+    # the y(t0) nodes in one call, and the adjoint sweep its own in one more,
+    # each a flat 1-D array of member times
+    study, data, ds = study_case
+    clo, system, s, params = _pair(study, data, kind)
+    history = ds.history_fn()
+    calls = []
+
+    def counted(t):
+        calls.append(np.ndim(t))
+        return history(t)
+
+    adm = train.admissible_starts(ds.n_steps, s.window_steps, s.supervise_stride)
+    batches = [train.sample_batch(np.random.default_rng(5), ds.n_steps, s.batch_size,
+                                  s.window_steps, s.supervise_stride),
+               [adm[0], adm[-1], adm[3]]]
+    budget = {"markovian": 0, "discrete": 2, "distributed": 3}[kind]
+    for starts in batches:
+        calls.clear()
+        train.batch_gradient(system, params, ds, starts, s, study.loss_spec(),
+                             study.forward_stepper(), counted)
+        assert len(calls) <= budget and set(calls) <= {1}
+        if kind == "discrete":
+            assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # The batch axis of the network layers and the history
 # ---------------------------------------------------------------------------

@@ -352,6 +352,15 @@ def test_zero_closure_is_neutral():
             assert np.max(np.abs(run.u_at(t) - base.eval(t))) < 1e-10
 
 
+def test_constant_history_gives_one_row_per_time():
+    u0 = np.array([0.4, -0.6, 1.5])
+    hist = constant_history(u0)
+    assert hist(2.0).tobytes() == u0.tobytes()
+    rows = hist(np.array([0.0, 1.0, 2.0]))
+    assert rows.shape == (3, 3)
+    assert rows.tobytes() == np.stack([u0] * 3).tobytes()
+
+
 def test_gradient_is_linear_in_loss_weight():
     sys = discrete_toy()
     params = random_params(sys, 41)
@@ -380,19 +389,30 @@ def test_run_loss_reports_forward_total():
     Distributed(nn.Network([nn.Dense(4, 3)]), nn.Network([nn.Dense(2, 2)]), (0.0, 0.5), 2),
 ], ids=["markovian", "discrete", "distributed"])
 def test_f_network_must_match_the_state(closure):
-    sys = AugmentedSystem(decay_rhs, closure, 2, base_vjp=decay_vjp)
+    # checked when the system is built, before any solve
     with pytest.raises(ValueError, match="closure output has 3 entries, state has 2"):
-        forward_augmented(sys, np.zeros(sys.n_params), (0.0, 1.0), RK4Fixed(0.1),
-                          history=constant_history(np.array([0.4, -0.6])))
+        AugmentedSystem(decay_rhs, closure, 2, base_vjp=decay_vjp)
 
 
 def test_g_network_must_match_the_auxiliary_field():
-    clo = Distributed(nn.Network([nn.Dense(4, 2)]), nn.Network([nn.Dense(2, 3)]),
-                      (0.0, 0.5), aux_dim=2)
-    sys = AugmentedSystem(decay_rhs, clo, 2, base_vjp=decay_vjp)
-    with pytest.raises(ValueError, match="g-network output has 3 entries, aux_dim is 2"):
-        forward_augmented(sys, np.zeros(sys.n_params), (0.0, 1.0), RK4Fixed(0.1),
-                          history=constant_history(np.array([0.4, -0.6])))
+    # an empty window (0.5, 0.5) never evaluates g, so only the check at
+    # construction sees its width
+    for window in ((0.0, 0.5), (0.5, 0.5)):
+        clo = Distributed(nn.Network([nn.Dense(4, 2)]), nn.Network([nn.Dense(2, 3)]),
+                          window, aux_dim=2)
+        with pytest.raises(ValueError, match="g-network output has 3 entries, aux_dim is 2"):
+            AugmentedSystem(decay_rhs, clo, 2, base_vjp=decay_vjp)
+
+
+def test_grid_network_widths_count_the_points():
+    # a 3-point state of 2 channels: f writes 6 entries, g 3 points x 1 channel
+    f = nn.Network([nn.Conv1d(3, 2, 3)])
+    g = nn.Network([nn.Conv1d(2, 1, 3)])
+    AugmentedSystem(decay_rhs, Distributed(f, g, (0.0, 0.5), aux_dim=3), 6,
+                    base_vjp=decay_vjp)
+    with pytest.raises(ValueError, match="g-network output has 3 entries, aux_dim is 6"):
+        AugmentedSystem(decay_rhs, Distributed(f, g, (0.0, 0.5), aux_dim=6), 6,
+                        base_vjp=decay_vjp)
 
 
 def test_validation_errors():

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from oracles import rk4_dde_scalar
+
 from neuralclosure.integrate import (
     DdeProblem,
     DenseTrajectory,
     DormandPrince54,
     IntegrationError,
     RK4Fixed,
+    dde_read_times,
     integrate_dde,
     integrate_ode,
     quadrature_nodes,
@@ -239,6 +242,49 @@ class TestIntegrateDde:
         for t in np.concatenate([knots, knots[:-1] + np.diff(knots) * 0.3,
                                  knots[:-1] + np.diff(knots) * 0.8]):
             assert dde.eval(t).tobytes() == ode.eval(t).tobytes()
+
+    @pytest.mark.parametrize("delays, dt", [
+        ((0.1, 0.25), 0.05),         # multiples of the step
+        ((0.13, 0.37), 0.05),        # not multiples
+        ((0.1, 0.37, 3.0), 0.05),    # one of each, and one longer than the span
+        ((0.07, 0.2), 0.1),          # a delay shorter than dt caps the step
+    ])
+    def test_read_ahead_is_the_scalar_lookup_solve(self, delays, dt, monkeypatch):
+        # the planned block reads give the knots, values and slopes of a solve
+        # that reads each delayed state with its own scalar eval, bit for bit
+        def rhs(t, u, d):
+            return np.array([-d[0][1] + 0.5 * np.sin(d[-1][0]), u[0] * np.cos(t) - d[0][0]])
+
+        def history(t):
+            return np.array([np.cos(t), np.sin(2.0 * t)])
+
+        evals = []
+        scalar_eval = DenseTrajectory.eval
+        monkeypatch.setattr(DenseTrajectory, "eval",
+                            lambda tr, t: evals.append(t) or scalar_eval(tr, t))
+        ts, us, ks = rk4_dde_scalar(rhs, delays, history, 0.0, 2.0, dt)
+        oracle_evals = len(evals)
+        evals.clear()
+        tr = integrate_dde(DdeProblem(rhs=rhs, delays=delays, history=history),
+                           (0.0, 2.0), RK4Fixed(dt))
+        assert len(evals) < oracle_evals / 4
+        assert tr.knots().tobytes() == ts.tobytes()
+        m = ts.size
+        assert tr._u[:m].tobytes() == us.tobytes()
+        assert tr._f[:m].tobytes() == ks.tobytes()
+
+    def test_read_times_are_the_solve_reads(self, monkeypatch):
+        # the plan holds every time t - tau the scalar-lookup solve reads
+        reads = []
+        scalar_eval = DenseTrajectory.eval
+        monkeypatch.setattr(DenseTrajectory, "eval",
+                            lambda tr, t: reads.append(t) or scalar_eval(tr, t))
+        history = lambda t: reads.append(t) or np.array([1.0])
+        rk4_dde_scalar(lambda t, u, d: -d[0] + 0.1 * d[1], (0.07, 0.2), history,
+                       0.0, 1.0, 0.05)
+        plan = dde_read_times((0.07, 0.2), (0.0, 1.0), RK4Fixed(0.05))
+        assert plan.tolist() == sorted(set(reads[1:]))  # reads[0] is u(t0)
+        assert dde_read_times((0.07,), (0.0, 1.0), DormandPrince54()) is None
 
     def test_delay_validation(self):
         with pytest.raises(ValueError):
