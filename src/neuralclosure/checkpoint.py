@@ -4,7 +4,8 @@ A checkpoint freezes everything a training run needs to continue exactly:
 the architecture fingerprint, the flat parameter vector, the optimizer
 accumulator, and the batch-sampler RNG state. Values are written with
 ``repr`` (shortest exact round-trip), so loading and resuming reproduces
-the next update bit for bit on the same build.
+the next update bit for bit on the same build. The sectioned text format
+is read by :func:`read_sections`, which the POD basis file shares.
 """
 
 from __future__ import annotations
@@ -101,38 +102,47 @@ def save_checkpoint(path, ck: Checkpoint) -> None:
         fh.write(dump_checkpoint(ck))
 
 
-def parse_checkpoint(text: str) -> Checkpoint:
+def read_sections(text: str, format_line: str, what: str, fields: tuple,
+                  names: tuple) -> tuple[dict, dict]:
+    """The sectioned text format of checkpoints and basis files: a format
+    line, ``key = value`` header lines, then ``[name]`` sections of one
+    entry per line; blank lines are skipped. Returns the header and the
+    sections (name -> stripped lines). Raises ValueError, its message led
+    by ``what``, on a wrong format line, a header line without ``=``, or a
+    missing header field in ``fields`` or section in ``names``."""
     lines = text.splitlines()
-    if not lines or lines[0] != FORMAT_LINE:
-        raise ValueError("not a checkpoint file (bad format line)")
+    if not lines or lines[0] != format_line:
+        raise ValueError(f"{what}: bad format line")
     head: dict[str, str] = {}
-    i = 1
-    while i < len(lines) and lines[i].strip() and not lines[i].startswith("["):
-        key, _, val = lines[i].partition("=")
-        if not _:
-            raise ValueError(f"bad checkpoint header line: {lines[i]!r}")
-        head[key.strip()] = val.strip()
-        i += 1
     sections: dict[str, list[str]] = {}
     current = None
-    for line in lines[i:]:
+    for line in lines[1:]:
         s = line.strip()
         if not s:
             continue
         if s.startswith("[") and s.endswith("]"):
-            current = s[1:-1]
-            sections[current] = []
-        elif current is None:
-            raise ValueError(f"stray checkpoint line: {line!r}")
+            current = sections[s[1:-1]] = []
+        elif current is not None:
+            current.append(s)
         else:
-            sections[current].append(s)
-    for need in ("experiment", "closure", "epoch", "opt_step", "n_params",
-                 "arch", "config_sha256"):
+            key, eq, val = s.partition("=")
+            if not eq:
+                raise ValueError(f"{what}: bad header line {line!r}")
+            head[key.strip()] = val.strip()
+    for need in fields:
         if need not in head:
-            raise ValueError(f"checkpoint missing header field {need!r}")
-    for need in ("params", "opt_s"):
+            raise ValueError(f"{what}: missing header field {need!r}")
+    for need in names:
         if need not in sections:
-            raise ValueError(f"checkpoint missing [{need}] section")
+            raise ValueError(f"{what}: missing [{need}] section")
+    return head, sections
+
+
+def parse_checkpoint(text: str) -> Checkpoint:
+    head, sections = read_sections(
+        text, FORMAT_LINE, "checkpoint",
+        ("experiment", "closure", "epoch", "opt_step", "n_params", "arch", "config_sha256"),
+        ("params", "opt_s"))
     params = np.array([float(x) for x in sections["params"]])
     opt_s = np.array([float(x) for x in sections["opt_s"]])
     n = int(head["n_params"])
@@ -156,8 +166,7 @@ def load_checkpoint(path) -> Checkpoint:
         return parse_checkpoint(fh.read())
 
 
-def check_compatible(ck: Checkpoint, closure, kind: str,
-                     experiment: str, config_sha: str | None = None) -> None:
+def check_compatible(ck: Checkpoint, closure, kind: str, experiment: str) -> None:
     """Refuse to resume against a different run description."""
     if ck.experiment != experiment:
         raise ValueError(f"checkpoint is for {ck.experiment}, not {experiment}")
@@ -165,5 +174,3 @@ def check_compatible(ck: Checkpoint, closure, kind: str,
         raise ValueError(f"checkpoint closure kind {ck.kind} != {kind}")
     if ck.arch != closure.describe():
         raise ValueError("checkpoint architecture does not match the config")
-    if config_sha is not None and ck.config_sha != config_sha:
-        raise ValueError("checkpoint was produced by a different config")

@@ -29,6 +29,7 @@ from .checkpoint import (
     atomic_open,
     check_compatible,
     load_checkpoint,
+    read_sections,
     save_checkpoint,
 )
 from .closure import (
@@ -109,24 +110,18 @@ def save_basis(path, basis: rom.PodBasis) -> None:
 
 
 def load_basis(path) -> rom.PodBasis:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "# pod basis v1":
-        raise ValueError(f"{path} is not a basis file")
-    sections: dict[str, list[str]] = {}
-    current = None
-    for line in lines[1:]:
-        s = line.strip()
-        if not s or "=" in s and current is None:
-            continue
-        if s.startswith("[") and s.endswith("]"):
-            current = s[1:-1]
-            sections[current] = []
-        elif current is not None:
-            sections[current].append(s)
+    head, sections = read_sections(Path(path).read_text(encoding="utf-8"), "# pod basis v1",
+                                   str(path), ("n_x", "n_modes"),
+                                   ("mean", "singular_values", "modes"))
     mean = np.array([float(x) for x in sections["mean"]])
     sv = np.array([float(x) for x in sections["singular_values"]])
     modes = np.array([[float(x) for x in row.split(",")]
                       for row in sections["modes"]])
+    n_x, n_modes = int(head["n_x"]), int(head["n_modes"])
+    if mean.shape != (n_x,) or modes.shape != (n_x, n_modes) or sv.size < n_modes:
+        raise ValueError(f"{path}: the header gives {n_x} points and {n_modes} modes, "
+                         f"the file {mean.size} mean values, modes {modes.shape} "
+                         f"and {sv.size} singular values")
     return rom.PodBasis(mean=mean, modes=modes, singular_values=sv)
 
 

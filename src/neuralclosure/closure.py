@@ -37,7 +37,8 @@ A solve may carry a batch of B members in lockstep: states (B, d) on one
 shared clock, the first member's time. Member b starts at t0_b, so its time
 is the clock plus t0_b - t0_0, and that (B,) array is what the physics reads
 (base right-hand sides, context channels, history before the start). A
-single trajectory has no member axis and runs on its own time.
+single trajectory has no member axis and runs on its own time, offset 0.0;
+its history is read the same way, by one call over a 1-D array of times.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .integrate import (
     integrate_dde,
     integrate_ode,
     quadrature_nodes,
+    rk4_grid,
     trapezoid_weights,
 )
 from .linalg import Vec
@@ -290,19 +292,17 @@ class AugmentedSystem:
 
 
 def constant_history(u0: Vec) -> Callable[[float], Vec]:
-    """History callable that returns the initial state for every past time:
-    for one time, or one row per time of a 1-D array of times."""
+    """History callable that returns the initial state for every past time.
+    It keeps the history contract (:func:`forward_augmented`): given a 1-D
+    array of times it returns one row per time; given one time, the state."""
     u0 = np.asarray(u0, dtype=float).copy()
     return lambda t: u0 if np.ndim(t) == 0 else np.broadcast_to(u0, np.shape(t) + u0.shape)
 
 
 def _read_history(history: Callable, times, offsets) -> np.ndarray:
     """``history`` at each clock time in ``times`` for every member, one row
-    block per time ((len(times),) + members + (d,)). With a member axis that
-    is one call over the flat 1-D array of member times; a single trajectory
-    makes one call per time, as a history need only take one time."""
-    if not np.ndim(offsets):
-        return np.stack([np.asarray(history(s), dtype=float) for s in times])
+    block per time ((len(times),) + members + (d,)), from one call over the
+    flat 1-D array of member times (clock time plus offset)."""
     rows = np.asarray(history(np.add.outer(times, offsets).ravel()), dtype=float)
     return rows.reshape(np.shape(times) + np.shape(offsets) + rows.shape[1:])
 
@@ -322,6 +322,8 @@ class ForwardRun:
     ``traj`` runs on the solve's clock from ``t0`` to ``t1``; ``offsets``
     are the members' start times minus ``t0`` ((B,), first entry 0), or 0.0
     for a single trajectory, so a member's time is the clock plus its offset.
+    States before ``t0`` come from ``history``, called as every closure
+    calls it: with a 1-D array of member times, one row per time.
     """
 
     traj: DenseTrajectory
@@ -338,13 +340,23 @@ class ForwardRun:
         """The member axis of the states: (B,), or () for one trajectory."""
         return np.shape(self.offsets)
 
+    def states_at(self, times) -> list:
+        """The state at each of the ascending clock times ``times``, for
+        every member, one entry per time: before ``t0`` the history's u, in
+        one call; from ``t0`` on the solution's [u; y], in one
+        :meth:`DenseTrajectory.eval_many`."""
+        times = np.asarray(times, dtype=float)
+        k = int(np.searchsorted(times, self.t0))
+        past = []
+        if k:
+            if self.history is None:
+                raise ValueError(f"state requested at t={times[0]} before start without history")
+            past = list(_read_history(self.history, times[:k], self.offsets))
+        return past + list(self.traj.eval_many(times[k:])) if k < times.size else past
+
     def u_at(self, t: float) -> Vec:
         """The state at clock time t, from the history before ``t0``."""
-        if t < self.t0:
-            if self.history is None:
-                raise ValueError(f"state requested at t={t} before start without history")
-            return np.asarray(self.history(t + self.offsets), dtype=float)
-        return self.traj.eval(t)[..., :self.u_dim]
+        return self.states_at([t])[0][..., :self.u_dim]
 
 
 def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: StepperSpec,
@@ -358,16 +370,17 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
 
     A batch of B members solved in lockstep gives t_span as two (B,) arrays
     of start and end times, all spanning the same length, and ``u0`` as
-    (B, d). The history contract: ``history`` takes one time, or a 1-D array
-    of times and returns one row per time; a single trajectory only ever
-    passes one time.
+    (B, d). The history contract: closures call ``history`` with a 1-D
+    array of times (a single trajectory's, or every member's) and get back
+    one row per time.
 
     One right-hand side rhs(t, U, delayed) serves every closure kind, with
     ``delayed`` holding U at t - tau for tau in the closure's ``lags``. A
     closure without lags is solved as an ODE. History is read by the
-    solve's lookup plan (:func:`integrate.dde_read_times`): with a member
-    axis, every read before t0 of a fixed-step solve and the y(t0) nodes are
-    one ``history`` call, kept by exact time; any other read is its own call.
+    solve's lookup plan (:func:`integrate.dde_read_times`): u0 when it is not
+    given, every read before t0 of a fixed-step solve and the y(t0) nodes
+    are one ``history`` call, kept by exact time; a read off the plan (an
+    adaptive solve's) is one call of its own.
     """
     starts = np.asarray(t_span[0], dtype=float)
     ends = np.asarray(t_span[1], dtype=float)
@@ -380,27 +393,21 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
     lead = np.shape(offsets)
     views = sys.decode(params)
     c, n, aux, lags = sys.closure, sys.state_dim, sys.aux_dim, sys.closure.lags
-
-    if u0 is None:
-        if history is None:
-            raise ValueError("forward_augmented needs u0 or a history callable")
-        u0 = np.asarray(history(t0 + offsets), dtype=float)
-    else:
-        u0 = np.asarray(u0, dtype=float)
-    if u0.shape != lead + (n,):
-        raise ValueError(f"u0 shape {u0.shape}, expected {lead + (n,)}")
+    if u0 is None and history is None:
+        raise ValueError("forward_augmented needs u0 or a history callable")
     if lags and history is None:
         raise ValueError("a closure with delays needs a history callable")
 
-    # with a member axis, the solve's planned reads before t0, then the y(t0)
-    # nodes, through one history call
-    reads = np.empty(0)
-    planned = dde_read_times(lags, (t0, t1), stepper) if lags and lead else None
-    if planned is not None:
-        reads = planned[planned < t0]
+    # the solve's planned reads before t0, the y(t0) nodes and u0 unless
+    # given, through one history call
+    planned = dde_read_times(lags, (t0, t1), stepper) if lags else None
+    reads = planned[planned < t0] if planned is not None else np.empty(0)
     ts = c.history_nodes(t0) if aux and lags else np.empty(0)
-    rows = _read_history(history, np.concatenate([reads, ts]), offsets) \
-        if reads.size or ts.size else None
+    times = np.concatenate([reads, ts, [t0] if u0 is None else []])
+    rows = _read_history(history, times, offsets) if times.size else ()
+    u0 = np.asarray(rows[-1] if u0 is None else u0, dtype=float)
+    if u0.shape != lead + (n,):
+        raise ValueError(f"u0 shape {u0.shape}, expected {lead + (n,)}")
 
     hist_tape = None
     y0 = np.zeros(lead + (aux,))
@@ -408,7 +415,7 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
         # y(t0) by the trapezoid rule, all nodes of all members through one
         # g tape
         node_times = np.add.outer(ts, offsets)
-        h = rows[reads.size:].reshape(-1, n)
+        h = rows[reads.size:reads.size + ts.size].reshape(-1, n)
         hist_tape = nn.tape(c.g_net, nn.fields(c.g_net, h), views[1], node_times.ravel())
         g_nodes = hist_tape.y.reshape(ts.size, -1)
         y0 = (trapezoid_weights(ts) @ g_nodes).reshape(lead + (-1,))
@@ -425,9 +432,9 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
     if lags:
         def read(s):
             # the closures read only the state part of a delayed value
-            return U0 if s >= t0 else np.asarray(history(s + offsets), dtype=float)
+            return U0 if s >= t0 else _read_history(history, [s], offsets)[0]
 
-        hist = _memo(read, zip(reads.tolist(), rows) if reads.size else ())
+        hist = _memo(read, zip(reads.tolist(), rows))
         traj = integrate_dde(DdeProblem(rhs=rhs, delays=lags, history=hist),
                              (t0, t1), stepper)
     else:
@@ -481,16 +488,24 @@ def _loss_jumps(run: ForwardRun, dataset, loss_spec):
 _TIME_RTOL = 1e-9
 
 
-def _same_time(s: float, t: float) -> bool:
-    return abs(s - t) <= _TIME_RTOL * max(1.0, abs(t))
+def _snap(known: list, t: float) -> float:
+    """The time in the ascending list ``known`` that ``t`` equals within
+    the sweep's time tolerance (a time that rounding moved off it, such as
+    an advanced time t + tau), else ``t``."""
+    i = bisect.bisect_left(known, t)
+    for k in known[max(i - 1, 0):i + 1]:
+        if abs(t - k) <= _TIME_RTOL * max(1.0, abs(k)):
+            return k
+    return t
 
 
-def _sweep_grid(t0, T, jump_times, dt, shifts=()) -> list[np.ndarray]:
-    """The steps of the backward sweep from T down to t0: one array of knots
-    per segment, each from its upper bound down to its lower one, the
-    segments in sweep order. The segment bounds are t0, T, the jump times
-    and every time where an advanced argument crosses a jump (a jump time
-    minus a shift), and no step exceeds dt or the smallest shift."""
+def _sweep_grid(t0, T, jump_times, dt, shifts=()) -> list[tuple]:
+    """The steps of the backward sweep from T down to t0, one segment after
+    another in sweep order, each the knots and midpoints of its RK4 grid
+    (:func:`integrate.rk4_grid`) from its upper bound down to its lower one.
+    The segment bounds are t0, T, the jump times and every time where an
+    advanced argument crosses a jump (a jump time minus a shift), and no
+    step exceeds dt or the smallest shift."""
     eps_t = _TIME_RTOL * max(1.0, abs(T))
     bounds = {float(t0), float(T)} | {float(t) for t in jump_times}
     for s in (tj - tau for tj in jump_times for tau in shifts):
@@ -499,27 +514,14 @@ def _sweep_grid(t0, T, jump_times, dt, shifts=()) -> list[np.ndarray]:
             bounds.add(s)
     knots = sorted(bounds)
     h_max = min((dt, *shifts))
-    grid = []
-    for seg_lo, t_hi in zip(knots[-2::-1], knots[:0:-1]):
-        span = t_hi - seg_lo
-        n = max(int(np.ceil(span / h_max - 1e-12)), 1)
-        ts = t_hi - (span / n) * np.arange(n + 1)
-        ts[-1] = seg_lo
-        grid.append(ts)
-    return grid
-
-
-def _sweep_stage_times(grid) -> np.ndarray:
-    """Every time at which :func:`_backward_sweep` over ``grid`` evaluates
-    the adjoint right-hand side or the integrand: the knots and each step's
-    midpoint t + 0.5*h, as the same float expressions."""
-    return np.concatenate([np.concatenate([ts, ts[:-1] + 0.5 * (ts[1:] - ts[:-1])])
-                           for ts in grid])
+    return [rk4_grid(t_hi, seg_lo, h_max)[:2]
+            for seg_lo, t_hi in zip(knots[-2::-1], knots[:0:-1])]
 
 
 def _backward_sweep(shape, grid, jump_times, jump_vals, rhs_adj, integrand):
     """Fixed-step RK4 sweep over the steps ``grid`` (:func:`_sweep_grid`)
-    with jumps and running trapezoid.
+    with jumps and running trapezoid: it evaluates ``rhs_adj`` and
+    ``integrand`` at the grid's knots and midpoints only.
 
     The adjoint state has ``shape`` ((B, dim) for a batch of members); each
     jump in ``jump_vals`` acts on its first ``u_dim`` entries per member.
@@ -545,29 +547,23 @@ def _backward_sweep(shape, grid, jump_times, jump_vals, rhs_adj, integrand):
     total = None
     u_dim = jump_vals.shape[-1]
 
-    T, t0 = grid[0][0], grid[-1][-1]
+    T, t0 = grid[0][0][0], grid[-1][0][-1]
     jump_map = {}
     for t, g in zip(jump_times, jump_vals):
         jump_map.setdefault(float(t), np.zeros(g.shape))
         jump_map[float(t)] += g
     special = sorted(set(jump_map) | {float(T)})
 
-    def _snap(s):
-        for tj in special:
-            if _same_time(s, tj):
-                return tj
-        return s
-
     def look_below(s):
         """lambda(s-): post-jump values, zero strictly beyond T."""
-        s = _snap(s)
+        s = _snap(special, s)
         if s > T or not len(store):
             return np.zeros(shape)
         return store.eval(s)
 
     def look_above(s):
         """lambda(s+): pre-jump values, zero at and beyond T."""
-        s = _snap(s)
+        s = _snap(special, s)
         if s >= T:
             return np.zeros(shape)
         v = store.eval(s)
@@ -577,16 +573,16 @@ def _backward_sweep(shape, grid, jump_times, jump_vals, rhs_adj, integrand):
 
     if T in jump_map:
         a[..., :u_dim] -= jump_map[T]
-    for ts in grid:
+    for ts, mids in grid:
         t_hi, seg_lo = ts[0], ts[-1]
         m_prev = integrand(t_hi, a)
         if total is None:
             total = np.zeros_like(m_prev)
-        for t, t_next in zip(ts[:-1], ts[1:]):
+        for t, t_next, t_mid in zip(ts[:-1], ts[1:], mids):
             h = t_next - t  # negative
             f1 = rhs_adj(t, a, look_below)
-            f2 = rhs_adj(t + 0.5 * h, a + 0.5 * h * f1, look_below)
-            f3 = rhs_adj(t + 0.5 * h, a + 0.5 * h * f2, look_below)
+            f2 = rhs_adj(t_mid, a + 0.5 * h * f1, look_below)
+            f3 = rhs_adj(t_mid, a + 0.5 * h * f2, look_below)
             f4 = rhs_adj(t_next, a + h * f3, look_above)
             a_next = a + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
             store.append(t, t_next, a, a_next, f1, f4)
@@ -652,13 +648,8 @@ class _StageTapes:
 
     def snap(self, t: float) -> float:
         """The time of an existing tape that ``t`` equals within the sweep's
-        time tolerance (an advanced time t + tau that rounding moved off a
-        stage time), else ``t``."""
-        i = bisect.bisect_left(self._times, t)
-        for known in self._times[max(i - 1, 0):i + 1]:
-            if _same_time(t, known):
-                return known
-        return t
+        time tolerance (:func:`_snap`), else ``t``."""
+        return _snap(self._times, t)
 
     def input_grad(self, t: float, w: Vec):
         """d(w . net)/dx at time t, in the layout of the input (stacked like
@@ -708,16 +699,15 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
     times, cots = _loss_jumps(run, dataset, loss_spec)
     T, n, lead, offsets, f_lags = run.t1, run.u_dim, run.lead, run.offsets, c.f_lags
     grid = _sweep_grid(run.t0, T, times, dt, c.lags)
-    # with a member axis, the states before t0 that the sweep reads (at
-    # t - tau for its stage times t and tau in lags) come from one history call
-    reads = np.empty(0)
-    if lead and c.lags:
-        reads = np.unique(np.subtract.outer(_sweep_stage_times(grid), c.lags))
-        reads = reads[reads < run.t0]
-    u_at = _memo(run.u_at, zip(reads.tolist(), _read_history(run.history, reads, offsets))
-                 if reads.size else ())
-    # the augmented state the f-network reads (the state without an auxiliary field)
-    state_at = _memo(run.traj.eval) if run.aux_dim else u_at
+    # the sweep's plan: the states it reads, at its stage times t and at
+    # t - tau for tau in lags, read in one go (ForwardRun.states_at)
+    stages = np.concatenate([ts for seg in grid for ts in seg])
+    plan = np.unique(np.concatenate([stages, np.subtract.outer(stages, c.lags).ravel()]))
+    state_at = _memo(lambda t: run.states_at([t])[0], zip(plan.tolist(), run.states_at(plan)))
+
+    def u_at(t):
+        return state_at(t)[..., :n]
+
     f_tapes = _StageTapes(
         c.nets[0], views[0],
         lambda t: c.f_input(state_at(t), [u_at(t - tau) for tau in f_lags]), offsets)

@@ -252,15 +252,6 @@ class DenseTrajectory:
 # Single steps
 # ---------------------------------------------------------------------------
 
-def _rk4_step(rhs, t, u, h, f0=None):
-    """One classical RK4 step; returns (u_next, f0) with f0 = rhs(t, u)."""
-    k1 = rhs(t, u) if f0 is None else f0
-    k2 = rhs(t + 0.5 * h, u + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, u + 0.5 * h * k2)
-    k4 = rhs(t + h, u + h * k3)
-    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
-
-
 # Dormand-Prince 5(4) tableau.
 _DP_C = np.array([0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0])
 _DP_A = [
@@ -306,23 +297,19 @@ def _check_finite(t, u):
 # Method-of-steps core
 # ---------------------------------------------------------------------------
 
-def _knot_grid(t0: float, t1: float, h: float) -> np.ndarray:
-    """Uniform knots over [t0, t1] with spacing <= h, endpoints exact."""
+def rk4_grid(t0: float, t1: float, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The steps of fixed-step RK4 from t0 to t1, forward or backward, with
+    uniform steps of at most ``h`` in size: the knots (n+1,), endpoints
+    exact, and the stage times t + 0.5*h and t + h of each step [t, t_next]
+    (n,), with h = t_next - t. The RK4 steppers step over these arrays, so
+    they are the right-hand-side times of a solve or sweep, and its lookup
+    plan is read from them."""
     span = t1 - t0
-    n = max(int(np.ceil(span / h - 1e-12)), 1)
+    n = max(int(np.ceil(abs(span) / h - 1e-12)), 1)
     ts = t0 + (span / n) * np.arange(n + 1)
     ts[-1] = t1
-    return ts
-
-
-def _rk4_stage_times(t0: float, t1: float, h: float) -> np.ndarray:
-    """Every time at which :func:`_solve`'s ``RK4Fixed`` path over [t0, t1]
-    with steps of at most ``h`` calls its right-hand side, ascending and
-    unique: the knots, and t + 0.5*h and t + h of each step [t, t_next], as
-    the same float expressions :func:`_rk4_step` evaluates."""
-    ts = _knot_grid(t0, t1, h)
-    t, h = ts[:-1], ts[1:] - ts[:-1]
-    return np.unique(np.concatenate([ts, t + 0.5 * h, t + h]))
+    t, step = ts[:-1], ts[1:] - ts[:-1]
+    return ts, t + 0.5 * step, t + step
 
 
 def _solve(rhs: Callable[[float, Vec], Vec], u0: Vec, t_span: tuple[float, float],
@@ -343,10 +330,14 @@ def _solve(rhs: Callable[[float, Vec], Vec], u0: Vec, t_span: tuple[float, float
     _check_finite(t0, u)
 
     if isinstance(stepper, RK4Fixed):
-        ts = _knot_grid(t0, t1, min(stepper.dt, cap))
+        ts, mids, ends = rk4_grid(t0, t1, min(stepper.dt, cap))
         f = rhs(t0, u)
-        for t, t_next in zip(ts[:-1], ts[1:]):
-            u_next, _ = _rk4_step(rhs, t, u, t_next - t, f0=f)
+        for t, t_next, t_mid, t_end in zip(ts[:-1], ts[1:], mids, ends):
+            h = t_next - t
+            k2 = rhs(t_mid, u + 0.5 * h * f)
+            k3 = rhs(t_mid, u + 0.5 * h * k2)
+            k4 = rhs(t_end, u + h * k3)
+            u_next = u + (h / 6.0) * (f + 2.0 * k2 + 2.0 * k3 + k4)
             _check_finite(t_next, u_next)
             # the endpoint slope is the next step's first stage
             f_next = rhs(t_next, u_next)
@@ -441,13 +432,13 @@ def dde_read_times(delays: Sequence[float], t_span: tuple[float, float],
                    stepper: StepperSpec) -> np.ndarray | None:
     """The lookup plan of :func:`integrate_dde`: every time t - tau at which a
     solve of ``delays`` over ``t_span`` reads a delayed state, for every
-    right-hand-side time t and delay tau, ascending and unique, as the same
-    float expressions the solve evaluates. None for an adaptive stepper,
-    whose steps are not known before the solve."""
+    right-hand-side time t (:func:`rk4_grid`) and delay tau, ascending and
+    unique. None for an adaptive stepper, whose steps are not known before
+    the solve."""
     if not isinstance(stepper, RK4Fixed):
         return None
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    times = _rk4_stage_times(t0, t1, min(stepper.dt, delays[0]))
+    times = np.concatenate(rk4_grid(float(t_span[0]), float(t_span[1]),
+                                    min(stepper.dt, delays[0])))
     return np.unique(np.subtract.outer(times, np.asarray(delays, dtype=float)))
 
 

@@ -87,10 +87,10 @@ class SnapshotDataset:
 
     def history_fn(self) -> Callable[[float], Vec]:
         """Interpolant clamped to the covered span (history for early
-        windows). It keeps the history contract: one time, or a 1-D array
-        of times (such as a batch's member times, or a forward solve's
-        whole lookup plan of them) with one row per time, each row equal to
-        the one-time read bit for bit."""
+        windows). It keeps the history contract of the closures: a 1-D
+        array of times (a solve's or a sweep's lookup plan, for every
+        member) gives one row per time, each row equal to the one-time read
+        bit for bit; one time gives its state."""
         traj = self.interpolant()
         lo, hi = self.t_start, self.t_end
 

@@ -10,6 +10,9 @@ sweep per batch.
   forward solve and once per sweep.
 * The batched recurrent cells and the per-member context channels give the
   rows of single-sample tapes, and a dataset's history takes member times.
+* Reads by plan: a training step, a single trajectory and a rollout call
+  the history with 1-D arrays of times, a fixed number of times, and the
+  adjoint makes no scalar read of the forward store.
 """
 
 from collections import Counter
@@ -17,7 +20,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from neuralclosure import experiments as ex, nn, train
+from neuralclosure import closure, experiments as ex, nn, train
+from neuralclosure.integrate import DenseTrajectory, RK4Fixed
 
 from oracles import rel_l2
 
@@ -139,33 +143,77 @@ def test_batch_does_the_work_of_one_window(kind, counted):
         assert work[2][(id(net), "unpack")] == 2
 
 
-@pytest.mark.parametrize("study_case", ["exp1_rom", "exp3a_bio0d"], indirect=True)
-@pytest.mark.parametrize("kind", ex.CLOSURE_KINDS)
-def test_batch_reads_the_history_in_two_calls(study_case, kind):
-    # the forward solve reads its planned times before the window starts and
-    # the y(t0) nodes in one call, and the adjoint sweep its own in one more,
-    # each a flat 1-D array of member times
-    study, data, ds = study_case
-    clo, system, s, params = _pair(study, data, kind)
-    history = ds.history_fn()
+def _counted(history):
+    """``history`` recording the number of dimensions of each call's times."""
     calls = []
 
     def counted(t):
         calls.append(np.ndim(t))
         return history(t)
+    return counted, calls
+
+
+@pytest.mark.parametrize("study_case", ["exp1_rom", "exp3a_bio0d"], indirect=True)
+@pytest.mark.parametrize("kind", ex.CLOSURE_KINDS)
+def test_batch_reads_the_history_in_two_calls(study_case, kind, monkeypatch):
+    # the forward solve reads its planned times before the window starts and
+    # the y(t0) nodes in one call, and the adjoint sweep its own in one more,
+    # each a flat 1-D array of member times; a single trajectory (scalar
+    # t_span) reads the same way. The sweep reads the forward run's store by
+    # plan too, with no scalar eval of it.
+    study, data, ds = study_case
+    clo, system, s, params = _pair(study, data, kind)
+    counted, calls = _counted(ds.history_fn())
+    evals = []
+    scalar_eval = DenseTrajectory.eval
+    monkeypatch.setattr(DenseTrajectory, "eval",
+                        lambda tr, t: evals.append(tr) or scalar_eval(tr, t))
+
+    budget = {"markovian": 0, "discrete": 2, "distributed": 3}[kind]
+
+    def check(calls):
+        assert len(calls) <= budget and set(calls) <= {1}
+        if kind == "discrete":
+            assert len(calls) == 2
 
     adm = train.admissible_starts(ds.n_steps, s.window_steps, s.supervise_stride)
     batches = [train.sample_batch(np.random.default_rng(5), ds.n_steps, s.batch_size,
                                   s.window_steps, s.supervise_stride),
                [adm[0], adm[-1], adm[3]]]
-    budget = {"markovian": 0, "discrete": 2, "distributed": 3}[kind]
     for starts in batches:
         calls.clear()
         train.batch_gradient(system, params, ds, starts, s, study.loss_spec(),
                              study.forward_stepper(), counted)
-        assert len(calls) <= budget and set(calls) <= {1}
-        if kind == "discrete":
-            assert len(calls) == 2
+        check(calls)
+    # the first window alone, as a single trajectory and as a batch of one
+    w = s.window_steps
+    sup = np.arange(s.supervise_stride, w + 1, s.supervise_stride)
+    for start in (adm[0], [adm[0]]):
+        calls.clear()
+        run = closure.forward_augmented(
+            system, params, (ds.times[start], ds.times[np.add(start, w)]),
+            study.forward_stepper(), history=counted, u0=ds.states[start])
+        window = train.SnapshotDataset(ds.times[adm[0] + sup],
+                                       ds.states[np.add.outer(sup, start)])
+        evals.clear()
+        closure.adjoint_gradient(system, params, run, window, study.loss_spec(),
+                                 RK4Fixed(s.adjoint_dt))
+        check(calls)
+        assert not any(tr is run.traj for tr in evals)
+
+
+@pytest.mark.parametrize("study_case", ["exp1_rom", "exp3a_bio0d"], indirect=True)
+def test_rollout_reads_the_history_in_one_call(study_case):
+    # a validation rollout of a discrete closure reads every delayed state
+    # before its start in one call (114 calls on exp1_rom and 480 on
+    # exp3a_bio0d when a single trajectory read one time per call)
+    study, data, ds = study_case
+    _, system, _, params = _pair(study, data, "discrete")
+    full = train.SnapshotDataset(data.times, getattr(data, study.target))
+    counted, calls = _counted(ds.history_fn())
+    train.evaluate_rollout(system, params, full.restrict(study.train_end, study.val_end),
+                           study.forward_stepper(), history=counted)
+    assert calls == [1]
 
 
 # ---------------------------------------------------------------------------

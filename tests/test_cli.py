@@ -121,6 +121,24 @@ def test_gen_data_exp1_writes_basis_and_coeffs(tmp_path):
     assert basis.n_modes == 3
 
 
+def test_evaluate_refuses_a_bad_basis_file(tmp_path, capsys):
+    # a basis cut short before its [singular_values] and [modes] sections,
+    # or one whose header disagrees with its arrays, is a bad input: an
+    # error line and exit 2, not a traceback
+    cfgp = _write(tmp_path, "[run]\nexperiment = exp1_rom\nclosure = discrete\n")
+    out = tmp_path / "out"
+    assert cli.main(["gen-data", "--config", cfgp, "--out", str(out)]) == 0
+    path = out / "pod_basis.txt"
+    text = path.read_text(encoding="utf-8")
+    for bad, says in ((text[:text.index("[singular_values]")], "[singular_values]"),
+                      (text.replace("n_modes = 3", "n_modes = 4"), "4 modes")):
+        path.write_text(bad, encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", cfgp, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and says in err
+
+
 def test_failed_gen_data_is_generated_again(tmp_path, monkeypatch):
     # truth.csv is written last: a gen-data that fails part way (here in the
     # basis write) leaves no truth.csv, so the next load_truth generates

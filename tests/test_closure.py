@@ -24,6 +24,8 @@ from neuralclosure.closure import (
     adjoint_distributed,
     adjoint_markovian,
     constant_history,
+    _backward_sweep,
+    _sweep_grid,
     fd_gradient,
     forward_augmented,
     run_loss,
@@ -173,6 +175,33 @@ def test_markovian_adjoint_matches_fd_property(params):
     assert rel_l2(adj.grad, fd) < 1e-4
 
 
+def test_sweep_reads_are_its_grid_stage_times():
+    # the backward analogue of the forward solve's lookup plan: every time
+    # at which the sweep evaluates rhs_adj or the integrand is a knot or a
+    # midpoint of its grid, and every such time is evaluated, also where
+    # segment bounds are jump times minus shifts
+    jumps = np.array([0.3, 0.65, 1.0])
+    for shifts in ((), (0.15,), (0.07, 0.2)):
+        grid = _sweep_grid(0.0, 1.0, jumps, 0.02, shifts)
+        bounds = [ts[-1] for ts, _ in grid]
+        for s in (tj - tau for tj in jumps for tau in shifts):
+            assert min(abs(b - s) for b in bounds) <= 1e-12
+        seen = []
+
+        def rhs_adj(t, a, look):
+            seen.append(t)
+            for tau in shifts:
+                look(t + tau)
+            return -a
+
+        def integrand(t, a):
+            seen.append(t)
+            return a.copy()
+
+        _backward_sweep((2,), grid, jumps, np.ones((3, 2)), rhs_adj, integrand)
+        assert set(seen) == set(np.concatenate([ts for seg in grid for ts in seg]).tolist())
+
+
 def test_discrete_adjoint_matches_fd():
     sys = discrete_toy()
     params = random_params(sys, 5)
@@ -181,7 +210,7 @@ def test_discrete_adjoint_matches_fd():
     loss = QuadLoss()
 
     def hist(s):
-        return np.array([0.5, -0.2]) + 0.3 * s * np.array([1.0, -0.5])
+        return np.array([0.5, -0.2]) + 0.3 * np.asarray(s)[..., None] * np.array([1.0, -0.5])
 
     run = forward_augmented(sys, params, (0.0, 1.0), RK4Fixed(0.02), history=hist)
     adj = adjoint_discrete(sys, params, run, ds, loss, RK4Fixed(0.004))
@@ -243,7 +272,7 @@ def test_distributed_adjoint_matches_fd_zero_tau1():
     loss = QuadLoss()
 
     def hist(s):
-        return np.array([0.5, -0.2]) + 0.25 * s * np.array([1.0, -0.6])
+        return np.array([0.5, -0.2]) + 0.25 * np.asarray(s)[..., None] * np.array([1.0, -0.6])
 
     run = forward_augmented(sys, params, (0.0, 1.0), RK4Fixed(0.02), history=hist)
     adj = adjoint_distributed(sys, params, run, ds, loss, RK4Fixed(0.005))
@@ -260,7 +289,7 @@ def test_distributed_adjoint_matches_fd_positive_tau1():
     loss = QuadLoss()
 
     def hist(s):
-        return np.array([0.3, 0.4]) + 0.2 * np.array([np.sin(s), np.cos(s)])
+        return np.array([0.3, 0.4]) + 0.2 * np.stack([np.sin(s), np.cos(s)], axis=-1)
 
     run = forward_augmented(sys, params, (0.0, 1.0), RK4Fixed(0.02), history=hist)
     adj = adjoint_distributed(sys, params, run, ds, loss, RK4Fixed(0.005))
@@ -306,7 +335,7 @@ def test_history_quadrature_needs_no_numpy_trapezoid(monkeypatch):
     # forward solve with its y(t0) quadrature must give the same bits with
     # and without it
     def hist(s):
-        return np.array([0.5, -0.2]) + 0.25 * s * np.array([1.0, -0.6])
+        return np.array([0.5, -0.2]) + 0.25 * np.asarray(s)[..., None] * np.array([1.0, -0.6])
 
     def results():
         sys = distributed_toy((0.0, 0.5))
