@@ -5,7 +5,8 @@ the architecture fingerprint, the flat parameter vector, the optimizer
 accumulator, and the batch-sampler RNG state. Values are written with
 ``repr`` (shortest exact round-trip), so loading and resuming reproduces
 the next update bit for bit on the same build. The sectioned text format
-is read by :func:`read_sections`, which the POD basis file shares.
+is written by :func:`write_sections` and read by :func:`read_sections`;
+the POD basis file shares both.
 """
 
 from __future__ import annotations
@@ -51,31 +52,18 @@ class Checkpoint:
         return np.random.Generator(bg)
 
 
-def _vec_lines(v: np.ndarray) -> str:
-    return "\n".join(repr(float(x)) for x in v)
+def _floats(v: np.ndarray) -> list[str]:
+    return [repr(float(x)) for x in v]
 
 
 def dump_checkpoint(ck: Checkpoint) -> str:
-    parts = [
-        FORMAT_LINE,
-        f"experiment = {ck.experiment}",
-        f"closure = {ck.kind}",
-        f"epoch = {ck.epoch}",
-        f"opt_step = {ck.opt_step}",
-        f"n_params = {ck.params.size}",
-        f"arch = {ck.arch}",
-        f"arch_sha256 = {ck.arch_sha}",
-        f"config_sha256 = {ck.config_sha}",
-        "",
-        "[params]",
-        _vec_lines(ck.params),
-        "",
-        "[opt_s]",
-        _vec_lines(ck.opt_s),
-    ]
+    head = {"experiment": ck.experiment, "closure": ck.kind, "epoch": ck.epoch,
+            "opt_step": ck.opt_step, "n_params": ck.params.size, "arch": ck.arch,
+            "arch_sha256": ck.arch_sha, "config_sha256": ck.config_sha}
+    sections = {"params": _floats(ck.params), "opt_s": _floats(ck.opt_s)}
     if ck.rng_state is not None:
-        parts += ["", "[rng]", json.dumps(ck.rng_state, sort_keys=True)]
-    return "\n".join(parts) + "\n"
+        sections["rng"] = [json.dumps(ck.rng_state, sort_keys=True)]
+    return write_sections(FORMAT_LINE, head, sections)
 
 
 @contextlib.contextmanager
@@ -100,6 +88,16 @@ def atomic_open(path):
 def save_checkpoint(path, ck: Checkpoint) -> None:
     with atomic_open(path) as fh:
         fh.write(dump_checkpoint(ck))
+
+
+def write_sections(format_line: str, head: dict, sections: dict) -> str:
+    """The text :func:`read_sections` reads: the format line, a ``key =
+    value`` line per header entry, then per section a blank line, its
+    ``[name]`` and its lines."""
+    lines = [format_line, *(f"{key} = {val}" for key, val in head.items())]
+    for name, body in sections.items():
+        lines += ["", f"[{name}]", *body]
+    return "\n".join(lines) + "\n"
 
 
 def read_sections(text: str, format_line: str, what: str, fields: tuple,

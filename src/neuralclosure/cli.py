@@ -31,6 +31,7 @@ from .checkpoint import (
     load_checkpoint,
     read_sections,
     save_checkpoint,
+    write_sections,
 )
 from .closure import (
     adjoint_gradient,
@@ -73,7 +74,10 @@ def write_csv(path, header, rows) -> None:
 def read_table(path):
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: {len(header)} columns in header, "
                          f"{data.shape[1]} in body")
@@ -91,22 +95,13 @@ def _state_table(path, times, states, names) -> None:
 
 
 def save_basis(path, basis: rom.PodBasis) -> None:
-    lines = [
-        "# pod basis v1",
-        f"n_x = {basis.mean.size}",
-        f"n_modes = {basis.n_modes}",
-        "",
-        "[mean]",
-        *[repr(float(v)) for v in basis.mean],
-        "",
-        "[singular_values]",
-        *[repr(float(v)) for v in basis.singular_values],
-        "",
-        "[modes]",
-        *[",".join(repr(float(v)) for v in row) for row in basis.modes],
-    ]
+    text = write_sections(
+        "# pod basis v1", {"n_x": basis.mean.size, "n_modes": basis.n_modes},
+        {"mean": [repr(float(v)) for v in basis.mean],
+         "singular_values": [repr(float(v)) for v in basis.singular_values],
+         "modes": [",".join(repr(float(v)) for v in row) for row in basis.modes]})
     with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def load_basis(path) -> rom.PodBasis:
@@ -130,12 +125,22 @@ def load_basis(path) -> rom.PodBasis:
 # ---------------------------------------------------------------------------
 
 
+def truth_files(study) -> list[str]:
+    """The files gen-data writes, in order: config.txt, the study's
+    reference-resolution table if it has one, the modal basis if it uses
+    one and, last, truth.csv (the training target)."""
+    names = ["config.txt"]
+    if study.reference is not None:
+        names.append(study.reference[0])
+    if study.uses_basis:
+        names.append("pod_basis.txt")
+    return names + ["truth.csv"]
+
+
 def generate_truth(cfg: ExperimentConfig, out: Path) -> None:
-    """Writes config.txt, the study's reference-resolution table if it has
-    one, the modal basis if it uses one and, last, truth.csv (the training
-    target). Each file is replaced atomically, and truth.csv marks a complete
-    set: a run that fails part way leaves none, so load_truth generates
-    again."""
+    """Writes the :func:`truth_files`. Each file is replaced atomically, and
+    truth.csv marks a complete set: a run that fails part way leaves none,
+    so load_truth generates again."""
     study = cfg.study()
     data = study.setup(cfg.truth_stepper(study))
     out.mkdir(parents=True, exist_ok=True)
@@ -158,7 +163,8 @@ def load_truth(cfg: ExperimentConfig, out: Path):
     """Returns (dataset, basis-or-None), generating the files if absent.
 
     Existing files must have been written by gen-data under the same
-    :func:`truth_settings` as ``cfg``, as its config.txt records.
+    :func:`truth_settings` as ``cfg``, as its config.txt records, and
+    truth.csv must hold the whole data grid.
     """
     truth = out / "truth.csv"
     if not truth.exists():
@@ -175,6 +181,9 @@ def load_truth(cfg: ExperimentConfig, out: Path):
     header, table = read_table(truth)
     if header != ["t"] + study.state_columns("target"):
         raise ValueError(f"{truth} has unexpected columns {header}")
+    if not np.array_equal(table[:, 0], ex.uniform_times(study.predict_end, study.dt_data)):
+        raise ValueError(f"{truth} does not hold the data times 0, {study.dt_data:g}, ..., "
+                         f"{study.predict_end:g}; rerun gen-data")
     ds = SnapshotDataset(table[:, 0], table[:, 1:])
     return ds, load_basis(out / "pod_basis.txt") if study.uses_basis else None
 
@@ -199,7 +208,7 @@ def run_training(cfg: ExperimentConfig, out: Path,
     closure = cfg.closure(study, window=window)
     system = study.system(closure, basis)
     settings = cfg.settings(study)
-    stepper = cfg.forward_stepper(study)
+    stepper = study.forward_stepper()
     loss_spec = study.loss_spec()
     train_ds = dataset.restrict(0.0, study.train_end)
     val_ds = dataset.restrict(study.train_end, study.val_end)
@@ -214,9 +223,7 @@ def run_training(cfg: ExperimentConfig, out: Path,
     if resume is not None:
         ck = load_checkpoint(resume)
         check_compatible(ck, closure, cfg.kind, cfg.experiment)
-        if ck.config_sha != cfg_sha:
-            print("note: resuming under a config that differs from the "
-                  "checkpoint's (e.g. extended epochs)", file=_sys.stderr)
+        _note_config_change(ck, cfg_sha, "resuming")
         params0, opt_state = ck.params, ck.opt_state()
         rng, start_epoch = ck.rng(), ck.epoch
         hist_path = out / "loss_history.csv"
@@ -273,6 +280,12 @@ def cmd_train(cfg: ExperimentConfig, out: Path, resume: Path | None) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _note_config_change(ck: Checkpoint, cfg_sha: str, doing: str) -> None:
+    if ck.config_sha != cfg_sha:
+        print(f"note: {doing} under a config that differs from the "
+              "checkpoint's (e.g. extended epochs)", file=_sys.stderr)
+
+
 def _metric_loss(study) -> LossSpec:
     return replace(study.loss_spec(), positivity_weight=0.0)
 
@@ -284,8 +297,9 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path, ckpt: Path | None) -> int:
     ck = load_checkpoint(ckpt)
     closure = cfg.closure(study)
     check_compatible(ck, closure, cfg.kind, cfg.experiment)
+    _note_config_change(ck, config_hash(cfg), "scoring")
     system = study.system(closure, basis)
-    stepper = cfg.forward_stepper(study)
+    stepper = study.forward_stepper()
 
     model, _, _ = evaluate_rollout(system, ck.params, dataset, stepper,
                                    history=constant_history(dataset.states[0]))
@@ -401,6 +415,7 @@ def cmd_sweep_delay(cfg: ExperimentConfig, out: Path) -> int:
                   epochs=cfg.sweep_epochs if cfg.sweep_epochs is not None
                   else cfg.epochs)
     load_truth(cfg, out)   # shared by every run
+    files = truth_files(cfg.study())
     run_rows = []
     by_tau: dict[float, list[float]] = {}
     for tau2 in cfg.sweep_tau2:
@@ -409,8 +424,7 @@ def cmd_sweep_delay(cfg: ExperimentConfig, out: Path) -> int:
             rcfg = replace(cfg, seed=seed)
             rdir = out / f"tau2_{tau2:g}" / f"rep{rep}"
             rdir.mkdir(parents=True, exist_ok=True)
-            for name in ("config.txt", "truth.csv", "pod_basis.txt",
-                         "truth_fine.csv", "truth_full.csv"):
+            for name in files:
                 src = out / name
                 if src.exists() and not (rdir / name).exists():
                     (rdir / name).write_bytes(src.read_bytes())

@@ -11,8 +11,9 @@ Files look like::
     [training]
     epochs = 200
 
-Sections and keys are validated against a fixed schema; unknown names are
-errors so configs cannot silently drift. Every key is optional except
+Sections and keys are validated against the schema that the fields of
+:class:`ExperimentConfig` declare; unknown names are errors so configs
+cannot silently drift. Every key is optional except
 ``[run] experiment``: anything omitted falls back to the study defaults.
 List values (delays, windows, sweep points) are whitespace- or
 comma-separated numbers.
@@ -21,10 +22,8 @@ comma-separated numbers.
 from __future__ import annotations
 
 import configparser
-import dataclasses
 import hashlib
-import io
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .experiments import CLOSURE_KINDS, EXPERIMENTS, STUDIES, get_study
 from .integrate import DormandPrince54, StepperSpec
@@ -36,110 +35,63 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
-# (section, key) -> (config attribute, converter). Keys are lowercase; the
-# attribute spelling may differ where the target dataclass capitalizes.
-_SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
-    ("run", "experiment"): ("experiment", str),
-    ("run", "closure"): ("kind", str),
-    ("run", "seed"): ("seed", int),
-    ("run", "out"): ("out", str),
-    ("spans", "train_end"): ("train_end", float),
-    ("spans", "val_end"): ("val_end", float),
-    ("spans", "predict_end"): ("predict_end", float),
-    ("spans", "dt_data"): ("dt_data", float),
-    ("training", "epochs"): ("epochs", int),
-    ("training", "batch_size"): ("batch_size", int),
-    ("training", "lr0"): ("lr0", float),
-    ("training", "decay_rate"): ("decay_rate", float),
-    ("training", "decay_steps"): ("decay_steps", int),
-    ("training", "window_steps"): ("window_steps", int),
-    ("training", "supervise_stride"): ("supervise_stride", int),
-    ("training", "grad_mode"): ("grad_mode", str),
-    ("training", "positivity_weight"): ("positivity_weight", float),
-    ("training", "checkpoint_every"): ("checkpoint_every", int),
-    ("steppers", "truth_rtol"): ("truth_rtol", float),
-    ("steppers", "truth_atol"): ("truth_atol", float),
-    ("steppers", "forward_dt"): ("forward_dt", float),
-    ("steppers", "adjoint_dt"): ("adjoint_dt", float),
-    ("closure", "delays"): ("delays", _floats),
-    ("closure", "window"): ("window", _floats),
-    ("burgers", "re"): ("re", float),
-    ("burgers", "n_fine"): ("n_fine", int),
-    ("burgers", "n_coarse"): ("n_coarse", int),
-    ("burgers", "cs"): ("cs", float),
-    ("burgers", "n_modes"): ("n_modes", int),
-    ("burgers", "basis_t"): ("basis_t", float),
-    ("column", "n_z"): ("n_z", int),
-    ("column", "depth_total"): ("depth_total", float),
-    ("column", "k_zb"): ("K_zb", float),
-    ("column", "k_z0"): ("K_z0", float),
-    ("column", "gamma_thermo"): ("gamma_thermo", float),
-    ("column", "t_bio_surface"): ("t_bio_surface", float),
-    ("column", "t_bio_bottom"): ("t_bio_bottom", float),
-    ("sweep", "tau2"): ("sweep_tau2", _floats),
-    ("sweep", "repeats"): ("sweep_repeats", int),
-    ("sweep", "epochs"): ("sweep_epochs", int),
-}
-
-# [biology] keys map straight onto BioParams fields (lowercased in the file).
-_BIO_FIELDS = {f.name.lower(): f.name for f in fields(biology.BioParams)}
-for _low in _BIO_FIELDS:
-    _SCHEMA[("biology", _low)] = ("bio_" + _low, float)
-
-_SECTIONS = ("run", "spans", "training", "steppers", "closure",
-             "burgers", "biology", "column", "sweep")
-
-# A model section applies to a study with the named field; a [burgers] key
-# applies to a study with a field of the key's own attribute name.
-_MODEL_SECTIONS = {"burgers": None, "biology": "params", "column": "cfg"}
-_COLUMN_KEYS = [attr for (sec, _), (attr, _) in _SCHEMA.items() if sec == "column"]
+def _key(section: str, conv, default=None, key: str | None = None):
+    """A field read from ``[section]`` by ``conv``, under ``key`` where that
+    is not the field's lowercased name."""
+    return field(default=default, metadata={"section": section, "conv": conv, "key": key})
 
 
 @dataclass
 class ExperimentConfig:
-    """Resolved run description; ``None`` means 'use the study default'."""
+    """Resolved run description; ``None`` means 'use the study default'.
 
-    experiment: str
-    kind: str = "discrete"
-    seed: int = 0
-    out: str | None = None
-    train_end: float | None = None
-    val_end: float | None = None
-    predict_end: float | None = None
-    dt_data: float | None = None
-    epochs: int | None = None
-    batch_size: int | None = None
-    lr0: float | None = None
-    decay_rate: float | None = None
-    decay_steps: int | None = None
-    window_steps: int | None = None
-    supervise_stride: int | None = None
-    grad_mode: str | None = None
-    positivity_weight: float | None = None
-    checkpoint_every: int | None = None
-    truth_rtol: float | None = None
-    truth_atol: float | None = None
-    forward_dt: float | None = None
-    adjoint_dt: float | None = None
-    delays: tuple[float, ...] | None = None
-    window: tuple[float, ...] | None = None
-    re: float | None = None
-    n_fine: int | None = None
-    n_coarse: int | None = None
-    cs: float | None = None
-    n_modes: int | None = None
-    basis_t: float | None = None
-    n_z: int | None = None
-    depth_total: float | None = None
-    K_zb: float | None = None
-    K_z0: float | None = None
-    gamma_thermo: float | None = None
-    t_bio_surface: float | None = None
-    t_bio_bottom: float | None = None
-    bio: dict = field(default_factory=dict)   # BioParams field -> value
-    sweep_tau2: tuple[float, ...] = (0.0, 0.0375, 0.075, 0.15)
-    sweep_repeats: int = 3
-    sweep_epochs: int | None = None
+    Its fields are the config format: each states its section, converter
+    and key, and the schema, the canonical text and the overlays onto the
+    study and its training settings are read from them."""
+
+    experiment: str = _key("run", str, MISSING)
+    kind: str = _key("run", str, "discrete", key="closure")
+    seed: int = _key("run", int, 0)
+    out: str | None = _key("run", str)
+    train_end: float | None = _key("spans", float)
+    val_end: float | None = _key("spans", float)
+    predict_end: float | None = _key("spans", float)
+    dt_data: float | None = _key("spans", float)
+    epochs: int | None = _key("training", int)
+    batch_size: int | None = _key("training", int)
+    lr0: float | None = _key("training", float)
+    decay_rate: float | None = _key("training", float)
+    decay_steps: int | None = _key("training", int)
+    window_steps: int | None = _key("training", int)
+    supervise_stride: int | None = _key("training", int)
+    grad_mode: str | None = _key("training", str)
+    positivity_weight: float | None = _key("training", float)
+    checkpoint_every: int | None = _key("training", int)
+    truth_rtol: float | None = _key("steppers", float)
+    truth_atol: float | None = _key("steppers", float)
+    forward_dt: float | None = _key("steppers", float)
+    adjoint_dt: float | None = _key("steppers", float)
+    delays: tuple[float, ...] | None = _key("closure", _floats)
+    window: tuple[float, ...] | None = _key("closure", _floats)
+    re: float | None = _key("burgers", float)
+    n_fine: int | None = _key("burgers", int)
+    n_coarse: int | None = _key("burgers", int)
+    cs: float | None = _key("burgers", float)
+    n_modes: int | None = _key("burgers", int)
+    basis_t: float | None = _key("burgers", float)
+    # BioParams field -> value; its keys are the lowercased field names
+    bio: dict = field(default_factory=dict, metadata={"section": "biology"})
+    n_z: int | None = _key("column", int)
+    depth_total: float | None = _key("column", float)
+    K_zb: float | None = _key("column", float)
+    K_z0: float | None = _key("column", float)
+    gamma_thermo: float | None = _key("column", float)
+    t_bio_surface: float | None = _key("column", float)
+    t_bio_bottom: float | None = _key("column", float)
+    sweep_tau2: tuple[float, ...] = _key("sweep", _floats, (0.0, 0.0375, 0.075, 0.15),
+                                         key="tau2")
+    sweep_repeats: int = _key("sweep", int, 3, key="repeats")
+    sweep_epochs: int | None = _key("sweep", int, key="epochs")
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -168,32 +120,30 @@ class ExperimentConfig:
 
     # -- assembly ----------------------------------------------------------
 
+    def _set_values(self, cls) -> dict:
+        """The values set here (not None) under the field names of ``cls``."""
+        return {f.name: getattr(self, f.name) for f in fields(cls)
+                if getattr(self, f.name, None) is not None}
+
     def study(self):
         """The study with every set value that names one of its fields, plus
         [biology] and [column] values folded into its params and cfg."""
-        over = {f.name: getattr(self, f.name) for f in fields(STUDIES[self.experiment])
-                if getattr(self, f.name, None) is not None}
+        over = self._set_values(STUDIES[self.experiment])
         if self.bio:
             over["params"] = replace(biology.BioParams(), **self.bio)
-        col = {k: getattr(self, k) for k in _COLUMN_KEYS if getattr(self, k) is not None}
+        col = self._set_values(column.ColumnConfig)
         if col:
             over["cfg"] = replace(column.ColumnConfig(), **col)
         return get_study(self.experiment, **over)
 
     def closure(self, study=None, window=None):
-        study = study or self.study()
-        return study.closure(self.kind, delays=self.delays,
-                             window=window if window is not None else self.window)
+        """The study's closure of this kind; ``window`` replaces the study's."""
+        return (study or self.study()).closure(self.kind, window=window)
 
     def settings(self, study=None) -> TrainSettings:
+        """The study's recipe with every set value that names a field of it."""
         study = study or self.study()
-        s = study.settings(self.kind, seed=self.seed)
-        for name in ("epochs", "batch_size", "lr0", "decay_rate", "decay_steps",
-                     "window_steps", "supervise_stride", "grad_mode", "adjoint_dt"):
-            v = getattr(self, name)
-            if v is not None:
-                s = dataclasses.replace(s, **{name: v})
-        return s
+        return replace(study.settings(self.kind), **self._set_values(TrainSettings))
 
     def truth_stepper(self, study=None) -> StepperSpec:
         study = study or self.study()
@@ -204,8 +154,22 @@ class ExperimentConfig:
         atol = base.atol if self.truth_atol is None else self.truth_atol
         return DormandPrince54(rtol=rtol, atol=atol)
 
-    def forward_stepper(self, study=None) -> StepperSpec:
-        return (study or self.study()).forward_stepper()
+
+def _location(f) -> tuple[str, str]:
+    return f.metadata["section"], f.metadata["key"] or f.name.lower()
+
+
+# (section, key) -> (field, converter); a [biology] key is a lowercased
+# BioParams field, whose value goes into ``bio`` under the field's own name.
+_SCHEMA = {_location(f): (f.name, f.metadata["conv"])
+           for f in fields(ExperimentConfig) if f.name != "bio"}
+_BIO_NAMES = {f.name.lower(): f.name for f in fields(biology.BioParams)}
+_SCHEMA.update({("biology", low): ("bio", float) for low in _BIO_NAMES})
+_SECTIONS = tuple(dict.fromkeys(f.metadata["section"] for f in fields(ExperimentConfig)))
+
+# A model section applies to a study with the named field; a [burgers] key
+# applies to a study with a field of the key's own attribute name.
+_MODEL_SECTIONS = {"burgers": None, "biology": "params", "column": "cfg"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -216,7 +180,6 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as e:
         raise ValueError(f"malformed config: {e}") from None
     values: dict[str, object] = {}
-    bio: dict[str, float] = {}
     for section in cp.sections():
         if section not in _SECTIONS:
             raise ValueError(
@@ -234,13 +197,13 @@ def parse_config(text: str) -> ExperimentConfig:
             except ValueError:
                 raise ValueError(
                     f"bad value for [{section}] {key}: {raw!r}") from None
-            if attr.startswith("bio_"):
-                bio[_BIO_FIELDS[attr[4:]]] = val
+            if attr == "bio":
+                values.setdefault("bio", {})[_BIO_NAMES[key]] = val
             else:
                 values[attr] = val
     if "experiment" not in values:
         raise ValueError("config must set [run] experiment")
-    cfg = ExperimentConfig(bio=bio, **values)
+    cfg = ExperimentConfig(**values)
     have = {f.name for f in fields(STUDIES[cfg.experiment])}
     for section, holder in _MODEL_SECTIONS.items():
         for key, _ in cp.items(section) if cp.has_section(section) else ():
@@ -263,35 +226,22 @@ def _fmt(v) -> str:
 
 
 def config_text(cfg: ExperimentConfig) -> str:
-    """Canonical rendering: every non-default value, stable order."""
-    out = io.StringIO()
+    """Canonical rendering: the [run] values and every other value set away
+    from its default, in field order; [biology] keys in the sorted order of
+    their BioParams names."""
     by_section: dict[str, list[tuple[str, object]]] = {}
-    attr_to_loc = {attr: (sec, key) for (sec, key), (attr, _) in _SCHEMA.items()
-                   if not attr.startswith("bio_")}
-    defaults = {f.name: f.default for f in fields(ExperimentConfig)
-                if f.default is not dataclasses.MISSING}
     for f in fields(ExperimentConfig):
+        sec, v = f.metadata["section"], getattr(cfg, f.name)
         if f.name == "bio":
-            continue
-        v = getattr(cfg, f.name)
-        if v is None or (f.name in defaults and v == defaults[f.name]
-                         and f.name not in ("experiment", "kind", "seed")):
-            continue
-        sec, key = attr_to_loc[f.name]
-        by_section.setdefault(sec, []).append((key, v))
-    for name, v in sorted(cfg.bio.items()):
-        by_section.setdefault("biology", []).append((name.lower(), v))
-    first = True
-    for sec in _SECTIONS:
-        if sec not in by_section:
-            continue
-        if not first:
-            out.write("\n")
-        first = False
-        out.write(f"[{sec}]\n")
-        for key, v in by_section[sec]:
-            out.write(f"{key} = {_fmt(v)}\n")
-    return out.getvalue()
+            items = [(name.lower(), x) for name, x in sorted(v.items())]
+        elif v is None or (sec != "run" and v == f.default):
+            items = []
+        else:
+            items = [(_location(f)[1], v)]
+        if items:
+            by_section.setdefault(sec, []).extend(items)
+    return "\n".join(f"[{sec}]\n" + "".join(f"{key} = {_fmt(v)}\n" for key, v in items)
+                     for sec, items in by_section.items())
 
 
 def truth_settings(cfg: ExperimentConfig) -> dict:
@@ -299,9 +249,9 @@ def truth_settings(cfg: ExperimentConfig) -> dict:
     data grid, the reference run's tolerances and the study's model keys."""
     study = cfg.study()
     out = {"experiment": cfg.experiment, "truth_rtol/truth_atol": cfg.truth_stepper(study)}
-    for (sec, _), (attr, _) in _SCHEMA.items():
-        if sec == "burgers" or attr in ("dt_data", "predict_end"):
-            out[attr] = getattr(study, attr, None)
+    for f in fields(ExperimentConfig):
+        if f.metadata["section"] == "burgers" or f.name in ("dt_data", "predict_end"):
+            out[f.name] = getattr(study, f.name, None)
     for sec, holder in _MODEL_SECTIONS.items():
         if holder is not None:
             out[f"[{sec}]"] = getattr(study, holder, None)
@@ -310,8 +260,3 @@ def truth_settings(cfg: ExperimentConfig) -> dict:
 
 def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(config_text(cfg).encode()).hexdigest()
-
-
-def default_config(experiment: str, kind: str = "discrete",
-                   seed: int = 0, out: str | None = None) -> ExperimentConfig:
-    return ExperimentConfig(experiment=experiment, kind=kind, seed=seed, out=out)

@@ -62,6 +62,23 @@ def test_save_and_load_files(tmp_path):
     assert np.array_equal(back.params, ck.params)
 
 
+def test_checkpoint_text_is_pinned():
+    # the bytes of checkpoint.txt; a change would orphan the files on disk
+    ck = Checkpoint(experiment="toy", kind="markovian", arch="a|b", config_sha="c" * 64,
+                    epoch=2, params=np.array([0.1, -2.5, 1.0 / 3.0]),
+                    opt_s=np.array([0.0, 1e-7, 2.0]), opt_step=4,
+                    rng_state={"state": {"inc": 3, "state": 5}, "bit_generator": "PCG64"})
+    assert dump_checkpoint(ck) == (
+        "# neural closure checkpoint v1\nexperiment = toy\nclosure = markovian\n"
+        "epoch = 2\nopt_step = 4\nn_params = 3\narch = a|b\n"
+        "arch_sha256 = 0eab8a0a3380abf4c7d1fb0b43b66aafbb64a4b953e4eb2dccca579461912d0c\n"
+        f"config_sha256 = {'c' * 64}\n\n"
+        "[params]\n0.1\n-2.5\n0.3333333333333333\n\n"
+        "[opt_s]\n0.0\n1e-07\n2.0\n\n"
+        '[rng]\n{"bit_generator": "PCG64", "state": {"inc": 3, "state": 5}}\n')
+    assert dump_checkpoint(replace(ck, rng_state=None)).endswith("[opt_s]\n0.0\n1e-07\n2.0\n")
+
+
 def test_fingerprint_covers_delays_and_window():
     study = ex.get_study("toy")
     a = study.closure("discrete").describe()

@@ -1,5 +1,7 @@
 """CLI flows: data generation, training, evaluation, sweeps, exit codes."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,16 @@ def test_basis_file_round_trip(tmp_path):
     assert np.array_equal(back.mean, basis.mean)
     assert np.array_equal(back.modes, basis.modes)
     assert np.array_equal(back.singular_values, basis.singular_values)
+
+
+def test_basis_file_text_is_pinned(tmp_path):
+    from neuralclosure.models import rom
+    basis = rom.PodBasis(mean=np.array([0.5, -1.0]), modes=np.array([[0.6, 0.0], [0.8, 1.0]]),
+                         singular_values=np.array([3.0, 0.25, 0.125]))
+    cli.save_basis(tmp_path / "basis.txt", basis)
+    assert (tmp_path / "basis.txt").read_text(encoding="utf-8") == (
+        "# pod basis v1\nn_x = 2\nn_modes = 2\n\n[mean]\n0.5\n-1.0\n\n"
+        "[singular_values]\n3.0\n0.25\n0.125\n\n[modes]\n0.6,0.0\n0.8,1.0\n")
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +219,36 @@ epochs = 1
     header, data = cli.read_table(out / "truth.csv")
     assert header == ["t"] + [f"u{i:02d}" for i in range(1, 21)]
     assert cli.main(["train", "--config", cfgp, "--out", str(out)]) == 0
+
+
+def test_evaluate_notes_a_config_change(tmp_path, toy_cfg, capsys):
+    # the config hash in the checkpoint tells weights scored under another
+    # configuration; evaluate says so on stderr and still scores them
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", toy_cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", toy_cfg, "--out", str(out)]) == 0
+    assert "note:" not in capsys.readouterr().err
+    longer = _write(tmp_path, TOY_CFG.replace("epochs = 3", "epochs = 5"), "longer.cfg")
+    assert cli.main(["evaluate", "--config", longer, "--out", str(out)]) == 0
+    assert capsys.readouterr().err.startswith(
+        "note: scoring under a config that differs from the checkpoint's")
+
+
+def test_truncated_truth_is_refused(tmp_path, toy_cfg, capsys):
+    # a truth.csv cut short, after whole rows, mid-number or mid-row, lacks
+    # data times; scoring on it would average over empty windows
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", toy_cfg, "--out", str(out)]) == 0
+    truth = out / "truth.csv"
+    lines = truth.read_text(encoding="utf-8").splitlines()
+    kept = "\n".join(lines[:14])
+    for cut in (kept[:kept.rindex("\n") + 1], kept[:-5], kept[:kept.rindex(",")]):
+        truth.write_text(cut, encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", toy_cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(truth) in err
 
 
 def test_zero_closure_checkpoint_reproduces_baseline(tmp_path):
@@ -339,6 +381,27 @@ epochs = 2
     assert summary[0, 2] == summary[0, 6] == summary[0, 4]
     _, hist = cli.read_table(out / "tau2_0.25" / "rep0" / "loss_history.csv")
     assert np.isclose(np.nanmean(hist[:, 2]), summary[0, 4])
+
+
+def test_sweep_runs_start_from_the_files_gen_data_wrote(tmp_path, monkeypatch):
+    # each run directory gets a copy of every file gen-data wrote, the
+    # reference-resolution table included
+    cfgp = _write(tmp_path, "[run]\nexperiment = exp3a_bio0d\n"
+                            "[sweep]\ntau2 = 0.5\nrepeats = 1\n")
+    out = tmp_path / "sweep"
+    seen = []
+
+    def training(cfg, rdir, window, quiet):
+        seen.append({p.name: p.read_bytes() for p in rdir.iterdir()})
+        return SimpleNamespace(history=[], diverged=True)
+
+    monkeypatch.setattr(cli, "run_training", training)
+    assert cli.main(["sweep-delay", "--config", cfgp, "--out", str(out)]) == 0
+    names = cli.truth_files(ex.get_study("exp3a_bio0d"))
+    assert names == ["config.txt", "truth_full.csv", "truth.csv"]
+    assert sorted(p.name for p in out.iterdir() if p.is_file()) == \
+        sorted(names + ["runs.csv", "summary.csv"])
+    assert seen == [{name: (out / name).read_bytes() for name in names}]
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,21 @@
 """Config parsing: strict schema, typed values, override plumbing."""
 
+import ast
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from neuralclosure import config as cfgmod
 from neuralclosure.config import (
     ExperimentConfig,
     config_hash,
     config_text,
-    default_config,
     parse_config,
 )
+from neuralclosure.models.biology import BioParams
+from neuralclosure.models.column import ColumnConfig
 
 MINIMAL = "[run]\nexperiment = toy\n"
 
@@ -181,8 +186,8 @@ forward_dt = 0.1
 """)
     study = cfg.study()
     assert cfg.truth_stepper(study).rtol == 1e-6
-    assert cfg.forward_stepper(study).dt == 0.1
-    plain = default_config("toy")
+    assert study.forward_stepper().dt == 0.1
+    plain = ExperimentConfig("toy")
     assert plain.truth_stepper().rtol == 1e-10
 
 
@@ -193,8 +198,8 @@ def test_closure_window_override_at_call_site():
 
 
 def test_config_hash_distinguishes_seeds():
-    a = default_config("toy", seed=0)
-    b = default_config("toy", seed=1)
+    a = ExperimentConfig("toy", seed=0)
+    b = ExperimentConfig("toy", seed=1)
     assert config_hash(a) != config_hash(b)
 
 
@@ -204,3 +209,69 @@ def test_canonical_text_is_stable_and_leads_with_run():
     assert text.startswith("[run]\n")
     assert "epochs = 9" in text
     assert config_text(parse_config(text)) == text
+
+
+def test_canonical_text_and_hash_are_pinned():
+    # a key in every section, [biology] and [column] two each; the [biology]
+    # keys come in the sorted order of their BioParams names ("V_m" before
+    # "alpha_PI"). The constructor does not check which model sections
+    # apply, so one config can carry them all.
+    cfg = ExperimentConfig(
+        experiment="exp3b_bio1d", kind="distributed", seed=5, out="runs/golden",
+        train_end=1.5, val_end=3.0, predict_end=4.5, dt_data=0.1,
+        epochs=7, grad_mode="mean", lr0=0.02,
+        truth_rtol=1e-9, forward_dt=0.05,
+        window=(0.0, 1.25),
+        re=250.0,
+        bio={"V_m": 1.25, "alpha_PI": 0.03},
+        n_z=8, K_zb=0.05,
+        sweep_tau2=(0.0, 0.5), sweep_repeats=2, sweep_epochs=4)
+    assert config_text(cfg) == (
+        "[run]\nexperiment = exp3b_bio1d\nclosure = distributed\nseed = 5\n"
+        "out = runs/golden\n\n"
+        "[spans]\ntrain_end = 1.5\nval_end = 3\npredict_end = 4.5\n"
+        "dt_data = 0.10000000000000001\n\n"
+        "[training]\nepochs = 7\nlr0 = 0.02\ngrad_mode = mean\n\n"
+        "[steppers]\ntruth_rtol = 1.0000000000000001e-09\n"
+        "forward_dt = 0.050000000000000003\n\n"
+        "[closure]\nwindow = 0 1.25\n\n"
+        "[burgers]\nre = 250\n\n"
+        "[biology]\nv_m = 1.25\nalpha_pi = 0.029999999999999999\n\n"
+        "[column]\nn_z = 8\nk_zb = 0.050000000000000003\n\n"
+        "[sweep]\ntau2 = 0 0.5\nrepeats = 2\nepochs = 4\n")
+    assert config_hash(cfg) == \
+        "24256af19cbd3d2b7bc1696b632abe9524961fe042a363afea148378fbca12a1"
+
+
+def _accepted_keys() -> set:
+    """(section, key) pairs parse_config accepts, read from its own refusals."""
+    with pytest.raises(ValueError) as err:
+        parse_config("[nosuchsection]\nx = 1\n")
+    sections = ast.literal_eval(str(err.value).split("expected one of ", 1)[1])
+    pairs = set()
+    for sec in sections:
+        with pytest.raises(ValueError) as err:
+            parse_config(f"[{sec}]\nnosuchkey = 1\n")
+        keys = ast.literal_eval(str(err.value).split("allowed: ", 1)[1])
+        pairs |= {(sec, key) for key in keys}
+    return pairs
+
+
+def test_accepted_keys_are_the_readme_table_and_the_model_fields():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Config reference", 1)[1].split("\n\n| section")[1]
+    listed, by_fields = set(), set()
+    models = {"biology": BioParams, "column": ColumnConfig}
+    for row in ("| section" + table).split("\n\n", 1)[0].splitlines()[2:]:
+        sec = re.search(r"`\[(\w+)\]`", row).group(1)
+        # keys come before any ':' that says where they apply
+        keys = re.findall(r"`([a-z_0-9]+)`", row.split("|")[2].split(":")[0])
+        if "..." in row:
+            # the row lists examples of a model's lowercased field names
+            names = {f.name.lower() for f in fields(models[sec])}
+            assert set(keys) <= names
+            by_fields |= {(sec, n) for n in names}
+        else:
+            listed |= {(sec, k) for k in keys}
+    assert not listed & by_fields
+    assert _accepted_keys() == listed | by_fields
