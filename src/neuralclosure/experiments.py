@@ -475,7 +475,8 @@ class ColumnStudy(Study):
 
     def context_channels(self):
         """Normalized depth and attenuated daylight channels for the nets:
-        (n_z, 2) at one time, (B, n_z, 2) at B member times."""
+        (n_z, 2) at one time, (B, n_z, 2) at B member times, computed once
+        per distinct time."""
         z = self.cfg.z_centers
         zn = z / abs(self.cfg.depth_total)
         atten = np.exp(self.params.k_w * z)
@@ -483,8 +484,11 @@ class ColumnStudy(Study):
 
         def channels(t) -> np.ndarray:
             light = np.asarray(self.forcing.surface_light(t))[..., None] * atten / scale
-            return np.stack(np.broadcast_arrays(zn, light), axis=-1)
-        return channels
+            out = np.empty(light.shape + (2,))
+            out[..., 0] = zn
+            out[..., 1] = light
+            return out
+        return column.per_time(channels)
 
     def networks(self, kind: str):
         ctx = self.context_channels()

@@ -58,7 +58,11 @@ def growth_G(params: BioParams, z: float | None = None,
              surface_light: float | None = None):
     """Light-limited growth rate V_m a I / sqrt(V_m^2 + a^2 I^2)."""
     zz = params.z if z is None else z
-    I = light_at(params, zz, surface_light)
+    return light_growth(params, light_at(params, zz, surface_light))
+
+
+def light_growth(params: BioParams, I):
+    """The growth rate of :func:`growth_G` at light I."""
     aI = params.alpha_PI * I
     return params.V_m * aI / np.sqrt(params.V_m ** 2 + aI ** 2)
 

@@ -15,11 +15,17 @@ both the (points, channels) convention of the convolutional closures and the
 CSV column order used by the command line tools. The right-hand side and its
 VJP also take a batch of columns (B, n_z * n_species) with one time per
 member, (B,).
+
+The depth grids are computed once per config, as read-only arrays, and the
+light attenuation once per model. The forcing profiles (face diffusivities,
+growth rates) are computed once per distinct time: RK4's two middle stages
+share one time, and a step's last stage is usually the next step's first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,13 +33,36 @@ from ..linalg import Vec
 from .biology import (
     BioParams,
     aggregate_nnpzd,
-    growth_G,
+    light_growth,
     nnpzd_initial,
     nnpzd_rhs,
     npz_initial,
     npz_rhs,
     npz_rhs_vjp,
 )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def per_time(fn):
+    """``fn`` of a time, with a cache of one entry: the result for the last
+    time asked, made read-only. The key is the time's shape and bytes, since
+    the scalar 0.0 and the (1,) array [0.0] have the same bytes but give
+    results of different shapes."""
+    key = value = None
+
+    def cached(t):
+        nonlocal key, value
+        a = np.asarray(t, dtype=float)
+        k = (a.shape, a.tobytes())
+        if k != key:
+            value = _read_only(fn(t))
+            key = k
+        return value
+    return cached
 
 
 @dataclass(frozen=True)
@@ -72,14 +101,14 @@ class ColumnConfig:
     def dz(self) -> float:
         return abs(self.depth_total) / self.n_z
 
-    @property
+    @cached_property
     def z_centers(self) -> np.ndarray:
-        return self.depth_total * (np.arange(self.n_z) + 0.5) / self.n_z
+        return _read_only(self.depth_total * (np.arange(self.n_z) + 0.5) / self.n_z)
 
-    @property
+    @cached_property
     def z_faces(self) -> np.ndarray:
         """Interior faces only (the boundary fluxes vanish)."""
-        return self.depth_total * np.arange(1, self.n_z) / self.n_z
+        return _read_only(self.depth_total * np.arange(1, self.n_z) / self.n_z)
 
     def total_biomass(self) -> np.ndarray:
         """Linear profile from the surface value down to the bottom value."""
@@ -100,10 +129,12 @@ def kz_profile(cfg: ColumnConfig, z, M: float) -> np.ndarray:
 def diffusion_term(fields: np.ndarray, k_faces: np.ndarray, dz: float) -> np.ndarray:
     """Conservative zero-flux diffusion of (..., n_z, n_species) cell fields
     with face diffusivities (..., n_z - 1)."""
-    flux = k_faces[..., None] * (fields[..., 1:, :] - fields[..., :-1, :]) / dz
+    flux = k_faces[..., None] * (fields[..., 1:, :] - fields[..., :-1, :])
+    flux /= dz
+    flux /= dz
     out = np.zeros_like(fields)
-    out[..., :-1, :] += flux / dz
-    out[..., 1:, :] -= flux / dz
+    out[..., :-1, :] += flux
+    out[..., 1:, :] -= flux
     return out
 
 
@@ -139,14 +170,23 @@ class ColumnModel:
         u = np.asarray(u, dtype=float)
         return u.reshape(u.shape[:-1] + (self.cfg.n_z, self.n_species))
 
-    def growth_profile(self, t) -> np.ndarray:
-        """Growth rate per depth cell, (n_z,), or (B, n_z) for B times."""
-        I0 = _per_member(self.forcing.surface_light(t))
-        return growth_G(self.params, self.cfg.z_centers, surface_light=I0)
+    @cached_property
+    def growth_profile(self):
+        """t -> growth rate per depth cell, (n_z,), or (B, n_z) for B times."""
+        attenuation = np.exp(self.params.k_w * self.cfg.z_centers)
 
-    def _k_faces(self, t) -> np.ndarray:
-        M = _per_member(self.forcing.thermocline(t))
-        return kz_profile(self.cfg, self.cfg.z_faces, M)
+        def growth(t):
+            I0 = _per_member(self.forcing.surface_light(t))
+            return light_growth(self.params, I0 * attenuation)
+        return per_time(growth)
+
+    @cached_property
+    def _k_faces(self):
+        """t -> diffusivity at the interior faces, (n_z - 1,) or (B, n_z - 1)."""
+        def k_faces(t):
+            M = _per_member(self.forcing.thermocline(t))
+            return kz_profile(self.cfg, self.cfg.z_faces, M)
+        return per_time(k_faces)
 
     def rhs(self, t, u: Vec) -> np.ndarray:
         fields = self._shape(u)

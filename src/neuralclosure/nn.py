@@ -43,6 +43,12 @@ A reverse pass is split in two steps: :func:`tape` runs the forward pass and
 keeps the layer caches, and :func:`backward` (input and parameter cotangents)
 or :func:`backward_input` (input cotangent only, skipping all weight-gradient
 work) run on that tape, as often as needed. :func:`vjp` composes the two.
+
+The kernels work in place on the arrays they allocate themselves (an
+activation and its derivative, a bias added after the product, a cotangent
+scaled by the derivative), and on nothing else: no layer writes into its
+input, its cotangent or a tape's arrays, so a tape serves any number of
+reverse passes and a caller's arrays come back as they went in.
 """
 
 from __future__ import annotations
@@ -61,8 +67,13 @@ from .linalg import Vec
 
 
 def _sigmoid(z):
-    # the tanh form is finite for every finite z, so needs no sign split
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+    """0.5 * (1 + tanh(0.5 * z)), built in the one array it allocates; the
+    tanh form is finite for every finite z, so needs no sign split."""
+    s = z * 0.5
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def _act(name, z):
@@ -78,12 +89,27 @@ def _act(name, z):
 
 
 def _act_deriv(name, z, s):
-    """act'(z), given the ``s`` that ``_act`` returned with act(z)."""
+    """act'(z), given the ``s`` that ``_act`` returned with act(z), in the
+    one array it allocates; None for linear, whose derivative is one."""
     if name == "tanh":
-        return 1.0 - s * s
+        d = s * s
+        return np.subtract(1.0, d, out=d)
     if name == "swish":
-        return s * (1.0 + z * (1.0 - s))
-    return np.ones_like(z)
+        d = 1.0 - s
+        d *= z
+        d += 1.0
+        d *= s
+        return d
+    return None
+
+
+def _scale(name, z, s, w):
+    """The cotangent w times act'(z): a new array, or w itself for linear."""
+    d = _act_deriv(name, z, s)
+    if d is None:
+        return w
+    d *= w
+    return d
 
 
 ACTIVATIONS = ("tanh", "swish", "linear")
@@ -107,12 +133,15 @@ def _conv_same(x, K, b):
     """
     k = K.shape[0]
     if k == 1:
-        return x @ K[0] + b, x
+        y = x @ K[0]
+        y += b
+        return y, x
     n, ci = x.shape[-2:]
     pl = (k - 1) // 2
     xpad = np.zeros(x.shape[:-2] + (n + k - 1, ci))
     xpad[..., pl:pl + n, :] = x
-    y = xpad[..., 0:n, :] @ K[0] + b
+    y = xpad[..., 0:n, :] @ K[0]
+    y += b
     for d in range(1, k):
         y += xpad[..., d:d + n, :] @ K[d]
     return y, xpad
@@ -191,14 +220,15 @@ class Dense:
 
     def forward(self, p, x, t):
         W, b = p
-        z = x @ W.T + b
+        z = x @ W.T
+        z += b
         y, s = _act(self.act, z)
         return y, (x, z, s)
 
     def backward(self, p, cache, w, grads=True):
         W, _ = p
         x, z, s = cache
-        dz = w * _act_deriv(self.act, z, s)
+        dz = _scale(self.act, z, s, w)
         if not grads:
             return dz @ W, None
         dz2 = dz.reshape(-1, self.n_out)
@@ -240,8 +270,14 @@ class SimpleRnnCell:
         zx = xs @ Wx.T
         h = np.zeros(zx.shape[1:])
         zs, ss, hs = [], [], [h]
-        for zx_i in zx:
-            z = zx_i + h @ Wh.T + b
+        for i, zx_i in enumerate(zx):
+            # the first step's hidden state is zero, so z_0 = zx_0 + b
+            if i:
+                z = h @ Wh.T
+                z += zx_i
+                z += b
+            else:
+                z = zx_i + b
             h, s = _act(self.act, z)
             zs.append(z)
             ss.append(s)
@@ -254,7 +290,7 @@ class SimpleRnnCell:
         dzs = np.empty((len(zs),) + w.shape)
         dh = w
         for i in range(len(zs) - 1, -1, -1):
-            dzs[i] = dz = dh * _act_deriv(self.act, zs[i], ss[i])
+            dzs[i] = dz = _scale(self.act, zs[i], ss[i], dh)
             dh = dz @ Wh
         dxs = dzs @ Wx
         if not grads:
@@ -302,11 +338,16 @@ class SimpleRnnConvCell:
     def forward(self, p, xs, t):
         Kx, Kh, b, Ko, bo = p
         zx, xpad = _conv_same(xs, Kx, 0.0)
+        # the first step's hidden state is zero, so z_0 = zx_0 + b
         h = np.zeros(zx.shape[1:])
+        hpad = h if self.kernel == 1 else np.zeros(xpad.shape[1:-1] + (self.units,))
         zs, ss, hpads = [], [], []
-        for zx_i in zx:
-            zh, hpad = _conv_same(h, Kh, b)
-            z = zx_i + zh
+        for i, zx_i in enumerate(zx):
+            if i:
+                z, hpad = _conv_same(h, Kh, b)
+                z += zx_i
+            else:
+                z = zx_i + b
             h, s = _act(self.act, z)
             zs.append(z)
             ss.append(s)
@@ -318,11 +359,11 @@ class SimpleRnnConvCell:
     def backward(self, p, cache, w, grads=True):
         Kx, Kh, b, Ko, bo = p
         xpad, zs, ss, hpads, zo, so, opad = cache
-        dzo = w * _act_deriv(self.act, zo, so)
+        dzo = _scale(self.act, zo, so, w)
         dh, dKo, dbo = _conv_same_vjp(opad, Ko, dzo, grads)
         dzs = np.empty((len(zs),) + dh.shape)
         for i in range(len(zs) - 1, -1, -1):
-            dzs[i] = dz = dh * _act_deriv(self.act, zs[i], ss[i])
+            dzs[i] = dz = _scale(self.act, zs[i], ss[i], dh)
             dh = _conv_same_vjp(hpads[i], Kh, dz, False)[0]
         dxs, dKx, _ = _conv_same_vjp(xpad, Kx, dzs, grads)
         if not grads:
@@ -367,7 +408,7 @@ class Conv1d:
     def backward(self, p, cache, w, grads=True):
         K, _ = p
         xpad, z, s = cache
-        dz = w * _act_deriv(self.act, z, s)
+        dz = _scale(self.act, z, s, w)
         dx, dK, db = _conv_same_vjp(xpad, K, dz, grads)
         return dx, (dK, db) if grads else None
 
@@ -389,7 +430,7 @@ class Conv1dTranspose(Conv1d):
     def backward(self, p, cache, w, grads=True):
         K, _ = p
         xpad, z, s = cache
-        dz = w * _act_deriv(self.act, z, s)
+        dz = _scale(self.act, z, s, w)
         dx, dKf, db = _conv_same_vjp(xpad, K[::-1], dz, grads)
         return dx, (dKf[::-1], db) if grads else None
 
@@ -467,7 +508,7 @@ class BioConstrain:
     def forward(self, p, x, t):
         beta = p[0][0]
         s = x[..., 0]
-        out = np.stack([beta * s, -s, (1.0 - beta) * s], axis=-1)
+        out = s[..., None] * np.array([beta, -1.0, 1.0 - beta])
         return out, (s, beta, x.shape)
 
     def backward(self, p, cache, w, grads=True):

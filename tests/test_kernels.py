@@ -4,7 +4,9 @@ The references in ``oracles`` are the sign-split sigmoid, the per-tap
 convolution loop, the recurrent cells with their input kernel applied one
 sequence element at a time, the column reactions one depth at a time and the
 y(t0) history term with one g-network tape per trapezoid node. Also here: the tape
-and reverse-pass budget of one training window on the shipped studies.
+and reverse-pass budget of one training window on the shipped studies, the
+in-place kernels bit for bit against the expressions they replace, and
+repeated reverse passes on one tape.
 """
 
 import warnings
@@ -248,3 +250,163 @@ def test_distributed_window_history_is_one_batched_pass(monkeypatch):
     # history term made 91 and 106
     assert counts[(g, "adjoint", "full")] == 2 * len(knots) + 1 == 27
     assert counts[(id(clo.f_net), "adjoint", "full")] + 27 == 42
+
+
+# ---------------------------------------------------------------------------
+# In-place kernels against the expressions they replace, bit for bit
+# ---------------------------------------------------------------------------
+
+
+SPECIAL = np.array([0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0])
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _with_specials(rng, shape, scale=3.0):
+    """Normal draws of ``shape`` whose first entries are SPECIAL, repeated."""
+    x = rng.normal(0.0, scale, size=shape)
+    flat = x.reshape(-1)
+    flat[:2 * SPECIAL.size] = np.tile(SPECIAL, 2)
+    return x
+
+
+def _former_conv(x, K, b):
+    """The convolution as it was written before its bias went in place."""
+    k = K.shape[0]
+    if k == 1:
+        return x @ K[0] + b
+    n, ci = x.shape[-2:]
+    pl = (k - 1) // 2
+    xpad = np.zeros(x.shape[:-2] + (n + k - 1, ci))
+    xpad[..., pl:pl + n, :] = x
+    y = xpad[..., 0:n, :] @ K[0] + b
+    for d in range(1, k):
+        y += xpad[..., d:d + n, :] @ K[d]
+    return y
+
+
+def test_activations_equal_their_former_expressions():
+    z = _with_specials(np.random.default_rng(0), 400, scale=5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sig = 0.5 * (1.0 + np.tanh(0.5 * z))
+        assert _same(nn._sigmoid(z), sig)
+        y, s = nn._act("swish", z)
+        assert _same(y, z * sig) and _same(s, sig)
+        assert _same(nn._act_deriv("swish", z, s), s * (1.0 + z * (1.0 - s)))
+        y, t = nn._act("tanh", z)
+        assert _same(y, np.tanh(z)) and _same(nn._act_deriv("tanh", z, t), 1.0 - t * t)
+        # linear passes its cotangent on as it is
+        w = z[::-1].copy()
+        assert nn._act_deriv("linear", z, None) is None
+        assert nn._scale("linear", z, None, w) is w
+        for name in ("tanh", "swish"):
+            _, s = nn._act(name, z)
+            assert _same(nn._scale(name, z, s, w), w * nn._act_deriv(name, z, s))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_affine_layers_add_the_bias_like_before(k):
+    rng = np.random.default_rng(k)
+    x = _with_specials(rng, (4, 20, 5))
+    W, b = rng.normal(size=(7, 5)), rng.normal(size=7)
+    z = nn.Dense(5, 7).forward((W, b), x, None)[1][1]
+    assert _same(z, x @ W.T + b)
+    K = rng.normal(size=(k, 5, 7))
+    assert _same(nn._conv_same(x, K, b)[0], _former_conv(x, K, b))
+    assert _same(nn._conv_same(x, K, 0.0)[0], _former_conv(x, K, 0.0))
+
+
+def test_bio_constrain_equals_the_stacked_triple():
+    rng = np.random.default_rng(2)
+    x = _with_specials(rng, (3, 20, 1))
+    for beta in (0.5, rng.uniform(), -0.3, 0.0):
+        out = nn.BioConstrain().forward((np.array([beta]),), x, None)[0]
+        s = x[..., 0]
+        assert _same(out, np.stack([beta * s, -s, (1.0 - beta) * s], axis=-1))
+
+
+@pytest.mark.parametrize("name", sorted(RNN_CELLS))
+def test_first_recurrent_step_equals_the_zero_state_product(name):
+    cell = RNN_CELLS[name]
+    rng = np.random.default_rng(4)
+    shape = (cell.n_in,) if name == "dense" else (20, cell.in_ch)
+    xs = _with_specials(rng, (5, 3) + shape)
+    net = nn.Network([cell])
+    p = net.unpack(rng.normal(0.0, 0.5, net.n_params))[0]
+    z0 = cell.forward(p, xs, None)[1][1][0]
+    if name == "dense":
+        Wx, Wh, b = p
+        h0 = np.zeros((3, cell.units))
+        want = (xs @ Wx.T)[0] + h0 @ Wh.T + b
+    else:
+        Kx, Kh, b = p[:3]
+        h0 = np.zeros((3, 20, cell.units))
+        want = _former_conv(xs, Kx, 0.0)[0] + _former_conv(h0, Kh, b)
+    assert _same(z0, want)
+
+
+# ---------------------------------------------------------------------------
+# Repeated reverse passes on one tape
+# ---------------------------------------------------------------------------
+
+
+def _context(n):
+    return ex.ColumnStudy(cfg=column.ColumnConfig(n_z=n)).context_channels()
+
+
+TAPE_NETS = {
+    "dense": (lambda: nn.Network([nn.Dense(3, 6, "tanh"), nn.Dense(6, 4, "linear"),
+                                  nn.Dense(4, 2, "swish")]), (3,), 0),
+    "rnn": (lambda: nn.Network([nn.SimpleRnnCell(3, 5, "tanh"),
+                                nn.Dense(5, 2, "linear")]), (3,), 4),
+    "rnn_linear": (lambda: nn.Network([nn.SimpleRnnCell(3, 5, "linear")]), (3,), 4),
+    "conv_k3": (lambda: nn.Network([nn.Conv1d(1, 2, 3, "swish"),
+                                    nn.Conv1dTranspose(2, 3, 3, "linear"),
+                                    nn.Conv1d(3, 1, 3, "tanh")]), (25, 1), 0),
+    "rnn_conv_k1": (lambda: nn.Network([nn.SimpleRnnConvCell(3, 4, 1, "swish"),
+                                        nn.Conv1d(4, 2, 1, "linear")]), (20, 3), 4),
+    "rnn_conv_k3": (lambda: nn.Network([nn.SimpleRnnConvCell(1, 3, 3, "swish"),
+                                        nn.Conv1d(3, 1, 3, "linear")]), (25, 1), 4),
+    "context_bio": (lambda: nn.Network([nn.AddExtraChannels(2, _context(20), in_ch=3),
+                                        nn.Conv1d(5, 4, 1, "swish"),
+                                        nn.Conv1d(4, 1, 1, "linear"),
+                                        nn.BioConstrain()]), (20, 3), 0),
+}
+
+
+def _arrays(obj):
+    """Every array inside nested tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in _arrays(item)]
+    return []
+
+
+@pytest.mark.parametrize("name", sorted(TAPE_NETS))
+def test_a_tape_survives_repeated_reverse_passes(name):
+    make, shape, seq = TAPE_NETS[name]
+    net = make()
+    rng = np.random.default_rng(8)
+    params = rng.normal(0.0, 0.5, net.n_params)
+    x = rng.normal(size=((seq,) if seq else ()) + (3,) + shape)
+    t = np.array([0.0, 12.5, 40.0])
+    fresh_tape = nn.tape(net, x.copy(), params.copy(), t)
+    w = rng.normal(size=fresh_tape.y.shape)
+    want = nn.backward(fresh_tape, w.copy())
+    want_input = nn.backward_input(nn.tape(net, x.copy(), params.copy(), t), w.copy())
+
+    tp = nn.tape(net, x, params, t)
+    kept = [a.copy() for a in [x, w, params, tp.y] + _arrays(tp.caches)]
+    got = [nn.backward(tp, w), nn.backward(tp, w)]
+    got_input = nn.backward_input(tp, w)
+    for dx, grads in got:
+        assert _same(dx, want[0]) and _same(grads, want[1])
+    assert _same(got_input, want_input) and _same(got_input, want[0])
+    after = [x, w, params, tp.y] + _arrays(tp.caches)
+    assert len(after) == len(kept)
+    assert all(_same(a, b) for a, b in zip(after, kept))

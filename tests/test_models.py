@@ -1,6 +1,7 @@
 """Reference-model checks: discrete operators, Jacobians, conservation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from neuralclosure import config, experiments as ex, nn
 from neuralclosure.integrate import RK4Fixed, integrate_ode
 from neuralclosure.models import biology, burgers, column, rom
 
@@ -349,6 +351,66 @@ def test_column_growth_decreases_with_depth():
     G = m.growth_profile(0.0)
     assert G.shape == (20,)
     assert np.all(np.diff(G) < 0.0)
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_per_time_caches_key_on_the_shape_of_the_time():
+    # 0.0 and [0.0] have the same bytes; a cache keyed on bytes alone hands a
+    # (1, n_z - 1) diffusivity to a single column and fails to broadcast
+    def make():
+        return (_column(n_z=6), _column(kind="nnpzd", n_z=6),
+                ex.ColumnStudy(cfg=column.ColumnConfig(n_z=6)).context_channels())
+
+    npz, nnpzd, ctx = make()
+    rng = np.random.default_rng(3)
+    u3, u5 = rng.uniform(0.1, 5.0, (3, 18)), rng.uniform(0.1, 5.0, (3, 30))
+    w = rng.normal(size=(3, 18))
+    times = [0.0, np.array([0.0]), np.zeros(3), 0.0, np.array([0.0, 5.0, 0.0]),
+             np.float64(5.0), np.array(5.0), np.array([5.0]), 5.0, np.zeros(3), 0.0]
+    for t in times:
+        rows = slice(0, np.size(t)) if np.ndim(t) else 0
+        fresh = make()
+        assert _same(npz.rhs(t, u3[rows]), fresh[0].rhs(t, u3[rows]))
+        assert _same(npz.rhs_vjp(t, u3[rows], w[rows]),
+                     fresh[0].rhs_vjp(t, u3[rows], w[rows]))
+        assert _same(nnpzd.rhs(t, u5[rows]), fresh[1].rhs(t, u5[rows]))
+        assert _same(ctx(t), fresh[2](t))
+        assert ctx(t).shape == np.shape(t) + (6, 2)
+
+
+def test_cached_column_constants_are_read_only():
+    cfg = column.ColumnConfig(n_z=8)
+    m = column.ColumnModel(cfg, biology.BioParams(), column.SeasonalForcing())
+    m.rhs(1.0, m.initial_state())
+    ctx = ex.ColumnStudy(cfg=cfg).context_channels()
+    for a in (cfg.z_centers, cfg.z_faces, m.growth_profile(1.0),
+              m._k_faces(1.0), m._k_faces(np.ones(2)), ctx(1.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    # the caches sit outside the fields: equality, hashing, repr and replace
+    # see only the fields
+    fresh = column.ColumnConfig(n_z=8)
+    assert cfg == fresh and hash(cfg) == hash(fresh) and repr(cfg) == repr(fresh)
+    wider = replace(cfg, n_z=10)
+    assert wider == column.ColumnConfig(n_z=10) and wider.z_centers.shape == (10,)
+    assert _same(wider.z_faces, column.ColumnConfig(n_z=10).z_faces)
+
+
+def test_column_caches_leave_the_config_hash_and_fingerprints():
+    exp = config.ExperimentConfig("exp3b_bio1d", n_z=8, K_zb=0.05)
+    study = exp.study()
+    before = (config.config_text(exp), config.config_hash(exp),
+              [study.closure(kind).describe() for kind in ex.CLOSURE_KINDS])
+    clo = study.closure("markovian")
+    nn.forward(clo.net, np.ones((2, 8, 3)), ex.initial_params(clo, 0), np.ones(2))
+    study.base()[0](1.0, np.ones(24))
+    after = (config.config_text(exp), config.config_hash(exp),
+             [study.closure(kind).describe() for kind in ex.CLOSURE_KINDS])
+    assert after == before
 
 
 def test_seasonal_forcing_extremes():
