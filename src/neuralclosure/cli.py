@@ -201,11 +201,10 @@ def _write_history(path, prior_rows, records) -> None:
 
 
 def run_training(cfg: ExperimentConfig, out: Path,
-                 resume: Path | None = None,
-                 window=None, quiet: bool = False) -> TrainResult:
+                 resume: Path | None = None, quiet: bool = False) -> TrainResult:
     study = cfg.study()
     dataset, basis = load_truth(cfg, out)
-    closure = cfg.closure(study, window=window)
+    closure = study.closure(cfg.kind)
     system = study.system(closure, basis)
     settings = cfg.settings(study)
     stepper = study.forward_stepper()
@@ -295,7 +294,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path, ckpt: Path | None) -> int:
     dataset, basis = load_truth(cfg, out)
     ckpt = ckpt if ckpt is not None else out / "checkpoint.txt"
     ck = load_checkpoint(ckpt)
-    closure = cfg.closure(study)
+    closure = study.closure(cfg.kind)
     check_compatible(ck, closure, cfg.kind, cfg.experiment)
     _note_config_change(ck, config_hash(cfg), "scoring")
     system = study.system(closure, basis)
@@ -421,14 +420,18 @@ def cmd_sweep_delay(cfg: ExperimentConfig, out: Path) -> int:
     for tau2 in cfg.sweep_tau2:
         for rep in range(cfg.sweep_repeats):
             seed = cfg.seed + rep
-            rcfg = replace(cfg, seed=seed)
+            rcfg = replace(cfg, seed=seed, window=(0.0, tau2))
             rdir = out / f"tau2_{tau2:g}" / f"rep{rep}"
             rdir.mkdir(parents=True, exist_ok=True)
+            # the shared truth files, with the run's own config.txt: its
+            # truth settings are the root's, and it scores the checkpoint
             for name in files:
                 src = out / name
                 if src.exists() and not (rdir / name).exists():
-                    (rdir / name).write_bytes(src.read_bytes())
-            result = run_training(rcfg, rdir, window=(0.0, tau2), quiet=True)
+                    data = config_text(rcfg).encode() if name == "config.txt" \
+                        else src.read_bytes()
+                    (rdir / name).write_bytes(data)
+            result = run_training(rcfg, rdir, quiet=True)
             loss = final_epoch_val_loss(result.history)
             status = "diverged" if result.diverged or not np.isfinite(loss) \
                 else "ok"

@@ -55,6 +55,7 @@ from .integrate import (
     DenseTrajectory,
     RK4Fixed,
     StepperSpec,
+    check_delays,
     dde_read_times,
     integrate_dde,
     integrate_ode,
@@ -68,6 +69,9 @@ from .linalg import Vec
 # ---------------------------------------------------------------------------
 # Closure models
 # ---------------------------------------------------------------------------
+
+
+HISTORY_QUAD_PANELS = 64   # trapezoid panels of a distributed closure's y(t0)
 
 
 def _nums(xs) -> str:
@@ -125,12 +129,7 @@ class Discrete(_Closure):
     aux_dim = 0
 
     def __post_init__(self):
-        d = tuple(float(x) for x in self.delays)
-        if any(x <= 0.0 for x in d):
-            raise ValueError("Discrete: delays must be positive")
-        if any(d[i] >= d[i + 1] for i in range(len(d) - 1)):
-            raise ValueError("Discrete: delays must be strictly ascending")
-        object.__setattr__(self, "delays", d)
+        object.__setattr__(self, "delays", check_delays(self.delays))
         if not self.net.recurrent:
             raise ValueError("Discrete closure needs a recurrent network")
 
@@ -157,7 +156,7 @@ class Distributed(_Closure):
 
     ``window`` is (tau_1, tau_2) with 0 <= tau_1 <= tau_2; tau_1 == tau_2
     degenerates to y frozen at its initial value (an empty moving window).
-    ``history_quad_panels`` fixes the trapezoid rule used for y(t0); the
+    y(t0) is the trapezoid rule on :data:`HISTORY_QUAD_PANELS` panels; the
     adjoint's history term mirrors the same rule so gradients stay consistent
     with the forward computation.
     """
@@ -166,7 +165,6 @@ class Distributed(_Closure):
     g_net: nn.Network
     window: tuple[float, float]
     aux_dim: int
-    history_quad_panels: int = 64
 
     def __post_init__(self):
         t1, t2 = (float(self.window[0]), float(self.window[1]))
@@ -221,7 +219,7 @@ class Distributed(_Closure):
     def history_nodes(self, t0: float) -> np.ndarray:
         """The trapezoid nodes of y(t0) over [t0 - tau_2, t0 - tau_1]."""
         tau1, tau2 = self.window
-        return quadrature_nodes(t0 - tau2, t0 - tau1, self.history_quad_panels)
+        return quadrature_nodes(t0 - tau2, t0 - tau1, HISTORY_QUAD_PANELS)
 
 
 ClosureModel = Markovian | Discrete | Distributed

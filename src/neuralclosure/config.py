@@ -26,7 +26,7 @@ import hashlib
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .experiments import CLOSURE_KINDS, EXPERIMENTS, STUDIES, get_study
-from .integrate import DormandPrince54, StepperSpec
+from .integrate import DormandPrince54, StepperSpec, check_delays
 from .models import biology, column
 from .train import TrainSettings
 
@@ -64,13 +64,11 @@ class ExperimentConfig:
     decay_steps: int | None = _key("training", int)
     window_steps: int | None = _key("training", int)
     supervise_stride: int | None = _key("training", int)
-    grad_mode: str | None = _key("training", str)
     positivity_weight: float | None = _key("training", float)
     checkpoint_every: int | None = _key("training", int)
     truth_rtol: float | None = _key("steppers", float)
     truth_atol: float | None = _key("steppers", float)
     forward_dt: float | None = _key("steppers", float)
-    adjoint_dt: float | None = _key("steppers", float)
     delays: tuple[float, ...] | None = _key("closure", _floats)
     window: tuple[float, ...] | None = _key("closure", _floats)
     re: float | None = _key("burgers", float)
@@ -100,15 +98,10 @@ class ExperimentConfig:
         if self.kind not in CLOSURE_KINDS:
             raise ValueError(
                 f"unknown closure {self.kind!r}; choose from {CLOSURE_KINDS}")
-        spans = (self.train_end, self.val_end, self.predict_end)
-        named = [s for s in spans if s is not None]
-        if len(named) == 3 and not (spans[0] < spans[1] <= spans[2]):
-            raise ValueError("spans must satisfy train_end < val_end <= predict_end")
         if self.delays is not None:
-            d = self.delays
-            if not d or any(x <= 0 for x in d) or any(
-                    b <= a for a, b in zip(d, d[1:])):
-                raise ValueError("delays must be ascending and positive")
+            if not self.delays:
+                raise ValueError("delays must name at least one delay")
+            check_delays(self.delays)
         if self.window is not None:
             if len(self.window) != 2 or not 0 <= self.window[0] <= self.window[1]:
                 raise ValueError("window must be 'tau1 tau2' with 0 <= tau1 <= tau2")
@@ -135,10 +128,6 @@ class ExperimentConfig:
         if col:
             over["cfg"] = replace(column.ColumnConfig(), **col)
         return get_study(self.experiment, **over)
-
-    def closure(self, study=None, window=None):
-        """The study's closure of this kind; ``window`` replaces the study's."""
-        return (study or self.study()).closure(self.kind, window=window)
 
     def settings(self, study=None) -> TrainSettings:
         """The study's recipe with every set value that names a field of it."""
@@ -209,6 +198,10 @@ def parse_config(text: str) -> ExperimentConfig:
         for key, _ in cp.items(section) if cp.has_section(section) else ():
             if (holder or _SCHEMA[(section, key)][0]) not in have:
                 raise ValueError(f"[{section}] {key} does not apply to {cfg.experiment}")
+    study = cfg.study()
+    if not study.train_end < study.val_end <= study.predict_end:
+        raise ValueError(f"spans must satisfy train_end < val_end <= predict_end, got "
+                         f"{study.train_end:g}, {study.val_end:g}, {study.predict_end:g}")
     return cfg
 
 

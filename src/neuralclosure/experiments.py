@@ -121,8 +121,7 @@ class Study:
 
     def settings(self, kind: str, seed: int = 0, epochs: int | None = None) -> TrainSettings:
         return TrainSettings(epochs=self.epochs if epochs is None else epochs,
-                             batch_size=self.batch_size(kind), lr0=self.lr0,
-                             adjoint_dt=self.forward_dt, seed=seed)
+                             batch_size=self.batch_size(kind), lr0=self.lr0, seed=seed)
 
     def closure(self, kind: str, delays=None, window=None) -> ClosureModel:
         """The study's closure of ``kind``; delays and window default to the

@@ -385,21 +385,25 @@ def _solve(rhs: Callable[[float, Vec], Vec], u0: Vec, t_span: tuple[float, float
 
 
 def integrate_ode(rhs: Callable[[float, Vec], Vec], u0: Vec, t_span: tuple[float, float],
-                  stepper: StepperSpec,
-                  breakpoints: Iterable[float] = ()) -> DenseTrajectory:
-    """Integrate u' = rhs(t, u) over t_span and return the dense solution.
+                  stepper: StepperSpec) -> DenseTrajectory:
+    """Integrate u' = rhs(t, u) over t_span and return the dense solution."""
+    return _solve(rhs, u0, t_span, stepper, (), DenseTrajectory())
 
-    ``breakpoints`` are interior times the adaptive stepper must land on
-    exactly (derivative discontinuities); fixed-step schemes ignore them.
-    """
-    return _solve(rhs, u0, t_span, stepper, breakpoints, DenseTrajectory())
+
+def check_delays(delays) -> tuple[float, ...]:
+    """``delays`` as a tuple of floats; they must be positive and strictly
+    ascending (none is allowed)."""
+    d = tuple(float(x) for x in delays)
+    if any(x <= 0.0 for x in d) or any(a >= b for a, b in zip(d, d[1:])):
+        raise ValueError(f"delays must be positive and strictly ascending, got {d}")
+    return d
 
 
 @dataclass(frozen=True)
 class DdeProblem:
     """Delay problem u'(t) = rhs(t, u(t), [u(t - tau_1), ..., u(t - tau_K)]).
 
-    ``delays`` must be strictly positive and ascending. ``history`` supplies
+    ``delays`` must pass :func:`check_delays`. ``history`` supplies
     u(t) for one time t <= t_start and must cover
     [t_start - max(delays), t_start]. ``rhs`` must not change the delayed
     states in place: a solve may hand the same array to several reads of
@@ -411,12 +415,7 @@ class DdeProblem:
     history: Callable[[float], Vec]
 
     def __post_init__(self):
-        d = tuple(float(x) for x in self.delays)
-        if any(x <= 0.0 for x in d):
-            raise ValueError("DdeProblem: delays must be strictly positive")
-        if any(d[i] >= d[i + 1] for i in range(len(d) - 1)):
-            raise ValueError("DdeProblem: delays must be strictly ascending")
-        object.__setattr__(self, "delays", d)
+        object.__setattr__(self, "delays", check_delays(self.delays))
 
 
 def _breakpoints(t0: float, t1: float, delays: tuple[float, ...]):

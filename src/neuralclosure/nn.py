@@ -399,9 +399,15 @@ class Conv1d:
             raise ValueError(f"Conv1d({self.in_ch}ch) cannot follow {spec}")
         return ("grid", self.out_ch)
 
+    @staticmethod
+    def taps(K):
+        """The correlation kernel of the parameter K; also maps a gradient
+        with respect to the taps back onto K."""
+        return K
+
     def forward(self, p, x, t):
         K, b = p
-        z, xpad = _conv_same(x, K, b)
+        z, xpad = _conv_same(x, self.taps(K), b)
         y, s = _act(self.act, z)
         return y, (xpad, z, s)
 
@@ -409,11 +415,12 @@ class Conv1d:
         K, _ = p
         xpad, z, s = cache
         dz = _scale(self.act, z, s, w)
-        dx, dK, db = _conv_same_vjp(xpad, K, dz, grads)
-        return dx, (dK, db) if grads else None
+        dx, dK, db = _conv_same_vjp(xpad, self.taps(K), dz, grads)
+        return dx, (self.taps(dK), db) if grads else None
 
     def describe(self):
-        return f"Conv1d({self.in_ch}ch->{self.out_ch}ch,k{self.kernel},{self.act})"
+        return (f"{type(self).__name__}({self.in_ch}ch->{self.out_ch}ch,"
+                f"k{self.kernel},{self.act})")
 
 
 @dataclass(frozen=True)
@@ -421,22 +428,10 @@ class Conv1dTranspose(Conv1d):
     """Transposed 1-D convolution at stride 1: correlation with the flipped
     kernel, same padding. Identical parameter shapes to Conv1d."""
 
-    def forward(self, p, x, t):
-        K, b = p
-        z, xpad = _conv_same(x, K[::-1], b)
-        y, s = _act(self.act, z)
-        return y, (xpad, z, s)
-
-    def backward(self, p, cache, w, grads=True):
-        K, _ = p
-        xpad, z, s = cache
-        dz = _scale(self.act, z, s, w)
-        dx, dKf, db = _conv_same_vjp(xpad, K[::-1], dz, grads)
-        return dx, (dKf[::-1], db) if grads else None
-
-    def describe(self):
-        return (f"Conv1dTranspose({self.in_ch}ch->{self.out_ch}ch,"
-                f"k{self.kernel},{self.act})")
+    @staticmethod
+    def taps(K):
+        # the flip is its own inverse, so it also maps dK back
+        return K[::-1]
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .closure import (
     adjoint_gradient,
     forward_augmented,
 )
-from .integrate import DenseTrajectory, IntegrationError, RK4Fixed, StepperSpec
+from .integrate import DenseTrajectory, IntegrationError, StepperSpec
 from .linalg import Vec
 
 
@@ -161,6 +161,10 @@ class LossSpec:
 # ---------------------------------------------------------------------------
 
 
+RMSPROP_RHO = 0.9     # decay of the second-moment average
+RMSPROP_EPS = 1e-7    # added to its square root
+
+
 @dataclass
 class RmspropState:
     """Running second-moment accumulator; step counts completed updates."""
@@ -177,11 +181,10 @@ def lr_at(lr0: float, decay_rate: float, decay_steps: int, step: int) -> float:
     return lr0 * decay_rate ** (step / decay_steps)
 
 
-def rmsprop_update(state: RmspropState, params: Vec, grad: Vec, lr: float,
-                   rho: float = 0.9, eps: float = 1e-7) -> Vec:
-    state.s = rho * state.s + (1.0 - rho) * grad * grad
+def rmsprop_update(state: RmspropState, params: Vec, grad: Vec, lr: float) -> Vec:
+    state.s = RMSPROP_RHO * state.s + (1.0 - RMSPROP_RHO) * grad * grad
     state.step += 1
-    return params - lr * grad / (np.sqrt(state.s) + eps)
+    return params - lr * grad / (np.sqrt(state.s) + RMSPROP_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +259,14 @@ class TrainSettings:
     epochs: int
     batch_size: int
     lr0: float
-    adjoint_dt: float
     decay_rate: float = 0.97
     decay_steps: int | None = None      # default: one epoch of iterations
     iters_per_epoch: int | None = None  # default: iterations_per_epoch(...)
     window_steps: int = 6
     supervise_stride: int = 2
-    grad_mode: str = "sum"              # "sum" or "mean" over the batch
     seed: int = 0
 
     def __post_init__(self):
-        if self.grad_mode not in ("sum", "mean"):
-            raise ValueError("grad_mode must be 'sum' or 'mean'")
         if self.epochs < 0:
             raise ValueError(f"epochs must be at least 0, got {self.epochs}")
         for name in ("lr0", "decay_rate"):
@@ -305,8 +304,9 @@ def batch_gradient(sys: AugmentedSystem, params: Vec, dataset: SnapshotDataset,
                    starts, settings: TrainSettings, loss_spec: LossSpec,
                    stepper: StepperSpec, history: Callable[[float], Vec]):
     """Forward + adjoint over the training windows at ``starts`` (snapshot
-    indices), all in lockstep on the first window's clock; returns the sum
-    of their losses and the sum of their gradients."""
+    indices), all in lockstep on the first window's clock, the adjoint on
+    the forward solve's ``stepper``; returns the sum of their losses and the
+    sum of their gradients."""
     starts = np.asarray(starts, dtype=int).reshape(-1)
     w = settings.window_steps
     stride = settings.supervise_stride
@@ -318,8 +318,7 @@ def batch_gradient(sys: AugmentedSystem, params: Vec, dataset: SnapshotDataset,
                             dataset.states[starts[None, :] + sup[:, None]])
     preds = run.traj.eval_many(batch.times)[..., :run.u_dim]
     loss = loss_spec.total(preds, batch.states)
-    adj = adjoint_gradient(sys, params, run, batch, loss_spec,
-                           RK4Fixed(settings.adjoint_dt))
+    adj = adjoint_gradient(sys, params, run, batch, loss_spec, stepper)
     return loss, adj.grad
 
 
@@ -340,6 +339,10 @@ def train(sys: AugmentedSystem, dataset: SnapshotDataset, params0: Vec,
           start_epoch: int = 0,
           callback: Callable[[int, TrainResult], None] | None = None) -> TrainResult:
     """Run windowed adjoint training; returns final parameters and the log.
+
+    Each update steps along the sum of the batch's window gradients, while
+    the logged training loss is the mean of its window losses. The adjoint
+    sweeps on ``stepper``, the forward solve's own step.
 
     ``opt_state``, ``rng`` and ``start_epoch`` allow a checkpointed run to
     resume mid-stream and reproduce an uninterrupted run bit for bit. On an
@@ -373,8 +376,6 @@ def train(sys: AugmentedSystem, dataset: SnapshotDataset, params0: Vec,
             except IntegrationError:
                 ok = False
                 break
-            if settings.grad_mode == "mean":
-                grad /= len(starts)
             batch_loss /= len(starts)
             if not (np.isfinite(batch_loss) and np.all(np.isfinite(grad))):
                 ok = False

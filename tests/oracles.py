@@ -172,6 +172,7 @@ def history_term_per_node(sys, phi, history, t0, mu0):
     """y(t0) and d_phi(mu0 . y(t0)) of a windowed distributed closure, with
     one g-network tape and one reverse pass per trapezoid node."""
     from neuralclosure import nn
+    from neuralclosure.closure import HISTORY_QUAD_PANELS
     from neuralclosure.integrate import quadrature_nodes
 
     def trapezoid(ts, vals):
@@ -180,7 +181,7 @@ def history_term_per_node(sys, phi, history, t0, mu0):
 
     clo = sys.closure
     tau1, tau2 = clo.window
-    ts = quadrature_nodes(t0 - tau2, t0 - tau1, clo.history_quad_panels)
+    ts = quadrature_nodes(t0 - tau2, t0 - tau1, HISTORY_QUAD_PANELS)
     tapes = [nn.tape(clo.g_net, nn.fields(clo.g_net, history(s)), phi, s) for s in ts]
     y0 = trapezoid(ts, [tp.y.ravel() for tp in tapes])
     dphi = trapezoid(ts, [nn.backward(tp, mu0.reshape(tp.y.shape))[1] for tp in tapes])

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from neuralclosure import closure, experiments as ex, nn, train
-from neuralclosure.integrate import RK4Fixed
 
 # Training target of each study's set-up result.
 TARGET = {"toy": "states", "exp1_rom": "coeffs", "exp2_subgrid": "coarse_states",
@@ -129,7 +128,7 @@ def _toy_sweep(kind, counted):
     for record in counted.values():
         record.clear()
     adj = closure.adjoint_gradient(sys, params, run, sup, study.loss_spec(),
-                                   RK4Fixed(s.adjoint_dt))
+                                   study.forward_stepper())
     # every step of the sweep: (t, t_next) from the backward store
     ts = adj.adjoint_traj.knots()
     steps = list(zip(ts[:-1], ts[1:]))

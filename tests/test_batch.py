@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from neuralclosure import closure, experiments as ex, nn, train
-from neuralclosure.integrate import DenseTrajectory, RK4Fixed
+from neuralclosure.integrate import DenseTrajectory
 
 from oracles import rel_l2
 
@@ -197,7 +197,7 @@ def test_batch_reads_the_history_in_two_calls(study_case, kind, monkeypatch):
                                        ds.states[np.add.outer(sup, start)])
         evals.clear()
         closure.adjoint_gradient(system, params, run, window, study.loss_spec(),
-                                 RK4Fixed(s.adjoint_dt))
+                                 study.forward_stepper())
         check(calls)
         assert not any(tr is run.traj for tr in evals)
 

@@ -8,7 +8,7 @@ import pytest
 from neuralclosure import cli
 from neuralclosure import experiments as ex
 from neuralclosure.checkpoint import load_checkpoint
-from neuralclosure.config import parse_config
+from neuralclosure.config import config_text, parse_config
 
 TOY_CFG = """\
 [run]
@@ -262,7 +262,7 @@ def test_zero_closure_checkpoint_reproduces_baseline(tmp_path):
     cfg = parse_config(TOY_CFG)
     out = tmp_path / "out"
     cli.main(["gen-data", "--config", cfgp, "--out", str(out)])
-    clo = cfg.closure()
+    clo = cfg.study().closure(cfg.kind)
     params = ex.initial_params(clo, seed=1)
     ck = Checkpoint(experiment="toy", kind="discrete",
                     arch=clo.describe(), config_sha=config_hash(cfg),
@@ -385,14 +385,15 @@ epochs = 2
 
 def test_sweep_runs_start_from_the_files_gen_data_wrote(tmp_path, monkeypatch):
     # each run directory gets a copy of every file gen-data wrote, the
-    # reference-resolution table included
+    # reference-resolution table included, and the config it trains under
+    # as its config.txt
     cfgp = _write(tmp_path, "[run]\nexperiment = exp3a_bio0d\n"
                             "[sweep]\ntau2 = 0.5\nrepeats = 1\n")
     out = tmp_path / "sweep"
     seen = []
 
-    def training(cfg, rdir, window, quiet):
-        seen.append({p.name: p.read_bytes() for p in rdir.iterdir()})
+    def training(cfg, rdir, quiet):
+        seen.append((cfg, {p.name: p.read_bytes() for p in rdir.iterdir()}))
         return SimpleNamespace(history=[], diverged=True)
 
     monkeypatch.setattr(cli, "run_training", training)
@@ -401,7 +402,23 @@ def test_sweep_runs_start_from_the_files_gen_data_wrote(tmp_path, monkeypatch):
     assert names == ["config.txt", "truth_full.csv", "truth.csv"]
     assert sorted(p.name for p in out.iterdir() if p.is_file()) == \
         sorted(names + ["runs.csv", "summary.csv"])
-    assert seen == [{name: (out / name).read_bytes() for name in names}]
+    [(rcfg, files)] = seen
+    assert (rcfg.kind, rcfg.window) == ("distributed", (0.0, 0.5))
+    assert files == {name: (out / name).read_bytes() for name in names[1:]} | \
+        {"config.txt": config_text(rcfg).encode()}
+
+
+def test_a_sweep_run_is_scored_under_its_own_config(tmp_path, capsys):
+    # the run's config.txt is the config its checkpoint was trained under
+    cfgp = _write(tmp_path, "[run]\nexperiment = toy\n"
+                            "[sweep]\ntau2 = 0.25\nrepeats = 1\nepochs = 1\n")
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep-delay", "--config", cfgp, "--out", str(out)]) == 0
+    run = out / "tau2_0.25" / "rep0"
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", str(run / "config.txt"),
+                     "--out", str(run)]) == 0
+    assert "note" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +447,15 @@ def test_nonpositive_steps_and_sizes_exit_2(tmp_path, capsys, key):
     bad = _write(tmp_path, text)
     assert cli.main(["train", "--config", bad, "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_one_span_out_of_order_with_the_defaults_exits_2_unwritten(tmp_path, capsys):
+    # toy's spans are 1, 2, 3: train_end = 2.5 passes val_end
+    bad = _write(tmp_path, TOY_CFG + "\n[spans]\ntrain_end = 2.5\n")
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", bad, "--out", str(out)]) == 2
+    assert "spans" in capsys.readouterr().err
+    assert not (out / "truth.csv").exists()
 
 
 def test_missing_config_file_exits_1(tmp_path):

@@ -83,7 +83,7 @@ def discrete_toy(delays=(0.1, 0.25)):
 def distributed_toy(window):
     f = nn.Network([nn.Dense(4, 4, "tanh"), nn.Dense(4, 2)])
     g = nn.Network([nn.Dense(2, 3, "tanh"), nn.Dense(3, 2)])
-    clo = Distributed(f, g, window, aux_dim=2, history_quad_panels=16)
+    clo = Distributed(f, g, window, aux_dim=2)
     return AugmentedSystem(decay_rhs, clo, 2, base_vjp=decay_vjp)
 
 

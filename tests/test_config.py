@@ -2,7 +2,7 @@
 
 import ast
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,11 +45,9 @@ predict_end = 5.0
 epochs = 30
 batch_size = 4
 lr0 = 0.05
-grad_mode = mean
 
 [steppers]
 forward_dt = 0.0125
-adjoint_dt = 0.0125
 
 [closure]
 window = 0.0 0.0375
@@ -87,6 +85,11 @@ delays = 0.05, 0.1, 0.15
     ("[run]\nexperiment = toy\n[training]\nepochs = many\n", "bad value"),
     ("[run]\nexperiment = toy\n[spans]\ntrain_end = 2\nval_end = 1\n"
      "predict_end = 3\n", "spans"),
+    # one span set against the study's defaults (toy: 1, 2, 3)
+    ("[run]\nexperiment = toy\n[spans]\ntrain_end = 2.5\n", "spans"),
+    ("[run]\nexperiment = toy\n[spans]\nval_end = 0.5\n", "spans"),
+    ("[run]\nexperiment = toy\n[steppers]\nadjoint_dt = 0.01\n", "unknown key"),
+    ("[run]\nexperiment = toy\n[training]\ngrad_mode = mean\n", "unknown key"),
     ("[run]\nexperiment = toy\n[closure]\ndelays = 0.2 0.1\n", "delays"),
     ("[run]\nexperiment = toy\n[closure]\nwindow = 0.5 0.2\n", "window"),
     ("[run]\nexperiment = toy\n[closure]\nwindow = 0.1 0.2 0.3\n", "window"),
@@ -151,8 +154,6 @@ lr0 = 0.01
     assert study.epochs == 12
     s = cfg.settings(study)
     assert (s.epochs, s.batch_size, s.lr0, s.seed) == (12, 3, 0.01, 4)
-    # unset knobs fall back to the study recipe
-    assert s.adjoint_dt == study.forward_dt
 
 
 def test_bio_and_column_overrides_flow_into_models():
@@ -192,8 +193,9 @@ forward_dt = 0.1
 
 
 def test_closure_window_override_at_call_site():
+    # a caller sets the window through the config, as sweep-delay does
     cfg = parse_config("[run]\nexperiment = toy\nclosure = distributed\n")
-    clo = cfg.closure(window=(0.0, 0.125))
+    clo = replace(cfg, window=(0.0, 0.125)).study().closure(cfg.kind)
     assert clo.window == (0.0, 0.125)
 
 
@@ -219,7 +221,7 @@ def test_canonical_text_and_hash_are_pinned():
     cfg = ExperimentConfig(
         experiment="exp3b_bio1d", kind="distributed", seed=5, out="runs/golden",
         train_end=1.5, val_end=3.0, predict_end=4.5, dt_data=0.1,
-        epochs=7, grad_mode="mean", lr0=0.02,
+        epochs=7, lr0=0.02,
         truth_rtol=1e-9, forward_dt=0.05,
         window=(0.0, 1.25),
         re=250.0,
@@ -231,7 +233,7 @@ def test_canonical_text_and_hash_are_pinned():
         "out = runs/golden\n\n"
         "[spans]\ntrain_end = 1.5\nval_end = 3\npredict_end = 4.5\n"
         "dt_data = 0.10000000000000001\n\n"
-        "[training]\nepochs = 7\nlr0 = 0.02\ngrad_mode = mean\n\n"
+        "[training]\nepochs = 7\nlr0 = 0.02\n\n"
         "[steppers]\ntruth_rtol = 1.0000000000000001e-09\n"
         "forward_dt = 0.050000000000000003\n\n"
         "[closure]\nwindow = 0 1.25\n\n"
@@ -240,7 +242,7 @@ def test_canonical_text_and_hash_are_pinned():
         "[column]\nn_z = 8\nk_zb = 0.050000000000000003\n\n"
         "[sweep]\ntau2 = 0 0.5\nrepeats = 2\nepochs = 4\n")
     assert config_hash(cfg) == \
-        "24256af19cbd3d2b7bc1696b632abe9524961fe042a363afea148378fbca12a1"
+        "443964f87951e60d14476e90ea9f6b448bca9336573bc6d4799245ea1b047676"
 
 
 def _accepted_keys() -> set:

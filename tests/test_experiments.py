@@ -123,7 +123,6 @@ def test_settings_carry_study_defaults():
     study = ex.get_study("exp2_subgrid")
     s = study.settings("discrete", seed=5)
     assert (s.epochs, s.batch_size, s.lr0) == (250, 8, 0.075)
-    assert s.adjoint_dt == study.forward_dt
     assert s.seed == 5
     s2 = study.settings("discrete", epochs=7)
     assert s2.epochs == 7

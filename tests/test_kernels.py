@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from neuralclosure import closure, experiments as ex, nn, train
-from neuralclosure.integrate import RK4Fixed
 from neuralclosure.models import biology, column
 
 import oracles
@@ -225,7 +224,7 @@ def _counted_window(study_name, kind, monkeypatch):
                                     history=ds.history_fn(), u0=ds.states[start])
     phase[0] = "adjoint"
     adj = closure.adjoint_gradient(sys, params, run, sup, study.loss_spec(),
-                                   RK4Fixed(s.adjoint_dt))
+                                   study.forward_stepper())
     return clo, run, counts, adj.adjoint_traj.knots()
 
 

@@ -222,8 +222,7 @@ def test_training_learns_constant_residual():
     sys, data, c = _constant_residual_problem()
     train_ds = data.restrict(0.0, 2.0)
     val_ds = data.restrict(2.0, 3.0)
-    settings = TrainSettings(epochs=40, batch_size=2, lr0=0.05, adjoint_dt=0.05,
-                             seed=1)
+    settings = TrainSettings(epochs=40, batch_size=2, lr0=0.05, seed=1)
     params0 = nn.init_params(sys.closure.net, seed=1)
     loss = LossSpec("time_avg_l2")
     stepper = RK4Fixed(0.05)
@@ -244,8 +243,7 @@ def test_training_learns_constant_residual():
 def test_training_is_deterministic():
     sys, data, _ = _constant_residual_problem()
     train_ds = data.restrict(0.0, 1.5)
-    settings = TrainSettings(epochs=3, batch_size=2, lr0=0.05, adjoint_dt=0.05,
-                             seed=7)
+    settings = TrainSettings(epochs=3, batch_size=2, lr0=0.05, seed=7)
     params0 = nn.init_params(sys.closure.net, seed=7)
     loss = LossSpec("time_avg_l2")
     r1 = train(sys, train_ds, params0, settings, loss, RK4Fixed(0.05))
@@ -261,13 +259,12 @@ def test_resumed_training_matches_uninterrupted():
     stepper = RK4Fixed(0.05)
     params0 = nn.init_params(sys.closure.net, seed=3)
 
-    full = TrainSettings(epochs=6, batch_size=2, lr0=0.05, adjoint_dt=0.05, seed=5)
+    full = TrainSettings(epochs=6, batch_size=2, lr0=0.05, seed=5)
     r_full = train(sys, train_ds, params0, full, loss, stepper)
 
     rng = np.random.default_rng(5)
     r_half = train(sys, train_ds, params0,
-                   TrainSettings(epochs=3, batch_size=2, lr0=0.05,
-                                 adjoint_dt=0.05, seed=5),
+                   TrainSettings(epochs=3, batch_size=2, lr0=0.05, seed=5),
                    loss, stepper, rng=rng)
     r_rest = train(sys, train_ds, r_half.params, full, loss, stepper,
                    opt_state=r_half.opt_state, rng=rng, start_epoch=3)
@@ -282,8 +279,7 @@ def test_divergence_is_flagged_not_raised():
                           base_vjp=lambda t, u, w: 100.0 * u * w)
     t = np.arange(0.0, 1.0 + 1e-12, 0.05)
     data = SnapshotDataset(t, np.ones((t.size, 1)))
-    settings = TrainSettings(epochs=5, batch_size=1, lr0=0.01, adjoint_dt=0.05,
-                             seed=2)
+    settings = TrainSettings(epochs=5, batch_size=1, lr0=0.01, seed=2)
     with np.errstate(over="ignore", invalid="ignore"):
         res = train(sys, data, np.zeros(2), settings,
                     LossSpec("time_avg_l2"), RK4Fixed(0.05))
@@ -316,14 +312,11 @@ def test_divergence_returns_last_finite_state():
 
 def test_settings_validation():
     with pytest.raises(ValueError):
-        TrainSettings(epochs=1, batch_size=1, lr0=0.1, adjoint_dt=0.01,
-                      grad_mode="median")
-    with pytest.raises(ValueError):
-        TrainSettings(epochs=1, batch_size=1, lr0=0.1, adjoint_dt=0.01,
+        TrainSettings(epochs=1, batch_size=1, lr0=0.1,
                       window_steps=5, supervise_stride=2)
     for bad in ({"lr0": 0.0}, {"lr0": -1.0}, {"epochs": -1}, {"decay_rate": 0.0},
                 {"decay_rate": -0.5}):
-        kw = {"epochs": 1, "batch_size": 1, "lr0": 0.1, "adjoint_dt": 0.01, **bad}
+        kw = {"epochs": 1, "batch_size": 1, "lr0": 0.1, **bad}
         with pytest.raises(ValueError, match=next(iter(bad))):
             TrainSettings(**kw)
 

@@ -32,7 +32,6 @@ import numpy as np
 
 from neuralclosure import experiments as ex, train
 from neuralclosure.closure import adjoint_gradient, forward_augmented
-from neuralclosure.integrate import RK4Fixed
 
 SEED = 7
 NOISE = 0.01
@@ -78,7 +77,7 @@ def pair_digests(study, data, kind: str) -> dict:
     run = forward_augmented(system, params, (ds.times[start], ds.times[start + w]),
                             stepper, history=history)
     window = train.SnapshotDataset(ds.times[start + sup], ds.states[start + sup])
-    adj = adjoint_gradient(system, params, run, window, loss_spec, RK4Fixed(s.adjoint_dt))
+    adj = adjoint_gradient(system, params, run, window, loss_spec, stepper)
     knots = run.traj.knots()
     out["single"] = sha(knots, run.traj.eval_many(knots), adj.grad)
     return out
