@@ -56,6 +56,7 @@ from .integrate import (
     RK4Fixed,
     StepperSpec,
     check_delays,
+    check_window,
     dde_read_times,
     integrate_dde,
     integrate_ode,
@@ -154,8 +155,8 @@ class Discrete(_Closure):
 class Distributed(_Closure):
     """Windowed-memory closure with auxiliary state y of dimension aux_dim.
 
-    ``window`` is (tau_1, tau_2) with 0 <= tau_1 <= tau_2; tau_1 == tau_2
-    degenerates to y frozen at its initial value (an empty moving window).
+    ``window`` is (tau_1, tau_2) and must pass :func:`check_window`; tau_1 ==
+    tau_2 degenerates to y frozen at its initial value (an empty moving window).
     y(t0) is the trapezoid rule on :data:`HISTORY_QUAD_PANELS` panels; the
     adjoint's history term mirrors the same rule so gradients stay consistent
     with the forward computation.
@@ -167,10 +168,7 @@ class Distributed(_Closure):
     aux_dim: int
 
     def __post_init__(self):
-        t1, t2 = (float(self.window[0]), float(self.window[1]))
-        if t1 < 0.0 or t2 < t1:
-            raise ValueError("Distributed: need 0 <= tau_1 <= tau_2")
-        object.__setattr__(self, "window", (t1, t2))
+        object.__setattr__(self, "window", check_window(self.window))
         if self.aux_dim <= 0:
             raise ValueError("Distributed: aux_dim must be positive")
 

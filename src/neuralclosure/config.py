@@ -26,7 +26,7 @@ import hashlib
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .experiments import CLOSURE_KINDS, EXPERIMENTS, STUDIES, get_study
-from .integrate import DormandPrince54, StepperSpec, check_delays
+from .integrate import DormandPrince54, StepperSpec, check_delays, check_window
 from .models import biology, column
 from .train import TrainSettings
 
@@ -103,8 +103,9 @@ class ExperimentConfig:
                 raise ValueError("delays must name at least one delay")
             check_delays(self.delays)
         if self.window is not None:
-            if len(self.window) != 2 or not 0 <= self.window[0] <= self.window[1]:
-                raise ValueError("window must be 'tau1 tau2' with 0 <= tau1 <= tau2")
+            if len(self.window) != 2:
+                raise ValueError(f"window must be 'tau1 tau2', got {len(self.window)} values")
+            check_window(self.window)
         if self.sweep_repeats < 1:
             raise ValueError("sweep repeats must be >= 1")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:

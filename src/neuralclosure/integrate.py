@@ -399,6 +399,14 @@ def check_delays(delays) -> tuple[float, ...]:
     return d
 
 
+def check_window(window) -> tuple[float, float]:
+    """``window`` as the floats (tau1, tau2); 0 <= tau1 <= tau2 must hold."""
+    tau1, tau2 = (float(x) for x in window)
+    if not 0.0 <= tau1 <= tau2:
+        raise ValueError(f"window must satisfy 0 <= tau1 <= tau2, got {(tau1, tau2)}")
+    return tau1, tau2
+
+
 @dataclass(frozen=True)
 class DdeProblem:
     """Delay problem u'(t) = rhs(t, u(t), [u(t - tau_1), ..., u(t - tau_K)]).

@@ -44,6 +44,7 @@ keeps the layer caches, and :func:`backward` (input and parameter cotangents)
 or :func:`backward_input` (input cotangent only, skipping all weight-gradient
 work) run on that tape, as often as needed. :func:`vjp` composes the two.
 
+Each convolution pass is one matmul over the tap windows of one padded copy.
 The kernels work in place on the arrays they allocate themselves (an
 activation and its derivative, a bias added after the product, a cotangent
 scaled by the derivative), and on nothing else: no layer writes into its
@@ -121,62 +122,53 @@ def _check_act(name):
 
 
 # ---------------------------------------------------------------------------
-# Shared convolution helpers (stride 1, same zero padding)
+# Shared convolution helpers (stride 1, same zero padding): one matmul per
+# pass, over the tap windows of one padded copy
 # ---------------------------------------------------------------------------
 
 
-def _conv_same(x, K, b):
-    """Correlate (..., n, ci) with kernel (k, ci, co); returns (y, xpad).
-
-    Leading axes of x are batch axes. At k = 1 no padding is needed and
-    xpad is x itself.
-    """
-    k = K.shape[0]
+def _windows(x, k, left):
+    """The (..., n, k * ci) tap windows of x (..., n, ci) padded with ``left``
+    zero rows before and k - 1 - left after, x itself at k = 1: a view of the
+    padded copy, read-only because its rows overlap."""
     if k == 1:
-        y = x @ K[0]
-        y += b
-        return y, x
+        return x
     n, ci = x.shape[-2:]
-    pl = (k - 1) // 2
     xpad = np.zeros(x.shape[:-2] + (n + k - 1, ci))
-    xpad[..., pl:pl + n, :] = x
-    y = xpad[..., 0:n, :] @ K[0]
+    xpad[..., left:left + n, :] = x
+    win = np.ndarray(x.shape[:-2] + (n, k * ci), buffer=xpad, strides=xpad.strides)
+    win.flags.writeable = False
+    return win
+
+
+def _conv_same(x, K, b):
+    """Correlate (..., n, ci) with kernel (k, ci, co); returns (y, windows).
+    Leading axes of x are batch axes."""
+    k, ci, co = K.shape
+    win = _windows(x, k, (k - 1) // 2)
+    y = win @ K.reshape(k * ci, co)
     y += b
-    for d in range(1, k):
-        y += xpad[..., d:d + n, :] @ K[d]
-    return y, xpad
+    return y, win
 
 
-def _conv_same_vjp(xpad, K, w, grads=True):
-    """Reverse pass of _conv_same; returns (dx, dK, db), with dK and db None
-    when ``grads`` is false. Weight gradients sum over the batch axes."""
-    k = K.shape[0]
-    if k == 1:
-        dx = w @ K[0].T
-    else:
-        n = w.shape[-2]
-        pl = (k - 1) // 2
-        dxpad = np.zeros_like(xpad)
-        for d in range(k):
-            dxpad[..., d:d + n, :] += w @ K[d].T
-        dx = dxpad[..., pl:pl + n, :]
+def _conv_same_vjp(win, K, w, grads=True):
+    """Reverse pass of _conv_same on its windows; returns (dx, dK, db), with
+    dK and db None when ``grads`` is false. Weight gradients sum over the
+    batch axes."""
+    k, ci, co = K.shape
+    # dx[j] = sum_d w[j + (k - 1) // 2 - d] @ K[d].T: the windows of w padded
+    # k // 2 rows before, times the taps in reverse order, each transposed
+    dx = _windows(w, k, k // 2) @ K[::-1].transpose(0, 2, 1).reshape(k * co, ci)
     if not grads:
         return dx, None, None
-    return (dx, *_conv_same_grads(xpad, w, k))
+    return (dx, *_conv_same_grads(win, w, k))
 
 
-def _conv_same_grads(xpad, w, k):
+def _conv_same_grads(win, w, k):
     """The (dK, db) of _conv_same_vjp, summed over the batch axes."""
-    ci, co = xpad.shape[-1], w.shape[-1]
-    w2 = w.reshape(-1, co)
-    if k == 1:
-        dK = (xpad.reshape(-1, ci).T @ w2)[None]
-    else:
-        n = w.shape[-2]
-        dK = np.empty((k, ci, co))
-        for d in range(k):
-            dK[d] = xpad[..., d:d + n, :].reshape(-1, ci).T @ w2
-    return dK, w2.sum(axis=0)
+    w2 = w.reshape(-1, w.shape[-1])
+    dK = win.reshape(-1, win.shape[-1]).T @ w2
+    return dK.reshape(k, -1, w2.shape[1]), w2.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -337,38 +329,37 @@ class SimpleRnnConvCell:
 
     def forward(self, p, xs, t):
         Kx, Kh, b, Ko, bo = p
-        zx, xpad = _conv_same(xs, Kx, 0.0)
-        # the first step's hidden state is zero, so z_0 = zx_0 + b
-        h = np.zeros(zx.shape[1:])
-        hpad = h if self.kernel == 1 else np.zeros(xpad.shape[1:-1] + (self.units,))
-        zs, ss, hpads = [], [], []
+        zx, xwin = _conv_same(xs, Kx, 0.0)
+        # the first step's hidden state and its windows are zero: z_0 = zx_0 + b
+        hwin = np.zeros(zx.shape[1:-1] + (self.kernel * self.units,))
+        zs, ss, hwins = [], [], []
         for i, zx_i in enumerate(zx):
             if i:
-                z, hpad = _conv_same(h, Kh, b)
+                z, hwin = _conv_same(h, Kh, b)
                 z += zx_i
             else:
                 z = zx_i + b
             h, s = _act(self.act, z)
             zs.append(z)
             ss.append(s)
-            hpads.append(hpad)
-        zo, opad = _conv_same(h, Ko, bo)
+            hwins.append(hwin)
+        zo, owin = _conv_same(h, Ko, bo)
         out, so = _act(self.act, zo)
-        return out, (xpad, zs, ss, hpads, zo, so, opad)
+        return out, (xwin, zs, ss, hwins, zo, so, owin)
 
     def backward(self, p, cache, w, grads=True):
         Kx, Kh, b, Ko, bo = p
-        xpad, zs, ss, hpads, zo, so, opad = cache
+        xwin, zs, ss, hwins, zo, so, owin = cache
         dzo = _scale(self.act, zo, so, w)
-        dh, dKo, dbo = _conv_same_vjp(opad, Ko, dzo, grads)
+        dh, dKo, dbo = _conv_same_vjp(owin, Ko, dzo, grads)
         dzs = np.empty((len(zs),) + dh.shape)
         for i in range(len(zs) - 1, -1, -1):
             dzs[i] = dz = _scale(self.act, zs[i], ss[i], dh)
-            dh = _conv_same_vjp(hpads[i], Kh, dz, False)[0]
-        dxs, dKx, _ = _conv_same_vjp(xpad, Kx, dzs, grads)
+            dh = _conv_same_vjp(hwins[i], Kh, dz, False)[0]
+        dxs, dKx, _ = _conv_same_vjp(xwin, Kx, dzs, grads)
         if not grads:
             return dxs, None
-        dKh, db = _conv_same_grads(np.stack(hpads), dzs, self.kernel)
+        dKh, db = _conv_same_grads(np.stack(hwins), dzs, self.kernel)
         return dxs, (dKx, dKh, db, dKo, dbo)
 
     def describe(self):
@@ -407,15 +398,15 @@ class Conv1d:
 
     def forward(self, p, x, t):
         K, b = p
-        z, xpad = _conv_same(x, self.taps(K), b)
+        z, win = _conv_same(x, self.taps(K), b)
         y, s = _act(self.act, z)
-        return y, (xpad, z, s)
+        return y, (win, z, s)
 
     def backward(self, p, cache, w, grads=True):
         K, _ = p
-        xpad, z, s = cache
+        win, z, s = cache
         dz = _scale(self.act, z, s, w)
-        dx, dK, db = _conv_same_vjp(xpad, self.taps(K), dz, grads)
+        dx, dK, db = _conv_same_vjp(win, self.taps(K), dz, grads)
         return dx, (self.taps(dK), db) if grads else None
 
     def describe(self):

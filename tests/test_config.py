@@ -14,6 +14,7 @@ from neuralclosure.config import (
     config_text,
     parse_config,
 )
+from neuralclosure.experiments import get_study
 from neuralclosure.models.biology import BioParams
 from neuralclosure.models.column import ColumnConfig
 
@@ -125,6 +126,15 @@ def test_model_sections_apply_by_study_field(experiment, applies):
         else:
             with pytest.raises(ValueError, match="does not apply"):
                 parse_config(text)
+
+
+def test_config_and_closure_refuse_a_window_with_one_message():
+    with pytest.raises(ValueError) as from_config:
+        parse_config("[run]\nexperiment = toy\n[closure]\nwindow = 0.5 0.2\n")
+    with pytest.raises(ValueError) as from_closure:
+        get_study("toy").closure("distributed", window=(0.5, 0.2))
+    assert str(from_config.value) == str(from_closure.value)
+    assert "0 <= tau1 <= tau2" in str(from_config.value)
 
 
 def test_degenerate_window_allowed():

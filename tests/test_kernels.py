@@ -3,10 +3,13 @@
 The references in ``oracles`` are the sign-split sigmoid, the per-tap
 convolution loop, the recurrent cells with their input kernel applied one
 sequence element at a time, the column reactions one depth at a time and the
-y(t0) history term with one g-network tape per trapezoid node. Also here: the tape
+y(t0) history term with one g-network tape per trapezoid node. The convolution
+is one matmul over the tap windows of one padded copy: it matches the loop bit
+for bit at k = 1 and in its weight gradients, and to rounding (2e-15 of the
+largest entry) in its output and input cotangent at k > 1. Also here: the tape
 and reverse-pass budget of one training window on the shipped studies, the
-in-place kernels bit for bit against the expressions they replace, and
-repeated reverse passes on one tape.
+in-place activations and bias against the expressions they replace, and
+repeated reverse passes on one tape, whose convolution windows are read-only.
 """
 
 import warnings
@@ -50,21 +53,49 @@ def test_sigmoid_matches_the_two_branch_form():
     np.testing.assert_array_equal(acts[1], [0.0, 1.0])
 
 
+def _close(a, ref, rel=2e-15):
+    """Same shape, and max|a - ref| <= rel * max|ref|."""
+    return a.shape == ref.shape and np.max(np.abs(a - ref)) <= rel * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("k", [1, 3])
 def test_conv_matches_the_tap_loop_bit_for_bit(k):
+    # at k > 1 the output and the input cotangent are one product over the
+    # tap windows where the loop adds one product per tap, so they agree to
+    # rounding; k = 1 and the weight gradients stay bit for bit
     rng = np.random.default_rng(k)
     x = rng.normal(size=(20, 5))
     K = rng.normal(size=(k, 5, 7))
     b = rng.normal(size=7)
     w = rng.normal(size=(20, 7))
-    y, xpad = nn._conv_same(x, K, b)
+    y, win = nn._conv_same(x, K, b)
     y_ref, xpad_ref = oracles.conv_same_loop(x, K, b)
-    got = nn._conv_same_vjp(xpad, K, w)
-    want = oracles.conv_same_vjp_loop(xpad_ref, K, w)
-    np.testing.assert_array_equal(y, y_ref)
-    for g, r in zip(got, want):
-        np.testing.assert_array_equal(g, r)
-    np.testing.assert_array_equal(nn._conv_same_vjp(xpad, K, w, grads=False)[0], want[0])
+    dx, dK, db = nn._conv_same_vjp(win, K, w)
+    dx_ref, dK_ref, db_ref = oracles.conv_same_vjp_loop(xpad_ref, K, w)
+    same = _same if k == 1 else _close
+    assert same(y, y_ref) and same(dx, dx_ref)
+    assert _same(dK, dK_ref) and _same(db, db_ref)
+    assert _same(nn._conv_same_vjp(win, K, w, grads=False)[0], dx)
+
+
+@pytest.mark.parametrize("n", [1, 2, 25])
+def test_conv_layers_match_the_tap_loop_per_member(n):
+    # fields shorter than the kernel (n < k), a leading batch axis and the
+    # flipped taps of the transposed layer, each member against the loop
+    rng = np.random.default_rng(n)
+    for layer in (nn.Conv1d(5, 7, 3), nn.Conv1dTranspose(5, 7, 3)):
+        K, b = rng.normal(size=(3, 5, 7)), rng.normal(size=7)
+        x, w = rng.normal(size=(4, n, 5)), rng.normal(size=(4, n, 7))
+        y, cache = layer.forward((K, b), x, None)
+        dx, (dK, db) = layer.backward((K, b), cache, w)
+        taps = layer.taps(K)
+        fwd = [oracles.conv_same_loop(x_i, taps, b) for x_i in x]
+        rev = [oracles.conv_same_vjp_loop(pad, taps, w_i) for (_, pad), w_i in zip(fwd, w)]
+        assert _close(y, np.stack([y_i for y_i, _ in fwd]))
+        assert _close(dx, np.stack([dx_i for dx_i, _, _ in rev]))
+        # the weight gradients sum over the members in one product
+        assert rel_l2(dK, layer.taps(np.sum([g[1] for g in rev], axis=0))) <= 1e-14
+        assert rel_l2(db, np.sum([g[2] for g in rev], axis=0)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +283,7 @@ def test_distributed_window_history_is_one_batched_pass(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# In-place kernels against the expressions they replace, bit for bit
+# In-place kernels against the expressions they replace
 # ---------------------------------------------------------------------------
 
 
@@ -315,8 +346,13 @@ def test_affine_layers_add_the_bias_like_before(k):
     z = nn.Dense(5, 7).forward((W, b), x, None)[1][1]
     assert _same(z, x @ W.T + b)
     K = rng.normal(size=(k, 5, 7))
-    assert _same(nn._conv_same(x, K, b)[0], _former_conv(x, K, b))
-    assert _same(nn._conv_same(x, K, 0.0)[0], _former_conv(x, K, 0.0))
+    product = nn._windows(x, k, (k - 1) // 2) @ K.reshape(-1, 7)
+    assert _same(nn._conv_same(x, K, b)[0], product + b)
+    assert _same(nn._conv_same(x, K, 0.0)[0], product + 0.0)
+    # one product over the tap windows, where the former form added one per tap
+    same = _same if k == 1 else _close
+    assert same(nn._conv_same(x, K, b)[0], _former_conv(x, K, b))
+    assert same(nn._conv_same(x, K, 0.0)[0], _former_conv(x, K, 0.0))
 
 
 def test_bio_constrain_equals_the_stacked_triple():
@@ -344,7 +380,7 @@ def test_first_recurrent_step_equals_the_zero_state_product(name):
     else:
         Kx, Kh, b = p[:3]
         h0 = np.zeros((3, 20, cell.units))
-        want = _former_conv(xs, Kx, 0.0)[0] + _former_conv(h0, Kh, b)
+        want = nn._conv_same(xs, Kx, 0.0)[0][0] + nn._conv_same(h0, Kh, b)[0]
     assert _same(z0, want)
 
 
@@ -384,6 +420,23 @@ def _arrays(obj):
     if isinstance(obj, (tuple, list)):
         return [a for item in obj for a in _arrays(item)]
     return []
+
+
+def test_a_conv_tape_keeps_read_only_windows_of_one_padded_copy():
+    # the windows' rows overlap, so a write through them would change the
+    # neighbouring windows as well
+    net = nn.Network([nn.Conv1d(2, 3, 3, "swish")])
+    rng = np.random.default_rng(12)
+    params = rng.normal(0.0, 0.5, net.n_params)
+    tp = nn.tape(net, rng.normal(size=(4, 25, 2)), params)
+    win = tp.caches[0][0]
+    assert win.shape == (4, 25, 6) and not win.flags.writeable
+    assert win.base.shape == (4, 27, 2)   # a view of the padded input
+    with pytest.raises(ValueError):
+        win[0, 0, 0] = 1.0
+    w = rng.normal(size=tp.y.shape)
+    (dx1, g1), (dx2, g2) = nn.backward(tp, w), nn.backward(tp, w)
+    assert _same(dx1, dx2) and _same(g1, g2)
 
 
 @pytest.mark.parametrize("name", sorted(TAPE_NETS))
