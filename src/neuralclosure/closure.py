@@ -27,6 +27,11 @@ lambda(t+tau), mu(t+tau); these are read from the backward-growing dense
 store (zero at and beyond the final time). Losses enter as jumps
 lambda <- lambda - dl/du applied when the sweep crosses a data time; the sign
 convention is frozen against the finite-difference oracle in the tests.
+Every network input of a sweep is read from the forward run before it
+starts, so a sweep tapes each network once, over all the times it reads
+times all members, runs each RK4 stage's input-only pass on that time's
+rows, and takes the parameter gradient as one full reverse pass per network
+over the trapezoid-weighted adjoints of the knots.
 
 All parameters of one model travel in a single flat vector, one block per
 network of the closure's ``nets``: theta first, then phi for distributed
@@ -44,6 +49,7 @@ its history is read the same way, by one call over a 1-D array of times.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -144,7 +150,12 @@ class Discrete(_Closure):
         return f"discrete[{_nums(self.delays)}]|" + self.net.describe()
 
     def f_input(self, U, delayed):
-        return nn.fields(self.net, np.stack([*reversed(delayed), U]))
+        # the sequence filled into one array, oldest (the last delay) first
+        xs = np.empty((len(delayed) + 1,) + np.shape(U))
+        xs[-1] = U
+        for i, d in enumerate(delayed, start=2):
+            xs[-i] = d
+        return nn.fields(self.net, xs)
 
     def f_input_grad(self, dx, lead, k=0):
         # the sequence cotangent, oldest first like the sequence
@@ -514,10 +525,10 @@ def _sweep_grid(t0, T, jump_times, dt, shifts=()) -> list[tuple]:
             for seg_lo, t_hi in zip(knots[-2::-1], knots[:0:-1])]
 
 
-def _backward_sweep(shape, grid, jump_times, jump_vals, rhs_adj, integrand):
+def _backward_sweep(shape, grid, jump_times, jump_vals, rhs_adj):
     """Fixed-step RK4 sweep over the steps ``grid`` (:func:`_sweep_grid`)
-    with jumps and running trapezoid: it evaluates ``rhs_adj`` and
-    ``integrand`` at the grid's knots and midpoints only.
+    with jumps: it evaluates ``rhs_adj`` at the grid's knots and midpoints
+    only.
 
     The adjoint state has ``shape`` ((B, dim) for a batch of members); each
     jump in ``jump_vals`` acts on its first ``u_dim`` entries per member.
@@ -531,16 +542,18 @@ def _backward_sweep(shape, grid, jump_times, jump_vals, rhs_adj, integrand):
     (jump added back). Every time where an advanced argument crosses a jump
     (data time minus shift) is a segment bound of the grid, so that
     discontinuities of the adjoint RHS land exactly on step boundaries;
-    without this the sweep degrades to first order. ``integrand(t, a)``
-    returns the flat gradient integrand accumulated by the trapezoid rule on
-    the backward knots. At every knot ``integrand(t, a)`` is called before
-    the stage-1 ``rhs_adj(t, a, look)`` of the step leaving it, with the
-    same ``a``, so a caller's tape cache serves stage 1 from the
-    integrand's full reverse pass. Returns (DenseTrajectory, integral).
+    without this the sweep degrades to first order.
+
+    The sweep does not evaluate the parameter integral: it returns its
+    trapezoid nodes on the backward knots, two per step [t, t_next] (each
+    end with weight 0.5 * (t - t_next) and the adjoint there, the one before
+    the jump at the step's lower end), so a caller weights the adjoints as
+    cotangents of one reverse pass. Returns (DenseTrajectory, (times,
+    weights, adjoints)), the adjoints stacked along a leading axis.
     """
     store = DenseTrajectory()
     a = np.zeros(shape)
-    total = None
+    node_t, node_w, node_a = [], [], []
     u_dim = jump_vals.shape[-1]
 
     T, t0 = grid[0][0][0], grid[-1][0][-1]
@@ -570,10 +583,7 @@ def _backward_sweep(shape, grid, jump_times, jump_vals, rhs_adj, integrand):
     if T in jump_map:
         a[..., :u_dim] -= jump_map[T]
     for ts, mids in grid:
-        t_hi, seg_lo = ts[0], ts[-1]
-        m_prev = integrand(t_hi, a)
-        if total is None:
-            total = np.zeros_like(m_prev)
+        seg_lo = ts[-1]
         for t, t_next, t_mid in zip(ts[:-1], ts[1:], mids):
             h = t_next - t  # negative
             f1 = rhs_adj(t, a, look_below)
@@ -582,14 +592,14 @@ def _backward_sweep(shape, grid, jump_times, jump_vals, rhs_adj, integrand):
             f4 = rhs_adj(t_next, a + h * f3, look_above)
             a_next = a + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
             store.append(t, t_next, a, a_next, f1, f4)
+            node_t += [t, t_next]
+            node_w += [0.5 * (t - t_next)] * 2
+            node_a += [a, a_next]
             a = a_next
-            m_now = integrand(t_next, a)
-            total += 0.5 * (t - t_next) * (m_prev + m_now)
-            m_prev = m_now
         if seg_lo in jump_map and seg_lo > t0:
             a = a.copy()
             a[..., :u_dim] -= jump_map[seg_lo]
-    return store, total
+    return store, (np.array(node_t), np.array(node_w), np.stack(node_a))
 
 
 def _require_rk4(stepper) -> float:
@@ -611,60 +621,86 @@ def _memo(fn, known=()):
     return at
 
 
-class _StageTapes:
-    """The tapes and reverse passes of one network over one adjoint sweep.
+def _with_advanced(stages: np.ndarray, shifts, T: float) -> list:
+    """The ascending stage times, plus each advanced time t + tau (t a stage
+    time, tau in ``shifts``) up to T that equals none of the times before it
+    within the sweep's time tolerance (:func:`_snap`)."""
+    known = stages.tolist()
+    for s in np.add.outer(stages, shifts).ravel().tolist():
+        s = _snap(known, s)
+        i = bisect.bisect_left(known, s)
+        if s <= T and (i == len(known) or known[i] != s):
+            known.insert(i, s)
+    return known
 
-    ``x_of(t)`` gives the network input at clock time t, for every member of
-    the run at once, and ``offsets`` turn the clock into member times. Within
-    a sweep the input depends on t alone (forward state, delayed states,
-    auxiliary field), so one batched tape is built per exact float stage
-    time and shared by every RK4 stage, advanced term and trapezoid node that
-    evaluates the network there. Cotangents come as flat rows, one per
-    member, and take the tape's output shape here. A reverse pass is kept per
-    (time, cotangent bytes); a full pass also answers an input-only request
-    with the same cotangent. Any miss computes fresh, so every result equals
-    that of a fresh ``nn.vjp`` at its time bit for bit; a caller that passes
-    a time through :meth:`snap` first gets the stored tape of the stage time
-    it equals on paper.
+
+class _StageTapes:
+    """One network's tape over one adjoint sweep, and its reverse passes.
+
+    The network is evaluated at the times of the parameter integral's nodes
+    (``param_times``) and at ``other_times``; ``x_of(times)`` gives its input
+    at each of the listed times for every member of the run ((times,) +
+    members + the input layout, the sequence axis first for a recurrent
+    network), and ``offsets`` turn the clock into member times. The tape's
+    times are the distinct node times, ascending, then the other times.
+    Within a sweep the input depends on t alone (forward state, delayed
+    states, auxiliary field), so one tape over all times x members along the
+    batch axis, time-major, serves every RK4 stage, advanced term and
+    trapezoid node. An input-only pass at time t runs on that time's rows
+    (:func:`nn.rows`) and is kept per (time, cotangent bytes); the parameter
+    gradient is one full pass over the first rows, with the trapezoid
+    weights already in its cotangent. A caller that passes an advanced time
+    through :meth:`snap` first gets the rows of the stage time it equals on
+    paper.
     """
 
-    def __init__(self, net: nn.Network, views: tuple, x_of: Callable, offsets):
-        self.net, self.views, self.x_of, self.offsets = net, views, x_of, offsets
-        self._tapes: dict = {}
+    def __init__(self, net: nn.Network, views: tuple, param_times, other_times,
+                 x_of: Callable, offsets):
+        first = np.unique(param_times).tolist()
+        times = first + sorted(set(other_times) - set(first))
+        lead = np.shape(offsets)
+        x = x_of(times)
+        ax = int(net.recurrent)
+        # the time and member axes merged into the batch axis
+        x = x.reshape(x.shape[:ax] + (-1,) + x.shape[ax + 1 + len(lead):])
+        self.tape = nn.tape(net, x, views, np.add.outer(times, offsets).ravel())
+        self.width = math.prod(lead)
+        self.n_param = len(first)
+        self.row = {t: i for i, t in enumerate(times)}
+        self._times = sorted(self.row)
+        self._rows: dict = {}
         self._passes: dict = {}
-        self._times: list = []  # the tape times, ascending
-
-    def tape(self, t: float) -> nn.Tape:
-        tp = self._tapes.get(t)
-        if tp is None:
-            tp = self._tapes[t] = nn.tape(self.net, self.x_of(t), self.views,
-                                          t + self.offsets)
-            bisect.insort(self._times, t)
-        return tp
 
     def snap(self, t: float) -> float:
-        """The time of an existing tape that ``t`` equals within the sweep's
-        time tolerance (:func:`_snap`), else ``t``."""
+        """The tape time that ``t`` equals within the sweep's time tolerance
+        (:func:`_snap`), else ``t``."""
         return _snap(self._times, t)
+
+    def _block(self, i: int, j: int) -> nn.Tape:
+        """The tape of the rows of times i to j - 1."""
+        return nn.rows(self.tape, slice(i * self.width, j * self.width))
 
     def input_grad(self, t: float, w: Vec):
         """d(w . net)/dx at time t, in the layout of the input (stacked like
         the sequence for a recurrent network)."""
         key = (t, w.tobytes())
-        done = self._passes.get(key)
-        if done is None:
-            tp = self.tape(t)
-            done = self._passes[key] = (nn.backward_input(tp, w.reshape(tp.y.shape)), None)
-        return done[0]
+        dx = self._passes.get(key)
+        if dx is None:
+            tp = self._rows.get(t)
+            if tp is None:
+                i = self.row[t]
+                tp = self._rows[t] = self._block(i, i + 1)
+            dx = self._passes[key] = nn.backward_input(tp, w.reshape(tp.y.shape))
+        return dx
 
-    def param_grad(self, t: float, w: Vec) -> Vec:
-        """d(w . net)/dparams at time t, keeping the input cotangent too."""
-        key = (t, w.tobytes())
-        done = self._passes.get(key)
-        if done is None or done[1] is None:
-            tp = self.tape(t)
-            done = self._passes[key] = nn.backward(tp, w.reshape(tp.y.shape))
-        return done[1]
+    def param_grad(self, times, w) -> Vec:
+        """d/dparams of sum_i w_i . net(t_i): one full reverse pass over the
+        parameter integral's rows, the cotangents ``w`` (one per time, each
+        with the member axis) added into the rows of their times."""
+        rows = np.zeros((self.n_param,) + w.shape[1:])
+        np.add.at(rows, [self.row[t] for t in times.tolist()], w)
+        tp = self._block(0, self.n_param)
+        return nn.backward(tp, rows.reshape(tp.y.shape))[1]
 
 
 def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
@@ -685,6 +721,14 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
     trapezoid rule the forward solve used for y(t0), as one reverse pass of
     the batched g-network tape that solve kept.
 
+    Every network input of the sweep is known before it starts, so each
+    network is taped once (:class:`_StageTapes`) at every time the sweep
+    reads it: the f-network at the knots, the midpoints and the advanced
+    times t + tau_k, the g-network at the stage times and the window edges
+    t - tau_1, t - tau_2 of each knot. The parameter integral is one full
+    reverse pass per network after the sweep, with cotangent rows weighted
+    by the trapezoid rule (+mu at t - tau_1 and -mu at t - tau_2 for g).
+
     A batched run sweeps all its members in lockstep, with ``dataset``
     holding their targets (times, B, u_dim); the gradient is the sum of the
     members' gradients.
@@ -695,29 +739,38 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
     times, cots = _loss_jumps(run, dataset, loss_spec)
     T, n, lead, offsets, f_lags = run.t1, run.u_dim, run.lead, run.offsets, c.f_lags
     grid = _sweep_grid(run.t0, T, times, dt, c.lags)
-    # the sweep's plan: the states it reads, at its stage times t and at
-    # t - tau for tau in lags, read in one go (ForwardRun.states_at)
-    stages = np.concatenate([ts for seg in grid for ts in seg])
-    plan = np.unique(np.concatenate([stages, np.subtract.outer(stages, c.lags).ravel()]))
-    state_at = _memo(lambda t: run.states_at([t])[0], zip(plan.tolist(), run.states_at(plan)))
-
-    def u_at(t):
-        return state_at(t)[..., :n]
-
-    f_tapes = _StageTapes(
-        c.nets[0], views[0],
-        lambda t: c.f_input(state_at(t), [u_at(t - tau) for tau in f_lags]), offsets)
+    knots = np.concatenate([ts for ts, _ in grid])
+    stages = np.unique(np.concatenate([ts for seg in grid for ts in seg]))
+    # the f-network's times, each advanced time as the stage time it equals
+    f_times = _with_advanced(stages, f_lags, T)
     # a g-network over a moving window (a distributed closure, tau_2 > tau_1)
     windowed = run.aux_dim > 0 and bool(c.lags)
+    g_edges = ()
     if windowed:
         tau1, tau2 = c.window
-        g_tapes = _StageTapes(c.g_net, views[1], lambda t: nn.fields(c.g_net, u_at(t)),
-                              offsets)
+        g_edges = np.concatenate([knots - tau1, knots - tau2])
+    # the sweep's plan: the states it reads, at those times and at t - tau
+    # for the f-network's lags, read in one go (ForwardRun.states_at)
+    plan = np.unique(np.concatenate(
+        [f_times, np.subtract.outer(f_times, f_lags).ravel(), g_edges]))
+    state = dict(zip(plan.tolist(), run.states_at(plan)))
+
+    def stack(ts, width=None):
+        return np.stack([state[t][..., :width] for t in ts])
+
+    def f_input(ts):
+        delayed = np.subtract.outer(ts, f_lags).T.tolist()
+        return c.f_input(stack(ts), [stack(ds, n) for ds in delayed])
+
+    f_tapes = _StageTapes(c.nets[0], views[0], knots, f_times, f_input, offsets)
+    if windowed:
+        g_tapes = _StageTapes(c.g_net, views[1], g_edges, stages.tolist(),
+                              lambda ts: nn.fields(c.g_net, stack(ts, n)), offsets)
 
     def rhs_adj(t, a, look):
         lam = a[..., :n]
         fu, fy = c.f_input_grad(f_tapes.input_grad(t, lam), lead)
-        acc = sys.base_vjp(t + offsets, u_at(t), lam) + fu
+        acc = sys.base_vjp(t + offsets, state[t][..., :n], lam) + fu
         for k, tau in enumerate(f_lags, start=1):
             lam_adv = look(t + tau)[..., :n]
             if np.any(lam_adv):
@@ -733,20 +786,19 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
                 dlam = dlam + g_tapes.input_grad(t, mu2).reshape(lead + (-1,))
         return dlam if fy is None else np.concatenate([dlam, -fy], axis=-1)
 
-    def integrand(t, a):
-        dth = f_tapes.param_grad(t, a[..., :n])
-        if not run.aux_dim:
-            return dth
-        mu = a[..., n:]
-        if windowed:
-            dphi = g_tapes.param_grad(t - tau1, mu) - g_tapes.param_grad(t - tau2, mu)
-        else:
-            dphi = np.zeros(sys.n_params - sys.n_theta)
-        return np.concatenate([dth, dphi])
-
-    store, integral = _backward_sweep(lead + (n + run.aux_dim,), grid, times, cots,
-                                      rhs_adj, integrand)
-    grad = -integral
+    store, (node_t, node_w, node_a) = _backward_sweep(
+        lead + (n + run.aux_dim,), grid, times, cots, rhs_adj)
+    # the parameter integral: the trapezoid weight times the adjoint at each
+    # node, as cotangent rows of one full pass per network
+    wa = node_w.reshape((-1,) + (1,) * (node_a.ndim - 1)) * node_a
+    grad = [f_tapes.param_grad(node_t, wa[..., :n])]
+    if windowed:
+        mu = wa[..., n:]
+        grad.append(g_tapes.param_grad(np.concatenate([node_t - tau1, node_t - tau2]),
+                                       np.concatenate([mu, -mu])))
+    elif run.aux_dim:
+        grad.append(np.zeros(sys.n_params - sys.n_theta))
+    grad = -np.concatenate(grad)
 
     if windowed:
         # history term: -mu^T(t0) d_phi y(t0)

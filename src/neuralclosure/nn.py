@@ -43,6 +43,8 @@ A reverse pass is split in two steps: :func:`tape` runs the forward pass and
 keeps the layer caches, and :func:`backward` (input and parameter cotangents)
 or :func:`backward_input` (input cotangent only, skipping all weight-gradient
 work) run on that tape, as often as needed. :func:`vjp` composes the two.
+:func:`rows` views a block of a batched tape's rows as a tape of its own, so
+one forward pass over many inputs serves reverse passes on any of them.
 
 Each convolution pass is one matmul over the tap windows of one padded copy.
 The kernels work in place on the arrays they allocate themselves (an
@@ -181,6 +183,8 @@ def _conv_same_grads(win, w, k):
 # gradients), where ``p`` is the layer's tuple of parameter views; with
 # ``grads`` false the second entry is None and no weight-gradient work is
 # done. The input cotangent is computed by the same operations either way.
+# ``rows(cache, sl)`` gives the cache of the batch rows ``sl`` (a slice) as
+# views, the cache a forward pass over those rows alone would keep.
 # Recurrent cells take the whole sequence as x, one array with the sequence
 # on the leading axis (then any batch axis), and return dx stacked the same
 # way. Their input half runs in one call over the sequence and batch, and only
@@ -225,6 +229,10 @@ class Dense:
             return dz @ W, None
         dz2 = dz.reshape(-1, self.n_out)
         return dz @ W, (dz2.T @ x.reshape(-1, self.n_in), dz2.sum(axis=0))
+
+    def rows(self, cache, sl):
+        x, z, s = cache
+        return x[sl], z[sl], s if s is None else s[sl]
 
     def describe(self):
         return f"Dense({self.n_in}->{self.n_out},{self.act})"
@@ -290,6 +298,12 @@ class SimpleRnnCell:
         dz2 = dzs.reshape(-1, self.units)
         return dxs, (dz2.T @ xs.reshape(-1, self.n_in),
                      dz2.T @ np.stack(hs[:-1]).reshape(-1, self.units), dz2.sum(axis=0))
+
+    def rows(self, cache, sl):
+        xs, zs, ss, hs = cache
+        # the sequence comes first, then the batch
+        return (xs[:, sl], [z[sl] for z in zs], [s if s is None else s[sl] for s in ss],
+                [h[sl] for h in hs])
 
     def describe(self):
         return f"SimpleRnnCell({self.n_in}->{self.units},{self.act})"
@@ -362,6 +376,12 @@ class SimpleRnnConvCell:
         dKh, db = _conv_same_grads(np.stack(hwins), dzs, self.kernel)
         return dxs, (dKx, dKh, db, dKo, dbo)
 
+    def rows(self, cache, sl):
+        zo, so, owin = cache[4:]
+        # the recurrent half's cache is laid out like SimpleRnnCell's
+        return (*SimpleRnnCell.rows(self, cache[:4], sl),
+                zo[sl], so if so is None else so[sl], owin[sl])
+
     def describe(self):
         return (f"SimpleRnnConvCell({self.in_ch}ch->{self.units}ch,"
                 f"k{self.kernel},{self.act})")
@@ -408,6 +428,8 @@ class Conv1d:
         dz = _scale(self.act, z, s, w)
         dx, dK, db = _conv_same_vjp(win, self.taps(K), dz, grads)
         return dx, (self.taps(dK), db) if grads else None
+
+    rows = Dense.rows
 
     def describe(self):
         return (f"{type(self).__name__}({self.in_ch}ch->{self.out_ch}ch,"
@@ -469,6 +491,9 @@ class AddExtraChannels:
     def backward(self, p, cache, w, grads=True):
         return w[..., :cache], () if grads else None
 
+    def rows(self, cache, sl):
+        return cache
+
     def describe(self):
         return f"AddExtraChannels(+{self.n_extra},{self.label})"
 
@@ -504,6 +529,11 @@ class BioConstrain:
             return ds.reshape(xshape), None
         dbeta = float(np.sum(s * (w[..., 0] - w[..., 2])))
         return ds.reshape(xshape), (np.array([dbeta]),)
+
+    def rows(self, cache, sl):
+        s, beta, xshape = cache
+        s = s[sl]
+        return s, beta, s.shape + xshape[-1:]
 
     def describe(self):
         return "BioConstrain"
@@ -679,6 +709,14 @@ def tape(net: Network, x, params: Vec, t=None) -> Tape:
     For recurrent networks ``x`` is the input sequence, oldest first.
     """
     return Tape(net, *_run_tape(net, x, params, t))
+
+
+def rows(tp: Tape, sl: slice) -> Tape:
+    """The tape of the batch rows ``sl`` of ``tp``, as views: its reverse
+    passes are those of a tape of the same forward pass over those rows
+    alone."""
+    return Tape(tp.net, tp.views, tp.y[sl],
+                [lay.rows(c, sl) for lay, c in zip(tp.net.layers, tp.caches)])
 
 
 def backward(tp: Tape, w):

@@ -188,6 +188,46 @@ def history_term_per_node(sys, phi, history, t0, mu0):
     return y0, dphi
 
 
+def sweep_param_grad_per_knot(sys, params, run, nodes):
+    """The parameter integral of an adjoint sweep as the trapezoid sum of
+    fresh reverse passes: per step, 0.5 |h| times the sum of the integrand at
+    its two ends (``nodes`` as the sweep returns them, two per step), each
+    end's integrand one fresh tape and full reverse pass per network at its
+    time. The integrand is -lambda . d_theta f(t), and for a windowed
+    distributed closure also -mu . (d_phi g(t - tau_1) - d_phi g(t - tau_2))."""
+    from neuralclosure import nn
+
+    c, n = sys.closure, run.u_dim
+    views = sys.decode(params)
+
+    def state(t):
+        return run.states_at([t])[0]
+
+    def grad(net, x, p, t, w):
+        tp = nn.tape(net, x, p, t + run.offsets)
+        return nn.backward(tp, w.reshape(tp.y.shape))[1]
+
+    def integrand(t, a):
+        x = c.f_input(state(t), [state(t - tau)[..., :n] for tau in c.f_lags])
+        parts = [grad(c.nets[0], x, views[0], t, a[..., :n])]
+        if run.aux_dim:
+            tau1, tau2 = c.window
+            mu = a[..., n:]
+
+            def g(s):
+                return grad(c.g_net, nn.fields(c.g_net, state(s)[..., :n]), views[1], s, mu)
+            parts.append(g(t - tau1) - g(t - tau2) if tau2 > tau1
+                         else np.zeros(sys.n_params - sys.n_theta))
+        return np.concatenate(parts)
+
+    ts, ws, adjoints = nodes
+    total = 0.0
+    for i in range(0, len(ts), 2):
+        total = total + ws[i] * (integrand(ts[i], adjoints[i])
+                                 + integrand(ts[i + 1], adjoints[i + 1]))
+    return -total
+
+
 def rk4_dde_scalar(rhs, delays, history, t0, t1, dt):
     """Method-of-steps RK4 of u' = rhs(t, u, [u(t - tau) for tau in delays])
     with one scalar ``DenseTrajectory.eval`` per delayed lookup after t0 and

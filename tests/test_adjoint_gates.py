@@ -5,11 +5,11 @@
   loss at p +- eps*v from forward solves alone against grad . v. This covers
   the conv-RNN cell, ``AddExtraChannels``, ``BioConstrain``, the grid
   reshapes and the Burgers, Galerkin and column VJPs inside full sweeps.
-* Tape counts per adjoint sweep on the toy study: every network forward pass
-  of a sweep is built once per (network, stage time), an advanced time that
-  rounding moved off a stage time reuses that time's tape, and there is one
-  full reverse pass per knot (two at interior jump knots) while every other
-  stage runs input-only.
+* Tape counts per adjoint sweep on the toy study: each network is taped once
+  per sweep, over every stage time it is read at (an advanced time that
+  rounding moved off a stage time reads that time's rows), every RK4 stage
+  runs input-only, and the parameter gradient is one full reverse pass per
+  network over the knots' rows.
 """
 
 from collections import Counter
@@ -88,19 +88,22 @@ def test_window_gradient_matches_directional_fd(study_case, kind):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Record (network, time) of every tape, and the (tape, cotangent) of
-    every reverse pass with a count per network and kind."""
-    calls = {"tapes": [], "passes": Counter(), "pass_keys": []}
+    """Record (network, row times) of every tape, the (tape, cotangent) of
+    every reverse pass with a count per network and kind, and the rows of
+    every full pass."""
+    calls = {"tapes": [], "passes": Counter(), "pass_keys": [], "full_rows": []}
     tape, backward, backward_input = nn.tape, nn.backward, nn.backward_input
 
     def tape_rec(net, x, params, t=None):
-        calls["tapes"].append((id(net), t))
+        calls["tapes"].append((id(net), np.ravel(t).tolist()))
         return tape(net, x, params, t)
 
     def count(name, fn):
         def wrapped(tp, w):
             calls["passes"][(id(tp.net), name)] += 1
             calls["pass_keys"].append((id(tp), np.asarray(w).tobytes()))
+            if name == "full":
+                calls["full_rows"].append((id(tp.net), len(tp.y)))
             return fn(tp, w)
         return wrapped
 
@@ -141,38 +144,50 @@ def _toy_sweep(kind, counted):
 @pytest.mark.parametrize("kind", ex.CLOSURE_KINDS)
 def test_sweep_builds_each_tape_once(kind, counted):
     clo, steps, knots, mids, n_jumps, calls = _toy_sweep(kind, counted)
+    assert n_jumps
     stage_times = knots | mids
     tapes = calls["tapes"]
-    assert len(tapes) == len(set(tapes)), "a tape was built twice"
     main = id(clo.f_net if kind == "distributed" else clo.net)
-    # the stage network is taped exactly at the RK4 stage times. The toy's
-    # delays are multiples of the half step, so every advanced time t + tau_k
-    # is a stage time on paper; some miss it by rounding, and reuse its tape
+    # one tape per network per sweep (a single trajectory: one row per time)
+    assert [n for n, _ in tapes] == [main] + ([id(clo.g_net)] if kind == "distributed" else [])
+    rows = dict(tapes)
+    assert all(len(ts) == len(set(ts)) for ts in rows.values()), "a time was taped twice"
+    # the stage network is taped exactly at the RK4 stage times, the knots
+    # first. The toy's delays are multiples of the half step, so every
+    # advanced time t + tau_k is a stage time on paper; some miss it by
+    # rounding, and read its rows
     if kind == "discrete":
         end = max(knots)
         advanced = {t + tau for t in stage_times for tau in clo.delays if t + tau < end}
         assert advanced - stage_times
         assert all(min(abs(s - t) for t in stage_times) <= 1e-9 for s in advanced)
-    assert {t for n, t in tapes if n == main} == stage_times
-    # no reverse pass is repeated on the same tape and cotangent
+    assert set(rows[main]) == stage_times
+    assert rows[main][:len(knots)] == sorted(knots)
+    # no reverse pass is repeated on the same rows and cotangent
     keys = calls["pass_keys"]
     assert len(keys) == len(set(keys)), "a reverse pass was computed twice"
-    # one full reverse pass per knot, two at interior jump knots; the other
-    # three stages of every step run input-only
+    # every stage of every step runs input-only; the parameter gradient is
+    # one full pass over the knots' rows, where one per knot (two at each
+    # interior jump knot) made len(knots) + n_jumps
     passes = calls["passes"]
-    assert passes[(main, "full")] == len(knots) + n_jumps
+    assert passes[(main, "full")] == 1
+    assert (main, len(knots)) in calls["full_rows"]
     if kind == "discrete":
-        # stages 2-4, plus the advanced terms that find no stored pass
-        assert passes[(main, "input")] >= 3 * len(steps)
+        # plus the advanced terms that find no stored pass
+        assert passes[(main, "input")] >= 4 * len(steps)
     else:
-        assert passes[(main, "input")] == 3 * len(steps)
+        assert passes[(main, "input")] == 4 * len(steps)
     if kind == "distributed":
         g = id(clo.g_net)
         tau1, tau2 = clo.window
         assert tau1 == 0.0
         # g is taped at the stage times (the mu(t + tau) terms) and at the
-        # window's trailing edge t - tau_2 of each knot (the phi integrand)
-        assert {t for n, t in tapes if n == g} == stage_times | {t - tau2 for t in knots}
-        # full passes: the phi integrand at t and t - tau_2 per knot, and the
-        # y(t0) history term as one pass on the forward run's batched tape
-        assert passes[(g, "full")] == 2 * len(knots) + 1
+        # window's trailing edge t - tau_2 of each knot (the phi integrand),
+        # the edges first
+        edges = knots | {t - tau2 for t in knots}
+        assert set(rows[g]) == stage_times | edges
+        assert set(rows[g][:len(edges)]) == edges
+        # full passes: the phi integrand over the edges' rows, and the y(t0)
+        # history term as one pass on the forward run's batched tape
+        assert passes[(g, "full")] == 2
+        assert (g, len(edges)) in calls["full_rows"]

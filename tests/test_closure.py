@@ -177,9 +177,10 @@ def test_markovian_adjoint_matches_fd_property(params):
 
 def test_sweep_reads_are_its_grid_stage_times():
     # the backward analogue of the forward solve's lookup plan: every time
-    # at which the sweep evaluates rhs_adj or the integrand is a knot or a
-    # midpoint of its grid, and every such time is evaluated, also where
-    # segment bounds are jump times minus shifts
+    # at which the sweep evaluates rhs_adj or places a trapezoid node is a
+    # knot or a midpoint of its grid, and every such time is evaluated, also
+    # where segment bounds are jump times minus shifts. The nodes are the
+    # knots, two per step, with weight half the step
     jumps = np.array([0.3, 0.65, 1.0])
     for shifts in ((), (0.15,), (0.07, 0.2)):
         grid = _sweep_grid(0.0, 1.0, jumps, 0.02, shifts)
@@ -194,12 +195,17 @@ def test_sweep_reads_are_its_grid_stage_times():
                 look(t + tau)
             return -a
 
-        def integrand(t, a):
-            seen.append(t)
-            return a.copy()
-
-        _backward_sweep((2,), grid, jumps, np.ones((3, 2)), rhs_adj, integrand)
+        store, (node_t, node_w, node_a) = _backward_sweep(
+            (2,), grid, jumps, np.ones((3, 2)), rhs_adj)
+        seen += node_t.tolist()
         assert set(seen) == set(np.concatenate([ts for seg in grid for ts in seg]).tolist())
+        knots = np.concatenate([ts for ts, _ in grid])
+        steps = [(t, u) for ts, _ in grid for t, u in zip(ts[:-1], ts[1:])]
+        assert set(node_t.tolist()) == set(knots.tolist())
+        assert node_t.size == node_w.size == len(node_a) == 2 * len(steps)
+        assert node_w.tolist() == [0.5 * (t - u) for t, u in steps for _ in (t, u)]
+        # the trapezoid rule over the backward knots integrates 1 over [0, 1]
+        assert abs(node_w.sum() - 1.0) <= 1e-14
 
 
 def test_discrete_adjoint_matches_fd():

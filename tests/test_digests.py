@@ -24,3 +24,26 @@ def test_digests_script_on_toy(tmp_path):
         assert set(digests) == DIGESTS
         assert all(len(h) == 64 and set(h) <= set("0123456789abcdef")
                    for h in digests.values())
+
+
+def _compare(a, b):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "tools/digests.py", "--compare", str(a), str(b)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+
+
+def test_compare_prints_the_entries_that_differ(tmp_path):
+    pairs = {"toy/markovian": {"batch0": "0" * 64, "single": "1" * 64},
+             "toy/discrete": {"batch0": "2" * 64, "single": "3" * 64}}
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"seed": 7, "noise": 0.01, "pairs": pairs}), encoding="utf-8")
+    same = _compare(a, a)
+    assert same.returncode == 0 and same.stdout.splitlines() == ["0 of 4 digests differ"]
+    moved = json.loads(json.dumps(pairs))
+    moved["toy/discrete"]["single"] = "4" * 64
+    moved["toy/markovian"]["window"] = "5" * 64
+    b.write_text(json.dumps({"seed": 7, "noise": 0.01, "pairs": moved}), encoding="utf-8")
+    proc = _compare(a, b)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == ["toy/discrete single", "toy/markovian window",
+                                        "2 of 5 digests differ"]

@@ -3,13 +3,18 @@
 The references in ``oracles`` are the sign-split sigmoid, the per-tap
 convolution loop, the recurrent cells with their input kernel applied one
 sequence element at a time, the column reactions one depth at a time and the
-y(t0) history term with one g-network tape per trapezoid node. The convolution
+y(t0) history term with one g-network tape per trapezoid node, and an adjoint
+sweep's parameter integral as the per-knot trapezoid sum of fresh reverse
+passes (one weighted pass over the rows of one tape per network in the
+package). The convolution
 is one matmul over the tap windows of one padded copy: it matches the loop bit
 for bit at k = 1 and in its weight gradients, and to rounding (2e-15 of the
-largest entry) in its output and input cotangent at k > 1. Also here: the tape
-and reverse-pass budget of one training window on the shipped studies, the
-in-place activations and bias against the expressions they replace, and
-repeated reverse passes on one tape, whose convolution windows are read-only.
+largest entry) in its output and input cotangent at k > 1. Also here: row
+views of a batched tape against fresh tapes, the tape and reverse-pass
+budget of one training window on the shipped studies, the in-place
+activations, bias and discrete sequence input against the expressions they
+replace, and repeated reverse passes on one tape, whose convolution windows
+are read-only.
 """
 
 import warnings
@@ -164,6 +169,43 @@ def test_batched_tape_rows_equal_single_tapes(name):
     assert nn.backward_input(tp, ws).tobytes() == dx.tobytes()
 
 
+def _study_net(name):
+    """A study's closure network ("study/kind") and its input field shape."""
+    study_name, kind = name.split("/")
+    study = ex.get_study(study_name)
+    net = study.networks(kind)
+    layout, ch = net.input_spec
+    return net, (ch,) if layout == "dense" else (study.state_dim // ch, ch)
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_NETS) + [
+    "exp1_rom/discrete", "exp2_subgrid/discrete", "exp3b_bio1d/discrete",
+    "exp3b_bio1d/markovian"])
+def test_row_view_passes_equal_a_fresh_tape(name):
+    # an adjoint sweep tapes all its times x members in one pass and runs
+    # each stage on that time's rows (nn.rows): the same output and passes
+    # as a fresh tape of those rows at their member times, through every
+    # layer kind (the recurrent cells' sequence axis comes first, and
+    # BioConstrain and AddExtraChannels keep shapes and times)
+    net, shape = BATCH_NETS[name] if name in BATCH_NETS else _study_net(name)
+    rng = np.random.default_rng(12)
+    params = rng.normal(0.0, 0.5, net.n_params)
+    members = 3
+    times = np.add.outer([1.0, 40.5, 100.0, 181.25], [0.0, 2.0, 7.0]).ravel()
+    xs = rng.normal(size=(5,) * net.recurrent + times.shape + shape)
+    tp = nn.tape(net, xs, params, times)
+    for i in range(times.size // members):
+        sl = slice(i * members, (i + 1) * members)
+        rows = nn.rows(tp, sl)
+        fresh = nn.tape(net, xs[:, sl] if net.recurrent else xs[sl], params, times[sl])
+        w = rng.normal(size=fresh.y.shape)
+        assert np.shares_memory(rows.y, tp.y)
+        assert rel_l2(rows.y, fresh.y) <= 1e-14
+        assert rel_l2(nn.backward_input(rows, w), nn.backward_input(fresh, w)) <= 1e-14
+        (dx, dp), (dx_ref, dp_ref) = nn.backward(rows, w), nn.backward(fresh, w)
+        assert rel_l2(dx, dx_ref) <= 1e-14 and rel_l2(dp, dp_ref) <= 1e-14
+
+
 RNN_CELLS = {
     "dense": nn.SimpleRnnCell(3, 7, "tanh"),
     "conv_k3": nn.SimpleRnnConvCell(1, 3, 3, "swish"),
@@ -220,9 +262,9 @@ def test_batched_history_term_matches_per_node(distributed_case):
 
 
 def _counted_window(study_name, kind, monkeypatch):
-    """Forward and adjoint of one exp-study window, counting tapes and reverse
-    passes per (network, phase) and reverse passes per tape; returns
-    (closure, forward run, counts, sweep knots)."""
+    """Forward and adjoint of one exp-study window, counting tapes, their
+    rows and reverse passes per (network, phase) and reverse passes per tape;
+    returns (closure, forward run, counts, sweep knots)."""
     study, data, ds = _study_data(study_name)
     clo = study.closure(kind)
     sys = study.system(clo, getattr(data, "basis", None))
@@ -239,6 +281,7 @@ def _counted_window(study_name, kind, monkeypatch):
 
     def tape_rec(net, x, p, t=None):
         counts[(id(net), phase[0], "tape")] += 1
+        counts[(id(net), phase[0], "rows")] += np.size(t)
         return tape(net, x, p, t)
 
     def count(name, fn):
@@ -261,11 +304,19 @@ def _counted_window(study_name, kind, monkeypatch):
 
 def test_discrete_window_tapes_each_stage_time_once(monkeypatch):
     # the six delays are multiples of the half step, so every advanced time is
-    # a stage time on paper and shares its tape: 25 tapes, where taping each
-    # rounded advanced time made 34 on this window
+    # a stage time on paper and reads its rows: one tape of 25 rows, where one
+    # tape per stage time made 25 and taping each rounded advanced time 34
     clo, _, counts, knots = _counted_window("exp2_subgrid", "discrete", monkeypatch)
     stage_times = set(knots) | {t + 0.5 * (u - t) for t, u in zip(knots[:-1], knots[1:])}
-    assert counts[(id(clo.net), "adjoint", "tape")] == len(stage_times) == 25
+    net = id(clo.net)
+    assert counts[(net, "adjoint", "tape")] == 1
+    assert counts[(net, "adjoint", "rows")] == len(stage_times) == 25
+    # one full pass for the parameter gradient, where one per knot (two at
+    # the interior jump knots) made 15; every RK4 stage and the advanced
+    # terms that find no stored pass run input-only: 62, where 50 did when
+    # each knot's stage 1 reused its full pass
+    assert counts[(net, "adjoint", "full")] == 1
+    assert counts[(net, "adjoint", "input")] == 62
 
 
 def test_distributed_window_history_is_one_batched_pass(monkeypatch):
@@ -275,11 +326,59 @@ def test_distributed_window_history_is_one_batched_pass(monkeypatch):
     # it, where one tape and one pass per node made 65 and 65
     assert counts[(g, "forward", "tape")] == 1
     assert run.history_tape.y.shape[0] == 65 and counts[id(run.history_tape)] == 1
-    # the other full g passes are the phi integrand's, at t and t - tau_2 per
-    # knot: 27 on this window, and 42 with the f-net's, where the per-node
-    # history term made 91 and 106
-    assert counts[(g, "adjoint", "full")] == 2 * len(knots) + 1 == 27
-    assert counts[(id(clo.f_net), "adjoint", "full")] + 27 == 42
+    # the sweep tapes each network once and takes each one's parameter
+    # gradient in one full pass; with the history pass that makes 3 full
+    # passes, where one tape and full pass per knot and window edge made 63
+    # tapes and 42 full passes on this window (106 with the per-node history
+    # term). Every RK4 stage runs input-only: 95 passes, where 72 did when
+    # each knot's stage 1 reused its full passes
+    f = id(clo.f_net)
+    assert counts[(f, "adjoint", "tape")] == counts[(g, "adjoint", "tape")] == 1
+    assert counts[(f, "adjoint", "full")] == 1 and counts[(g, "adjoint", "full")] == 2
+    assert counts[(f, "adjoint", "input")] + counts[(g, "adjoint", "input")] == 95
+    # the g tape's rows: the stage times and the trailing window edges
+    tau2 = clo.window[1]
+    stage_times = set(knots) | {t + 0.5 * (u - t) for t, u in zip(knots[:-1], knots[1:])}
+    assert counts[(g, "adjoint", "rows")] == len(stage_times | {t - tau2 for t in knots})
+
+
+@pytest.mark.parametrize("starts", [[4, 10, 4], 4], ids=["batch", "single"])
+@pytest.mark.parametrize("kind, window", [("markovian", None), ("discrete", None),
+                                          ("distributed", None), ("distributed", (0.2, 0.7))])
+def test_weighted_pass_is_the_per_knot_trapezoid_sum(kind, window, starts, monkeypatch):
+    # the sweep's parameter integral is one full pass per network over
+    # trapezoid-weighted cotangent rows; the reference sums the trapezoid
+    # rule step by step over fresh tapes and full passes at each knot, for a
+    # batch and a single trajectory, with data times inside the window
+    study, data, ds = _study_data("toy")
+    clo = study.closure(kind, window=window)
+    sys = study.system(clo, getattr(data, "basis", None))
+    s, stepper = study.settings(kind), study.forward_stepper()
+    p0 = ex.initial_params(clo, 5)
+    params = p0 + 0.3 * np.random.default_rng(5).standard_normal(p0.size)
+    st = np.asarray(starts)
+    sup = np.arange(s.supervise_stride, s.window_steps + 1, s.supervise_stride)
+    run = closure.forward_augmented(sys, params, (ds.times[st], ds.times[st + s.window_steps]),
+                                    stepper, history=ds.history_fn(), u0=ds.states[st])
+    batch = train.SnapshotDataset(ds.times[np.ravel(st)[0] + sup],
+                                  ds.states[np.add.outer(sup, st)])
+    nodes = []
+    sweep = closure._backward_sweep
+    monkeypatch.setattr(closure, "_backward_sweep",
+                        lambda *args: nodes.append(sweep(*args)) or nodes[-1])
+    adj = closure.adjoint_gradient(sys, params, run, batch, study.loss_spec(), stepper)
+    ts, _, adjoints = nodes[0][1]
+    # an interior data time: two cotangents, before and after its jump
+    t_data = [t for t in batch.times if run.t0 < t < run.t1]
+    assert t_data
+    at = np.flatnonzero(ts == t_data[0])
+    assert at.size == 2 and adjoints[at[0]].tobytes() != adjoints[at[1]].tobytes()
+    want = oracles.sweep_param_grad_per_knot(sys, params, run, nodes[0][1])
+    if kind == "distributed":
+        assert clo.window[0] == (0.2 if window else 0.0)
+        mu0 = adj.adjoint_traj.eval(run.t0)[..., run.u_dim:]
+        want[sys.n_theta:] -= closure.history_param_grad(sys, run, mu0)
+    assert rel_l2(adj.grad, want) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +461,18 @@ def test_bio_constrain_equals_the_stacked_triple():
         out = nn.BioConstrain().forward((np.array([beta]),), x, None)[0]
         s = x[..., 0]
         assert _same(out, np.stack([beta * s, -s, (1.0 - beta) * s], axis=-1))
+
+
+@pytest.mark.parametrize("lead", [(), (4,), (25, 4)])
+def test_discrete_input_fills_the_stacked_sequence(lead):
+    # one preallocated sequence array in place of np.stack, byte for byte:
+    # a single state, a batch, and a sweep's times x members
+    clo = ex.get_study("exp2_subgrid").closure("discrete")
+    rng = np.random.default_rng(6)
+    U = _with_specials(rng, lead + (25,))
+    delayed = [rng.normal(size=lead + (25,)) for _ in clo.delays]
+    assert _same(clo.f_input(U, delayed),
+                 nn.fields(clo.net, np.stack([*reversed(delayed), U])))
 
 
 @pytest.mark.parametrize("name", sorted(RNN_CELLS))

@@ -13,11 +13,12 @@ Gaussian noise, it digests:
   gradient.
 
 The output is one JSON file, so two source trees compute the same bits when
-their files are equal::
+their files are equal; ``--compare`` prints the (pair, item) entries whose
+digests differ and exits 1 if any do::
 
     PYTHONPATH=src python tools/digests.py --out a.json
     PYTHONPATH=../other/src python tools/digests.py --out b.json
-    cmp a.json b.json
+    python tools/digests.py --compare a.json b.json
 
 NumPy only; the 15 pairs take about 10 s on a 2-vCPU Xeon VM.
 """
@@ -83,12 +84,46 @@ def pair_digests(study, data, kind: str) -> dict:
     return out
 
 
+def differing(a: dict, b: dict) -> list[tuple[str, str]]:
+    """The (pair, item) entries whose digests differ between two digest
+    documents; an entry that only one of them has differs too."""
+    pa, pb = a["pairs"], b["pairs"]
+    return [(pair, item) for pair in sorted(set(pa) | set(pb))
+            for item in sorted(set(pa.get(pair, {})) | set(pb.get(pair, {})))
+            if pa.get(pair, {}).get(item) != pb.get(pair, {}).get(item)]
+
+
+def compare(path_a: str, path_b: str) -> int:
+    """Print the entries that differ between two digest files, and a count;
+    1 if any differ, else 0."""
+    docs = []
+    for path in (path_a, path_b):
+        with open(path, encoding="utf-8") as fh:
+            docs.append(json.load(fh))
+    if (docs[0]["seed"], docs[0]["noise"]) != (docs[1]["seed"], docs[1]["noise"]):
+        print(f"seed/noise differ: {docs[0]['seed']}/{docs[0]['noise']} vs "
+              f"{docs[1]['seed']}/{docs[1]['noise']}")
+        return 1
+    diff = differing(*docs)
+    for pair, item in diff:
+        print(f"{pair} {item}")
+    total = len({(p, i) for doc in docs for p, items in doc["pairs"].items() for i in items})
+    print(f"{len(diff)} of {total} digests differ")
+    return 1 if diff else 0
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--out", required=True, help="the JSON file to write")
+    p.add_argument("--out", help="the JSON file to write")
+    p.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                   help="compare two digest files instead of writing one")
     p.add_argument("--studies", nargs="+", default=list(ex.EXPERIMENTS),
                    choices=ex.EXPERIMENTS, help="studies to digest (default: all)")
     args = p.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if not args.out:
+        p.error("one of --out or --compare is required")
     pairs = {}
     for name in args.studies:
         study = ex.get_study(name)
