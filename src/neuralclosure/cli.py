@@ -300,6 +300,9 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path, ckpt: Path | None) -> int:
     system = study.system(closure, basis)
     stepper = study.forward_stepper()
 
+    # a run that fails while scoring leaves no tables of an earlier one
+    for name in ("trajectory.csv", "rmse.csv", "metrics.csv"):
+        (out / name).unlink(missing_ok=True)
     model, _, _ = evaluate_rollout(system, ck.params, dataset, stepper,
                                    history=constant_history(dataset.states[0]))
     rollouts = {"model": model}

@@ -24,14 +24,15 @@ every kind (as an ODE when it has no lags), and one adjoint function,
 Gradients of data-time losses are computed by integrating adjoint variables
 backward in time. The adjoint equations reference *advanced* arguments
 lambda(t+tau), mu(t+tau); these are read from the backward-growing dense
-store (zero at and beyond the final time). Losses enter as jumps
-lambda <- lambda - dl/du applied when the sweep crosses a data time; the sign
-convention is frozen against the finite-difference oracle in the tests.
-Every network input of a sweep is read from the forward run before it
-starts, so a sweep tapes each network once, over all the times it reads
-times all members, runs each RK4 stage's input-only pass on that time's
-rows, and takes the parameter gradient as one full reverse pass per network
-over the trapezoid-weighted adjoints of the knots.
+store. Losses enter as jumps lambda <- lambda - dl/du applied when the sweep
+crosses a data time; the sign convention is frozen against the
+finite-difference oracle in the tests. A sweep is planned before it starts:
+each stage time's advanced reads, snapped once onto the sweep's times and
+left out past the final time, where the adjoint is zero, and every network
+input, read from the forward run. So a sweep tapes each network once, over
+all the times it reads times all members, runs each RK4 stage's input-only
+pass on that time's rows, and takes the parameter gradient as one full
+reverse pass per network over the trapezoid-weighted adjoints of the knots.
 
 All parameters of one model travel in a single flat vector, one block per
 network of the closure's ``nets``: theta first, then phi for distributed
@@ -533,16 +534,17 @@ def _backward_sweep(shape, grid, jump_times, jump_vals, rhs_adj):
     The adjoint state has ``shape`` ((B, dim) for a batch of members); each
     jump in ``jump_vals`` acts on its first ``u_dim`` entries per member.
 
-    rhs_adj(t, a, look) gives the adjoint time derivative; ``look`` reads
-    already-computed adjoint values at the advanced times t + tau, tau in the
-    grid's positive shifts, which no step exceeds. The adjoint state jumps
-    at data times, so the advanced lookups are one-sided there: stages at a
-    step's upper knot take the limit from below (the stored post-jump
-    value), the final stage at the lower knot takes the limit from above
-    (jump added back). Every time where an advanced argument crosses a jump
-    (data time minus shift) is a segment bound of the grid, so that
-    discontinuities of the adjoint RHS land exactly on step boundaries;
-    without this the sweep degrades to first order.
+    rhs_adj(t, a, look) gives the adjoint time derivative; ``look(s)`` reads
+    the already-computed adjoint at a planned advanced time s <= T
+    (:func:`_advanced_reads`), t + tau for a shift tau that no step exceeds.
+    The adjoint state jumps at data times, so the advanced lookups are
+    one-sided there: stages at a step's upper knot take the limit from below
+    (the stored post-jump value, ``store.eval``), the final stage at the
+    lower knot takes the limit from above (jump added back, zero at T).
+    Every time where an advanced argument crosses a jump (data time minus
+    shift) is a segment bound of the grid, so that discontinuities of the
+    adjoint RHS land exactly on step boundaries; without this the sweep
+    degrades to first order.
 
     The sweep does not evaluate the parameter integral: it returns its
     trapezoid nodes on the backward knots, two per step [t, t_next] (each
@@ -561,22 +563,14 @@ def _backward_sweep(shape, grid, jump_times, jump_vals, rhs_adj):
     for t, g in zip(jump_times, jump_vals):
         jump_map.setdefault(float(t), np.zeros(g.shape))
         jump_map[float(t)] += g
-    special = sorted(set(jump_map) | {float(T)})
-
-    def look_below(s):
-        """lambda(s-): post-jump values, zero strictly beyond T."""
-        s = _snap(special, s)
-        if s > T or not len(store):
-            return np.zeros(shape)
-        return store.eval(s)
 
     def look_above(s):
-        """lambda(s+): pre-jump values, zero at and beyond T."""
-        s = _snap(special, s)
-        if s >= T:
+        """lambda(s+): the pre-jump value, zero at T. The store ends at a
+        jump time with that value until the step below it is appended."""
+        if s == T:
             return np.zeros(shape)
         v = store.eval(s)
-        if s in jump_map:
+        if s in jump_map and s != store.t_end:
             v[..., :u_dim] += jump_map[s]
         return v
 
@@ -586,9 +580,9 @@ def _backward_sweep(shape, grid, jump_times, jump_vals, rhs_adj):
         seg_lo = ts[-1]
         for t, t_next, t_mid in zip(ts[:-1], ts[1:], mids):
             h = t_next - t  # negative
-            f1 = rhs_adj(t, a, look_below)
-            f2 = rhs_adj(t_mid, a + 0.5 * h * f1, look_below)
-            f3 = rhs_adj(t_mid, a + 0.5 * h * f2, look_below)
+            f1 = rhs_adj(t, a, store.eval)
+            f2 = rhs_adj(t_mid, a + 0.5 * h * f1, store.eval)
+            f3 = rhs_adj(t_mid, a + 0.5 * h * f2, store.eval)
             f4 = rhs_adj(t_next, a + h * f3, look_above)
             a_next = a + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
             store.append(t, t_next, a, a_next, f1, f4)
@@ -621,17 +615,23 @@ def _memo(fn, known=()):
     return at
 
 
-def _with_advanced(stages: np.ndarray, shifts, T: float) -> list:
-    """The ascending stage times, plus each advanced time t + tau (t a stage
-    time, tau in ``shifts``) up to T that equals none of the times before it
-    within the sweep's time tolerance (:func:`_snap`)."""
+def _advanced_reads(stages: np.ndarray, shifts, T: float) -> tuple[list, dict]:
+    """The advanced reads of a sweep: each stage time t reads the adjoint at
+    t + tau for k, tau in enumerate(``shifts``), that time snapped once onto
+    the stage times and the advanced times before it (:func:`_snap`). A read
+    past T, where the adjoint is zero, is left out. Returns the ascending
+    stage and advanced times, and each stage time's reads as (k, time)."""
     known = stages.tolist()
-    for s in np.add.outer(stages, shifts).ravel().tolist():
-        s = _snap(known, s)
-        i = bisect.bisect_left(known, s)
-        if s <= T and (i == len(known) or known[i] != s):
-            known.insert(i, s)
-    return known
+    reads = {}
+    for t in stages.tolist():
+        for k, tau in enumerate(shifts):
+            s = _snap(known, t + tau)
+            if s <= T:
+                reads.setdefault(t, []).append((k, s))
+                i = bisect.bisect_left(known, s)
+                if known[i:i + 1] != [s]:
+                    known.insert(i, s)
+    return known, reads
 
 
 class _StageTapes:
@@ -646,12 +646,10 @@ class _StageTapes:
     Within a sweep the input depends on t alone (forward state, delayed
     states, auxiliary field), so one tape over all times x members along the
     batch axis, time-major, serves every RK4 stage, advanced term and
-    trapezoid node. An input-only pass at time t runs on that time's rows
-    (:func:`nn.rows`) and is kept per (time, cotangent bytes); the parameter
-    gradient is one full pass over the first rows, with the trapezoid
-    weights already in its cotangent. A caller that passes an advanced time
-    through :meth:`snap` first gets the rows of the stage time it equals on
-    paper.
+    trapezoid node. An input-only pass at one of the tape's times runs on
+    that time's rows (:func:`nn.rows`) and is kept per (time, cotangent
+    bytes); the parameter gradient is one full pass over the first rows,
+    with the trapezoid weights already in its cotangent.
     """
 
     def __init__(self, net: nn.Network, views: tuple, param_times, other_times,
@@ -667,14 +665,8 @@ class _StageTapes:
         self.width = math.prod(lead)
         self.n_param = len(first)
         self.row = {t: i for i, t in enumerate(times)}
-        self._times = sorted(self.row)
         self._rows: dict = {}
         self._passes: dict = {}
-
-    def snap(self, t: float) -> float:
-        """The tape time that ``t`` equals within the sweep's time tolerance
-        (:func:`_snap`), else ``t``."""
-        return _snap(self._times, t)
 
     def _block(self, i: int, j: int) -> nn.Tape:
         """The tape of the rows of times i to j - 1."""
@@ -721,11 +713,13 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
     trapezoid rule the forward solve used for y(t0), as one reverse pass of
     the batched g-network tape that solve kept.
 
-    Every network input of the sweep is known before it starts, so each
-    network is taped once (:class:`_StageTapes`) at every time the sweep
-    reads it: the f-network at the knots, the midpoints and the advanced
-    times t + tau_k, the g-network at the stage times and the window edges
-    t - tau_1, t - tau_2 of each knot. The parameter integral is one full
+    The sweep is planned before it starts: the advanced reads t + tau up to
+    T (:func:`_advanced_reads`) and every network input, so each network is
+    taped once (:class:`_StageTapes`) at every time the sweep reads it: the
+    f-network at the knots, the midpoints and the advanced times t + tau_k,
+    the g-network at the stage times and the window edges t - tau_1,
+    t - tau_2 of each knot, with one input-only pass per stage on
+    mu(t + tau_2) - mu(t + tau_1). The parameter integral is one full
     reverse pass per network after the sweep, with cotangent rows weighted
     by the trapezoid rule (+mu at t - tau_1 and -mu at t - tau_2 for g).
 
@@ -741,8 +735,10 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
     grid = _sweep_grid(run.t0, T, times, dt, c.lags)
     knots = np.concatenate([ts for ts, _ in grid])
     stages = np.unique(np.concatenate([ts for seg in grid for ts in seg]))
-    # the f-network's times, each advanced time as the stage time it equals
-    f_times = _with_advanced(stages, f_lags, T)
+    # the advanced reads t + tau of each stage time; the f-network's times
+    # add those of its lags that are no stage time
+    adv_times, reads = _advanced_reads(stages, c.lags, T)
+    f_times = adv_times if f_lags else stages.tolist()
     # a g-network over a moving window (a distributed closure, tau_2 > tau_1)
     windowed = run.aux_dim > 0 and bool(c.lags)
     g_edges = ()
@@ -771,20 +767,18 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
         lam = a[..., :n]
         fu, fy = c.f_input_grad(f_tapes.input_grad(t, lam), lead)
         acc = sys.base_vjp(t + offsets, state[t][..., :n], lam) + fu
-        for k, tau in enumerate(f_lags, start=1):
-            lam_adv = look(t + tau)[..., :n]
-            if np.any(lam_adv):
-                dx = f_tapes.input_grad(f_tapes.snap(t + tau), lam_adv)
-                acc = acc + c.f_input_grad(dx, lead, k)[0]
-        dlam = -acc
-        if windowed:
-            mu1 = a[..., n:] if tau1 == 0.0 else look(t + tau1)[..., n:]
-            if np.any(mu1):
-                dlam = dlam - g_tapes.input_grad(t, mu1).reshape(lead + (-1,))
-            mu2 = look(t + tau2)[..., n:]
-            if np.any(mu2):
-                dlam = dlam + g_tapes.input_grad(t, mu2).reshape(lead + (-1,))
-        return dlam if fy is None else np.concatenate([dlam, -fy], axis=-1)
+        planned = reads.get(t, ())
+        if not windowed:
+            for k, s in planned:
+                dx = f_tapes.input_grad(s, look(s)[..., :n])
+                acc = acc + c.f_input_grad(dx, lead, k + 1)[0]
+        elif planned or (tau1 == 0.0 and t < T):
+            # the window's g-terms -mu(t + tau_1) + mu(t + tau_2) in one
+            # pass; none at T, where mu is zero
+            mu = {c.lags[k]: look(s)[..., n:] for k, s in planned}
+            dmu = mu.get(tau2, 0.0) - (a[..., n:] if tau1 == 0.0 else mu[tau1])
+            acc = acc - g_tapes.input_grad(t, dmu).reshape(lead + (-1,))
+        return -acc if fy is None else np.concatenate([-acc, -fy], axis=-1)
 
     store, (node_t, node_w, node_a) = _backward_sweep(
         lead + (n + run.aux_dim,), grid, times, cots, rhs_adj)
@@ -802,9 +796,7 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
 
     if windowed:
         # history term: -mu^T(t0) d_phi y(t0)
-        mu0 = store.eval(run.t0)[..., n:]
-        if np.any(mu0):
-            grad[sys.n_theta:] -= history_param_grad(sys, run, mu0)
+        grad[sys.n_theta:] -= history_param_grad(sys, run, store.eval(run.t0)[..., n:])
     return AdjointRun(store, grad)
 
 

@@ -277,6 +277,30 @@ def test_zero_closure_checkpoint_reproduces_baseline(tmp_path):
     assert np.max(np.abs(model - base)) < 1e-12
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_a_failed_evaluate_leaves_no_scores(tmp_path, capsys):
+    # a checkpoint whose rollout fails exits 1 and leaves none of the score
+    # tables that an earlier checkpoint's evaluate wrote
+    from neuralclosure.checkpoint import Checkpoint, save_checkpoint
+    from neuralclosure.config import config_hash
+
+    text = TOY_CFG.replace("closure = discrete", "closure = markovian")
+    cfgp, cfg = _write(tmp_path, text), parse_config(text)
+    out, ckpt = tmp_path / "out", tmp_path / "ck.txt"
+    clo = cfg.study().closure(cfg.kind)
+    params = ex.initial_params(clo, seed=1)
+    scores = [out / name for name in ("trajectory.csv", "rmse.csv", "metrics.csv")]
+    for p, code in ((params, 0), (np.full(params.size, np.inf), 1)):
+        save_checkpoint(ckpt, Checkpoint(
+            experiment="toy", kind="markovian", arch=clo.describe(),
+            config_sha=config_hash(cfg), epoch=0, params=p,
+            opt_s=np.zeros(p.size), opt_step=0))
+        assert cli.main(["evaluate", "--config", cfgp, "--out", str(out),
+                         "--checkpoint", str(ckpt)]) == code
+        assert [f.exists() for f in scores] == [code == 0] * 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_resume_matches_uninterrupted_run(tmp_path):
     cfg4 = _write(tmp_path, TOY_CFG.replace("epochs = 3", "epochs = 4"), "a.cfg")
     cfg2 = _write(tmp_path, TOY_CFG.replace("epochs = 3", "epochs = 2"), "b.cfg")

@@ -24,6 +24,7 @@ from neuralclosure.closure import (
     adjoint_distributed,
     adjoint_markovian,
     constant_history,
+    _advanced_reads,
     _backward_sweep,
     _sweep_grid,
     fd_gradient,
@@ -179,7 +180,8 @@ def test_sweep_reads_are_its_grid_stage_times():
     # the backward analogue of the forward solve's lookup plan: every time
     # at which the sweep evaluates rhs_adj or places a trapezoid node is a
     # knot or a midpoint of its grid, and every such time is evaluated, also
-    # where segment bounds are jump times minus shifts. The nodes are the
+    # where segment bounds are jump times minus shifts. The advanced reads
+    # look only at their planned times, none past T. The nodes are the
     # knots, two per step, with weight half the step
     jumps = np.array([0.3, 0.65, 1.0])
     for shifts in ((), (0.15,), (0.07, 0.2)):
@@ -187,12 +189,15 @@ def test_sweep_reads_are_its_grid_stage_times():
         bounds = [ts[-1] for ts, _ in grid]
         for s in (tj - tau for tj in jumps for tau in shifts):
             assert min(abs(b - s) for b in bounds) <= 1e-12
+        stages = np.unique(np.concatenate([ts for seg in grid for ts in seg]))
+        _, reads = _advanced_reads(stages, shifts, 1.0)
         seen = []
 
         def rhs_adj(t, a, look):
             seen.append(t)
-            for tau in shifts:
-                look(t + tau)
+            for _, s in reads.get(t, ()):
+                assert s <= 1.0
+                look(s)
             return -a
 
         store, (node_t, node_w, node_a) = _backward_sweep(
@@ -237,6 +242,21 @@ def test_discrete_adjoint_interior_data_times_match_fd():
     adj = adjoint_discrete(sys, params, run, ds, loss, RK4Fixed(0.004))
     fd = fd_gradient(sys, params, (0.0, 1.0), ds, loss, RK4Fixed(0.02), history=hist)
     assert rel_l2(adj.grad, fd) < 1e-4
+
+
+def test_discrete_adjoint_is_second_order_where_a_step_equals_the_delay():
+    # at dt = tau the last stage of the step below a data time reads the
+    # adjoint at that data time from above, where the store still ends with
+    # its pre-jump value: adding the jump back there costs the sweep its order
+    sys = discrete_toy(delays=(0.02,))
+    params = random_params(sys, 21)
+    ds = toy_dataset(np.random.default_rng(17), [0.3, 0.64, 1.0])
+    hist = constant_history(np.array([0.7, -0.1]))
+    run = forward_augmented(sys, params, (0.0, 1.0), RK4Fixed(0.001), history=hist)
+    ref = adjoint_discrete(sys, params, run, ds, QuadLoss(), RK4Fixed(0.001)).grad
+    err = [rel_l2(adjoint_discrete(sys, params, run, ds, QuadLoss(), RK4Fixed(dt)).grad, ref)
+           for dt in (0.02, 0.01)]
+    assert err[0] < 5.0 * err[1]
 
 
 def test_no_delay_recurrent_gradient_matches_dense():

@@ -7,7 +7,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGESTS = {"batch0", "batch1", "batch2", "window", "rollout", "single"}
+DIGESTS = {"batch0", "batch1", "batch2", "window", "rollout", "single"} | {
+    f"wide{i}" for i in range(16)}
 
 
 def test_digests_script_on_toy(tmp_path):
@@ -18,7 +19,7 @@ def test_digests_script_on_toy(tmp_path):
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     doc = json.loads(out.read_text(encoding="utf-8"))
-    assert doc["seed"] == 7 and doc["noise"] == 0.01
+    assert doc["seed"] == 7 and doc["noise"] == 0.01 and doc["wide_noise"] == 0.3
     assert set(doc["pairs"]) == {"toy/markovian", "toy/discrete", "toy/distributed"}
     for digests in doc["pairs"].values():
         assert set(digests) == DIGESTS
@@ -47,3 +48,10 @@ def test_compare_prints_the_entries_that_differ(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout.splitlines() == ["toy/discrete single", "toy/markovian window",
                                         "2 of 5 digests differ"]
+    # digests made at another perturbation are not compared entry by entry
+    b.write_text(json.dumps({"seed": 7, "noise": 0.01, "wide_noise": 0.3, "pairs": pairs}),
+                 encoding="utf-8")
+    proc = _compare(a, b)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines() == [
+        "seed/noise/wide_noise differ: (7, 0.01, None) vs (7, 0.01, 0.3)"]

@@ -261,12 +261,12 @@ def test_batched_history_term_matches_per_node(distributed_case):
 # ---------------------------------------------------------------------------
 
 
-def _counted_window(study_name, kind, monkeypatch):
-    """Forward and adjoint of one exp-study window, counting tapes, their
-    rows and reverse passes per (network, phase) and reverse passes per tape;
+def _counted_window(study_name, kind, monkeypatch, window=None):
+    """Forward and adjoint of one study window, counting tapes, their rows
+    and reverse passes per (network, phase) and reverse passes per tape;
     returns (closure, forward run, counts, sweep knots)."""
     study, data, ds = _study_data(study_name)
-    clo = study.closure(kind)
+    clo = study.closure(kind, window=window)
     sys = study.system(clo, getattr(data, "basis", None))
     s = study.settings(kind)
     start = int(train.admissible_starts(ds.n_steps, s.window_steps, s.supervise_stride)[3])
@@ -313,10 +313,12 @@ def test_discrete_window_tapes_each_stage_time_once(monkeypatch):
     assert counts[(net, "adjoint", "rows")] == len(stage_times) == 25
     # one full pass for the parameter gradient, where one per knot (two at
     # the interior jump knots) made 15; every RK4 stage and the advanced
-    # terms that find no stored pass run input-only: 62, where 50 did when
-    # each knot's stage 1 reused its full pass
+    # terms that find no stored pass run input-only: 59. An advanced read at
+    # a knot reads the stored adjoint there exactly, so it reuses that
+    # knot's stage-1 pass; 62 ran when it read a rounded time off the knot,
+    # and 50 when each knot's stage 1 reused its full pass
     assert counts[(net, "adjoint", "full")] == 1
-    assert counts[(net, "adjoint", "input")] == 62
+    assert counts[(net, "adjoint", "input")] == 59
 
 
 def test_distributed_window_history_is_one_batched_pass(monkeypatch):
@@ -379,6 +381,53 @@ def test_weighted_pass_is_the_per_knot_trapezoid_sum(kind, window, starts, monke
         mu0 = adj.adjoint_traj.eval(run.t0)[..., run.u_dim:]
         want[sys.n_theta:] -= closure.history_param_grad(sys, run, mu0)
     assert rel_l2(adj.grad, want) <= 1e-13
+
+
+@pytest.mark.parametrize("study_name, kind, window", [
+    ("toy", "markovian", None), ("toy", "discrete", None), ("toy", "distributed", None),
+    ("toy", "distributed", (0.2, 0.7)), ("exp2_subgrid", "discrete", None)])
+def test_each_advanced_read_is_planned_before_the_sweep(study_name, kind, window,
+                                                        monkeypatch):
+    # every time t + tau is snapped once, while the sweep's plan is built:
+    # once the sweep starts nothing is snapped, and each stage time looks up
+    # exactly its planned reads, none past T
+    plans, looked, stage_times, snapped = [], [], set(), Counter()
+    sweeping = [False]
+    snap, plan, sweep = closure._snap, closure._advanced_reads, closure._backward_sweep
+
+    def snap_rec(known, t):
+        snapped[sweeping[0]] += 1
+        return snap(known, t)
+
+    def sweep_rec(shape, grid, jump_times, jump_vals, rhs_adj):
+        sweeping[0] = True
+
+        def rhs(t, a, look):
+            stage_times.add(t)
+            return rhs_adj(t, a, lambda s: looked.append((t, s)) or look(s))
+        return sweep(shape, grid, jump_times, jump_vals, rhs)
+
+    monkeypatch.setattr(closure, "_snap", snap_rec)
+    monkeypatch.setattr(closure, "_advanced_reads",
+                        lambda *args: plans.append(plan(*args)) or plans[-1])
+    monkeypatch.setattr(closure, "_backward_sweep", sweep_rec)
+    clo, run, _, _ = _counted_window(study_name, kind, monkeypatch, window)
+    assert snapped[True] == 0 and snapped[False] == len(stage_times) * len(clo.lags)
+    (_, reads), = plans
+    T = run.t1
+    planned = {(t, s) for t, rs in reads.items() for _, s in rs}
+    assert set(looked) == planned and all(s <= T for _, s in looked)
+    # each read t + tau up to T is planned, at the time it is on paper
+    want = {(t, k): t + tau for t in stage_times for k, tau in enumerate(clo.lags)
+            if t + tau <= T + 1e-9 * T}
+    got = {(t, k): s for t, rs in reads.items() for k, s in rs}
+    assert got.keys() == want.keys()
+    assert all(abs(got[key] - want[key]) <= 1e-9 * T for key in want)
+    if clo.lags:
+        # the reads past T are left out: all of them on the toy's (0, 0.5)
+        # window, some elsewhere
+        assert len(planned) < len(stage_times) * len(clo.lags)
+        assert planned or clo.lags == (0.5,)
 
 
 # ---------------------------------------------------------------------------

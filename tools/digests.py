@@ -10,7 +10,12 @@ Gaussian noise, it digests:
   correlation);
 * one single-trajectory forward solve (scalar ``t_span``, the initial state
   read from the history) over the first training window, and its adjoint
-  gradient.
+  gradient;
+* at seed-7 ``initial_params`` plus 0.3 Gaussian noise, the loss and
+  gradient of 16 batches drawn like training draws them (``wide0`` to
+  ``wide15``): far from the initial weights the sweep's rounding reaches
+  more of the gradient's bits, so a change in its arithmetic shows there
+  when the 0.01 items stay equal.
 
 The output is one JSON file, so two source trees compute the same bits when
 their files are equal; ``--compare`` prints the (pair, item) entries whose
@@ -18,9 +23,9 @@ digests differ and exits 1 if any do::
 
     PYTHONPATH=src python tools/digests.py --out a.json
     PYTHONPATH=../other/src python tools/digests.py --out b.json
-    python tools/digests.py --compare a.json b.json
+    PYTHONPATH=src python tools/digests.py --compare a.json b.json
 
-NumPy only; the 15 pairs take about 10 s on a 2-vCPU Xeon VM.
+NumPy only; the 15 pairs take about 9 s on a 2-vCPU Xeon VM.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from neuralclosure.closure import adjoint_gradient, forward_augmented
 
 SEED = 7
 NOISE = 0.01
+WIDE_NOISE, WIDE_BATCHES = 0.3, 16
 
 
 def sha(*arrays) -> str:
@@ -52,7 +58,8 @@ def pair_digests(study, data, kind: str) -> dict:
     clo = study.closure(kind)
     system = study.system(clo, getattr(data, "basis", None))
     p0 = ex.initial_params(clo, SEED)
-    params = p0 + NOISE * np.random.default_rng(SEED).standard_normal(p0.size)
+    noise = np.random.default_rng(SEED).standard_normal(p0.size)
+    params = p0 + NOISE * noise
     s = study.settings(kind, seed=SEED)
     loss_spec, stepper, history = study.loss_spec(), study.forward_stepper(), ds.history_fn()
     args = (s, loss_spec, stepper, history)
@@ -81,6 +88,14 @@ def pair_digests(study, data, kind: str) -> dict:
     adj = adjoint_gradient(system, params, run, window, loss_spec, stepper)
     knots = run.traj.knots()
     out["single"] = sha(knots, run.traj.eval_many(knots), adj.grad)
+
+    wide = p0 + WIDE_NOISE * noise
+    rng = np.random.default_rng(SEED)
+    for i in range(WIDE_BATCHES):
+        starts = train.sample_batch(rng, ds.n_steps, s.batch_size, s.window_steps,
+                                    s.supervise_stride)
+        loss, grad = train.batch_gradient(system, wide, ds, starts, *args)
+        out[f"wide{i}"] = sha([loss], grad)
     return out
 
 
@@ -100,9 +115,9 @@ def compare(path_a: str, path_b: str) -> int:
     for path in (path_a, path_b):
         with open(path, encoding="utf-8") as fh:
             docs.append(json.load(fh))
-    if (docs[0]["seed"], docs[0]["noise"]) != (docs[1]["seed"], docs[1]["noise"]):
-        print(f"seed/noise differ: {docs[0]['seed']}/{docs[0]['noise']} vs "
-              f"{docs[1]['seed']}/{docs[1]['noise']}")
+    keys = [tuple(doc.get(k) for k in ("seed", "noise", "wide_noise")) for doc in docs]
+    if keys[0] != keys[1]:
+        print(f"seed/noise/wide_noise differ: {keys[0]} vs {keys[1]}")
         return 1
     diff = differing(*docs)
     for pair, item in diff:
@@ -130,7 +145,7 @@ def main(argv=None) -> int:
         data = study.setup()
         for kind in ex.CLOSURE_KINDS:
             pairs[f"{name}/{kind}"] = pair_digests(study, data, kind)
-    doc = {"seed": SEED, "noise": NOISE, "pairs": pairs}
+    doc = {"seed": SEED, "noise": NOISE, "wide_noise": WIDE_NOISE, "pairs": pairs}
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
