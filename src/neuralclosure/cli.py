@@ -417,7 +417,7 @@ def cmd_sweep_delay(cfg: ExperimentConfig, out: Path) -> int:
                   epochs=cfg.sweep_epochs if cfg.sweep_epochs is not None
                   else cfg.epochs)
     load_truth(cfg, out)   # shared by every run
-    files = truth_files(cfg.study())
+    shared = truth_files(cfg.study())[1:]   # gen-data's files after config.txt
     run_rows = []
     by_tau: dict[float, list[float]] = {}
     for tau2 in cfg.sweep_tau2:
@@ -426,14 +426,13 @@ def cmd_sweep_delay(cfg: ExperimentConfig, out: Path) -> int:
             rcfg = replace(cfg, seed=seed, window=(0.0, tau2))
             rdir = out / f"tau2_{tau2:g}" / f"rep{rep}"
             rdir.mkdir(parents=True, exist_ok=True)
-            # the shared truth files, with the run's own config.txt: its
-            # truth settings are the root's, and it scores the checkpoint
-            for name in files:
-                src = out / name
-                if src.exists() and not (rdir / name).exists():
-                    data = config_text(rcfg).encode() if name == "config.txt" \
-                        else src.read_bytes()
-                    (rdir / name).write_bytes(data)
+            # the shared truth files, copied once, and the run's own
+            # config.txt, written every time: its truth settings are the
+            # root's, and it scores the checkpoint this run trains
+            (rdir / "config.txt").write_bytes(config_text(rcfg).encode())
+            for name in shared:
+                if (out / name).exists() and not (rdir / name).exists():
+                    (rdir / name).write_bytes((out / name).read_bytes())
             result = run_training(rcfg, rdir, quiet=True)
             loss = final_epoch_val_loss(result.history)
             status = "diverged" if result.diverged or not np.isfinite(loss) \

@@ -21,18 +21,22 @@ every kind (as an ODE when it has no lags), and one adjoint function,
 :func:`adjoint_gradient`, sweeps every kind. ``adjoint_markovian``,
 ``adjoint_discrete`` and ``adjoint_distributed`` are other names for it.
 
-Gradients of data-time losses are computed by integrating adjoint variables
-backward in time. The adjoint equations reference *advanced* arguments
-lambda(t+tau), mu(t+tau); these are read from the backward-growing dense
-store. Losses enter as jumps lambda <- lambda - dl/du applied when the sweep
-crosses a data time; the sign convention is frozen against the
-finite-difference oracle in the tests. A sweep is planned before it starts:
-each stage time's advanced reads, snapped once onto the sweep's times and
-left out past the final time, where the adjoint is zero, and every network
-input, read from the forward run. So a sweep tapes each network once, over
-all the times it reads times all members, runs each RK4 stage's input-only
-pass on that time's rows, and takes the parameter gradient as one full
-reverse pass per network over the trapezoid-weighted adjoints of the knots.
+Forward solves and adjoint sweeps are fixed-step RK4, so each reads only
+times it planned before it starts. Gradients of data-time losses are
+computed by integrating adjoint variables backward in time. The adjoint
+equations reference *advanced* arguments lambda(t+tau), mu(t+tau); these are
+read from the backward-growing dense store, or, for the limit from above at
+a knot, as the value the step ending there reached. Losses enter as jumps
+lambda <- lambda - dl/du applied when the sweep crosses a data time; the
+sign convention is frozen against the finite-difference oracle in the
+tests. A sweep is planned before it starts: each stage time's advanced
+reads, snapped once onto the sweep's times and left out past the final time
+T, where the adjoint is zero (the limit from above at T has no value and
+runs no pass), and every network input, read from the forward run. So a
+sweep tapes each network once, over all the times it reads times all
+members, runs each RK4 stage's input-only pass on that time's rows, and
+takes the parameter gradient as one full reverse pass per network over the
+trapezoid-weighted adjoints of the knots.
 
 All parameters of one model travel in a single flat vector, one block per
 network of the closure's ``nets``: theta first, then phi for distributed
@@ -320,6 +324,13 @@ def _read_history(history: Callable, times, offsets) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _require_rk4(stepper) -> float:
+    if not isinstance(stepper, RK4Fixed):
+        raise ValueError("augmented solves and their adjoint sweeps are fixed-step RK4; "
+                         "pass RK4Fixed(dt)")
+    return stepper.dt
+
+
 @dataclass
 class ForwardRun:
     """Forward solution of an augmented system plus the context the adjoint
@@ -384,12 +395,13 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
 
     One right-hand side rhs(t, U, delayed) serves every closure kind, with
     ``delayed`` holding U at t - tau for tau in the closure's ``lags``. A
-    closure without lags is solved as an ODE. History is read by the
-    solve's lookup plan (:func:`integrate.dde_read_times`): u0 when it is not
-    given, every read before t0 of a fixed-step solve and the y(t0) nodes
-    are one ``history`` call, kept by exact time; a read off the plan (an
-    adaptive solve's) is one call of its own.
+    closure without lags is solved as an ODE. The solve is fixed-step RK4,
+    like the adjoint sweep (``stepper`` must be :class:`RK4Fixed`), so its
+    lookup plan (:func:`integrate.dde_read_times`) holds every time it reads:
+    u0 when it is not given, the reads before t0 and the y(t0) nodes are one
+    ``history`` call, and the solve reads them by exact time.
     """
+    _require_rk4(stepper)
     starts = np.asarray(t_span[0], dtype=float)
     ends = np.asarray(t_span[1], dtype=float)
     t0, t1 = float(starts.flat[0]), float(ends.flat[0])
@@ -408,8 +420,8 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
 
     # the solve's planned reads before t0, the y(t0) nodes and u0 unless
     # given, through one history call
-    planned = dde_read_times(lags, (t0, t1), stepper) if lags else None
-    reads = planned[planned < t0] if planned is not None else np.empty(0)
+    planned = dde_read_times(lags, (t0, t1), stepper) if lags else np.empty(0)
+    reads = planned[planned < t0]
     ts = c.history_nodes(t0) if aux and lags else np.empty(0)
     times = np.concatenate([reads, ts, [t0] if u0 is None else []])
     rows = _read_history(history, times, offsets) if times.size else ()
@@ -438,12 +450,9 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
         return np.concatenate([du, c.aux_rate(tm, u, delayed, views[1])], axis=-1)
 
     if lags:
-        def read(s):
-            # the closures read only the state part of a delayed value
-            return U0 if s >= t0 else _read_history(history, [s], offsets)[0]
-
-        hist = _memo(read, zip(reads.tolist(), rows))
-        traj = integrate_dde(DdeProblem(rhs=rhs, delays=lags, history=hist),
+        # the closures read only the state part of a delayed value
+        hist = dict(zip(reads.tolist(), rows)) | {t0: U0}
+        traj = integrate_dde(DdeProblem(rhs=rhs, delays=lags, history=hist.__getitem__),
                              (t0, t1), stepper)
     else:
         traj = integrate_ode(rhs, U0, (t0, t1), stepper)
@@ -536,15 +545,17 @@ def _backward_sweep(shape, grid, jump_times, jump_vals, rhs_adj):
 
     rhs_adj(t, a, look) gives the adjoint time derivative; ``look(s)`` reads
     the already-computed adjoint at a planned advanced time s <= T
-    (:func:`_advanced_reads`), t + tau for a shift tau that no step exceeds.
-    The adjoint state jumps at data times, so the advanced lookups are
-    one-sided there: stages at a step's upper knot take the limit from below
-    (the stored post-jump value, ``store.eval``), the final stage at the
-    lower knot takes the limit from above (jump added back, zero at T).
-    Every time where an advanced argument crosses a jump (data time minus
-    shift) is a segment bound of the grid, so that discontinuities of the
-    adjoint RHS land exactly on step boundaries; without this the sweep
-    degrades to first order.
+    (:func:`_advanced_reads`), t + tau for a shift tau that no step exceeds,
+    or gives None where that value is zero by definition. The adjoint state
+    jumps at data times, so the advanced lookups are one-sided there: the
+    first three stages of a step take the limit from below (the stored
+    post-jump value, ``store.eval``); the final stage, at the step's lower
+    knot, takes the limit from above, the adjoint just after s before any
+    jump at s: at a knot the value the step ending there reached, None at T,
+    and ``store.eval`` between knots. Every time where an advanced argument
+    crosses a jump (data time minus shift) is a segment bound of the grid,
+    so that discontinuities of the adjoint RHS land exactly on step
+    boundaries; without this the sweep degrades to first order.
 
     The sweep does not evaluate the parameter integral: it returns its
     trapezoid nodes on the backward knots, two per step [t, t_next] (each
@@ -564,15 +575,12 @@ def _backward_sweep(shape, grid, jump_times, jump_vals, rhs_adj):
         jump_map.setdefault(float(t), np.zeros(g.shape))
         jump_map[float(t)] += g
 
+    # lambda(s+) at each knot s the sweep has reached: the end value of the
+    # step ending at s, before the jump at s; none at T
+    above = {T: None}
+
     def look_above(s):
-        """lambda(s+): the pre-jump value, zero at T. The store ends at a
-        jump time with that value until the step below it is appended."""
-        if s == T:
-            return np.zeros(shape)
-        v = store.eval(s)
-        if s in jump_map and s != store.t_end:
-            v[..., :u_dim] += jump_map[s]
-        return v
+        return above[s] if s in above else store.eval(s)
 
     if T in jump_map:
         a[..., :u_dim] -= jump_map[T]
@@ -586,6 +594,7 @@ def _backward_sweep(shape, grid, jump_times, jump_vals, rhs_adj):
             f4 = rhs_adj(t_next, a + h * f3, look_above)
             a_next = a + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
             store.append(t, t_next, a, a_next, f1, f4)
+            above[t_next] = a_next
             node_t += [t, t_next]
             node_w += [0.5 * (t - t_next)] * 2
             node_a += [a, a_next]
@@ -594,25 +603,6 @@ def _backward_sweep(shape, grid, jump_times, jump_vals, rhs_adj):
             a = a.copy()
             a[..., :u_dim] -= jump_map[seg_lo]
     return store, (np.array(node_t), np.array(node_w), np.stack(node_a))
-
-
-def _require_rk4(stepper) -> float:
-    if not isinstance(stepper, RK4Fixed):
-        raise ValueError("adjoint sweeps are fixed-step RK4; pass RK4Fixed(dt)")
-    return stepper.dt
-
-
-def _memo(fn, known=()):
-    """``fn`` of a float time, computed once per exact time value; ``known``
-    holds (time, value) pairs already computed."""
-    seen = dict(known)
-
-    def at(t):
-        v = seen.get(t)
-        if v is None:
-            v = seen[t] = fn(t)
-        return v
-    return at
 
 
 def _advanced_reads(stages: np.ndarray, shifts, T: float) -> tuple[list, dict]:
@@ -767,17 +757,21 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
         lam = a[..., :n]
         fu, fy = c.f_input_grad(f_tapes.input_grad(t, lam), lead)
         acc = sys.base_vjp(t + offsets, state[t][..., :n], lam) + fu
-        planned = reads.get(t, ())
+        # the planned advanced reads that have a value
+        ahead = [(k, s, v) for k, s in reads.get(t, ()) if (v := look(s)) is not None]
         if not windowed:
-            for k, s in planned:
-                dx = f_tapes.input_grad(s, look(s)[..., :n])
+            for k, s, v in ahead:
+                dx = f_tapes.input_grad(s, v[..., :n])
                 acc = acc + c.f_input_grad(dx, lead, k + 1)[0]
-        elif planned or (tau1 == 0.0 and t < T):
+        else:
             # the window's g-terms -mu(t + tau_1) + mu(t + tau_2) in one
-            # pass; none at T, where mu is zero
-            mu = {c.lags[k]: look(s)[..., n:] for k, s in planned}
-            dmu = mu.get(tau2, 0.0) - (a[..., n:] if tau1 == 0.0 else mu[tau1])
-            acc = acc - g_tapes.input_grad(t, dmu).reshape(lead + (-1,))
+            # pass; none where both are zero: mu is zero at T and past it
+            mu = {c.lags[k]: v[..., n:] for k, s, v in ahead if s < T}
+            if tau1 == 0.0 and t < T:
+                mu[0.0] = a[..., n:]
+            if mu:
+                dmu = mu.get(tau2, 0.0) - mu.get(tau1, 0.0)
+                acc = acc - g_tapes.input_grad(t, dmu).reshape(lead + (-1,))
         return -acc if fy is None else np.concatenate([-acc, -fy], axis=-1)
 
     store, (node_t, node_w, node_a) = _backward_sweep(

@@ -36,7 +36,12 @@ def test_ab_on_the_same_tree_writes_its_schema(tmp_path):
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert set(doc) == {"workload", "seconds", "seeds", "checkouts", "runs", "summary"}
     assert doc["workload"] == "smoke" and doc["seeds"] == list(SEEDS)
-    assert doc["checkouts"] == {"base": str(ROOT), "change": str(ROOT)}
+    # each checkout as git describes it, no directory of this host
+    git = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
+                         capture_output=True, text=True)
+    name = git.stdout.strip() if git.returncode == 0 else "unknown"
+    assert doc["checkouts"] == {"base": name, "change": name}
+    assert str(ROOT) not in out.read_text(encoding="utf-8")
     # one run per side and seed, the first side alternating
     assert [(r["pair"], r["seed"], r["side"]) for r in doc["runs"]] == [
         (0, SEEDS[0], "base"), (0, SEEDS[0], "change"),

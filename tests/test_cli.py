@@ -445,6 +445,28 @@ def test_a_sweep_run_is_scored_under_its_own_config(tmp_path, capsys):
     assert "note" not in capsys.readouterr().err
 
 
+def test_a_rerun_sweep_scores_each_run_under_its_new_config(tmp_path, capsys):
+    # a second sweep into the same OUT retrains each run under its new config,
+    # so the run's config.txt is rewritten with it; the truth files stay
+    out = tmp_path / "sweep"
+    run = out / "tau2_0.1" / "rep0"
+
+    def sweep(epochs):
+        cfgp = _write(tmp_path, "[run]\nexperiment = toy\n[sweep]\ntau2 = 0.1\n"
+                                f"repeats = 1\nepochs = {epochs}\n")
+        assert cli.main(["sweep-delay", "--config", cfgp, "--out", str(out)]) == 0
+
+    sweep(1)
+    truth = (run / "truth.csv").stat().st_mtime_ns
+    sweep(2)
+    assert (run / "truth.csv").stat().st_mtime_ns == truth
+    assert load_checkpoint(run / "checkpoint.txt").epoch == 2
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", str(run / "config.txt"),
+                     "--out", str(run)]) == 0
+    assert "note" not in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from neuralclosure.closure import (
     run_loss,
 )
 from neuralclosure.integrate import DormandPrince54, RK4Fixed, integrate_ode
+from neuralclosure.train import SnapshotDataset, evaluate_rollout
 
 from oracles import rel_l2
 
@@ -436,6 +437,27 @@ def test_run_loss_reports_forward_total():
                          RK4Fixed(0.01), u0=u0)
     assert loss < 1e-12
     assert run.t1 == 1.0
+
+
+@pytest.mark.parametrize("kind", ["markovian", "discrete"])
+@pytest.mark.parametrize("solve", ["forward_augmented", "run_loss", "evaluate_rollout"])
+def test_augmented_solves_refuse_an_adaptive_stepper(solve, kind):
+    # a forward solve is fixed-step RK4 like its adjoint sweep, so its lookup
+    # plan holds every time it reads; the same call on RK4Fixed runs
+    sys = markovian_toy() if kind == "markovian" else discrete_toy()
+    params = random_params(sys, 3)
+    hist = constant_history(np.array([1.0, 0.0]))
+    ds = SnapshotDataset([0.0, 0.5, 1.0], [[1.0, 0.0], [0.6, 0.1], [0.4, 0.1]])
+    call = {
+        "forward_augmented": lambda st: forward_augmented(sys, params, (0.0, 1.0), st,
+                                                          history=hist),
+        "run_loss": lambda st: run_loss(sys, params, (0.0, 1.0), ds, QuadLoss(), st,
+                                        history=hist),
+        "evaluate_rollout": lambda st: evaluate_rollout(sys, params, ds, st, history=hist),
+    }[solve]
+    call(RK4Fixed(0.02))
+    with pytest.raises(ValueError, match="fixed-step RK4; pass RK4Fixed"):
+        call(DormandPrince54())
 
 
 @pytest.mark.parametrize("closure", [

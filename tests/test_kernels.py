@@ -313,12 +313,34 @@ def test_discrete_window_tapes_each_stage_time_once(monkeypatch):
     assert counts[(net, "adjoint", "rows")] == len(stage_times) == 25
     # one full pass for the parameter gradient, where one per knot (two at
     # the interior jump knots) made 15; every RK4 stage and the advanced
-    # terms that find no stored pass run input-only: 59. An advanced read at
+    # terms that find no stored pass run input-only: 58. An advanced read at
     # a knot reads the stored adjoint there exactly, so it reuses that
     # knot's stage-1 pass; 62 ran when it read a rounded time off the knot,
-    # and 50 when each knot's stage 1 reused its full pass
+    # 59 when the read at T ran on its zero adjoint, and 50 when each knot's
+    # stage 1 reused its full pass
     assert counts[(net, "adjoint", "full")] == 1
-    assert counts[(net, "adjoint", "input")] == 59
+    assert counts[(net, "adjoint", "input")] == 58
+
+
+@pytest.mark.parametrize("study_name, kind, window", [
+    *((name, "discrete", None) for name in ex.EXPERIMENTS),
+    ("toy", "distributed", (0.2, 0.7))])
+def test_sweep_runs_no_input_pass_on_a_zero_cotangent(study_name, kind, window,
+                                                      monkeypatch):
+    # the adjoint just after T is zero: a read there has no value and runs no
+    # pass, where the discrete sweeps of toy, exp1, exp2 and exp3b each ran
+    # one on zeros; mu is zero at T from both sides, so a window edge at T
+    # runs none either
+    zero = Counter()
+    backward_input = nn.backward_input
+
+    def rec(tp, w):
+        zero[not np.any(w)] += 1
+        return backward_input(tp, w)
+
+    monkeypatch.setattr(nn, "backward_input", rec)
+    _counted_window(study_name, kind, monkeypatch, window)
+    assert zero[False] > 0 and zero[True] == 0
 
 
 def test_distributed_window_history_is_one_batched_pass(monkeypatch):

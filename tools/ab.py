@@ -3,8 +3,9 @@
 Runs each checkout's own ``perfbench/run.py --trace 0`` once per seed, base
 and change one after the other, swapping which side goes first from one seed
 to the next, so both sides see the same drift in host speed. Writes one JSON
-file with every run's result, and per metric the medians and quartiles of
-both sides and the number of pairs the change won::
+file with each checkout's ``git describe``, every run's result, and per
+metric the medians and quartiles of both sides and the number of pairs the
+change won::
 
     python tools/ab.py --base ../parent --change . --workload train-grid \\
         --seeds 3 5 7 11 13 17 --seconds 50 --out ab-grid.json
@@ -50,6 +51,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "units": {k: v["unit"] for k, v in result["metrics"].items()}}
+
+
+def describe(checkout: Path) -> str:
+    """``git describe --always --dirty`` of ``checkout``, or ``unknown``."""
+    try:
+        proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
+                              capture_output=True, text=True, timeout=60)
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return proc.stdout.strip() if proc.returncode == 0 and proc.stdout.strip() else "unknown"
 
 
 def summarize(runs: list[dict], better: dict) -> dict:
@@ -115,7 +126,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
     summary = summarize(runs, better)
     doc = {"workload": args.workload, "seconds": args.seconds, "seeds": args.seeds,
-           "checkouts": {k: str(v) for k, v in checkouts.items()},
+           "checkouts": {k: describe(v) for k, v in checkouts.items()},
            "runs": runs, "summary": summary}
     args.out.write_text(json.dumps(doc, indent=1, default=float) + "\n", encoding="utf-8")
     print(table(summary))
