@@ -15,10 +15,12 @@ architectures need and nothing else:
 
 Parameters live in one flat float64 vector: layer by layer, each layer's
 parameters in order, each row-major. :meth:`Network.unpack` decodes it into
-per-layer views; a forward pass takes either the flat vector (and decodes it
-once) or views decoded earlier, so a caller running many passes on one
-vector decodes it once. The tape keeps the views for its reverse passes.
-Every layer provides forward and reverse (input and parameter) passes.
+per-layer views, and each convolution kernel into the contiguous forward
+and reverse matrices its passes multiply by; a forward pass takes either the
+flat vector (and decodes it once) or views decoded earlier, so a caller
+running many passes on one vector decodes it once. The tape keeps the views
+for its reverse passes. Every layer provides forward and reverse (input and
+parameter) passes.
 
 Every input is one array, with one layout per network kind:
 
@@ -45,20 +47,29 @@ or :func:`backward_input` (input cotangent only, skipping all weight-gradient
 work) run on that tape, as often as needed. :func:`vjp` composes the two.
 :func:`rows` views a block of a batched tape's rows as a tape of its own, so
 one forward pass over many inputs serves reverse passes on any of them.
+A tape keeps per layer what its reverse passes read: the layer input (a
+convolution's tap windows) for the weight gradient, and act'(z) of an
+activated layer, one per sequence step in a recurrent cell. A reverse pass
+multiplies its cotangent by that act'(z), one NumPy call per layer, and
+recomputes nothing from the forward pass. A plain forward (:func:`forward`,
+:func:`rnn_forward`) computes no derivative.
 
 Each convolution pass is one matmul over the tap windows of one padded copy.
-The kernels work in place on the arrays they allocate themselves (an
-activation and its derivative, a bias added after the product, a cotangent
-scaled by the derivative), and on nothing else: no layer writes into its
-input, its cotangent or a tape's arrays, so a tape serves any number of
-reverse passes and a caller's arrays come back as they went in.
+The kernels work in place on the arrays they allocate themselves, and on
+nothing else. A layer adds its bias to its own product, and activates that
+pre-activation in place: a tanh overwrites it, and a plain forward's swish
+halves it and multiplies (z *= 0.5; y = tanh(z); y += 1; y *= z, bit for bit
+z * sigmoid(z)). A tape's derivative and a scaled cotangent are new arrays.
+No layer writes into its input, its cotangent, its parameters or a tape's
+arrays, so a tape serves any number of reverse passes and a caller's arrays
+come back as they went in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,39 +91,49 @@ def _sigmoid(z):
 
 
 def _act(name, z):
-    """act(z), and what its derivative reuses: tanh(z) itself for tanh, the
-    sigmoid for swish, None for linear."""
+    """act(z) for a pass that keeps no tape, computed in place on z, the
+    layer's own pre-activation, which it overwrites."""
     if name == "tanh":
-        t = np.tanh(z)
-        return t, t
+        return np.tanh(z, out=z)
+    if name == "swish":
+        # (z / 2) * (1 + tanh(z / 2)) is z * sigmoid(z) bit for bit: the
+        # halving is exact wherever 1 + tanh(z / 2) differs from 1
+        z *= 0.5
+        y = np.tanh(z)
+        y += 1.0
+        y *= z
+        return y
+    return z
+
+
+def _act_deriv(name, z):
+    """(act(z), act'(z)) for a tape, in place on z like ``_act``; act'(z)
+    is None for linear, whose derivative is one."""
+    if name == "tanh":
+        y = np.tanh(z, out=z)
+        d = y * y
+        return y, np.subtract(1.0, d, out=d)
     if name == "swish":
         s = _sigmoid(z)
-        return z * s, s
-    return z, None
-
-
-def _act_deriv(name, z, s):
-    """act'(z), given the ``s`` that ``_act`` returned with act(z), in the
-    one array it allocates; None for linear, whose derivative is one."""
-    if name == "tanh":
-        d = s * s
-        return np.subtract(1.0, d, out=d)
-    if name == "swish":
         d = 1.0 - s
         d *= z
         d += 1.0
         d *= s
-        return d
-    return None
+        s *= z
+        return s, d
+    return z, None
 
 
-def _scale(name, z, s, w):
-    """The cotangent w times act'(z): a new array, or w itself for linear."""
-    d = _act_deriv(name, z, s)
-    if d is None:
-        return w
-    d *= w
-    return d
+def _activate(name, z, keep):
+    """(act(z), act'(z)) when the pass keeps a tape, (act(z), None) when
+    not."""
+    return _act_deriv(name, z) if keep else (_act(name, z), None)
+
+
+def _scale(d, w):
+    """The cotangent w times a tape's act'(z): a new array, or w itself for
+    linear (d None)."""
+    return w if d is None else d * w
 
 
 ACTIVATIONS = ("tanh", "swish", "linear")
@@ -143,27 +164,42 @@ def _windows(x, k, left):
     return win
 
 
-def _conv_same(x, K, b):
-    """Correlate (..., n, ci) with kernel (k, ci, co); returns (y, windows).
-    Leading axes of x are batch axes."""
+class _Kernel(NamedTuple):
+    """A correlation kernel K (k, ci, co) decoded for its passes: the tap
+    count, the forward matrix K as (k * ci, co), and the reverse matrix of
+    the taps in reverse order, each transposed, as (k * co, ci). Both are
+    contiguous copies."""
+
+    k: int
+    fwd: np.ndarray
+    rev: np.ndarray
+
+
+def _kernel(K) -> _Kernel:
     k, ci, co = K.shape
-    win = _windows(x, k, (k - 1) // 2)
-    y = win @ K.reshape(k * ci, co)
+    return _Kernel(k, K.reshape(k * ci, co).copy(),
+                   K[::-1].transpose(0, 2, 1).reshape(k * co, ci).copy())
+
+
+def _conv_same(x, ker, b):
+    """Correlate (..., n, ci) with a decoded kernel (:func:`_kernel`);
+    returns (y, windows). Leading axes of x are batch axes."""
+    win = _windows(x, ker.k, (ker.k - 1) // 2)
+    y = win @ ker.fwd
     y += b
     return y, win
 
 
-def _conv_same_vjp(win, K, w, grads=True):
+def _conv_same_vjp(win, ker, w, grads=True):
     """Reverse pass of _conv_same on its windows; returns (dx, dK, db), with
     dK and db None when ``grads`` is false. Weight gradients sum over the
     batch axes."""
-    k, ci, co = K.shape
     # dx[j] = sum_d w[j + (k - 1) // 2 - d] @ K[d].T: the windows of w padded
-    # k // 2 rows before, times the taps in reverse order, each transposed
-    dx = _windows(w, k, k // 2) @ K[::-1].transpose(0, 2, 1).reshape(k * co, ci)
+    # k // 2 rows before, times the reverse matrix
+    dx = _windows(w, ker.k, ker.k // 2) @ ker.rev
     if not grads:
         return dx, None, None
-    return (dx, *_conv_same_grads(win, w, k))
+    return (dx, *_conv_same_grads(win, w, ker.k))
 
 
 def _conv_same_grads(win, w, k):
@@ -178,13 +214,17 @@ def _conv_same_grads(win, w, k):
 # ---------------------------------------------------------------------------
 #
 # ``param_specs()`` lists each parameter's shape and Glorot-uniform limit
-# (None for a parameter that is not drawn). ``forward(p, x, t)`` returns
-# (output, cache) and ``backward(p, cache, w, grads)`` returns (dx, parameter
-# gradients), where ``p`` is the layer's tuple of parameter views; with
-# ``grads`` false the second entry is None and no weight-gradient work is
-# done. The input cotangent is computed by the same operations either way.
+# (None for a parameter that is not drawn). ``forward(p, x, t, keep)``
+# returns (output, cache) and ``backward(p, cache, w, grads)`` returns (dx,
+# parameter gradients), where ``p`` is the layer's entry of
+# :meth:`Network.unpack`; the cache holds what reverse passes read, act'(z)
+# included, only when ``keep`` is true (a tape). With ``grads`` false the
+# second entry is None and no weight-gradient work is done. The input
+# cotangent is computed by the same operations either way.
 # ``rows(cache, sl)`` gives the cache of the batch rows ``sl`` (a slice) as
-# views, the cache a forward pass over those rows alone would keep.
+# views, the cache a forward pass over those rows alone would keep. A
+# convolution layer's ``kernels(views)`` decodes its kernels (``_kernel``),
+# which :meth:`Network.unpack` appends to its views.
 # Recurrent cells take the whole sequence as x, one array with the sequence
 # on the leading axis (then any batch axis), and return dx stacked the same
 # way. Their input half runs in one call over the sequence and batch, and only
@@ -214,25 +254,25 @@ class Dense:
             raise ValueError(f"Dense({self.n_in},{self.n_out}) cannot follow {spec}")
         return ("dense", self.n_out)
 
-    def forward(self, p, x, t):
+    def forward(self, p, x, t, keep=False):
         W, b = p
         z = x @ W.T
         z += b
-        y, s = _act(self.act, z)
-        return y, (x, z, s)
+        y, d = _activate(self.act, z, keep)
+        return y, (x, d)
 
     def backward(self, p, cache, w, grads=True):
         W, _ = p
-        x, z, s = cache
-        dz = _scale(self.act, z, s, w)
+        x, d = cache
+        dz = _scale(d, w)
         if not grads:
             return dz @ W, None
         dz2 = dz.reshape(-1, self.n_out)
         return dz @ W, (dz2.T @ x.reshape(-1, self.n_in), dz2.sum(axis=0))
 
     def rows(self, cache, sl):
-        x, z, s = cache
-        return x[sl], z[sl], s if s is None else s[sl]
+        x, d = cache
+        return x[sl], d if d is None else d[sl]
 
     def describe(self):
         return f"Dense({self.n_in}->{self.n_out},{self.act})"
@@ -265,11 +305,11 @@ class SimpleRnnCell:
             raise ValueError(f"SimpleRnnCell({self.n_in}) cannot follow {spec}")
         return ("dense", self.units)
 
-    def forward(self, p, xs, t):
+    def forward(self, p, xs, t, keep=False):
         Wx, Wh, b = p
         zx = xs @ Wx.T
         h = np.zeros(zx.shape[1:])
-        zs, ss, hs = [], [], [h]
+        ds, hs = [], [h]
         for i, zx_i in enumerate(zx):
             # the first step's hidden state is zero, so z_0 = zx_0 + b
             if i:
@@ -278,19 +318,18 @@ class SimpleRnnCell:
                 z += b
             else:
                 z = zx_i + b
-            h, s = _act(self.act, z)
-            zs.append(z)
-            ss.append(s)
+            h, d = _activate(self.act, z, keep)
+            ds.append(d)
             hs.append(h)
-        return h, (xs, zs, ss, hs)
+        return h, (xs, ds, hs)
 
     def backward(self, p, cache, w, grads=True):
         Wx, Wh, _ = p
-        xs, zs, ss, hs = cache
-        dzs = np.empty((len(zs),) + w.shape)
+        xs, ds, hs = cache
+        dzs = np.empty((len(ds),) + w.shape)
         dh = w
-        for i in range(len(zs) - 1, -1, -1):
-            dzs[i] = dz = _scale(self.act, zs[i], ss[i], dh)
+        for i in range(len(ds) - 1, -1, -1):
+            dzs[i] = dz = _scale(ds[i], dh)
             dh = dz @ Wh
         dxs = dzs @ Wx
         if not grads:
@@ -300,10 +339,9 @@ class SimpleRnnCell:
                      dz2.T @ np.stack(hs[:-1]).reshape(-1, self.units), dz2.sum(axis=0))
 
     def rows(self, cache, sl):
-        xs, zs, ss, hs = cache
+        xs, ds, hs = cache
         # the sequence comes first, then the batch
-        return (xs[:, sl], [z[sl] for z in zs], [s if s is None else s[sl] for s in ss],
-                [h[sl] for h in hs])
+        return xs[:, sl], [d if d is None else d[sl] for d in ds], [h[sl] for h in hs]
 
     def describe(self):
         return f"SimpleRnnCell({self.n_in}->{self.units},{self.act})"
@@ -317,7 +355,8 @@ class SimpleRnnConvCell:
     recurrent kernels, followed by an output convolution
     out = act(Conv(h_T; Ko) + bo) that belongs to the layer. Params:
     Kx (k, in_ch, units), Kh (k, units, units), b (units,),
-    Ko (k, units, units), bo (units,).
+    Ko (k, units, units), bo (units,); :meth:`Network.unpack` follows them
+    with the three kernels decoded (:func:`_kernel`).
     """
 
     in_ch: int
@@ -341,46 +380,48 @@ class SimpleRnnConvCell:
             raise ValueError(f"SimpleRnnConvCell({self.in_ch}ch) cannot follow {spec}")
         return ("grid", self.units)
 
-    def forward(self, p, xs, t):
-        Kx, Kh, b, Ko, bo = p
-        zx, xwin = _conv_same(xs, Kx, 0.0)
+    def kernels(self, views):
+        Kx, Kh, _, Ko, _ = views
+        return _kernel(Kx), _kernel(Kh), _kernel(Ko)
+
+    def forward(self, p, xs, t, keep=False):
+        _, _, b, _, bo, kx, kh, ko = p
+        zx, xwin = _conv_same(xs, kx, 0.0)
         # the first step's hidden state and its windows are zero: z_0 = zx_0 + b
         hwin = np.zeros(zx.shape[1:-1] + (self.kernel * self.units,))
-        zs, ss, hwins = [], [], []
+        ds, hwins = [], []
         for i, zx_i in enumerate(zx):
             if i:
-                z, hwin = _conv_same(h, Kh, b)
+                z, hwin = _conv_same(h, kh, b)
                 z += zx_i
             else:
                 z = zx_i + b
-            h, s = _act(self.act, z)
-            zs.append(z)
-            ss.append(s)
+            h, d = _activate(self.act, z, keep)
+            ds.append(d)
             hwins.append(hwin)
-        zo, owin = _conv_same(h, Ko, bo)
-        out, so = _act(self.act, zo)
-        return out, (xwin, zs, ss, hwins, zo, so, owin)
+        zo, owin = _conv_same(h, ko, bo)
+        out, do = _activate(self.act, zo, keep)
+        return out, (xwin, ds, hwins, do, owin)
 
     def backward(self, p, cache, w, grads=True):
-        Kx, Kh, b, Ko, bo = p
-        xwin, zs, ss, hwins, zo, so, owin = cache
-        dzo = _scale(self.act, zo, so, w)
-        dh, dKo, dbo = _conv_same_vjp(owin, Ko, dzo, grads)
-        dzs = np.empty((len(zs),) + dh.shape)
-        for i in range(len(zs) - 1, -1, -1):
-            dzs[i] = dz = _scale(self.act, zs[i], ss[i], dh)
-            dh = _conv_same_vjp(hwins[i], Kh, dz, False)[0]
-        dxs, dKx, _ = _conv_same_vjp(xwin, Kx, dzs, grads)
+        kx, kh, ko = p[5:]
+        xwin, ds, hwins, do, owin = cache
+        dh, dKo, dbo = _conv_same_vjp(owin, ko, _scale(do, w), grads)
+        dzs = np.empty((len(ds),) + dh.shape)
+        for i in range(len(ds) - 1, -1, -1):
+            dzs[i] = dz = _scale(ds[i], dh)
+            dh = _conv_same_vjp(hwins[i], kh, dz, False)[0]
+        dxs, dKx, _ = _conv_same_vjp(xwin, kx, dzs, grads)
         if not grads:
             return dxs, None
         dKh, db = _conv_same_grads(np.stack(hwins), dzs, self.kernel)
         return dxs, (dKx, dKh, db, dKo, dbo)
 
     def rows(self, cache, sl):
-        zo, so, owin = cache[4:]
+        do, owin = cache[3:]
         # the recurrent half's cache is laid out like SimpleRnnCell's
-        return (*SimpleRnnCell.rows(self, cache[:4], sl),
-                zo[sl], so if so is None else so[sl], owin[sl])
+        return (*SimpleRnnCell.rows(self, cache[:3], sl),
+                do if do is None else do[sl], owin[sl])
 
     def describe(self):
         return (f"SimpleRnnConvCell({self.in_ch}ch->{self.units}ch,"
@@ -389,7 +430,10 @@ class SimpleRnnConvCell:
 
 @dataclass(frozen=True)
 class Conv1d:
-    """1-D convolution, stride 1, same zero padding, on (n, channels) fields."""
+    """1-D convolution, stride 1, same zero padding, on (n, channels) fields.
+    Params: K (k, in_ch, out_ch), b (out_ch,); :meth:`Network.unpack`
+    follows them with the correlation kernel ``taps(K)`` decoded
+    (:func:`_kernel`)."""
 
     in_ch: int
     out_ch: int
@@ -416,17 +460,18 @@ class Conv1d:
         with respect to the taps back onto K."""
         return K
 
-    def forward(self, p, x, t):
-        K, b = p
-        z, win = _conv_same(x, self.taps(K), b)
-        y, s = _act(self.act, z)
-        return y, (win, z, s)
+    def kernels(self, views):
+        return (_kernel(self.taps(views[0])),)
+
+    def forward(self, p, x, t, keep=False):
+        _, b, ker = p
+        z, win = _conv_same(x, ker, b)
+        y, d = _activate(self.act, z, keep)
+        return y, (win, d)
 
     def backward(self, p, cache, w, grads=True):
-        K, _ = p
-        win, z, s = cache
-        dz = _scale(self.act, z, s, w)
-        dx, dK, db = _conv_same_vjp(win, self.taps(K), dz, grads)
+        win, d = cache
+        dx, dK, db = _conv_same_vjp(win, p[2], _scale(d, w), grads)
         return dx, (self.taps(dK), db) if grads else None
 
     rows = Dense.rows
@@ -479,7 +524,7 @@ class AddExtraChannels:
             raise ValueError(f"AddExtraChannels expects {self.in_ch} channels, got {ch}")
         return ("grid", ch + self.n_extra)
 
-    def forward(self, p, x, t):
+    def forward(self, p, x, t, keep=False):
         if t is None:
             raise ValueError("AddExtraChannels needs the evaluation time t")
         extra = np.asarray(self.channels_fn(t), dtype=float)
@@ -516,7 +561,7 @@ class BioConstrain:
             raise ValueError("BioConstrain requires exactly one input channel")
         return (kind, 3)
 
-    def forward(self, p, x, t):
+    def forward(self, p, x, t, keep=False):
         beta = p[0][0]
         s = x[..., 0]
         out = s[..., None] * np.array([beta, -1.0, 1.0 - beta])
@@ -543,6 +588,7 @@ LayerSpec = (Dense | SimpleRnnCell | SimpleRnnConvCell | Conv1d | Conv1dTranspos
              | AddExtraChannels | BioConstrain)
 
 _RECURRENT = (SimpleRnnCell, SimpleRnnConvCell)
+_CONV = (Conv1d, SimpleRnnConvCell)   # the layers with ``kernels(views)``
 
 
 # ---------------------------------------------------------------------------
@@ -593,21 +639,25 @@ class Network:
         return ";".join(lay.describe() for lay in self.layers)
 
     def unpack(self, params: Vec) -> tuple:
-        """The flat vector decoded into one tuple of parameter views per
-        layer, shaped per the layer's ``param_specs``. The views share
-        memory with ``params`` when it is a float64 vector."""
+        """The flat vector decoded once for the layers' passes: one tuple per
+        layer, its parameter views shaped per ``param_specs``, then for a
+        convolution layer its kernels as contiguous forward and reverse
+        matrices (``kernels``). The views share memory with ``params`` when
+        it is a float64 vector; the matrices are copies, made here so that
+        no pass reshapes or flips a kernel."""
         params = np.asarray(params, dtype=float)
         if params.shape != (self.n_params,):
             raise ValueError(
                 f"parameter vector has shape {params.shape}, expected ({self.n_params},)")
         views, off = [], 0
-        for shapes in self._shapes:
+        for lay, shapes in zip(self.layers, self._shapes):
             layer = []
             for shape in shapes:
                 size = math.prod(shape)
                 layer.append(params[off:off + size].reshape(shape))
                 off += size
-            views.append(tuple(layer))
+            layer = tuple(layer)
+            views.append(layer + lay.kernels(layer) if isinstance(lay, _CONV) else layer)
         return tuple(views)
 
     def _check_input(self, x):
@@ -629,14 +679,15 @@ class Network:
         return x
 
 
-def _run_tape(net: Network, x, params, t):
-    """The forward pass: the Tape fields after ``net``. ``params`` is the
-    flat vector or its :meth:`Network.unpack` views."""
+def _run_tape(net: Network, x, params, t, keep):
+    """The forward pass: the Tape fields after ``net``, with the caches
+    holding what reverse passes read only when ``keep`` is true. ``params``
+    is the flat vector or its :meth:`Network.unpack` views."""
     views = params if isinstance(params, tuple) else net.unpack(params)
     x = net._check_input(x)
     caches = []
     for lay, p in zip(net.layers, views):
-        x, cache = lay.forward(p, x, t)
+        x, cache = lay.forward(p, x, t, keep)
         caches.append(cache)
     return views, x, caches
 
@@ -680,7 +731,7 @@ def forward(net: Network, x, params: Vec, t=None):
     :meth:`Network.unpack` views; ``t`` is one time or one per member."""
     if net.recurrent:
         raise ValueError("recurrent network: use rnn_forward with a sequence")
-    return _run_tape(net, x, params, t)[1]
+    return _run_tape(net, x, params, t, False)[1]
 
 
 def rnn_forward(net: Network, xs, params: Vec, t=None):
@@ -688,7 +739,7 @@ def rnn_forward(net: Network, xs, params: Vec, t=None):
     stacked along the leading axis (then an optional batch axis)."""
     if not net.recurrent:
         raise ValueError("rnn_forward requires a network with a recurrent cell")
-    return _run_tape(net, xs, params, t)[1]
+    return _run_tape(net, xs, params, t, False)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -708,7 +759,7 @@ def tape(net: Network, x, params: Vec, t=None) -> Tape:
 
     For recurrent networks ``x`` is the input sequence, oldest first.
     """
-    return Tape(net, *_run_tape(net, x, params, t))
+    return Tape(net, *_run_tape(net, x, params, t, True))
 
 
 def rows(tp: Tape, sl: slice) -> Tape:
@@ -748,7 +799,8 @@ def init_params(net: Network, seed: int, *, zero_final: bool = True) -> Vec:
     """
     rng = np.random.default_rng(seed)
     params = np.zeros(net.n_params)
-    views = net.unpack(params)
+    # each layer's parameter views, without the kernels decoded from them
+    views = [p[:len(lay.param_specs())] for lay, p in zip(net.layers, net.unpack(params))]
     for lay, vs in zip(net.layers, views):
         for v, (_, lim) in zip(vs, lay.param_specs()):
             if lim is not None:

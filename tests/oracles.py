@@ -80,31 +80,31 @@ def rnn_cell_loop(cell, p, xs, w):
     conv = isinstance(cell, nn.SimpleRnnConvCell)
     if conv:
         Kx, Kh, b, Ko, bo = p
+        kx, kh, ko = nn._kernel(Kx), nn._kernel(Kh), nn._kernel(Ko)
         h = np.zeros((xs.shape[1], cell.units))
     else:
         Wx, Wh, b = p
         h = np.zeros(cell.units)
-    zs, ss, hs = [], [], [h]
+    ds, hs = [], [h]
     for x in xs:
-        z = (nn._conv_same(x, Kx, 0.0)[0] + nn._conv_same(h, Kh, b)[0] if conv
+        z = (nn._conv_same(x, kx, 0.0)[0] + nn._conv_same(h, kh, b)[0] if conv
              else Wx @ x + Wh @ h + b)
-        h, s = nn._act(cell.act, z)
-        zs.append(z)
-        ss.append(s)
+        h, d = nn._act_deriv(cell.act, z)
+        ds.append(d)
         hs.append(h)
     if conv:
-        zo, opad = nn._conv_same(h, Ko, bo)
-        out, so = nn._act(cell.act, zo)
-        dh, dKo, dbo = nn._conv_same_vjp(opad, Ko, w * nn._act_deriv(cell.act, zo, so))
+        zo, opad = nn._conv_same(h, ko, bo)
+        out, do = nn._act_deriv(cell.act, zo)
+        dh, dKo, dbo = nn._conv_same_vjp(opad, ko, w * do)
     else:
         out, dh = h, w
     dxs = np.zeros_like(xs)
     grads = [np.zeros_like(v) for v in p]
     for i in range(len(xs) - 1, -1, -1):
-        dz = dh * nn._act_deriv(cell.act, zs[i], ss[i])
+        dz = dh * ds[i]
         if conv:
-            dxs[i], dKx, _ = nn._conv_same_vjp(nn._conv_same(xs[i], Kx, 0.0)[1], Kx, dz)
-            dh, dKh, db = nn._conv_same_vjp(nn._conv_same(hs[i], Kh, b)[1], Kh, dz)
+            dxs[i], dKx, _ = nn._conv_same_vjp(nn._conv_same(xs[i], kx, 0.0)[1], kx, dz)
+            dh, dKh, db = nn._conv_same_vjp(nn._conv_same(hs[i], kh, b)[1], kh, dz)
             for g, d in zip(grads, (dKx, dKh, db)):
                 g += d
         else:

@@ -13,8 +13,9 @@ largest entry) in its output and input cotangent at k > 1. Also here: row
 views of a batched tape against fresh tapes, the tape and reverse-pass
 budget of one training window on the shipped studies, the in-place
 activations, bias and discrete sequence input against the expressions they
-replace, and repeated reverse passes on one tape, whose convolution windows
-are read-only.
+replace, repeated reverse passes on one tape, whose convolution windows
+are read-only, the plain forward against the tape on every closure network,
+and reverse passes that read the taped act'(z) instead of recomputing it.
 """
 
 import warnings
@@ -50,12 +51,12 @@ def test_sigmoid_matches_the_two_branch_form():
         warnings.simplefilter("error")
         got = nn._sigmoid(z)
         ends = np.array([-800.0, 800.0])
-        y, s = nn._act("swish", ends)
-        acts = [y, nn._act_deriv("swish", ends, s)]
+        acts = [*nn._act_deriv("swish", ends.copy()), nn._act("swish", ends.copy())]
     assert np.all(np.isfinite(got)) and all(np.all(np.isfinite(a)) for a in acts)
     assert np.max(np.abs(got - oracles.sigmoid_two_branch(z))) <= 1e-15
     np.testing.assert_array_equal(acts[0], [0.0, 800.0])
     np.testing.assert_array_equal(acts[1], [0.0, 1.0])
+    np.testing.assert_array_equal(acts[2], [0.0, 800.0])
 
 
 def _close(a, ref, rel=2e-15):
@@ -73,14 +74,15 @@ def test_conv_matches_the_tap_loop_bit_for_bit(k):
     K = rng.normal(size=(k, 5, 7))
     b = rng.normal(size=7)
     w = rng.normal(size=(20, 7))
-    y, win = nn._conv_same(x, K, b)
+    ker = nn._kernel(K)
+    y, win = nn._conv_same(x, ker, b)
     y_ref, xpad_ref = oracles.conv_same_loop(x, K, b)
-    dx, dK, db = nn._conv_same_vjp(win, K, w)
+    dx, dK, db = nn._conv_same_vjp(win, ker, w)
     dx_ref, dK_ref, db_ref = oracles.conv_same_vjp_loop(xpad_ref, K, w)
     same = _same if k == 1 else _close
     assert same(y, y_ref) and same(dx, dx_ref)
     assert _same(dK, dK_ref) and _same(db, db_ref)
-    assert _same(nn._conv_same_vjp(win, K, w, grads=False)[0], dx)
+    assert _same(nn._conv_same_vjp(win, ker, w, grads=False)[0], dx)
 
 
 @pytest.mark.parametrize("n", [1, 2, 25])
@@ -91,8 +93,9 @@ def test_conv_layers_match_the_tap_loop_per_member(n):
     for layer in (nn.Conv1d(5, 7, 3), nn.Conv1dTranspose(5, 7, 3)):
         K, b = rng.normal(size=(3, 5, 7)), rng.normal(size=7)
         x, w = rng.normal(size=(4, n, 5)), rng.normal(size=(4, n, 7))
-        y, cache = layer.forward((K, b), x, None)
-        dx, (dK, db) = layer.backward((K, b), cache, w)
+        p = (K, b) + layer.kernels((K, b))
+        y, cache = layer.forward(p, x, None, True)
+        dx, (dK, db) = layer.backward(p, cache, w)
         taps = layer.taps(K)
         fwd = [oracles.conv_same_loop(x_i, taps, b) for x_i in x]
         rev = [oracles.conv_same_vjp_loop(pad, taps, w_i) for (_, pad), w_i in zip(fwd, w)]
@@ -226,7 +229,8 @@ def test_recurrent_input_half_matches_the_per_element_loop(name):
     tp = nn.tape(net, xs, params)
     w = rng.normal(size=tp.y.shape)
     dxs, grads = nn.backward(tp, w)
-    out, dxs_ref, grads_ref = oracles.rnn_cell_loop(cell, net.unpack(params)[0], xs, w)
+    views = net.unpack(params)[0][:len(cell.param_specs())]
+    out, dxs_ref, grads_ref = oracles.rnn_cell_loop(cell, views, xs, w)
     assert rel_l2(tp.y, out) <= 1e-14
     assert rel_l2(dxs, dxs_ref) <= 1e-14
     assert rel_l2(grads, np.concatenate([g.ravel() for g in grads_ref])) <= 1e-14
@@ -494,18 +498,32 @@ def test_activations_equal_their_former_expressions():
         warnings.simplefilter("error", RuntimeWarning)
         sig = 0.5 * (1.0 + np.tanh(0.5 * z))
         assert _same(nn._sigmoid(z), sig)
-        y, s = nn._act("swish", z)
-        assert _same(y, z * sig) and _same(s, sig)
-        assert _same(nn._act_deriv("swish", z, s), s * (1.0 + z * (1.0 - s)))
-        y, t = nn._act("tanh", z)
-        assert _same(y, np.tanh(z)) and _same(nn._act_deriv("tanh", z, t), 1.0 - t * t)
-        # linear passes its cotangent on as it is
+        t = np.tanh(z)
+        former = {"swish": (z * sig, sig * (1.0 + z * (1.0 - sig))),
+                  "tanh": (t, 1.0 - t * t), "linear": (z, None)}
         w = z[::-1].copy()
-        assert nn._act_deriv("linear", z, None) is None
-        assert nn._scale("linear", z, None, w) is w
-        for name in ("tanh", "swish"):
-            _, s = nn._act(name, z)
-            assert _same(nn._scale(name, z, s, w), w * nn._act_deriv(name, z, s))
+        for name, (y_ref, d_ref) in former.items():
+            # the tape's act(z) and act'(z), and the plain forward's act(z)
+            y, d = nn._act_deriv(name, z.copy())
+            assert _same(y, y_ref) and _same(nn._act(name, z.copy()), y_ref)
+            if d_ref is None:
+                # linear passes its cotangent on as it is
+                assert d is None and nn._scale(d, w) is w
+            else:
+                assert _same(d, d_ref) and _same(nn._scale(d, w), w * d_ref)
+
+
+def test_forward_only_swish_equals_the_sigmoid_form():
+    # the plain forward's (z / 2) * (1 + tanh(z / 2)), against z * sigmoid(z)
+    # as the tape computes it, at the ends of the float range too
+    ends = [0.0, 1e-300, 5e-324, 1e-310, 800.0, 1e308]
+    z = np.concatenate([np.random.default_rng(1).normal(size=100_000), ends,
+                        np.negative(ends)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        want = z * (0.5 * (1.0 + np.tanh(0.5 * z)))
+        assert _same(nn._act("swish", z.copy()), want)
+        assert _same(nn._act_deriv("swish", z.copy())[0], want)
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -513,16 +531,18 @@ def test_affine_layers_add_the_bias_like_before(k):
     rng = np.random.default_rng(k)
     x = _with_specials(rng, (4, 20, 5))
     W, b = rng.normal(size=(7, 5)), rng.normal(size=7)
-    z = nn.Dense(5, 7).forward((W, b), x, None)[1][1]
+    # a linear layer's output is its pre-activation
+    z = nn.Dense(5, 7).forward((W, b), x, None)[0]
     assert _same(z, x @ W.T + b)
     K = rng.normal(size=(k, 5, 7))
+    ker = nn._kernel(K)
     product = nn._windows(x, k, (k - 1) // 2) @ K.reshape(-1, 7)
-    assert _same(nn._conv_same(x, K, b)[0], product + b)
-    assert _same(nn._conv_same(x, K, 0.0)[0], product + 0.0)
+    assert _same(nn._conv_same(x, ker, b)[0], product + b)
+    assert _same(nn._conv_same(x, ker, 0.0)[0], product + 0.0)
     # one product over the tap windows, where the former form added one per tap
     same = _same if k == 1 else _close
-    assert same(nn._conv_same(x, K, b)[0], _former_conv(x, K, b))
-    assert same(nn._conv_same(x, K, 0.0)[0], _former_conv(x, K, 0.0))
+    assert same(nn._conv_same(x, ker, b)[0], _former_conv(x, K, b))
+    assert same(nn._conv_same(x, ker, 0.0)[0], _former_conv(x, K, 0.0))
 
 
 def test_bio_constrain_equals_the_stacked_triple():
@@ -554,16 +574,21 @@ def test_first_recurrent_step_equals_the_zero_state_product(name):
     xs = _with_specials(rng, (5, 3) + shape)
     net = nn.Network([cell])
     p = net.unpack(rng.normal(0.0, 0.5, net.n_params))[0]
-    z0 = cell.forward(p, xs, None)[1][1][0]
+    # the tape keeps act(z_0) as the next step's hidden state (its windows
+    # in the convolutional cell) and act'(z_0)
+    _, ds, hs = cell.forward(p, xs, None, True)[1][:3]
     if name == "dense":
         Wx, Wh, b = p
         h0 = np.zeros((3, cell.units))
         want = (xs @ Wx.T)[0] + h0 @ Wh.T + b
     else:
-        Kx, Kh, b = p[:3]
+        b, (kx, kh) = p[2], p[5:7]
         h0 = np.zeros((3, 20, cell.units))
-        want = nn._conv_same(xs, Kx, 0.0)[0][0] + nn._conv_same(h0, Kh, b)[0]
-    assert _same(z0, want)
+        want = nn._conv_same(xs, kx, 0.0)[0][0] + nn._conv_same(h0, kh, b)[0]
+    h1, d0 = nn._act_deriv(cell.act, want)
+    if name != "dense":
+        h1 = nn._windows(h1, cell.kernel, (cell.kernel - 1) // 2)
+    assert _same(hs[1], h1) and _same(ds[0], d0)
 
 
 # ---------------------------------------------------------------------------
@@ -644,3 +669,115 @@ def test_a_tape_survives_repeated_reverse_passes(name):
     after = [x, w, params, tp.y] + _arrays(tp.caches)
     assert len(after) == len(kept)
     assert all(_same(a, b) for a, b in zip(after, kept))
+
+
+# ---------------------------------------------------------------------------
+# Plain forward passes and the taped act'(z)
+# ---------------------------------------------------------------------------
+
+
+def _closure_nets():
+    """Every network of the (study x closure kind) pairs, with the number of
+    points of a grid network's input (None for a dense one)."""
+    for study_name in ex.EXPERIMENTS:
+        study = ex.get_study(study_name)
+        for kind in ("markovian", "discrete", "distributed"):
+            clo = study.closure(kind)
+            # the last network reads the state alone: its channels give the points
+            points = study.state_dim // clo.nets[-1].input_spec[1]
+            for i, net in enumerate(clo.nets):
+                points_i = points if net.input_spec[0] == "grid" else None
+                yield f"{study_name}/{kind}/{i}", net, points_i
+
+
+CLOSURE_NETS = {name: (net, points) for name, net, points in _closure_nets()}
+
+
+def _mixed(rng, shape):
+    """Normal draws of ``shape`` with SPECIAL values, repeated, at random
+    places (as many as fit)."""
+    x = rng.normal(0.0, 3.0, size=shape)
+    flat = x.reshape(-1)
+    m = min(flat.size, 2 * SPECIAL.size)
+    flat[rng.choice(flat.size, m, replace=False)] = np.tile(SPECIAL, 2)[:m]
+    return x
+
+
+def _net_input(net, points, rng, batch):
+    """Draws with SPECIAL values mixed in, in the layout ``net`` takes: one
+    input (batch None) or a batch, after a sequence of four for a recurrent
+    network."""
+    ch = net.input_spec[1]
+    shape = ((4,) if net.recurrent else ()) + ((batch,) if batch else ())
+    return _mixed(rng, shape + ((points, ch) if points else (ch,)))
+
+
+@pytest.mark.parametrize("batch", [None, 8], ids=["single", "batch8"])
+@pytest.mark.parametrize("name", sorted(CLOSURE_NETS))
+def test_plain_forward_equals_the_tape_output_and_writes_nothing(name, batch):
+    # a plain forward computes no derivative and works in place on each
+    # layer's own pre-activation; its output is the tape's, bit for bit, and
+    # no pass changes a byte of its caller's arrays or of a tape
+    net, points = CLOSURE_NETS[name]
+    rng = np.random.default_rng(31)
+    params = rng.normal(0.0, 0.5, net.n_params)
+    x = _net_input(net, points, rng, batch)
+    t = 40.5 if batch is None else np.linspace(0.0, 180.0, batch)
+    run = nn.rnn_forward if net.recurrent else nn.forward
+    kept = [x.copy(), params.copy()]
+    tp = nn.tape(net, x, params, t)
+    assert _same(run(net, x, params, t), tp.y)
+    assert _same(run(net, x, net.unpack(params), t), tp.y)
+    w = _mixed(rng, tp.y.shape)
+    taped = [a.copy() for a in [tp.y] + _arrays(tp.caches)]
+    kept.append(w.copy())
+    nn.backward(tp, w)
+    nn.backward_input(tp, w)
+    assert all(_same(a, b) for a, b in zip([x, params, w], kept))
+    assert all(_same(a, b) for a, b in zip([tp.y] + _arrays(tp.caches), taped))
+
+
+def _counted_derivatives(monkeypatch):
+    """A counter of the act'(z) that nn computes, one per call of its
+    derivative helper on an activated (not linear) layer."""
+    count = Counter()
+    act_deriv = nn._act_deriv
+
+    def rec(name, *args):
+        count["deriv"] += name != "linear"
+        return act_deriv(name, *args)
+
+    monkeypatch.setattr(nn, "_act_deriv", rec)
+    return count
+
+
+@pytest.mark.parametrize("name", ["exp2_subgrid/markovian/0", "exp2_subgrid/discrete/0",
+                                  "exp3b_bio1d/markovian/0"])
+def test_an_input_pass_reads_the_taped_derivative(name, monkeypatch):
+    # the tape computes act'(z) once per activated layer, once per sequence
+    # step in a recurrent cell (whose output convolution adds one); reverse
+    # passes only multiply by it, so they call neither the helper nor tanh
+    net, points = CLOSURE_NETS[name]
+    rng = np.random.default_rng(32)
+    params = rng.normal(0.0, 0.5, net.n_params)
+    x = _net_input(net, points, rng, 8)
+    t = np.linspace(0.0, 180.0, 8)
+    count = _counted_derivatives(monkeypatch)
+    tp = nn.tape(net, x, params, t)
+    want = 0
+    for lay in net.layers:
+        if getattr(lay, "act", "linear") != "linear":
+            want += (len(x) + isinstance(lay, nn.SimpleRnnConvCell)
+                     if isinstance(lay, nn._RECURRENT) else 1)
+    assert count["deriv"] == want > 0
+    tanh = np.tanh
+    monkeypatch.setattr(np, "tanh", lambda *a, **k: count.update(["tanh"]) or tanh(*a, **k))
+    count.clear()
+    w = rng.normal(size=tp.y.shape)
+    nn.backward_input(tp, w)
+    nn.backward(tp, w)
+    assert count["deriv"] == count["tanh"] == 0
+    # a plain forward activates without a derivative
+    run = nn.rnn_forward if net.recurrent else nn.forward
+    run(net, x[:, 0] if net.recurrent else x[0], params, 0.0)
+    assert count["deriv"] == 0 and count["tanh"] > 0
