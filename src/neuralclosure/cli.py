@@ -254,8 +254,7 @@ def run_training(cfg: ExperimentConfig, out: Path,
             save(epoch + 1, result, rng_live)
 
     result = train(system, train_ds, params0, settings, loss_spec, stepper,
-                   val_dataset=val_ds, val_history=train_ds.history_fn(),
-                   opt_state=opt_state, rng=rng_live,
+                   val_dataset=val_ds, opt_state=opt_state, rng=rng_live,
                    start_epoch=start_epoch, callback=callback)
     # a resume that runs no epoch leaves its checkpoint as it found it
     if resume is None or result.epochs_run > start_epoch:
@@ -331,11 +330,11 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path, ckpt: Path | None) -> int:
     mloss = _metric_loss(study)
     mrows = []
     for wname, lo, hi in windows:
-        sel = (dataset.times >= lo - 1e-9) & (dataset.times <= hi + 1e-9)
+        sel = dataset.in_span(lo, hi)
         for k in order:
             mrows.append(["time_avg_l2", wname, k,
                           mloss.total(rollouts[k][sel], dataset.states[sel])])
-    sel = dataset.times >= study.val_end - 1e-9
+    sel = dataset.in_span(study.val_end, dataset.t_end)
     for k in order:
         mrows.append(["crosscorr", "predict", k,
                       avg_crosscorr(rollouts[k][sel], dataset.states[sel])])

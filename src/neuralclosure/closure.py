@@ -66,6 +66,7 @@ from .integrate import (
     DenseTrajectory,
     RK4Fixed,
     StepperSpec,
+    TIME_RTOL,
     check_delays,
     check_window,
     dde_read_times,
@@ -303,15 +304,17 @@ class AugmentedSystem:
         return term.reshape(U[..., :self.state_dim].shape)
 
 
-def constant_history(u0: Vec) -> Callable[[float], Vec]:
-    """History callable that returns the initial state for every past time.
-    It keeps the history contract (:func:`forward_augmented`): given a 1-D
-    array of times it returns one row per time; given one time, the state."""
+# The history contract: a 1-D array of times gives one row per time.
+History = Callable[[np.ndarray], np.ndarray]
+
+
+def constant_history(u0: Vec) -> History:
+    """History that holds the initial state at every past time."""
     u0 = np.asarray(u0, dtype=float).copy()
-    return lambda t: u0 if np.ndim(t) == 0 else np.broadcast_to(u0, np.shape(t) + u0.shape)
+    return lambda ts: np.broadcast_to(u0, np.shape(ts) + u0.shape)
 
 
-def _read_history(history: Callable, times, offsets) -> np.ndarray:
+def _read_history(history: History, times, offsets) -> np.ndarray:
     """``history`` at each clock time in ``times`` for every member, one row
     block per time ((len(times),) + members + (d,)), from one call over the
     flat 1-D array of member times (clock time plus offset)."""
@@ -341,8 +344,8 @@ class ForwardRun:
     ``traj`` runs on the solve's clock from ``t0`` to ``t1``; ``offsets``
     are the members' start times minus ``t0`` ((B,), first entry 0), or 0.0
     for a single trajectory, so a member's time is the clock plus its offset.
-    States before ``t0`` come from ``history``, called as every closure
-    calls it: with a 1-D array of member times, one row per time.
+    States before ``t0`` come from ``history`` (:data:`History`), called
+    only with a 1-D array of member times.
     """
 
     traj: DenseTrajectory
@@ -350,7 +353,7 @@ class ForwardRun:
     t1: float
     u_dim: int
     aux_dim: int
-    history: Callable[[float], Vec] | None
+    history: History | None
     history_tape: nn.Tape | None = None
     offsets: np.ndarray | float = 0.0
 
@@ -379,7 +382,7 @@ class ForwardRun:
 
 
 def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: StepperSpec,
-                      history: Callable[[float], Vec] | None = None,
+                      history: History | None = None,
                       u0: Vec | None = None) -> ForwardRun:
     """Solve the augmented system over t_span.
 
@@ -389,9 +392,9 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
 
     A batch of B members solved in lockstep gives t_span as two (B,) arrays
     of start and end times, all spanning the same length, and ``u0`` as
-    (B, d). The history contract: closures call ``history`` with a 1-D
-    array of times (a single trajectory's, or every member's) and get back
-    one row per time.
+    (B, d). ``history`` keeps the history contract (:data:`History`): it
+    is called only with a 1-D array of times (a single trajectory's, or
+    every member's) and gives one row per time.
 
     One right-hand side rhs(t, U, delayed) serves every closure kind, with
     ``delayed`` holding U at t - tau for tau in the closure's ``lags``. A
@@ -407,7 +410,7 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
     t0, t1 = float(starts.flat[0]), float(ends.flat[0])
     offsets = starts - t0 if starts.ndim else 0.0
     if starts.ndim > 1 or ends.shape != starts.shape or np.any(
-            np.abs(ends - starts - (t1 - t0)) > 1e-9 * max(1.0, abs(t1))):
+            np.abs(ends - starts - (t1 - t0)) > TIME_RTOL * max(1.0, abs(t1))):
         raise ValueError("t_span: one start and end time, or equal-length arrays "
                          "of them spanning one length")
     lead = np.shape(offsets)
@@ -486,7 +489,7 @@ def _loss_jumps(run: ForwardRun, dataset, loss_spec):
     targets = np.asarray(dataset.states, dtype=float)
     if times.ndim != 1 or targets.shape != (times.size,) + run.lead + (run.u_dim,):
         raise ValueError("dataset shapes inconsistent with the forward run")
-    tol = 1e-9 * max(1.0, abs(run.t1))
+    tol = TIME_RTOL * max(1.0, abs(run.t1))
     if np.any(times <= run.t0 + tol) or np.any(times > run.t1 + tol):
         raise ValueError("dataset times must lie in (t0, T]")
     # the jump times are the sweep's knots, so one an ulp past T is T
@@ -501,17 +504,13 @@ def _loss_jumps(run: ForwardRun, dataset, loss_spec):
     return times, cots
 
 
-# Relative tolerance under which two sweep times are the same time on paper.
-_TIME_RTOL = 1e-9
-
-
 def _snap(known: list, t: float) -> float:
     """The time in the ascending list ``known`` that ``t`` equals within
     the sweep's time tolerance (a time that rounding moved off it, such as
     an advanced time t + tau), else ``t``."""
     i = bisect.bisect_left(known, t)
     for k in known[max(i - 1, 0):i + 1]:
-        if abs(t - k) <= _TIME_RTOL * max(1.0, abs(k)):
+        if abs(t - k) <= TIME_RTOL * max(1.0, abs(k)):
             return k
     return t
 
@@ -523,7 +522,7 @@ def _sweep_grid(t0, T, jump_times, dt, shifts=()) -> list[tuple]:
     The segment bounds are t0, T, the jump times and every time where an
     advanced argument crosses a jump (a jump time minus a shift), and no
     step exceeds dt or the smallest shift."""
-    eps_t = _TIME_RTOL * max(1.0, abs(T))
+    eps_t = TIME_RTOL * max(1.0, abs(T))
     bounds = {float(t0), float(T)} | {float(t) for t in jump_times}
     for s in (tj - tau for tj in jump_times for tau in shifts):
         s = float(s)

@@ -32,7 +32,7 @@ import numpy as np
 from . import nn
 from .closure import ClosureModel, Discrete, Distributed, Markovian
 from .closure import AugmentedSystem
-from .integrate import DormandPrince54, RK4Fixed, StepperSpec
+from .integrate import TIME_RTOL, DormandPrince54, RK4Fixed, StepperSpec
 from .integrate import integrate_ode
 from .models import biology, burgers, column, rom
 from .train import LossSpec, TrainSettings
@@ -73,7 +73,7 @@ def uniform_times(t_end: float, dt: float, t_start: float = 0.0) -> np.ndarray:
     if not dt > 0.0:
         raise ValueError(f"the data step dt_data must be positive, got {dt}")
     n = round((t_end - t_start) / dt)
-    if abs(t_start + n * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
+    if abs(t_start + n * dt - t_end) > TIME_RTOL * max(1.0, abs(t_end)):
         raise ValueError(f"span ({t_start}, {t_end}) is not a multiple of dt={dt}")
     return np.linspace(t_start, t_end, n + 1)
 

@@ -13,6 +13,10 @@ Every solve returns a :class:`DenseTrajectory`, a contiguous chain of cubic
 Hermite pieces built from the stepper's own RHS evaluations, so callers can
 query the solution anywhere in the covered span (delayed lookups, loss times,
 adjoint sweeps).
+
+Two times s and t are one time when |s - t| <= TIME_RTOL * max(1, |t|):
+the store's end clamp, the sweep's time snapping, the span checks and the
+data spans share this rule, so the store accepts every read a sweep plans.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .linalg import Vec
+
+
+TIME_RTOL = 1e-9  # relative: two times this close are one time on paper
 
 
 class IntegrationError(RuntimeError):
@@ -79,8 +86,9 @@ class DenseTrajectory:
     stored knot return the stored value exactly; at a knot shared by two
     steps the most recently appended one wins, which lets backward adjoint
     stores return the post-jump value at data times. A query past either end
-    by less than 1e-9 relative reads that end: shifted times such as
-    t + h - tau or t + tau overshoot a committed end by an ulp in rounding.
+    by less than :data:`TIME_RTOL` relative reads that end: shifted times
+    such as t + h - tau or t + tau overshoot a committed end by an ulp in
+    rounding.
     """
 
     def __init__(self):
@@ -173,7 +181,7 @@ class DenseTrajectory:
         lo, hi = self._domain()
         if t < lo or t > hi:
             end = float(lo if t < lo else hi)
-            if abs(t - end) >= 1e-9 * max(1.0, abs(t)):
+            if abs(t - end) >= TIME_RTOL * max(1.0, abs(t)):
                 raise ValueError(f"query t={t} outside stored domain [{lo}, {hi}]")
             t = end
         # the piece from knot i to i+1 with the last knot at or before t in
@@ -208,7 +216,7 @@ class DenseTrajectory:
         off = (ts < lo) | (ts > hi)
         if np.any(off):
             ends = np.where(ts < lo, lo, hi)
-            bad = off & (np.abs(ts - ends) >= 1e-9 * np.maximum(1.0, np.abs(ts)))
+            bad = off & (np.abs(ts - ends) >= TIME_RTOL * np.maximum(1.0, np.abs(ts)))
             if np.any(bad):
                 raise ValueError(f"query t={ts[bad][0]} outside stored domain [{lo}, {hi}]")
             ts = np.where(off, ends, ts)

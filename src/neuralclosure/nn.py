@@ -328,9 +328,11 @@ class SimpleRnnCell:
         xs, ds, hs = cache
         dzs = np.empty((len(ds),) + w.shape)
         dh = w
-        for i in range(len(ds) - 1, -1, -1):
+        # the hidden state before step 0 is zero: nothing flows back past it
+        for i in range(len(ds) - 1, 0, -1):
             dzs[i] = dz = _scale(ds[i], dh)
             dh = dz @ Wh
+        dzs[0] = _scale(ds[0], dh)
         dxs = dzs @ Wx
         if not grads:
             return dxs, None
@@ -408,9 +410,11 @@ class SimpleRnnConvCell:
         xwin, ds, hwins, do, owin = cache
         dh, dKo, dbo = _conv_same_vjp(owin, ko, _scale(do, w), grads)
         dzs = np.empty((len(ds),) + dh.shape)
-        for i in range(len(ds) - 1, -1, -1):
+        # the hidden state before step 0 is zero: nothing flows back past it
+        for i in range(len(ds) - 1, 0, -1):
             dzs[i] = dz = _scale(ds[i], dh)
             dh = _conv_same_vjp(hwins[i], kh, dz, False)[0]
+        dzs[0] = _scale(ds[0], dh)
         dxs, dKx, _ = _conv_same_vjp(xwin, kx, dzs, grads)
         if not grads:
             return dxs, None

@@ -25,10 +25,11 @@ import numpy as np
 
 from .closure import (
     AugmentedSystem,
+    History,
     adjoint_gradient,
     forward_augmented,
 )
-from .integrate import DenseTrajectory, IntegrationError, StepperSpec
+from .integrate import TIME_RTOL, DenseTrajectory, IntegrationError, StepperSpec
 from .linalg import Vec
 
 
@@ -71,9 +72,14 @@ class SnapshotDataset:
     def t_end(self) -> float:
         return float(self.times[-1])
 
+    def in_span(self, t_lo: float, t_hi: float) -> np.ndarray:
+        """Mask of the times in [t_lo, t_hi], a time that is a bound within
+        :data:`integrate.TIME_RTOL` counted as in."""
+        return ((self.times >= t_lo - TIME_RTOL * max(1.0, abs(t_lo)))
+                & (self.times <= t_hi + TIME_RTOL * max(1.0, abs(t_hi))))
+
     def restrict(self, t_lo: float, t_hi: float) -> "SnapshotDataset":
-        tol = 1e-9 * max(1.0, abs(self.dt))
-        keep = (self.times >= t_lo - tol) & (self.times <= t_hi + tol)
+        keep = self.in_span(t_lo, t_hi)
         return SnapshotDataset(self.times[keep], self.states[keep])
 
     def interpolant(self) -> DenseTrajectory:
@@ -85,20 +91,14 @@ class SnapshotDataset:
         f[-1] = (u[-1] - u[-2]) / self.dt
         return DenseTrajectory.through(t, u, f)
 
-    def history_fn(self) -> Callable[[float], Vec]:
+    def history_fn(self) -> History:
         """Interpolant clamped to the covered span (history for early
-        windows). It keeps the history contract of the closures: a 1-D
-        array of times (a solve's or a sweep's lookup plan, for every
-        member) gives one row per time, each row equal to the one-time read
-        bit for bit; one time gives its state."""
+        windows), under the history contract: a 1-D array of times (a
+        solve's or a sweep's lookup plan, for every member) gives one row
+        per time."""
         traj = self.interpolant()
         lo, hi = self.t_start, self.t_end
-
-        def history(s):
-            if np.ndim(s):
-                return traj.eval_many(np.clip(s, lo, hi))
-            return traj.eval(min(max(s, lo), hi))
-        return history
+        return lambda ts: traj.eval_many(np.clip(ts, lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +237,9 @@ def avg_crosscorr(pred, truth) -> float:
 
 
 def evaluate_rollout(sys: AugmentedSystem, params: Vec, dataset: SnapshotDataset,
-                     stepper: StepperSpec,
-                     history: Callable[[float], Vec] | None = None):
-    """Free rollout from the dataset's first state; returns (preds, rmse, corr).
+                     stepper: StepperSpec, history: History):
+    """Free rollout from the dataset's first state, with ``history`` before
+    it; returns (preds, rmse, corr).
 
     ``preds`` covers every dataset time including the anchored first one.
     """
@@ -302,7 +302,7 @@ class TrainResult:
 
 def batch_gradient(sys: AugmentedSystem, params: Vec, dataset: SnapshotDataset,
                    starts, settings: TrainSettings, loss_spec: LossSpec,
-                   stepper: StepperSpec, history: Callable[[float], Vec]):
+                   stepper: StepperSpec, history: History):
     """Forward + adjoint over the training windows at ``starts`` (snapshot
     indices), all in lockstep on the first window's clock, the adjoint on
     the forward solve's ``stepper``; returns the sum of their losses and the
@@ -324,7 +324,7 @@ def batch_gradient(sys: AugmentedSystem, params: Vec, dataset: SnapshotDataset,
 
 def window_gradient(sys: AugmentedSystem, params: Vec, dataset: SnapshotDataset,
                     start: int, settings: TrainSettings, loss_spec: LossSpec,
-                    stepper: StepperSpec, history: Callable[[float], Vec]):
+                    stepper: StepperSpec, history: History):
     """Forward + adjoint over one training window; returns (loss, grad)."""
     return batch_gradient(sys, params, dataset, [start], settings, loss_spec,
                           stepper, history)
@@ -333,7 +333,6 @@ def window_gradient(sys: AugmentedSystem, params: Vec, dataset: SnapshotDataset,
 def train(sys: AugmentedSystem, dataset: SnapshotDataset, params0: Vec,
           settings: TrainSettings, loss_spec: LossSpec, stepper: StepperSpec,
           val_dataset: SnapshotDataset | None = None,
-          val_history: Callable[[float], Vec] | None = None,
           opt_state: RmspropState | None = None,
           rng: np.random.Generator | None = None,
           start_epoch: int = 0,
@@ -342,7 +341,9 @@ def train(sys: AugmentedSystem, dataset: SnapshotDataset, params0: Vec,
 
     Each update steps along the sum of the batch's window gradients, while
     the logged training loss is the mean of its window losses. The adjoint
-    sweeps on ``stepper``, the forward solve's own step.
+    sweeps on ``stepper``, the forward solve's own step. Training windows
+    and the validation rollout over ``val_dataset`` read one history, the
+    training data's (:meth:`SnapshotDataset.history_fn`).
 
     ``opt_state``, ``rng`` and ``start_epoch`` allow a checkpointed run to
     resume mid-stream and reproduce an uninterrupted run bit for bit. On an
@@ -401,7 +402,7 @@ def train(sys: AugmentedSystem, dataset: SnapshotDataset, params0: Vec,
         if val_dataset is not None:
             try:
                 preds, rec.val_rmse, rec.val_corr = evaluate_rollout(
-                    sys, params, val_dataset, stepper, history=val_history)
+                    sys, params, val_dataset, stepper, history)
                 rec.val_loss = loss_spec.total(preds, val_dataset.states)
             except IntegrationError:
                 rec.val_loss = float("nan")

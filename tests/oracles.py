@@ -182,7 +182,8 @@ def history_term_per_node(sys, phi, history, t0, mu0):
     clo = sys.closure
     tau1, tau2 = clo.window
     ts = quadrature_nodes(t0 - tau2, t0 - tau1, HISTORY_QUAD_PANELS)
-    tapes = [nn.tape(clo.g_net, nn.fields(clo.g_net, history(s)), phi, s) for s in ts]
+    tapes = [nn.tape(clo.g_net, nn.fields(clo.g_net, history(np.array([s]))[0]), phi, s)
+             for s in ts]
     y0 = trapezoid(ts, [tp.y.ravel() for tp in tapes])
     dphi = trapezoid(ts, [nn.backward(tp, mu0.reshape(tp.y.shape))[1] for tp in tapes])
     return y0, dphi

@@ -271,9 +271,10 @@ def test_context_channels_take_one_time_per_member():
 def test_history_takes_member_times():
     t = np.linspace(1.0, 2.0, 11)
     u = np.stack([np.sin(t), t * t], axis=1)
-    h = train.SnapshotDataset(t, u).history_fn()
+    ds = train.SnapshotDataset(t, u)
+    h, traj = ds.history_fn(), ds.interpolant()
     times = np.array([0.5, 1.0, 1.37, 2.0, 2.5, 1.37])
-    want = np.stack([h(float(s)) for s in times])
+    want = np.stack([traj.eval(min(max(s, 1.0), 2.0)) for s in times])
     assert h(times).tobytes() == want.tobytes()
     # clamped to the covered span on both sides
     assert h(times)[0].tobytes() == u[0].tobytes()

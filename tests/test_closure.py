@@ -411,7 +411,7 @@ def test_zero_closure_is_neutral():
 def test_constant_history_gives_one_row_per_time():
     u0 = np.array([0.4, -0.6, 1.5])
     hist = constant_history(u0)
-    assert hist(2.0).tobytes() == u0.tobytes()
+    assert hist(np.array([2.0])).tobytes() == u0.tobytes()
     rows = hist(np.array([0.0, 1.0, 2.0]))
     assert rows.shape == (3, 3)
     assert rows.tobytes() == np.stack([u0] * 3).tobytes()

@@ -591,6 +591,43 @@ def test_first_recurrent_step_equals_the_zero_state_product(name):
     assert _same(hs[1], h1) and _same(ds[0], d0)
 
 
+class _CountingMatrix:
+    """A matrix that counts the products taken with it on the right."""
+
+    __array_ufunc__ = None  # ndarray @ this defers to __rmatmul__
+
+    def __init__(self, a):
+        self.a, self.n = a, 0
+
+    def __rmatmul__(self, x):
+        self.n += 1
+        return x @ self.a
+
+
+@pytest.mark.parametrize("grads", [False, True])
+@pytest.mark.parametrize("name", sorted(RNN_CELLS))
+def test_a_reverse_pass_stops_the_recurrent_product_at_step_1(name, grads, monkeypatch):
+    # the hidden state before step 0 is zero, so a 7-step sequence takes 6
+    # recurrent products back
+    cell = RNN_CELLS[name]
+    rng = np.random.default_rng(5)
+    shape = (cell.n_in,) if name == "dense" else (20, cell.in_ch)
+    net = nn.Network([cell])
+    p = net.unpack(rng.normal(0.0, 0.5, net.n_params))[0]
+    out, cache = cell.forward(p, rng.normal(size=(7, 3) + shape), None, True)
+    w = rng.normal(size=out.shape)
+    if name == "dense":
+        wh = _CountingMatrix(p[1])
+        cell.backward((p[0], wh, p[2]), cache, w, grads)
+        assert wh.n == 6
+    else:
+        kh, vjp, calls = p[6], nn._conv_same_vjp, []
+        monkeypatch.setattr(nn, "_conv_same_vjp",
+                            lambda win, ker, *a: calls.append(ker is kh) or vjp(win, ker, *a))
+        cell.backward(p, cache, w, grads)
+        assert sum(calls) == 6
+
+
 # ---------------------------------------------------------------------------
 # Repeated reverse passes on one tape
 # ---------------------------------------------------------------------------

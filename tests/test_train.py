@@ -1,6 +1,7 @@
 """Dataset handling, loss derivatives, optimizer arithmetic, training loop."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,9 +71,7 @@ def test_history_fn_clamps_outside_span():
     t = np.linspace(0.0, 1.0, 6)
     u = t[:, None] * 2.0
     h = SnapshotDataset(t, u).history_fn()
-    assert np.allclose(h(-5.0), [0.0])
-    assert np.allclose(h(2.0), [2.0])
-    assert np.allclose(h(0.4), [0.8])
+    assert np.allclose(h(np.array([-5.0, 2.0, 0.4])), [[0.0], [2.0], [0.8]])
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +225,8 @@ def test_training_learns_constant_residual():
     params0 = nn.init_params(sys.closure.net, seed=1)
     loss = LossSpec("time_avg_l2")
     stepper = RK4Fixed(0.05)
-    _, rmse0, _ = evaluate_rollout(sys, params0, val_ds, stepper)
-    res = train(sys, train_ds, params0, settings, loss, stepper,
-                val_dataset=val_ds, val_history=data.history_fn())
+    _, rmse0, _ = evaluate_rollout(sys, params0, val_ds, stepper, train_ds.history_fn())
+    res = train(sys, train_ds, params0, settings, loss, stepper, val_dataset=val_ds)
     assert not res.diverged
     assert res.epochs_run == 40
     assert len(res.history) == 40
@@ -321,13 +319,40 @@ def test_settings_validation():
             TrainSettings(**kw)
 
 
+def test_train_validates_a_delay_closure_on_the_training_history():
+    # a closure with delays reads the state before the validation span: the
+    # rollout takes the history train() builds from its training data
+    study = ex.get_study("toy")
+    data = study.setup()
+    full = SnapshotDataset(data.times, data.states)
+    clo = study.closure("discrete")
+    res = train(study.system(clo), full.restrict(0.0, study.train_end),
+                ex.initial_params(clo, 0), study.settings("discrete", epochs=1),
+                study.loss_spec(), study.forward_stepper(),
+                val_dataset=full.restrict(study.train_end, study.val_end))
+    assert not res.diverged and res.epochs_run == 1
+    assert np.isfinite(res.history[0].val_loss)
+
+
+def test_readme_library_example_runs():
+    # the README's Library-use block as written, one epoch instead of fifty
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "epochs=50" in block
+    scope = {}
+    exec(block.replace("epochs=50", "epochs=1"), scope)
+    assert scope["preds"].shape == scope["ds"].states.shape
+    assert np.isfinite(scope["rmse"])
+
+
 def test_evaluate_rollout_exact_model_is_exact():
     net = nn.Network([nn.Dense(1, 1)])
     sys = AugmentedSystem(lambda t, u: -u, Markovian(net), 1,
                           base_vjp=lambda t, u, w: -w)
     t = np.arange(0.0, 1.0 + 1e-12, 0.1)
     ds = SnapshotDataset(t, np.exp(-t)[:, None])
-    preds, rmse, corr = evaluate_rollout(sys, np.zeros(2), ds, RK4Fixed(0.01))
+    preds, rmse, corr = evaluate_rollout(sys, np.zeros(2), ds, RK4Fixed(0.01),
+                                         ds.history_fn())
     assert rmse < 1e-8
     assert corr > 0.999999
     assert preds.shape == (11, 1)
