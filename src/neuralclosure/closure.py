@@ -41,7 +41,9 @@ trapezoid-weighted adjoints of the knots.
 All parameters of one model travel in a single flat vector, one block per
 network of the closure's ``nets``: theta first, then phi for distributed
 closures. A forward solve and an adjoint sweep each decode it once into
-per-layer views and hand those to every network pass.
+per-layer views and hand those to every network pass; a forward solve also
+builds each network's plain-forward plan (:class:`nn.Plan`) once, which
+every right-hand side runs.
 
 A solve may carry a batch of B members in lockstep: states (B, d) on one
 shared clock, the first member's time. Member b starts at t0_b, so its time
@@ -215,7 +217,8 @@ class Distributed(_Closure):
         return dx[..., :cu].reshape(lead + (-1,)), dx[..., cu:].reshape(lead + (-1,))
 
     def g_eval(self, t, u: Vec, phi) -> Vec:
-        """g(u, t; phi), flat per member."""
+        """g(u, t; phi), flat per member; ``phi`` is the flat vector, its
+        views or their :class:`nn.Plan`."""
         out = nn.forward(self.g_net, nn.fields(self.g_net, u), phi, t)
         return out.reshape(u.shape[:-1] + (-1,))
 
@@ -296,8 +299,8 @@ class AugmentedSystem:
     def closure_term(self, t, U: Vec, theta, delayed: Sequence[Vec] = ()) -> Vec:
         """The neural contribution to du/dt at time t from the augmented
         state U and the states ``delayed`` at t - tau for tau in the
-        closure's ``f_lags``. ``theta`` is the flat vector or its views
-        (:meth:`decode`)."""
+        closure's ``f_lags``. ``theta`` is the flat vector, its views
+        (:meth:`decode`) or their :class:`nn.Plan`."""
         net = self.closure.nets[0]
         x = self.closure.f_input(U, delayed)
         term = (nn.rnn_forward if net.recurrent else nn.forward)(net, x, theta, t)
@@ -402,7 +405,9 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
     like the adjoint sweep (``stepper`` must be :class:`RK4Fixed`), so its
     lookup plan (:func:`integrate.dde_read_times`) holds every time it reads:
     u0 when it is not given, the reads before t0 and the y(t0) nodes are one
-    ``history`` call, and the solve reads them by exact time.
+    ``history`` call, and the solve reads them by exact time. Each network's
+    plain forward runs through one :class:`nn.Plan` per solve, sized by the
+    first right-hand side; its outputs are fresh arrays.
     """
     _require_rk4(stepper)
     starts = np.asarray(t_span[0], dtype=float)
@@ -416,6 +421,8 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
     lead = np.shape(offsets)
     views = sys.decode(params)
     c, n, aux, lags = sys.closure, sys.state_dim, sys.aux_dim, sys.closure.lags
+    # each network's plain-forward plan, reused by every right-hand side
+    plans = tuple(nn.Plan(net, v) for net, v in zip(c.nets, views))
     if u0 is None and history is None:
         raise ValueError("forward_augmented needs u0 or a history callable")
     if lags and history is None:
@@ -447,10 +454,10 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
     def rhs(t, U, delayed=()):
         tm = t + offsets
         u = U[..., :n]
-        du = sys.base_rhs(tm, u) + sys.closure_term(tm, U, views[0], delayed)
+        du = sys.base_rhs(tm, u) + sys.closure_term(tm, U, plans[0], delayed)
         if not aux:
             return du
-        return np.concatenate([du, c.aux_rate(tm, u, delayed, views[1])], axis=-1)
+        return np.concatenate([du, c.aux_rate(tm, u, delayed, plans[1])], axis=-1)
 
     if lags:
         # the closures read only the state part of a delayed value

@@ -19,8 +19,8 @@ per-layer views, and each convolution kernel into the contiguous forward
 and reverse matrices its passes multiply by; a forward pass takes either the
 flat vector (and decodes it once) or views decoded earlier, so a caller
 running many passes on one vector decodes it once. The tape keeps the views
-for its reverse passes. Every layer provides forward and reverse (input and
-parameter) passes.
+for its reverse passes. Every layer provides a taped forward, reverse (input
+and parameter) passes, and its step of a plain-forward plan.
 
 Every input is one array, with one layout per network kind:
 
@@ -51,18 +51,26 @@ A tape keeps per layer what its reverse passes read: the layer input (a
 convolution's tap windows) for the weight gradient, and act'(z) of an
 activated layer, one per sequence step in a recurrent cell. A reverse pass
 multiplies its cotangent by that act'(z), one NumPy call per layer, and
-recomputes nothing from the forward pass. A plain forward (:func:`forward`,
-:func:`rnn_forward`) computes no derivative.
+recomputes nothing from the forward pass.
 
-Each convolution pass is one matmul over the tap windows of one padded copy.
-The kernels work in place on the arrays they allocate themselves, and on
-nothing else. A layer adds its bias to its own product, and activates that
-pre-activation in place: a tanh overwrites it, and a plain forward's swish
-halves it and multiplies (z *= 0.5; y = tanh(z); y += 1; y *= z, bit for bit
-z * sigmoid(z)). A tape's derivative and a scaled cotangent are new arrays.
-No layer writes into its input, its cotangent, its parameters or a tape's
-arrays, so a tape serves any number of reverse passes and a caller's arrays
-come back as they went in.
+A plain forward (:func:`forward`, :func:`rnn_forward`) computes no
+derivative and runs through a :class:`Plan`: one step per layer over
+buffers allocated once for its input shape, so a caller that keeps the plan
+(a forward solve keeps one per network) runs each pass with no allocation
+but its output and no per-layer dispatch. Its output is the tape's, bit for
+bit. Given the flat vector or views, the two functions build a plan for the
+one call.
+
+Each convolution pass is one matmul over the tap windows of one padded copy
+(a plan's padded buffer, whose pad rows stay zero). The kernels work in
+place on the arrays they allocate themselves, and on nothing else. A layer
+adds its bias to its own product, and activates that pre-activation in
+place. A plan's swish step multiplies by halved weights and adds the halved
+bias, which gives z / 2 exactly, then y = tanh(z / 2); y += 1; y *= z / 2,
+bit for bit z * sigmoid(z). A tape's derivative and a scaled cotangent are
+new arrays. No layer writes into its input, its cotangent, its parameters
+or a tape's arrays, so a tape serves any number of reverse passes and a
+caller's arrays come back as they went in.
 """
 
 from __future__ import annotations
@@ -90,25 +98,10 @@ def _sigmoid(z):
     return s
 
 
-def _act(name, z):
-    """act(z) for a pass that keeps no tape, computed in place on z, the
-    layer's own pre-activation, which it overwrites."""
-    if name == "tanh":
-        return np.tanh(z, out=z)
-    if name == "swish":
-        # (z / 2) * (1 + tanh(z / 2)) is z * sigmoid(z) bit for bit: the
-        # halving is exact wherever 1 + tanh(z / 2) differs from 1
-        z *= 0.5
-        y = np.tanh(z)
-        y += 1.0
-        y *= z
-        return y
-    return z
-
-
 def _act_deriv(name, z):
-    """(act(z), act'(z)) for a tape, in place on z like ``_act``; act'(z)
-    is None for linear, whose derivative is one."""
+    """(act(z), act'(z)) for a tape, in place on z, the layer's own
+    pre-activation, which it overwrites (a tanh writes act(z) over it);
+    act'(z) is None for linear, whose derivative is one."""
     if name == "tanh":
         y = np.tanh(z, out=z)
         d = y * y
@@ -124,10 +117,18 @@ def _act_deriv(name, z):
     return z, None
 
 
-def _activate(name, z, keep):
-    """(act(z), act'(z)) when the pass keeps a tape, (act(z), None) when
-    not."""
-    return _act_deriv(name, z) if keep else (_act(name, z), None)
+def _swish_half(zh, out):
+    """z * sigmoid(z) from zh = z / 2, into ``out`` (a fresh array when
+    None): (z / 2) * (1 + tanh(z / 2)), bit for bit the tape's
+    z * sigmoid(z)."""
+    y = np.tanh(zh, out)
+    y += 1.0
+    y *= zh
+    return y
+
+
+# act(z) into out for a plan step: swish from the halved pre-activation
+_PLAN_ACT = {"tanh": np.tanh, "swish": _swish_half, "linear": np.positive}
 
 
 def _scale(d, w):
@@ -162,6 +163,15 @@ def _windows(x, k, left):
     win = np.ndarray(x.shape[:-2] + (n, k * ci), buffer=xpad, strides=xpad.strides)
     win.flags.writeable = False
     return win
+
+
+def _padded(shape, k):
+    """A plan's padded input buffer at k > 1 for (..., n, ci) inputs: (the
+    view of its input rows, its tap windows), laid out as :func:`_windows`
+    lays them out; its pad rows stay zero."""
+    left = (k - 1) // 2
+    win = _windows(np.zeros(shape), k, left)
+    return win.base[..., left:left + shape[-2], :], win
 
 
 class _Kernel(NamedTuple):
@@ -209,18 +219,47 @@ def _conv_same_grads(win, w, k):
     return dK.reshape(k, -1, w2.shape[1]), w2.sum(axis=0)
 
 
+def _affine_step(M, b, act, shape, out, win=None):
+    """The plan step act(a @ M + b) of a dense or convolution layer, with
+    ``a`` the step's input x, or ``win``, the tap windows of the layer's
+    padded input buffer; into ``out``, or a fresh array when None. A swish
+    step multiplies by M / 2 and adds b / 2, which gives z / 2 exactly
+    (halving commutes with every rounding, absent underflow)."""
+    if act == "swish":
+        M, b = M * 0.5, b * 0.5
+        z = np.empty(shape)
+
+        def step(x, t):
+            np.matmul(x if win is None else win, M, z)
+            np.add(z, b, z)
+            return _swish_half(z, out)
+        return step
+    tanh = act == "tanh"
+
+    def step(x, t):
+        y = np.matmul(x if win is None else win, M, out)
+        y += b
+        return np.tanh(y, y) if tanh else y
+    return step
+
+
 # ---------------------------------------------------------------------------
 # Layers
 # ---------------------------------------------------------------------------
 #
 # ``param_specs()`` lists each parameter's shape and Glorot-uniform limit
-# (None for a parameter that is not drawn). ``forward(p, x, t, keep)``
-# returns (output, cache) and ``backward(p, cache, w, grads)`` returns (dx,
+# (None for a parameter that is not drawn). ``forward(p, x, t)`` is a tape's
+# pass and returns (output, cache), the cache holding what reverse passes
+# read, act'(z) included; ``backward(p, cache, w, grads)`` returns (dx,
 # parameter gradients), where ``p`` is the layer's entry of
-# :meth:`Network.unpack`; the cache holds what reverse passes read, act'(z)
-# included, only when ``keep`` is true (a tape). With ``grads`` false the
-# second entry is None and no weight-gradient work is done. The input
-# cotangent is computed by the same operations either way.
+# :meth:`Network.unpack`. With ``grads`` false the second entry is None and
+# no weight-gradient work is done. The input cotangent is computed by the
+# same operations either way. ``plan(p, shape, out)`` builds the layer's
+# step of a :class:`Plan` for inputs of ``shape``: (step, xin), where
+# step(x, t) writes the output into ``out`` (a fresh array when None) and
+# returns it, and ``xin`` is the buffer view the layer's input must be
+# written into (a k > 1 convolution's padded input), or None when the step
+# reads x as it is given.
 # ``rows(cache, sl)`` gives the cache of the batch rows ``sl`` (a slice) as
 # views, the cache a forward pass over those rows alone would keep. A
 # convolution layer's ``kernels(views)`` decodes its kernels (``_kernel``),
@@ -254,12 +293,16 @@ class Dense:
             raise ValueError(f"Dense({self.n_in},{self.n_out}) cannot follow {spec}")
         return ("dense", self.n_out)
 
-    def forward(self, p, x, t, keep=False):
+    def forward(self, p, x, t):
         W, b = p
         z = x @ W.T
         z += b
-        y, d = _activate(self.act, z, keep)
+        y, d = _act_deriv(self.act, z)
         return y, (x, d)
+
+    def plan(self, p, shape, out):
+        W, b = p
+        return _affine_step(W.T, b, self.act, shape[:-1] + (self.n_out,), out), None
 
     def backward(self, p, cache, w, grads=True):
         W, _ = p
@@ -305,7 +348,7 @@ class SimpleRnnCell:
             raise ValueError(f"SimpleRnnCell({self.n_in}) cannot follow {spec}")
         return ("dense", self.units)
 
-    def forward(self, p, xs, t, keep=False):
+    def forward(self, p, xs, t):
         Wx, Wh, b = p
         zx = xs @ Wx.T
         h = np.zeros(zx.shape[1:])
@@ -318,10 +361,33 @@ class SimpleRnnCell:
                 z += b
             else:
                 z = zx_i + b
-            h, d = _activate(self.act, z, keep)
+            h, d = _act_deriv(self.act, z)
             ds.append(d)
             hs.append(h)
         return h, (xs, ds, hs)
+
+    def plan(self, p, shape, out):
+        # the input half in one matmul, then the loop on one pre-activation
+        # and one hidden-state buffer, the tape's operations in its order
+        Wx, Wh, b = p
+        Mx, Mh = Wx.T, Wh.T
+        if self.act == "swish":
+            Mx, Mh, b = Mx * 0.5, Mh * 0.5, b * 0.5
+        act = _PLAN_ACT[self.act]
+        zx = np.empty(shape[:-1] + (self.units,))
+        z, h = np.empty(zx.shape[1:]), np.empty(zx.shape[1:])
+        first, rest = zx[0], list(zx[1:])
+
+        def step(xs, t):
+            np.matmul(xs, Mx, zx)
+            np.add(first, b, z)
+            for zx_i in rest:
+                act(z, h)
+                np.matmul(h, Mh, z)
+                np.add(z, zx_i, z)
+                np.add(z, b, z)
+            return act(z, out)
+        return step, None
 
     def backward(self, p, cache, w, grads=True):
         Wx, Wh, _ = p
@@ -386,7 +452,7 @@ class SimpleRnnConvCell:
         Kx, Kh, _, Ko, _ = views
         return _kernel(Kx), _kernel(Kh), _kernel(Ko)
 
-    def forward(self, p, xs, t, keep=False):
+    def forward(self, p, xs, t):
         _, _, b, _, bo, kx, kh, ko = p
         zx, xwin = _conv_same(xs, kx, 0.0)
         # the first step's hidden state and its windows are zero: z_0 = zx_0 + b
@@ -398,12 +464,43 @@ class SimpleRnnConvCell:
                 z += zx_i
             else:
                 z = zx_i + b
-            h, d = _activate(self.act, z, keep)
+            h, d = _act_deriv(self.act, z)
             ds.append(d)
             hwins.append(hwin)
         zo, owin = _conv_same(h, ko, bo)
-        out, do = _activate(self.act, zo, keep)
+        out, do = _act_deriv(self.act, zo)
         return out, (xwin, ds, hwins, do, owin)
+
+    def plan(self, p, shape, out):
+        # the tape's operations in its order, with the hidden state in the
+        # input rows of one padded buffer, whose windows the recurrent and
+        # the output convolution read
+        _, _, b, _, bo, kx, kh, ko = p
+        k = self.kernel
+        Fx, Fh = kx.fwd, kh.fwd
+        if self.act == "swish":
+            Fx, Fh, b = Fx * 0.5, Fh * 0.5, b * 0.5
+        act = _PLAN_ACT[self.act]
+        hshape = shape[1:-1] + (self.units,)
+        xin, xwin = _padded(shape, k) if k > 1 else (None, None)
+        hin, hwin = _padded(hshape, k) if k > 1 else (np.empty(hshape),) * 2
+        zx = np.empty(shape[:-1] + (self.units,))
+        z = np.empty(hshape)
+        first, rest = zx[0], list(zx[1:])
+        conv_out = _affine_step(ko.fwd, bo, self.act, hshape, out, hwin)
+
+        def step(xs, t):
+            np.matmul(xs if xwin is None else xwin, Fx, zx)
+            np.add(zx, 0.0, zx)   # the input half's zero bias
+            np.add(first, b, z)
+            for zx_i in rest:
+                act(z, hin)
+                np.matmul(hwin, Fh, z)
+                np.add(z, b, z)
+                np.add(z, zx_i, z)
+            act(z, hin)
+            return conv_out(None, t)
+        return step, xin
 
     def backward(self, p, cache, w, grads=True):
         kx, kh, ko = p[5:]
@@ -467,11 +564,17 @@ class Conv1d:
     def kernels(self, views):
         return (_kernel(self.taps(views[0])),)
 
-    def forward(self, p, x, t, keep=False):
+    def forward(self, p, x, t):
         _, b, ker = p
         z, win = _conv_same(x, ker, b)
-        y, d = _activate(self.act, z, keep)
+        y, d = _act_deriv(self.act, z)
         return y, (win, d)
+
+    def plan(self, p, shape, out):
+        _, b, ker = p
+        xin, win = _padded(shape, ker.k) if ker.k > 1 else (None, None)
+        oshape = shape[:-1] + (self.out_ch,)
+        return _affine_step(ker.fwd, b, self.act, oshape, out, win), xin
 
     def backward(self, p, cache, w, grads=True):
         win, d = cache
@@ -528,14 +631,26 @@ class AddExtraChannels:
             raise ValueError(f"AddExtraChannels expects {self.in_ch} channels, got {ch}")
         return ("grid", ch + self.n_extra)
 
-    def forward(self, p, x, t, keep=False):
+    def _extra(self, t, shape):
+        """The context channels at t, checked to be of ``shape``."""
         if t is None:
             raise ValueError("AddExtraChannels needs the evaluation time t")
         extra = np.asarray(self.channels_fn(t), dtype=float)
-        if extra.shape != x.shape[:-1] + (self.n_extra,):
+        if extra.shape != shape:
             raise ValueError(f"channels_fn returned shape {extra.shape}, expected "
-                             f"{x.shape[:-1] + (self.n_extra,)}: one time per member")
+                             f"{shape}: one time per member")
+        return extra
+
+    def forward(self, p, x, t):
+        extra = self._extra(t, x.shape[:-1] + (self.n_extra,))
         return np.concatenate([x, extra], axis=-1), x.shape[-1]
+
+    def plan(self, p, shape, out):
+        want = shape[:-1] + (self.n_extra,)
+
+        def step(x, t):
+            return np.concatenate((x, self._extra(t, want)), axis=-1, out=out)
+        return step, None
 
     def backward(self, p, cache, w, grads=True):
         return w[..., :cache], () if grads else None
@@ -565,11 +680,16 @@ class BioConstrain:
             raise ValueError("BioConstrain requires exactly one input channel")
         return (kind, 3)
 
-    def forward(self, p, x, t, keep=False):
+    def forward(self, p, x, t):
         beta = p[0][0]
         s = x[..., 0]
         out = s[..., None] * np.array([beta, -1.0, 1.0 - beta])
         return out, (s, beta, x.shape)
+
+    def plan(self, p, shape, out):
+        beta = p[0][0]
+        row = np.array([beta, -1.0, 1.0 - beta])
+        return (lambda x, t: np.multiply(x, row, out)), None
 
     def backward(self, p, cache, w, grads=True):
         s, beta, xshape = cache
@@ -683,17 +803,75 @@ class Network:
         return x
 
 
-def _run_tape(net: Network, x, params, t, keep):
-    """The forward pass: the Tape fields after ``net``, with the caches
-    holding what reverse passes read only when ``keep`` is true. ``params``
-    is the flat vector or its :meth:`Network.unpack` views."""
+def _run_tape(net: Network, x, params, t):
+    """The forward pass of a tape: its fields after ``net``. ``params`` is
+    the flat vector or its :meth:`Network.unpack` views."""
     views = params if isinstance(params, tuple) else net.unpack(params)
     x = net._check_input(x)
     caches = []
     for lay, p in zip(net.layers, views):
-        x, cache = lay.forward(p, x, t, keep)
+        x, cache = lay.forward(p, x, t)
         caches.append(cache)
     return views, x, caches
+
+
+class Plan:
+    """The plain forward pass of ``net`` (no tape), built once for one input
+    shape and run any number of times.
+
+    ``params`` is the flat vector or its :meth:`Network.unpack` views. The
+    first call fixes the input shape and builds one step per layer
+    (``plan``) over buffers allocated for it: each layer writes its output
+    with ``out=`` into the input buffer of the next, a k > 1 convolution's
+    padded buffer (whose pad rows stay zero), and swish layers take halved
+    weights, decoded here. The last layer writes into a fresh array, so no
+    output aliases a plan buffer. Every call checks the input shape, a
+    tuple compare, and a call on another shape raises ``ValueError``. A
+    plan is not reentrant: it serves one solve, one call at a time.
+    """
+
+    def __init__(self, net: Network, params):
+        self.net = net
+        self.views = params if isinstance(params, tuple) else net.unpack(params)
+        self.shape = None
+        self.steps = ()
+
+    def __call__(self, x: np.ndarray, t=None) -> np.ndarray:
+        if x.shape != self.shape:
+            self._build(x)
+        for step in self.steps:
+            x = step(x, t)
+        return x
+
+    def _build(self, x):
+        if self.shape is not None:
+            raise ValueError(f"input shape {x.shape}, expected {self.shape}, "
+                             f"the shape this plan was built for")
+        net = self.net
+        net._check_input(x)
+        spec, shapes = net.input_spec, [x.shape]
+        for lay in net.layers:
+            spec = lay.out_spec(spec)
+            shapes.append(shapes[-1][isinstance(lay, _RECURRENT):-1] + (spec[1],))
+        # from the last layer back, each layer's output buffer is the next
+        # one's input buffer
+        steps, out = [], None
+        for i in range(len(net.layers) - 1, -1, -1):
+            step, xin = net.layers[i].plan(self.views[i], shapes[i], out)
+            steps.append(step)
+            out = np.empty(shapes[i]) if xin is None else xin
+        if xin is not None:
+            steps.append(_copy_into(xin))
+        self.steps = steps[::-1]
+        self.shape = x.shape
+
+
+def _copy_into(buf):
+    """The plan step that copies its input into ``buf``."""
+    def step(x, t):
+        np.copyto(buf, x)
+        return buf
+    return step
 
 
 def _backward(tp: Tape, w, want_grads: bool):
@@ -729,21 +907,34 @@ def fields(net: Network, x) -> np.ndarray:
     return x if kind == "dense" else x.reshape(x.shape[:-1] + (-1, ch))
 
 
-def forward(net: Network, x, params: Vec, t=None):
+def _planned(net: Network, x, params, t):
+    """The plain forward pass through ``params`` when it is a plan of
+    ``net``, else through a plan built for this one call."""
+    if not isinstance(params, Plan):
+        return Plan(net, params)(np.asarray(x, dtype=float), t)
+    if params.net is not net:
+        raise ValueError("the plan belongs to another network")
+    return params(x, t)
+
+
+def forward(net: Network, x, params, t=None):
     """Evaluate a feed-forward network on one input, or on a stack of them
-    along a leading batch axis. ``params`` is the flat vector or its
-    :meth:`Network.unpack` views; ``t`` is one time or one per member."""
+    along a leading batch axis. ``params`` is the flat vector, its
+    :meth:`Network.unpack` views, or a :class:`Plan` of ``net``, which takes
+    ``x`` as an array of the shape it runs; ``t`` is one time or one per
+    member."""
     if net.recurrent:
         raise ValueError("recurrent network: use rnn_forward with a sequence")
-    return _run_tape(net, x, params, t, False)[1]
+    return _planned(net, x, params, t)
 
 
-def rnn_forward(net: Network, xs, params: Vec, t=None):
+def rnn_forward(net: Network, xs, params, t=None):
     """Evaluate a recurrent network on a sequence ordered oldest -> newest,
-    stacked along the leading axis (then an optional batch axis)."""
+    stacked along the leading axis (then an optional batch axis); ``params``
+    as for :func:`forward`."""
     if not net.recurrent:
         raise ValueError("rnn_forward requires a network with a recurrent cell")
-    return _run_tape(net, xs, params, t, False)[1]
+    return _planned(net, xs, params, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -763,7 +954,7 @@ def tape(net: Network, x, params: Vec, t=None) -> Tape:
 
     For recurrent networks ``x`` is the input sequence, oldest first.
     """
-    return Tape(net, *_run_tape(net, x, params, t, True))
+    return Tape(net, *_run_tape(net, x, params, t))
 
 
 def rows(tp: Tape, sl: slice) -> Tape:

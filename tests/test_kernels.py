@@ -18,6 +18,7 @@ are read-only, the plain forward against the tape on every closure network,
 and reverse passes that read the taped act'(z) instead of recomputing it.
 """
 
+import dataclasses
 import warnings
 from collections import Counter
 
@@ -51,7 +52,7 @@ def test_sigmoid_matches_the_two_branch_form():
         warnings.simplefilter("error")
         got = nn._sigmoid(z)
         ends = np.array([-800.0, 800.0])
-        acts = [*nn._act_deriv("swish", ends.copy()), nn._act("swish", ends.copy())]
+        acts = [*nn._act_deriv("swish", ends.copy()), _plan_act("swish", ends)]
     assert np.all(np.isfinite(got)) and all(np.all(np.isfinite(a)) for a in acts)
     assert np.max(np.abs(got - oracles.sigmoid_two_branch(z))) <= 1e-15
     np.testing.assert_array_equal(acts[0], [0.0, 800.0])
@@ -94,7 +95,7 @@ def test_conv_layers_match_the_tap_loop_per_member(n):
         K, b = rng.normal(size=(3, 5, 7)), rng.normal(size=7)
         x, w = rng.normal(size=(4, n, 5)), rng.normal(size=(4, n, 7))
         p = (K, b) + layer.kernels((K, b))
-        y, cache = layer.forward(p, x, None, True)
+        y, cache = layer.forward(p, x, None)
         dx, (dK, db) = layer.backward(p, cache, w)
         taps = layer.taps(K)
         fwd = [oracles.conv_same_loop(x_i, taps, b) for x_i in x]
@@ -477,6 +478,21 @@ def _with_specials(rng, shape, scale=3.0):
     return x
 
 
+def _plan_act(name, z):
+    """A plan step's act(z) into a fresh array: a swish step activates the
+    halved pre-activation its halved weights give."""
+    return nn._PLAN_ACT[name](z * 0.5 if name == "swish" else z, None)
+
+
+def _plan_step(layer, p, x):
+    """One layer's plan step on x, into a fresh array (its input written
+    into the step's padded buffer when it has one)."""
+    step, xin = layer.plan(p, x.shape, None)
+    if xin is not None:
+        xin[...] = x
+    return step(x, None)
+
+
 def _former_conv(x, K, b):
     """The convolution as it was written before its bias went in place."""
     k = K.shape[0]
@@ -503,9 +519,9 @@ def test_activations_equal_their_former_expressions():
                   "tanh": (t, 1.0 - t * t), "linear": (z, None)}
         w = z[::-1].copy()
         for name, (y_ref, d_ref) in former.items():
-            # the tape's act(z) and act'(z), and the plain forward's act(z)
+            # the tape's act(z) and act'(z), and a plan step's act(z)
             y, d = nn._act_deriv(name, z.copy())
-            assert _same(y, y_ref) and _same(nn._act(name, z.copy()), y_ref)
+            assert _same(y, y_ref) and _same(_plan_act(name, z), y_ref)
             if d_ref is None:
                 # linear passes its cotangent on as it is
                 assert d is None and nn._scale(d, w) is w
@@ -514,15 +530,15 @@ def test_activations_equal_their_former_expressions():
 
 
 def test_forward_only_swish_equals_the_sigmoid_form():
-    # the plain forward's (z / 2) * (1 + tanh(z / 2)), against z * sigmoid(z)
-    # as the tape computes it, at the ends of the float range too
+    # a plan step's (z / 2) * (1 + tanh(z / 2)), against z * sigmoid(z) as
+    # the tape computes it, at the ends of the float range too
     ends = [0.0, 1e-300, 5e-324, 1e-310, 800.0, 1e308]
     z = np.concatenate([np.random.default_rng(1).normal(size=100_000), ends,
                         np.negative(ends)])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         want = z * (0.5 * (1.0 + np.tanh(0.5 * z)))
-        assert _same(nn._act("swish", z.copy()), want)
+        assert _same(_plan_act("swish", z), want)
         assert _same(nn._act_deriv("swish", z.copy())[0], want)
 
 
@@ -531,14 +547,16 @@ def test_affine_layers_add_the_bias_like_before(k):
     rng = np.random.default_rng(k)
     x = _with_specials(rng, (4, 20, 5))
     W, b = rng.normal(size=(7, 5)), rng.normal(size=7)
-    # a linear layer's output is its pre-activation
-    z = nn.Dense(5, 7).forward((W, b), x, None)[0]
-    assert _same(z, x @ W.T + b)
+    # a linear layer's output is its pre-activation, in a tape and a plan
+    dense = nn.Dense(5, 7)
+    assert _same(dense.forward((W, b), x, None)[0], x @ W.T + b)
+    assert _same(_plan_step(dense, (W, b), x), x @ W.T + b)
     K = rng.normal(size=(k, 5, 7))
     ker = nn._kernel(K)
     product = nn._windows(x, k, (k - 1) // 2) @ K.reshape(-1, 7)
     assert _same(nn._conv_same(x, ker, b)[0], product + b)
     assert _same(nn._conv_same(x, ker, 0.0)[0], product + 0.0)
+    assert _same(_plan_step(nn.Conv1d(5, 7, k), (K, b, ker), x), product + b)
     # one product over the tap windows, where the former form added one per tap
     same = _same if k == 1 else _close
     assert same(nn._conv_same(x, ker, b)[0], _former_conv(x, K, b))
@@ -549,9 +567,11 @@ def test_bio_constrain_equals_the_stacked_triple():
     rng = np.random.default_rng(2)
     x = _with_specials(rng, (3, 20, 1))
     for beta in (0.5, rng.uniform(), -0.3, 0.0):
-        out = nn.BioConstrain().forward((np.array([beta]),), x, None)[0]
+        p = (np.array([beta]),)
         s = x[..., 0]
-        assert _same(out, np.stack([beta * s, -s, (1.0 - beta) * s], axis=-1))
+        want = np.stack([beta * s, -s, (1.0 - beta) * s], axis=-1)
+        assert _same(nn.BioConstrain().forward(p, x, None)[0], want)
+        assert _same(_plan_step(nn.BioConstrain(), p, x), want)
 
 
 @pytest.mark.parametrize("lead", [(), (4,), (25, 4)])
@@ -576,7 +596,7 @@ def test_first_recurrent_step_equals_the_zero_state_product(name):
     p = net.unpack(rng.normal(0.0, 0.5, net.n_params))[0]
     # the tape keeps act(z_0) as the next step's hidden state (its windows
     # in the convolutional cell) and act'(z_0)
-    _, ds, hs = cell.forward(p, xs, None, True)[1][:3]
+    _, ds, hs = cell.forward(p, xs, None)[1][:3]
     if name == "dense":
         Wx, Wh, b = p
         h0 = np.zeros((3, cell.units))
@@ -614,7 +634,7 @@ def test_a_reverse_pass_stops_the_recurrent_product_at_step_1(name, grads, monke
     shape = (cell.n_in,) if name == "dense" else (20, cell.in_ch)
     net = nn.Network([cell])
     p = net.unpack(rng.normal(0.0, 0.5, net.n_params))[0]
-    out, cache = cell.forward(p, rng.normal(size=(7, 3) + shape), None, True)
+    out, cache = cell.forward(p, rng.normal(size=(7, 3) + shape), None)
     w = rng.normal(size=out.shape)
     if name == "dense":
         wh = _CountingMatrix(p[1])
@@ -752,26 +772,126 @@ def _net_input(net, points, rng, batch):
 @pytest.mark.parametrize("batch", [None, 8], ids=["single", "batch8"])
 @pytest.mark.parametrize("name", sorted(CLOSURE_NETS))
 def test_plain_forward_equals_the_tape_output_and_writes_nothing(name, batch):
-    # a plain forward computes no derivative and works in place on each
-    # layer's own pre-activation; its output is the tape's, bit for bit, and
-    # no pass changes a byte of its caller's arrays or of a tape
+    # a plain forward runs through a plan, built for the call or kept by the
+    # caller; its output is the tape's, bit for bit, and no pass changes a
+    # byte of its caller's arrays or of a tape. Two calls on one plan with
+    # different inputs each give their tape's output, and the second leaves
+    # the first's as it was: the last step writes into a fresh array
     net, points = CLOSURE_NETS[name]
     rng = np.random.default_rng(31)
     params = rng.normal(0.0, 0.5, net.n_params)
-    x = _net_input(net, points, rng, batch)
+    x, x2 = _net_input(net, points, rng, batch), _net_input(net, points, rng, batch)
     t = 40.5 if batch is None else np.linspace(0.0, 180.0, batch)
+    t2 = t + 3.25
     run = nn.rnn_forward if net.recurrent else nn.forward
-    kept = [x.copy(), params.copy()]
-    tp = nn.tape(net, x, params, t)
+    kept = [x.copy(), x2.copy(), params.copy()]
+    tp, tp2 = nn.tape(net, x, params, t), nn.tape(net, x2, params, t2)
     assert _same(run(net, x, params, t), tp.y)
     assert _same(run(net, x, net.unpack(params), t), tp.y)
+    plan = nn.Plan(net, params)
+    y = run(net, x, plan, t)
+    y_first = y.copy()
+    y2 = run(net, x2, plan, t2)
+    assert _same(y, y_first) and _same(y, tp.y) and _same(y2, tp2.y)
+    assert not np.shares_memory(y, y2)
     w = _mixed(rng, tp.y.shape)
     taped = [a.copy() for a in [tp.y] + _arrays(tp.caches)]
     kept.append(w.copy())
     nn.backward(tp, w)
     nn.backward_input(tp, w)
-    assert all(_same(a, b) for a, b in zip([x, params, w], kept))
+    assert all(_same(a, b) for a, b in zip([x, x2, params, w], kept))
     assert all(_same(a, b) for a, b in zip([tp.y] + _arrays(tp.caches), taped))
+
+
+@pytest.mark.parametrize("batch", [None, 8], ids=["single", "batch8"])
+@pytest.mark.parametrize("study_name", ["exp2_subgrid", "exp3b_bio1d"])
+def test_aux_rate_is_the_difference_of_two_g_tapes(study_name, batch):
+    # the two g-network calls of a right-hand side, at t - tau_1 and
+    # t - tau_2, run through one plan; each gets a fresh output, so their
+    # difference is that of two separate tapes, call after call
+    study = ex.get_study(study_name)
+    clo = study.closure("distributed")
+    tau1, tau2 = clo.window
+    assert tau2 > tau1
+    rng = np.random.default_rng(33)
+    phi = rng.normal(0.0, 0.5, clo.g_net.n_params)
+    lead, n = (() if batch is None else (batch,)), study.state_dim
+    t = 40.5 if batch is None else np.linspace(0.0, 180.0, batch)
+    plan = nn.Plan(clo.g_net, phi)
+    for _ in range(2):
+        u = _mixed(rng, lead + (n,))
+        delayed = [_mixed(rng, lead + (n + clo.aux_dim,)) for _ in clo.lags]
+        edges = ((u if tau1 == 0.0 else delayed[0][..., :n], tau1),
+                 (delayed[-1][..., :n], tau2))
+        g1, g2 = (nn.tape(clo.g_net, nn.fields(clo.g_net, v), phi, t - tau).y
+                  .reshape(lead + (-1,)) for v, tau in edges)
+        assert _same(clo.aux_rate(t, u, delayed, plan), g1 - g2)
+
+
+@pytest.mark.parametrize("study_name, kind, window", [
+    ("toy", "markovian", None), ("toy", "discrete", None), ("toy", "distributed", None),
+    ("toy", "distributed", (0.3, 0.3)), ("exp2_subgrid", "distributed", None),
+    ("exp3b_bio1d", "discrete", None)])
+def test_a_solve_builds_one_plan_per_network(study_name, kind, window, monkeypatch):
+    # forward_augmented builds one plan per network, each sized once and
+    # called by every right-hand side (the g-network twice, at both window
+    # edges, and not at all over an empty window); the adjoint sweep builds
+    # none
+    plans, rhs_calls, at_adjoint = [], Counter(), []
+
+    class CountedPlan(nn.Plan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.calls = self.builds = 0
+            plans.append(self)
+
+        def __call__(self, x, t=None):
+            self.calls += 1
+            return super().__call__(x, t)
+
+        def _build(self, x):
+            self.builds += 1
+            super()._build(x)
+
+    def counted(rhs):
+        def wrapped(*args):
+            rhs_calls["rhs"] += 1
+            return rhs(*args)
+        return wrapped
+
+    ode, dde, adjoint = closure.integrate_ode, closure.integrate_dde, closure.adjoint_gradient
+    monkeypatch.setattr(nn, "Plan", CountedPlan)
+    monkeypatch.setattr(closure, "integrate_ode",
+                        lambda rhs, *a, **k: ode(counted(rhs), *a, **k))
+    monkeypatch.setattr(closure, "integrate_dde", lambda prob, *a, **k: dde(
+        dataclasses.replace(prob, rhs=counted(prob.rhs)), *a, **k))
+    monkeypatch.setattr(closure, "adjoint_gradient",
+                        lambda *a: at_adjoint.append(len(plans)) or adjoint(*a))
+    clo = _counted_window(study_name, kind, monkeypatch, window)[0]
+    assert at_adjoint == [len(plans)] and [p.net for p in plans] == list(clo.nets)
+    n_rhs = rhs_calls["rhs"]
+    assert n_rhs > 0 and plans[0].calls == n_rhs and plans[0].builds == 1
+    if kind == "distributed":
+        windowed = clo.window[1] > clo.window[0]
+        assert plans[1].calls == 2 * n_rhs * windowed and plans[1].builds == windowed
+
+
+def test_a_plan_runs_only_the_shape_it_was_built_for():
+    net, points = CLOSURE_NETS["exp2_subgrid/markovian/0"]
+    rng = np.random.default_rng(34)
+    params = rng.normal(0.0, 0.5, net.n_params)
+    x = rng.normal(size=(8, points, 1))
+    plan = nn.Plan(net, params)
+    with pytest.raises(ValueError, match="input shape"):
+        plan(x[..., 0])         # a layout the network does not take
+    y = plan(x)
+    for bad in (x[:4], x[0], np.zeros((8, points + 1, 1))):
+        with pytest.raises(ValueError, match="input shape"):
+            plan(bad)
+    other, _ = CLOSURE_NETS["exp2_subgrid/distributed/1"]
+    with pytest.raises(ValueError, match="another network"):
+        nn.forward(other, x, plan)
+    assert _same(plan(x), y)
 
 
 def _counted_derivatives(monkeypatch):
