@@ -43,7 +43,8 @@ network of the closure's ``nets``: theta first, then phi for distributed
 closures. A forward solve and an adjoint sweep each decode it once into
 per-layer views and hand those to every network pass; a forward solve also
 builds each network's plain-forward plan (:class:`nn.Plan`) once, which
-every right-hand side runs.
+every right-hand side runs; what depends only on delayed states runs once
+per block of right-hand-side times (``prepare``).
 
 A solve may carry a batch of B members in lockstep: states (B, d) on one
 shared clock, the first member's time. Member b starts at t0_b, so its time
@@ -58,7 +59,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -99,8 +100,11 @@ class _Closure:
     ``lags``, the positive lags its right-hand side reads (the forward
     solve's delays and the adjoint's shifts); ``f_lags``, those the
     f-network reads, each with an advanced adjoint term; the f-network's
-    input and the split of its cotangent. Each kind also gives ``aux_dim``,
-    the width of its auxiliary field, and ``describe()``, its fingerprint.
+    input, its output ``f_term`` and the split of its cotangent. A kind with
+    lags gives ``prepare(times, delayed, plans)``: from R member times
+    (R,) + members and the states at t - tau, (R, K) + members + (dim,), one
+    payload per time for its right-hand side. Each kind also gives
+    ``aux_dim``, the width of its auxiliary field, and ``describe()``.
     """
 
     lags = f_lags = ()
@@ -109,10 +113,15 @@ class _Closure:
     def nets(self) -> tuple:
         return (self.net,)
 
-    def f_input(self, U: Vec, delayed: Sequence[Vec]) -> np.ndarray:
+    def f_input(self, U: Vec, delayed=()) -> np.ndarray:
         """The f-network input from the augmented state U = [u; y] at a time
-        t and ``delayed``, the states at t - tau for tau in ``f_lags``."""
+        t and ``delayed``, the states at t - tau for tau in ``f_lags``
+        stacked along a leading axis."""
         return nn.fields(self.net, U)
+
+    def f_term(self, t, U: Vec, theta, prepared=None) -> np.ndarray:
+        """The f-network at t on U, given the payload (None without lags)."""
+        return nn.forward(self.nets[0], self.f_input(U), theta, t)
 
     def f_input_grad(self, dx, lead: tuple, k: int = 0) -> tuple[Vec, Vec | None]:
         """A cotangent of the f-network input as flat rows, one per member:
@@ -157,13 +166,20 @@ class Discrete(_Closure):
     def describe(self) -> str:
         return f"discrete[{_nums(self.delays)}]|" + self.net.describe()
 
-    def f_input(self, U, delayed):
-        # the sequence filled into one array, oldest (the last delay) first
-        xs = np.empty((len(delayed) + 1,) + np.shape(U))
-        xs[-1] = U
-        for i, d in enumerate(delayed, start=2):
-            xs[-i] = d
-        return nn.fields(self.net, xs)
+    def f_input(self, U, delayed=()):
+        # the sequence, oldest (the last delay) first
+        delayed = np.reshape(delayed, (-1,) + np.shape(U))
+        return nn.fields(self.net, np.concatenate([delayed[::-1], U[None]]))
+
+    def prepare(self, times, delayed, plans):
+        """The recurrent cell's pre-activation after the delayed elements of
+        each time's sequence, for the block in one pass (:meth:`nn.Plan.prefix`)."""
+        return plans[0].prefix(nn.fields(self.net, delayed[:, ::-1]))
+
+    def f_term(self, t, U, theta, prepared=None):
+        # U after the prepared prefix row; without delays the sequence is U
+        x = self.f_input(U) if prepared is None else nn.fields(self.net, U)
+        return nn.rnn_forward(self.net, x, theta, t, prepared)
 
     def f_input_grad(self, dx, lead, k=0):
         # the sequence cotangent, oldest first like the sequence
@@ -205,7 +221,7 @@ class Distributed(_Closure):
         return (f"distributed[{_nums(self.window)};aux={self.aux_dim}]"
                 f"|f:{self.f_net.describe()}|g:{self.g_net.describe()}")
 
-    def f_input(self, U, delayed):
+    def f_input(self, U, delayed=()):
         # state and auxiliary field joined per point: the state's fields
         # with the auxiliary channels after its own
         uf = nn.fields(self.g_net, U[..., :-self.aux_dim])
@@ -216,23 +232,27 @@ class Distributed(_Closure):
         cu = self.g_net.input_spec[1]
         return dx[..., :cu].reshape(lead + (-1,)), dx[..., cu:].reshape(lead + (-1,))
 
-    def g_eval(self, t, u: Vec, phi) -> Vec:
-        """g(u, t; phi), flat per member; ``phi`` is the flat vector, its
-        views or their :class:`nn.Plan`."""
-        out = nn.forward(self.g_net, nn.fields(self.g_net, u), phi, t)
-        return out.reshape(u.shape[:-1] + (-1,))
+    def prepare(self, times, delayed, plans):
+        """g at the delayed window edges of each time, for the block in one
+        pass (:meth:`nn.Plan.stacked`): g(u(t - tau_2), t - tau_2), or the
+        whole rate when tau_1 > 0 too; one row per time, flat per member."""
+        x = nn.fields(self.g_net, delayed[..., :-self.aux_dim])
+        ts = np.stack([times - tau for tau in self.lags], axis=1)
+        g = plans[1].stacked(x.reshape((-1,) + x.shape[2:]), ts.reshape((-1,) + ts.shape[2:]))
+        g = g.reshape(ts.shape + (-1,))
+        return g[:, 0] - g[:, 1] if self.window[0] > 0.0 else g[:, 0]
 
-    def aux_rate(self, t, u: Vec, delayed: Sequence[Vec], phi) -> Vec:
+    def aux_rate(self, t, u: Vec, prepared, phi) -> Vec:
         """dy/dt = g(u(t - tau_1), t - tau_1) - g(u(t - tau_2), t - tau_2),
-        zero over an empty window; ``delayed`` holds the states at t - tau
-        for tau in ``lags``."""
+        zero over an empty window; ``prepared`` is the time's row of
+        :meth:`prepare`, so g runs here only on u(t), when tau_1 = 0."""
         tau1, tau2 = self.window
         if tau2 == tau1:
             return np.zeros(u.shape[:-1] + (self.aux_dim,))
-        n = u.shape[-1]
-        u1 = u if tau1 == 0.0 else delayed[0][..., :n]
-        u2 = delayed[-1][..., :n]
-        return self.g_eval(t - tau1, u1, phi) - self.g_eval(t - tau2, u2, phi)
+        if tau1 > 0.0:
+            return prepared
+        return nn.forward(self.g_net, nn.fields(self.g_net, u), phi, t).reshape(
+            prepared.shape) - prepared
 
     def history_nodes(self, t0: float) -> np.ndarray:
         """The trapezoid nodes of y(t0) over [t0 - tau_2, t0 - tau_1]."""
@@ -296,14 +316,13 @@ class AugmentedSystem:
         blocks = np.split(params, np.cumsum([net.n_params for net in nets])[:-1])
         return tuple(net.unpack(p) for net, p in zip(nets, blocks))
 
-    def closure_term(self, t, U: Vec, theta, delayed: Sequence[Vec] = ()) -> Vec:
+    def closure_term(self, t, U: Vec, theta, prepared=None) -> Vec:
         """The neural contribution to du/dt at time t from the augmented
-        state U and the states ``delayed`` at t - tau for tau in the
-        closure's ``f_lags``. ``theta`` is the flat vector, its views
-        (:meth:`decode`) or their :class:`nn.Plan`."""
-        net = self.closure.nets[0]
-        x = self.closure.f_input(U, delayed)
-        term = (nn.rnn_forward if net.recurrent else nn.forward)(net, x, theta, t)
+        state U and the right-hand side's payload ``prepared`` (the
+        closure's ``prepare``; None without lags). ``theta`` is the flat
+        vector, its views (:meth:`decode`) or their :class:`nn.Plan`, which
+        a payload requires."""
+        term = self.closure.f_term(t, U, theta, prepared)
         return term.reshape(U[..., :self.state_dim].shape)
 
 
@@ -399,9 +418,11 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
     is called only with a 1-D array of times (a single trajectory's, or
     every member's) and gives one row per time.
 
-    One right-hand side rhs(t, U, delayed) serves every closure kind, with
-    ``delayed`` holding U at t - tau for tau in the closure's ``lags``. A
-    closure without lags is solved as an ODE. The solve is fixed-step RK4,
+    One right-hand side rhs(t, U, prepared) serves every closure kind, with
+    ``prepared`` the payload the closure's ``prepare`` made from U at
+    t - tau for tau in its ``lags``, for a block of right-hand-side times at
+    once (:func:`integrate.integrate_dde`). A closure without lags is solved
+    as an ODE. The solve is fixed-step RK4,
     like the adjoint sweep (``stepper`` must be :class:`RK4Fixed`), so its
     lookup plan (:func:`integrate.dde_read_times`) holds every time it reads:
     u0 when it is not given, the reads before t0 and the y(t0) nodes are one
@@ -451,18 +472,24 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
         y0 = (trapezoid_weights(ts) @ g_nodes).reshape(lead + (-1,))
     U0 = np.concatenate([u0, y0], axis=-1)
 
-    def rhs(t, U, delayed=()):
+    def rhs(t, U, prepared=None):
         tm = t + offsets
         u = U[..., :n]
-        du = sys.base_rhs(tm, u) + sys.closure_term(tm, U, plans[0], delayed)
+        du = sys.base_rhs(tm, u) + sys.closure_term(tm, U, plans[0], prepared)
         if not aux:
             return du
-        return np.concatenate([du, c.aux_rate(tm, u, delayed, plans[1])], axis=-1)
+        return np.concatenate([du, c.aux_rate(tm, u, prepared, plans[1])], axis=-1)
+
+    def prepare(times, delayed):
+        return c.prepare(np.add.outer(times, offsets), delayed, plans)
 
     if lags:
-        # the closures read only the state part of a delayed value
-        hist = dict(zip(reads.tolist(), rows)) | {t0: U0}
-        traj = integrate_dde(DdeProblem(rhs=rhs, delays=lags, history=hist.__getitem__),
+        # the closures read only the state part of a delayed value: the
+        # history's has NaN for the auxiliary field
+        past = np.pad(rows[:reads.size], [(0, 0)] * (rows.ndim - 1) + [(0, aux)],
+                      constant_values=np.nan)
+        hist = dict(zip(reads.tolist(), past)) | {t0: U0}
+        traj = integrate_dde(DdeProblem(rhs, lags, hist.__getitem__, prepare),
                              (t0, t1), stepper)
     else:
         traj = integrate_ode(rhs, U0, (t0, t1), stepper)
@@ -751,8 +778,10 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
         return np.stack([state[t][..., :width] for t in ts])
 
     def f_input(ts):
-        delayed = np.subtract.outer(ts, f_lags).T.tolist()
-        return c.f_input(stack(ts), [stack(ds, n) for ds in delayed])
+        # the states at t - tau, (f_lags, times) + members + (n,), in one stack
+        lagged = np.subtract.outer(ts, f_lags).T
+        delayed = stack(lagged.ravel().tolist(), n) if f_lags else np.empty(0)
+        return c.f_input(stack(ts), delayed.reshape(lagged.shape + delayed.shape[1:]))
 
     f_tapes = _StageTapes(c.nets[0], views[0], knots, f_times, f_input, offsets)
     if windowed:

@@ -22,6 +22,7 @@ data spans share this rule, so the store accepts every read a sweep plans.
 from __future__ import annotations
 
 import bisect
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -417,18 +418,22 @@ def check_window(window) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class DdeProblem:
-    """Delay problem u'(t) = rhs(t, u(t), [u(t - tau_1), ..., u(t - tau_K)]).
+    """Delay problem u'(t) = rhs(t, u(t), p(t)), where the payload p(t) is
+    made from the delayed states [u(t - tau_1), ..., u(t - tau_K)].
 
     ``delays`` must pass :func:`check_delays`. ``history`` supplies
     u(t) for one time t <= t_start and must cover
-    [t_start - max(delays), t_start]. ``rhs`` must not change the delayed
-    states in place: a solve may hand the same array to several reads of
-    one time.
+    [t_start - max(delays), t_start]. ``prepare(times, delayed)`` makes one
+    payload per time from the delayed states of R right-hand-side times,
+    delayed[r, k] = u(times[r] - tau_k); by default the time's (K,) + value
+    array, so ``delayed[k]`` in ``rhs`` is u(t - tau_k). ``rhs`` must not
+    change a payload in place: right-hand sides at one time share it.
     """
 
-    rhs: Callable[[float, Vec, list[Vec]], Vec]
+    rhs: Callable[[float, Vec, object], Vec]
     delays: tuple[float, ...]
     history: Callable[[float], Vec]
+    prepare: Callable[[np.ndarray, np.ndarray], Sequence] = lambda times, delayed: delayed
 
     def __post_init__(self):
         object.__setattr__(self, "delays", check_delays(self.delays))
@@ -443,6 +448,14 @@ def _breakpoints(t0: float, t1: float, delays: tuple[float, ...]):
             k += 1
 
 
+def _rk4_calls(t0: float, t1: float, h: float) -> np.ndarray:
+    """The right-hand-side times of fixed-step RK4 over :func:`rk4_grid`, in
+    call order: t0, then per step its midpoint twice, its end t + h and the
+    next knot, whose right-hand side is the next step's first stage."""
+    ts, mids, ends = rk4_grid(t0, t1, h)
+    return np.concatenate([ts[:1], np.stack([mids, mids, ends, ts[1:]], axis=1).ravel()])
+
+
 def dde_read_times(delays: Sequence[float], t_span: tuple[float, float],
                    stepper: StepperSpec) -> np.ndarray | None:
     """The lookup plan of :func:`integrate_dde`: every time t - tau at which a
@@ -452,8 +465,7 @@ def dde_read_times(delays: Sequence[float], t_span: tuple[float, float],
     the solve."""
     if not isinstance(stepper, RK4Fixed):
         return None
-    times = np.concatenate(rk4_grid(float(t_span[0]), float(t_span[1]),
-                                    min(stepper.dt, delays[0])))
+    times = _rk4_calls(float(t_span[0]), float(t_span[1]), min(stepper.dt, delays[0]))
     return np.unique(np.subtract.outer(times, np.asarray(delays, dtype=float)))
 
 
@@ -467,50 +479,57 @@ def integrate_dde(prob: DdeProblem, t_span: tuple[float, float],
     jump.
 
     ``prob.history`` is called with one time at a time. A fixed-step solve
-    reads the states after t_start ahead, by its lookup plan
-    (:func:`dde_read_times`): a read it has not fetched yet fetches every
-    planned time up to the committed end of the solution in one
-    :meth:`DenseTrajectory.eval_many`, and drops the fetched times older than
-    that end minus the largest delay, which no later stage reads. A value
-    at a time before the committed end does not change as the solution
-    grows, so each read equals a scalar :meth:`DenseTrajectory.eval` at its
-    own time bit for bit; a read past the end (an ulp, by rounding) and an
-    adaptive solve's reads are such scalar evaluations.
+    knows its right-hand-side times before it starts (:func:`rk4_grid`), so
+    it prepares them a block at a time: when no payload is left, the next
+    run of them whose reads all lie at or before the committed end of the
+    solution has its delayed states read in one
+    :meth:`DenseTrajectory.eval_many` (the history's before t_start) and
+    made into payloads by one ``prob.prepare`` call, each dropped once taken
+    by the last right-hand side at its time. A value before the committed
+    end does not change as the solution grows, so each read equals a scalar
+    :meth:`DenseTrajectory.eval` at its own time bit for bit. A time whose
+    reads pass that end (by an ulp, where a step equals the smallest delay)
+    is prepared alone at its own stage, the read clamped to the end, as is
+    each right-hand side of an adaptive solve.
     """
     if not prob.delays:
         raise ValueError("integrate_dde: no delays; use integrate_ode")
     t0, t1 = float(t_span[0]), float(t_span[1])
     traj = DenseTrajectory()
-    plan = dde_read_times(prob.delays, (t0, t1), stepper)
-    plan = plan[plan > t0] if plan is not None else np.empty(0)
-    ahead: dict = {}
-    fetched = 0  # plan[:fetched] has been read ahead
-
-    def read_ahead():
-        nonlocal ahead, fetched
-        t_end = traj.t_end
-        stop = int(np.searchsorted(plan, t_end, side="right"))
-        if stop > fetched:
-            oldest = t_end - prob.delays[-1]
-            ahead = {s: v for s, v in ahead.items() if s >= oldest}
-            ahead.update(zip(plan[fetched:stop].tolist(), traj.eval_many(plan[fetched:stop])))
-            fetched = stop
-
-    def u_at(s: float) -> Vec:
-        if s <= t0:
-            return np.asarray(prob.history(s), dtype=float)
-        v = ahead.get(s)
-        if v is None and fetched < plan.size:
-            read_ahead()
-            v = ahead.get(s)
-        return traj.eval(s) if v is None else v
+    u0 = np.asarray(prob.history(t0), dtype=float)
+    calls = reach = None
+    if isinstance(stepper, RK4Fixed):
+        calls = _rk4_calls(t0, t1, min(stepper.dt, prob.delays[0]))
+        # the latest read of each call or of any call before it
+        reach = np.maximum.accumulate(calls - prob.delays[0])
+    ahead = deque()   # the payloads of the calls after the last one made
+    done = 0          # calls[:done] are made or have a payload ahead
 
     def rhs(t: float, u: Vec) -> Vec:
-        delayed = [u_at(t - tau) for tau in prob.delays]
-        return np.asarray(prob.rhs(t, u, delayed), dtype=float)
+        nonlocal done
+        if not ahead:
+            if calls is None:
+                block = np.array([t])
+            else:
+                end = traj.t_end if len(traj) else t0
+                stop = max(int(np.searchsorted(reach, end, side="right")), done + 1)
+                block, done = calls[done:stop], stop
+            new = np.r_[True, block[1:] != block[:-1]]
+            lagged = np.subtract.outer(block[new], prob.delays)
+            if not len(traj):   # the committed end is t0
+                lagged = np.minimum(lagged, t0)
+            delayed = np.empty(lagged.shape + u0.shape)
+            past = lagged <= t0
+            for i in zip(*np.nonzero(past)):
+                delayed[i] = prob.history(lagged[i])
+            if not past.all():
+                delayed[~past] = traj.eval_many(lagged[~past])
+            payloads = prob.prepare(block[new], delayed)
+            ahead.extend(payloads[i] for i in np.cumsum(new) - 1)
+        return np.asarray(prob.rhs(t, u, ahead.popleft()), dtype=float)
 
-    return _solve(rhs, prob.history(t0), (t0, t1), stepper,
-                  _breakpoints(t0, t1, prob.delays), traj, cap=prob.delays[0])
+    return _solve(rhs, u0, (t0, t1), stepper, _breakpoints(t0, t1, prob.delays), traj,
+                  cap=prob.delays[0])
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,8 @@ buffers allocated once for its input shape, so a caller that keeps the plan
 (a forward solve keeps one per network) runs each pass with no allocation
 but its output and no per-layer dispatch. Its output is the tape's, bit for
 bit. Given the flat vector or views, the two functions build a plan for the
-one call.
+one call. A plan also runs inputs stacked along a leading axis, and many
+recurrent sequences but their last elements, in one pass each.
 
 Each convolution pass is one matmul over the tap windows of one padded copy
 (a plan's padded buffer, whose pad rows stay zero). The kernels work in
@@ -243,6 +244,29 @@ def _affine_step(M, b, act, shape, out, win=None):
     return step
 
 
+def _recurrent_plan(b, z, h, hidden, zx_of, zx_last, recur, finish):
+    """A recurrent cell's plan (last, prefix) from its input halves of R
+    sequences' first elements and of a last element, its recurrent step
+    into z over hidden-state buffers h (``hidden(shape)`` makes the
+    prefix's) and ``finish``, its output from the last pre-activation."""
+    def prefix(xs):
+        zx = zx_of(xs)
+        zp = zx[:, :1] + b
+        hp = hidden(zp.shape)
+        for i in range(1, xs.shape[1]):
+            recur(zp, zx[:, i:i + 1], hp, zp)
+        return zp[:, 0]
+
+    def last(x, zp, t):
+        zx = zx_last(x)
+        if zp is None:
+            np.add(zx, b, z)
+        else:
+            recur(zp, zx, h, z)
+        return finish(z, t)
+    return last, prefix
+
+
 # ---------------------------------------------------------------------------
 # Layers
 # ---------------------------------------------------------------------------
@@ -267,7 +291,14 @@ def _affine_step(M, b, act, shape, out, win=None):
 # Recurrent cells take the whole sequence as x, one array with the sequence
 # on the leading axis (then any batch axis), and return dx stacked the same
 # way. Their input half runs in one call over the sequence and batch, and only
-# the recurrent half steps through the sequence.
+# the recurrent half steps through the sequence. A recurrent cell's ``plan``
+# for sequences of ``shape`` (L,) + element is (last, prefix): prefix(xs)
+# runs the first L - 1 elements of R sequences, (R, L - 1) + element, in one
+# pass to one pre-activation row per sequence, and last(x, z, t) runs a last
+# element x on from such a row z (None for L = 1). Both give the tape's
+# bits: a stacked product runs each slice as the unstacked one does, and
+# one trajectory's hidden-state rows are stacked as (1, units), which takes
+# the 1-D product's routine.
 
 
 @dataclass(frozen=True)
@@ -367,27 +398,35 @@ class SimpleRnnCell:
         return h, (xs, ds, hs)
 
     def plan(self, p, shape, out):
-        # the input half in one matmul, then the loop on one pre-activation
-        # and one hidden-state buffer, the tape's operations in its order
         Wx, Wh, b = p
         Mx, Mh = Wx.T, Wh.T
         if self.act == "swish":
             Mx, Mh, b = Mx * 0.5, Mh * 0.5, b * 0.5
         act = _PLAN_ACT[self.act]
-        zx = np.empty(shape[:-1] + (self.units,))
-        z, h = np.empty(zx.shape[1:]), np.empty(zx.shape[1:])
-        first, rest = zx[0], list(zx[1:])
+        hshape = shape[1:-1] + (self.units,)
+        # one trajectory's input half is an L-row product, as in the tape,
+        # for the last element too (one row takes another BLAS routine)
+        xl = np.zeros(shape) if len(shape) == 2 else None
+        zxl = np.empty(hshape if xl is None else shape[:-1] + (self.units,))
 
-        def step(xs, t):
-            np.matmul(xs, Mx, zx)
-            np.add(first, b, z)
-            for zx_i in rest:
-                act(z, h)
-                np.matmul(h, Mh, z)
-                np.add(z, zx_i, z)
-                np.add(z, b, z)
-            return act(z, out)
-        return step, None
+        def zx_of(xs):
+            seq = np.zeros(xs.shape[:1] + shape)
+            seq[:, :-1] = xs
+            return np.matmul(seq, Mx)
+
+        def zx_last(x):
+            if xl is None:
+                return np.matmul(x, Mx, zxl)
+            xl[-1] = x
+            return np.matmul(xl, Mx, zxl)[-1]
+
+        def recur(z_in, zx_i, h, z):
+            act(z_in, h)
+            np.matmul(h, Mh, z)
+            np.add(z, zx_i, z)
+            np.add(z, b, z)
+        return _recurrent_plan(b, np.empty(hshape), np.empty(hshape), np.empty, zx_of,
+                               zx_last, recur, lambda z, t: act(z, out))
 
     def backward(self, p, cache, w, grads=True):
         Wx, Wh, _ = p
@@ -472,9 +511,8 @@ class SimpleRnnConvCell:
         return out, (xwin, ds, hwins, do, owin)
 
     def plan(self, p, shape, out):
-        # the tape's operations in its order, with the hidden state in the
-        # input rows of one padded buffer, whose windows the recurrent and
-        # the output convolution read
+        # each hidden state in the input rows of a padded buffer, whose
+        # windows the recurrent and the output convolution read
         _, _, b, _, bo, kx, kh, ko = p
         k = self.kernel
         Fx, Fh = kx.fwd, kh.fwd
@@ -482,25 +520,36 @@ class SimpleRnnConvCell:
             Fx, Fh, b = Fx * 0.5, Fh * 0.5, b * 0.5
         act = _PLAN_ACT[self.act]
         hshape = shape[1:-1] + (self.units,)
-        xin, xwin = _padded(shape, k) if k > 1 else (None, None)
-        hin, hwin = _padded(hshape, k) if k > 1 else (np.empty(hshape),) * 2
-        zx = np.empty(shape[:-1] + (self.units,))
-        z = np.empty(hshape)
-        first, rest = zx[0], list(zx[1:])
-        conv_out = _affine_step(ko.fwd, bo, self.act, hshape, out, hwin)
 
-        def step(xs, t):
-            np.matmul(xs if xwin is None else xwin, Fx, zx)
-            np.add(zx, 0.0, zx)   # the input half's zero bias
-            np.add(first, b, z)
-            for zx_i in rest:
-                act(z, hin)
-                np.matmul(hwin, Fh, z)
-                np.add(z, b, z)
-                np.add(z, zx_i, z)
-            act(z, hin)
+        def padded(shape):
+            return _padded(shape, k) if k > 1 else (np.empty(shape),) * 2
+
+        xin, xwin = _padded(shape[1:], k) if k > 1 else (None, None)
+        h = padded(hshape)
+        zxl = np.empty(hshape)
+        conv_out = _affine_step(ko.fwd, bo, self.act, hshape, out, h[1])
+
+        def input_half(win, zx=None):
+            zx = np.matmul(win, Fx, zx)
+            return np.add(zx, 0.0, zx)   # the input half's zero bias
+
+        def zx_last(x):
+            if xin is not None:
+                np.copyto(xin, x)
+            return input_half(x if xwin is None else xwin, zxl)
+
+        def recur(z_in, zx_i, h, z):
+            act(z_in, h[0])
+            np.matmul(h[1], Fh, z)
+            np.add(z, b, z)
+            np.add(z, zx_i, z)
+
+        def finish(z, t):
+            act(z, h[0])
             return conv_out(None, t)
-        return step, xin
+        return _recurrent_plan(b, np.empty(hshape), h, padded,
+                               lambda xs: input_half(_windows(xs, k, (k - 1) // 2)),
+                               zx_last, recur, finish)
 
     def backward(self, p, cache, w, grads=True):
         kx, kh, ko = p[5:]
@@ -828,6 +877,10 @@ class Plan:
     output aliases a plan buffer. Every call checks the input shape, a
     tuple compare, and a call on another shape raises ``ValueError``. A
     plan is not reentrant: it serves one solve, one call at a time.
+
+    :meth:`prefix` runs many recurrent sequences but their last elements at
+    once, each call then one last element from its (read-only) row, and
+    :meth:`stacked` runs a feed-forward network on many inputs at once.
     """
 
     def __init__(self, net: Network, params):
@@ -835,35 +888,76 @@ class Plan:
         self.views = params if isinstance(params, tuple) else net.unpack(params)
         self.shape = None
         self.steps = ()
+        self._cell = None   # a recurrent cell's (last, prefix)
 
-    def __call__(self, x: np.ndarray, t=None) -> np.ndarray:
-        if x.shape != self.shape:
-            self._build(x)
+    def __call__(self, x: np.ndarray, t=None, prefix=None) -> np.ndarray:
+        """The output for ``x`` at ``t``. With ``prefix``, a row of
+        :meth:`prefix`, ``x`` is the last element of that row's sequence."""
+        if prefix is None:
+            if x.shape != self.shape:
+                self._build(x.shape)
+            if self._cell is not None:
+                prefix = self._cell[1](x[None, :-1])[0] if len(x) > 1 else None
+                x = x[-1]
+        elif self.shape is None or x.shape != self.shape[1:]:
+            raise ValueError(f"input shape {x.shape}, expected the last element of {self.shape}")
+        if self._cell is not None:
+            x = self._cell[0](x, prefix, t)
         for step in self.steps:
             x = step(x, t)
         return x
 
-    def _build(self, x):
+    def prefix(self, xs: np.ndarray) -> np.ndarray:
+        """The first L - 1 elements of R sequences, (R, L - 1) + element,
+        through the recurrent cell in one pass: one row per sequence, for a
+        call on its last element. The plan then runs sequences of L."""
+        shape = (xs.shape[1] + 1,) + xs.shape[2:]
+        if shape != self.shape:
+            self._build(shape)
+        return self._cell[1](xs)
+
+    def stacked(self, xs: np.ndarray, t=None) -> np.ndarray:
+        """R inputs stacked along a leading axis in one pass over buffers
+        made for it, row r bit for bit the output for xs[r] at t[r]; one
+        trajectory's dense inputs run as (R, 1, dim), which takes the 1-D
+        product's routine (an (R, dim) product takes another)."""
+        if self.net.recurrent:
+            raise ValueError("stacked runs a feed-forward network; use prefix")
+        self.net._check_input(xs[0])
+        one = self.net.input_spec[0] == "dense" and xs.ndim == 2
+        x = xs[:, None] if one else xs
+        for step in self._steps(x.shape):
+            x = step(x, t)
+        return x[:, 0] if one else x
+
+    def _build(self, shape):
         if self.shape is not None:
-            raise ValueError(f"input shape {x.shape}, expected {self.shape}, "
+            raise ValueError(f"input shape {shape}, expected {self.shape}, "
                              f"the shape this plan was built for")
+        self.net._check_input(np.empty(shape))
+        self.steps = self._steps(shape)
+        self.shape = shape
+
+    def _steps(self, shape):
+        """The layers' steps for inputs of ``shape``; a recurrent cell's
+        (last, prefix) go to ``_cell``."""
         net = self.net
-        net._check_input(x)
-        spec, shapes = net.input_spec, [x.shape]
+        spec, shapes = net.input_spec, [shape]
         for lay in net.layers:
             spec = lay.out_spec(spec)
             shapes.append(shapes[-1][isinstance(lay, _RECURRENT):-1] + (spec[1],))
         # from the last layer back, each layer's output buffer is the next
         # one's input buffer
-        steps, out = [], None
-        for i in range(len(net.layers) - 1, -1, -1):
+        steps, out, xin = [], None, None
+        for i in range(len(net.layers) - 1, int(net.recurrent) - 1, -1):
             step, xin = net.layers[i].plan(self.views[i], shapes[i], out)
             steps.append(step)
             out = np.empty(shapes[i]) if xin is None else xin
-        if xin is not None:
+        if net.recurrent:
+            self._cell = net.layers[0].plan(self.views[0], shapes[0], out)
+        elif xin is not None:
             steps.append(_copy_into(xin))
-        self.steps = steps[::-1]
-        self.shape = x.shape
+        return steps[::-1]
 
 
 def _copy_into(buf):
@@ -907,14 +1001,16 @@ def fields(net: Network, x) -> np.ndarray:
     return x if kind == "dense" else x.reshape(x.shape[:-1] + (-1, ch))
 
 
-def _planned(net: Network, x, params, t):
+def _planned(net: Network, x, params, t, prefix=None):
     """The plain forward pass through ``params`` when it is a plan of
     ``net``, else through a plan built for this one call."""
     if not isinstance(params, Plan):
+        if prefix is not None:
+            raise ValueError("a prefix row continues only in the plan that made it")
         return Plan(net, params)(np.asarray(x, dtype=float), t)
     if params.net is not net:
         raise ValueError("the plan belongs to another network")
-    return params(x, t)
+    return params(x, t, prefix)
 
 
 def forward(net: Network, x, params, t=None):
@@ -928,13 +1024,14 @@ def forward(net: Network, x, params, t=None):
     return _planned(net, x, params, t)
 
 
-def rnn_forward(net: Network, xs, params, t=None):
+def rnn_forward(net: Network, xs, params, t=None, prefix=None):
     """Evaluate a recurrent network on a sequence ordered oldest -> newest,
     stacked along the leading axis (then an optional batch axis); ``params``
-    as for :func:`forward`."""
+    as for :func:`forward`. With ``prefix``, a row of :meth:`Plan.prefix`
+    of the plan ``params``, ``xs`` is the sequence's last element alone."""
     if not net.recurrent:
         raise ValueError("rnn_forward requires a network with a recurrent cell")
-    return _planned(net, xs, params, t)
+    return _planned(net, xs, params, t, prefix)
 
 
 @dataclass(frozen=True, eq=False)

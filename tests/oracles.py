@@ -118,6 +118,18 @@ def rnn_cell_loop(cell, p, xs, w):
     return out, dxs, grads
 
 
+def burgers_rhs_two_ghosts(u, nu, dx):
+    """Burgers' right-hand side with the ghosted field built twice: once for
+    the upwind advection and again inside the second difference."""
+    from neuralclosure.models import burgers
+
+    g = np.concatenate([-u[..., :1], u, -u[..., -1:]], axis=-1)
+    back = (g[..., 1:-1] - g[..., :-2]) / dx
+    fwd = (g[..., 2:] - g[..., 1:-1]) / dx
+    ux = np.where(u >= 0.0, back, fwd)
+    return -u * ux + nu * burgers.d2_central(u, dx)
+
+
 def npz_vjp_matrix(u, w, params, G):
     """w^T d(npz_rhs)/du of one cell through the assembled 3x3 Jacobian."""
     N, P, Z = u
@@ -257,3 +269,83 @@ def rk4_dde_scalar(rhs, delays, history, t0, t1, dt):
         ks.append(f(t_next, us[-1]))
         traj.append(t, t_next, u, us[-1], k1, ks[-1])
     return ts, np.array(us), np.array(ks)
+
+
+def augmented_solve_per_stage(sys, params, t_span, dt, history, u0=None):
+    """``closure.forward_augmented``'s fixed-step RK4 solve with each delayed
+    read a scalar ``DenseTrajectory.eval`` after t0 (a ``history`` call
+    before it) and each right-hand side the whole of every network through a
+    fresh tape, at every stage. ``t_span`` and ``u0`` are a single
+    trajectory's or a batch's, as ``forward_augmented`` takes them. Returns
+    (knots, values, slopes), the slope at a knot being the right-hand side
+    there."""
+    from neuralclosure import nn
+    from neuralclosure.integrate import DenseTrajectory, rk4_grid, trapezoid_weights
+
+    c, n, aux = sys.closure, sys.state_dim, sys.aux_dim
+    views = sys.decode(params)
+    starts = np.asarray(t_span[0], dtype=float)
+    t0, t1 = float(starts.flat[0]), float(np.asarray(t_span[1]).flat[0])
+    offsets = starts - t0 if starts.ndim else 0.0
+    lead = np.shape(offsets)
+
+    def hist(s):
+        # the history's u at clock time s, for every member
+        rows = np.asarray(history(np.atleast_1d(s + offsets)), dtype=float)
+        return rows.reshape(lead + (n,))
+
+    def net(i, x, t):
+        return nn.tape(c.nets[i], x, views[i], t).y
+
+    u0 = hist(t0) if u0 is None else np.asarray(u0, dtype=float)
+    y0 = np.zeros(lead + (aux,))
+    windowed = aux and c.window[1] > c.window[0]
+    if windowed:
+        ts = c.history_nodes(t0)
+        h = np.stack([hist(s) for s in ts]).reshape(-1, n)
+        g = net(1, nn.fields(c.g_net, h), np.add.outer(ts, offsets).ravel())
+        y0 = (trapezoid_weights(ts) @ g.reshape(ts.size, -1)).reshape(lead + (-1,))
+    U0 = np.concatenate([u0, y0], axis=-1)
+    traj = DenseTrajectory()
+
+    def read(s):
+        # before the first step the solution ends at t0
+        if s == t0 or s > t0 and not len(traj):
+            return U0[..., :n]
+        return hist(s) if s < t0 else traj.eval(s)[..., :n]
+
+    def rhs(t, U):
+        tm = t + offsets
+        u = U[..., :n]
+        if c.nets[0].recurrent:
+            seq = np.stack([read(t - tau) for tau in c.delays[::-1]] + [U])
+            term = net(0, nn.fields(c.net, seq), tm)
+        else:
+            term = net(0, c.f_input(U), tm)
+        du = sys.base_rhs(tm, u) + term.reshape(u.shape)
+        if not aux:
+            return du
+        rate = np.zeros(lead + (aux,))
+        if windowed:
+            tau1, tau2 = c.window
+
+            def g(tau, v):
+                return net(1, nn.fields(c.g_net, v), tm - tau).reshape(lead + (-1,))
+            rate = g(tau1, u if tau1 == 0.0 else read(t - tau1)) - g(tau2, read(t - tau2))
+        return np.concatenate([du, rate], axis=-1)
+
+    ts, mids, ends = rk4_grid(t0, t1, min((dt, *c.lags)))
+    U, f = U0, rhs(t0, U0)
+    us, fs = [U], [f]
+    for t, t_next, t_mid, t_end in zip(ts[:-1], ts[1:], mids, ends):
+        h = t_next - t
+        k2 = rhs(t_mid, U + 0.5 * h * f)
+        k3 = rhs(t_mid, U + 0.5 * h * k2)
+        k4 = rhs(t_end, U + h * k3)
+        U_next = U + (h / 6.0) * (f + 2.0 * k2 + 2.0 * k3 + k4)
+        f_next = rhs(t_next, U_next)
+        traj.append(t, t_next, U, U_next, f, f_next)
+        U, f = U_next, f_next
+        us.append(U)
+        fs.append(f)
+    return ts, np.array(us), np.array(fs)

@@ -16,6 +16,10 @@ activations, bias and discrete sequence input against the expressions they
 replace, repeated reverse passes on one tape, whose convolution windows
 are read-only, the plain forward against the tape on every closure network,
 and reverse passes that read the taped act'(z) instead of recomputing it.
+A delay solve, which prepares a block of right-hand sides at a time, is
+checked against the solve that reads each delayed state by a scalar eval and
+runs every network whole at each stage (``oracles``), bit for bit, with the
+matmul stacking rules it rests on and its count of recurrent steps.
 """
 
 import dataclasses
@@ -25,7 +29,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from neuralclosure import closure, experiments as ex, nn, train
+from neuralclosure import closure, experiments as ex, integrate, nn, train
 from neuralclosure.models import biology, column
 
 import oracles
@@ -804,28 +808,35 @@ def test_plain_forward_equals_the_tape_output_and_writes_nothing(name, batch):
 
 
 @pytest.mark.parametrize("batch", [None, 8], ids=["single", "batch8"])
-@pytest.mark.parametrize("study_name", ["exp2_subgrid", "exp3b_bio1d"])
-def test_aux_rate_is_the_difference_of_two_g_tapes(study_name, batch):
-    # the two g-network calls of a right-hand side, at t - tau_1 and
-    # t - tau_2, run through one plan; each gets a fresh output, so their
-    # difference is that of two separate tapes, call after call
+@pytest.mark.parametrize("study_name, window", [
+    ("exp2_subgrid", None), ("exp3b_bio1d", None), ("exp1_rom", None), ("toy", (0.2, 0.7))],
+    ids=["exp2_subgrid", "exp3b_bio1d", "exp1_rom", "toy-window0.2-0.7"])
+def test_aux_rate_is_the_difference_of_two_g_tapes(study_name, window, batch):
+    # g at the delayed window edges runs once per block of right-hand-side
+    # times (prepare), g on u(t) in each right-hand side when tau_1 = 0;
+    # their difference is that of two separate tapes, time after time
     study = ex.get_study(study_name)
-    clo = study.closure("distributed")
+    clo = study.closure("distributed", window=window)
     tau1, tau2 = clo.window
     assert tau2 > tau1
     rng = np.random.default_rng(33)
     phi = rng.normal(0.0, 0.5, clo.g_net.n_params)
     lead, n = (() if batch is None else (batch,)), study.state_dim
-    t = 40.5 if batch is None else np.linspace(0.0, 180.0, batch)
+    times = np.add.outer([40.5, 41.0, 41.25], 0.0 if batch is None else np.linspace(0, 180, batch))
     plan = nn.Plan(clo.g_net, phi)
-    for _ in range(2):
+    delayed = _mixed(rng, (3, len(clo.lags)) + lead + (n + clo.aux_dim,))
+    kept = delayed.copy()
+    prepared = clo.prepare(times, delayed, (None, plan))
+    assert _same(delayed, kept)
+    for t, edges, row in zip(times, delayed, prepared):
         u = _mixed(rng, lead + (n,))
-        delayed = [_mixed(rng, lead + (n + clo.aux_dim,)) for _ in clo.lags]
-        edges = ((u if tau1 == 0.0 else delayed[0][..., :n], tau1),
-                 (delayed[-1][..., :n], tau2))
-        g1, g2 = (nn.tape(clo.g_net, nn.fields(clo.g_net, v), phi, t - tau).y
-                  .reshape(lead + (-1,)) for v, tau in edges)
-        assert _same(clo.aux_rate(t, u, delayed, plan), g1 - g2)
+        ends = dict(zip(clo.lags, edges[..., :n])) | {0.0: u}
+        g1, g2 = (nn.tape(clo.g_net, nn.fields(clo.g_net, ends[tau]), phi, t - tau).y
+                  .reshape(lead + (-1,)) for tau in (tau1, tau2))
+        rate = clo.aux_rate(t, u, row, plan)
+        # both edges delayed: the prepared row is the rate, which no
+        # right-hand side writes into
+        assert _same(rate, g1 - g2) and np.shares_memory(rate, prepared) == (tau1 > 0.0)
 
 
 @pytest.mark.parametrize("study_name, kind, window", [
@@ -834,46 +845,56 @@ def test_aux_rate_is_the_difference_of_two_g_tapes(study_name, batch):
     ("exp3b_bio1d", "discrete", None)])
 def test_a_solve_builds_one_plan_per_network(study_name, kind, window, monkeypatch):
     # forward_augmented builds one plan per network, each sized once and
-    # called by every right-hand side (the g-network twice, at both window
-    # edges, and not at all over an empty window); the adjoint sweep builds
-    # none
-    plans, rhs_calls, at_adjoint = [], Counter(), []
+    # called by every right-hand side; the g-network's is called once per
+    # right-hand side (on u(t), tau_1 = 0 here) plus one stacked pass per
+    # block of times over its delayed edges, where it ran twice per
+    # right-hand side, and not at all over an empty window; the adjoint
+    # sweep builds none
+    plans, calls, at_adjoint = [], Counter(), []
 
     class CountedPlan(nn.Plan):
         def __init__(self, *args):
             super().__init__(*args)
-            self.calls = self.builds = 0
+            self.calls = self.builds = self.stacks = 0
             plans.append(self)
 
-        def __call__(self, x, t=None):
+        def __call__(self, *args):
             self.calls += 1
-            return super().__call__(x, t)
+            return super().__call__(*args)
+
+        def stacked(self, *args):
+            self.stacks += 1
+            return super().stacked(*args)
 
         def _build(self, x):
             self.builds += 1
             super()._build(x)
 
-    def counted(rhs):
+    def counted(name, fn):
         def wrapped(*args):
-            rhs_calls["rhs"] += 1
-            return rhs(*args)
+            calls[name] += 1
+            return fn(*args)
         return wrapped
 
     ode, dde, adjoint = closure.integrate_ode, closure.integrate_dde, closure.adjoint_gradient
     monkeypatch.setattr(nn, "Plan", CountedPlan)
     monkeypatch.setattr(closure, "integrate_ode",
-                        lambda rhs, *a, **k: ode(counted(rhs), *a, **k))
+                        lambda rhs, *a, **k: ode(counted("rhs", rhs), *a, **k))
     monkeypatch.setattr(closure, "integrate_dde", lambda prob, *a, **k: dde(
-        dataclasses.replace(prob, rhs=counted(prob.rhs)), *a, **k))
+        dataclasses.replace(prob, rhs=counted("rhs", prob.rhs),
+                            prepare=counted("blocks", prob.prepare)), *a, **k))
     monkeypatch.setattr(closure, "adjoint_gradient",
                         lambda *a: at_adjoint.append(len(plans)) or adjoint(*a))
     clo = _counted_window(study_name, kind, monkeypatch, window)[0]
     assert at_adjoint == [len(plans)] and [p.net for p in plans] == list(clo.nets)
-    n_rhs = rhs_calls["rhs"]
+    n_rhs, blocks = calls["rhs"], calls["blocks"]
     assert n_rhs > 0 and plans[0].calls == n_rhs and plans[0].builds == 1
+    assert (blocks > 0) == bool(clo.lags) and blocks < n_rhs / 4
     if kind == "distributed":
         windowed = clo.window[1] > clo.window[0]
-        assert plans[1].calls == 2 * n_rhs * windowed and plans[1].builds == windowed
+        assert clo.window[0] == 0.0 or not windowed
+        assert plans[1].calls == n_rhs * windowed and plans[1].builds == windowed
+        assert plans[1].stacks == blocks
 
 
 def test_a_plan_runs_only_the_shape_it_was_built_for():
@@ -938,3 +959,166 @@ def test_an_input_pass_reads_the_taped_derivative(name, monkeypatch):
     run = nn.rnn_forward if net.recurrent else nn.forward
     run(net, x[:, 0] if net.recurrent else x[0], params, 0.0)
     assert count["deriv"] == 0 and count["tanh"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Delay solves prepared a block of right-hand sides at a time
+# ---------------------------------------------------------------------------
+
+
+def _matrices(net, points, views):
+    """Each product of a plain pass of ``net``: (matrix, the left operand's
+    leading sequence axis, 4 for a recurrent cell's input half, else (), the
+    shape of its rows per member, its tap count or None for a dense
+    product)."""
+    for lay, p in zip(net.layers, views):
+        if isinstance(lay, nn.Dense):
+            yield p[0].T, (), (lay.n_in,), None
+        elif isinstance(lay, nn.SimpleRnnCell):
+            yield p[0].T, (4,), (lay.n_in,), None
+            yield p[1].T, (), (lay.units,), None
+        elif isinstance(lay, nn.SimpleRnnConvCell):
+            yield p[5].fwd, (4,), (points, lay.in_ch), lay.kernel
+            for ker in p[6:]:
+                yield ker.fwd, (), (points, lay.units), lay.kernel
+        elif isinstance(lay, nn.Conv1d):
+            yield p[2].fwd, (), (points, lay.in_ch), lay.kernel
+
+
+@pytest.mark.parametrize("batch", [None, 8], ids=["single", "batch8"])
+@pytest.mark.parametrize("name", sorted(CLOSURE_NETS))
+def test_stacked_products_run_each_slice_as_the_unstacked_one(name, batch):
+    # the exactness of a block of right-hand sides rests on two rules of the
+    # matmul: a product stacked along a leading axis runs each slice as the
+    # unstacked product does (dense rows, a batch's members, a sequence,
+    # convolution tap windows), and a one-trajectory row stacked as
+    # (R, 1, d) takes the 1-D product's routine, unlike an (R, d) product
+    net, points = CLOSURE_NETS[name]
+    rng = np.random.default_rng(35)
+    views = net.unpack(rng.normal(0.0, 0.5, net.n_params))
+    for M, seq, rows, k in _matrices(net, points, views):
+        xs = _mixed(rng, (5,) + seq + ((batch,) if batch else ()) + rows)
+        if k is not None:
+            xs = nn._windows(xs, k, (k - 1) // 2)
+        slices = [x @ M for x in xs]
+        if xs.ndim == 2:
+            assert all(_same(y[0], s) for y, s in zip(xs[:, None] @ M, slices))
+        else:
+            assert all(_same(y, s) for y, s in zip(xs @ M, slices))
+
+
+@pytest.mark.parametrize("batch", [None, 8], ids=["single", "batch8"])
+@pytest.mark.parametrize("name", sorted(CLOSURE_NETS))
+def test_prefix_and_stacked_passes_equal_the_tape(name, batch):
+    # a recurrent network's sequences run as one prefix pass over their
+    # delayed elements, then a call per last element from its row (twice
+    # from one row, as two RK4 stages at one time do); a feed-forward
+    # network runs a block of inputs in one stacked pass. Each output is the
+    # tape's of that one input, bit for bit, and the row is left as it was
+    net, points = CLOSURE_NETS[name]
+    rng = np.random.default_rng(36)
+    params = rng.normal(0.0, 0.5, net.n_params)
+    xs = np.stack([_net_input(net, points, rng, batch) for _ in range(3)])
+    times = np.add.outer([40.5, 41.0, 41.25], 0.0 if batch is None else np.linspace(0, 180, batch))
+    plan = nn.Plan(net, params)
+    if net.recurrent:
+        rows = plan.prefix(xs[:, :-1])
+        kept = rows.copy()
+        for x, t, row in zip(xs, times, rows):
+            want = nn.tape(net, x, params, t).y
+            assert _same(nn.rnn_forward(net, x[-1], plan, t, row), want)
+            assert _same(nn.rnn_forward(net, x[-1], plan, t, row), want)
+            assert _same(plan(x, t), want)
+        assert _same(rows, kept)
+    else:
+        ys = plan.stacked(xs, times)
+        assert all(_same(y, nn.tape(net, x, params, t).y) for x, t, y in zip(xs, times, ys))
+
+
+DELAY_CASES = {
+    **{f"{name}/{kind}": (name, kind, {}) for name in ex.EXPERIMENTS
+       for kind in ("discrete", "distributed")},
+    # a step of the smallest delay: some reads fall an ulp past the
+    # committed end and are prepared alone, at their own stage
+    "toy/step-equals-delay": ("toy", "discrete", {"delays": (0.025, 0.1)}),
+    "toy/one-delay": ("toy", "discrete", {"delays": (0.1,)}),
+    "toy/tau1-positive": ("toy", "distributed", {"window": (0.2, 0.7)}),
+    "toy/empty-window": ("toy", "distributed", {"window": (0.3, 0.3)}),
+}
+
+
+@pytest.mark.parametrize("batch", [None, 8], ids=["single", "batch8"])
+@pytest.mark.parametrize("case", sorted(DELAY_CASES))
+def test_a_delay_solve_is_the_per_stage_solve(case, batch):
+    # forward_augmented prepares a block of right-hand sides at a time (the
+    # delayed reads in one eval_many, the recurrent prefix and g at the
+    # delayed window edges in one pass); its knots, values and slopes are
+    # those of the solve that reads each delayed state by a scalar eval and
+    # runs each network whole at every stage, bit for bit
+    name, kind, kw = DELAY_CASES[case]
+    study, data, ds = _study_data(name)
+    clo = study.closure(kind, **kw)
+    sys = study.system(clo, getattr(data, "basis", None))
+    p0 = ex.initial_params(clo, 37)
+    params = p0 + 0.3 * np.random.default_rng(37).standard_normal(p0.size)
+    n = study.settings(kind).window_steps
+    st = 1 if batch is None else np.linspace(1, ds.n_steps - n, batch).astype(int)
+    span = (ds.times[st], ds.times[st + n])
+    dt = study.forward_dt
+    if case == "toy/step-equals-delay":
+        ts, _, ends = integrate.rk4_grid(ds.times[1], ds.times[1 + n], dt)
+        assert dt == clo.delays[0] and np.any(ends - dt > ts[:-1])
+    run = closure.forward_augmented(sys, params, span, study.forward_stepper(),
+                                    history=ds.history_fn())
+    knots, values, slopes = oracles.augmented_solve_per_stage(sys, params, span, dt,
+                                                              ds.history_fn())
+    m = knots.size
+    assert run.traj.knots().tobytes() == knots.tobytes()
+    assert run.traj._u[:m].tobytes() == values.tobytes()
+    assert run.traj._f[:m].tobytes() == slopes.tobytes()
+
+
+def test_a_discrete_solve_steps_the_delayed_elements_once_per_time(monkeypatch):
+    # each right-hand side runs one recurrent step, on u(t), and the block's
+    # prefix K - 1 per prepared time, where every right-hand side ran K;
+    # counted as products with the recurrent matrix, one per row
+    study, data, ds = _study_data("exp1_rom")
+    clo = study.closure("discrete")
+    sys = study.system(clo, data.basis)
+    params = ex.initial_params(clo, 38) + 0.01
+    Mh = nn.Plan(clo.net, params).views[0][1].T
+    steps, times, counts = Counter(), [], Counter()
+
+    class Counted:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(a, b, *out):
+            if b.shape == Mh.shape and np.array_equal(b, Mh):
+                steps[a.ndim] += a.size // Mh.shape[0]
+            return np.matmul(a, b, *out)
+
+    dde = closure.integrate_dde
+
+    def solve(prob, *args):
+        def prepare(ts, delayed):
+            times.extend(ts)
+            return prob.prepare(ts, delayed)
+
+        def rhs(*a):
+            counts["rhs"] += 1
+            return prob.rhs(*a)
+        return dde(dataclasses.replace(prob, rhs=rhs, prepare=prepare), *args)
+
+    monkeypatch.setattr(nn, "np", Counted())
+    monkeypatch.setattr(closure, "integrate_dde", solve)
+    span = (float(ds.times[40]), float(ds.times[100]))
+    closure.forward_augmented(sys, params, span, study.forward_stepper(),
+                              history=ds.history_fn())
+    K = len(clo.delays)
+    # the four right-hand sides of a step share two times (three where the
+    # step's end and the next knot differ by rounding)
+    n_steps = (counts["rhs"] - 1) // 4
+    assert 2 * n_steps + 1 <= len(times) <= 3 * n_steps + 1
+    assert steps == {1: counts["rhs"], 3: (K - 1) * len(times)}

@@ -13,6 +13,7 @@ from neuralclosure import config, experiments as ex, nn
 from neuralclosure.integrate import RK4Fixed, integrate_ode
 from neuralclosure.models import biology, burgers, column, rom
 
+import oracles
 from oracles import central_fd, rel_l2
 
 
@@ -157,6 +158,20 @@ def test_pod_validation():
 def test_pod_rejects_nonfinite():
     with pytest.raises(ValueError):
         rom.pod(np.array([[1.0, np.nan], [0.0, 1.0]]), 1)
+
+
+@pytest.mark.parametrize("lead", [(), (8,)], ids=["single", "batch8"])
+def test_rhs_builds_the_ghosted_field_once(lead):
+    # the second difference reads the advection's ghosted field: the same
+    # values by the same expression as building it again, bit for bit, on
+    # zero, negative and sign-changing fields
+    rng = np.random.default_rng(9)
+    u = rng.normal(0.0, 1.0, lead + (25,))
+    u.reshape(-1)[:4] = [0.0, -0.0, 1e-300, -1e-300]
+    dx = burgers.BurgersGrid(25).dx
+    for nu in (0.0, 1.0 / 500.0):
+        out = burgers.rhs(0.0, u, nu, dx)
+        assert out.tobytes() == oracles.burgers_rhs_two_ghosts(u, nu, dx).tobytes()
 
 
 def test_galerkin_tensors_match_direct_projection():
