@@ -70,6 +70,7 @@ from .integrate import (
     RK4Fixed,
     StepperSpec,
     TIME_RTOL,
+    _rk4_calls,
     check_delays,
     check_window,
     dde_read_times,
@@ -272,12 +273,18 @@ class AugmentedSystem:
     The closure networks read flat states point-major as (points, channels)
     fields (:func:`nn.fields`) when they are grid networks. Their output
     widths are checked here, once: f writes state_dim entries and g aux_dim.
+
+    ``forcing`` and ``context`` hold the time-forcing tables that the base
+    and the f-network read (:class:`models.column.ForcingTable`): a forward
+    solve fills both, a sweep ``forcing`` (its f-network is one tape).
     """
 
     base_rhs: Callable[[float, Vec], Vec]
     closure: ClosureModel
     state_dim: int
     base_vjp: Callable[[float, Vec, Vec], Vec]
+    forcing: tuple = ()
+    context: tuple = ()
 
     def __post_init__(self):
         nets = self.closure.nets
@@ -428,7 +435,8 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
     u0 when it is not given, the reads before t0 and the y(t0) nodes are one
     ``history`` call, and the solve reads them by exact time. Each network's
     plain forward runs through one :class:`nn.Plan` per solve, sized by the
-    first right-hand side; its outputs are fresh arrays.
+    first right-hand side; its outputs are fresh arrays. The time forcing
+    is tabulated once, over all the solve's right-hand-side times.
     """
     _require_rk4(stepper)
     starts = np.asarray(t_span[0], dtype=float)
@@ -471,6 +479,10 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
         g_nodes = hist_tape.y.reshape(ts.size, -1)
         y0 = (trapezoid_weights(ts) @ g_nodes).reshape(lead + (-1,))
     U0 = np.concatenate([u0, y0], axis=-1)
+    if sys.forcing or sys.context:
+        rhs_times = np.add.outer(np.unique(_rk4_calls(t0, t1, min((stepper.dt, *lags)))), offsets)
+        for table in sys.forcing + sys.context:
+            table.fill(rhs_times)
 
     def rhs(t, U, prepared=None):
         tm = t + offsets
@@ -745,6 +757,7 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
     mu(t + tau_2) - mu(t + tau_1). The parameter integral is one full
     reverse pass per network after the sweep, with cotangent rows weighted
     by the trapezoid rule (+mu at t - tau_1 and -mu at t - tau_2 for g).
+    The system's forcing tables are filled once, over the stage times.
 
     A batched run sweeps all its members in lockstep, with ``dataset``
     holding their targets (times, B, u_dim); the gradient is the sum of the
@@ -773,6 +786,8 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
     plan = np.unique(np.concatenate(
         [f_times, np.subtract.outer(f_times, f_lags).ravel(), g_edges]))
     state = dict(zip(plan.tolist(), run.states_at(plan)))
+    for table in sys.forcing:
+        table.fill(np.add.outer(stages, offsets))
 
     def stack(ts, width=None):
         return np.stack([state[t][..., :width] for t in ts])

@@ -26,6 +26,7 @@ must reproduce are in :data:`PARAMETER_COUNTS`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -472,10 +473,14 @@ class ColumnStudy(Study):
     def batch_size(self, kind: str) -> int:
         return 4 if kind == "distributed" else self.batch
 
-    def context_channels(self):
+    def context_channels(self) -> column.ForcingTable:
         """Normalized depth and attenuated daylight channels for the nets:
-        (n_z, 2) at one time, (B, n_z, 2) at B member times, computed once
-        per distinct time."""
+        (n_z, 2) at one time, (B, n_z, 2) at B member times. One table per
+        study, which its f-networks read and its systems fill."""
+        return self._context
+
+    @cached_property
+    def _context(self) -> column.ForcingTable:
         z = self.cfg.z_centers
         zn = z / abs(self.cfg.depth_total)
         atten = np.exp(self.params.k_w * z)
@@ -487,7 +492,7 @@ class ColumnStudy(Study):
             out[..., 0] = zn
             out[..., 1] = light
             return out
-        return column.per_time(channels)
+        return column.ForcingTable(channels)
 
     def networks(self, kind: str):
         ctx = self.context_channels()
@@ -526,6 +531,13 @@ class ColumnStudy(Study):
     def base(self, basis=None):
         model = column.ColumnModel(self.cfg, self.params, self.forcing, kind="npz")
         return model.rhs, model.rhs_vjp
+
+    def system(self, closure: ClosureModel, basis=None) -> AugmentedSystem:
+        """The augmented system, handed the time-forcing tables to fill."""
+        model = column.ColumnModel(self.cfg, self.params, self.forcing, kind="npz")
+        return AugmentedSystem(model.rhs, closure, self.state_dim, base_vjp=model.rhs_vjp,
+                               forcing=(model.k_faces, model.growth_profile),
+                               context=(self.context_channels(),))
 
 
 # ---------------------------------------------------------------------------

@@ -76,9 +76,10 @@ def npz_rhs(t, u: Vec, params: BioParams, G) -> np.ndarray:
     G = getattr(G, "T", G)
     uptake = G * P * N / (N + params.K_u)
     graze = params.R_m * Z * _ivlev(params, P)
-    dN = -uptake + params.Xi * P + params.Gamma_z * Z + params.gamma_egest * graze
-    dP = uptake - params.Xi * P - graze
-    dZ = (1.0 - params.gamma_egest) * graze - params.Gamma_z * Z
+    mort, excr = params.Xi * P, params.Gamma_z * Z
+    dN = -uptake + mort + excr + params.gamma_egest * graze
+    dP = uptake - mort - graze
+    dZ = (1.0 - params.gamma_egest) * graze - excr
     return np.array([dN, dP, dZ]).T
 
 
@@ -91,9 +92,9 @@ def npz_rhs_vjp(t, u: Vec, w: Vec, params: BioParams, G) -> np.ndarray:
     Ku = params.K_u
     dup_dN = G * P * Ku / (N + Ku) ** 2
     dup_dP = G * N / (N + Ku)
-    iv = _ivlev(params, P)
-    dgr_dP = params.R_m * Z * params.Lambda * np.exp(-params.Lambda * P)
-    dgr_dZ = params.R_m * iv
+    decay = np.exp(-params.Lambda * P)
+    dgr_dP = params.R_m * Z * params.Lambda * decay
+    dgr_dZ = params.R_m * (1.0 - decay)
     ge = params.gamma_egest
     vN = -dup_dN * wN + dup_dN * wP
     vP = ((-dup_dP + params.Xi + ge * dgr_dP) * wN
@@ -107,15 +108,17 @@ def nnpzd_rhs(t, u: Vec, params: BioParams, G) -> np.ndarray:
     NO3, NH4, P, Z, D = u.T
     G = getattr(G, "T", G)
     Ku = params.K_u
-    up_no3 = G * P * (NO3 / (NO3 + Ku)) * np.exp(-params.Psi * NH4)
-    up_nh4 = G * P * (NH4 / (NH4 + Ku))
+    GP = G * P
+    up_no3 = GP * (NO3 / (NO3 + Ku)) * np.exp(-params.Psi * NH4)
+    up_nh4 = GP * (NH4 / (NH4 + Ku))
     graze = params.R_m * Z * _ivlev(params, P)
     ge = params.gamma_egest
+    mort, excr = params.Xi * P, params.Gamma_z * Z
     dNO3 = params.Omega * NH4 - up_no3
-    dNH4 = -params.Omega * NH4 + params.Phi_d * D + params.Gamma_z * Z - up_nh4
-    dP = up_no3 + up_nh4 - params.Xi * P - graze
-    dZ = (1.0 - ge) * graze - params.Gamma_z * Z
-    dD = ge * graze + params.Xi * P - params.Phi_d * D
+    dNH4 = -params.Omega * NH4 + params.Phi_d * D + excr - up_nh4
+    dP = up_no3 + up_nh4 - mort - graze
+    dZ = (1.0 - ge) * graze - excr
+    dD = ge * graze + mort - params.Phi_d * D
     return np.array([dNO3, dNH4, dP, dZ, dD]).T
 
 

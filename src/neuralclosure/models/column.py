@@ -17,9 +17,10 @@ VJP also take a batch of columns (B, n_z * n_species) with one time per
 member, (B,).
 
 The depth grids are computed once per config, as read-only arrays, and the
-light attenuation once per model. The forcing profiles (face diffusivities,
-growth rates) are computed once per distinct time: RK4's two middle stages
-share one time, and a step's last stage is usually the next step's first.
+light attenuation once per model. The time forcing (face diffusivities,
+growth rates) is a :class:`ForcingTable`: a fixed-step solve or sweep fills
+it once over all its planned times, and each right-hand side reads its row
+by exact time.
 """
 
 from __future__ import annotations
@@ -47,22 +48,40 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def per_time(fn):
-    """``fn`` of a time, with a cache of one entry: the result for the last
-    time asked, made read-only. The key is the time's shape and bytes, since
-    the scalar 0.0 and the (1,) array [0.0] have the same bytes but give
-    results of different shapes."""
-    key = value = None
+def _time_key(t):
+    """A time's table key: the float for one time, the shape and bytes of
+    the array for member times (so 0.0 and [0.0] are different keys)."""
+    if isinstance(t, float):
+        return t
+    a = np.asarray(t, dtype=float)
+    return float(a) if a.ndim == 0 else (a.shape, a.tobytes())
 
-    def cached(t):
-        nonlocal key, value
-        a = np.asarray(t, dtype=float)
-        k = (a.shape, a.tobytes())
-        if k != key:
-            value = _read_only(fn(t))
-            key = k
-        return value
-    return cached
+
+class ForcingTable:
+    """A time-forcing function ``fn`` read from one table of its values.
+
+    ``fn`` takes one time (a float, or member times (B,)), or many stacked
+    on a leading axis. :meth:`fill` runs it once on many and makes their
+    rows the table: read-only views of one array, keyed by exact time
+    (:func:`_time_key`). A time not in the table is evaluated alone and
+    becomes a one-row table.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.rows = {}
+
+    def fill(self, times) -> np.ndarray:
+        times = np.asarray(times, dtype=float)
+        values = _read_only(self.fn(times))
+        self.rows = {_time_key(t): v for t, v in zip(times, values)}
+        return values
+
+    def __call__(self, t) -> np.ndarray:
+        key = _time_key(t)
+        if key not in self.rows:
+            self.rows = {key: _read_only(self.fn(t))}
+        return self.rows[key]
 
 
 @dataclass(frozen=True)
@@ -139,9 +158,8 @@ def diffusion_term(fields: np.ndarray, k_faces: np.ndarray, dz: float) -> np.nda
 
 
 def _per_member(x):
-    """A forcing value at one time as it is, or at B times as (B, 1), to
-    broadcast against a member's depth profile."""
-    return x[:, None] if np.ndim(x) else x
+    """A forcing value: as it is at one time, else with a trailing depth axis."""
+    return x[..., None] if np.ndim(x) else x
 
 
 @dataclass(frozen=True)
@@ -171,26 +189,26 @@ class ColumnModel:
         return u.reshape(u.shape[:-1] + (self.cfg.n_z, self.n_species))
 
     @cached_property
-    def growth_profile(self):
+    def growth_profile(self) -> ForcingTable:
         """t -> growth rate per depth cell, (n_z,), or (B, n_z) for B times."""
         attenuation = np.exp(self.params.k_w * self.cfg.z_centers)
 
         def growth(t):
             I0 = _per_member(self.forcing.surface_light(t))
             return light_growth(self.params, I0 * attenuation)
-        return per_time(growth)
+        return ForcingTable(growth)
 
     @cached_property
-    def _k_faces(self):
+    def k_faces(self) -> ForcingTable:
         """t -> diffusivity at the interior faces, (n_z - 1,) or (B, n_z - 1)."""
         def k_faces(t):
             M = _per_member(self.forcing.thermocline(t))
             return kz_profile(self.cfg, self.cfg.z_faces, M)
-        return per_time(k_faces)
+        return ForcingTable(k_faces)
 
     def rhs(self, t, u: Vec) -> np.ndarray:
         fields = self._shape(u)
-        out = diffusion_term(fields, self._k_faces(t), self.cfg.dz)
+        out = diffusion_term(fields, self.k_faces(t), self.cfg.dz)
         if self.bio_on:
             react = npz_rhs if self.kind == "npz" else nnpzd_rhs
             out += react(t, fields, self.params, self.growth_profile(t))
@@ -203,7 +221,7 @@ class ColumnModel:
             raise NotImplementedError("analytic VJP only for the npz column")
         fields = self._shape(u)
         wf = self._shape(w)
-        out = diffusion_term(wf, self._k_faces(t), self.cfg.dz)
+        out = diffusion_term(wf, self.k_faces(t), self.cfg.dz)
         if self.bio_on:
             out += npz_rhs_vjp(t, fields, wf, self.params, self.growth_profile(t))
         return out.reshape(np.shape(u))

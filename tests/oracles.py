@@ -130,6 +130,55 @@ def burgers_rhs_two_ghosts(u, nu, dx):
     return -u * ux + nu * burgers.d2_central(u, dx)
 
 
+def npz_rhs_repeated(t, u, params, G):
+    """npz_rhs with Xi * P and Gamma_z * Z written out at each use."""
+    N, P, Z = u.T
+    G = getattr(G, "T", G)
+    uptake = G * P * N / (N + params.K_u)
+    graze = params.R_m * Z * (1.0 - np.exp(-params.Lambda * P))
+    dN = -uptake + params.Xi * P + params.Gamma_z * Z + params.gamma_egest * graze
+    dP = uptake - params.Xi * P - graze
+    dZ = (1.0 - params.gamma_egest) * graze - params.Gamma_z * Z
+    return np.array([dN, dP, dZ]).T
+
+
+def npz_rhs_vjp_repeated(t, u, w, params, G):
+    """npz_rhs_vjp with exp(-Lambda * P) computed for each of its two uses."""
+    N, P, Z = u.T
+    wN, wP, wZ = w.T
+    G = getattr(G, "T", G)
+    Ku = params.K_u
+    dup_dN = G * P * Ku / (N + Ku) ** 2
+    dup_dP = G * N / (N + Ku)
+    iv = 1.0 - np.exp(-params.Lambda * P)
+    dgr_dP = params.R_m * Z * params.Lambda * np.exp(-params.Lambda * P)
+    dgr_dZ = params.R_m * iv
+    ge = params.gamma_egest
+    vN = -dup_dN * wN + dup_dN * wP
+    vP = ((-dup_dP + params.Xi + ge * dgr_dP) * wN
+          + (dup_dP - params.Xi - dgr_dP) * wP + (1.0 - ge) * dgr_dP * wZ)
+    vZ = ((params.Gamma_z + ge * dgr_dZ) * wN - dgr_dZ * wP
+          + ((1.0 - ge) * dgr_dZ - params.Gamma_z) * wZ)
+    return np.array([vN, vP, vZ]).T
+
+
+def nnpzd_rhs_repeated(t, u, params, G):
+    """nnpzd_rhs with G * P, Xi * P and Gamma_z * Z written out at each use."""
+    NO3, NH4, P, Z, D = u.T
+    G = getattr(G, "T", G)
+    Ku = params.K_u
+    up_no3 = G * P * (NO3 / (NO3 + Ku)) * np.exp(-params.Psi * NH4)
+    up_nh4 = G * P * (NH4 / (NH4 + Ku))
+    graze = params.R_m * Z * (1.0 - np.exp(-params.Lambda * P))
+    ge = params.gamma_egest
+    dNO3 = params.Omega * NH4 - up_no3
+    dNH4 = -params.Omega * NH4 + params.Phi_d * D + params.Gamma_z * Z - up_nh4
+    dP = up_no3 + up_nh4 - params.Xi * P - graze
+    dZ = (1.0 - ge) * graze - params.Gamma_z * Z
+    dD = ge * graze + params.Xi * P - params.Phi_d * D
+    return np.array([dNO3, dNH4, dP, dZ, dD]).T
+
+
 def npz_vjp_matrix(u, w, params, G):
     """w^T d(npz_rhs)/du of one cell through the assembled 3x3 Jacobian."""
     N, P, Z = u

@@ -20,9 +20,10 @@ def test_digests_script_on_toy(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["seed"] == 7 and doc["noise"] == 0.01 and doc["wide_noise"] == 0.3
-    assert set(doc["pairs"]) == {"toy/markovian", "toy/discrete", "toy/distributed"}
-    for digests in doc["pairs"].values():
-        assert set(digests) == DIGESTS
+    assert set(doc["pairs"]) == {"toy/markovian", "toy/discrete", "toy/distributed",
+                                 "toy/plain"}
+    for pair, digests in doc["pairs"].items():
+        assert set(digests) == ({"truth", "baseline"} if pair == "toy/plain" else DIGESTS)
         assert all(len(h) == 64 and set(h) <= set("0123456789abcdef")
                    for h in digests.values())
 

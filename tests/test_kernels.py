@@ -19,7 +19,8 @@ and reverse passes that read the taped act'(z) instead of recomputing it.
 A delay solve, which prepares a block of right-hand sides at a time, is
 checked against the solve that reads each delayed state by a scalar eval and
 runs every network whole at each stage (``oracles``), bit for bit, with the
-matmul stacking rules it rests on and its count of recurrent steps.
+matmul stacking rules it rests on and its count of recurrent steps. The
+column study's time forcing runs once per forward solve and once per sweep.
 """
 
 import dataclasses
@@ -1122,3 +1123,51 @@ def test_a_discrete_solve_steps_the_delayed_elements_once_per_time(monkeypatch):
     n_steps = (counts["rhs"] - 1) // 4
     assert 2 * n_steps + 1 <= len(times) <= 3 * n_steps + 1
     assert steps == {1: counts["rhs"], 3: (K - 1) * len(times)}
+
+
+# ---------------------------------------------------------------------------
+# Time forcing tables
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("batch", [None, 8], ids=["single", "batch8"])
+@pytest.mark.parametrize("kind", ex.CLOSURE_KINDS)
+def test_each_forcing_function_runs_once_per_solve_and_sweep(kind, batch, monkeypatch):
+    # a forward solve fills the column model's diffusivity and growth tables
+    # and the context channels' table over its right-hand-side times, one
+    # evaluation each; a sweep fills the model's tables over its stage times
+    # and reads the context channels once, in its one f-network tape; no
+    # right-hand side evaluates any of them
+    study, data, ds = _study_data("exp3b_bio1d")
+    clo = study.closure(kind)
+    sys = study.system(clo)
+    assert sys.context == (study.context_channels(),)
+    evals, rhs_calls = Counter(), Counter()
+    for name, table in zip(("k_faces", "growth", "context"), sys.forcing + sys.context):
+        monkeypatch.setattr(table, "fn", lambda ts, fn=table.fn, name=name:
+                            evals.update([name]) or fn(ts))
+    ode, dde = closure.integrate_ode, closure.integrate_dde
+
+    def counted(rhs):
+        return lambda *a: rhs_calls.update(["rhs"]) or rhs(*a)
+    monkeypatch.setattr(closure, "integrate_ode", lambda rhs, *a: ode(counted(rhs), *a))
+    monkeypatch.setattr(closure, "integrate_dde", lambda prob, *a: dde(
+        dataclasses.replace(prob, rhs=counted(prob.rhs)), *a))
+    vjp = sys.base_vjp
+    sys = dataclasses.replace(sys, base_vjp=lambda *a: rhs_calls.update(["vjp"]) or vjp(*a))
+
+    s = study.settings(kind)
+    w, stride = s.window_steps, s.supervise_stride
+    starts = 3 if batch is None else np.linspace(3, ds.n_steps - w, batch).astype(int)
+    sup = np.arange(stride, w + 1, stride)
+    p0 = ex.initial_params(clo, 13)
+    params = p0 + 0.01 * np.random.default_rng(13).standard_normal(p0.size)
+    run = closure.forward_augmented(sys, params, (ds.times[starts], ds.times[starts + w]),
+                                    study.forward_stepper(), history=ds.history_fn(),
+                                    u0=ds.states[starts])
+    assert evals == {"k_faces": 1, "growth": 1, "context": 1} and rhs_calls["rhs"] > 20
+    targets = ds.states[np.add.outer(sup, starts)]
+    window = train.SnapshotDataset(ds.times[np.min(starts) + sup], targets)
+    closure.adjoint_gradient(sys, params, run, window, study.loss_spec(),
+                             study.forward_stepper())
+    assert evals == {"k_faces": 2, "growth": 2, "context": 2} and rhs_calls["vjp"] > 20

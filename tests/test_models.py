@@ -265,6 +265,36 @@ def test_npz_vjp_matches_fd():
         assert rel_l2(got, oracle) < 1e-7
 
 
+def _bio_inputs(rng, lead, n_species):
+    """States (lead + (n_species,)) over [0, 30) with +-0.0 and large P
+    among them, a cotangent and a growth rate per leading entry (a float
+    for a single state)."""
+    u = rng.uniform(0.0, 30.0, lead + (n_species,))
+    flat = u.reshape(-1, n_species)
+    specials = [0.0, -0.0, 1e-300, 800.0, 1e5, -800.0]
+    flat[:len(specials), 2 if n_species == 5 else 1] = specials[:flat.shape[0]]
+    flat[1::3, 0] = -0.0
+    G = float(rng.uniform(0.1, 1.5)) if not lead else rng.uniform(0.1, 1.5, lead)
+    return u, rng.normal(size=u.shape), G
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (7,), (4, 6)])
+def test_npz_right_hand_sides_equal_their_former_expressions(lead):
+    # each repeated product (Xi * P, Gamma_z * Z, G * P, exp(-Lambda * P))
+    # is computed once; the results are the former expressions' byte for byte
+    p = biology.BioParams()
+    rng = np.random.default_rng(len(lead) + sum(lead))
+    u3, w3, G = _bio_inputs(rng, lead, 3)
+    u5 = _bio_inputs(rng, lead, 5)[0]
+    with np.errstate(all="ignore"):
+        pairs = [(biology.npz_rhs(0.0, u3, p, G), oracles.npz_rhs_repeated(0.0, u3, p, G)),
+                 (biology.npz_rhs_vjp(0.0, u3, w3, p, G),
+                  oracles.npz_rhs_vjp_repeated(0.0, u3, w3, p, G)),
+                 (biology.nnpzd_rhs(0.0, u5, p, G), oracles.nnpzd_rhs_repeated(0.0, u5, p, G))]
+    for got, want in pairs:
+        assert _same(got, want)
+
+
 def test_aggregation_mapping():
     u = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     assert np.allclose(biology.aggregate_nnpzd(u), [8.0, 3.0, 4.0])
@@ -403,7 +433,7 @@ def test_cached_column_constants_are_read_only():
     m.rhs(1.0, m.initial_state())
     ctx = ex.ColumnStudy(cfg=cfg).context_channels()
     for a in (cfg.z_centers, cfg.z_faces, m.growth_profile(1.0),
-              m._k_faces(1.0), m._k_faces(np.ones(2)), ctx(1.0)):
+              m.k_faces(1.0), m.k_faces(np.ones(2)), ctx(1.0)):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
     # the caches sit outside the fields: equality, hashing, repr and replace
@@ -413,6 +443,73 @@ def test_cached_column_constants_are_read_only():
     wider = replace(cfg, n_z=10)
     assert wider == column.ColumnConfig(n_z=10) and wider.z_centers.shape == (10,)
     assert _same(wider.z_faces, column.ColumnConfig(n_z=10).z_faces)
+
+
+def _forcing_tables(n_z=6):
+    """A column model's diffusivity and growth tables and the context
+    channels' table, each with its per-time closed form at one float time."""
+    m = _column(n_z=n_z)
+    cfg, f, prm = m.cfg, m.forcing, m.params
+    atten = np.exp(prm.k_w * cfg.z_centers)
+
+    def context(t):
+        return np.stack([cfg.z_centers / abs(cfg.depth_total),
+                         f.surface_light(t) * atten / f.i0_mean], axis=-1)
+    ctx = ex.ColumnStudy(cfg=cfg).context_channels()
+    return [(m.k_faces, lambda t: column.kz_profile(cfg, cfg.z_faces, f.thermocline(t))),
+            (m.growth_profile, lambda t: biology.light_growth(prm, f.surface_light(t) * atten)),
+            (ctx, context)]
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (4,)], ids=["scalar", "one", "batch"])
+def test_a_filled_table_reads_the_per_time_rows(lead):
+    # a fill over R times (one per row, or R x members) is one evaluation;
+    # each row read back is that time's per-time evaluation, bit for bit
+    rng = np.random.default_rng(5)
+    offsets = np.concatenate([[0.0], rng.uniform(0.0, 40.0, 3)])[:lead[0]] if lead else 0.0
+    times = np.add.outer(np.sort(rng.uniform(0.0, 364.0, 9)), offsets)
+    for table, per_time in _forcing_tables():
+        table.fill(times)
+        for row_t in times:
+            got = table(row_t)
+            want = (per_time(float(row_t)) if not lead
+                    else np.stack([per_time(float(t)) for t in row_t]))
+            assert _same(got, want)
+
+
+def test_a_time_not_in_the_table_is_computed_alone():
+    # a time between two filled ones, or the (1,) array of a filled float,
+    # is evaluated by itself and becomes the table; no neighbour is read
+    for table, per_time in _forcing_tables():
+        calls = []
+        fn = table.fn
+        table.fn = lambda ts: calls.append(np.shape(ts)) or fn(ts)
+        ts = np.linspace(0.0, 100.0, 5)
+        table.fill(ts)
+        lo, hi = table(ts[2]), table(ts[3])
+        mid = 0.5 * (ts[2] + ts[3])
+        got = table(mid)
+        assert _same(got, per_time(mid)) and not _same(got, lo) and not _same(got, hi)
+        assert calls == [(5,), ()] and list(table.rows) == [mid]
+        one = table(ts[2:3])
+        assert one.shape == (1,) + lo.shape and calls[-1] == (1,)
+        assert _same(one[0], per_time(ts[2]))
+        # 0-d, np.float64 and float times of one value share a row
+        table.fill(ts)
+        assert table(np.array(ts[1])) is table(float(ts[1])) is table(ts[1])
+        assert len(calls) == 4
+
+
+def test_table_rows_are_read_only_views_of_one_array():
+    for table, _ in _forcing_tables():
+        times = np.add.outer(np.linspace(1.0, 9.0, 7), np.array([0.0, 0.5]))
+        values = table.fill(times)
+        assert not values.flags.writeable and len(table.rows) == 7
+        for row_t in times:
+            row = table(row_t)
+            assert row.base is values and np.shares_memory(row, values)
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 0.0
 
 
 def test_column_caches_leave_the_config_hash_and_fingerprints():

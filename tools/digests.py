@@ -17,6 +17,11 @@ Gaussian noise, it digests:
   more of the gradient's bits, so a change in its arithmetic shows there
   when the 0.01 items stay equal.
 
+For every study it also digests the plain-model paths (``<study>/plain``):
+``truth``, the arrays ``setup()`` returns from the DP5(4) reference run, and
+``baseline``, the baseline right-hand side integrated over the validation
+span with the forward stepper, as ``evaluate`` does.
+
 The output is one JSON file, so two source trees compute the same bits when
 their files are equal; ``--compare`` prints the (pair, item) entries whose
 digests differ and exits 1 if any do::
@@ -25,12 +30,14 @@ digests differ and exits 1 if any do::
     PYTHONPATH=../other/src python tools/digests.py --out b.json
     PYTHONPATH=src python tools/digests.py --compare a.json b.json
 
-NumPy only; the 15 pairs take about 9 s on a 2-vCPU Xeon VM.
+NumPy only; the 15 pairs and 5 plain entries take about 6 s on a 2-vCPU
+Xeon VM.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 
@@ -38,6 +45,7 @@ import numpy as np
 
 from neuralclosure import experiments as ex, train
 from neuralclosure.closure import adjoint_gradient, forward_augmented
+from neuralclosure.integrate import integrate_ode
 
 SEED = 7
 NOISE = 0.01
@@ -99,6 +107,22 @@ def pair_digests(study, data, kind: str) -> dict:
     return out
 
 
+def _arrays(obj) -> list:
+    """The arrays of a set-up result, its dataclass fields' in order."""
+    if dataclasses.is_dataclass(obj):
+        return [a for f in dataclasses.fields(obj) for a in _arrays(getattr(obj, f.name))]
+    return [obj]
+
+
+def plain_digests(study, data) -> dict:
+    basis = getattr(data, "basis", None)
+    val = train.SnapshotDataset(data.times, getattr(data, study.target)).restrict(
+        study.train_end, study.val_end)
+    traj = integrate_ode(study.baselines(basis)["baseline"], val.states[0],
+                         (val.t_start, val.t_end), study.forward_stepper())
+    return {"truth": sha(*_arrays(data)), "baseline": sha(traj.eval_many(val.times))}
+
+
 def differing(a: dict, b: dict) -> list[tuple[str, str]]:
     """The (pair, item) entries whose digests differ between two digest
     documents; an entry that only one of them has differs too."""
@@ -143,6 +167,7 @@ def main(argv=None) -> int:
     for name in args.studies:
         study = ex.get_study(name)
         data = study.setup()
+        pairs[f"{name}/plain"] = plain_digests(study, data)
         for kind in ex.CLOSURE_KINDS:
             pairs[f"{name}/{kind}"] = pair_digests(study, data, kind)
     doc = {"seed": SEED, "noise": NOISE, "wide_noise": WIDE_NOISE, "pairs": pairs}
