@@ -298,7 +298,7 @@ def _error_norm(err, u0, u1, rtol, atol):
 
 
 def _check_finite(t, u):
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise IntegrationError(f"non-finite state at t={t}")
 
 

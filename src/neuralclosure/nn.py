@@ -220,49 +220,64 @@ def _conv_same_grads(win, w, k):
     return dK.reshape(k, -1, w2.shape[1]), w2.sum(axis=0)
 
 
+def _product(ndim, M, windows=False):
+    """A plan step's product by M, chosen when its plan is built: np.dot
+    (np.matmul's BLAS call, lighter dispatch) on one or two axes; np.matmul
+    on a stack (np.dot is another product), on tap ``windows`` (np.dot
+    copies them, moving bits) and over one entry (an outer product's zeros)."""
+    return np.dot if ndim <= 2 and M.shape[0] > 1 and not windows else np.matmul
+
+
 def _affine_step(M, b, act, shape, out, win=None):
     """The plan step act(a @ M + b) of a dense or convolution layer, with
     ``a`` the step's input x, or ``win``, the tap windows of the layer's
-    padded input buffer; into ``out``, or a fresh array when None. A swish
-    step multiplies by M / 2 and adds b / 2, which gives z / 2 exactly
-    (halving commutes with every rounding, absent underflow)."""
+    padded input buffer, multiplied by :func:`_product`; into ``out``, or
+    a fresh array when None. b is broadcast to the output shape once, for
+    adds of one shape. A swish step takes M / 2 and b / 2, which give z / 2
+    exactly (halving commutes with every rounding, absent underflow)."""
     if act == "swish":
         M, b = M * 0.5, b * 0.5
+    b = np.full(shape, b)
+    mul = _product(len(shape), M, win is not None)
+    if act == "swish":
         z = np.empty(shape)
 
         def step(x, t):
-            np.matmul(x if win is None else win, M, z)
+            mul(x if win is None else win, M, z)
             np.add(z, b, z)
             return _swish_half(z, out)
         return step
     tanh = act == "tanh"
 
     def step(x, t):
-        y = np.matmul(x if win is None else win, M, out)
+        y = mul(x if win is None else win, M, out)
         y += b
         return np.tanh(y, y) if tanh else y
     return step
 
 
-def _recurrent_plan(b, z, h, hidden, zx_of, zx_last, recur, finish):
+def _recurrent_plan(b, mul, z, h, hidden, zx_of, zx_last, recur, finish):
     """A recurrent cell's plan (last, prefix) from its input halves of R
     sequences' first elements and of a last element, its recurrent step
     into z over hidden-state buffers h (``hidden(shape)`` makes the
-    prefix's) and ``finish``, its output from the last pre-activation."""
+    prefix's), given a bias and product (b and np.matmul for the prefix, b
+    broadcast to z and ``mul`` for ``last``), and ``finish``, its output."""
+    bl = np.full(z.shape, b)
+
     def prefix(xs):
         zx = zx_of(xs)
         zp = zx[:, :1] + b
         hp = hidden(zp.shape)
         for i in range(1, xs.shape[1]):
-            recur(zp, zx[:, i:i + 1], hp, zp)
+            recur(zp, zx[:, i:i + 1], hp, zp, b, np.matmul)
         return zp[:, 0]
 
     def last(x, zp, t):
         zx = zx_last(x)
         if zp is None:
-            np.add(zx, b, z)
+            np.add(zx, bl, z)
         else:
-            recur(zp, zx, h, z)
+            recur(zp, zx, h, z, bl, mul)
         return finish(z, t)
     return last, prefix
 
@@ -408,6 +423,7 @@ class SimpleRnnCell:
         # for the last element too (one row takes another BLAS routine)
         xl = np.zeros(shape) if len(shape) == 2 else None
         zxl = np.empty(hshape if xl is None else shape[:-1] + (self.units,))
+        mx, mh = (_product(len(hshape), M) for M in (Mx, Mh))
 
         def zx_of(xs):
             seq = np.zeros(xs.shape[:1] + shape)
@@ -416,16 +432,16 @@ class SimpleRnnCell:
 
         def zx_last(x):
             if xl is None:
-                return np.matmul(x, Mx, zxl)
+                return mx(x, Mx, zxl)
             xl[-1] = x
-            return np.matmul(xl, Mx, zxl)[-1]
+            return mx(xl, Mx, zxl)[-1]
 
-        def recur(z_in, zx_i, h, z):
+        def recur(z_in, zx_i, h, z, b, mul):
             act(z_in, h)
-            np.matmul(h, Mh, z)
+            mul(h, Mh, z)
             np.add(z, zx_i, z)
             np.add(z, b, z)
-        return _recurrent_plan(b, np.empty(hshape), np.empty(hshape), np.empty, zx_of,
+        return _recurrent_plan(b, mh, np.empty(hshape), np.empty(hshape), np.empty, zx_of,
                                zx_last, recur, lambda z, t: act(z, out))
 
     def backward(self, p, cache, w, grads=True):
@@ -527,27 +543,28 @@ class SimpleRnnConvCell:
         xin, xwin = _padded(shape[1:], k) if k > 1 else (None, None)
         h = padded(hshape)
         zxl = np.empty(hshape)
-        conv_out = _affine_step(ko.fwd, bo, self.act, hshape, out, h[1])
+        conv_out = _affine_step(ko.fwd, bo, self.act, hshape, out, h[1] if k > 1 else None)
+        mx, mh = (_product(len(hshape), F, k > 1) for F in (Fx, Fh))
 
-        def input_half(win, zx=None):
-            zx = np.matmul(win, Fx, zx)
+        def input_half(win, zx=None, mul=np.matmul):
+            zx = mul(win, Fx, zx)
             return np.add(zx, 0.0, zx)   # the input half's zero bias
 
         def zx_last(x):
             if xin is not None:
                 np.copyto(xin, x)
-            return input_half(x if xwin is None else xwin, zxl)
+            return input_half(x if xwin is None else xwin, zxl, mx)
 
-        def recur(z_in, zx_i, h, z):
+        def recur(z_in, zx_i, h, z, b, mul):
             act(z_in, h[0])
-            np.matmul(h[1], Fh, z)
+            mul(h[1], Fh, z)
             np.add(z, b, z)
             np.add(z, zx_i, z)
 
         def finish(z, t):
             act(z, h[0])
-            return conv_out(None, t)
-        return _recurrent_plan(b, np.empty(hshape), h, padded,
+            return conv_out(h[0], t)
+        return _recurrent_plan(b, mh, np.empty(hshape), h, padded,
                                lambda xs: input_half(_windows(xs, k, (k - 1) // 2)),
                                zx_last, recur, finish)
 
@@ -873,10 +890,13 @@ class Plan:
     (``plan``) over buffers allocated for it: each layer writes its output
     with ``out=`` into the input buffer of the next, a k > 1 convolution's
     padded buffer (whose pad rows stay zero), and swish layers take halved
-    weights, decoded here. The last layer writes into a fresh array, so no
-    output aliases a plan buffer. Every call checks the input shape, a
-    tuple compare, and a call on another shape raises ``ValueError``. A
-    plan is not reentrant: it serves one solve, one call at a time.
+    weights, decoded here. Each bias is broadcast to its step's output
+    shape here too, and a step multiplies a one- or two-axis operand by
+    np.dot, stacks and tap windows by np.matmul (:func:`_product`). The
+    last layer writes into a fresh array, so no output aliases a plan
+    buffer. Every call checks the input shape, a tuple compare, and a call
+    on another shape raises ``ValueError``. A plan is not reentrant: it
+    serves one solve, one call at a time.
 
     :meth:`prefix` runs many recurrent sequences but their last elements at
     once, each call then one last element from its (read-only) row, and

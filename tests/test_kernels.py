@@ -14,8 +14,10 @@ views of a batched tape against fresh tapes, the tape and reverse-pass
 budget of one training window on the shipped studies, the in-place
 activations, bias and discrete sequence input against the expressions they
 replace, repeated reverse passes on one tape, whose convolution windows
-are read-only, the plain forward against the tape on every closure network,
-and reverse passes that read the taped act'(z) instead of recomputing it.
+are read-only, the plain forward against the tape on every closure network
+and on single k = 1 layers of widths 1-16 (whose plan steps multiply by
+np.dot), and reverse passes that read the taped act'(z) instead of
+recomputing it.
 A delay solve, which prepares a block of right-hand sides at a time, is
 checked against the solve that reads each delayed state by a scalar eval and
 runs every network whole at each stage (``oracles``), bit for bit, with the
@@ -808,6 +810,46 @@ def test_plain_forward_equals_the_tape_output_and_writes_nothing(name, batch):
     assert all(_same(a, b) for a, b in zip([tp.y] + _arrays(tp.caches), taped))
 
 
+LEADS = [(), (1,), (2,), (4,), (8,), (20,)]
+
+
+def _one_layer_nets(width, act):
+    """Single-layer networks at k = 1 whose plan steps multiply by np.dot on
+    one- and two-axis operands: (net, the axes before the channels of
+    inputs or sequence elements, the sequence length or None). A dense
+    input takes at most one batch axis; a grid input's axes are its points,
+    or (3, 4) for a batch of three 4-point fields."""
+    ci, co = width
+    grid = LEADS[1:] + [(3, 4)]
+    yield nn.Network([nn.Dense(ci, co, act)]), LEADS, None
+    yield nn.Network([nn.Conv1d(ci, co, 1, act)]), grid, None
+    yield nn.Network([nn.SimpleRnnCell(ci, co, act)]), LEADS, 3
+    yield nn.Network([nn.SimpleRnnConvCell(ci, co, 1, act)]), grid, 3
+
+
+@pytest.mark.parametrize("width", [(1, 1), (1, 5), (2, 1), (2, 3), (5, 7), (7, 13),
+                                   (13, 13), (16, 2), (16, 16)],
+                         ids=lambda w: f"{w[0]}to{w[1]}")
+@pytest.mark.parametrize("act", nn.ACTIVATIONS)
+def test_plan_products_match_the_tape_byte_for_byte(act, width):
+    # a plan step multiplies a contiguous operand of one or two axes by
+    # np.dot and adds a bias broadcast once per plan, where the tape runs
+    # np.matmul and a broadcast add; the outputs are the same bytes, with
+    # SPECIAL values in the inputs and parameters (a -0.0 bias keeps the
+    # sign of a zero product), on one element or point, a few and twenty,
+    # and under a batch axis (np.matmul's stacked product), on two calls
+    # of one plan
+    rng = np.random.default_rng(40)
+    for net, leads, seq in _one_layer_nets(width, act):
+        params = _mixed(rng, (net.n_params,))
+        run = nn.rnn_forward if net.recurrent else nn.forward
+        for lead in leads:
+            shape = ((seq,) if seq else ()) + lead + (width[0],)
+            plan = nn.Plan(net, params)
+            for x in _mixed(rng, (2,) + shape):
+                assert _same(run(net, x, plan), nn.tape(net, x, params).y), (net.describe(), lead)
+
+
 @pytest.mark.parametrize("batch", [None, 8], ids=["single", "batch8"])
 @pytest.mark.parametrize("study_name, window", [
     ("exp2_subgrid", None), ("exp3b_bio1d", None), ("exp1_rom", None), ("toy", (0.2, 0.7))],
@@ -1082,7 +1124,8 @@ def test_a_delay_solve_is_the_per_stage_solve(case, batch):
 def test_a_discrete_solve_steps_the_delayed_elements_once_per_time(monkeypatch):
     # each right-hand side runs one recurrent step, on u(t), and the block's
     # prefix K - 1 per prepared time, where every right-hand side ran K;
-    # counted as products with the recurrent matrix, one per row
+    # counted as products with the recurrent matrix, one per row, whether a
+    # step multiplies by np.matmul or np.dot
     study, data, ds = _study_data("exp1_rom")
     clo = study.closure("discrete")
     sys = study.system(clo, data.basis)
@@ -1095,10 +1138,17 @@ def test_a_discrete_solve_steps_the_delayed_elements_once_per_time(monkeypatch):
             return getattr(np, name)
 
         @staticmethod
-        def matmul(a, b, *out):
+        def count(a, b):
             if b.shape == Mh.shape and np.array_equal(b, Mh):
                 steps[a.ndim] += a.size // Mh.shape[0]
+
+        def matmul(self, a, b, *out):
+            self.count(a, b)
             return np.matmul(a, b, *out)
+
+        def dot(self, a, b, *out):
+            self.count(a, b)
+            return np.dot(a, b, *out)
 
     dde = closure.integrate_dde
 
