@@ -19,8 +19,8 @@ per-layer views, and each convolution kernel into the contiguous forward
 and reverse matrices its passes multiply by; a forward pass takes either the
 flat vector (and decodes it once) or views decoded earlier, so a caller
 running many passes on one vector decodes it once. The tape keeps the views
-for its reverse passes. Every layer provides a taped forward, reverse (input
-and parameter) passes, and its step of a plain-forward plan.
+for its reverse passes. Every layer writes its forward once, as the step
+its ``plan`` builds, and provides reverse (input and parameter) passes.
 
 Every input is one array, with one layout per network kind:
 
@@ -41,35 +41,39 @@ shape of the input (stacked like the sequence for a recurrent network). The
 time ``t`` of a pass is one time, or one per batch member (B,); only
 ``AddExtraChannels`` reads it.
 
+Every pass runs the layers' steps (:func:`_steps`), each writing its output
+into the next layer's input buffer, a k > 1 convolution's padded buffer
+(whose pad rows stay zero). A plain forward (:func:`forward`,
+:func:`rnn_forward`) computes no derivative and runs through a
+:class:`Plan`, which builds the steps once for its input shape, so a caller
+that keeps the plan (a forward solve keeps one per network) runs each pass
+with no allocation but its output and no per-layer dispatch. Given the flat
+vector or views, the two functions build a plan for the one call. A plan
+also runs inputs stacked along a leading axis, and many recurrent sequences
+but their last elements, in one pass each.
+
 A reverse pass is split in two steps: :func:`tape` runs the forward pass and
 keeps the layer caches, and :func:`backward` (input and parameter cotangents)
 or :func:`backward_input` (input cotangent only, skipping all weight-gradient
 work) run on that tape, as often as needed. :func:`vjp` composes the two.
 :func:`rows` views a block of a batched tape's rows as a tape of its own, so
 one forward pass over many inputs serves reverse passes on any of them.
-A tape keeps per layer what its reverse passes read: the layer input (a
+A tape runs kept steps, built for its input over buffers of its own, which
+also keep per layer what its reverse passes read: the layer input (a
 convolution's tap windows) for the weight gradient, and act'(z) of an
-activated layer, one per sequence step in a recurrent cell. A reverse pass
-multiplies its cotangent by that act'(z), one NumPy call per layer, and
-recomputes nothing from the forward pass.
+activated layer, one per sequence step in a recurrent cell. So a plain
+pass's output is the tape's, bit for bit. A reverse pass multiplies its
+cotangent by that act'(z), one NumPy call per layer, and recomputes
+nothing from the forward pass.
 
-A plain forward (:func:`forward`, :func:`rnn_forward`) computes no
-derivative and runs through a :class:`Plan`: one step per layer over
-buffers allocated once for its input shape, so a caller that keeps the plan
-(a forward solve keeps one per network) runs each pass with no allocation
-but its output and no per-layer dispatch. Its output is the tape's, bit for
-bit. Given the flat vector or views, the two functions build a plan for the
-one call. A plan also runs inputs stacked along a leading axis, and many
-recurrent sequences but their last elements, in one pass each.
-
-Each convolution pass is one matmul over the tap windows of one padded copy
-(a plan's padded buffer, whose pad rows stay zero). The kernels work in
-place on the arrays they allocate themselves, and on nothing else. A layer
-adds its bias to its own product, and activates that pre-activation in
-place. A plan's swish step multiplies by halved weights and adds the halved
-bias, which gives z / 2 exactly, then y = tanh(z / 2); y += 1; y *= z / 2,
-bit for bit z * sigmoid(z). A tape's derivative and a scaled cotangent are
-new arrays. No layer writes into its input, its cotangent, its parameters
+Each convolution pass is one matmul over the tap windows of one padded
+copy. The kernels work in place on the arrays they allocate themselves, and
+on nothing else. A layer adds its bias to its own product and activates
+that pre-activation. A plan's swish step multiplies by halved weights and
+adds the halved bias, which gives z / 2 exactly, then y = tanh(z / 2);
+y += 1; y *= z / 2, bit for bit z * sigmoid(z); a kept step takes z as it
+is and act(z) and act'(z) from one tanh of z / 2. A tape's derivative and a
+scaled cotangent are new arrays. No layer writes into its input, its cotangent, its parameters
 or a tape's arrays, so a tape serves any number of reverse passes and a
 caller's arrays come back as they went in.
 """
@@ -89,39 +93,9 @@ from .linalg import Vec
 # ---------------------------------------------------------------------------
 
 
-def _sigmoid(z):
-    """0.5 * (1 + tanh(0.5 * z)), built in the one array it allocates; the
-    tanh form is finite for every finite z, so needs no sign split."""
-    s = z * 0.5
-    np.tanh(s, out=s)
-    s += 1.0
-    s *= 0.5
-    return s
-
-
-def _act_deriv(name, z):
-    """(act(z), act'(z)) for a tape, in place on z, the layer's own
-    pre-activation, which it overwrites (a tanh writes act(z) over it);
-    act'(z) is None for linear, whose derivative is one."""
-    if name == "tanh":
-        y = np.tanh(z, out=z)
-        d = y * y
-        return y, np.subtract(1.0, d, out=d)
-    if name == "swish":
-        s = _sigmoid(z)
-        d = 1.0 - s
-        d *= z
-        d += 1.0
-        d *= s
-        s *= z
-        return s, d
-    return z, None
-
-
 def _swish_half(zh, out):
     """z * sigmoid(z) from zh = z / 2, into ``out`` (a fresh array when
-    None): (z / 2) * (1 + tanh(z / 2)), bit for bit the tape's
-    z * sigmoid(z)."""
+    None): (z / 2) * (1 + tanh(z / 2)), bit for bit z * sigmoid(z)."""
     y = np.tanh(zh, out)
     y += 1.0
     y *= zh
@@ -130,6 +104,36 @@ def _swish_half(zh, out):
 
 # act(z) into out for a plan step: swish from the halved pre-activation
 _PLAN_ACT = {"tanh": np.tanh, "swish": _swish_half, "linear": np.positive}
+
+
+def _act_deriv(name, z, out):
+    """(act(z), act'(z)) of a kept step from its pre-activation z, which a
+    tanh overwrites; act'(z) is a new array (None for linear). Worked out on
+    contiguous arrays, act(z) is copied into ``out`` once (a ufunc writing
+    into padded rows is slower), or left in z or a new array when None.
+    Swish takes both from one tanh, s = (1 + tanh(z / 2)) / 2:
+    act'(z) = s (1 + z (1 - s)), act(z) = s z."""
+    d = None
+    if name == "tanh":
+        y = np.tanh(z, z)
+        d = y * y
+        np.subtract(1.0, d, out=d)
+    elif name == "swish":
+        y = z * 0.5
+        np.tanh(y, y)
+        y += 1.0
+        y *= 0.5   # s
+        d = 1.0 - y
+        d *= z
+        d += 1.0
+        d *= y
+        y *= z
+    else:
+        y = z
+    if out is None:
+        return y, d
+    np.copyto(out, y)
+    return out, d
 
 
 def _scale(d, w):
@@ -152,27 +156,27 @@ def _check_act(name):
 # ---------------------------------------------------------------------------
 
 
+def _padded(shape, k, left=None):
+    """A zero buffer for (..., n, ci) inputs at k > 1, padded with ``left``
+    rows ((k - 1) // 2 when None) before them and k - 1 - left after: (the
+    view of its input rows, its (..., n, k * ci) tap windows). The windows
+    are a view of the buffer, read-only because their rows overlap."""
+    n, ci = shape[-2:]
+    left = (k - 1) // 2 if left is None else left
+    xpad = np.zeros(shape[:-2] + (n + k - 1, ci))
+    win = np.ndarray(shape[:-2] + (n, k * ci), buffer=xpad, strides=xpad.strides)
+    win.flags.writeable = False
+    return xpad[..., left:left + n, :], win
+
+
 def _windows(x, k, left):
-    """The (..., n, k * ci) tap windows of x (..., n, ci) padded with ``left``
-    zero rows before and k - 1 - left after, x itself at k = 1: a view of the
-    padded copy, read-only because its rows overlap."""
+    """The tap windows of x (..., n, ci) padded as :func:`_padded` pads, in
+    a fresh buffer; x itself at k = 1."""
     if k == 1:
         return x
-    n, ci = x.shape[-2:]
-    xpad = np.zeros(x.shape[:-2] + (n + k - 1, ci))
-    xpad[..., left:left + n, :] = x
-    win = np.ndarray(x.shape[:-2] + (n, k * ci), buffer=xpad, strides=xpad.strides)
-    win.flags.writeable = False
+    xin, win = _padded(x.shape, k, left)
+    xin[...] = x
     return win
-
-
-def _padded(shape, k):
-    """A plan's padded input buffer at k > 1 for (..., n, ci) inputs: (the
-    view of its input rows, its tap windows), laid out as :func:`_windows`
-    lays them out; its pad rows stay zero."""
-    left = (k - 1) // 2
-    win = _windows(np.zeros(shape), k, left)
-    return win.base[..., left:left + shape[-2], :], win
 
 
 class _Kernel(NamedTuple):
@@ -192,19 +196,11 @@ def _kernel(K) -> _Kernel:
                    K[::-1].transpose(0, 2, 1).reshape(k * co, ci).copy())
 
 
-def _conv_same(x, ker, b):
-    """Correlate (..., n, ci) with a decoded kernel (:func:`_kernel`);
-    returns (y, windows). Leading axes of x are batch axes."""
-    win = _windows(x, ker.k, (ker.k - 1) // 2)
-    y = win @ ker.fwd
-    y += b
-    return y, win
-
-
 def _conv_same_vjp(win, ker, w, grads=True):
-    """Reverse pass of _conv_same on its windows; returns (dx, dK, db), with
-    dK and db None when ``grads`` is false. Weight gradients sum over the
-    batch axes."""
+    """Reverse pass of the correlation of x (..., n, ci) with a decoded
+    kernel (:func:`_kernel`), win @ ker.fwd + b, on the tap windows ``win``
+    of x; returns (dx, dK, db), with dK and db None when ``grads`` is false.
+    Leading axes are batch axes, and weight gradients sum over them."""
     # dx[j] = sum_d w[j + (k - 1) // 2 - d] @ K[d].T: the windows of w padded
     # k // 2 rows before, times the reverse matrix
     dx = _windows(w, ker.k, ker.k // 2) @ ker.rev
@@ -228,48 +224,54 @@ def _product(ndim, M, windows=False):
     return np.dot if ndim <= 2 and M.shape[0] > 1 and not windows else np.matmul
 
 
-def _affine_step(M, b, act, shape, out, win=None):
-    """The plan step act(a @ M + b) of a dense or convolution layer, with
-    ``a`` the step's input x, or ``win``, the tap windows of the layer's
-    padded input buffer, multiplied by :func:`_product`; into ``out``, or
-    a fresh array when None. b is broadcast to the output shape once, for
-    adds of one shape. A swish step takes M / 2 and b / 2, which give z / 2
-    exactly (halving commutes with every rounding, absent underflow)."""
-    if act == "swish":
-        M, b = M * 0.5, b * 0.5
-    b = np.full(shape, b)
+def _affine_step(M, b, act, shape, out, win=None, keep=None):
+    """The step act(a @ M + b) of a dense or convolution layer into ``out``
+    (a fresh array when None), ``a`` its input x or ``win``, the tap windows
+    of its padded input buffer, multiplied by :func:`_product`. A plan's
+    swish takes M / 2 and b / 2, which give z / 2 exactly (halving commutes
+    with every rounding, absent underflow), and its b is broadcast to the
+    output shape once, for adds of one shape; a kept step (``keep`` a list)
+    takes M and b as they are and appends its cache (a, act'(z))."""
+    swish = act == "swish"
+    if keep is None:
+        if swish:
+            M, b = M * 0.5, b * 0.5
+        b = np.full(shape, b)
     mul = _product(len(shape), M, win is not None)
-    if act == "swish":
-        z = np.empty(shape)
-
-        def step(x, t):
-            mul(x if win is None else win, M, z)
-            np.add(z, b, z)
-            return _swish_half(z, out)
-        return step
-    tanh = act == "tanh"
+    # the product goes into a new array in a kept step; a plan's swish keeps
+    # z / 2 in a buffer apart from its output, the others work in the output
+    zbuf = None if keep is not None else np.empty(shape) if swish else out
+    activate = None if act == "linear" else _PLAN_ACT[act]
 
     def step(x, t):
-        y = mul(x if win is None else win, M, out)
-        y += b
-        return np.tanh(y, y) if tanh else y
+        a = x if win is None else win
+        z = mul(a, M, zbuf)
+        np.add(z, b, z)
+        if keep is None:
+            return z if activate is None else activate(z, out if swish else z)
+        y, d = _act_deriv(act, z, out)
+        keep.append((a, d))
+        return y
     return step
 
 
-def _recurrent_plan(b, mul, z, h, hidden, zx_of, zx_last, recur, finish):
+def _recurrent_plan(act, b, mul, z, h, hidden, zx_of, zx_last, recur, finish):
     """A recurrent cell's plan (last, prefix) from its input halves of R
-    sequences' first elements and of a last element, its recurrent step
-    into z over hidden-state buffers h (``hidden(shape)`` makes the
-    prefix's), given a bias and product (b and np.matmul for the prefix, b
+    sequences' first elements and of a last element, its activation into
+    the rows of a hidden-state buffer h = (rows, operand) and its recurrent
+    product from the operand into z (``hidden(shape)`` makes the prefix's
+    buffers), given a bias and product (b and np.matmul for the prefix, b
     broadcast to z and ``mul`` for ``last``), and ``finish``, its output."""
     bl = np.full(z.shape, b)
+    rows, op = h
 
     def prefix(xs):
         zx = zx_of(xs)
         zp = zx[:, :1] + b
-        hp = hidden(zp.shape)
+        hp, opp = hidden(zp.shape)
         for i in range(1, xs.shape[1]):
-            recur(zp, zx[:, i:i + 1], hp, zp, b, np.matmul)
+            act(zp, hp)
+            recur(opp, zx[:, i:i + 1], zp, b, np.matmul)
         return zp[:, 0]
 
     def last(x, zp, t):
@@ -277,9 +279,27 @@ def _recurrent_plan(b, mul, z, h, hidden, zx_of, zx_last, recur, finish):
         if zp is None:
             np.add(zx, bl, z)
         else:
-            recur(zp, zx, h, z, bl, mul)
+            act(zp, rows)
+            recur(op, zx, z, bl, mul)
         return finish(z, t)
     return last, prefix
+
+
+def _taped_sequence(name, zx, b, h0, hidden, recur, mul, out):
+    """A kept recurrent step's loop over one sequence's input half zx
+    (L, ...), from the zero hidden state h0, with a new hidden-state buffer
+    from ``hidden()`` per step and ``recur`` and ``mul`` as for
+    :func:`_recurrent_plan`: (the last hidden state, in ``out``, act'(z) of
+    every step, the hidden states' operands before every step)."""
+    z = zx[0] + b
+    ds, hs = [], [h0]
+    for zx_i in zx[1:]:
+        h, op = hidden()
+        ds.append(_act_deriv(name, z, h)[1])
+        hs.append(op)
+        recur(op, zx_i, z, b, mul)
+    y, d = _act_deriv(name, z, out)
+    return y, ds + [d], hs
 
 
 # ---------------------------------------------------------------------------
@@ -287,33 +307,32 @@ def _recurrent_plan(b, mul, z, h, hidden, zx_of, zx_last, recur, finish):
 # ---------------------------------------------------------------------------
 #
 # ``param_specs()`` lists each parameter's shape and Glorot-uniform limit
-# (None for a parameter that is not drawn). ``forward(p, x, t)`` is a tape's
-# pass and returns (output, cache), the cache holding what reverse passes
-# read, act'(z) included; ``backward(p, cache, w, grads)`` returns (dx,
-# parameter gradients), where ``p`` is the layer's entry of
-# :meth:`Network.unpack`. With ``grads`` false the second entry is None and
-# no weight-gradient work is done. The input cotangent is computed by the
-# same operations either way. ``plan(p, shape, out)`` builds the layer's
-# step of a :class:`Plan` for inputs of ``shape``: (step, xin), where
-# step(x, t) writes the output into ``out`` (a fresh array when None) and
-# returns it, and ``xin`` is the buffer view the layer's input must be
-# written into (a k > 1 convolution's padded input), or None when the step
-# reads x as it is given.
+# (None for a parameter that is not drawn). ``plan(p, shape, out, keep)`` is
+# the layer's one forward: its step for inputs of ``shape``, ``p`` being its
+# entry of :meth:`Network.unpack`. It returns (step, xin): step(x, t) writes
+# the output into ``out`` (a fresh array when None) and returns it, and
+# ``xin`` is the buffer view the input must be written into (a k > 1
+# convolution's padded input), or None when the step reads x as given. A
+# kept step (``keep`` a list, for a tape) also appends its cache to
+# ``keep``: what reverse passes read, act'(z) included.
+# ``backward(p, cache, w, grads)`` returns (dx, parameter gradients); with
+# ``grads`` false the second entry is None and no weight-gradient work is
+# done, and dx is computed by the same operations either way.
 # ``rows(cache, sl)`` gives the cache of the batch rows ``sl`` (a slice) as
 # views, the cache a forward pass over those rows alone would keep. A
 # convolution layer's ``kernels(views)`` decodes its kernels (``_kernel``),
 # which :meth:`Network.unpack` appends to its views.
 # Recurrent cells take the whole sequence as x, one array with the sequence
 # on the leading axis (then any batch axis), and return dx stacked the same
-# way. Their input half runs in one call over the sequence and batch, and only
-# the recurrent half steps through the sequence. A recurrent cell's ``plan``
-# for sequences of ``shape`` (L,) + element is (last, prefix): prefix(xs)
-# runs the first L - 1 elements of R sequences, (R, L - 1) + element, in one
-# pass to one pre-activation row per sequence, and last(x, z, t) runs a last
-# element x on from such a row z (None for L = 1). Both give the tape's
-# bits: a stacked product runs each slice as the unstacked one does, and
-# one trajectory's hidden-state rows are stacked as (1, units), which takes
-# the 1-D product's routine.
+# way. Their input half runs in one call over the sequence and batch, and
+# only the recurrent half steps through the sequence. A cell's kept step
+# runs the whole sequence; its plan for sequences of ``shape`` (L,) + element
+# is (last, prefix): prefix(xs) runs the first L - 1 elements of R sequences,
+# (R, L - 1) + element, in one pass to one pre-activation row per sequence,
+# and last(x, z, t) runs a last element x on from such a row z (None for
+# L = 1). Both give the kept step's bits: a stacked product runs each slice
+# as the unstacked one does, and one trajectory's hidden-state rows are
+# stacked as (1, units), which takes the 1-D product's routine.
 
 
 @dataclass(frozen=True)
@@ -339,16 +358,10 @@ class Dense:
             raise ValueError(f"Dense({self.n_in},{self.n_out}) cannot follow {spec}")
         return ("dense", self.n_out)
 
-    def forward(self, p, x, t):
+    def plan(self, p, shape, out, keep=None):
         W, b = p
-        z = x @ W.T
-        z += b
-        y, d = _act_deriv(self.act, z)
-        return y, (x, d)
-
-    def plan(self, p, shape, out):
-        W, b = p
-        return _affine_step(W.T, b, self.act, shape[:-1] + (self.n_out,), out), None
+        return _affine_step(W.T, b, self.act, shape[:-1] + (self.n_out,), out,
+                            keep=keep), None
 
     def backward(self, p, cache, w, grads=True):
         W, _ = p
@@ -394,36 +407,34 @@ class SimpleRnnCell:
             raise ValueError(f"SimpleRnnCell({self.n_in}) cannot follow {spec}")
         return ("dense", self.units)
 
-    def forward(self, p, xs, t):
-        Wx, Wh, b = p
-        zx = xs @ Wx.T
-        h = np.zeros(zx.shape[1:])
-        ds, hs = [], [h]
-        for i, zx_i in enumerate(zx):
-            # the first step's hidden state is zero, so z_0 = zx_0 + b
-            if i:
-                z = h @ Wh.T
-                z += zx_i
-                z += b
-            else:
-                z = zx_i + b
-            h, d = _act_deriv(self.act, z)
-            ds.append(d)
-            hs.append(h)
-        return h, (xs, ds, hs)
-
-    def plan(self, p, shape, out):
+    def plan(self, p, shape, out, keep=None):
         Wx, Wh, b = p
         Mx, Mh = Wx.T, Wh.T
-        if self.act == "swish":
+        if self.act == "swish" and keep is None:
             Mx, Mh, b = Mx * 0.5, Mh * 0.5, b * 0.5
-        act = _PLAN_ACT[self.act]
         hshape = shape[1:-1] + (self.units,)
-        # one trajectory's input half is an L-row product, as in the tape,
-        # for the last element too (one row takes another BLAS routine)
+        mx, mh = (_product(len(hshape), M) for M in (Mx, Mh))
+
+        def recur(h, zx_i, z, b, mul):
+            mul(h, Mh, z)
+            np.add(z, zx_i, z)
+            np.add(z, b, z)
+
+        hidden = lambda shape=hshape: (np.empty(shape),) * 2
+
+        if keep is not None:
+            def step(xs, t):
+                y, ds, hs = _taped_sequence(self.act, np.matmul(xs, Mx), b,
+                                            np.zeros(hshape), hidden, recur, mh, out)
+                keep.append((xs, ds, hs + [y]))
+                return y
+            return step, None
+
+        act = _PLAN_ACT[self.act]
+        # one trajectory's input half is an L-row product, as in a kept
+        # step, for the last element too (one row takes another BLAS routine)
         xl = np.zeros(shape) if len(shape) == 2 else None
         zxl = np.empty(hshape if xl is None else shape[:-1] + (self.units,))
-        mx, mh = (_product(len(hshape), M) for M in (Mx, Mh))
 
         def zx_of(xs):
             seq = np.zeros(xs.shape[:1] + shape)
@@ -435,13 +446,7 @@ class SimpleRnnCell:
                 return mx(x, Mx, zxl)
             xl[-1] = x
             return mx(xl, Mx, zxl)[-1]
-
-        def recur(z_in, zx_i, h, z, b, mul):
-            act(z_in, h)
-            mul(h, Mh, z)
-            np.add(z, zx_i, z)
-            np.add(z, b, z)
-        return _recurrent_plan(b, mh, np.empty(hshape), np.empty(hshape), np.empty, zx_of,
+        return _recurrent_plan(act, b, mh, np.empty(hshape), hidden(), hidden, zx_of,
                                zx_last, recur, lambda z, t: act(z, out))
 
     def backward(self, p, cache, w, grads=True):
@@ -507,64 +512,60 @@ class SimpleRnnConvCell:
         Kx, Kh, _, Ko, _ = views
         return _kernel(Kx), _kernel(Kh), _kernel(Ko)
 
-    def forward(self, p, xs, t):
-        _, _, b, _, bo, kx, kh, ko = p
-        zx, xwin = _conv_same(xs, kx, 0.0)
-        # the first step's hidden state and its windows are zero: z_0 = zx_0 + b
-        hwin = np.zeros(zx.shape[1:-1] + (self.kernel * self.units,))
-        ds, hwins = [], []
-        for i, zx_i in enumerate(zx):
-            if i:
-                z, hwin = _conv_same(h, kh, b)
-                z += zx_i
-            else:
-                z = zx_i + b
-            h, d = _act_deriv(self.act, z)
-            ds.append(d)
-            hwins.append(hwin)
-        zo, owin = _conv_same(h, ko, bo)
-        out, do = _act_deriv(self.act, zo)
-        return out, (xwin, ds, hwins, do, owin)
-
-    def plan(self, p, shape, out):
+    def plan(self, p, shape, out, keep=None):
         # each hidden state in the input rows of a padded buffer, whose
         # windows the recurrent and the output convolution read
         _, _, b, _, bo, kx, kh, ko = p
         k = self.kernel
         Fx, Fh = kx.fwd, kh.fwd
-        if self.act == "swish":
+        if self.act == "swish" and keep is None:
             Fx, Fh, b = Fx * 0.5, Fh * 0.5, b * 0.5
-        act = _PLAN_ACT[self.act]
         hshape = shape[1:-1] + (self.units,)
 
-        def padded(shape):
+        def padded(shape=hshape):
             return _padded(shape, k) if k > 1 else (np.empty(shape),) * 2
 
-        xin, xwin = _padded(shape[1:], k) if k > 1 else (None, None)
-        h = padded(hshape)
-        zxl = np.empty(hshape)
-        conv_out = _affine_step(ko.fwd, bo, self.act, hshape, out, h[1] if k > 1 else None)
+        h = padded()
+        kept_out = None if keep is None else []
+        conv_out = _affine_step(ko.fwd, bo, self.act, hshape, out, h[1] if k > 1 else None,
+                                kept_out)
         mx, mh = (_product(len(hshape), F, k > 1) for F in (Fx, Fh))
 
         def input_half(win, zx=None, mul=np.matmul):
             zx = mul(win, Fx, zx)
             return np.add(zx, 0.0, zx)   # the input half's zero bias
 
+        def recur(hwin, zx_i, z, b, mul):
+            mul(hwin, Fh, z)
+            np.add(z, b, z)
+            np.add(z, zx_i, z)
+
+        if keep is not None:
+            def step(xs, t):
+                xwin = _windows(xs, k, (k - 1) // 2)
+                # the hidden state before step 0 and its windows are zero
+                h0 = np.zeros(hshape[:-1] + (k * self.units,))
+                _, ds, hwins = _taped_sequence(self.act, input_half(xwin), b, h0, padded,
+                                               recur, mh, h[0])
+                y = conv_out(h[0], t)
+                owin, do = kept_out.pop()
+                keep.append((xwin, ds, hwins, do, owin))
+                return y
+            return step, None
+
+        act = _PLAN_ACT[self.act]
+        xin, xwin = _padded(shape[1:], k) if k > 1 else (None, None)
+        zxl = np.empty(hshape)
+
         def zx_last(x):
             if xin is not None:
                 np.copyto(xin, x)
             return input_half(x if xwin is None else xwin, zxl, mx)
 
-        def recur(z_in, zx_i, h, z, b, mul):
-            act(z_in, h[0])
-            mul(h[1], Fh, z)
-            np.add(z, b, z)
-            np.add(z, zx_i, z)
-
         def finish(z, t):
             act(z, h[0])
             return conv_out(h[0], t)
-        return _recurrent_plan(b, mh, np.empty(hshape), h, padded,
+        return _recurrent_plan(act, b, mh, np.empty(hshape), h, padded,
                                lambda xs: input_half(_windows(xs, k, (k - 1) // 2)),
                                zx_last, recur, finish)
 
@@ -630,17 +631,11 @@ class Conv1d:
     def kernels(self, views):
         return (_kernel(self.taps(views[0])),)
 
-    def forward(self, p, x, t):
-        _, b, ker = p
-        z, win = _conv_same(x, ker, b)
-        y, d = _act_deriv(self.act, z)
-        return y, (win, d)
-
-    def plan(self, p, shape, out):
+    def plan(self, p, shape, out, keep=None):
         _, b, ker = p
         xin, win = _padded(shape, ker.k) if ker.k > 1 else (None, None)
         oshape = shape[:-1] + (self.out_ch,)
-        return _affine_step(ker.fwd, b, self.act, oshape, out, win), xin
+        return _affine_step(ker.fwd, b, self.act, oshape, out, win, keep), xin
 
     def backward(self, p, cache, w, grads=True):
         win, d = cache
@@ -707,14 +702,12 @@ class AddExtraChannels:
                              f"{shape}: one time per member")
         return extra
 
-    def forward(self, p, x, t):
-        extra = self._extra(t, x.shape[:-1] + (self.n_extra,))
-        return np.concatenate([x, extra], axis=-1), x.shape[-1]
-
-    def plan(self, p, shape, out):
+    def plan(self, p, shape, out, keep=None):
         want = shape[:-1] + (self.n_extra,)
 
         def step(x, t):
+            if keep is not None:
+                keep.append(shape[-1])
             return np.concatenate((x, self._extra(t, want)), axis=-1, out=out)
         return step, None
 
@@ -746,16 +739,15 @@ class BioConstrain:
             raise ValueError("BioConstrain requires exactly one input channel")
         return (kind, 3)
 
-    def forward(self, p, x, t):
-        beta = p[0][0]
-        s = x[..., 0]
-        out = s[..., None] * np.array([beta, -1.0, 1.0 - beta])
-        return out, (s, beta, x.shape)
-
-    def plan(self, p, shape, out):
+    def plan(self, p, shape, out, keep=None):
         beta = p[0][0]
         row = np.array([beta, -1.0, 1.0 - beta])
-        return (lambda x, t: np.multiply(x, row, out)), None
+
+        def step(x, t):
+            if keep is not None:
+                keep.append((x[..., 0], beta, shape))
+            return np.multiply(x, row, out)
+        return step, None
 
     def backward(self, p, cache, w, grads=True):
         s, beta, xshape = cache
@@ -865,20 +857,32 @@ class Network:
             raise ValueError(f"input shape {x.shape}, expected {want}, "
                              f"with an optional batch axis")
         if self.recurrent and not len(x):
-            raise ValueError("rnn_forward needs a non-empty sequence")
+            raise ValueError("a recurrent network needs a non-empty sequence")
         return x
 
 
-def _run_tape(net: Network, x, params, t):
-    """The forward pass of a tape: its fields after ``net``. ``params`` is
-    the flat vector or its :meth:`Network.unpack` views."""
-    views = params if isinstance(params, tuple) else net.unpack(params)
-    x = net._check_input(x)
-    caches = []
-    for lay, p in zip(net.layers, views):
-        x, cache = lay.forward(p, x, t)
-        caches.append(cache)
-    return views, x, caches
+def _steps(net: Network, views: tuple, shape, keep=None):
+    """The layers' steps (``plan``) for inputs of ``shape``, over buffers of
+    their own, each writing into the next one's input buffer and the last
+    into a fresh array: (steps, cell). Kept steps (``keep`` a list) append
+    their caches in layer order, a recurrent cell's among them, and make
+    only padded input buffers; else a cell's (last, prefix) is ``cell``."""
+    spec, shapes = net.input_spec, [shape]
+    for lay in net.layers:
+        spec = lay.out_spec(spec)
+        shapes.append(shapes[-1][isinstance(lay, _RECURRENT):-1] + (spec[1],))
+    cell = net.recurrent and keep is None
+    # from the last layer back
+    steps, out = [], None
+    for i in range(len(net.layers) - 1, int(cell) - 1, -1):
+        step, xin = net.layers[i].plan(views[i], shapes[i], out, keep)
+        steps.append(step)
+        out = np.empty(shapes[i]) if xin is None and keep is None and i else xin
+    if cell:
+        return steps[::-1], net.layers[0].plan(views[0], shapes[0], out)
+    if out is not None:   # the first layer's padded input buffer
+        steps.append(lambda x, t: np.copyto(out, x) or out)
+    return steps[::-1], None
 
 
 class Plan:
@@ -887,12 +891,12 @@ class Plan:
 
     ``params`` is the flat vector or its :meth:`Network.unpack` views. The
     first call fixes the input shape and builds one step per layer
-    (``plan``) over buffers allocated for it: each layer writes its output
-    with ``out=`` into the input buffer of the next, a k > 1 convolution's
-    padded buffer (whose pad rows stay zero), and swish layers take halved
-    weights, decoded here. Each bias is broadcast to its step's output
-    shape here too, and a step multiplies a one- or two-axis operand by
-    np.dot, stacks and tap windows by np.matmul (:func:`_product`). The
+    (:func:`_steps`) over buffers allocated for it: each layer writes its
+    output with ``out=`` into the input buffer of the next, a k > 1
+    convolution's padded buffer (whose pad rows stay zero), and swish layers
+    take halved weights, decoded here. Each bias is broadcast to its step's
+    output shape here too, and a step multiplies a one- or two-axis operand
+    by np.dot, stacks and tap windows by np.matmul (:func:`_product`). The
     last layer writes into a fresh array, so no output aliases a plan
     buffer. Every call checks the input shape, a tuple compare, and a call
     on another shape raises ``ValueError``. A plan is not reentrant: it
@@ -900,7 +904,8 @@ class Plan:
 
     :meth:`prefix` runs many recurrent sequences but their last elements at
     once, each call then one last element from its (read-only) row, and
-    :meth:`stacked` runs a feed-forward network on many inputs at once.
+    :meth:`stacked` runs a feed-forward network on many inputs at once, on
+    steps built once per stacked shape.
     """
 
     def __init__(self, net: Network, params):
@@ -909,6 +914,7 @@ class Plan:
         self.shape = None
         self.steps = ()
         self._cell = None   # a recurrent cell's (last, prefix)
+        self._stacks = {}   # stacked input shape -> its steps
 
     def __call__(self, x: np.ndarray, t=None, prefix=None) -> np.ndarray:
         """The output for ``x`` at ``t``. With ``prefix``, a row of
@@ -943,10 +949,13 @@ class Plan:
         product's routine (an (R, dim) product takes another)."""
         if self.net.recurrent:
             raise ValueError("stacked runs a feed-forward network; use prefix")
-        self.net._check_input(xs[0])
         one = self.net.input_spec[0] == "dense" and xs.ndim == 2
         x = xs[:, None] if one else xs
-        for step in self._steps(x.shape):
+        steps = self._stacks.get(x.shape)
+        if steps is None:
+            self.net._check_input(xs[0])
+            steps = self._stacks[x.shape] = _steps(self.net, self.views, x.shape)[0]
+        for step in steps:
             x = step(x, t)
         return x[:, 0] if one else x
 
@@ -955,37 +964,8 @@ class Plan:
             raise ValueError(f"input shape {shape}, expected {self.shape}, "
                              f"the shape this plan was built for")
         self.net._check_input(np.empty(shape))
-        self.steps = self._steps(shape)
+        self.steps, self._cell = _steps(self.net, self.views, shape)
         self.shape = shape
-
-    def _steps(self, shape):
-        """The layers' steps for inputs of ``shape``; a recurrent cell's
-        (last, prefix) go to ``_cell``."""
-        net = self.net
-        spec, shapes = net.input_spec, [shape]
-        for lay in net.layers:
-            spec = lay.out_spec(spec)
-            shapes.append(shapes[-1][isinstance(lay, _RECURRENT):-1] + (spec[1],))
-        # from the last layer back, each layer's output buffer is the next
-        # one's input buffer
-        steps, out, xin = [], None, None
-        for i in range(len(net.layers) - 1, int(net.recurrent) - 1, -1):
-            step, xin = net.layers[i].plan(self.views[i], shapes[i], out)
-            steps.append(step)
-            out = np.empty(shapes[i]) if xin is None else xin
-        if net.recurrent:
-            self._cell = net.layers[0].plan(self.views[0], shapes[0], out)
-        elif xin is not None:
-            steps.append(_copy_into(xin))
-        return steps[::-1]
-
-
-def _copy_into(buf):
-    """The plan step that copies its input into ``buf``."""
-    def step(x, t):
-        np.copyto(buf, x)
-        return buf
-    return step
 
 
 def _backward(tp: Tape, w, want_grads: bool):
@@ -1067,11 +1047,18 @@ class Tape:
 
 
 def tape(net: Network, x, params: Vec, t=None) -> Tape:
-    """Run the forward pass and keep it for :func:`backward`.
+    """Run the forward pass and keep it for :func:`backward`: the kept steps
+    of :func:`_steps` over buffers of this tape's own. ``params`` is the
+    flat vector or its :meth:`Network.unpack` views.
 
     For recurrent networks ``x`` is the input sequence, oldest first.
     """
-    return Tape(net, *_run_tape(net, x, params, t))
+    views = params if isinstance(params, tuple) else net.unpack(params)
+    x = net._check_input(x)
+    caches = []
+    for step in _steps(net, views, x.shape, caches)[0]:
+        x = step(x, t)
+    return Tape(net, views, x, caches)
 
 
 def rows(tp: Tape, sl: slice) -> Tape:

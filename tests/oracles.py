@@ -77,6 +77,10 @@ def rnn_cell_loop(cell, p, xs, w):
     in the cell's parameter order."""
     from neuralclosure import nn
 
+    def conv_same(x, ker, b):
+        win = nn._windows(x, ker.k, (ker.k - 1) // 2)
+        return win @ ker.fwd + b, win
+
     conv = isinstance(cell, nn.SimpleRnnConvCell)
     if conv:
         Kx, Kh, b, Ko, bo = p
@@ -87,14 +91,14 @@ def rnn_cell_loop(cell, p, xs, w):
         h = np.zeros(cell.units)
     ds, hs = [], [h]
     for x in xs:
-        z = (nn._conv_same(x, kx, 0.0)[0] + nn._conv_same(h, kh, b)[0] if conv
+        z = (conv_same(x, kx, 0.0)[0] + conv_same(h, kh, b)[0] if conv
              else Wx @ x + Wh @ h + b)
-        h, d = nn._act_deriv(cell.act, z)
+        h, d = nn._act_deriv(cell.act, z, None)
         ds.append(d)
         hs.append(h)
     if conv:
-        zo, opad = nn._conv_same(h, ko, bo)
-        out, do = nn._act_deriv(cell.act, zo)
+        zo, opad = conv_same(h, ko, bo)
+        out, do = nn._act_deriv(cell.act, zo, None)
         dh, dKo, dbo = nn._conv_same_vjp(opad, ko, w * do)
     else:
         out, dh = h, w
@@ -103,8 +107,8 @@ def rnn_cell_loop(cell, p, xs, w):
     for i in range(len(xs) - 1, -1, -1):
         dz = dh * ds[i]
         if conv:
-            dxs[i], dKx, _ = nn._conv_same_vjp(nn._conv_same(xs[i], kx, 0.0)[1], kx, dz)
-            dh, dKh, db = nn._conv_same_vjp(nn._conv_same(hs[i], kh, b)[1], kh, dz)
+            dxs[i], dKx, _ = nn._conv_same_vjp(conv_same(xs[i], kx, 0.0)[1], kx, dz)
+            dh, dKh, db = nn._conv_same_vjp(conv_same(hs[i], kh, b)[1], kh, dz)
             for g, d in zip(grads, (dKx, dKh, db)):
                 g += d
         else:

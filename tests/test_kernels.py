@@ -57,11 +57,16 @@ def test_sigmoid_matches_the_two_branch_form():
                         [-800.0, 800.0, -745.0, 710.0, 0.0, -0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = nn._sigmoid(z)
+        # a kept swish step's act(z) and act'(z), from its sigmoid
+        y, d = _kept_act("swish", z)
         ends = np.array([-800.0, 800.0])
-        acts = [*nn._act_deriv("swish", ends.copy()), _plan_act("swish", ends)]
-    assert np.all(np.isfinite(got)) and all(np.all(np.isfinite(a)) for a in acts)
-    assert np.max(np.abs(got - oracles.sigmoid_two_branch(z))) <= 1e-15
+        acts = [*_kept_act("swish", ends), _plan_act("swish", ends)]
+    sig = oracles.sigmoid_two_branch(z)
+    tol = 1e-15 * np.maximum(1.0, np.abs(z))
+    assert np.all(np.isfinite(y)) and np.all(np.isfinite(d))
+    assert np.all(np.abs(y - z * sig) <= tol)
+    assert np.all(np.abs(d - sig * (1.0 + z * (1.0 - sig))) <= tol)
+    assert all(np.all(np.isfinite(a)) for a in acts)
     np.testing.assert_array_equal(acts[0], [0.0, 800.0])
     np.testing.assert_array_equal(acts[1], [0.0, 1.0])
     np.testing.assert_array_equal(acts[2], [0.0, 800.0])
@@ -83,7 +88,7 @@ def test_conv_matches_the_tap_loop_bit_for_bit(k):
     b = rng.normal(size=7)
     w = rng.normal(size=(20, 7))
     ker = nn._kernel(K)
-    y, win = nn._conv_same(x, ker, b)
+    y, (win, _) = _kept_step(nn.Conv1d(5, 7, k), (K, b, ker), x)
     y_ref, xpad_ref = oracles.conv_same_loop(x, K, b)
     dx, dK, db = nn._conv_same_vjp(win, ker, w)
     dx_ref, dK_ref, db_ref = oracles.conv_same_vjp_loop(xpad_ref, K, w)
@@ -102,7 +107,7 @@ def test_conv_layers_match_the_tap_loop_per_member(n):
         K, b = rng.normal(size=(3, 5, 7)), rng.normal(size=7)
         x, w = rng.normal(size=(4, n, 5)), rng.normal(size=(4, n, 7))
         p = (K, b) + layer.kernels((K, b))
-        y, cache = layer.forward(p, x, None)
+        y, cache = _kept_step(layer, p, x)
         dx, (dK, db) = layer.backward(p, cache, w)
         taps = layer.taps(K)
         fwd = [oracles.conv_same_loop(x_i, taps, b) for x_i in x]
@@ -491,6 +496,26 @@ def _plan_act(name, z):
     return nn._PLAN_ACT[name](z * 0.5 if name == "swish" else z, None)
 
 
+def _kept_act(name, z):
+    """A kept step's (act(z), act'(z)) into a fresh array."""
+    return nn._act_deriv(name, z.copy(), None)
+
+
+def _kept_step(layer, p, x):
+    """One layer's kept step on x, into a fresh array: (output, cache)."""
+    keep = []
+    step, xin = layer.plan(p, x.shape, None, keep)
+    if xin is not None:
+        xin[...] = x
+    return step(x, None), keep[0]
+
+
+def _conv(x, ker, b):
+    """x correlated with the decoded kernel ``ker``, plus b: a linear
+    convolution's kept step."""
+    return _kept_step(nn.Conv1d(x.shape[-1], ker.fwd.shape[1], ker.k), (None, b, ker), x)[0]
+
+
 def _plan_step(layer, p, x):
     """One layer's plan step on x, into a fresh array (its input written
     into the step's padded buffer when it has one)."""
@@ -520,14 +545,13 @@ def test_activations_equal_their_former_expressions():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         sig = 0.5 * (1.0 + np.tanh(0.5 * z))
-        assert _same(nn._sigmoid(z), sig)
         t = np.tanh(z)
         former = {"swish": (z * sig, sig * (1.0 + z * (1.0 - sig))),
                   "tanh": (t, 1.0 - t * t), "linear": (z, None)}
         w = z[::-1].copy()
         for name, (y_ref, d_ref) in former.items():
             # the tape's act(z) and act'(z), and a plan step's act(z)
-            y, d = nn._act_deriv(name, z.copy())
+            y, d = _kept_act(name, z)
             assert _same(y, y_ref) and _same(_plan_act(name, z), y_ref)
             if d_ref is None:
                 # linear passes its cotangent on as it is
@@ -546,7 +570,7 @@ def test_forward_only_swish_equals_the_sigmoid_form():
         warnings.simplefilter("error", RuntimeWarning)
         want = z * (0.5 * (1.0 + np.tanh(0.5 * z)))
         assert _same(_plan_act("swish", z), want)
-        assert _same(nn._act_deriv("swish", z.copy())[0], want)
+        assert _same(_kept_act("swish", z)[0], want)
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -556,18 +580,18 @@ def test_affine_layers_add_the_bias_like_before(k):
     W, b = rng.normal(size=(7, 5)), rng.normal(size=7)
     # a linear layer's output is its pre-activation, in a tape and a plan
     dense = nn.Dense(5, 7)
-    assert _same(dense.forward((W, b), x, None)[0], x @ W.T + b)
+    assert _same(_kept_step(dense, (W, b), x)[0], x @ W.T + b)
     assert _same(_plan_step(dense, (W, b), x), x @ W.T + b)
     K = rng.normal(size=(k, 5, 7))
     ker = nn._kernel(K)
     product = nn._windows(x, k, (k - 1) // 2) @ K.reshape(-1, 7)
-    assert _same(nn._conv_same(x, ker, b)[0], product + b)
-    assert _same(nn._conv_same(x, ker, 0.0)[0], product + 0.0)
+    assert _same(_conv(x, ker, b), product + b)
+    assert _same(_conv(x, ker, 0.0), product + 0.0)
     assert _same(_plan_step(nn.Conv1d(5, 7, k), (K, b, ker), x), product + b)
     # one product over the tap windows, where the former form added one per tap
     same = _same if k == 1 else _close
-    assert same(nn._conv_same(x, ker, b)[0], _former_conv(x, K, b))
-    assert same(nn._conv_same(x, ker, 0.0)[0], _former_conv(x, K, 0.0))
+    assert same(_conv(x, ker, b), _former_conv(x, K, b))
+    assert same(_conv(x, ker, 0.0), _former_conv(x, K, 0.0))
 
 
 def test_bio_constrain_equals_the_stacked_triple():
@@ -577,7 +601,7 @@ def test_bio_constrain_equals_the_stacked_triple():
         p = (np.array([beta]),)
         s = x[..., 0]
         want = np.stack([beta * s, -s, (1.0 - beta) * s], axis=-1)
-        assert _same(nn.BioConstrain().forward(p, x, None)[0], want)
+        assert _same(_kept_step(nn.BioConstrain(), p, x)[0], want)
         assert _same(_plan_step(nn.BioConstrain(), p, x), want)
 
 
@@ -603,7 +627,7 @@ def test_first_recurrent_step_equals_the_zero_state_product(name):
     p = net.unpack(rng.normal(0.0, 0.5, net.n_params))[0]
     # the tape keeps act(z_0) as the next step's hidden state (its windows
     # in the convolutional cell) and act'(z_0)
-    _, ds, hs = cell.forward(p, xs, None)[1][:3]
+    _, ds, hs = _kept_step(cell, p, xs)[1][:3]
     if name == "dense":
         Wx, Wh, b = p
         h0 = np.zeros((3, cell.units))
@@ -611,8 +635,8 @@ def test_first_recurrent_step_equals_the_zero_state_product(name):
     else:
         b, (kx, kh) = p[2], p[5:7]
         h0 = np.zeros((3, 20, cell.units))
-        want = nn._conv_same(xs, kx, 0.0)[0][0] + nn._conv_same(h0, kh, b)[0]
-    h1, d0 = nn._act_deriv(cell.act, want)
+        want = _conv(xs, kx, 0.0)[0] + _conv(h0, kh, b)
+    h1, d0 = _kept_act(cell.act, want)
     if name != "dense":
         h1 = nn._windows(h1, cell.kernel, (cell.kernel - 1) // 2)
     assert _same(hs[1], h1) and _same(ds[0], d0)
@@ -641,7 +665,7 @@ def test_a_reverse_pass_stops_the_recurrent_product_at_step_1(name, grads, monke
     shape = (cell.n_in,) if name == "dense" else (20, cell.in_ch)
     net = nn.Network([cell])
     p = net.unpack(rng.normal(0.0, 0.5, net.n_params))[0]
-    out, cache = cell.forward(p, rng.normal(size=(7, 3) + shape), None)
+    out, cache = _kept_step(cell, p, rng.normal(size=(7, 3) + shape))
     w = rng.normal(size=out.shape)
     if name == "dense":
         wh = _CountingMatrix(p[1])
@@ -827,14 +851,48 @@ def _one_layer_nets(width, act):
     yield nn.Network([nn.SimpleRnnConvCell(ci, co, 1, act)]), grid, 3
 
 
+def _former_act(name, z):
+    """act(z) as a tape computed it before it ran the plan's steps."""
+    if name == "tanh":
+        return np.tanh(z)
+    return z * (0.5 * (1.0 + np.tanh(0.5 * z))) if name == "swish" else z
+
+
+def _former_one_layer(net, x, params):
+    """The output of a network of :func:`_one_layer_nets` as a tape computed
+    it before it ran the plan's steps: np.matmul products and bias adds in
+    the former order, with the former activation expressions."""
+    lay, p = net.layers[0], net.unpack(params)[0]
+    act = lambda z: _former_act(lay.act, z)
+    if isinstance(lay, nn.Dense):
+        W, b = p
+        return act(x @ W.T + b)
+    if isinstance(lay, nn.Conv1d):
+        K, b = p[:2]
+        return act(x @ K[0] + b)
+    if isinstance(lay, nn.SimpleRnnCell):
+        Wx, Wh, b = p
+        zx = x @ Wx.T
+        h = act(zx[0] + b)
+        for zx_i in zx[1:]:
+            h = act(h @ Wh.T + zx_i + b)
+        return h
+    Kx, Kh, b, Ko, bo = p[:5]
+    zx = x @ Kx[0] + 0.0
+    h = act(zx[0] + b)
+    for zx_i in zx[1:]:
+        h = act(h @ Kh[0] + b + zx_i)
+    return act(h @ Ko[0] + bo)
+
+
 @pytest.mark.parametrize("width", [(1, 1), (1, 5), (2, 1), (2, 3), (5, 7), (7, 13),
                                    (13, 13), (16, 2), (16, 16)],
                          ids=lambda w: f"{w[0]}to{w[1]}")
 @pytest.mark.parametrize("act", nn.ACTIVATIONS)
 def test_plan_products_match_the_tape_byte_for_byte(act, width):
-    # a plan step multiplies a contiguous operand of one or two axes by
-    # np.dot and adds a bias broadcast once per plan, where the tape runs
-    # np.matmul and a broadcast add; the outputs are the same bytes, with
+    # plan and tape steps multiply a contiguous operand of one or two axes
+    # by np.dot, and a plan adds a bias broadcast once per plan; both give
+    # the bytes of np.matmul and a bias add in the former order, with
     # SPECIAL values in the inputs and parameters (a -0.0 bias keeps the
     # sign of a zero product), on one element or point, a few and twenty,
     # and under a batch axis (np.matmul's stacked product), on two calls
@@ -847,7 +905,10 @@ def test_plan_products_match_the_tape_byte_for_byte(act, width):
             shape = ((seq,) if seq else ()) + lead + (width[0],)
             plan = nn.Plan(net, params)
             for x in _mixed(rng, (2,) + shape):
-                assert _same(run(net, x, plan), nn.tape(net, x, params).y), (net.describe(), lead)
+                want = _former_one_layer(net, x, params)
+                case = (net.describe(), lead)
+                assert _same(run(net, x, plan), want), case
+                assert _same(nn.tape(net, x, params).y, want), case
 
 
 @pytest.mark.parametrize("batch", [None, 8], ids=["single", "batch8"])
@@ -956,6 +1017,61 @@ def test_a_plan_runs_only_the_shape_it_was_built_for():
     with pytest.raises(ValueError, match="another network"):
         nn.forward(other, x, plan)
     assert _same(plan(x), y)
+
+
+@pytest.mark.parametrize("name", ["exp1_rom/distributed/1", "exp3b_bio1d/distributed/1"])
+def test_stacked_passes_build_once_per_shape(name, monkeypatch):
+    # a plan keeps the steps a stacked pass builds for its input shape: a
+    # second call at that shape builds nothing and gives a fresh plan's
+    # bytes, in an array of its own, and a call at another shape builds its
+    # own steps
+    net, points = CLOSURE_NETS[name]
+    rng = np.random.default_rng(37)
+    params = rng.normal(0.0, 0.5, net.n_params)
+    xs, xs2 = (np.stack([_net_input(net, points, rng, None) for _ in range(5)])
+               for _ in range(2))
+    times = np.array([40.5, 41.0, 41.25, 41.5, 42.0])
+    builds, steps = [], nn._steps
+    monkeypatch.setattr(nn, "_steps", lambda *a: builds.append(a[2]) or steps(*a))
+    plan = nn.Plan(net, params)
+    y = plan.stacked(xs, times)
+    y_first = y.copy()
+    y2 = plan.stacked(xs2, times + 3.25)
+    assert len(builds) == 1
+    plan.stacked(xs[:3], times[:3])
+    plan.stacked(xs2, times)
+    assert len(builds) == 2 and builds[1][0] == 3
+    assert _same(y, y_first) and not np.shares_memory(y, y2)
+    assert _same(y2, nn.Plan(net, params).stacked(xs2, times + 3.25))
+
+
+@pytest.mark.parametrize("batch", [None, 8], ids=["single", "batch8"])
+@pytest.mark.parametrize("name", sorted(CLOSURE_NETS))
+def test_a_tape_shares_no_buffer_with_a_later_pass(name, batch):
+    # every tape runs on buffers of its own: a second tape of the same
+    # network and views, and plain passes through plans, leave the first
+    # tape's output, caches and reverse passes as they were
+    net, points = CLOSURE_NETS[name]
+    rng = np.random.default_rng(38)
+    views = net.unpack(rng.normal(0.0, 0.5, net.n_params))
+    x, x2 = _net_input(net, points, rng, batch), _net_input(net, points, rng, batch)
+    t = 40.5 if batch is None else np.linspace(0.0, 180.0, batch)
+    tp = nn.tape(net, x, views, t)
+    w = _mixed(rng, tp.y.shape)
+    taped = [a.copy() for a in [tp.y] + _arrays(tp.caches)]
+    (dx, grads), dx_input = nn.backward(tp, w), nn.backward_input(tp, w)
+    tp2 = nn.tape(net, x2, views, t + 3.25)
+    run = nn.rnn_forward if net.recurrent else nn.forward
+    plan = nn.Plan(net, views)
+    for xi in (x2, x):
+        run(net, xi, plan, t)
+        run(net, xi, views, t)
+    ours = [tp.y] + _arrays(tp.caches)
+    assert all(_same(a, b) for a, b in zip(ours, taped))
+    assert not any(np.shares_memory(a, b) for a in ours for b in [tp2.y] + _arrays(tp2.caches))
+    again = nn.backward(tp, w)
+    assert _same(again[0], dx) and _same(again[1], grads)
+    assert _same(nn.backward_input(tp, w), dx_input)
 
 
 def _counted_derivatives(monkeypatch):

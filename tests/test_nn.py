@@ -9,6 +9,7 @@ from neuralclosure.nn import (
     Conv1dTranspose,
     Dense,
     Network,
+    Plan,
     SimpleRnnCell,
     SimpleRnnConvCell,
     backward,
@@ -344,3 +345,17 @@ def test_parameters_are_decoded_once_per_tape(monkeypatch):
         assert len(calls) == 1
         run(net, x, params)
         assert calls == [net, net]
+
+
+@pytest.mark.parametrize("cell", [SimpleRnnCell(3, 4, "tanh"), SimpleRnnConvCell(3, 2, 3, "swish")])
+def test_an_empty_sequence_is_refused_at_every_entry_point(cell):
+    # a tape, a plan and a plain pass refuse a sequence of no elements, in
+    # words that name no one entry point
+    net = Network([cell])
+    params = _rand_params(net, 9)
+    x = np.empty((0, 3) if isinstance(cell, SimpleRnnCell) else (0, 5, 3))
+    for run in (lambda: tape(net, x, params), lambda: Plan(net, params)(x),
+                lambda: rnn_forward(net, x, params)):
+        with pytest.raises(ValueError, match="non-empty sequence") as err:
+            run()
+        assert "rnn_forward" not in str(err.value)
