@@ -425,13 +425,16 @@ def cmd_sweep_delay(cfg: ExperimentConfig, out: Path) -> int:
             rcfg = replace(cfg, seed=seed, window=(0.0, tau2))
             rdir = out / f"tau2_{tau2:g}" / f"rep{rep}"
             rdir.mkdir(parents=True, exist_ok=True)
-            # the shared truth files, copied once, and the run's own
-            # config.txt, written every time: its truth settings are the
-            # root's, and it scores the checkpoint this run trains
+            # the shared truth files, copied when the run's copy is missing
+            # or differs (gen-data ran since), and the run's own config.txt,
+            # written every time: its truth settings are the root's, and it
+            # scores the checkpoint this run trains
             (rdir / "config.txt").write_bytes(config_text(rcfg).encode())
             for name in shared:
-                if (out / name).exists() and not (rdir / name).exists():
-                    (rdir / name).write_bytes((out / name).read_bytes())
+                if (out / name).exists():
+                    data = (out / name).read_bytes()
+                    if not (rdir / name).exists() or (rdir / name).read_bytes() != data:
+                        (rdir / name).write_bytes(data)
             result = run_training(rcfg, rdir, quiet=True)
             loss = final_epoch_val_loss(result.history)
             status = "diverged" if result.diverged or not np.isfinite(loss) \

@@ -73,7 +73,6 @@ from .integrate import (
     _rk4_calls,
     check_delays,
     check_window,
-    dde_read_times,
     integrate_dde,
     integrate_ode,
     quadrature_nodes,
@@ -429,14 +428,15 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
     ``prepared`` the payload the closure's ``prepare`` made from U at
     t - tau for tau in its ``lags``, for a block of right-hand-side times at
     once (:func:`integrate.integrate_dde`). A closure without lags is solved
-    as an ODE. The solve is fixed-step RK4,
-    like the adjoint sweep (``stepper`` must be :class:`RK4Fixed`), so its
-    lookup plan (:func:`integrate.dde_read_times`) holds every time it reads:
-    u0 when it is not given, the reads before t0 and the y(t0) nodes are one
-    ``history`` call, and the solve reads them by exact time. Each network's
-    plain forward runs through one :class:`nn.Plan` per solve, sized by the
-    first right-hand side; its outputs are fresh arrays. The time forcing
-    is tabulated once, over all the solve's right-hand-side times.
+    as an ODE. The solve is fixed-step RK4, like the adjoint sweep
+    (``stepper`` must be :class:`RK4Fixed`), so its right-hand-side times
+    are known before it starts, and with them every time it reads, each of
+    them minus each lag: u0 when it is not given, the reads before t0 and
+    the y(t0) nodes are one ``history`` call, and the solve reads them by
+    exact time. Each network's plain forward runs through one
+    :class:`nn.Plan` per solve, sized by the first right-hand side; its
+    outputs are fresh arrays. The time forcing is tabulated once, over all
+    the solve's right-hand-side times.
     """
     _require_rk4(stepper)
     starts = np.asarray(t_span[0], dtype=float)
@@ -457,9 +457,11 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
     if lags and history is None:
         raise ValueError("a closure with delays needs a history callable")
 
-    # the solve's planned reads before t0, the y(t0) nodes and u0 unless
-    # given, through one history call
-    planned = dde_read_times(lags, (t0, t1), stepper) if lags else np.empty(0)
+    # the solve's right-hand-side times (steps capped at the smallest lag);
+    # its reads before t0, the y(t0) nodes and u0 unless given, through one
+    # history call
+    calls = np.unique(_rk4_calls(t0, t1, min((stepper.dt, *lags))))
+    planned = np.unique(np.subtract.outer(calls, lags))
     reads = planned[planned < t0]
     ts = c.history_nodes(t0) if aux and lags else np.empty(0)
     times = np.concatenate([reads, ts, [t0] if u0 is None else []])
@@ -480,7 +482,7 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
         y0 = (trapezoid_weights(ts) @ g_nodes).reshape(lead + (-1,))
     U0 = np.concatenate([u0, y0], axis=-1)
     if sys.forcing or sys.context:
-        rhs_times = np.add.outer(np.unique(_rk4_calls(t0, t1, min((stepper.dt, *lags)))), offsets)
+        rhs_times = np.add.outer(calls, offsets)
         for table in sys.forcing + sys.context:
             table.fill(rhs_times)
 

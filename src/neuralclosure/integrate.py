@@ -456,19 +456,6 @@ def _rk4_calls(t0: float, t1: float, h: float) -> np.ndarray:
     return np.concatenate([ts[:1], np.stack([mids, mids, ends, ts[1:]], axis=1).ravel()])
 
 
-def dde_read_times(delays: Sequence[float], t_span: tuple[float, float],
-                   stepper: StepperSpec) -> np.ndarray | None:
-    """The lookup plan of :func:`integrate_dde`: every time t - tau at which a
-    solve of ``delays`` over ``t_span`` reads a delayed state, for every
-    right-hand-side time t (:func:`rk4_grid`) and delay tau, ascending and
-    unique. None for an adaptive stepper, whose steps are not known before
-    the solve."""
-    if not isinstance(stepper, RK4Fixed):
-        return None
-    times = _rk4_calls(float(t_span[0]), float(t_span[1]), min(stepper.dt, delays[0]))
-    return np.unique(np.subtract.outer(times, np.asarray(delays, dtype=float)))
-
-
 def integrate_dde(prob: DdeProblem, t_span: tuple[float, float],
                   stepper: StepperSpec) -> DenseTrajectory:
     """Method-of-steps DDE solve with dense output.
@@ -520,8 +507,8 @@ def integrate_dde(prob: DdeProblem, t_span: tuple[float, float],
                 lagged = np.minimum(lagged, t0)
             delayed = np.empty(lagged.shape + u0.shape)
             past = lagged <= t0
-            for i in zip(*np.nonzero(past)):
-                delayed[i] = prob.history(lagged[i])
+            if past.any():
+                delayed[past] = [prob.history(s) for s in lagged[past]]
             if not past.all():
                 delayed[~past] = traj.eval_many(lagged[~past])
             payloads = prob.prepare(block[new], delayed)

@@ -15,12 +15,14 @@ architectures need and nothing else:
 
 Parameters live in one flat float64 vector: layer by layer, each layer's
 parameters in order, each row-major. :meth:`Network.unpack` decodes it into
-per-layer views, and each convolution kernel into the contiguous forward
-and reverse matrices its passes multiply by; a forward pass takes either the
-flat vector (and decodes it once) or views decoded earlier, so a caller
-running many passes on one vector decodes it once. The tape keeps the views
-for its reverse passes. Every layer writes its forward once, as the step
-its ``plan`` builds, and provides reverse (input and parameter) passes.
+per-layer views followed by what the layer's ``decode`` makes of them: every
+operand its forward step multiplies by or adds, and each convolution
+kernel's contiguous reverse matrix. A forward pass takes either the flat
+vector (and decodes it once) or views decoded earlier, so a caller running
+many passes on one vector decodes it once. The tape keeps the views for its
+reverse passes. Every layer writes its forward once, as the step its
+``plan`` builds from decoded operands alone, and provides reverse (input
+and parameter) passes.
 
 Every input is one array, with one layout per network kind:
 
@@ -69,20 +71,21 @@ nothing from the forward pass.
 Each convolution pass is one matmul over the tap windows of one padded
 copy. The kernels work in place on the arrays they allocate themselves, and
 on nothing else. A layer adds its bias to its own product and activates
-that pre-activation. A plan's swish step multiplies by halved weights and
-adds the halved bias, which gives z / 2 exactly, then y = tanh(z / 2);
-y += 1; y *= z / 2, bit for bit z * sigmoid(z); a kept step takes z as it
-is and act(z) and act'(z) from one tanh of z / 2. A tape's derivative and a
-scaled cotangent are new arrays. No layer writes into its input, its cotangent, its parameters
-or a tape's arrays, so a tape serves any number of reverse passes and a
-caller's arrays come back as they went in.
+that pre-activation through :func:`_activate`, plain and kept steps alike.
+A swish layer's decoded weights and bias are halved, which gives its steps
+z / 2 exactly; both take act(z) = p (z / 2) from p = 1 + tanh(z / 2), bit
+for bit z * sigmoid(z), and a kept step act'(z) from the same p. A tape's
+derivative and a scaled cotangent are new arrays. No layer writes into its
+input, its cotangent, its parameters or a tape's arrays, so a tape serves
+any number of reverse passes and a caller's arrays come back as they went
+in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -93,47 +96,38 @@ from .linalg import Vec
 # ---------------------------------------------------------------------------
 
 
-def _swish_half(zh, out):
-    """z * sigmoid(z) from zh = z / 2, into ``out`` (a fresh array when
-    None): (z / 2) * (1 + tanh(z / 2)), bit for bit z * sigmoid(z)."""
-    y = np.tanh(zh, out)
-    y += 1.0
-    y *= zh
-    return y
-
-
-# act(z) into out for a plan step: swish from the halved pre-activation
-_PLAN_ACT = {"tanh": np.tanh, "swish": _swish_half, "linear": np.positive}
-
-
-def _act_deriv(name, z, out):
-    """(act(z), act'(z)) of a kept step from its pre-activation z, which a
-    tanh overwrites; act'(z) is a new array (None for linear). Worked out on
-    contiguous arrays, act(z) is copied into ``out`` once (a ufunc writing
-    into padded rows is slower), or left in z or a new array when None.
-    Swish takes both from one tanh, s = (1 + tanh(z / 2)) / 2:
-    act'(z) = s (1 + z (1 - s)), act(z) = s z."""
-    d = None
+def _activate(name, z, out, deriv=False):
+    """act(z) of a step's pre-activation z, returned. A plain step writes it
+    into ``out`` (a fresh array when None; tanh and linear take ``out`` z
+    itself). A kept step (``deriv``) gets (act(z), act'(z)), act'(z) a new
+    array (None for linear): it works in z, on contiguous arrays, and
+    copies act(z) into ``out`` once when given (a ufunc writing into padded
+    rows is slower). A swish layer's z is its halved pre-activation z / 2
+    (``decode``), and both come from p = 1 + tanh(z / 2): act = p (z / 2)
+    and act' = p (1 + (2 - p) (z / 2)) / 2, bit for bit z * sigmoid(z) and
+    sigmoid(z) (1 + z (1 - sigmoid(z))), sigmoid(z) being p / 2."""
+    dst, d = (z if deriv else out), None
     if name == "tanh":
-        y = np.tanh(z, z)
-        d = y * y
-        np.subtract(1.0, d, out=d)
+        y = np.tanh(z, dst)
+        if deriv:
+            d = y * y
+            np.subtract(1.0, d, out=d)
     elif name == "swish":
-        y = z * 0.5
-        np.tanh(y, y)
-        y += 1.0
-        y *= 0.5   # s
-        d = 1.0 - y
-        d *= z
-        d += 1.0
-        d *= y
-        y *= z
+        p = np.tanh(z, None if deriv else dst)
+        p += 1.0
+        if deriv:
+            d = 2.0 - p
+            d *= z
+            d += 1.0
+            d *= p
+            d *= 0.5
+        y = np.multiply(p, z, p if dst is None else dst)
     else:
-        y = z
-    if out is None:
-        return y, d
-    np.copyto(out, y)
-    return out, d
+        y = z if dst is z else np.positive(z, dst)
+    if deriv and out is not None:
+        np.copyto(out, y)
+        y = out
+    return (y, d) if deriv else y
 
 
 def _scale(d, w):
@@ -179,34 +173,28 @@ def _windows(x, k, left):
     return win
 
 
-class _Kernel(NamedTuple):
-    """A correlation kernel K (k, ci, co) decoded for its passes: the tap
-    count, the forward matrix K as (k * ci, co), and the reverse matrix of
-    the taps in reverse order, each transposed, as (k * co, ci). Both are
-    contiguous copies."""
-
-    k: int
-    fwd: np.ndarray
-    rev: np.ndarray
-
-
-def _kernel(K) -> _Kernel:
+def _kernel(K):
+    """A correlation kernel K (k, ci, co) as the contiguous matrices its
+    passes multiply by: (forward, K as (k * ci, co); reverse, the taps in
+    reverse order, each transposed, as (k * co, ci)), both copies."""
     k, ci, co = K.shape
-    return _Kernel(k, K.reshape(k * ci, co).copy(),
-                   K[::-1].transpose(0, 2, 1).reshape(k * co, ci).copy())
+    return (K.reshape(k * ci, co).copy(),
+            K[::-1].transpose(0, 2, 1).reshape(k * co, ci).copy())
 
 
-def _conv_same_vjp(win, ker, w, grads=True):
-    """Reverse pass of the correlation of x (..., n, ci) with a decoded
-    kernel (:func:`_kernel`), win @ ker.fwd + b, on the tap windows ``win``
-    of x; returns (dx, dK, db), with dK and db None when ``grads`` is false.
-    Leading axes are batch axes, and weight gradients sum over them."""
+def _conv_same_vjp(win, rev, w, grads=True):
+    """Reverse pass of the correlation of x (..., n, ci) with a kernel K
+    (k, ci, co) of reverse matrix ``rev`` (:func:`_kernel`), on the tap
+    windows ``win`` of x; returns (dx, dK, db), with dK and db None when
+    ``grads`` is false. Leading axes are batch axes, and weight gradients
+    sum over them."""
+    k = rev.shape[0] // w.shape[-1]
     # dx[j] = sum_d w[j + (k - 1) // 2 - d] @ K[d].T: the windows of w padded
     # k // 2 rows before, times the reverse matrix
-    dx = _windows(w, ker.k, ker.k // 2) @ ker.rev
+    dx = _windows(w, k, k // 2) @ rev
     if not grads:
         return dx, None, None
-    return (dx, *_conv_same_grads(win, w, ker.k))
+    return (dx, *_conv_same_grads(win, w, k))
 
 
 def _conv_same_grads(win, w, k):
@@ -224,44 +212,48 @@ def _product(ndim, M, windows=False):
     return np.dot if ndim <= 2 and M.shape[0] > 1 and not windows else np.matmul
 
 
+def _halved(act, *ops):
+    """A layer's decoded forward operands: halved for swish, so that its
+    steps give z / 2 exactly (halving commutes with every rounding, absent
+    underflow), else as they are."""
+    return tuple(op * 0.5 for op in ops) if act == "swish" else ops
+
+
 def _affine_step(M, b, act, shape, out, win=None, keep=None):
-    """The step act(a @ M + b) of a dense or convolution layer into ``out``
-    (a fresh array when None), ``a`` its input x or ``win``, the tap windows
-    of its padded input buffer, multiplied by :func:`_product`. A plan's
-    swish takes M / 2 and b / 2, which give z / 2 exactly (halving commutes
-    with every rounding, absent underflow), and its b is broadcast to the
-    output shape once, for adds of one shape; a kept step (``keep`` a list)
-    takes M and b as they are and appends its cache (a, act'(z))."""
+    """The step act(a @ M + b) of a dense or convolution layer, M and b its
+    decoded operands, into ``out`` (a fresh array when None), ``a`` its
+    input x or ``win``, the tap windows of its padded input buffer,
+    multiplied by :func:`_product`. A plan's b is broadcast to the output
+    shape once, for adds of one shape; a kept step (``keep`` a list)
+    appends its cache (a, act'(z))."""
     swish = act == "swish"
     if keep is None:
-        if swish:
-            M, b = M * 0.5, b * 0.5
         b = np.full(shape, b)
     mul = _product(len(shape), M, win is not None)
     # the product goes into a new array in a kept step; a plan's swish keeps
     # z / 2 in a buffer apart from its output, the others work in the output
     zbuf = None if keep is not None else np.empty(shape) if swish else out
-    activate = None if act == "linear" else _PLAN_ACT[act]
 
     def step(x, t):
         a = x if win is None else win
         z = mul(a, M, zbuf)
         np.add(z, b, z)
         if keep is None:
-            return z if activate is None else activate(z, out if swish else z)
-        y, d = _act_deriv(act, z, out)
+            return _activate(act, z, out if swish else z)
+        y, d = _activate(act, z, out, True)
         keep.append((a, d))
         return y
     return step
 
 
-def _recurrent_plan(act, b, mul, z, h, hidden, zx_of, zx_last, recur, finish):
+def _recurrent_plan(name, b, mul, z, h, hidden, zx_of, zx_last, recur, finish):
     """A recurrent cell's plan (last, prefix) from its input halves of R
-    sequences' first elements and of a last element, its activation into
-    the rows of a hidden-state buffer h = (rows, operand) and its recurrent
-    product from the operand into z (``hidden(shape)`` makes the prefix's
-    buffers), given a bias and product (b and np.matmul for the prefix, b
-    broadcast to z and ``mul`` for ``last``), and ``finish``, its output."""
+    sequences' first elements and of a last element, its activation
+    ``name`` into the rows of a hidden-state buffer h = (rows, operand) and
+    its recurrent product from the operand into z (``hidden(shape)`` makes
+    the prefix's buffers), given a bias and product (b and np.matmul for the
+    prefix, b broadcast to z and ``mul`` for ``last``), and ``finish``, its
+    output."""
     bl = np.full(z.shape, b)
     rows, op = h
 
@@ -270,7 +262,7 @@ def _recurrent_plan(act, b, mul, z, h, hidden, zx_of, zx_last, recur, finish):
         zp = zx[:, :1] + b
         hp, opp = hidden(zp.shape)
         for i in range(1, xs.shape[1]):
-            act(zp, hp)
+            _activate(name, zp, hp)
             recur(opp, zx[:, i:i + 1], zp, b, np.matmul)
         return zp[:, 0]
 
@@ -279,7 +271,7 @@ def _recurrent_plan(act, b, mul, z, h, hidden, zx_of, zx_last, recur, finish):
         if zp is None:
             np.add(zx, bl, z)
         else:
-            act(zp, rows)
+            _activate(name, zp, rows)
             recur(op, zx, z, bl, mul)
         return finish(z, t)
     return last, prefix
@@ -295,10 +287,10 @@ def _taped_sequence(name, zx, b, h0, hidden, recur, mul, out):
     ds, hs = [], [h0]
     for zx_i in zx[1:]:
         h, op = hidden()
-        ds.append(_act_deriv(name, z, h)[1])
+        ds.append(_activate(name, z, h, True)[1])
         hs.append(op)
         recur(op, zx_i, z, b, mul)
-    y, d = _act_deriv(name, z, out)
+    y, d = _activate(name, z, out, True)
     return y, ds + [d], hs
 
 
@@ -307,21 +299,23 @@ def _taped_sequence(name, zx, b, h0, hidden, recur, mul, out):
 # ---------------------------------------------------------------------------
 #
 # ``param_specs()`` lists each parameter's shape and Glorot-uniform limit
-# (None for a parameter that is not drawn). ``plan(p, shape, out, keep)`` is
-# the layer's one forward: its step for inputs of ``shape``, ``p`` being its
-# entry of :meth:`Network.unpack`. It returns (step, xin): step(x, t) writes
-# the output into ``out`` (a fresh array when None) and returns it, and
-# ``xin`` is the buffer view the input must be written into (a k > 1
-# convolution's padded input), or None when the step reads x as given. A
-# kept step (``keep`` a list, for a tape) also appends its cache to
+# (None for a parameter that is not drawn). ``decode(views)`` makes, once per
+# :meth:`Network.unpack`, every operand the layer's steps multiply by or add
+# (halved for a swish layer, :func:`_halved`), then a convolution's reverse
+# matrices; the layer's entry of ``unpack`` is its views followed by these.
+# ``plan(p, shape, out, keep)`` is the layer's one forward: its step for
+# inputs of ``shape``, ``p`` being its entry of :meth:`Network.unpack`, of
+# which it reads the decoded operands alone. It returns (step, xin):
+# step(x, t) writes the output into ``out`` (a fresh array when None) and
+# returns it, and ``xin`` is the buffer view the input must be written into
+# (a k > 1 convolution's padded input), or None when the step reads x as
+# given. A kept step (``keep`` a list, for a tape) also appends its cache to
 # ``keep``: what reverse passes read, act'(z) included.
 # ``backward(p, cache, w, grads)`` returns (dx, parameter gradients); with
 # ``grads`` false the second entry is None and no weight-gradient work is
 # done, and dx is computed by the same operations either way.
 # ``rows(cache, sl)`` gives the cache of the batch rows ``sl`` (a slice) as
-# views, the cache a forward pass over those rows alone would keep. A
-# convolution layer's ``kernels(views)`` decodes its kernels (``_kernel``),
-# which :meth:`Network.unpack` appends to its views.
+# views, the cache a forward pass over those rows alone would keep.
 # Recurrent cells take the whole sequence as x, one array with the sequence
 # on the leading axis (then any batch axis), and return dx stacked the same
 # way. Their input half runs in one call over the sequence and batch, and
@@ -358,13 +352,17 @@ class Dense:
             raise ValueError(f"Dense({self.n_in},{self.n_out}) cannot follow {spec}")
         return ("dense", self.n_out)
 
-    def plan(self, p, shape, out, keep=None):
+    def decode(self, p):
         W, b = p
-        return _affine_step(W.T, b, self.act, shape[:-1] + (self.n_out,), out,
+        return _halved(self.act, W.T, b)
+
+    def plan(self, p, shape, out, keep=None):
+        M, b = p[2:]
+        return _affine_step(M, b, self.act, shape[:-1] + (self.n_out,), out,
                             keep=keep), None
 
     def backward(self, p, cache, w, grads=True):
-        W, _ = p
+        W = p[0]
         x, d = cache
         dz = _scale(d, w)
         if not grads:
@@ -407,11 +405,12 @@ class SimpleRnnCell:
             raise ValueError(f"SimpleRnnCell({self.n_in}) cannot follow {spec}")
         return ("dense", self.units)
 
-    def plan(self, p, shape, out, keep=None):
+    def decode(self, p):
         Wx, Wh, b = p
-        Mx, Mh = Wx.T, Wh.T
-        if self.act == "swish" and keep is None:
-            Mx, Mh, b = Mx * 0.5, Mh * 0.5, b * 0.5
+        return _halved(self.act, Wx.T, Wh.T, b)
+
+    def plan(self, p, shape, out, keep=None):
+        Mx, Mh, b = p[3:]
         hshape = shape[1:-1] + (self.units,)
         mx, mh = (_product(len(hshape), M) for M in (Mx, Mh))
 
@@ -430,7 +429,6 @@ class SimpleRnnCell:
                 return y
             return step, None
 
-        act = _PLAN_ACT[self.act]
         # one trajectory's input half is an L-row product, as in a kept
         # step, for the last element too (one row takes another BLAS routine)
         xl = np.zeros(shape) if len(shape) == 2 else None
@@ -446,11 +444,11 @@ class SimpleRnnCell:
                 return mx(x, Mx, zxl)
             xl[-1] = x
             return mx(xl, Mx, zxl)[-1]
-        return _recurrent_plan(act, b, mh, np.empty(hshape), hidden(), hidden, zx_of,
-                               zx_last, recur, lambda z, t: act(z, out))
+        return _recurrent_plan(self.act, b, mh, np.empty(hshape), hidden(), hidden, zx_of,
+                               zx_last, recur, lambda z, t: _activate(self.act, z, out))
 
     def backward(self, p, cache, w, grads=True):
-        Wx, Wh, _ = p
+        Wx, Wh = p[:2]
         xs, ds, hs = cache
         dzs = np.empty((len(ds),) + w.shape)
         dh = w
@@ -483,8 +481,7 @@ class SimpleRnnConvCell:
     recurrent kernels, followed by an output convolution
     out = act(Conv(h_T; Ko) + bo) that belongs to the layer. Params:
     Kx (k, in_ch, units), Kh (k, units, units), b (units,),
-    Ko (k, units, units), bo (units,); :meth:`Network.unpack` follows them
-    with the three kernels decoded (:func:`_kernel`).
+    Ko (k, units, units), bo (units,).
     """
 
     in_ch: int
@@ -508,18 +505,16 @@ class SimpleRnnConvCell:
             raise ValueError(f"SimpleRnnConvCell({self.in_ch}ch) cannot follow {spec}")
         return ("grid", self.units)
 
-    def kernels(self, views):
-        Kx, Kh, _, Ko, _ = views
-        return _kernel(Kx), _kernel(Kh), _kernel(Ko)
+    def decode(self, p):
+        # the forward matrices and biases, then the reverse matrices
+        (fx, rx), (fh, rh), (fo, ro) = (_kernel(K) for K in (p[0], p[1], p[3]))
+        return _halved(self.act, fx, fh, p[2], fo, p[4]) + (rx, rh, ro)
 
     def plan(self, p, shape, out, keep=None):
         # each hidden state in the input rows of a padded buffer, whose
         # windows the recurrent and the output convolution read
-        _, _, b, _, bo, kx, kh, ko = p
+        Fx, Fh, b, Fo, bo = p[5:10]
         k = self.kernel
-        Fx, Fh = kx.fwd, kh.fwd
-        if self.act == "swish" and keep is None:
-            Fx, Fh, b = Fx * 0.5, Fh * 0.5, b * 0.5
         hshape = shape[1:-1] + (self.units,)
 
         def padded(shape=hshape):
@@ -527,7 +522,7 @@ class SimpleRnnConvCell:
 
         h = padded()
         kept_out = None if keep is None else []
-        conv_out = _affine_step(ko.fwd, bo, self.act, hshape, out, h[1] if k > 1 else None,
+        conv_out = _affine_step(Fo, bo, self.act, hshape, out, h[1] if k > 1 else None,
                                 kept_out)
         mx, mh = (_product(len(hshape), F, k > 1) for F in (Fx, Fh))
 
@@ -553,7 +548,6 @@ class SimpleRnnConvCell:
                 return y
             return step, None
 
-        act = _PLAN_ACT[self.act]
         xin, xwin = _padded(shape[1:], k) if k > 1 else (None, None)
         zxl = np.empty(hshape)
 
@@ -563,23 +557,23 @@ class SimpleRnnConvCell:
             return input_half(x if xwin is None else xwin, zxl, mx)
 
         def finish(z, t):
-            act(z, h[0])
+            _activate(self.act, z, h[0])
             return conv_out(h[0], t)
-        return _recurrent_plan(act, b, mh, np.empty(hshape), h, padded,
+        return _recurrent_plan(self.act, b, mh, np.empty(hshape), h, padded,
                                lambda xs: input_half(_windows(xs, k, (k - 1) // 2)),
                                zx_last, recur, finish)
 
     def backward(self, p, cache, w, grads=True):
-        kx, kh, ko = p[5:]
+        rx, rh, ro = p[10:]
         xwin, ds, hwins, do, owin = cache
-        dh, dKo, dbo = _conv_same_vjp(owin, ko, _scale(do, w), grads)
+        dh, dKo, dbo = _conv_same_vjp(owin, ro, _scale(do, w), grads)
         dzs = np.empty((len(ds),) + dh.shape)
         # the hidden state before step 0 is zero: nothing flows back past it
         for i in range(len(ds) - 1, 0, -1):
             dzs[i] = dz = _scale(ds[i], dh)
-            dh = _conv_same_vjp(hwins[i], kh, dz, False)[0]
+            dh = _conv_same_vjp(hwins[i], rh, dz, False)[0]
         dzs[0] = _scale(ds[0], dh)
-        dxs, dKx, _ = _conv_same_vjp(xwin, kx, dzs, grads)
+        dxs, dKx, _ = _conv_same_vjp(xwin, rx, dzs, grads)
         if not grads:
             return dxs, None
         dKh, db = _conv_same_grads(np.stack(hwins), dzs, self.kernel)
@@ -599,9 +593,8 @@ class SimpleRnnConvCell:
 @dataclass(frozen=True)
 class Conv1d:
     """1-D convolution, stride 1, same zero padding, on (n, channels) fields.
-    Params: K (k, in_ch, out_ch), b (out_ch,); :meth:`Network.unpack`
-    follows them with the correlation kernel ``taps(K)`` decoded
-    (:func:`_kernel`)."""
+    Params: K (k, in_ch, out_ch), b (out_ch,); the steps correlate with the
+    kernel ``taps(K)``."""
 
     in_ch: int
     out_ch: int
@@ -628,18 +621,20 @@ class Conv1d:
         with respect to the taps back onto K."""
         return K
 
-    def kernels(self, views):
-        return (_kernel(self.taps(views[0])),)
+    def decode(self, p):
+        fwd, rev = _kernel(self.taps(p[0]))
+        return _halved(self.act, fwd, p[1]) + (rev,)
 
     def plan(self, p, shape, out, keep=None):
-        _, b, ker = p
-        xin, win = _padded(shape, ker.k) if ker.k > 1 else (None, None)
+        F, b = p[2:4]
+        k = self.kernel
+        xin, win = _padded(shape, k) if k > 1 else (None, None)
         oshape = shape[:-1] + (self.out_ch,)
-        return _affine_step(ker.fwd, b, self.act, oshape, out, win, keep), xin
+        return _affine_step(F, b, self.act, oshape, out, win, keep), xin
 
     def backward(self, p, cache, w, grads=True):
         win, d = cache
-        dx, dK, db = _conv_same_vjp(win, p[2], _scale(d, w), grads)
+        dx, dK, db = _conv_same_vjp(win, p[4], _scale(d, w), grads)
         return dx, (self.taps(dK), db) if grads else None
 
     rows = Dense.rows
@@ -683,6 +678,9 @@ class AddExtraChannels:
 
     def param_specs(self):
         return []
+
+    def decode(self, p):
+        return ()
 
     def out_spec(self, spec):
         kind, ch = spec
@@ -739,18 +737,22 @@ class BioConstrain:
             raise ValueError("BioConstrain requires exactly one input channel")
         return (kind, 3)
 
-    def plan(self, p, shape, out, keep=None):
+    def decode(self, p):
         beta = p[0][0]
-        row = np.array([beta, -1.0, 1.0 - beta])
+        return (np.array([beta, -1.0, 1.0 - beta]),)
+
+    def plan(self, p, shape, out, keep=None):
+        row = p[1]
 
         def step(x, t):
             if keep is not None:
-                keep.append((x[..., 0], beta, shape))
+                keep.append((x[..., 0], shape))
             return np.multiply(x, row, out)
         return step, None
 
     def backward(self, p, cache, w, grads=True):
-        s, beta, xshape = cache
+        beta = p[0][0]
+        s, xshape = cache
         ds = beta * w[..., 0] - w[..., 1] + (1.0 - beta) * w[..., 2]
         if not grads:
             return ds.reshape(xshape), None
@@ -758,9 +760,9 @@ class BioConstrain:
         return ds.reshape(xshape), (np.array([dbeta]),)
 
     def rows(self, cache, sl):
-        s, beta, xshape = cache
+        s, xshape = cache
         s = s[sl]
-        return s, beta, s.shape + xshape[-1:]
+        return s, s.shape + xshape[-1:]
 
     def describe(self):
         return "BioConstrain"
@@ -770,7 +772,6 @@ LayerSpec = (Dense | SimpleRnnCell | SimpleRnnConvCell | Conv1d | Conv1dTranspos
              | AddExtraChannels | BioConstrain)
 
 _RECURRENT = (SimpleRnnCell, SimpleRnnConvCell)
-_CONV = (Conv1d, SimpleRnnConvCell)   # the layers with ``kernels(views)``
 
 
 # ---------------------------------------------------------------------------
@@ -822,11 +823,14 @@ class Network:
 
     def unpack(self, params: Vec) -> tuple:
         """The flat vector decoded once for the layers' passes: one tuple per
-        layer, its parameter views shaped per ``param_specs``, then for a
-        convolution layer its kernels as contiguous forward and reverse
-        matrices (``kernels``). The views share memory with ``params`` when
-        it is a float64 vector; the matrices are copies, made here so that
-        no pass reshapes or flips a kernel."""
+        layer, its parameter views shaped per ``param_specs``, then the
+        layer's ``decode`` of them: the operands its forward steps multiply
+        by and add (W.T for a dense weight, a kernel's forward matrix), all
+        halved for a swish layer, then a convolution's reverse matrices. The
+        views share memory with ``params`` when it is a float64 vector, and
+        so do the decoded operands that are views of them (a transposed
+        weight of a layer other than swish); kernel matrices are copies, made
+        here so that no pass reshapes or flips a kernel."""
         params = np.asarray(params, dtype=float)
         if params.shape != (self.n_params,):
             raise ValueError(
@@ -839,7 +843,7 @@ class Network:
                 layer.append(params[off:off + size].reshape(shape))
                 off += size
             layer = tuple(layer)
-            views.append(layer + lay.kernels(layer) if isinstance(lay, _CONV) else layer)
+            views.append(layer + lay.decode(layer))
         return tuple(views)
 
     def _check_input(self, x):
@@ -893,12 +897,11 @@ class Plan:
     first call fixes the input shape and builds one step per layer
     (:func:`_steps`) over buffers allocated for it: each layer writes its
     output with ``out=`` into the input buffer of the next, a k > 1
-    convolution's padded buffer (whose pad rows stay zero), and swish layers
-    take halved weights, decoded here. Each bias is broadcast to its step's
-    output shape here too, and a step multiplies a one- or two-axis operand
-    by np.dot, stacks and tap windows by np.matmul (:func:`_product`). The
-    last layer writes into a fresh array, so no output aliases a plan
-    buffer. Every call checks the input shape, a tuple compare, and a call
+    convolution's padded buffer (whose pad rows stay zero). Each bias is
+    broadcast to its step's output shape here, and a step multiplies a one-
+    or two-axis operand by np.dot, stacks and tap windows by np.matmul
+    (:func:`_product`). The last layer writes into a fresh array, so no
+    output aliases a plan buffer. Every call checks the input shape, a tuple compare, and a call
     on another shape raises ``ValueError``. A plan is not reentrant: it
     serves one solve, one call at a time.
 
@@ -1098,7 +1101,7 @@ def init_params(net: Network, seed: int, *, zero_final: bool = True) -> Vec:
     """
     rng = np.random.default_rng(seed)
     params = np.zeros(net.n_params)
-    # each layer's parameter views, without the kernels decoded from them
+    # each layer's parameter views, without the operands decoded from them
     views = [p[:len(lay.param_specs())] for lay, p in zip(net.layers, net.unpack(params))]
     for lay, vs in zip(net.layers, views):
         for v, (_, lim) in zip(vs, lay.param_specs()):

@@ -78,8 +78,12 @@ def rnn_cell_loop(cell, p, xs, w):
     from neuralclosure import nn
 
     def conv_same(x, ker, b):
-        win = nn._windows(x, ker.k, (ker.k - 1) // 2)
-        return win @ ker.fwd + b, win
+        win = nn._windows(x, cell.kernel, (cell.kernel - 1) // 2)
+        return win @ ker[0] + b, win
+
+    def act_deriv(z):
+        # the package's activation takes a swish layer's halved z
+        return nn._activate(cell.act, z * 0.5 if cell.act == "swish" else z, None, True)
 
     conv = isinstance(cell, nn.SimpleRnnConvCell)
     if conv:
@@ -93,13 +97,13 @@ def rnn_cell_loop(cell, p, xs, w):
     for x in xs:
         z = (conv_same(x, kx, 0.0)[0] + conv_same(h, kh, b)[0] if conv
              else Wx @ x + Wh @ h + b)
-        h, d = nn._act_deriv(cell.act, z, None)
+        h, d = act_deriv(z)
         ds.append(d)
         hs.append(h)
     if conv:
         zo, opad = conv_same(h, ko, bo)
-        out, do = nn._act_deriv(cell.act, zo, None)
-        dh, dKo, dbo = nn._conv_same_vjp(opad, ko, w * do)
+        out, do = act_deriv(zo)
+        dh, dKo, dbo = nn._conv_same_vjp(opad, ko[1], w * do)
     else:
         out, dh = h, w
     dxs = np.zeros_like(xs)
@@ -107,8 +111,8 @@ def rnn_cell_loop(cell, p, xs, w):
     for i in range(len(xs) - 1, -1, -1):
         dz = dh * ds[i]
         if conv:
-            dxs[i], dKx, _ = nn._conv_same_vjp(conv_same(xs[i], kx, 0.0)[1], kx, dz)
-            dh, dKh, db = nn._conv_same_vjp(conv_same(hs[i], kh, b)[1], kh, dz)
+            dxs[i], dKx, _ = nn._conv_same_vjp(conv_same(xs[i], kx, 0.0)[1], kx[1], dz)
+            dh, dKh, db = nn._conv_same_vjp(conv_same(hs[i], kh, b)[1], kh[1], dz)
             for g, d in zip(grads, (dKx, dKh, db)):
                 g += d
         else:

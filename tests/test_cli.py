@@ -467,6 +467,25 @@ def test_a_rerun_sweep_scores_each_run_under_its_new_config(tmp_path, capsys):
     assert "note" not in capsys.readouterr().err
 
 
+def test_a_sweep_after_gen_data_trains_each_run_on_the_new_truth(tmp_path):
+    # gen-data into the sweep's OUT with other truth settings replaces the
+    # root's truth files; the next sweep trains and scores every run on
+    # them, not on the copies the first sweep left in the run directories
+    out = tmp_path / "sweep"
+    sweep = "[run]\nexperiment = toy\n[sweep]\ntau2 = 0.0 0.5\nrepeats = 1\nepochs = 1\n"
+    tight = "[steppers]\ntruth_rtol = 1e-4\ntruth_atol = 1e-4\n"
+    first = _write(tmp_path, sweep, "first.cfg")
+    assert cli.main(["sweep-delay", "--config", first, "--out", str(out)]) == 0
+    old = (out / "truth.csv").read_bytes()
+    again = _write(tmp_path, sweep + tight, "again.cfg")
+    assert cli.main(["gen-data", "--config", again, "--out", str(out)]) == 0
+    new = (out / "truth.csv").read_bytes()
+    assert new != old
+    assert cli.main(["sweep-delay", "--config", again, "--out", str(out)]) == 0
+    for run in (out / "tau2_0" / "rep0", out / "tau2_0.5" / "rep0"):
+        assert (run / "truth.csv").read_bytes() == new
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

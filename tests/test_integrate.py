@@ -9,7 +9,7 @@ from neuralclosure.integrate import (
     DormandPrince54,
     IntegrationError,
     RK4Fixed,
-    dde_read_times,
+    _rk4_calls,
     integrate_dde,
     integrate_ode,
     quadrature_nodes,
@@ -282,9 +282,8 @@ class TestIntegrateDde:
         history = lambda t: reads.append(t) or np.array([1.0])
         rk4_dde_scalar(lambda t, u, d: -d[0] + 0.1 * d[1], (0.07, 0.2), history,
                        0.0, 1.0, 0.05)
-        plan = dde_read_times((0.07, 0.2), (0.0, 1.0), RK4Fixed(0.05))
+        plan = np.unique(np.subtract.outer(np.unique(_rk4_calls(0.0, 1.0, 0.05)), (0.07, 0.2)))
         assert plan.tolist() == sorted(set(reads[1:]))  # reads[0] is u(t0)
-        assert dde_read_times((0.07,), (0.0, 1.0), DormandPrince54()) is None
 
     def test_delay_validation(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,8 @@ activations, bias and discrete sequence input against the expressions they
 replace, repeated reverse passes on one tape, whose convolution windows
 are read-only, the plain forward against the tape on every closure network
 and on single k = 1 layers of widths 1-16 (whose plan steps multiply by
-np.dot), and reverse passes that read the taped act'(z) instead of
+np.dot), the forward operands ``Network.unpack`` decodes for every weighted
+layer, and reverse passes that read the taped act'(z) instead of
 recomputing it.
 A delay solve, which prepares a block of right-hand sides at a time, is
 checked against the solve that reads each delayed state by a scalar eval and
@@ -87,15 +88,16 @@ def test_conv_matches_the_tap_loop_bit_for_bit(k):
     K = rng.normal(size=(k, 5, 7))
     b = rng.normal(size=7)
     w = rng.normal(size=(20, 7))
-    ker = nn._kernel(K)
-    y, (win, _) = _kept_step(nn.Conv1d(5, 7, k), (K, b, ker), x)
+    conv = nn.Conv1d(5, 7, k)
+    p = _entry(conv, K, b)
+    y, (win, _) = _kept_step(conv, p, x)
     y_ref, xpad_ref = oracles.conv_same_loop(x, K, b)
-    dx, dK, db = nn._conv_same_vjp(win, ker, w)
+    dx, dK, db = nn._conv_same_vjp(win, p[-1], w)
     dx_ref, dK_ref, db_ref = oracles.conv_same_vjp_loop(xpad_ref, K, w)
     same = _same if k == 1 else _close
     assert same(y, y_ref) and same(dx, dx_ref)
     assert _same(dK, dK_ref) and _same(db, db_ref)
-    assert _same(nn._conv_same_vjp(win, ker, w, grads=False)[0], dx)
+    assert _same(nn._conv_same_vjp(win, p[-1], w, grads=False)[0], dx)
 
 
 @pytest.mark.parametrize("n", [1, 2, 25])
@@ -106,7 +108,7 @@ def test_conv_layers_match_the_tap_loop_per_member(n):
     for layer in (nn.Conv1d(5, 7, 3), nn.Conv1dTranspose(5, 7, 3)):
         K, b = rng.normal(size=(3, 5, 7)), rng.normal(size=7)
         x, w = rng.normal(size=(4, n, 5)), rng.normal(size=(4, n, 7))
-        p = (K, b) + layer.kernels((K, b))
+        p = _entry(layer, K, b)
         y, cache = _kept_step(layer, p, x)
         dx, (dK, db) = layer.backward(p, cache, w)
         taps = layer.taps(K)
@@ -493,12 +495,19 @@ def _with_specials(rng, shape, scale=3.0):
 def _plan_act(name, z):
     """A plan step's act(z) into a fresh array: a swish step activates the
     halved pre-activation its halved weights give."""
-    return nn._PLAN_ACT[name](z * 0.5 if name == "swish" else z, None)
+    return nn._activate(name, z * 0.5 if name == "swish" else z, None)
 
 
 def _kept_act(name, z):
-    """A kept step's (act(z), act'(z)) into a fresh array."""
-    return nn._act_deriv(name, z.copy(), None)
+    """A kept step's (act(z), act'(z)) into a fresh array, from the same
+    pre-activation as a plan step's."""
+    return nn._activate(name, z * 0.5 if name == "swish" else z.copy(), None, True)
+
+
+def _entry(layer, *views):
+    """The layer's entry of ``Network.unpack`` for hand-made parameter
+    views: the views, then their decoded operands."""
+    return views + layer.decode(views)
 
 
 def _kept_step(layer, p, x):
@@ -510,10 +519,11 @@ def _kept_step(layer, p, x):
     return step(x, None), keep[0]
 
 
-def _conv(x, ker, b):
-    """x correlated with the decoded kernel ``ker``, plus b: a linear
-    convolution's kept step."""
-    return _kept_step(nn.Conv1d(x.shape[-1], ker.fwd.shape[1], ker.k), (None, b, ker), x)[0]
+def _conv(x, K, b):
+    """x correlated with the kernel K, plus b: a linear convolution's kept
+    step."""
+    layer = nn.Conv1d(*K.shape[1:], K.shape[0])
+    return _kept_step(layer, _entry(layer, K, b), x)[0]
 
 
 def _plan_step(layer, p, x):
@@ -580,25 +590,25 @@ def test_affine_layers_add_the_bias_like_before(k):
     W, b = rng.normal(size=(7, 5)), rng.normal(size=7)
     # a linear layer's output is its pre-activation, in a tape and a plan
     dense = nn.Dense(5, 7)
-    assert _same(_kept_step(dense, (W, b), x)[0], x @ W.T + b)
-    assert _same(_plan_step(dense, (W, b), x), x @ W.T + b)
+    assert _same(_kept_step(dense, _entry(dense, W, b), x)[0], x @ W.T + b)
+    assert _same(_plan_step(dense, _entry(dense, W, b), x), x @ W.T + b)
     K = rng.normal(size=(k, 5, 7))
-    ker = nn._kernel(K)
     product = nn._windows(x, k, (k - 1) // 2) @ K.reshape(-1, 7)
-    assert _same(_conv(x, ker, b), product + b)
-    assert _same(_conv(x, ker, 0.0), product + 0.0)
-    assert _same(_plan_step(nn.Conv1d(5, 7, k), (K, b, ker), x), product + b)
+    assert _same(_conv(x, K, b), product + b)
+    assert _same(_conv(x, K, 0.0), product + 0.0)
+    conv = nn.Conv1d(5, 7, k)
+    assert _same(_plan_step(conv, _entry(conv, K, b), x), product + b)
     # one product over the tap windows, where the former form added one per tap
     same = _same if k == 1 else _close
-    assert same(_conv(x, ker, b), _former_conv(x, K, b))
-    assert same(_conv(x, ker, 0.0), _former_conv(x, K, 0.0))
+    assert same(_conv(x, K, b), _former_conv(x, K, b))
+    assert same(_conv(x, K, 0.0), _former_conv(x, K, 0.0))
 
 
 def test_bio_constrain_equals_the_stacked_triple():
     rng = np.random.default_rng(2)
     x = _with_specials(rng, (3, 20, 1))
     for beta in (0.5, rng.uniform(), -0.3, 0.0):
-        p = (np.array([beta]),)
+        p = _entry(nn.BioConstrain(), np.array([beta]))
         s = x[..., 0]
         want = np.stack([beta * s, -s, (1.0 - beta) * s], axis=-1)
         assert _same(_kept_step(nn.BioConstrain(), p, x)[0], want)
@@ -629,13 +639,13 @@ def test_first_recurrent_step_equals_the_zero_state_product(name):
     # in the convolutional cell) and act'(z_0)
     _, ds, hs = _kept_step(cell, p, xs)[1][:3]
     if name == "dense":
-        Wx, Wh, b = p
+        Wx, Wh, b = p[:3]
         h0 = np.zeros((3, cell.units))
         want = (xs @ Wx.T)[0] + h0 @ Wh.T + b
     else:
-        b, (kx, kh) = p[2], p[5:7]
+        Kx, Kh, b = p[:3]
         h0 = np.zeros((3, 20, cell.units))
-        want = _conv(xs, kx, 0.0)[0] + _conv(h0, kh, b)
+        want = _conv(xs, Kx, 0.0)[0] + _conv(h0, Kh, b)
     h1, d0 = _kept_act(cell.act, want)
     if name != "dense":
         h1 = nn._windows(h1, cell.kernel, (cell.kernel - 1) // 2)
@@ -672,9 +682,9 @@ def test_a_reverse_pass_stops_the_recurrent_product_at_step_1(name, grads, monke
         cell.backward((p[0], wh, p[2]), cache, w, grads)
         assert wh.n == 6
     else:
-        kh, vjp, calls = p[6], nn._conv_same_vjp, []
+        rh, vjp, calls = p[-2], nn._conv_same_vjp, []
         monkeypatch.setattr(nn, "_conv_same_vjp",
-                            lambda win, ker, *a: calls.append(ker is kh) or vjp(win, ker, *a))
+                            lambda win, rev, *a: calls.append(rev is rh) or vjp(win, rev, *a))
         cell.backward(p, cache, w, grads)
         assert sum(calls) == 6
 
@@ -865,13 +875,13 @@ def _former_one_layer(net, x, params):
     lay, p = net.layers[0], net.unpack(params)[0]
     act = lambda z: _former_act(lay.act, z)
     if isinstance(lay, nn.Dense):
-        W, b = p
+        W, b = p[:2]
         return act(x @ W.T + b)
     if isinstance(lay, nn.Conv1d):
         K, b = p[:2]
         return act(x @ K[0] + b)
     if isinstance(lay, nn.SimpleRnnCell):
-        Wx, Wh, b = p
+        Wx, Wh, b = p[:3]
         zx = x @ Wx.T
         h = act(zx[0] + b)
         for zx_i in zx[1:]:
@@ -909,6 +919,56 @@ def test_plan_products_match_the_tape_byte_for_byte(act, width):
                 case = (net.describe(), lead)
                 assert _same(run(net, x, plan), want), case
                 assert _same(nn.tape(net, x, params).y, want), case
+
+
+DECODED_LAYERS = {
+    "dense": (lambda act: nn.Dense(3, 4, act), None),
+    "rnn": (lambda act: nn.SimpleRnnCell(3, 4, act), None),
+    "conv": (lambda act: nn.Conv1d(2, 3, 3, act), 6),
+    "conv_transpose": (lambda act: nn.Conv1dTranspose(2, 3, 3, act), 6),
+    "rnn_conv": (lambda act: nn.SimpleRnnConvCell(2, 3, 3, act), 6),
+}
+
+
+def _forward_operands(lay, views):
+    """What a layer's forward multiplies by and adds, from its parameter
+    views, in ``decode`` order: weights transposed, kernels as (k * in,
+    out) matrices of their taps, and biases."""
+    flat = lambda K: K.reshape(-1, K.shape[-1])
+    if isinstance(lay, nn.Dense):
+        return views[0].T, views[1]
+    if isinstance(lay, nn.SimpleRnnCell):
+        return views[0].T, views[1].T, views[2]
+    if isinstance(lay, nn.Conv1d):
+        return flat(lay.taps(views[0])), views[1]
+    Kx, Kh, b, Ko, bo = views
+    return flat(Kx), flat(Kh), b, flat(Ko), bo
+
+
+@pytest.mark.parametrize("batch", [None, 4], ids=["single", "batch4"])
+@pytest.mark.parametrize("act", nn.ACTIVATIONS)
+@pytest.mark.parametrize("name", sorted(DECODED_LAYERS))
+def test_unpack_decodes_the_forward_operands(name, act, batch):
+    # unpack appends every operand the layer's steps multiply by or add:
+    # half the parameters' for swish (its steps work from z / 2), equal
+    # otherwise, the weights of a dense layer or cell as views of the
+    # vector; a plain and a kept step read them alike, to the same bytes
+    make, points = DECODED_LAYERS[name]
+    lay = make(act)
+    net = nn.Network([lay])
+    rng = np.random.default_rng(42)
+    params = _mixed(rng, (net.n_params,))
+    p = net.unpack(params)[0]
+    n = len(lay.param_specs())
+    want = _forward_operands(lay, p[:n])
+    scale = 0.5 if act == "swish" else 1.0
+    assert len(p) >= n + len(want)
+    assert all(_same(got, w * scale) for got, w in zip(p[n:], want))
+    if act != "swish" and points is None:
+        assert all(np.shares_memory(got, params) for got in p[n:])
+    x = _net_input(net, points, rng, batch)
+    run = nn.rnn_forward if net.recurrent else nn.forward
+    assert _same(run(net, x, params), nn.tape(net, x, params).y)
 
 
 @pytest.mark.parametrize("batch", [None, 8], ids=["single", "batch8"])
@@ -1076,15 +1136,15 @@ def test_a_tape_shares_no_buffer_with_a_later_pass(name, batch):
 
 def _counted_derivatives(monkeypatch):
     """A counter of the act'(z) that nn computes, one per call of its
-    derivative helper on an activated (not linear) layer."""
+    activation routine for a derivative on an activated (not linear) layer."""
     count = Counter()
-    act_deriv = nn._act_deriv
+    activate = nn._activate
 
-    def rec(name, *args):
-        count["deriv"] += name != "linear"
-        return act_deriv(name, *args)
+    def rec(name, z, out, deriv=False):
+        count["deriv"] += deriv and name != "linear"
+        return activate(name, z, out, deriv)
 
-    monkeypatch.setattr(nn, "_act_deriv", rec)
+    monkeypatch.setattr(nn, "_activate", rec)
     return count
 
 
@@ -1126,22 +1186,22 @@ def test_an_input_pass_reads_the_taped_derivative(name, monkeypatch):
 
 
 def _matrices(net, points, views):
-    """Each product of a plain pass of ``net``: (matrix, the left operand's
-    leading sequence axis, 4 for a recurrent cell's input half, else (), the
-    shape of its rows per member, its tap count or None for a dense
-    product)."""
+    """Each product of a plain pass of ``net``: (its decoded matrix, the left
+    operand's leading sequence axis, 4 for a recurrent cell's input half,
+    else (), the shape of its rows per member, its tap count or None for a
+    dense product)."""
     for lay, p in zip(net.layers, views):
         if isinstance(lay, nn.Dense):
-            yield p[0].T, (), (lay.n_in,), None
+            yield p[2], (), (lay.n_in,), None
         elif isinstance(lay, nn.SimpleRnnCell):
-            yield p[0].T, (4,), (lay.n_in,), None
-            yield p[1].T, (), (lay.units,), None
+            yield p[3], (4,), (lay.n_in,), None
+            yield p[4], (), (lay.units,), None
         elif isinstance(lay, nn.SimpleRnnConvCell):
-            yield p[5].fwd, (4,), (points, lay.in_ch), lay.kernel
-            for ker in p[6:]:
-                yield ker.fwd, (), (points, lay.units), lay.kernel
+            yield p[5], (4,), (points, lay.in_ch), lay.kernel
+            for F in (p[6], p[8]):
+                yield F, (), (points, lay.units), lay.kernel
         elif isinstance(lay, nn.Conv1d):
-            yield p[2].fwd, (), (points, lay.in_ch), lay.kernel
+            yield p[2], (), (points, lay.in_ch), lay.kernel
 
 
 @pytest.mark.parametrize("batch", [None, 8], ids=["single", "batch8"])

@@ -110,7 +110,7 @@ class TestRnnForward:
         x = np.random.default_rng(4).normal(size=3)
         out = rnn_forward(cell, [x], params)
         # zero initial hidden state: one step is act(Wx x + b)
-        ((Wx, Wh, b),) = cell.unpack(params)
+        ((Wx, Wh, b, *_),) = cell.unpack(params)
         np.testing.assert_allclose(out, np.tanh(Wx @ x + b), atol=1e-14)
 
     def test_two_step_hand_unroll(self):
@@ -159,7 +159,7 @@ class TestParamCounts:
     def test_layout_offsets_contiguous(self):
         net = Network([Dense(2, 4, "tanh"), Dense(4, 3, "linear")])
         p = np.arange(net.n_params, dtype=float)
-        (W0, b0), (W1, b1) = net.unpack(p)
+        (W0, b0, *_), (W1, b1, *_) = net.unpack(p)
         assert W0.size + b0.size + W1.size + b1.size == net.n_params
         assert W0.ravel()[0] == 0.0 and b1.ravel()[-1] == net.n_params - 1
         # layer order, then each layer's parameters in order, row-major
@@ -214,7 +214,7 @@ class TestVjp(_VjpCase):
     def test_dense_linear_jacobian(self):
         net = Network([Dense(3, 2, "linear")])
         params = _rand_params(net, 0)
-        ((W, _),) = net.unpack(params)
+        ((W, *_),) = net.unpack(params)
         w = np.array([1.0, -2.0])
         g = backward_input(tape(net, np.zeros(3), params), w)
         np.testing.assert_allclose(g, W.T @ w, atol=1e-14)
@@ -294,12 +294,12 @@ class TestInitParams:
     def test_biases_zero(self):
         net = Network([Dense(4, 9, "tanh"), Dense(9, 2, "linear")])
         params = init_params(net, 0, zero_final=False)
-        (_, b0), (_, b1) = net.unpack(params)
+        (_, b0, *_), (_, b1, *_) = net.unpack(params)
         assert not b0.any() and not b1.any()
 
     def test_glorot_bound(self):
         net = Network([Dense(100, 100, "tanh")])
-        ((W, _),) = net.unpack(init_params(net, 1, zero_final=False))
+        ((W, *_),) = net.unpack(init_params(net, 1, zero_final=False))
         bound = np.sqrt(6.0 / 200.0)
         assert np.all(np.abs(W) <= bound)
         assert np.max(np.abs(W)) > 0.8 * bound
@@ -307,7 +307,7 @@ class TestInitParams:
     def test_zero_final_layer(self):
         net = Network([Dense(3, 5, "tanh"), Dense(5, 3, "linear")])
         params = init_params(net, 2)
-        _, (W1, b1) = net.unpack(params)
+        _, (W1, b1, *_) = net.unpack(params)
         assert not W1.any() and not b1.any()
         out = forward(net, np.ones(3), params)
         np.testing.assert_array_equal(out, np.zeros(3))
@@ -315,7 +315,7 @@ class TestInitParams:
     def test_zero_final_skips_bioconstrain(self):
         net = Network([Dense(3, 5, "tanh"), Dense(5, 1, "linear"), BioConstrain()])
         params = init_params(net, 3)
-        _, (W1, _), (beta,) = net.unpack(params)
+        _, (W1, *_), (beta, *_) = net.unpack(params)
         assert not W1.any()
         assert beta[0] == 0.5
         out = forward(net, np.ones(3), params)
