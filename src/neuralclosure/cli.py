@@ -11,7 +11,9 @@ Subcommands::
 Every table is CSV with a header row and 17-significant-digit floats; see the
 README for the per-file column layouts. Exit code 0 on success, 2 on
 validation failure (bad config, mismatched checkpoint, gradient check out of
-tolerance), 1 on runtime errors.
+tolerance), 1 on runtime errors. An ``evaluate`` whose model rollout breaks
+down still writes its three tables, the baselines scored and the model's
+columns and scores nan, and exits 1.
 """
 
 from __future__ import annotations
@@ -302,8 +304,13 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path, ckpt: Path | None) -> int:
     # a run that fails while scoring leaves no tables of an earlier one
     for name in ("trajectory.csv", "rmse.csv", "metrics.csv"):
         (out / name).unlink(missing_ok=True)
-    model, _, _ = evaluate_rollout(system, ck.params, dataset, stepper,
-                                   history=constant_history(dataset.states[0]))
+    # a model rollout that breaks down scores nan; the baselines still score
+    try:
+        model, _, _ = evaluate_rollout(system, ck.params, dataset, stepper,
+                                       history=constant_history(dataset.states[0]))
+        failure = None
+    except IntegrationError as e:
+        model, failure = np.full(dataset.states.shape, np.nan), e
     rollouts = {"model": model}
     for bname, rhs in study.baselines(basis).items():
         traj = integrate_ode(rhs, dataset.states[0], (dataset.t_start, dataset.t_end),
@@ -339,6 +346,10 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path, ckpt: Path | None) -> int:
         mrows.append(["crosscorr", "predict", k,
                       avg_crosscorr(rollouts[k][sel], dataset.states[sel])])
     write_csv(out / "metrics.csv", ["metric", "window", "model", "value"], mrows)
+    if failure is not None:
+        print(f"error: the model's rollout failed: {failure}; its columns and "
+              f"scores in {out} are nan", file=_sys.stderr)
+        return 1
     print(f"evaluated {cfg.experiment}/{cfg.kind}: trajectory.csv, rmse.csv, "
           f"metrics.csv in {out}")
     return 0

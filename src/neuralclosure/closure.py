@@ -79,7 +79,6 @@ from .integrate import (
     rk4_grid,
     trapezoid_weights,
 )
-from .linalg import Vec
 
 
 # ---------------------------------------------------------------------------
@@ -113,17 +112,20 @@ class _Closure:
     def nets(self) -> tuple:
         return (self.net,)
 
-    def f_input(self, U: Vec, delayed=()) -> np.ndarray:
+    def f_input(self, U: np.ndarray, delayed=()) -> np.ndarray:
         """The f-network input from the augmented state U = [u; y] at a time
         t and ``delayed``, the states at t - tau for tau in ``f_lags``
         stacked along a leading axis."""
         return nn.fields(self.net, U)
 
-    def f_term(self, t, U: Vec, theta, prepared=None) -> np.ndarray:
-        """The f-network at t on U, given the payload (None without lags)."""
+    def f_term(self, t, U: np.ndarray, theta, prepared=None) -> np.ndarray:
+        """The f-network at t on U, given the payload (None without lags),
+        in the network's output layout. ``theta`` is the flat vector, its
+        views (:meth:`AugmentedSystem.decode`) or their :class:`nn.Plan`,
+        which a payload requires."""
         return nn.forward(self.nets[0], self.f_input(U), theta, t)
 
-    def f_input_grad(self, dx, lead: tuple, k: int = 0) -> tuple[Vec, Vec | None]:
+    def f_input_grad(self, dx, lead: tuple, k: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
         """A cotangent of the f-network input as flat rows, one per member:
         its part on the state at t - f_lags[k - 1] (k >= 1), or on the
         current state and the auxiliary field (None without one)."""
@@ -242,7 +244,7 @@ class Distributed(_Closure):
         g = g.reshape(ts.shape + (-1,))
         return g[:, 0] - g[:, 1] if self.window[0] > 0.0 else g[:, 0]
 
-    def aux_rate(self, t, u: Vec, prepared, phi) -> Vec:
+    def aux_rate(self, t, u: np.ndarray, prepared, phi) -> np.ndarray:
         """dy/dt = g(u(t - tau_1), t - tau_1) - g(u(t - tau_2), t - tau_2),
         zero over an empty window; ``prepared`` is the time's row of
         :meth:`prepare`, so g runs here only on u(t), when tau_1 = 0."""
@@ -278,10 +280,10 @@ class AugmentedSystem:
     solve fills both, a sweep ``forcing`` (its f-network is one tape).
     """
 
-    base_rhs: Callable[[float, Vec], Vec]
+    base_rhs: Callable[[float, np.ndarray], np.ndarray]
     closure: ClosureModel
     state_dim: int
-    base_vjp: Callable[[float, Vec, Vec], Vec]
+    base_vjp: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     forcing: tuple = ()
     context: tuple = ()
 
@@ -311,7 +313,7 @@ class AugmentedSystem:
     def aux_dim(self) -> int:
         return self.closure.aux_dim
 
-    def decode(self, params: Vec) -> tuple:
+    def decode(self, params: np.ndarray) -> tuple:
         """Each network's block of the flat vector as its per-layer views
         (:meth:`nn.Network.unpack`), in ``nets`` order: theta, then phi."""
         params = np.asarray(params, dtype=float)
@@ -322,21 +324,12 @@ class AugmentedSystem:
         blocks = np.split(params, np.cumsum([net.n_params for net in nets])[:-1])
         return tuple(net.unpack(p) for net, p in zip(nets, blocks))
 
-    def closure_term(self, t, U: Vec, theta, prepared=None) -> Vec:
-        """The neural contribution to du/dt at time t from the augmented
-        state U and the right-hand side's payload ``prepared`` (the
-        closure's ``prepare``; None without lags). ``theta`` is the flat
-        vector, its views (:meth:`decode`) or their :class:`nn.Plan`, which
-        a payload requires."""
-        term = self.closure.f_term(t, U, theta, prepared)
-        return term.reshape(U[..., :self.state_dim].shape)
-
 
 # The history contract: a 1-D array of times gives one row per time.
 History = Callable[[np.ndarray], np.ndarray]
 
 
-def constant_history(u0: Vec) -> History:
+def constant_history(u0: np.ndarray) -> History:
     """History that holds the initial state at every past time."""
     u0 = np.asarray(u0, dtype=float).copy()
     return lambda ts: np.broadcast_to(u0, np.shape(ts) + u0.shape)
@@ -404,14 +397,14 @@ class ForwardRun:
             past = list(_read_history(self.history, times[:k], self.offsets))
         return past + list(self.traj.eval_many(times[k:])) if k < times.size else past
 
-    def u_at(self, t: float) -> Vec:
+    def u_at(self, t: float) -> np.ndarray:
         """The state at clock time t, from the history before ``t0``."""
         return self.states_at([t])[0][..., :self.u_dim]
 
 
-def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: StepperSpec,
+def forward_augmented(sys: AugmentedSystem, params: np.ndarray, t_span, stepper: StepperSpec,
                       history: History | None = None,
-                      u0: Vec | None = None) -> ForwardRun:
+                      u0: np.ndarray | None = None) -> ForwardRun:
     """Solve the augmented system over t_span.
 
     ``history`` supplies u(t) for t <= t_span start; required whenever the
@@ -489,7 +482,7 @@ def forward_augmented(sys: AugmentedSystem, params: Vec, t_span, stepper: Steppe
     def rhs(t, U, prepared=None):
         tm = t + offsets
         u = U[..., :n]
-        du = sys.base_rhs(tm, u) + sys.closure_term(tm, U, plans[0], prepared)
+        du = sys.base_rhs(tm, u) + c.f_term(tm, U, plans[0], prepared).reshape(u.shape)
         if not aux:
             return du
         return np.concatenate([du, c.aux_rate(tm, u, prepared, plans[1])], axis=-1)
@@ -525,7 +518,7 @@ class AdjointRun:
     """
 
     adjoint_traj: DenseTrajectory
-    grad: Vec
+    grad: np.ndarray
 
 
 def _loss_jumps(run: ForwardRun, dataset, loss_spec):
@@ -709,7 +702,7 @@ class _StageTapes:
         """The tape of the rows of times i to j - 1."""
         return nn.rows(self.tape, slice(i * self.width, j * self.width))
 
-    def input_grad(self, t: float, w: Vec):
+    def input_grad(self, t: float, w: np.ndarray):
         """d(w . net)/dx at time t, in the layout of the input (stacked like
         the sequence for a recurrent network)."""
         key = (t, w.tobytes())
@@ -722,7 +715,7 @@ class _StageTapes:
             dx = self._passes[key] = nn.backward_input(tp, w.reshape(tp.y.shape))
         return dx
 
-    def param_grad(self, times, w) -> Vec:
+    def param_grad(self, times, w) -> np.ndarray:
         """d/dparams of sum_i w_i . net(t_i): one full reverse pass over the
         parameter integral's rows, the cotangents ``w`` (one per time, each
         with the member axis) added into the rows of their times."""
@@ -732,7 +725,7 @@ class _StageTapes:
         return nn.backward(tp, rows.reshape(tp.y.shape))[1]
 
 
-def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
+def adjoint_gradient(sys: AugmentedSystem, params: np.ndarray, run: ForwardRun,
                      dataset, loss_spec, stepper: StepperSpec) -> AdjointRun:
     """The adjoint sweep of every closure kind.
 
@@ -846,7 +839,7 @@ def adjoint_gradient(sys: AugmentedSystem, params: Vec, run: ForwardRun,
     return AdjointRun(store, grad)
 
 
-def history_param_grad(sys: AugmentedSystem, run: ForwardRun, mu0: Vec) -> Vec:
+def history_param_grad(sys: AugmentedSystem, run: ForwardRun, mu0: np.ndarray) -> np.ndarray:
     """d_phi of mu0 . y(t0), with y(t0) = sum_i w_i g(h(s_i), s_i; phi) the
     forward's trapezoid rule: one reverse pass of its batched g tape, with
     cotangent row w_i mu0_b for node i of member b."""
@@ -867,7 +860,7 @@ adjoint_markovian = adjoint_discrete = adjoint_distributed = adjoint_gradient
 # ---------------------------------------------------------------------------
 
 
-def run_loss(sys: AugmentedSystem, params: Vec, t_span, dataset, loss_spec,
+def run_loss(sys: AugmentedSystem, params: np.ndarray, t_span, dataset, loss_spec,
              stepper: StepperSpec, history=None, u0=None):
     """Forward solve + total loss on the dataset times. Returns (loss, run)."""
     run = forward_augmented(sys, params, t_span, stepper, history=history, u0=u0)
@@ -875,9 +868,9 @@ def run_loss(sys: AugmentedSystem, params: Vec, t_span, dataset, loss_spec,
     return float(loss_spec.total(preds, np.asarray(dataset.states, dtype=float))), run
 
 
-def fd_gradient(sys: AugmentedSystem, params: Vec, t_span, dataset, loss_spec,
+def fd_gradient(sys: AugmentedSystem, params: np.ndarray, t_span, dataset, loss_spec,
                 stepper: StepperSpec, history=None, u0=None,
-                eps: float = 1e-5) -> Vec:
+                eps: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of the total loss; the adjoint oracle.
 
     Cost is two forward solves per parameter: keep parameter counts small.

@@ -28,7 +28,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .linalg import Vec
 
 
 TIME_RTOL = 1e-9  # relative: two times this close are one time on paper
@@ -131,8 +130,8 @@ class DenseTrajectory:
             raise ValueError("empty trajectory")
         return float(self._t[len(self._keys) - 1])
 
-    def append(self, t_from: float, t_to: float, u_from: Vec, u_to: Vec,
-               f_from: Vec, f_to: Vec) -> None:
+    def append(self, t_from: float, t_to: float, u_from: np.ndarray, u_to: np.ndarray,
+               f_from: np.ndarray, f_to: np.ndarray) -> None:
         """Append the step [t_from -> t_to]; must extend the chain contiguously.
 
         Values are copied in. A step whose start value and slope are not the
@@ -177,7 +176,7 @@ class DenseTrajectory:
         a, b = self._t[0], self._t[len(self._keys) - 1]
         return (a, b) if self.ascending else (b, a)
 
-    def eval(self, t: float) -> Vec:
+    def eval(self, t: float) -> np.ndarray:
         t = float(t)
         lo, hi = self._domain()
         if t < lo or t > hi:
@@ -321,8 +320,9 @@ def rk4_grid(t0: float, t1: float, h: float) -> tuple[np.ndarray, np.ndarray, np
     return ts, t + 0.5 * step, t + step
 
 
-def _solve(rhs: Callable[[float, Vec], Vec], u0: Vec, t_span: tuple[float, float],
-           stepper: StepperSpec, breakpoints: Iterable[float], traj: DenseTrajectory,
+def _solve(rhs: Callable[[float, np.ndarray], np.ndarray], u0: np.ndarray,
+           t_span: tuple[float, float], stepper: StepperSpec,
+           breakpoints: Iterable[float], traj: DenseTrajectory,
            cap: float = np.inf) -> DenseTrajectory:
     """Step u' = rhs(t, u) across t_span from u0, appending to ``traj``.
 
@@ -393,8 +393,8 @@ def _solve(rhs: Callable[[float, Vec], Vec], u0: Vec, t_span: tuple[float, float
     raise TypeError(f"unknown stepper {stepper!r}")
 
 
-def integrate_ode(rhs: Callable[[float, Vec], Vec], u0: Vec, t_span: tuple[float, float],
-                  stepper: StepperSpec) -> DenseTrajectory:
+def integrate_ode(rhs: Callable[[float, np.ndarray], np.ndarray], u0: np.ndarray,
+                  t_span: tuple[float, float], stepper: StepperSpec) -> DenseTrajectory:
     """Integrate u' = rhs(t, u) over t_span and return the dense solution."""
     return _solve(rhs, u0, t_span, stepper, (), DenseTrajectory())
 
@@ -430,9 +430,9 @@ class DdeProblem:
     change a payload in place: right-hand sides at one time share it.
     """
 
-    rhs: Callable[[float, Vec, object], Vec]
+    rhs: Callable[[float, np.ndarray, object], np.ndarray]
     delays: tuple[float, ...]
-    history: Callable[[float], Vec]
+    history: Callable[[float], np.ndarray]
     prepare: Callable[[np.ndarray, np.ndarray], Sequence] = lambda times, delayed: delayed
 
     def __post_init__(self):
@@ -492,7 +492,7 @@ def integrate_dde(prob: DdeProblem, t_span: tuple[float, float],
     ahead = deque()   # the payloads of the calls after the last one made
     done = 0          # calls[:done] are made or have a payload ahead
 
-    def rhs(t: float, u: Vec) -> Vec:
+    def rhs(t: float, u: np.ndarray) -> np.ndarray:
         nonlocal done
         if not ahead:
             if calls is None:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..linalg import Vec
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,7 @@ def _ivlev(params: BioParams, P):
     return 1.0 - np.exp(-params.Lambda * P)
 
 
-def npz_rhs(t, u: Vec, params: BioParams, G) -> np.ndarray:
+def npz_rhs(t, u: np.ndarray, params: BioParams, G) -> np.ndarray:
     N, P, Z = u.T
     G = getattr(G, "T", G)
     uptake = G * P * N / (N + params.K_u)
@@ -83,7 +82,7 @@ def npz_rhs(t, u: Vec, params: BioParams, G) -> np.ndarray:
     return np.array([dN, dP, dZ]).T
 
 
-def npz_rhs_vjp(t, u: Vec, w: Vec, params: BioParams, G) -> np.ndarray:
+def npz_rhs_vjp(t, u: np.ndarray, w: np.ndarray, params: BioParams, G) -> np.ndarray:
     """w^T d(npz_rhs)/du from the analytic 3x3 Jacobian J[i, j] = dF_i/du_j,
     written out term by term; like npz_rhs it takes (..., 3) arrays."""
     N, P, Z = u.T
@@ -104,7 +103,7 @@ def npz_rhs_vjp(t, u: Vec, w: Vec, params: BioParams, G) -> np.ndarray:
     return np.array([vN, vP, vZ]).T
 
 
-def nnpzd_rhs(t, u: Vec, params: BioParams, G) -> np.ndarray:
+def nnpzd_rhs(t, u: np.ndarray, params: BioParams, G) -> np.ndarray:
     NO3, NH4, P, Z, D = u.T
     G = getattr(G, "T", G)
     Ku = params.K_u

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..linalg import Vec
 
 
 @dataclass(frozen=True)
@@ -48,23 +47,23 @@ def initial_condition(x, re: float) -> np.ndarray:
     return x / (1.0 + np.exp(expo))
 
 
-def _ghosted(u: Vec) -> np.ndarray:
+def _ghosted(u: np.ndarray) -> np.ndarray:
     """Pad the last axis with mirror-negative ghosts so the wall value is zero."""
     return np.concatenate([-u[..., :1], u, -u[..., -1:]], axis=-1)
 
 
-def d1_central(u: Vec, dx: float) -> np.ndarray:
+def d1_central(u: np.ndarray, dx: float) -> np.ndarray:
     g = _ghosted(u)
     return (g[..., 2:] - g[..., :-2]) / (2.0 * dx)
 
 
-def d2_central(u: Vec, dx: float, g=None) -> np.ndarray:
+def d2_central(u: np.ndarray, dx: float, g=None) -> np.ndarray:
     """The second difference of u; ``g`` is its ghosted field, when made."""
     g = _ghosted(u) if g is None else g
     return (g[..., 2:] - 2.0 * g[..., 1:-1] + g[..., :-2]) / (dx * dx)
 
 
-def rhs(t, u: Vec, nu: float, dx: float) -> np.ndarray:
+def rhs(t, u: np.ndarray, nu: float, dx: float) -> np.ndarray:
     """du/dt = -u u_x (upwind) + nu u_xx (central), on the last axis of u;
     leading axes are a batch of fields."""
     g = _ghosted(u)
@@ -74,7 +73,7 @@ def rhs(t, u: Vec, nu: float, dx: float) -> np.ndarray:
     return -u * ux + nu * d2_central(u, dx, g)
 
 
-def rhs_vjp(t, u: Vec, w: Vec, nu: float, dx: float) -> np.ndarray:
+def rhs_vjp(t, u: np.ndarray, w: np.ndarray, nu: float, dx: float) -> np.ndarray:
     """w^T d(rhs)/du, using the almost-everywhere derivative of the upwind
     switch (the u_i = 0 tie takes the backward branch, matching rhs)."""
     g = _ghosted(u)
@@ -106,7 +105,7 @@ def rhs_vjp(t, u: Vec, w: Vec, nu: float, dx: float) -> np.ndarray:
     return out
 
 
-def smagorinsky_term(u: Vec, dx: float, cs: float = 1.0) -> np.ndarray:
+def smagorinsky_term(u: np.ndarray, dx: float, cs: float = 1.0) -> np.ndarray:
     """Eddy-viscosity closure d/dx(nu_e u_x) with nu_e = (cs dx)^2 |u_x|.
 
     nu_e lives on cells; face values are neighbor averages and the flux
@@ -121,7 +120,7 @@ def smagorinsky_term(u: Vec, dx: float, cs: float = 1.0) -> np.ndarray:
     return (flux[1:] - flux[:-1]) / dx
 
 
-def coarsen(u_fine: Vec, factor: int) -> np.ndarray:
+def coarsen(u_fine: np.ndarray, factor: int) -> np.ndarray:
     """Box-average a fine cell field onto a coarser grid (factor cells -> 1)."""
     u_fine = np.asarray(u_fine, dtype=float)
     if u_fine.size % factor != 0:

@@ -30,7 +30,6 @@ from functools import cached_property
 
 import numpy as np
 
-from ..linalg import Vec
 from .biology import (
     BioParams,
     aggregate_nnpzd,
@@ -184,7 +183,7 @@ class ColumnModel:
     def state_dim(self) -> int:
         return self.cfg.n_z * self.n_species
 
-    def _shape(self, u: Vec) -> np.ndarray:
+    def _shape(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         return u.reshape(u.shape[:-1] + (self.cfg.n_z, self.n_species))
 
@@ -206,7 +205,7 @@ class ColumnModel:
             return kz_profile(self.cfg, self.cfg.z_faces, M)
         return ForcingTable(k_faces)
 
-    def rhs(self, t, u: Vec) -> np.ndarray:
+    def rhs(self, t, u: np.ndarray) -> np.ndarray:
         fields = self._shape(u)
         out = diffusion_term(fields, self.k_faces(t), self.cfg.dz)
         if self.bio_on:
@@ -214,7 +213,7 @@ class ColumnModel:
             out += react(t, fields, self.params, self.growth_profile(t))
         return out.reshape(np.shape(u))
 
-    def rhs_vjp(self, t, u: Vec, w: Vec) -> np.ndarray:
+    def rhs_vjp(self, t, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Diffusion is symmetric, so its transpose is itself; the reaction
         part transposes cell by cell, all depths in one call."""
         if self.kind != "npz":
@@ -231,12 +230,12 @@ class ColumnModel:
         seed = npz_initial if self.kind == "npz" else nnpzd_initial
         return np.stack([seed(self.params, total=float(T)) for T in totals]).ravel()
 
-    def species_totals(self, u: Vec) -> np.ndarray:
+    def species_totals(self, u: np.ndarray) -> np.ndarray:
         """Depth-integrated amount of each species (cell sums times dz)."""
         return self._shape(u).sum(axis=-2) * self.cfg.dz
 
 
-def aggregate_column_state(u5_flat: Vec, n_z: int) -> np.ndarray:
+def aggregate_column_state(u5_flat: np.ndarray, n_z: int) -> np.ndarray:
     """Aggregate a flat NNPZD column state onto the flat NPZ layout."""
     u5 = np.asarray(u5_flat, dtype=float).reshape(n_z, 5)
     return aggregate_nnpzd(u5).ravel()

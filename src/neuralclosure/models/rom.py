@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..linalg import Vec
 from .burgers import d1_central, d2_central
 
 
@@ -48,10 +47,10 @@ class PodBasis:
         s = self.singular_values
         return float(np.sum(s[:self.n_modes])) / float(np.sum(s))
 
-    def project(self, u: Vec) -> np.ndarray:
+    def project(self, u: np.ndarray) -> np.ndarray:
         return self.modes.T @ (np.asarray(u, dtype=float) - self.mean)
 
-    def reconstruct(self, a: Vec) -> np.ndarray:
+    def reconstruct(self, a: np.ndarray) -> np.ndarray:
         return self.mean + self.modes @ np.asarray(a, dtype=float)
 
 
@@ -87,12 +86,12 @@ class GalerkinRom:
     def n_modes(self) -> int:
         return self.b.size
 
-    def rhs(self, t, a: Vec) -> np.ndarray:
+    def rhs(self, t, a: np.ndarray) -> np.ndarray:
         """da/dt; leading axes of ``a`` are a batch of coefficient vectors."""
         a = np.asarray(a, dtype=float)
         return self.b + a @ self.A.T + np.einsum("kij,...i,...j->...k", self.N, a, a)
 
-    def rhs_vjp(self, t, a: Vec, w: Vec) -> np.ndarray:
+    def rhs_vjp(self, t, a: np.ndarray, w: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=float)
         jac = self.A + np.einsum("kij,...i->...kj", self.N, a) \
                      + np.einsum("kij,...j->...ki", self.N, a)

@@ -63,22 +63,26 @@ one forward pass over many inputs serves reverse passes on any of them.
 A tape runs kept steps, built for its input over buffers of its own, which
 also keep per layer what its reverse passes read: the layer input (a
 convolution's tap windows) for the weight gradient, and act'(z) of an
-activated layer, one per sequence step in a recurrent cell. So a plain
-pass's output is the tape's, bit for bit. A reverse pass multiplies its
-cotangent by that act'(z), one NumPy call per layer, and recomputes
-nothing from the forward pass.
+activated layer, one per sequence step in a recurrent cell. A recurrent
+cell steps through its sequence in one loop, :func:`_recurrence`, for a
+plan's prefix and a kept step alike; a kept loop also keeps each step's
+act'(z) and hidden state. So a plain pass's output is the tape's, bit for
+bit. A reverse pass multiplies its cotangent by that act'(z), one NumPy
+call per layer, and recomputes nothing from the forward pass.
 
 Each convolution pass is one matmul over the tap windows of one padded
 copy. The kernels work in place on the arrays they allocate themselves, and
 on nothing else. A layer adds its bias to its own product and activates
-that pre-activation through :func:`_activate`, plain and kept steps alike.
-A swish layer's decoded weights and bias are halved, which gives its steps
-z / 2 exactly; both take act(z) = p (z / 2) from p = 1 + tanh(z / 2), bit
-for bit z * sigmoid(z), and a kept step act'(z) from the same p. A tape's
-derivative and a scaled cotangent are new arrays. No layer writes into its
-input, its cotangent, its parameters or a tape's arrays, so a tape serves
-any number of reverse passes and a caller's arrays come back as they went
-in.
+that pre-activation by one formula per activation: a plain step by the
+activation its plan chose once (:func:`_plain`: np.tanh, a copy or nothing
+for linear, :func:`_activate` for swish), a kept step through
+:func:`_activate`. A swish layer's decoded weights and bias are halved,
+which gives its steps z / 2 exactly; both take act(z) = p (z / 2) from
+p = 1 + tanh(z / 2), bit for bit z * sigmoid(z), and a kept step act'(z)
+from the same p. A tape's derivative and a scaled cotangent are new arrays.
+No layer writes into its input, its cotangent, its parameters or a tape's
+arrays, so a tape serves any number of reverse passes and a caller's arrays
+come back as they went in.
 """
 
 from __future__ import annotations
@@ -89,22 +93,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import Vec
-
 # ---------------------------------------------------------------------------
 # Activations
 # ---------------------------------------------------------------------------
 
 
 def _activate(name, z, out, deriv=False):
-    """act(z) of a step's pre-activation z, returned. A plain step writes it
-    into ``out`` (a fresh array when None; tanh and linear take ``out`` z
-    itself). A kept step (``deriv``) gets (act(z), act'(z)), act'(z) a new
-    array (None for linear): it works in z, on contiguous arrays, and
-    copies act(z) into ``out`` once when given (a ufunc writing into padded
-    rows is slower). A swish layer's z is its halved pre-activation z / 2
-    (``decode``), and both come from p = 1 + tanh(z / 2): act = p (z / 2)
-    and act' = p (1 + (2 - p) (z / 2)) / 2, bit for bit z * sigmoid(z) and
+    """act(z) of a step's pre-activation z, returned. Without ``deriv`` it
+    is written into ``out`` (a fresh array when None; tanh and linear take
+    ``out`` z itself), as plain swish steps use it (:func:`_plain`). A kept
+    step (``deriv``) gets (act(z), act'(z)), act'(z) a new array (None for
+    linear): it works in z, on contiguous arrays, and copies act(z) into
+    ``out`` once when given (a ufunc writing into padded rows is slower). A
+    swish layer's z is its halved pre-activation z / 2 (``decode``), and
+    both come from p = 1 + tanh(z / 2): act = p (z / 2) and
+    act' = p (1 + (2 - p) (z / 2)) / 2, bit for bit z * sigmoid(z) and
     sigmoid(z) (1 + z (1 - sigmoid(z))), sigmoid(z) being p / 2."""
     dst, d = (z if deriv else out), None
     if name == "tanh":
@@ -128,6 +131,15 @@ def _activate(name, z, out, deriv=False):
         np.copyto(out, y)
         y = out
     return (y, d) if deriv else y
+
+
+def _plain(name):
+    """A plain step's activation act(z, out), chosen when its plan is built:
+    the ufunc itself for tanh (np.tanh) and linear (np.positive, a copy), so
+    that those steps pay no call of their own, and :func:`_activate` for
+    swish."""
+    ufunc = {"tanh": np.tanh, "linear": np.positive}.get(name)
+    return ufunc or (lambda z, out: _activate(name, z, out))
 
 
 def _scale(d, w):
@@ -229,6 +241,8 @@ def _affine_step(M, b, act, shape, out, win=None, keep=None):
     swish = act == "swish"
     if keep is None:
         b = np.full(shape, b)
+        # a linear step's output is its z
+        f = None if act == "linear" else _plain(act)
     mul = _product(len(shape), M, win is not None)
     # the product goes into a new array in a kept step; a plan's swish keeps
     # z / 2 in a buffer apart from its output, the others work in the output
@@ -239,59 +253,64 @@ def _affine_step(M, b, act, shape, out, win=None, keep=None):
         z = mul(a, M, zbuf)
         np.add(z, b, z)
         if keep is None:
-            return _activate(act, z, out if swish else z)
+            return z if f is None else f(z, out if swish else z)
         y, d = _activate(act, z, out, True)
         keep.append((a, d))
         return y
     return step
 
 
-def _recurrent_plan(name, b, mul, z, h, hidden, zx_of, zx_last, recur, finish):
+def _recurrence(name, zx, b, hidden, recur, mul, kept=None):
+    """The one recurrence loop of a recurrent cell over its input half zx,
+    elements on the leading axis: from z = zx[0] + b, each later element
+    activates z (``name``) into the rows of a hidden-state buffer
+    ``hidden(shape)`` = (rows, operand) and runs ``recur(operand, zx_i, z,
+    b, mul)``, the recurrent product into z plus the element's input half
+    and the bias. Returns the last pre-activation z. A plain loop reuses one
+    buffer; a kept one (``kept`` = (ds, hs)) makes one per element and
+    appends act'(z) to ds and the operand to hs."""
+    z = zx[0] + b
+    h = None if kept is not None else hidden(z.shape)
+    act = _plain(name)
+    for zx_i in zx[1:]:
+        rows, op = h or hidden(z.shape)
+        if kept is None:
+            act(z, rows)
+        else:
+            kept[0].append(_activate(name, z, rows, True)[1])
+            kept[1].append(op)
+        recur(op, zx_i, z, b, mul)
+    return z
+
+
+def _recurrent_plan(name, b, mul, z, h, hidden, zx_of, zx_last, recur, out, finish):
     """A recurrent cell's plan (last, prefix) from its input halves of R
-    sequences' first elements and of a last element, its activation
-    ``name`` into the rows of a hidden-state buffer h = (rows, operand) and
-    its recurrent product from the operand into z (``hidden(shape)`` makes
-    the prefix's buffers), given a bias and product (b and np.matmul for the
-    prefix, b broadcast to z and ``mul`` for ``last``), and ``finish``, its
-    output."""
+    sequences (``zx_of``, (R, L - 1 or more) + element) and of a last
+    element, its activation ``name`` into the rows of a hidden-state buffer
+    h = (rows, operand) and its recurrent product from the operand into z
+    (``hidden(shape)`` makes the prefix's buffers), given a bias and product
+    (b and np.matmul for the prefix, b broadcast to z and ``mul`` for
+    ``last``), and ``finish(y, t)``, its output from the last hidden state y,
+    activated into ``out``."""
     bl = np.full(z.shape, b)
     rows, op = h
+    act = _plain(name)
 
     def prefix(xs):
-        zx = zx_of(xs)
-        zp = zx[:, :1] + b
-        hp, opp = hidden(zp.shape)
-        for i in range(1, xs.shape[1]):
-            _activate(name, zp, hp)
-            recur(opp, zx[:, i:i + 1], zp, b, np.matmul)
-        return zp[:, 0]
+        # the first L - 1 elements (a dense cell's input half also has its
+        # zero-padded last one), elements first, each as (R, 1) + element
+        zx = zx_of(xs)[:, :xs.shape[1], None].swapaxes(0, 1)
+        return _recurrence(name, zx, b, hidden, recur, np.matmul)[:, 0]
 
     def last(x, zp, t):
         zx = zx_last(x)
         if zp is None:
             np.add(zx, bl, z)
         else:
-            _activate(name, zp, rows)
+            act(zp, rows)
             recur(op, zx, z, bl, mul)
-        return finish(z, t)
+        return finish(act(z, out), t)
     return last, prefix
-
-
-def _taped_sequence(name, zx, b, h0, hidden, recur, mul, out):
-    """A kept recurrent step's loop over one sequence's input half zx
-    (L, ...), from the zero hidden state h0, with a new hidden-state buffer
-    from ``hidden()`` per step and ``recur`` and ``mul`` as for
-    :func:`_recurrent_plan`: (the last hidden state, in ``out``, act'(z) of
-    every step, the hidden states' operands before every step)."""
-    z = zx[0] + b
-    ds, hs = [], [h0]
-    for zx_i in zx[1:]:
-        h, op = hidden()
-        ds.append(_activate(name, z, h, True)[1])
-        hs.append(op)
-        recur(op, zx_i, z, b, mul)
-    y, d = _activate(name, z, out, True)
-    return y, ds + [d], hs
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +338,17 @@ def _taped_sequence(name, zx, b, h0, hidden, recur, mul, out):
 # Recurrent cells take the whole sequence as x, one array with the sequence
 # on the leading axis (then any batch axis), and return dx stacked the same
 # way. Their input half runs in one call over the sequence and batch, and
-# only the recurrent half steps through the sequence. A cell's kept step
-# runs the whole sequence; its plan for sequences of ``shape`` (L,) + element
-# is (last, prefix): prefix(xs) runs the first L - 1 elements of R sequences,
-# (R, L - 1) + element, in one pass to one pre-activation row per sequence,
-# and last(x, z, t) runs a last element x on from such a row z (None for
-# L = 1). Both give the kept step's bits: a stacked product runs each slice
-# as the unstacked one does, and one trajectory's hidden-state rows are
-# stacked as (1, units), which takes the 1-D product's routine.
+# only the recurrent half steps through the sequence, in the one loop
+# :func:`_recurrence`. A cell's kept step runs the whole sequence through it
+# and caches, per element, act'(z) and the hidden-state operand its
+# recurrent product read (zero before the first element); its plan for
+# sequences of ``shape`` (L,) + element is (last, prefix): prefix(xs) runs
+# the first L - 1 elements of R sequences, (R, L - 1) + element, through the
+# same loop to one pre-activation row per sequence, and last(x, z, t) runs a
+# last element x on from such a row z (None for L = 1). Both give the kept
+# step's bits: a stacked product runs each slice as the unstacked one does,
+# and one trajectory's hidden-state rows are stacked as (1, units), which
+# takes the 1-D product's routine.
 
 
 @dataclass(frozen=True)
@@ -423,9 +445,11 @@ class SimpleRnnCell:
 
         if keep is not None:
             def step(xs, t):
-                y, ds, hs = _taped_sequence(self.act, np.matmul(xs, Mx), b,
-                                            np.zeros(hshape), hidden, recur, mh, out)
-                keep.append((xs, ds, hs + [y]))
+                # the hidden state before the first element is zero
+                ds, hs = [], [np.zeros(hshape)]
+                z = _recurrence(self.act, np.matmul(xs, Mx), b, hidden, recur, mh, (ds, hs))
+                y, d = _activate(self.act, z, out, True)
+                keep.append((xs, ds + [d], hs))
                 return y
             return step, None
 
@@ -445,7 +469,7 @@ class SimpleRnnCell:
             xl[-1] = x
             return mx(xl, Mx, zxl)[-1]
         return _recurrent_plan(self.act, b, mh, np.empty(hshape), hidden(), hidden, zx_of,
-                               zx_last, recur, lambda z, t: _activate(self.act, z, out))
+                               zx_last, recur, out, lambda y, t: y)
 
     def backward(self, p, cache, w, grads=True):
         Wx, Wh = p[:2]
@@ -462,7 +486,7 @@ class SimpleRnnCell:
             return dxs, None
         dz2 = dzs.reshape(-1, self.units)
         return dxs, (dz2.T @ xs.reshape(-1, self.n_in),
-                     dz2.T @ np.stack(hs[:-1]).reshape(-1, self.units), dz2.sum(axis=0))
+                     dz2.T @ np.stack(hs).reshape(-1, self.units), dz2.sum(axis=0))
 
     def rows(self, cache, sl):
         xs, ds, hs = cache
@@ -538,10 +562,11 @@ class SimpleRnnConvCell:
         if keep is not None:
             def step(xs, t):
                 xwin = _windows(xs, k, (k - 1) // 2)
-                # the hidden state before step 0 and its windows are zero
-                h0 = np.zeros(hshape[:-1] + (k * self.units,))
-                _, ds, hwins = _taped_sequence(self.act, input_half(xwin), b, h0, padded,
-                                               recur, mh, h[0])
+                # the hidden state before the first element and its windows
+                # are zero
+                ds, hwins = [], [np.zeros(hshape[:-1] + (k * self.units,))]
+                z = _recurrence(self.act, input_half(xwin), b, padded, recur, mh, (ds, hwins))
+                ds.append(_activate(self.act, z, h[0], True)[1])
                 y = conv_out(h[0], t)
                 owin, do = kept_out.pop()
                 keep.append((xwin, ds, hwins, do, owin))
@@ -556,12 +581,9 @@ class SimpleRnnConvCell:
                 np.copyto(xin, x)
             return input_half(x if xwin is None else xwin, zxl, mx)
 
-        def finish(z, t):
-            _activate(self.act, z, h[0])
-            return conv_out(h[0], t)
         return _recurrent_plan(self.act, b, mh, np.empty(hshape), h, padded,
                                lambda xs: input_half(_windows(xs, k, (k - 1) // 2)),
-                               zx_last, recur, finish)
+                               zx_last, recur, h[0], conv_out)
 
     def backward(self, p, cache, w, grads=True):
         rx, rh, ro = p[10:]
@@ -746,23 +768,20 @@ class BioConstrain:
 
         def step(x, t):
             if keep is not None:
-                keep.append((x[..., 0], shape))
+                keep.append(x[..., 0])
             return np.multiply(x, row, out)
         return step, None
 
     def backward(self, p, cache, w, grads=True):
         beta = p[0][0]
-        s, xshape = cache
         ds = beta * w[..., 0] - w[..., 1] + (1.0 - beta) * w[..., 2]
         if not grads:
-            return ds.reshape(xshape), None
-        dbeta = float(np.sum(s * (w[..., 0] - w[..., 2])))
-        return ds.reshape(xshape), (np.array([dbeta]),)
+            return ds[..., None], None
+        dbeta = float(np.sum(cache * (w[..., 0] - w[..., 2])))
+        return ds[..., None], (np.array([dbeta]),)
 
     def rows(self, cache, sl):
-        s, xshape = cache
-        s = s[sl]
-        return s, s.shape + xshape[-1:]
+        return cache[sl]
 
     def describe(self):
         return "BioConstrain"
@@ -821,7 +840,7 @@ class Network:
     def describe(self) -> str:
         return ";".join(lay.describe() for lay in self.layers)
 
-    def unpack(self, params: Vec) -> tuple:
+    def unpack(self, params: np.ndarray) -> tuple:
         """The flat vector decoded once for the layers' passes: one tuple per
         layer, its parameter views shaped per ``param_specs``, then the
         layer's ``decode`` of them: the operands its forward steps multiply
@@ -1049,7 +1068,7 @@ class Tape:
     caches: list
 
 
-def tape(net: Network, x, params: Vec, t=None) -> Tape:
+def tape(net: Network, x, params: np.ndarray, t=None) -> Tape:
     """Run the forward pass and keep it for :func:`backward`: the kept steps
     of :func:`_steps` over buffers of this tape's own. ``params`` is the
     flat vector or its :meth:`Network.unpack` views.
@@ -1087,12 +1106,12 @@ def backward_input(tp: Tape, w):
     return _backward(tp, w, False)[0]
 
 
-def vjp(net: Network, x, params: Vec, w, t=None):
+def vjp(net: Network, x, params: np.ndarray, w, t=None):
     """Reverse pass of w . forward(net, x, params): (d/dx, d/dparams)."""
     return backward(tape(net, x, params, t), w)
 
 
-def init_params(net: Network, seed: int, *, zero_final: bool = True) -> Vec:
+def init_params(net: Network, seed: int, *, zero_final: bool = True) -> np.ndarray:
     """Glorot-uniform weights, zero biases, deterministic per seed.
 
     ``zero_final`` zeroes the last weighted layer (excluding BioConstrain,

@@ -30,7 +30,6 @@ from .closure import (
     forward_augmented,
 )
 from .integrate import TIME_RTOL, DenseTrajectory, IntegrationError, StepperSpec
-from .linalg import Vec
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +180,8 @@ def lr_at(lr0: float, decay_rate: float, decay_steps: int, step: int) -> float:
     return lr0 * decay_rate ** (step / decay_steps)
 
 
-def rmsprop_update(state: RmspropState, params: Vec, grad: Vec, lr: float) -> Vec:
+def rmsprop_update(state: RmspropState, params: np.ndarray, grad: np.ndarray,
+                   lr: float) -> np.ndarray:
     state.s = RMSPROP_RHO * state.s + (1.0 - RMSPROP_RHO) * grad * grad
     state.step += 1
     return params - lr * grad / (np.sqrt(state.s) + RMSPROP_EPS)
@@ -236,7 +236,7 @@ def avg_crosscorr(pred, truth) -> float:
     return float(np.mean(np.sum(a * b, axis=0) / denom))
 
 
-def evaluate_rollout(sys: AugmentedSystem, params: Vec, dataset: SnapshotDataset,
+def evaluate_rollout(sys: AugmentedSystem, params: np.ndarray, dataset: SnapshotDataset,
                      stepper: StepperSpec, history: History):
     """Free rollout from the dataset's first state, with ``history`` before
     it; returns (preds, rmse, corr).
@@ -300,7 +300,7 @@ class TrainResult:
     epochs_run: int = 0
 
 
-def batch_gradient(sys: AugmentedSystem, params: Vec, dataset: SnapshotDataset,
+def batch_gradient(sys: AugmentedSystem, params: np.ndarray, dataset: SnapshotDataset,
                    starts, settings: TrainSettings, loss_spec: LossSpec,
                    stepper: StepperSpec, history: History):
     """Forward + adjoint over the training windows at ``starts`` (snapshot
@@ -322,7 +322,7 @@ def batch_gradient(sys: AugmentedSystem, params: Vec, dataset: SnapshotDataset,
     return loss, adj.grad
 
 
-def window_gradient(sys: AugmentedSystem, params: Vec, dataset: SnapshotDataset,
+def window_gradient(sys: AugmentedSystem, params: np.ndarray, dataset: SnapshotDataset,
                     start: int, settings: TrainSettings, loss_spec: LossSpec,
                     stepper: StepperSpec, history: History):
     """Forward + adjoint over one training window; returns (loss, grad)."""
@@ -330,7 +330,7 @@ def window_gradient(sys: AugmentedSystem, params: Vec, dataset: SnapshotDataset,
                           stepper, history)
 
 
-def train(sys: AugmentedSystem, dataset: SnapshotDataset, params0: Vec,
+def train(sys: AugmentedSystem, dataset: SnapshotDataset, params0: np.ndarray,
           settings: TrainSettings, loss_spec: LossSpec, stepper: StepperSpec,
           val_dataset: SnapshotDataset | None = None,
           opt_state: RmspropState | None = None,

@@ -277,10 +277,11 @@ def test_zero_closure_checkpoint_reproduces_baseline(tmp_path):
     assert np.max(np.abs(model - base)) < 1e-12
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_a_failed_evaluate_leaves_no_scores(tmp_path, capsys):
-    # a checkpoint whose rollout fails exits 1 and leaves none of the score
-    # tables that an earlier checkpoint's evaluate wrote
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_a_failed_evaluate_scores_the_baselines(tmp_path, capsys):
+    # a checkpoint whose rollout breaks down exits 1, and still writes the
+    # three score tables: the baselines' numbers, the model's nan
     from neuralclosure.checkpoint import Checkpoint, save_checkpoint
     from neuralclosure.config import config_hash
 
@@ -289,16 +290,27 @@ def test_a_failed_evaluate_leaves_no_scores(tmp_path, capsys):
     out, ckpt = tmp_path / "out", tmp_path / "ck.txt"
     clo = cfg.study().closure(cfg.kind)
     params = ex.initial_params(clo, seed=1)
-    scores = [out / name for name in ("trajectory.csv", "rmse.csv", "metrics.csv")]
-    for p, code in ((params, 0), (np.full(params.size, np.inf), 1)):
-        save_checkpoint(ckpt, Checkpoint(
-            experiment="toy", kind="markovian", arch=clo.describe(),
-            config_sha=config_hash(cfg), epoch=0, params=p,
-            opt_s=np.zeros(p.size), opt_step=0))
-        assert cli.main(["evaluate", "--config", cfgp, "--out", str(out),
-                         "--checkpoint", str(ckpt)]) == code
-        assert [f.exists() for f in scores] == [code == 0] * 3
-    assert capsys.readouterr().err.startswith("error: ")
+    params[-1] = 1.7e308
+    save_checkpoint(ckpt, Checkpoint(
+        experiment="toy", kind="markovian", arch=clo.describe(),
+        config_sha=config_hash(cfg), epoch=0, params=params,
+        opt_s=np.zeros(params.size), opt_step=0))
+    assert cli.main(["evaluate", "--config", cfgp, "--out", str(out),
+                     "--checkpoint", str(ckpt)]) == 1
+    assert capsys.readouterr().err.startswith("error: the model's rollout failed: ")
+    header, traj = cli.read_table(out / "trajectory.csv")
+    model = [i for i, h in enumerate(header) if h.startswith("model_")]
+    base = [i for i, h in enumerate(header) if h.startswith("baseline_")]
+    assert model and base
+    assert np.all(np.isnan(traj[:, model])) and np.all(np.isfinite(traj[:, base]))
+    header, rmse = cli.read_table(out / "rmse.csv")
+    assert header == ["t", "rmse_model", "rmse_baseline"]
+    assert np.all(np.isnan(rmse[:, 1])) and np.all(np.isfinite(rmse[:, 2]))
+    with open(out / "metrics.csv") as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+    assert {r[2] for r in rows} == {"model", "baseline"}
+    for _, _, name, value in rows:
+        assert np.isnan(float(value)) == (name == "model")
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):

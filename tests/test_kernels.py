@@ -689,6 +689,26 @@ def test_a_reverse_pass_stops_the_recurrent_product_at_step_1(name, grads, monke
         assert sum(calls) == 6
 
 
+@pytest.mark.parametrize("name", sorted(RNN_CELLS))
+def test_a_tape_and_a_prefix_run_the_one_recurrence_loop(name, monkeypatch):
+    # a cell steps through its sequence in one loop, nn._recurrence, run
+    # once by a tape and once by a plan's prefix pass; the tape keeps one
+    # hidden-state operand per act'(z), the zero state first
+    cell = RNN_CELLS[name]
+    rng = np.random.default_rng(6)
+    shape = (cell.n_in,) if name == "dense" else (20, cell.in_ch)
+    net = nn.Network([cell])
+    params = rng.normal(0.0, 0.5, net.n_params)
+    loop, calls = nn._recurrence, []
+    monkeypatch.setattr(nn, "_recurrence", lambda *a, **k: calls.append(1) or loop(*a, **k))
+    tp = nn.tape(net, rng.normal(size=(7,) + shape), params)
+    assert len(calls) == 1
+    ds, hs = tp.caches[0][1:3]
+    assert len(ds) == len(hs) == 7 and not np.any(hs[0])
+    nn.Plan(net, params).prefix(rng.normal(size=(4, 6) + shape))
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # Repeated reverse passes on one tape
 # ---------------------------------------------------------------------------

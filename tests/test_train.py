@@ -234,7 +234,7 @@ def test_training_learns_constant_residual():
     assert res.history[-1].val_rmse < 0.3 * rmse0
     # the learned closure should approximate the missing constant source
     for u in (np.array([0.5, 0.0]), np.array([0.3, -0.2])):
-        term = sys.closure_term(0.0, u, res.params)
+        term = sys.closure.f_term(0.0, u, res.params).reshape(u.shape)
         assert np.max(np.abs(term - c)) < 0.1
 
 
