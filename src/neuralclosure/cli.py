@@ -74,12 +74,17 @@ def write_csv(path, header, rows) -> None:
 
 
 def read_table(path):
+    """A CSV's header and its body as a (rows, columns) array; a header
+    with no rows reads as a (0, columns) table."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
+        body = fh.readlines()
+    if not body:
+        return header, np.empty((0, len(header)))
+    try:
+        data = np.loadtxt(body, delimiter=",", ndmin=2)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: {len(header)} columns in header, "
                          f"{data.shape[1]} in body")

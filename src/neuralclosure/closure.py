@@ -514,15 +514,18 @@ class AdjointRun:
 
     ``adjoint_traj`` stores the adjoint state over [t0, T] (state adjoint
     lambda, then the auxiliary adjoint mu for distributed closures); ``grad``
-    is the theta gradient followed by the phi gradient.
+    is the theta gradient followed by the phi gradient of ``loss``, the
+    total loss of the supervised states.
     """
 
     adjoint_traj: DenseTrajectory
     grad: np.ndarray
+    loss: float
 
 
 def _loss_jumps(run: ForwardRun, dataset, loss_spec):
-    """Data times (ascending) and dL/du(T_i) cotangents from the forward run.
+    """Data times (ascending), dL/du(T_i) cotangents and the total loss L
+    from the forward run.
 
     The dataset's times are clock times; its states hold one row per time,
     with the run's member axis (times, B, u_dim) for a batch."""
@@ -542,7 +545,7 @@ def _loss_jumps(run: ForwardRun, dataset, loss_spec):
     cots = np.asarray(loss_spec.cotangents(preds, targets), dtype=float)
     if cots.shape != preds.shape:
         raise ValueError("loss cotangents must match prediction shape")
-    return times, cots
+    return times, cots, loss_spec.total(preds, targets)
 
 
 def _snap(known: list, t: float) -> float:
@@ -761,7 +764,7 @@ def adjoint_gradient(sys: AugmentedSystem, params: np.ndarray, run: ForwardRun,
     dt = _require_rk4(stepper)
     views = sys.decode(params)
     c = sys.closure
-    times, cots = _loss_jumps(run, dataset, loss_spec)
+    times, cots, loss = _loss_jumps(run, dataset, loss_spec)
     T, n, lead, offsets, f_lags = run.t1, run.u_dim, run.lead, run.offsets, c.f_lags
     grid = _sweep_grid(run.t0, T, times, dt, c.lags)
     knots = np.concatenate([ts for ts, _ in grid])
@@ -836,7 +839,7 @@ def adjoint_gradient(sys: AugmentedSystem, params: np.ndarray, run: ForwardRun,
     if windowed:
         # history term: -mu^T(t0) d_phi y(t0)
         grad[sys.n_theta:] -= history_param_grad(sys, run, store.eval(run.t0)[..., n:])
-    return AdjointRun(store, grad)
+    return AdjointRun(store, grad, loss)
 
 
 def history_param_grad(sys: AugmentedSystem, run: ForwardRun, mu0: np.ndarray) -> np.ndarray:

@@ -467,8 +467,7 @@ class ColumnStudy(Study):
         return [f"{s}_{d}" for d in _numbered("d", self.cfg.n_z) for s in species]
 
     def loss_spec(self) -> LossSpec:
-        return LossSpec(kind="depth_avg_l2", positivity_weight=self.positivity_weight,
-                        n_depth=self.cfg.n_z)
+        return LossSpec(positivity_weight=self.positivity_weight, n_depth=self.cfg.n_z)
 
     def batch_size(self, kind: str) -> int:
         return 4 if kind == "distributed" else self.batch

@@ -19,17 +19,14 @@ import numpy as np
 @dataclass(frozen=True)
 class BurgersGrid:
     n_cells: int
-    length: float = 1.0
 
     def __post_init__(self):
         if self.n_cells < 2:
             raise ValueError("need at least two cells")
-        if self.length <= 0.0:
-            raise ValueError("length must be positive")
 
     @property
     def dx(self) -> float:
-        return self.length / self.n_cells
+        return 1.0 / self.n_cells
 
     @property
     def x(self) -> np.ndarray:

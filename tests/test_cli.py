@@ -340,6 +340,23 @@ def test_resume_past_the_last_epoch_keeps_the_checkpoint(tmp_path, capsys):
     assert "for 3 epochs" in capsys.readouterr().out
 
 
+def test_a_run_that_completed_no_epoch_resumes(tmp_path, recwarn):
+    # a run of 0 epochs writes a loss history with a header and no rows,
+    # which reads as an empty table when the run is resumed
+    text = TOY_CFG.replace("discrete", "markovian")
+    none = _write(tmp_path, text.replace("epochs = 3", "epochs = 0"), "none.cfg")
+    two = _write(tmp_path, text.replace("epochs = 3", "epochs = 2"), "two.cfg")
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", none, "--out", str(out)]) == 0
+    header, rows = cli.read_table(out / "loss_history.csv")
+    assert rows.shape == (0, len(header)) == (0, 4)
+    assert cli.main(["train", "--config", two, "--out", str(out),
+                     "--checkpoint", str(out / "checkpoint.txt")]) == 0
+    _, rows = cli.read_table(out / "loss_history.csv")
+    assert rows[:, 0].tolist() == [0.0, 1.0]
+    assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
+
+
 def test_seed_flag_overrides_config(tmp_path, toy_cfg):
     a, b = tmp_path / "a", tmp_path / "b"
     cli.main(["train", "--config", toy_cfg, "--out", str(a)])

@@ -131,9 +131,9 @@ def test_settings_carry_study_defaults():
 def test_loss_specs():
     assert ex.get_study("exp1_rom").loss_spec().positivity_weight == 0.0
     l3a = ex.get_study("exp3a_bio0d").loss_spec()
-    assert l3a.kind == "time_avg_l2" and l3a.positivity_weight == 1.0
+    assert l3a.n_depth == 1 and l3a.positivity_weight == 1.0
     l3b = ex.get_study("exp3b_bio1d").loss_spec()
-    assert l3b.kind == "depth_avg_l2" and l3b.n_depth == 20
+    assert l3b.n_depth == 20
 
 
 def test_uniform_times_rejects_ragged_span():

@@ -10,8 +10,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from neuralclosure import experiments as ex, nn
-from neuralclosure.closure import AugmentedSystem, Markovian, forward_augmented
-from neuralclosure.integrate import RK4Fixed
+from neuralclosure.closure import (
+    AugmentedSystem,
+    Markovian,
+    adjoint_gradient,
+    forward_augmented,
+    run_loss,
+)
+from neuralclosure.integrate import DenseTrajectory, RK4Fixed
 from neuralclosure.train import (
     EpochRecord,
     LossSpec,
@@ -20,6 +26,7 @@ from neuralclosure.train import (
     TrainSettings,
     admissible_starts,
     avg_crosscorr,
+    batch_gradient,
     evaluate_rollout,
     iterations_per_epoch,
     lr_at,
@@ -27,6 +34,7 @@ from neuralclosure.train import (
     rmsprop_update,
     sample_batch,
     train,
+    window_gradient,
 )
 
 from oracles import central_fd
@@ -80,27 +88,27 @@ def test_history_fn_clamps_outside_span():
 
 
 def test_time_avg_l2_is_mean_of_norms():
-    loss = LossSpec("time_avg_l2")
+    loss = LossSpec()
     preds = np.array([[3.0, 4.0], [0.0, 0.0]])
     targets = np.zeros((2, 2))
     assert abs(loss.total(preds, targets) - 2.5) < 1e-15
 
 
 def test_depth_avg_l2_divides_by_sqrt_depth():
-    loss = LossSpec("depth_avg_l2", n_depth=4)
+    loss = LossSpec(n_depth=4)
     preds = np.array([[3.0, 4.0]])
     assert abs(loss.total(preds, np.zeros((1, 2))) - 2.5) < 1e-15
 
 
 def test_positivity_penalty_value():
-    loss = LossSpec("time_avg_l2", positivity_weight=10.0)
+    loss = LossSpec(positivity_weight=10.0)
     preds = np.array([[-1.0, 2.0]])
     targets = np.zeros((1, 2))
     assert abs(loss.total(preds, targets) - (np.sqrt(5.0) + 10.0)) < 1e-12
 
 
 def test_zero_residual_cotangent_is_zero():
-    loss = LossSpec("time_avg_l2")
+    loss = LossSpec()
     preds = np.array([[1.0, 2.0], [1.0, 0.0]])
     targets = preds.copy()
     targets[1] = [0.0, 0.0]
@@ -118,16 +126,14 @@ def test_cotangents_match_fd_of_total(preds, targets):
         return
     if np.any(np.abs(preds) < 1e-3):
         return  # positivity kink
-    loss = LossSpec("depth_avg_l2", positivity_weight=0.7, n_depth=2)
+    loss = LossSpec(positivity_weight=0.7, n_depth=2)
     fd = central_fd(lambda p: loss.total(p, targets), preds)
     assert np.max(np.abs(loss.cotangents(preds, targets) - fd)) < 1e-6
 
 
 def test_loss_spec_validation():
     with pytest.raises(ValueError):
-        LossSpec("huber")
-    with pytest.raises(ValueError):
-        LossSpec("depth_avg_l2", n_depth=0)
+        LossSpec(n_depth=0)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +229,7 @@ def test_training_learns_constant_residual():
     val_ds = data.restrict(2.0, 3.0)
     settings = TrainSettings(epochs=40, batch_size=2, lr0=0.05, seed=1)
     params0 = nn.init_params(sys.closure.net, seed=1)
-    loss = LossSpec("time_avg_l2")
+    loss = LossSpec()
     stepper = RK4Fixed(0.05)
     _, rmse0, _ = evaluate_rollout(sys, params0, val_ds, stepper, train_ds.history_fn())
     res = train(sys, train_ds, params0, settings, loss, stepper, val_dataset=val_ds)
@@ -243,7 +249,7 @@ def test_training_is_deterministic():
     train_ds = data.restrict(0.0, 1.5)
     settings = TrainSettings(epochs=3, batch_size=2, lr0=0.05, seed=7)
     params0 = nn.init_params(sys.closure.net, seed=7)
-    loss = LossSpec("time_avg_l2")
+    loss = LossSpec()
     r1 = train(sys, train_ds, params0, settings, loss, RK4Fixed(0.05))
     r2 = train(sys, train_ds, params0, settings, loss, RK4Fixed(0.05))
     assert np.array_equal(r1.params, r2.params)
@@ -253,7 +259,7 @@ def test_training_is_deterministic():
 def test_resumed_training_matches_uninterrupted():
     sys, data, _ = _constant_residual_problem()
     train_ds = data.restrict(0.0, 1.5)
-    loss = LossSpec("time_avg_l2")
+    loss = LossSpec()
     stepper = RK4Fixed(0.05)
     params0 = nn.init_params(sys.closure.net, seed=3)
 
@@ -280,7 +286,7 @@ def test_divergence_is_flagged_not_raised():
     settings = TrainSettings(epochs=5, batch_size=1, lr0=0.01, seed=2)
     with np.errstate(over="ignore", invalid="ignore"):
         res = train(sys, data, np.zeros(2), settings,
-                    LossSpec("time_avg_l2"), RK4Fixed(0.05))
+                    LossSpec(), RK4Fixed(0.05))
     assert res.diverged
     assert res.epochs_run == 0
 
@@ -306,6 +312,54 @@ def test_divergence_returns_last_finite_state():
     assert res.opt_state.step == 0
     assert not np.any(res.opt_state.s)
     assert rng.bit_generator.state == rng_before
+
+
+def _toy_step(kind):
+    """The toy study's training data, system, settings and parameters (seed-7
+    initial parameters plus 0.01 Gaussian noise) for a closure kind."""
+    study = ex.get_study("toy")
+    data = study.setup()
+    clo = study.closure(kind)
+    ds = SnapshotDataset(data.times, data.states).restrict(0.0, study.train_end)
+    params = ex.initial_params(clo, 7)
+    params = params + 0.01 * np.random.default_rng(7).normal(size=params.size)
+    return study, study.system(clo, data), ds, study.settings(kind), params
+
+
+@pytest.mark.parametrize("kind", ex.CLOSURE_KINDS)
+def test_a_training_step_reads_each_supervised_state_once(kind, monkeypatch):
+    # the adjoint sweep evaluates the supervised states for its jumps and
+    # its loss alike: no trajectory is read twice at the same times
+    study, sys, ds, settings, params = _toy_step(kind)
+    reads = []
+    eval_many = DenseTrajectory.eval_many
+
+    def recorded(traj, ts):
+        reads.append((traj, np.asarray(ts, dtype=float).tobytes()))
+        return eval_many(traj, ts)
+
+    monkeypatch.setattr(DenseTrajectory, "eval_many", recorded)
+    starts = admissible_starts(ds.n_steps)[:settings.batch_size]
+    batch_gradient(sys, params, ds, starts, settings, study.loss_spec(),
+                   study.forward_stepper(), ds.history_fn())
+    keys = [(id(traj), ts) for traj, ts in reads]
+    assert reads and len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("kind", ex.CLOSURE_KINDS)
+def test_the_adjoint_reports_the_loss_it_differentiates(kind):
+    study, sys, ds, settings, params = _toy_step(kind)
+    loss_spec, stepper, history = study.loss_spec(), study.forward_stepper(), ds.history_fn()
+    s, w = 4, settings.window_steps
+    sup = s + np.arange(settings.supervise_stride, w + 1, settings.supervise_stride)
+    window = SnapshotDataset(ds.times[sup], ds.states[sup])
+    loss, run = run_loss(sys, params, (ds.times[s], ds.times[s + w]), window, loss_spec,
+                         stepper, history, u0=ds.states[s])
+    adj = adjoint_gradient(sys, params, run, window, loss_spec, stepper)
+    assert adj.loss == loss
+    step_loss, grad = window_gradient(sys, params, ds, s, settings, loss_spec, stepper,
+                                      history)
+    assert step_loss == loss and np.array_equal(grad, adj.grad)
 
 
 def test_settings_validation():
